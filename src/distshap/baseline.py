@@ -117,12 +117,6 @@ class ExactShapleyResult:
     subset_evaluations: int
 
 
-def _subset_len(subset) -> int:
-    if isinstance(subset, tuple):
-        return int(np.asarray(subset[0]).shape[0])
-    return int(np.asarray(subset).shape[0])
-
-
 def _regression_utility(subset, spec: UtilitySpec, ctx: RegressionUtilityContext) -> float:
     x, y = subset
     x = np.asarray(x, dtype=float)
@@ -233,7 +227,9 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
         members = all_idx[(mask >> all_idx) & 1 == 1]
         util[mask] = ufunc(_take(data, members))
 
-    sizes = np.bitwise_count(masks).astype(np.int64)
+    sizes = np.zeros(masks.size, dtype=np.int64)
+    for b in range(n):
+        sizes += (masks >> b) & 1
     weights = np.array([1.0 / (n * comb(n - 1, s)) for s in range(n)])
     values = np.empty(n)
     for i in range(n):

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .estimates import BoundParams, BoundsResult
 from .numerics import SpdMatrix, estimate_second_moment, inv_logit, mahalanobis_sq
+from .regression import _envelope_bounds, _point_or_batch
 
 __all__ = [
     "IRLSState",
@@ -54,7 +55,7 @@ class BinaryPointQuery:
     ``pi_star`` is the fitted class-1 probability, ``w_star`` its variance
     weight, ``z_star`` the working response, ``e2_b`` the weighted squared
     error and ``d_tilde`` the weighted Mahalanobis statistic driving the
-    value bounds.
+    value bounds. A batch holds ``(n, p)`` inputs and ``(n,)`` arrays.
     """
 
     x_star: np.ndarray
@@ -67,11 +68,12 @@ class BinaryPointQuery:
 
     def __post_init__(self):
         self.x_star = np.asarray(self.x_star, dtype=float)
-        if self.y_star not in (0, 1):
+        if not np.all(np.isin(self.y_star, (0, 1))):
             raise InvalidParameterError("y_star must be 0 or 1")
-        if not (0.0 < self.w_star <= 0.25):
+        w = np.asarray(self.w_star)
+        if not np.all((0.0 < w) & (w <= 0.25)):
             raise InvalidParameterError("w_star must lie in (0, 0.25]")
-        if self.e2_b < 0 or self.d_tilde < 0:
+        if np.any(np.asarray(self.e2_b) < 0) or np.any(np.asarray(self.d_tilde) < 0):
             raise InvalidParameterError("e2_b and d_tilde must be nonnegative")
 
 
@@ -135,7 +137,7 @@ def estimate_weighted_second_moment(x, beta, ridge: float = 0.0) -> SpdMatrix:
 
 def transform_query(x_star, y_star, state: IRLSState, sigma_tilde_inv: SpdMatrix,
                     *, clamp_weight: bool = False) -> BinaryPointQuery:
-    """Map a labelled datum to its working-response query.
+    """Map a labelled datum, or the rows of an ``(n, p)`` batch, to its working-response query.
 
     Refuses to proceed on a non-converged fit (the transformed quantities
     are meaningless when the MLE diverges). A probability that saturates to
@@ -144,69 +146,44 @@ def transform_query(x_star, y_star, state: IRLSState, sigma_tilde_inv: SpdMatrix
     """
     if not state.converged:
         raise NotConvergedError("transform requires a converged IRLS fit")
-    if y_star not in (0, 1):
+    if not np.all(np.isin(y_star, (0, 1))):
         raise InvalidParameterError("y_star must be 0 or 1")
     x_star = np.asarray(x_star, dtype=float)
-    eta = float(x_star @ state.beta)
+    if x_star.ndim == 1:
+        eta = float(x_star @ state.beta)
+        y_star = int(y_star)
+    else:
+        eta = x_star @ state.beta
+        y_star = np.asarray(y_star).astype(int)
     pi = inv_logit(eta)
     w = pi * (1.0 - pi)
-    if w <= 0.0:
+    saturated = np.asarray(w) <= 0.0
+    if saturated.any():
         if not clamp_weight:
-            raise SaturationError(
-                f"fitted probability saturated (linear predictor {eta:.3g})")
-        w = 1e-12
+            first = float(np.atleast_1d(eta)[np.atleast_1d(saturated)][0])
+            raise SaturationError(f"fitted probability saturated (linear predictor {first:.3g})")
+        w = np.where(saturated, 1e-12, w) if saturated.ndim else 1e-12
     z = eta + (y_star - pi) / w
     e2_b = (y_star - pi) ** 2 / w
     d_tilde = w * mahalanobis_sq(x_star, sigma_tilde_inv)
-    return BinaryPointQuery(x_star=x_star, y_star=int(y_star), pi_star=pi,
+    return BinaryPointQuery(x_star=x_star, y_star=y_star, pi_star=pi,
                             w_star=w, z_star=z, e2_b=e2_b, d_tilde=d_tilde)
 
 
 def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int,
                            params: BoundParams | None = None) -> BoundsResult:
-    """Deterministic lower/upper value bounds for a transformed binary datum.
+    """Deterministic lower/upper value bounds for a transformed binary datum or batch.
 
-    Same envelope construction as the regression bounds at zero ridge, with
-    the conditional variance fixed at 1 by the working-response model.
-    Summation runs until the running lower bound's relative change drops to
-    ``params.rho``; indices with vacuous concentration (deviation >= 1) are
-    skipped and counted.
+    The regression envelope bounds at zero ridge, with the conditional
+    variance fixed at 1 by the working-response model. Summation runs until
+    the running lower bound's relative change drops to ``params.rho``;
+    indices with vacuous concentration (deviation >= 1) are skipped and
+    counted.
     """
     params = params if params is not None else BoundParams()
-    p = query.x_star.shape[0]
+    p = query.x_star.shape[-1]
     if q < p + 3:
         raise InvalidParameterError(f"binary bounds need q >= p + 3, got q={q}, p={p}")
-    js = np.arange(q - 1, m, dtype=float)
-    if js.size == 0:
-        return BoundsResult(lower=0.0, upper=0.0, skipped_terms=0)
-
-    delta = (params.C * np.sqrt(p) + np.sqrt(np.log(js * m) / (2.0 * params.c))) / np.sqrt(js)
-    valid = delta < 1.0
-    skipped = int(np.count_nonzero(~valid))
-    if not valid.any():
-        return BoundsResult(lower=0.0, upper=0.0, skipped_terms=skipped)
-
-    js_v, delta_v = js[valid], delta[valid]
-    env_up = 1.0 / (js_v * (1.0 - delta_v) ** 2)
-    env_lo = 1.0 / (js_v * (1.0 + delta_v) ** 2)
-    t, e2b = query.d_tilde, query.e2_b
-    ratio = ((1.0 + t * env_lo) / (1.0 + t * env_up)) ** 2
-    lower_terms = t * env_lo ** 2 / (1.0 + t * env_up) ** 2 * ((2.0 + t * env_lo) - e2b / ratio)
-    upper_terms = t * env_up ** 2 / (1.0 + t * env_lo) ** 2 * ((2.0 + t * env_up) - ratio * e2b)
-
-    running = np.cumsum(lower_terms) / m
-    prev = running[:-1]
-    cur = running[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(prev / cur - 1.0)
-    ok = (cur != 0.0) & (rel <= params.rho)
-    if ok.any():
-        k = int(np.argmax(ok)) + 2
-        stopped_at = int(js_v[k - 1])
-    else:
-        k = js_v.size
-        stopped_at = None
-    return BoundsResult(lower=float(np.sum(lower_terms[:k]) / m),
-                        upper=float(np.sum(upper_terms[:k]) / m),
-                        skipped_terms=skipped,
-                        stopped_at_j=stopped_at)
+    result = _envelope_bounds(np.atleast_1d(query.d_tilde), np.atleast_1d(query.e2_b),
+                              sigma2=1.0, m=m, q=q, p=p, params=params, early_stop=True)
+    return _point_or_batch(result, query.x_star.ndim == 2)

@@ -100,30 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args):
-    if not getattr(args, "config", None):
-        return args
+def _apply_config_file(parser, args, argv):
+    """Re-parse with the config file's values as the command's defaults, so flags win."""
     with open(args.config, encoding="utf-8") as handle:
-        defaults = json.load(handle)
-    parser = build_parser()
-    # flags explicitly given on the command line win over file values
-    sentinel = parser.parse_args([args.command] + _reconstruct_required(args))
-    for key, value in defaults.items():
+        file_values = json.load(handle)
+    defaults = {}
+    for key, value in file_values.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise InvalidParameterError(f"unknown config key {key!r}")
-        if getattr(args, attr) == getattr(sentinel, attr, None):
-            setattr(args, attr, value)
-    return args
-
-
-def _reconstruct_required(args):
-    required = []
-    for flag, attr in (("--output", "output"), ("--data", "data"), ("--task", "task"),
-                       ("--kind", "kind"), ("--n", "n"), ("--cells", "cells")):
-        if getattr(args, attr, None) is not None:
-            required.extend([flag, str(getattr(args, attr))])
-    return required
+        defaults[attr] = value
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    commands.choices[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _target_column(args):
@@ -230,7 +220,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args)
+        if getattr(args, "config", None):
+            args = _apply_config_file(parser, args, argv)
         if args.command == "gen":
             _cmd_gen(args)
         elif args.command in ("value", "bounds", "baseline"):

@@ -75,7 +75,8 @@ class BoundsResult:
     Iterating yields ``(lower, upper)`` so the result unpacks like a tuple.
     ``skipped_terms`` counts summation indices dropped because the
     concentration deviation reached 1 (the bound is vacuous there);
-    ``stopped_at_j`` is the index where the early stop fired, if any.
+    ``stopped_at_j`` is the index where the early stop fired, if any. For a
+    batch of points the bounds are arrays and ``stopped_at_j`` is a list.
     """
 
     lower: float

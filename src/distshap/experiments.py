@@ -1,15 +1,14 @@
 """Experiment orchestration: splits, valuation pipelines, point addition, timing.
 
-Everything here is seed-partitioned: each repetition, each valued point and
-each benchmark cell draws from its own derived stream, so results are
-reproducible regardless of execution order or thread count.
+Everything here is seed-partitioned: each repetition, each sampled valued
+point and each benchmark cell draws from its own derived stream, so results
+are reproducible regardless of execution order.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ from .density import (
     kde_evaluate,
     select_bandwidth,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SingularMatrixError
 from .estimates import BoundParams, MCControls
 from .numerics import RandomStream, spd_inverse
 from .regression import (
@@ -89,7 +88,7 @@ class ExperimentConfig:
     density_budget: int = 2000
     density_eval_points: int = 500
     bandwidth_grid: tuple = DEFAULT_BANDWIDTH_GRID
-    threads: int = 1
+    threads: int = 1  # echoed in the metadata; the work runs in one thread
 
     def __post_init__(self):
         if self.task not in _TASKS:
@@ -160,84 +159,68 @@ def _split_indices(n: int, config: ExperimentConfig, gen: np.random.Generator):
     return value_idx, held, bg
 
 
-def _regression_valuer(dataset, bg_idx, held_idx, config, q):
+def _per_point(estimate, xs, ys, rng):
+    """Values and standard errors of ``estimate(x, y, stream)``, one substream per point."""
+    results = [estimate(x, y, rng.substream(i)) for i, (x, y) in enumerate(zip(xs, ys))]
+    return np.array([r.value for r in results]), np.array([r.std_error for r in results])
+
+
+def _bound_side(bounds, side):
+    return (bounds.lower if side == "lower" else bounds.upper), np.zeros(len(bounds.lower))
+
+
+def _regression_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     bx, by = dataset.x[bg_idx], dataset.y[bg_idx]
     env = fit_background(bx, by, m=config.m, q=q, gamma=config.gamma)
+    if config.method == "bounds":
+        bounds = dshapley_regression_bounds(PointQuery.from_point(xs, ys, env), env,
+                                            config.bound_params)
+        return _bound_side(bounds, config.bound_side)
     if config.method == "fast":
-        def value_one(x, y, sub):
-            est = dshapley_regression_exact(PointQuery.from_point(x, y, env), env, config.mc, sub)
-            return est.value, est.std_error
-    elif config.method == "bounds":
-        def value_one(x, y, sub):
-            bounds = dshapley_regression_bounds(PointQuery.from_point(x, y, env), env,
-                                                config.bound_params)
-            return (bounds.lower if config.bound_side == "lower" else bounds.upper), 0.0
-    else:
-        spec = UtilitySpec("regression_risk", gate=q, constant=2.0 * env.sigma2,
-                           evaluation_mode="heldout")
-        ctx = RegressionUtilityContext(gamma=config.gamma,
-                                       x_test=dataset.x[held_idx], y_test=dataset.y[held_idx])
-
-        def value_one(x, y, sub):
-            est = dshapley_mc_baseline((x, y), (bx, by), spec, m=config.m,
-                                       max_draws=config.baseline_draws, rng=sub, context=ctx)
-            return est.value, est.std_error
-    return value_one
+        return _per_point(lambda x, y, sub: dshapley_regression_exact(
+            PointQuery.from_point(x, y, env), env, config.mc, sub), xs, ys, rng)
+    spec = UtilitySpec("regression_risk", gate=q, constant=2.0 * env.sigma2,
+                       evaluation_mode="heldout")
+    ctx = RegressionUtilityContext(gamma=config.gamma,
+                                   x_test=dataset.x[held_idx], y_test=dataset.y[held_idx])
+    return _per_point(lambda x, y, sub: dshapley_mc_baseline(
+        (x, y), (bx, by), spec, m=config.m, max_draws=config.baseline_draws,
+        rng=sub, context=ctx), xs, ys, rng)
 
 
-def _classification_valuer(dataset, bg_idx, held_idx, config, q):
+def _classification_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     bx, by = dataset.x[bg_idx], dataset.y[bg_idx]
-    if config.method in ("fast", "bounds"):
-        state = irls_fit(bx, by)
-        sigma_tilde_inv = spd_inverse(estimate_weighted_second_moment(bx, state.beta))
-        side = config.bound_side if config.method == "bounds" else "lower"
-
-        def value_one(x, y, sub):
-            query = transform_query(x, int(y), state, sigma_tilde_inv, clamp_weight=True)
-            bounds = dshapley_binary_bounds(query, config.m, q, config.bound_params)
-            return (bounds.lower if side == "lower" else bounds.upper), 0.0
-    else:
+    if config.method == "baseline":
         spec = UtilitySpec("accuracy", gate=q, evaluation_mode="heldout")
         ctx = AccuracyUtilityContext(x_test=dataset.x[held_idx], y_test=dataset.y[held_idx])
+        return _per_point(lambda x, y, sub: dshapley_mc_baseline(
+            (x, y), (bx, by), spec, m=config.m, max_draws=config.baseline_draws,
+            rng=sub, context=ctx), xs, ys, rng)
+    # the fast route is the lower bound
+    state = irls_fit(bx, by)
+    sigma_tilde_inv = spd_inverse(estimate_weighted_second_moment(bx, state.beta))
+    query = transform_query(xs, ys, state, sigma_tilde_inv, clamp_weight=True)
+    bounds = dshapley_binary_bounds(query, config.m, q, config.bound_params)
+    return _bound_side(bounds, config.bound_side if config.method == "bounds" else "lower")
 
-        def value_one(x, y, sub):
-            est = dshapley_mc_baseline((x, y), (bx, by), spec, m=config.m,
-                                       max_draws=config.baseline_draws, rng=sub, context=ctx)
-            return est.value, est.std_error
-    return value_one
 
-
-def _density_valuer(dataset, bg_idx, held_idx, config, rng):
+def _density_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     background = dataset.x[bg_idx]
     h = select_bandwidth(background, config.bandwidth_grid,
                          rng=rng.substream(_STREAM_BANDWIDTH))
     kernel = KernelSpec("gaussian", h, dataset.p)
     if config.method == "fast":
-        def value_one(x, y, sub):
-            request = DensityValueRequest(s_star=np.atleast_2d(x), m=config.m,
-                                          mc_budget=config.density_budget)
-            est = dshapley_density(request, background, kernel, sub)
-            return est.value, est.std_error
-    else:
-        eval_idx = rng.substream(_STREAM_EVAL_POINTS).generator.integers(
-            0, background.shape[0], size=config.density_eval_points)
-        ctx = DensityUtilityContext(kernel=kernel, eval_points=background[eval_idx])
-        spec = UtilitySpec("density_ise", gate=1)
-
-        def value_one(x, y, sub):
-            est = dshapley_mc_baseline(np.atleast_1d(x), background, spec, m=config.m,
-                                       max_draws=config.baseline_draws, rng=sub, context=ctx)
-            return est.value, est.std_error
-    return value_one
-
-
-def _make_valuer(dataset, bg_idx, held_idx, config, rng):
-    q = config.resolved_q(dataset.p)
-    if config.task == "regression":
-        return _regression_valuer(dataset, bg_idx, held_idx, config, q)
-    if config.task == "classification":
-        return _classification_valuer(dataset, bg_idx, held_idx, config, q)
-    return _density_valuer(dataset, bg_idx, held_idx, config, rng)
+        return _per_point(lambda x, y, sub: dshapley_density(
+            DensityValueRequest(s_star=np.atleast_2d(x), m=config.m,
+                                mc_budget=config.density_budget),
+            background, kernel, sub), xs, ys, rng)
+    eval_idx = rng.substream(_STREAM_EVAL_POINTS).generator.integers(
+        0, background.shape[0], size=config.density_eval_points)
+    ctx = DensityUtilityContext(kernel=kernel, eval_points=background[eval_idx])
+    spec = UtilitySpec("density_ise", gate=1)
+    return _per_point(lambda x, y, sub: dshapley_mc_baseline(
+        np.atleast_1d(x), background, spec, m=config.m, max_draws=config.baseline_draws,
+        rng=sub, context=ctx), xs, ys, rng)
 
 
 def value_points(dataset: Dataset, config: ExperimentConfig, rng: RandomStream,
@@ -245,26 +228,19 @@ def value_points(dataset: Dataset, config: ExperimentConfig, rng: RandomStream,
     """Value a set of points; returns (indices, values, std_errors).
 
     Without explicit index sets the dataset is split deterministically from
-    the stream. Each point draws from its own substream, so thread-level
-    parallelism cannot change the result.
+    the stream. The bounds routes (and the classification fast route, its
+    lower bound) value all points in one array call; the sampled routes draw
+    each point from its own substream. ``config.threads`` does not change
+    how the work runs.
     """
     if value_idx is None:
         value_idx, held_idx, bg_idx = _split_indices(dataset.n, config, rng.generator)
-    value_one = _make_valuer(dataset, bg_idx, held_idx, config, rng)
     xs = dataset.x[value_idx]
     ys = dataset.y[value_idx] if dataset.y is not None else np.zeros(len(value_idx))
-
-    def job(i):
-        return value_one(xs[i], ys[i], rng.substream(i))
-
-    n = len(value_idx)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(job, range(n)))
-    else:
-        results = [job(i) for i in range(n)]
-    values = np.array([r[0] for r in results])
-    std_errors = np.array([r[1] for r in results])
+    family = {"regression": _regression_values, "classification": _classification_values,
+              "density": _density_values}[config.task]
+    values, std_errors = family(dataset, bg_idx, held_idx, config,
+                                config.resolved_q(dataset.p), xs, ys, rng)
     return np.asarray(value_idx), values, std_errors
 
 
@@ -293,7 +269,7 @@ def _curve_utility_fn(dataset, held_idx, bg_idx, config, rng):
                 warnings.simplefilter("ignore")
                 try:
                     state = irls_fit(xs, ys, max_iter=25)
-                except Exception:
+                except SingularMatrixError:
                     return np.nan
             return float(np.mean((hx @ state.beta >= 0.0) == hy))
     else:

@@ -166,14 +166,19 @@ def estimate_second_moment(samples, ridge: float = 0.0) -> SpdMatrix:
     return SpdMatrix(moment)
 
 
-def mahalanobis_sq(x, sigma_inv: SpdMatrix) -> float:
-    """Quadratic form ``x^T sigma_inv x`` (squared Mahalanobis distance from zero)."""
+def mahalanobis_sq(x, sigma_inv: SpdMatrix):
+    """Quadratic form ``x^T sigma_inv x`` (squared Mahalanobis distance from zero).
+
+    A vector gives a float; the rows of an ``(n, p)`` array give an ``(n,)`` array.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != sigma_inv.dim:
+    if x.ndim not in (1, 2) or x.shape[-1] != sigma_inv.dim:
         raise InvalidParameterError(
-            f"dimension mismatch: vector of length {x.shape} vs matrix dim {sigma_inv.dim}"
+            f"dimension mismatch: input of shape {x.shape} vs matrix dim {sigma_inv.dim}"
         )
-    return max(float(x @ sigma_inv.values @ x), 0.0)
+    if x.ndim == 1:
+        return max(float(x @ sigma_inv.values @ x), 0.0)
+    return np.maximum(np.sum((x @ sigma_inv.values) * x, axis=1), 0.0)
 
 
 def inv_logit(t):

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _INNER_BLOCK = 128
+# (points x sizes) entries per row block of the envelope bounds
+_BLOCK_FLOATS = 1 << 14
 
 
 @dataclass
@@ -74,7 +76,8 @@ class PointQuery:
     """A datum to be valued, with its derived statistics.
 
     ``e2`` is the squared prediction error against the environment's fit and
-    ``d`` the squared Mahalanobis distance of the input from zero.
+    ``d`` the squared Mahalanobis distance of the input from zero. A batch
+    holds ``(n, p)`` inputs and ``(n,)`` arrays of targets and statistics.
     """
 
     x_star: np.ndarray
@@ -84,15 +87,19 @@ class PointQuery:
 
     def __post_init__(self):
         self.x_star = np.asarray(self.x_star, dtype=float)
-        if self.e2 < 0 or self.d < 0:
+        if np.any(np.asarray(self.e2) < 0) or np.any(np.asarray(self.d) < 0):
             raise InvalidParameterError("e2 and d must be nonnegative")
 
     @classmethod
     def from_point(cls, x, y, env: RegressionEnvironment) -> "PointQuery":
+        """Query for one input ``x`` of shape (p,), or for the rows of an (n, p) batch."""
         x = np.asarray(x, dtype=float)
-        e2 = float(y - x @ env.beta_hat) ** 2
-        d = mahalanobis_sq(x, env.sigma_inv)
-        return cls(x_star=x, y_star=float(y), e2=e2, d=d)
+        if x.ndim == 1:
+            e2 = float(y - x @ env.beta_hat) ** 2
+            return cls(x_star=x, y_star=float(y), e2=e2, d=mahalanobis_sq(x, env.sigma_inv))
+        y = np.asarray(y, dtype=float)
+        return cls(x_star=x, y_star=y, e2=(y - x @ env.beta_hat) ** 2,
+                   d=mahalanobis_sq(x, env.sigma_inv))
 
 
 def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0,
@@ -151,7 +158,8 @@ def _first_stable_index(running: np.ndarray, rho: float,
         rel = np.abs(num / den - 1.0)
     ok = (den != 0.0) & (rel <= rho)
     hit = ok.any(axis=-1)
-    first = np.argmax(ok, axis=-1)
+    # a single running value has no consecutive pair to compare
+    first = np.argmax(ok, axis=-1) if ok.shape[-1] else 0
     counts = np.where(hit, first + 2, running.shape[-1])
     return hit, counts
 
@@ -236,40 +244,73 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
                          truncated_at_j=truncated)
 
 
+def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
+                     params: BoundParams, ridge: tuple = (0.0, 0.0),
+                     early_stop: bool = False) -> BoundsResult:
+    """Eigenvalue-envelope value bounds for the ``(n,)`` arrays ``d`` and ``e2``.
+
+    Each admitted subset size ``j`` carries envelopes for the inverse design
+    Gram matrix, ``1 / (j (1 -+ delta_j)^2 + ridge)``, where ``ridge`` holds
+    ``gamma`` times the extreme eigenvalues of the inverse second moment.
+    Sizes where the concentration deviation ``delta_j`` reaches 1 are
+    skipped and counted, since the probability bound is vacuous there. With
+    ``early_stop`` each point's sums end where its running lower bound
+    changes by at most ``params.rho`` relatively. Points are worked through
+    in row blocks small enough to stay in cache.
+    """
+    js = np.arange(q - 1, m, dtype=float)
+    delta = (params.C * np.sqrt(p) + np.sqrt(np.log(js * m) / (2.0 * params.c))) / np.sqrt(js)
+    valid = delta < 1.0
+    js, delta = js[valid], delta[valid]
+    env_up = 1.0 / (js * (1.0 - delta) ** 2 + ridge[0])
+    env_lo = 1.0 / (js * (1.0 + delta) ** 2 + ridge[1])
+
+    n = len(d)
+    lower, upper = np.zeros(n), np.zeros(n)
+    hit = np.zeros(n, dtype=bool)
+    counts = np.full(n, js.size)  # terms summed per point
+    step = max(1, _BLOCK_FLOATS // max(js.size, 1))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        t, err = d[rows, None], e2[rows, None]
+        ratio = ((1.0 + t * env_lo) / (1.0 + t * env_up)) ** 2
+        lower_terms = t * env_lo ** 2 / (1.0 + t * env_up) ** 2 * ((2.0 + t * env_lo) * sigma2 - err / ratio)
+        upper_terms = t * env_up ** 2 / (1.0 + t * env_lo) ** 2 * ((2.0 + t * env_up) * sigma2 - ratio * err)
+        if early_stop:
+            hit[rows], counts[rows] = _first_stable_index(np.cumsum(lower_terms, axis=1) / m,
+                                                          params.rho, denominator="cur")
+        # sum rows of equal length together, so each sum is the 1-d sum of its terms
+        block_lo, block_up, block_counts = lower[rows], upper[rows], counts[rows]
+        for k in np.unique(block_counts):
+            sel = block_counts == k
+            block_lo[sel] = lower_terms[sel, :k].sum(axis=1) / m
+            block_up[sel] = upper_terms[sel, :k].sum(axis=1) / m
+    stopped = [int(js[k - 1]) if h else None for h, k in zip(hit, counts)]
+    return BoundsResult(lower=lower, upper=upper, skipped_terms=int(np.count_nonzero(~valid)),
+                        stopped_at_j=stopped)
+
+
+def _point_or_batch(result: BoundsResult, batched: bool) -> BoundsResult:
+    if batched:
+        return result
+    return BoundsResult(lower=float(result.lower[0]), upper=float(result.upper[0]),
+                        skipped_terms=result.skipped_terms, stopped_at_j=result.stopped_at_j[0])
+
+
 def dshapley_regression_bounds(query: PointQuery, env: RegressionEnvironment,
                                params: BoundParams | None = None) -> BoundsResult:
     """Deterministic lower/upper value bounds for sub-Gaussian inputs.
 
-    Each summation index carries eigenvalue envelopes for the inverse design
-    Gram matrix; indices where the concentration deviation reaches 1 are
-    skipped and counted, since the underlying probability bound is vacuous
-    there. The ridge remainder term is evaluated as zero, so bounds at
-    ``gamma > 0`` are approximate.
+    Evaluates :func:`_envelope_bounds` for one point or a batch of points
+    (array-valued bounds). The ridge remainder term is evaluated as zero, so
+    bounds at ``gamma > 0`` are approximate.
     """
     params = params if params is not None else BoundParams()
-    js = np.arange(env.q - 1, env.m, dtype=float)
-    if js.size == 0:
-        return BoundsResult(lower=0.0, upper=0.0, skipped_terms=0)
-
     eigs = np.linalg.eigvalsh(env.sigma_inv.values)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    delta = (params.C * np.sqrt(env.p) + np.sqrt(np.log(js * env.m) / (2.0 * params.c))) / np.sqrt(js)
-    valid = delta < 1.0
-    skipped = int(np.count_nonzero(~valid))
-    if not valid.any():
-        return BoundsResult(lower=0.0, upper=0.0, skipped_terms=skipped)
-
-    js, delta = js[valid], delta[valid]
-    env_up = 1.0 / (js * (1.0 - delta) ** 2 + env.gamma * lam_min)
-    env_lo = 1.0 / (js * (1.0 + delta) ** 2 + env.gamma * lam_max)
-    d, e2, s2 = query.d, query.e2, env.sigma2
-    ratio = ((1.0 + d * env_lo) / (1.0 + d * env_up)) ** 2
-
-    lower_terms = d * env_lo ** 2 / (1.0 + d * env_up) ** 2 * ((2.0 + d * env_lo) * s2 - e2 / ratio)
-    upper_terms = d * env_up ** 2 / (1.0 + d * env_lo) ** 2 * ((2.0 + d * env_up) * s2 - ratio * e2)
-    return BoundsResult(lower=float(lower_terms.sum() / env.m),
-                        upper=float(upper_terms.sum() / env.m),
-                        skipped_terms=skipped)
+    result = _envelope_bounds(np.atleast_1d(query.d), np.atleast_1d(query.e2),
+                              sigma2=env.sigma2, m=env.m, q=env.q, p=env.p, params=params,
+                              ridge=(env.gamma * float(eigs[0]), env.gamma * float(eigs[-1])))
+    return _point_or_batch(result, query.x_star.ndim == 2)
 
 
 def make_gaussian_sampler(sigma_x: SpdMatrix):

@@ -112,6 +112,17 @@ class TestTransformQuery:
             transform_query(x, 1, state, sti)
         q = transform_query(x, 1, state, sti, clamp_weight=True)
         assert q.w_star == 1e-12
+        # in a batch, one saturated row is enough to refuse the whole batch
+        rows = np.array([[0.2, -0.1, 0.3], [1e4, 0.0, 0.0], [-0.5, 0.4, 0.0]])
+        labels = np.array([0, 1, 1])
+        with pytest.raises(SaturationError):
+            transform_query(rows, labels, state, sti)
+        batch = transform_query(rows, labels, state, sti, clamp_weight=True)
+        assert batch.w_star[1] == 1e-12
+        for i in (0, 2):
+            single = transform_query(rows[i], labels[i], state, sti)
+            assert batch.d_tilde[i] == pytest.approx(single.d_tilde, rel=1e-12)
+            assert batch.e2_b[i] == pytest.approx(single.e2_b, rel=1e-12)
 
     def test_requires_convergence(self, fitted_background):
         _, state, sti = fitted_background
@@ -156,33 +167,51 @@ class TestBinaryBounds:
         assert res_small.lower > res_big.lower
 
     def test_matches_naive_summation_and_shrinks_with_horizon(self):
-        # independent plain-loop oracle, run to completion (no early stop)
-        params = BoundParams(rho=1e-12)
-        query = make_query(1.3, 0.7)
-        p = 3
+        # independent plain-loop oracle with the relative-change early stop, over
+        # a batch holding a d=0 row and an e2=0 row; at m=100 and the default rho
+        # the e2=0 row never stops and rows 0 and 3 do, at rho=1e-12 none stops
+        rows = [(1.3, 0.7), (0.0, 1.0), (0.9, 0.0), (2.5, 3.0)]
+        n, p = len(rows), 3
+        batch = BinaryPointQuery(x_star=np.zeros((n, p)), y_star=np.ones(n, dtype=int),
+                                 pi_star=np.full(n, 0.5), w_star=np.full(n, 0.25),
+                                 z_star=np.full(n, 2.0),
+                                 e2_b=np.array([e2b for _, e2b in rows]),
+                                 d_tilde=np.array([t for t, _ in rows]))
         results = {}
-        for m in (120, 2000):
-            res = dshapley_binary_bounds(query, m=m, q=6, params=params)
-            lower = upper = 0.0
-            skipped = 0
-            for j in range(5, m):
-                delta = (np.sqrt(p) + np.sqrt(np.log(j * m) / 2.0)) / np.sqrt(j)
-                if delta >= 1.0:
-                    skipped += 1
-                    continue
-                up = 1.0 / (j * (1.0 - delta) ** 2)
-                lo = 1.0 / (j * (1.0 + delta) ** 2)
-                ratio = ((1.0 + query.d_tilde * lo) / (1.0 + query.d_tilde * up)) ** 2
-                t = query.d_tilde
-                lower += t * lo**2 / (1.0 + t * up) ** 2 * ((2.0 + t * lo) - query.e2_b / ratio)
-                upper += t * up**2 / (1.0 + t * lo) ** 2 * ((2.0 + t * up) - ratio * query.e2_b)
-            assert res.lower == pytest.approx(lower / m, rel=1e-12)
-            assert res.upper == pytest.approx(upper / m, rel=1e-12)
-            assert res.skipped_terms == skipped
+        for m, rho in ((120, 1e-12), (2000, 1e-12), (100, BoundParams().rho)):
+            res = dshapley_binary_bounds(batch, m=m, q=6, params=BoundParams(rho=rho))
+            for i, (t, e2b) in enumerate(rows):
+                lower = upper = 0.0
+                skipped = 0
+                stopped = None
+                for j in range(5, m):
+                    delta = (np.sqrt(p) + np.sqrt(np.log(j * m) / 2.0)) / np.sqrt(j)
+                    if delta >= 1.0:
+                        skipped += 1
+                        continue
+                    if stopped is not None:
+                        continue
+                    up = 1.0 / (j * (1.0 - delta) ** 2)
+                    lo = 1.0 / (j * (1.0 + delta) ** 2)
+                    ratio = ((1.0 + t * lo) / (1.0 + t * up)) ** 2
+                    prev = lower / m
+                    lower += t * lo**2 / (1.0 + t * up) ** 2 * ((2.0 + t * lo) - e2b / ratio)
+                    upper += t * up**2 / (1.0 + t * lo) ** 2 * ((2.0 + t * up) - ratio * e2b)
+                    cur = lower / m
+                    if cur != 0.0 and abs(prev / cur - 1.0) <= rho:
+                        stopped = j
+                assert res.lower[i] == pytest.approx(lower / m, rel=1e-12)
+                assert res.upper[i] == pytest.approx(upper / m, rel=1e-12)
+                assert res.skipped_terms == skipped
+                assert res.stopped_at_j[i] == stopped
             results[m] = res
+        assert results[100].stopped_at_j[1:3] == [None, None]
+        assert None not in results[100].stopped_at_j[::3]
+        assert results[2000].stopped_at_j == [None] * n
         # extra admitted terms decay like 1/j^2 while the prefactor grows, so
         # the per-point magnitude shrinks once the horizon is well past the gate
-        assert abs(results[2000].lower) < abs(results[120].lower)
+        assert abs(results[2000].lower[0]) < abs(results[120].lower[0])
+        assert results[2000].lower[1] == 0.0 == results[2000].upper[1]
 
     def test_early_stop_reported(self):
         res = dshapley_binary_bounds(make_query(1.0, 0.2), m=5000, q=6)

@@ -75,6 +75,18 @@ class TestConfigFile:
         assert len(table.rows) == 4  # flag wins
         assert table.metadata["m"] == "100"  # file value applied
 
+        # a flag equal to its default still wins over the file
+        cfg.write_text(json.dumps({"m": 500, "seed": 7, "n_value_points": 3,
+                                   "background_size": 500, "heldout_size": 200}))
+        code = run(["value", "--data", str(data), "--target-column", "y",
+                    "--task", "regression", "--config", str(cfg),
+                    "--m", "1000", "--seed", "0", "--output", str(out)])
+        assert code == 0
+        table = read_results(out)
+        assert len(table.rows) == 3
+        assert table.metadata["m"] == "1000"
+        assert table.metadata["seed"] == "0"
+
     def test_unknown_config_key(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         run(["gen", "--kind", "gaussian-r", "--n", "100", "--p", "2",

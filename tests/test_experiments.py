@@ -5,10 +5,19 @@ from distshap import (
     Dataset,
     ExperimentConfig,
     InvalidParameterError,
+    PointQuery,
     RandomStream,
+    dshapley_binary_bounds,
+    dshapley_regression_bounds,
+    estimate_weighted_second_moment,
+    fit_background,
     gen_gaussian_r,
+    gen_mixture_c,
+    irls_fit,
     run_point_addition,
     run_time_bench,
+    spd_inverse,
+    transform_query,
     value_points,
 )
 
@@ -58,6 +67,32 @@ class TestValuePoints:
         _, values, errs = value_points(data, config, RandomStream(5))
         assert values.shape == (20,)
         assert np.all(errs == 0.0)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_batched_bounds_match_per_point_kernels(self, task):
+        gen = gen_gaussian_r if task == "regression" else gen_mixture_c
+        data = gen(900, 4, RandomStream(3))
+        split = (np.arange(30), np.arange(30, 230), np.arange(230, 900))
+        bx, by = data.x[split[2]], data.y[split[2]]
+        if task == "regression":
+            env = fit_background(bx, by, m=100, q=9)
+
+            def per_point(x, y):
+                return dshapley_regression_bounds(PointQuery.from_point(x, y, env), env)
+        else:
+            state = irls_fit(bx, by)
+            sti = spd_inverse(estimate_weighted_second_moment(bx, state.beta))
+
+            def per_point(x, y):
+                query = transform_query(x, int(y), state, sti, clamp_weight=True)
+                return dshapley_binary_bounds(query, 100, 9)
+        expected = [per_point(x, y) for x, y in zip(data.x[:30], data.y[:30])]
+        for side in ("lower", "upper"):
+            config = small_config(task=task, method="bounds", q=9, bound_side=side,
+                                  n_value_points=30)
+            _, values, _ = value_points(data, config, RandomStream(5), *split)
+            np.testing.assert_allclose(values, [getattr(b, side) for b in expected],
+                                       rtol=1e-12, atol=0.0)
 
 
 class TestPointAddition:

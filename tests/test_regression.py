@@ -69,6 +69,14 @@ class TestExactEstimator:
             est = dshapley_regression_exact(query, env, None, RandomStream(0))
         assert est.value == 0.0 and est.std_error == 0.0
 
+    def test_single_admitted_size(self):
+        # m == q admits the one size q - 1; at the origin its summand is exact
+        env = make_env(m=5, q=5)
+        query = PointQuery(x_star=np.zeros(2), y_star=0.0, e2=0.0, d=0.0)
+        est = dshapley_regression_exact(query, env, TIGHT, RandomStream(0))
+        assert len(est.inner_iters_used) == 1 and est.truncated_at_j is None
+        assert est.value == pytest.approx(-(1 / 5) * 3 / (2 * 1), rel=0.01)
+
     def test_gate_precondition(self):
         env = make_env(q=4)  # p + 3 = 5 required
         query = PointQuery(x_star=np.zeros(2), y_star=0.0, e2=0.0, d=0.0)
@@ -154,27 +162,37 @@ class TestBounds:
         assert lo <= hi
 
     def test_matches_naive_summation(self):
-        # independent plain-loop evaluation of the envelope sums
+        # independent plain-loop evaluation of the envelope sums, point by point
+        # over a batch holding a d=0 row and an e2=0 row; no early stop applies
         env = make_env(m=120, q=5, sigma2=1.3)
-        d, e2 = 1.7, 0.8
-        query = PointQuery(x_star=np.array([np.sqrt(d), 0.0]), y_star=0.0, e2=e2, d=d)
+        rows = [(1.7, 0.8), (0.0, 0.8), (2.4, 0.0), (6.0, 5.0)]
+        d_all = np.array([d for d, _ in rows])
+        e2_all = np.array([e2 for _, e2 in rows])
+        x_all = np.column_stack([np.sqrt(d_all), np.zeros(len(rows))])
+        batch = PointQuery(x_star=x_all, y_star=np.zeros(len(rows)), e2=e2_all, d=d_all)
         params = BoundParams(C=1.0, c=1.0)
-        res = dshapley_regression_bounds(query, env, params)
-        lower = upper = 0.0
-        skipped = 0
-        for j in range(env.q - 1, env.m):
-            delta = (np.sqrt(env.p) + np.sqrt(np.log(j * env.m) / 2.0)) / np.sqrt(j)
-            if delta >= 1.0:
-                skipped += 1
-                continue
-            up = 1.0 / (j * (1.0 - delta) ** 2)
-            lo = 1.0 / (j * (1.0 + delta) ** 2)
-            ratio = ((1.0 + d * lo) / (1.0 + d * up)) ** 2
-            lower += d * lo**2 / (1.0 + d * up) ** 2 * ((2.0 + d * lo) * env.sigma2 - e2 / ratio)
-            upper += d * up**2 / (1.0 + d * lo) ** 2 * ((2.0 + d * up) * env.sigma2 - ratio * e2)
-        assert res.lower == pytest.approx(lower / env.m, rel=1e-12)
-        assert res.upper == pytest.approx(upper / env.m, rel=1e-12)
-        assert res.skipped_terms == skipped
+        res = dshapley_regression_bounds(batch, env, params)
+        assert res.stopped_at_j == [None] * len(rows)
+        for i, (d, e2) in enumerate(rows):
+            single = dshapley_regression_bounds(
+                PointQuery(x_star=x_all[i], y_star=0.0, e2=e2, d=d), env, params)
+            assert (single.lower, single.upper) == (res.lower[i], res.upper[i])
+            lower = upper = 0.0
+            skipped = 0
+            for j in range(env.q - 1, env.m):
+                delta = (np.sqrt(env.p) + np.sqrt(np.log(j * env.m) / 2.0)) / np.sqrt(j)
+                if delta >= 1.0:
+                    skipped += 1
+                    continue
+                up = 1.0 / (j * (1.0 - delta) ** 2)
+                lo = 1.0 / (j * (1.0 + delta) ** 2)
+                ratio = ((1.0 + d * lo) / (1.0 + d * up)) ** 2
+                lower += d * lo**2 / (1.0 + d * up) ** 2 * ((2.0 + d * lo) * env.sigma2 - e2 / ratio)
+                upper += d * up**2 / (1.0 + d * lo) ** 2 * ((2.0 + d * up) * env.sigma2 - ratio * e2)
+            assert res.lower[i] == pytest.approx(lower / env.m, rel=1e-12)
+            assert res.upper[i] == pytest.approx(upper / env.m, rel=1e-12)
+            assert res.skipped_terms == skipped
+        assert res.lower[1] == 0.0 and res.upper[1] == 0.0
 
     def test_sandwich_recorded_per_size(self, capsys):
         # Empirical check only: per admitted size, does the envelope bracket the
