@@ -117,6 +117,12 @@ class ExactShapleyResult:
     subset_evaluations: int
 
 
+def _check_regression_gate(gate: int, p: int, gamma: float) -> None:
+    if gamma == 0.0 and gate <= p:
+        raise InvalidParameterError(
+            "regression utility at gamma = 0 needs gate > p to keep gated fits full rank")
+
+
 def _regression_utility(subset, spec: UtilitySpec, ctx: RegressionUtilityContext) -> float:
     x, y = subset
     x = np.asarray(x, dtype=float)
@@ -125,9 +131,7 @@ def _regression_utility(subset, spec: UtilitySpec, ctx: RegressionUtilityContext
     if size == 0 or size < spec.gate:
         return 0.0
     p = x.shape[1]
-    if ctx.gamma == 0.0 and spec.gate <= p:
-        raise InvalidParameterError(
-            "regression utility at gamma = 0 needs gate > p to keep gated fits full rank")
+    _check_regression_gate(spec.gate, p, ctx.gamma)
     gram = x.T @ x + ctx.gamma * np.eye(p)
     try:
         beta_s = np.linalg.solve(gram, x.T @ y)

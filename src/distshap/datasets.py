@@ -79,6 +79,21 @@ def gen_mixture_c(m: int, p: int, rng: RandomStream) -> Dataset:
     return Dataset(x=x, y=y, name="mixture-c")
 
 
+def _parse_cells(path, rows) -> np.ndarray:
+    """Parse every cell with float(); raise for the first bad one at its 1-based location."""
+    values = np.empty((len(rows), len(rows[0])))
+    for r, row in enumerate(rows, start=1):
+        for c, cell in enumerate(row, start=1):
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise CsvParseError(f"{path}: could not parse {cell!r}", row=r, col=c) from exc
+            if not math.isfinite(value):
+                raise CsvParseError(f"{path}: non-finite value {cell!r}", row=r, col=c)
+            values[r - 1, c - 1] = value
+    return values
+
+
 def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
     """Load a numeric delimited file into a dataset.
 
@@ -100,19 +115,18 @@ def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
             raise CsvParseError(f"{path} contains a header but no data rows")
 
     width = len(rows[0])
-    values = np.empty((len(rows), width))
     for r, row in enumerate(rows, start=1):
         if len(row) != width:
             raise CsvParseError(
                 f"{path}: row has {len(row)} fields, expected {width}", row=r, col=len(row))
-        for c, cell in enumerate(row, start=1):
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise CsvParseError(f"{path}: could not parse {cell!r}", row=r, col=c) from exc
-            if not math.isfinite(value):
-                raise CsvParseError(f"{path}: non-finite value {cell!r}", row=r, col=c)
-            values[r - 1, c - 1] = value
+    try:
+        values = np.array(rows, dtype=float)  # parses each cell as float() does
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        # the slow path locates the bad cell; should numpy reject a cell that
+        # float() accepts, it returns the array float() parses instead
+        values = _parse_cells(path, rows)
 
     if target_column is None:
         return Dataset(x=values, y=None, name=str(path))

@@ -183,14 +183,13 @@ def _gaussian_cv_scores(pts, grid, fold_ids):
     return scores / len(fold_ids)
 
 
-def select_bandwidth(samples, grid, folds: int = 5, rng: RandomStream | None = None,
-                     family: str = "gaussian") -> float:
+def select_bandwidth(samples, grid, folds: int = 5, rng: RandomStream | None = None) -> float:
     """Pick the grid bandwidth minimizing the least-squares cross-validation score.
 
     The score per fold is ``integral p_hat^2 - 2 * mean(p_hat at held-out
-    points)``, the integrated squared error up to a constant. Ties break
-    toward the larger bandwidth. Raises when no grid entry yields a finite
-    score.
+    points)`` for the Gaussian kernel, the integrated squared error up to a
+    constant. Ties break toward the larger bandwidth. Raises when no grid
+    entry yields a finite score.
     """
     pts = _as_points(samples)
     grid = [float(h) for h in grid]
@@ -203,29 +202,8 @@ def select_bandwidth(samples, grid, folds: int = 5, rng: RandomStream | None = N
         return grid[0]
 
     order = np.arange(n) if rng is None else rng.generator.permutation(n)
-    fold_ids = np.array_split(order, folds)
-    if family == "gaussian":
-        scores = _gaussian_cv_scores(pts, grid, fold_ids)
-        scores[~np.isfinite(scores)] = np.inf
-    else:
-        scores = np.full(len(grid), np.inf)
-        for gi, h in enumerate(grid):
-            spec = KernelSpec(family, h, pts.shape[1])
-            score = 0.0
-            finite = True
-            for heldout in fold_ids:
-                mask = np.ones(n, dtype=bool)
-                mask[heldout] = False
-                train = pts[mask]
-                term_sq = _mean_self_convolution(spec, train)
-                term_cross = float(np.mean(kde_evaluate(train, spec, pts[heldout])))
-                part = term_sq - 2.0 * term_cross
-                if not np.isfinite(part):
-                    finite = False
-                    break
-                score += part
-            if finite:
-                scores[gi] = score / folds
+    scores = _gaussian_cv_scores(pts, grid, np.array_split(order, folds))
+    scores[~np.isfinite(scores)] = np.inf
     if not np.isfinite(scores).any():
         raise BandwidthSelectionError("no bandwidth in the grid produced a finite CV score")
     best = np.min(scores[np.isfinite(scores)])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +19,10 @@ from .baseline import (
     DensityUtilityContext,
     RegressionUtilityContext,
     UtilitySpec,
+    _check_regression_gate,
+    _take,
     dshapley_mc_baseline,
+    make_utility,
 )
 from .classification import (
     dshapley_binary_bounds,
@@ -30,12 +34,11 @@ from .datasets import Dataset, gen_gaussian_r, gen_mixture_c
 from .density import (
     DensityValueRequest,
     KernelSpec,
-    _mean_self_convolution,
     dshapley_density,
-    kde_evaluate,
+    kde_evaluate,  # noqa: F401  (bench/tracing.py rebinds experiments.kde_evaluate)
     select_bandwidth,
 )
-from .errors import InvalidParameterError, SingularMatrixError
+from .errors import InvalidParameterError, UtilityEvaluationError
 from .estimates import BoundParams, MCControls
 from .numerics import RandomStream, spd_inverse
 from .regression import (
@@ -129,7 +132,8 @@ class PointAdditionCurve:
     """Held-out utility after each addition, averaged over repetitions.
 
     ``utilities[k]`` is the mean utility with k points added (index 0 is the
-    empty set); gaps where no repetition could fit a model are NaN.
+    empty set). Steps below the utility's gate, and steps where no
+    repetition could fit a model, are NaN gaps.
     """
 
     ordering: str
@@ -169,39 +173,61 @@ def _bound_side(bounds, side):
     return (bounds.lower if side == "lower" else bounds.upper), np.zeros(len(bounds.lower))
 
 
+def _regression_utility(env, held):
+    """Held-out risk gated at the environment's q, against the constant 2 sigma2."""
+    x_test, y_test = held
+    return (UtilitySpec("regression_risk", gate=env.q, constant=2.0 * env.sigma2),
+            RegressionUtilityContext(gamma=env.gamma, x_test=x_test, y_test=y_test))
+
+
+def _accuracy_utility(q, held):
+    """Held-out accuracy gated at q."""
+    x_test, y_test = held
+    return UtilitySpec("accuracy", gate=q), AccuracyUtilityContext(x_test=x_test, y_test=y_test)
+
+
+def _density_utility(kernel, eval_points):
+    """Integrated squared error of the estimate, its cross term taken at ``eval_points``."""
+    return UtilitySpec("density_ise", gate=1), DensityUtilityContext(kernel=kernel,
+                                                                     eval_points=eval_points)
+
+
+# Each family below values the points of one split and returns
+# ((values, std_errors), utility): ``utility(held)`` builds the family's
+# UtilitySpec and context from the split's fit for an evaluation sample.
+
 def _regression_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     bx, by = dataset.x[bg_idx], dataset.y[bg_idx]
     env = fit_background(bx, by, m=config.m, q=q, gamma=config.gamma)
+    utility = partial(_regression_utility, env)
     if config.method == "bounds":
         bounds = dshapley_regression_bounds(PointQuery.from_point(xs, ys, env), env,
                                             config.bound_params)
-        return _bound_side(bounds, config.bound_side)
+        return _bound_side(bounds, config.bound_side), utility
     if config.method == "fast":
         return _per_point(lambda x, y, sub: dshapley_regression_exact(
-            PointQuery.from_point(x, y, env), env, config.mc, sub), xs, ys, rng)
-    spec = UtilitySpec("regression_risk", gate=q, constant=2.0 * env.sigma2,
-                       evaluation_mode="heldout")
-    ctx = RegressionUtilityContext(gamma=config.gamma,
-                                   x_test=dataset.x[held_idx], y_test=dataset.y[held_idx])
+            PointQuery.from_point(x, y, env), env, config.mc, sub), xs, ys, rng), utility
+    spec, ctx = utility((dataset.x[held_idx], dataset.y[held_idx]))
     return _per_point(lambda x, y, sub: dshapley_mc_baseline(
         (x, y), (bx, by), spec, m=config.m, max_draws=config.baseline_draws,
-        rng=sub, context=ctx), xs, ys, rng)
+        rng=sub, context=ctx), xs, ys, rng), utility
 
 
 def _classification_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     bx, by = dataset.x[bg_idx], dataset.y[bg_idx]
+    utility = partial(_accuracy_utility, q)
     if config.method == "baseline":
-        spec = UtilitySpec("accuracy", gate=q, evaluation_mode="heldout")
-        ctx = AccuracyUtilityContext(x_test=dataset.x[held_idx], y_test=dataset.y[held_idx])
+        spec, ctx = utility((dataset.x[held_idx], dataset.y[held_idx]))
         return _per_point(lambda x, y, sub: dshapley_mc_baseline(
             (x, y), (bx, by), spec, m=config.m, max_draws=config.baseline_draws,
-            rng=sub, context=ctx), xs, ys, rng)
+            rng=sub, context=ctx), xs, ys, rng), utility
     # the fast route is the lower bound
     state = irls_fit(bx, by)
     sigma_tilde_inv = spd_inverse(estimate_weighted_second_moment(bx, state.beta))
     query = transform_query(xs, ys, state, sigma_tilde_inv, clamp_weight=True)
     bounds = dshapley_binary_bounds(query, config.m, q, config.bound_params)
-    return _bound_side(bounds, config.bound_side if config.method == "bounds" else "lower")
+    side = config.bound_side if config.method == "bounds" else "lower"
+    return _bound_side(bounds, side), utility
 
 
 def _density_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
@@ -209,18 +235,27 @@ def _density_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     h = select_bandwidth(background, config.bandwidth_grid,
                          rng=rng.substream(_STREAM_BANDWIDTH))
     kernel = KernelSpec("gaussian", h, dataset.p)
+    utility = partial(_density_utility, kernel)
     if config.method == "fast":
         return _per_point(lambda x, y, sub: dshapley_density(
             DensityValueRequest(s_star=np.atleast_2d(x), m=config.m,
                                 mc_budget=config.density_budget),
-            background, kernel, sub), xs, ys, rng)
+            background, kernel, sub), xs, ys, rng), utility
     eval_idx = rng.substream(_STREAM_EVAL_POINTS).generator.integers(
         0, background.shape[0], size=config.density_eval_points)
-    ctx = DensityUtilityContext(kernel=kernel, eval_points=background[eval_idx])
-    spec = UtilitySpec("density_ise", gate=1)
+    spec, ctx = utility(background[eval_idx])
     return _per_point(lambda x, y, sub: dshapley_mc_baseline(
         np.atleast_1d(x), background, spec, m=config.m, max_draws=config.baseline_draws,
-        rng=sub, context=ctx), xs, ys, rng)
+        rng=sub, context=ctx), xs, ys, rng), utility
+
+
+def _value_split(dataset, config, rng, value_idx, held_idx, bg_idx):
+    """((values, std_errors), utility) of one split; see the families above."""
+    xs = dataset.x[value_idx]
+    ys = dataset.y[value_idx] if dataset.y is not None else np.zeros(len(value_idx))
+    family = {"regression": _regression_values, "classification": _classification_values,
+              "density": _density_values}[config.task]
+    return family(dataset, bg_idx, held_idx, config, config.resolved_q(dataset.p), xs, ys, rng)
 
 
 def value_points(dataset: Dataset, config: ExperimentConfig, rng: RandomStream,
@@ -235,55 +270,8 @@ def value_points(dataset: Dataset, config: ExperimentConfig, rng: RandomStream,
     """
     if value_idx is None:
         value_idx, held_idx, bg_idx = _split_indices(dataset.n, config, rng.generator)
-    xs = dataset.x[value_idx]
-    ys = dataset.y[value_idx] if dataset.y is not None else np.zeros(len(value_idx))
-    family = {"regression": _regression_values, "classification": _classification_values,
-              "density": _density_values}[config.task]
-    values, std_errors = family(dataset, bg_idx, held_idx, config,
-                                config.resolved_q(dataset.p), xs, ys, rng)
+    (values, std_errors), _ = _value_split(dataset, config, rng, value_idx, held_idx, bg_idx)
     return np.asarray(value_idx), values, std_errors
-
-
-def _curve_utility_fn(dataset, held_idx, bg_idx, config, rng):
-    """Held-out utility of the set added so far, or NaN when unfittable."""
-    hx = dataset.x[held_idx]
-    hy = dataset.y[held_idx] if dataset.y is not None else None
-    if config.task == "regression":
-        env = fit_background(dataset.x[bg_idx], dataset.y[bg_idx],
-                             m=config.m, q=config.resolved_q(dataset.p))
-        c_lin = 2.0 * env.sigma2
-
-        def utility(xs, ys):
-            if xs.shape[0] < dataset.p:
-                return np.nan
-            try:
-                beta = np.linalg.solve(xs.T @ xs + config.gamma * np.eye(dataset.p), xs.T @ ys)
-            except np.linalg.LinAlgError:
-                return np.nan
-            return c_lin - float(np.mean((hy - hx @ beta) ** 2))
-    elif config.task == "classification":
-        def utility(xs, ys):
-            if xs.shape[0] <= dataset.p or np.unique(ys).size < 2:
-                return np.nan
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    state = irls_fit(xs, ys, max_iter=25)
-                except SingularMatrixError:
-                    return np.nan
-            return float(np.mean((hx @ state.beta >= 0.0) == hy))
-    else:
-        h = select_bandwidth(dataset.x[bg_idx], config.bandwidth_grid,
-                             rng=rng.substream(_STREAM_BANDWIDTH))
-        kernel = KernelSpec("gaussian", h, dataset.p)
-
-        def utility(xs, ys):
-            if xs.shape[0] == 0:
-                return np.nan
-            ise_part = (_mean_self_convolution(kernel, xs)
-                        - 2.0 * float(np.mean(kde_evaluate(xs, kernel, hx))))
-            return -ise_part
-    return utility
 
 
 def run_point_addition(config: ExperimentConfig, dataset: Dataset,
@@ -292,13 +280,18 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
 
     Every repetition resamples the split, revalues the value set with the
     configured method and tracks the held-out utility after each addition.
-    Fit failures mid-curve are recorded as gaps, not aborts. Passing an
-    explicit ``split = (value_idx, held_idx, bg_idx)`` pins the design across
+    The utility is the one the sampled baseline uses, built from the fit
+    that valued the split; steps below its gate, and fits that fail
+    mid-curve, are recorded as gaps, not aborts. Passing an explicit
+    ``split = (value_idx, held_idx, bg_idx)`` pins the design across
     repetitions (only the valuation and the random ordering then vary).
     """
+    if config.task == "regression":
+        _check_regression_gate(config.resolved_q(dataset.p), dataset.p, config.gamma)
     steps = config.n_value_points
     orderings = ("largest", "lowest", "random")
     curves = {name: np.full((config.repetitions, steps + 1), np.nan) for name in orderings}
+    data = dataset.x if config.task == "density" else (dataset.x, dataset.y)
     rep0_values = None
     rep0_indices = None
 
@@ -308,23 +301,25 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
             value_idx, held_idx, bg_idx = _split_indices(dataset.n, config, sub.generator)
         else:
             value_idx, held_idx, bg_idx = (np.asarray(part) for part in split)
-        idx, values, _ = value_points(dataset, config, sub, value_idx, held_idx, bg_idx)
+        (values, _), utility = _value_split(dataset, config, sub, value_idx, held_idx, bg_idx)
         if rep == 0:
-            rep0_values, rep0_indices = values.copy(), idx.copy()
-        utility = _curve_utility_fn(dataset, held_idx, bg_idx, config, sub)
+            rep0_values, rep0_indices = values.copy(), np.array(value_idx)
+        spec, ctx = utility(_take(data, held_idx))
+        held_out = make_utility(spec, ctx)
         orders = {
             "largest": np.argsort(-values, kind="stable"),
             "lowest": np.argsort(values, kind="stable"),
             "random": sub.substream(_STREAM_ORDER).generator.permutation(steps),
         }
         for name, order in orders.items():
-            ordered = idx[order]
-            xs = dataset.x[ordered]
-            ys = dataset.y[ordered] if dataset.y is not None else np.zeros(steps)
+            added = _take(data, value_idx[order])
             row = curves[name][rep]
             row[0] = 0.0  # empty-set utility by convention
-            for k in range(1, steps + 1):
-                row[k] = utility(xs[:k], ys[:k])
+            for k in range(spec.gate, steps + 1):
+                try:
+                    row[k] = held_out(_take(added, slice(k)))
+                except UtilityEvaluationError:
+                    pass  # the prefix cannot be fitted: a gap
 
     results = []
     for name in orderings:

@@ -6,6 +6,8 @@ should be partitioned by stream so results do not depend on scheduling.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy.linalg import lapack
 
@@ -123,8 +125,9 @@ def spd_inverse(matrix: SpdMatrix, jitter: float = 0.0) -> SpdMatrix:
     """Invert an SPD matrix by Cholesky factorization.
 
     A failing factorization is retried once with a jitter of
-    ``1e-10 * trace / p`` added to the diagonal; small empirical second
-    moments can sit right at the edge of positive definiteness.
+    ``1e-10 * trace / p`` added to the diagonal, with a ``RuntimeWarning``
+    that gives the jitter; small empirical second moments can sit right at
+    the edge of positive definiteness.
     """
     values = matrix.values if isinstance(matrix, SpdMatrix) else np.asarray(matrix, float)
     p = values.shape[0]
@@ -134,6 +137,9 @@ def spd_inverse(matrix: SpdMatrix, jitter: float = 0.0) -> SpdMatrix:
         factor = _cholesky_lower(values)
     except SingularMatrixError:
         retry = 1e-10 * np.trace(values) / p
+        warnings.warn(f"matrix is not positive definite; retrying the Cholesky "
+                      f"factorization with jitter {retry:.3g} added to the diagonal",
+                      RuntimeWarning, stacklevel=2)
         factor = _cholesky_lower(values + retry * np.eye(p))
     inv, info = lapack.dpotri(factor, lower=1)
     if info != 0:

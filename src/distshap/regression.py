@@ -279,12 +279,9 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
         if early_stop:
             hit[rows], counts[rows] = _first_stable_index(np.cumsum(lower_terms, axis=1) / m,
                                                           params.rho, denominator="cur")
-        # sum rows of equal length together, so each sum is the 1-d sum of its terms
-        block_lo, block_up, block_counts = lower[rows], upper[rows], counts[rows]
-        for k in np.unique(block_counts):
-            sel = block_counts == k
-            block_lo[sel] = lower_terms[sel, :k].sum(axis=1) / m
-            block_up[sel] = upper_terms[sel, :k].sum(axis=1) / m
+        summed = np.arange(js.size) < counts[rows, None]
+        lower[rows] = np.where(summed, lower_terms, 0.0).sum(axis=1) / m
+        upper[rows] = np.where(summed, upper_terms, 0.0).sum(axis=1) / m
     stopped = [int(js[k - 1]) if h else None for h, k in zip(hit, counts)]
     return BoundsResult(lower=lower, upper=upper, skipped_terms=int(np.count_nonzero(~valid)),
                         stopped_at_j=stopped)

@@ -67,17 +67,36 @@ class TestLoadCsv:
 
     def test_nan_located(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1.0,2.0\nNaN,4.0\n")
-        with pytest.raises(CsvParseError) as excinfo:
-            load_csv(path, target_column="b")
-        assert excinfo.value.row == 2 and excinfo.value.col == 1
+        late = "a,b\n" + "1.0,2.0\n" * 40 + "3.0,inf\n5.0,6.0\n"
+        for text, row, col in (("a,b\n1.0,2.0\nNaN,4.0\n", 2, 1), (late, 41, 2)):
+            path.write_text(text)
+            with pytest.raises(CsvParseError) as excinfo:
+                load_csv(path, target_column="b")
+            assert excinfo.value.row == row and excinfo.value.col == col
 
     def test_unparseable_located(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1.0,oops\n")
-        with pytest.raises(CsvParseError) as excinfo:
-            load_csv(path, target_column="a")
-        assert excinfo.value.row == 1 and excinfo.value.col == 2
+        late = "a,b\n" + "1.0,2.0\n" * 40 + "3.0,4.0\n1..5,6.0\n"
+        for text, row, col in (("a,b\n1.0,oops\n", 1, 2), (late, 42, 1)):
+            path.write_text(text)
+            with pytest.raises(CsvParseError) as excinfo:
+                load_csv(path, target_column="a")
+            assert excinfo.value.row == row and excinfo.value.col == col
+
+    def test_cells_numpy_rejects_fall_back_to_float(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1.5,2\n3,4e-1\n")
+        expected = load_csv(path, target_column="b")
+        real_array = np.array
+
+        def rejecting_array(obj, *args, **kwargs):
+            if isinstance(obj, list) and obj and isinstance(obj[0], list):
+                raise ValueError("rejected")
+            return real_array(obj, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array", rejecting_array)
+        loaded = load_csv(path, target_column="b")
+        assert np.array_equal(loaded.x, expected.x) and np.array_equal(loaded.y, expected.y)
 
     def test_features_only(self, tmp_path):
         path = tmp_path / "density.csv"

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
+import distshap.experiments as experiments
 from distshap import (
+    AccuracyUtilityContext,
     Dataset,
+    DensityUtilityContext,
     ExperimentConfig,
     InvalidParameterError,
+    KernelSpec,
     PointQuery,
     RandomStream,
+    RegressionUtilityContext,
+    UtilityEvaluationError,
+    UtilitySpec,
     dshapley_binary_bounds,
     dshapley_regression_bounds,
     estimate_weighted_second_moment,
+    evaluate_utility,
     fit_background,
     gen_gaussian_r,
     gen_mixture_c,
@@ -151,6 +159,89 @@ class TestPointAddition:
         largest = next(c for c in a.curves if c.ordering == "largest")
         random = next(c for c in a.curves if c.ordering == "random")
         assert largest.utilities[-1] == pytest.approx(random.utilities[-1], rel=1e-12)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``experiments.<name>`` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+class TestCurvesUseBaselineUtilities:
+    # density runs once without a target column and once with one it must ignore
+    @pytest.mark.parametrize("task, drop_y", [("regression", False), ("classification", False),
+                                              ("density", True), ("density", False)])
+    def test_every_step_is_the_baseline_utility(self, task, drop_y):
+        p, steps = 3, 12
+        if task == "classification":
+            data = gen_mixture_c(600, p, RandomStream(31))
+        else:
+            data = gen_gaussian_r(600, p, RandomStream(31))
+        if drop_y:
+            data = Dataset(x=data.x, y=None)
+        split = (np.arange(steps), np.arange(steps, 212), np.arange(212, 600))
+        hx = data.x[split[1]]
+        # a one-entry grid fixes the bandwidth without cross-validation
+        config = small_config(task=task, method="fast" if task == "density" else "bounds",
+                              n_value_points=steps, repetitions=1, bandwidth_grid=(0.7,))
+        q = config.resolved_q(p)
+        if task == "regression":
+            env = fit_background(data.x[split[2]], data.y[split[2]], m=config.m, q=q)
+            spec = UtilitySpec("regression_risk", gate=q, constant=2.0 * env.sigma2)
+            ctx = RegressionUtilityContext(x_test=hx, y_test=data.y[split[1]])
+        elif task == "classification":
+            spec = UtilitySpec("accuracy", gate=q)
+            ctx = AccuracyUtilityContext(x_test=hx, y_test=data.y[split[1]])
+        else:
+            spec = UtilitySpec("density_ise", gate=1)
+            ctx = DensityUtilityContext(kernel=KernelSpec("gaussian", 0.7, p), eval_points=hx)
+        result = run_point_addition(config, data, RandomStream(8), split=split)
+        curves = {c.ordering: c.utilities for c in result.curves}
+        for name, sign in (("largest", -1.0), ("lowest", 1.0)):
+            added = result.rep0_indices[np.argsort(sign * result.rep0_values, kind="stable")]
+            expected = [0.0]
+            for k in range(1, steps + 1):
+                prefix = data.x[added[:k]]
+                if task != "density":
+                    prefix = (prefix, data.y[added[:k]])
+                try:
+                    expected.append(evaluate_utility(prefix, spec, ctx)
+                                    if k >= spec.gate else np.nan)
+                except UtilityEvaluationError:
+                    expected.append(np.nan)
+            assert np.array_equal(curves[name], expected, equal_nan=True)
+            assert np.all(np.isnan(curves[name][1:spec.gate]))
+
+    @pytest.mark.parametrize("task, fitted", [("regression", "fit_background"),
+                                              ("density", "select_bandwidth")])
+    def test_background_fitted_once_per_repetition(self, task, fitted, monkeypatch):
+        data = gen_gaussian_r(400, 2, RandomStream(17))
+        if task == "density":
+            data = Dataset(x=data.x, y=None)
+        calls = _counting(monkeypatch, fitted)
+        config = small_config(task=task, method="bounds" if task == "regression" else "fast",
+                              n_value_points=6, background_size=150, heldout_size=100,
+                              repetitions=2, bandwidth_grid=(0.3, 1.0), density_budget=50)
+        run_point_addition(config, data, RandomStream(4))
+        assert len(calls) == 2
+
+    def test_zero_ridge_gate_at_dimension_rejected_up_front(self, monkeypatch):
+        data = gen_gaussian_r(400, 3, RandomStream(19))
+        calls = _counting(monkeypatch, "fit_background")
+        config = small_config(method="bounds", q=3, n_value_points=6, repetitions=2)
+        with pytest.raises(InvalidParameterError, match="gate > p"):
+            run_point_addition(config, data, RandomStream(4))
+        assert calls == []
+        ridged = small_config(method="bounds", q=3, gamma=0.5, n_value_points=6, repetitions=1)
+        result = run_point_addition(ridged, data, RandomStream(4))
+        assert np.isfinite(result.curves[0].utilities[3:]).all()
 
 
 class TestTimeBench:
