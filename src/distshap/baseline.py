@@ -98,14 +98,12 @@ class DensityUtilityContext:
     """Kernel and evaluation draws for the density utility.
 
     ``eval_points`` are draws from the data distribution used for the cross
-    term of the integrated squared error; ``p_squared`` may carry a known
-    ``integral p^2`` so the analytic risk is complete, and defaults to 0 (the
-    utility is then defined up to that constant).
+    term of the integrated squared error. The utility leaves out the
+    constant ``integral p^2``, so it is defined up to that constant.
     """
 
     kernel: KernelSpec
     eval_points: np.ndarray
-    p_squared: float = 0.0
 
 
 @dataclass
@@ -172,8 +170,7 @@ def _density_utility(subset, spec: UtilitySpec, ctx: DensityUtilityContext) -> f
     if size == 0:
         return 0.0
     ise = (_mean_self_convolution(ctx.kernel, pts)
-           - 2.0 * float(np.mean(kde_evaluate(pts, ctx.kernel, ctx.eval_points)))
-           + ctx.p_squared)
+           - 2.0 * float(np.mean(kde_evaluate(pts, ctx.kernel, ctx.eval_points))))
     return spec.constant - ise
 
 
@@ -268,8 +265,7 @@ def _join(subset, z_star):
 
 
 def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
-                         truncation_tol: float = 0.0, rng: RandomStream,
-                         context=None) -> ValueEstimate:
+                         rng: RandomStream, context=None) -> ValueEstimate:
     """Slow sampled estimate of the distributional value of one datum.
 
     Each draw picks a subset size uniformly up to ``m``, samples that many
@@ -277,8 +273,6 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     ``background(size, rng)`` draws directly from a distribution) and
     accumulates the marginal contribution of ``z_star``. Draws below the
     utility gate are recorded as exact zeros without evaluating the utility.
-    When ``truncation_tol`` is positive, sampling stops early once the
-    standard error falls below ``truncation_tol * |mean|``.
 
     Raises ``BaselineFailureError`` if more than half of the evaluated draws
     fail in the utility.
@@ -294,8 +288,7 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     count = 0
     attempted_evals = 0
     failures = 0
-    min_checks = 200
-    for t in range(max_draws):
+    for _ in range(max_draws):
         j = int(gen.integers(1, m + 1))
         if j < gate:
             count += 1  # both utilities are gated to zero; the draw is exact
@@ -315,11 +308,6 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
         total += delta
         total_sq += delta * delta
         count += 1
-        if truncation_tol > 0.0 and count >= min_checks and count % 50 == 0:
-            mean = total / count
-            var = max(total_sq / count - mean * mean, 0.0)
-            if np.sqrt(var / count) <= truncation_tol * abs(mean):
-                break
     if attempted_evals > 0 and failures > attempted_evals / 2:
         raise BaselineFailureError(
             f"utility failed on {failures} of {attempted_evals} evaluated draws")

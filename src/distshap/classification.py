@@ -124,7 +124,7 @@ def irls_fit(x, y, tol: float = 1e-8, max_iter: int = 100) -> IRLSState:
     return IRLSState(beta=beta, iterations=it, converged=converged, final_step_norm=step)
 
 
-def estimate_weighted_second_moment(x, beta, ridge: float = 0.0) -> SpdMatrix:
+def estimate_weighted_second_moment(x, beta) -> SpdMatrix:
     """Uncentered second moment of the weight-scaled inputs ``sqrt(w) * x``.
 
     Weights are the fitted variance weights ``pi (1 - pi)`` at ``beta``.
@@ -132,7 +132,7 @@ def estimate_weighted_second_moment(x, beta, ridge: float = 0.0) -> SpdMatrix:
     x = np.asarray(x, dtype=float)
     pi = inv_logit(x @ np.asarray(beta, dtype=float))
     w = pi * (1.0 - pi)
-    return estimate_second_moment(np.sqrt(w)[:, None] * x, ridge)
+    return estimate_second_moment(np.sqrt(w)[:, None] * x)
 
 
 def transform_query(x_star, y_star, state: IRLSState, sigma_tilde_inv: SpdMatrix,

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _BLOCK_BUDGET = 4_000_000  # floats per pairwise block
+_CV_FOLDS = 5  # folds of the bandwidth cross-validation
 
 
 def _block_rows(n_ref: int, dim: int) -> int:
@@ -57,9 +58,6 @@ class KernelSpec:
             raise InvalidParameterError("bandwidth must be positive")
         if self.dim < 1:
             raise InvalidParameterError("dimension must be at least 1")
-
-    def with_bandwidth(self, h: float) -> "KernelSpec":
-        return KernelSpec(self.family, h, self.dim)
 
     def evaluate(self, diff) -> np.ndarray:
         """Kernel value at the given displacement(s), shape (..., dim)."""
@@ -183,7 +181,7 @@ def _gaussian_cv_scores(pts, grid, fold_ids):
     return scores / len(fold_ids)
 
 
-def select_bandwidth(samples, grid, folds: int = 5, rng: RandomStream | None = None) -> float:
+def select_bandwidth(samples, grid, rng: RandomStream | None = None) -> float:
     """Pick the grid bandwidth minimizing the least-squares cross-validation score.
 
     The score per fold is ``integral p_hat^2 - 2 * mean(p_hat at held-out
@@ -196,13 +194,13 @@ def select_bandwidth(samples, grid, folds: int = 5, rng: RandomStream | None = N
     if not grid:
         raise InvalidParameterError("bandwidth grid must be nonempty")
     n = pts.shape[0]
-    if n < folds:
-        raise InvalidParameterError(f"need at least {folds} samples for {folds}-fold CV")
+    if n < _CV_FOLDS:
+        raise InvalidParameterError(f"need at least {_CV_FOLDS} samples for {_CV_FOLDS}-fold CV")
     if len(grid) == 1:
         return grid[0]
 
     order = np.arange(n) if rng is None else rng.generator.permutation(n)
-    scores = _gaussian_cv_scores(pts, grid, np.array_split(order, folds))
+    scores = _gaussian_cv_scores(pts, grid, np.array_split(order, _CV_FOLDS))
     scores[~np.isfinite(scores)] = np.inf
     if not np.isfinite(scores).any():
         raise BandwidthSelectionError("no bandwidth in the grid produced a finite CV score")

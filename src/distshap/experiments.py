@@ -69,6 +69,9 @@ _STREAM_BANDWIDTH = 2**32
 _STREAM_EVAL_POINTS = 2**32 + 1
 _STREAM_ORDER = 2**32 + 2
 
+# background draws for the cross term of the baseline's density utility
+_DENSITY_EVAL_POINTS = 500
+
 
 @dataclass
 class ExperimentConfig:
@@ -89,7 +92,6 @@ class ExperimentConfig:
     bound_side: str = "lower"
     baseline_draws: int = 500
     density_budget: int = 2000
-    density_eval_points: int = 500
     bandwidth_grid: tuple = DEFAULT_BANDWIDTH_GRID
     threads: int = 1  # echoed in the metadata; the work runs in one thread
 
@@ -106,6 +108,8 @@ class ExperimentConfig:
             raise InvalidParameterError("n_value_points must be at least 1")
         if self.repetitions < 1:
             raise InvalidParameterError("repetitions must be at least 1")
+        if self.heldout_size < 0 or self.background_size < 1:
+            raise InvalidParameterError("heldout_size must be nonnegative and background_size positive")
 
     def resolved_q(self, p: int) -> int:
         return self.q if self.q is not None else p + 3
@@ -242,7 +246,7 @@ def _density_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
                                 mc_budget=config.density_budget),
             background, kernel, sub), xs, ys, rng), utility
     eval_idx = rng.substream(_STREAM_EVAL_POINTS).generator.integers(
-        0, background.shape[0], size=config.density_eval_points)
+        0, background.shape[0], size=_DENSITY_EVAL_POINTS)
     spec, ctx = utility(background[eval_idx])
     return _per_point(lambda x, y, sub: dshapley_mc_baseline(
         np.atleast_1d(x), background, spec, m=config.m, max_draws=config.baseline_draws,
@@ -350,8 +354,7 @@ def _bench_dataset(task: str, n: int, p: int, rng: RandomStream) -> Dataset:
 
 
 def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
-                   baseline_draws: dict | None = None, baseline_points: int = 20,
-                   background_size: int = 2000, threads: int = 1):
+                   baseline_points: int = 20, background_size: int = 2000, threads: int = 1):
     """Wall-clock comparison of the fast estimators against the sampled baseline.
 
     ``grid`` is a list of (n_points, p) cells. The fast method values every
@@ -361,9 +364,6 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
     """
     if not grid:
         raise InvalidParameterError("the benchmark grid must be nonempty")
-    budgets = dict(_BENCH_BASELINE_DRAWS)
-    if baseline_draws:
-        budgets.update(baseline_draws)
     rows = []
     for ti, task in enumerate(tasks):
         for ci, (n_points, p) in enumerate(grid):
@@ -379,7 +379,7 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
                     task=task, n_value_points=n_points, m=n_points,
                     q=p + 3, seed=0, background_size=background_size,
                     heldout_size=200, repetitions=1, threads=threads,
-                    baseline_draws=budgets[task],
+                    baseline_draws=_BENCH_BASELINE_DRAWS[task],
                 )
                 fast_cfg = ExperimentConfig(method="fast", **config_common)
                 split = _split_indices(data.n, fast_cfg, rep_rng.substream(1).generator)
@@ -405,7 +405,7 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
                 "baseline_seconds_std": float(np.std(base_times)),
                 "speedup": base_mean / fast_mean if fast_mean > 0 else float("inf"),
                 "repetitions": repetitions,
-                "baseline_draws": budgets[task],
+                "baseline_draws": _BENCH_BASELINE_DRAWS[task],
                 "baseline_points_timed": timed_points,
                 "threads": threads,
             })

@@ -121,7 +121,7 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim})"
 
 
-def spd_inverse(matrix: SpdMatrix, jitter: float = 0.0) -> SpdMatrix:
+def spd_inverse(matrix: SpdMatrix) -> SpdMatrix:
     """Invert an SPD matrix by Cholesky factorization.
 
     A failing factorization is retried once with a jitter of
@@ -131,8 +131,6 @@ def spd_inverse(matrix: SpdMatrix, jitter: float = 0.0) -> SpdMatrix:
     """
     values = matrix.values if isinstance(matrix, SpdMatrix) else np.asarray(matrix, float)
     p = values.shape[0]
-    if jitter:
-        values = values + jitter * np.eye(p)
     try:
         factor = _cholesky_lower(values)
     except SingularMatrixError:
@@ -149,24 +147,21 @@ def spd_inverse(matrix: SpdMatrix, jitter: float = 0.0) -> SpdMatrix:
     return SpdMatrix(inv)
 
 
-def estimate_second_moment(samples, ridge: float = 0.0) -> SpdMatrix:
-    """Uncentered second moment ``(1/N) sum_i x_i x_i^T + ridge * I``.
+def estimate_second_moment(samples) -> SpdMatrix:
+    """Uncentered second moment ``(1/N) sum_i x_i x_i^T``.
 
-    Requires at least ``p`` samples when ``ridge`` is zero; the result must
-    be positive definite, which holds whenever the samples span R^p or the
-    ridge is positive.
+    Requires at least ``p`` samples; the result must be positive definite,
+    which holds whenever the samples span R^p.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise InvalidParameterError("samples must form an (N, p) array")
     n, p = x.shape
-    if ridge < 0:
-        raise InvalidParameterError("ridge must be nonnegative")
-    if ridge == 0.0 and n < p:
+    if n < p:
         raise RankDeficiencyError(
-            f"{n} samples cannot identify a {p}-dimensional second moment without a ridge"
+            f"{n} samples cannot identify a {p}-dimensional second moment"
         )
-    moment = (x.T @ x) / n + ridge * np.eye(p)
+    moment = (x.T @ x) / n
     # exact symmetrization guards against accumulation asymmetry
     moment = 0.5 * (moment + moment.T)
     return SpdMatrix(moment)

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _INNER_BLOCK = 128
+# sizes per window of first blocks in the exact sampler
+_OUTER_BLOCK = 128
 # (points x sizes) entries per row block of the envelope bounds
 _BLOCK_FLOATS = 1 << 14
 
@@ -102,14 +104,12 @@ class PointQuery:
                    d=mahalanobis_sq(x, env.sigma_inv))
 
 
-def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0,
-                   ridge: float = 0.0) -> RegressionEnvironment:
+def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0) -> RegressionEnvironment:
     """Estimate the unknown background quantities from a reference sample.
 
-    Fits ``beta_hat`` by (optionally ridged) least squares, the noise
-    variance by ``RSS / (N - p)``, and the inverse uncentered second moment
-    of the inputs. ``ridge`` regularizes both the fit and the moment
-    estimate; ``gamma`` is stored as the valuation-time penalty.
+    Fits ``beta_hat`` by least squares, the noise variance by
+    ``RSS / (N - p)``, and the inverse uncentered second moment of the
+    inputs; ``gamma`` is stored as the valuation-time penalty.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -120,8 +120,7 @@ def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0,
         raise InvalidParameterError("x and y lengths differ")
     if n <= p:
         raise InsufficientDataError(f"need more than p={p} samples, got {n}")
-    gram = x.T @ x + ridge * np.eye(p)
-    beta_hat = np.linalg.solve(gram, x.T @ y)
+    beta_hat = np.linalg.solve(x.T @ x, x.T @ y)
     rss = float(np.sum((y - x @ beta_hat) ** 2))
     sigma2 = rss / (n - p)
     # residuals at rounding scale mean the background is an exact linear fit
@@ -129,7 +128,7 @@ def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0,
         sigma2 = 0.0
         warnings.warn("background fit is noiseless (sigma2 = 0); values will be "
                       "driven by squared errors only", stacklevel=2)
-    sigma_inv = spd_inverse(estimate_second_moment(x, ridge))
+    sigma_inv = spd_inverse(estimate_second_moment(x))
     return RegressionEnvironment(p=p, m=m, q=q, gamma=gamma, sigma2=sigma2,
                                  beta_hat=beta_hat, sigma_inv=sigma_inv)
 
@@ -173,7 +172,8 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
     chi-squared variable with ``s - p + 1`` degrees of freedom. Draws stop
     early once the running mean stabilizes (relative change <= rho1) and the
     outer sum stops once the cumulative value stabilizes (relative change
-    <= rho2).
+    <= rho2). Sizes draw their first blocks a window at a time, so no size
+    past the outer stop is drawn.
 
     Requires ``gamma = 0`` and ``q >= p + 3``. Returns exact 0 (with a
     warning) when the horizon sits below the gate. The reported
@@ -191,57 +191,52 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
     js = np.arange(env.q - 1, env.m)
     dfs = (js - env.p + 1).astype(float)
     coef = (js - 1.0) / (js - env.p)
-    gen = rng.generator
-    t_max = mc.max_inner
-    block = min(t_max, _INNER_BLOCK)
+    sums, sqsums, counts = np.zeros(js.size), np.zeros(js.size), np.zeros(js.size, dtype=int)
+    means = np.full(js.size, np.nan)  # running means; NaN before a size's first block
+    done = np.zeros(js.size, dtype=bool)  # stable, or max_inner draws used
+    drawn = 0  # sizes whose first block is drawn
+    final = 0  # leading sizes that are done, so their means are final
+    while final < js.size:
+        # first blocks go a window of sizes at a time; once a drawn size needs
+        # more, every first block is drawn and the sizes continue in order
+        if final == drawn:
+            lo, hi = drawn, min(drawn + _OUTER_BLOCK, js.size)
+        elif drawn < js.size:
+            lo, hi = drawn, js.size
+        else:
+            lo, hi = final, final + 1
+        drawn, rows = max(drawn, hi), slice(lo, hi)
+        # one block for sizes that have all drawn n values so far; one size
+        # draws with a scalar df, the same values at a third of the call cost
+        n = counts[lo]
+        draws = rng.generator.chisquare(dfs[lo] if hi - lo == 1 else dfs[rows, None],
+                                        size=(hi - lo, min(_INNER_BLOCK, mc.max_inner - n)))
+        vals = coef[rows, None] * (d * e2 + draws * s2) / (d + draws) ** 2
+        csum = sums[rows, None] + np.cumsum(vals, axis=1)
+        csq = sqsums[rows, None] + np.cumsum(vals ** 2, axis=1)
+        running = np.concatenate((means[rows, None], csum / (n + np.arange(1, vals.shape[1] + 1))),
+                                 axis=1)
+        hit, stop = _first_stable_index(running, mc.rho1)
+        last, at = stop - 2, np.arange(hi - lo)  # the carried mean leads each row
+        sums[rows], sqsums[rows], means[rows] = csum[at, last], csq[at, last], running[at, last + 1]
+        counts[rows] += last + 1
+        done[rows] = hit | (counts[rows] >= mc.max_inner)
+        if done[final]:
+            # the final prefix grew: apply the outer stop to it
+            final = js.size if done.all() else int(np.argmin(done))
+            nu = np.cumsum(-means[:final] / env.m)
+            hit_outer, k_used = _first_stable_index(nu[None, :], mc.rho2, denominator="cur")
+            if hit_outer[0]:
+                break
 
-    draws = gen.chisquare(dfs[:, None], size=(js.size, block))
-    summands = coef[:, None] * (d * e2 + draws * s2) / (d + draws) ** 2
-    csum = np.cumsum(summands, axis=1)
-    csq = np.cumsum(summands ** 2, axis=1)
-    cum_means = csum / np.arange(1, block + 1)
-    hit, counts = _first_stable_index(cum_means, mc.rho1)
-
-    idx = counts - 1
-    rows = np.arange(js.size)
-    sums = csum[rows, idx]
-    sqsums = csq[rows, idx]
-
-    # rows that did not stabilize within the first block keep drawing
-    for r in np.nonzero(~hit)[0]:
-        total, total_sq, n = sums[r], sqsums[r], int(counts[r])
-        prev_mean = total / n
-        converged = False
-        while n < t_max and not converged:
-            extra = gen.chisquare(dfs[r], size=min(block, t_max - n))
-            vals = coef[r] * (d * e2 + extra * s2) / (d + extra) ** 2
-            part_means = (total + np.cumsum(vals)) / (n + np.arange(1, vals.size + 1))
-            seq = np.concatenate(([prev_mean], part_means))
-            found, used = _first_stable_index(seq[None, :], mc.rho1)
-            used = int(used[0]) - 1  # the leading element is the carried-over mean
-            if found[0]:
-                converged = True
-            total += float(np.sum(vals[:used]))
-            total_sq += float(np.sum(vals[:used] ** 2))
-            n += used
-            prev_mean = seq[min(used, seq.size - 1)]
-        sums[r], sqsums[r], counts[r] = total, total_sq, n
-
-    means = sums / counts
+    k = int(k_used[0])
+    used = counts[:k]
     with np.errstate(invalid="ignore"):
-        variances = np.where(counts > 1, (sqsums - counts * means ** 2) / np.maximum(counts - 1, 1), 0.0)
-    variances = np.maximum(variances, 0.0)
-
-    # outer accumulation with its own relative-change stop
-    nu = np.cumsum(-means / env.m)
-    hit_outer, k_used = _first_stable_index(nu[None, :], mc.rho2, denominator="cur")
-    k = int(k_used[0]) if hit_outer[0] else js.size
-    value = float(nu[k - 1])
-    std_error = float(np.sqrt(np.sum(variances[:k] / counts[:k])) / env.m)
+        variances = np.where(used > 1, (sqsums[:k] - used * means[:k] ** 2) / np.maximum(used - 1, 1), 0.0)
+    std_error = float(np.sqrt(np.sum(np.maximum(variances, 0.0) / used)) / env.m)
     truncated = int(js[k - 1]) if k < js.size else None
-    return ValueEstimate(value=value, std_error=std_error,
-                         inner_iters_used=[int(c) for c in counts[:k]],
-                         truncated_at_j=truncated)
+    return ValueEstimate(value=float(nu[k - 1]), std_error=std_error,
+                         inner_iters_used=[int(c) for c in used], truncated_at_j=truncated)
 
 
 def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,

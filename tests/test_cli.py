@@ -48,6 +48,19 @@ class TestErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    def test_negative_split_sizes_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert run(["gen", "--kind", "gaussian-r", "--n", "300", "--p", "3",
+                    "--seed", "1", "--output", str(data)]) == 0
+        capsys.readouterr()
+        common = ["value", "--data", str(data), "--target-column", "y",
+                  "--task", "regression", "--m", "50", "--n-value-points", "20"]
+        for flags in (["--heldout-size", "-5"], ["--background-size", "0"]):
+            out = tmp_path / "o.csv"
+            assert run(common + flags + ["--output", str(out)]) == 2
+            assert "InvalidParameterError" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_density_task_without_target(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("a,b\n" + "\n".join(f"{i * 0.01},{i * 0.02}" for i in range(300)))

@@ -44,6 +44,14 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(task="regression", method="nope")
 
+    def test_split_sizes_validated(self):
+        # a negative size would slice the split from its end
+        with pytest.raises(InvalidParameterError, match="heldout_size"):
+            small_config(heldout_size=-5)
+        with pytest.raises(InvalidParameterError, match="background_size"):
+            small_config(background_size=0)
+        assert small_config(heldout_size=0, background_size=1).heldout_size == 0
+
     def test_value_points_exceeding_dataset(self):
         data = gen_gaussian_r(30, 2, RandomStream(0))
         config = small_config(n_value_points=100)

@@ -110,14 +110,8 @@ class TestSpdInverse:
 class TestSecondMoment:
     def test_symmetric_four_points(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        m = estimate_second_moment(pts, ridge=0.0)
+        m = estimate_second_moment(pts)
         assert np.allclose(m.values, np.diag([0.5, 0.5]), atol=1e-15)
-
-    def test_large_ridge_dominates(self):
-        pts = np.random.default_rng(1).standard_normal((20, 3))
-        m = estimate_second_moment(pts, ridge=1e6)
-        rel = np.abs(m.values - 1e6 * np.eye(3)).max() / 1e6
-        assert rel < 1e-5
 
     def test_law_of_large_numbers(self):
         pts = RandomStream(11).generator.standard_normal((10**5, 3))
@@ -128,12 +122,12 @@ class TestSecondMoment:
 
     def test_rank_deficiency(self):
         with pytest.raises(RankDeficiencyError):
-            estimate_second_moment(np.ones((2, 3)), ridge=0.0)
+            estimate_second_moment(np.ones((2, 3)))
 
     def test_degenerate_samples_singular(self):
         pts = np.ones((5, 2))  # rank one
         with pytest.raises(SingularMatrixError):
-            estimate_second_moment(pts, ridge=0.0)
+            estimate_second_moment(pts)
 
 
 class TestMahalanobis:

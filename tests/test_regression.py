@@ -18,7 +18,8 @@ from distshap import (
     fit_background,
     make_gaussian_sampler,
 )
-from distshap.regression import analytic_utility_constant, normalization_shift
+from distshap.estimates import ValueEstimate
+from distshap.regression import _first_stable_index, analytic_utility_constant, normalization_shift
 
 TIGHT = MCControls(max_inner=10**5, rho1=1e-12, rho2=1e-12)
 
@@ -138,6 +139,124 @@ class TestExactEstimator:
         assert est.truncated_at_j <= env.m
         assert len(est.inner_iters_used) < env.m - env.q + 1
         assert all(1 <= n <= 10000 for n in est.inner_iters_used)
+
+
+def eager_exact(query, env, mc, rng):
+    """Two-level sampler drawing every size's first block up front.
+
+    One (sizes, block) chi-squared draw, then each size that did not
+    stabilize keeps drawing, one size after another, before the outer stop
+    is applied to the whole sum.
+    """
+    js = np.arange(env.q - 1, env.m)
+    dfs = (js - env.p + 1).astype(float)
+    coef = (js - 1.0) / (js - env.p)
+    d, e2, s2 = query.d, query.e2, env.sigma2
+    gen = rng.generator
+    block = min(mc.max_inner, 128)
+    draws = gen.chisquare(dfs[:, None], size=(js.size, block))
+    summands = coef[:, None] * (d * e2 + draws * s2) / (d + draws) ** 2
+    csum = np.cumsum(summands, axis=1)
+    csq = np.cumsum(summands ** 2, axis=1)
+    hit, counts = _first_stable_index(csum / np.arange(1, block + 1), mc.rho1)
+    rows = np.arange(js.size)
+    sums, sqsums = csum[rows, counts - 1], csq[rows, counts - 1]
+    for r in np.nonzero(~hit)[0]:
+        total, total_sq, n = sums[r], sqsums[r], int(counts[r])
+        prev_mean = total / n
+        converged = False
+        while n < mc.max_inner and not converged:
+            extra = gen.chisquare(dfs[r], size=min(block, mc.max_inner - n))
+            vals = coef[r] * (d * e2 + extra * s2) / (d + extra) ** 2
+            part = (total + np.cumsum(vals)) / (n + np.arange(1, vals.size + 1))
+            seq = np.concatenate(([prev_mean], part))
+            found, used = _first_stable_index(seq[None, :], mc.rho1)
+            used = int(used[0]) - 1
+            converged = bool(found[0])
+            total += float(np.sum(vals[:used]))
+            total_sq += float(np.sum(vals[:used] ** 2))
+            n += used
+            prev_mean = seq[min(used, seq.size - 1)]
+        sums[r], sqsums[r], counts[r] = total, total_sq, n
+    means = sums / counts
+    with np.errstate(invalid="ignore"):
+        variances = np.where(counts > 1, (sqsums - counts * means ** 2) / np.maximum(counts - 1, 1), 0.0)
+    variances = np.maximum(variances, 0.0)
+    nu = np.cumsum(-means / env.m)
+    hit_outer, k_used = _first_stable_index(nu[None, :], mc.rho2, denominator="cur")
+    k = int(k_used[0]) if hit_outer[0] else js.size
+    return ValueEstimate(value=float(nu[k - 1]),
+                         std_error=float(np.sqrt(np.sum(variances[:k] / counts[:k])) / env.m),
+                         inner_iters_used=[int(c) for c in counts[:k]],
+                         truncated_at_j=int(js[k - 1]) if k < js.size else None)
+
+
+class _CountingGenerator:
+    def __init__(self, generator):
+        self.generator, self.chisquare_values = generator, 0
+
+    def chisquare(self, df, size=None):
+        out = self.generator.chisquare(df, size=size)
+        self.chisquare_values += np.size(out)
+        return out
+
+
+class CountingStream(RandomStream):
+    """A stream whose generator counts the chi-squared values it hands out."""
+
+    @property
+    def generator(self):
+        if self._generator is None:
+            self._generator = _CountingGenerator(super().generator)
+        return self._generator
+
+
+class TestDrawOrder:
+    """The windowed sampler against the eager one it replaced."""
+
+    QUERIES = [(2.0, 1.0), (0.3, 4.0), (9.0, 0.2), (0.0, 1.5)]
+
+    def compare(self, env, mc, seed, exact_values):
+        for d, e2 in self.QUERIES:
+            query = PointQuery(x_star=np.array([np.sqrt(d), 0.0]), y_star=0.0, e2=e2, d=d)
+            got = dshapley_regression_exact(query, env, mc, RandomStream(seed))
+            want = eager_exact(query, env, mc, RandomStream(seed))
+            assert got.inner_iters_used == want.inner_iters_used
+            assert got.truncated_at_j == want.truncated_at_j
+            if exact_values:
+                assert (got.value, got.std_error) == (want.value, want.std_error)
+            else:
+                assert got.value == pytest.approx(want.value, rel=1e-12)
+                assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
+        return got
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_at_default_controls(self, seed):
+        est = self.compare(make_env(p=3, m=2000, q=6, sigma2=0.8), MCControls(), seed, True)
+        assert est.truncated_at_j is not None
+
+    def test_tight_controls_continue_every_size(self):
+        est = self.compare(make_env(m=12, q=5), TIGHT, 4, False)
+        assert est.truncated_at_j is None and min(est.inner_iters_used) > 128
+
+    def test_fallback_after_windows(self):
+        # rho1 this small leaves sizes unstable after their first block while
+        # the outer stop is still open, so every first block is drawn first
+        mc = MCControls(max_inner=300, rho1=1e-7)
+        est = self.compare(make_env(m=600, q=5), mc, 5, False)
+        assert max(est.inner_iters_used) > 128
+
+    def test_single_admitted_size(self):
+        self.compare(make_env(m=5, q=5), MCControls(), 6, True)
+        self.compare(make_env(m=5, q=5), TIGHT, 6, False)
+
+    def test_no_size_past_the_outer_stop_is_drawn(self):
+        env = make_env(p=3, m=2000, q=6, sigma2=0.8)
+        query = PointQuery(x_star=np.array([1.0, 1.0, 0.0]), y_star=0.0, e2=1.0, d=2.0)
+        rng = CountingStream(1)
+        est = dshapley_regression_exact(query, env, None, rng)
+        assert est.truncated_at_j < env.q - 1 + 128
+        assert rng.generator.chisquare_values <= 128 * 128
 
 
 class TestBounds:
