@@ -78,6 +78,7 @@ from .regression import (
     dshapley_regression_bounds,
     dshapley_regression_exact,
     dshapley_regression_general_mc,
+    dshapley_regression_quadrature,
     fit_background,
     make_gaussian_sampler,
     normalization_shift,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 
@@ -51,8 +53,9 @@ class BoundParams:
 
 @dataclass
 class ValueEstimate:
-    """A point value with its Monte-Carlo standard error and convergence metadata.
+    """A point value with its standard error and convergence metadata.
 
+    For a batch of points ``value`` and ``std_error`` are arrays.
     ``inner_iters_used`` records the draws consumed per summation term (0 for
     terms skipped entirely); ``truncated_at_j`` is the term index at which the
     outer early stop fired, or None if the whole sum was evaluated.
@@ -64,7 +67,7 @@ class ValueEstimate:
     truncated_at_j: int | None = None
 
     def __post_init__(self):
-        if self.std_error < 0:
+        if np.any(np.asarray(self.std_error) < 0):
             raise InvalidParameterError("std_error must be nonnegative")
 
 

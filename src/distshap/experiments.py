@@ -39,12 +39,13 @@ from .density import (
     select_bandwidth,
 )
 from .errors import InvalidParameterError, UtilityEvaluationError
-from .estimates import BoundParams, MCControls
+from .estimates import BoundParams
 from .numerics import RandomStream, spd_inverse
 from .regression import (
     PointQuery,
     dshapley_regression_bounds,
-    dshapley_regression_exact,
+    dshapley_regression_exact,  # noqa: F401  (bench/tracing.py rebinds experiments.dshapley_regression_exact)
+    dshapley_regression_quadrature,
     fit_background,
 )
 
@@ -87,7 +88,6 @@ class ExperimentConfig:
     background_size: int = 2000
     heldout_size: int = 1000
     repetitions: int = 50
-    mc: MCControls = field(default_factory=MCControls)
     bound_params: BoundParams = field(default_factory=BoundParams)
     bound_side: str = "lower"
     baseline_draws: int = 500
@@ -209,8 +209,8 @@ def _regression_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
                                             config.bound_params)
         return _bound_side(bounds, config.bound_side), utility
     if config.method == "fast":
-        return _per_point(lambda x, y, sub: dshapley_regression_exact(
-            PointQuery.from_point(x, y, env), env, config.mc, sub), xs, ys, rng), utility
+        est = dshapley_regression_quadrature(PointQuery.from_point(xs, ys, env), env)
+        return (est.value, est.std_error), utility
     spec, ctx = utility((dataset.x[held_idx], dataset.y[held_idx]))
     return _per_point(lambda x, y, sub: dshapley_mc_baseline(
         (x, y), (bx, by), spec, m=config.m, max_draws=config.baseline_draws,
@@ -267,10 +267,10 @@ def value_points(dataset: Dataset, config: ExperimentConfig, rng: RandomStream,
     """Value a set of points; returns (indices, values, std_errors).
 
     Without explicit index sets the dataset is split deterministically from
-    the stream. The bounds routes (and the classification fast route, its
-    lower bound) value all points in one array call; the sampled routes draw
-    each point from its own substream. ``config.threads`` does not change
-    how the work runs.
+    the stream. The bounds routes, the regression fast route (the
+    quadrature) and the classification fast route (its lower bound) value
+    all points in one array call; the sampled routes draw each point from
+    its own substream. ``config.threads`` does not change how the work runs.
     """
     if value_idx is None:
         value_idx, held_idx, bg_idx = _split_indices(dataset.n, config, rng.generator)

@@ -77,6 +77,14 @@ class TestValuePoints:
         _, v2, _ = value_points(data, config, RandomStream(5))
         assert np.array_equal(v1, v2)
 
+    def test_regression_fast_route_draws_nothing(self):
+        data = gen_gaussian_r(800, 4, RandomStream(3))
+        split = (np.arange(20), np.arange(20, 170), np.arange(170, 800))
+        config = small_config()
+        _, v1, s1 = value_points(data, config, RandomStream(1), *split)
+        _, v2, s2 = value_points(data, config, RandomStream(2), *split)
+        assert v1.tobytes() == v2.tobytes() and s1.tobytes() == s2.tobytes()
+
     def test_bounds_method(self):
         data = gen_gaussian_r(800, 4, RandomStream(3))
         config = small_config(method="bounds", q=9)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from distshap import (
     BoundParams,
@@ -15,6 +16,7 @@ from distshap import (
     dshapley_regression_bounds,
     dshapley_regression_exact,
     dshapley_regression_general_mc,
+    dshapley_regression_quadrature,
     fit_background,
     make_gaussian_sampler,
 )
@@ -257,6 +259,94 @@ class TestDrawOrder:
         est = dshapley_regression_exact(query, env, None, rng)
         assert est.truncated_at_j < env.q - 1 + 128
         assert rng.generator.chisquare_values <= 128 * 128
+
+
+def chi2_expect_value(p, m, q, d, e2, s2):
+    """The Gaussian closed form summed over every admitted size with ``chi2.expect``."""
+    def summand(t):
+        return (d * e2 + t * s2) / (d + t) ** 2
+
+    total = sum((j - 1.0) / (j - p) * chi2.expect(summand, args=(j - p + 1,))
+                for j in range(q - 1, m))
+    return -total / m
+
+
+def _random_cells(count, seed):
+    gen = np.random.default_rng(seed)
+    cells = []
+    for _ in range(count):
+        p = int(gen.integers(1, 9))
+        q = p + int(gen.integers(3, 10))
+        m = int(gen.integers(q, 61))
+        cells.append((p, q, m, float(10.0 ** gen.uniform(-3, 2)),
+                      float(gen.uniform(0, 5)), float(gen.uniform(0.1, 3))))
+    return cells
+
+
+class TestQuadrature:
+    """The deterministic integral over every admitted size."""
+
+    @pytest.mark.parametrize("p, q, m, d, e2, s2", [
+        (2, 5, 30, 0.0, 1.2, 0.8),   # at the origin
+        (3, 6, 40, 1.7, 0.0, 1.1),   # no prediction error
+        (4, 9, 60, 0.6, 2.5, 0.0),   # noiseless background
+        (1, 4, 4, 0.3, 0.7, 1.0),    # one admitted size, the fewest degrees of freedom
+    ] + _random_cells(5, 11))
+    def test_matches_chi2_expect_over_every_size(self, p, q, m, d, e2, s2):
+        env = make_env(p=p, m=m, q=q, sigma2=s2)
+        query = PointQuery(x_star=np.zeros(p), y_star=0.0, e2=e2, d=d)
+        est = dshapley_regression_quadrature(query, env)
+        expected = chi2_expect_value(p, m, q, d, e2, s2)
+        # chi2.expect's own tolerance is ~1.5e-8 relative
+        assert est.value == pytest.approx(expected, rel=1e-8)
+        assert 0.0 <= est.std_error <= 1e-8 * abs(expected)
+        assert est.inner_iters_used == [] and est.truncated_at_j is None
+
+    @pytest.mark.parametrize("p, q", [(2, 5), (10, 13), (3, 5000)])
+    def test_origin_identity_at_one_size(self, p, q):
+        # d = 0, m = q: the one size q - 1 gives s2 E[1/chi2_k] = s2 / (k - 2), k = q - p
+        s2 = 1.7
+        env = make_env(p=p, m=q, q=q, sigma2=s2)
+        query = PointQuery(x_star=np.zeros(p), y_star=0.0, e2=0.4, d=0.0)
+        est = dshapley_regression_quadrature(query, env)
+        expected = -(1.0 / q) * (q - 2.0) / (q - 1.0 - p) * s2 / (q - p - 2.0)
+        assert est.value == pytest.approx(expected, rel=1e-12)
+
+    def test_batch_matches_per_point(self):
+        gen = np.random.default_rng(4)
+        env = RegressionEnvironment(p=3, m=500, q=6, gamma=0.0, sigma2=0.9,
+                                    beta_hat=np.array([0.5, -1.0, 0.2]),
+                                    sigma_inv=SpdMatrix(np.diag([1.0, 2.0, 0.5])))
+        xs = np.vstack([np.zeros(3), 3.0 * gen.standard_normal((40, 3))])
+        ys = gen.standard_normal(41)
+        batch = dshapley_regression_quadrature(PointQuery.from_point(xs, ys, env), env)
+        assert batch.value.shape == batch.std_error.shape == (41,)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            one = dshapley_regression_quadrature(PointQuery.from_point(x, y, env), env)
+            assert isinstance(one.value, float)
+            assert one.value == pytest.approx(batch.value[i], rel=1e-14)
+            # the error estimate is a difference of two sums of the value's size: it agrees
+            # only to the rounding of the value
+            assert one.std_error == pytest.approx(batch.std_error[i], abs=1e-14 * abs(one.value))
+
+    def test_empty_sum_below_gate(self):
+        env = make_env(m=4, q=5)
+        one = PointQuery(x_star=np.ones(2), y_star=0.0, e2=1.0, d=2.0)
+        with pytest.warns(UserWarning, match="empty sum"):
+            est = dshapley_regression_quadrature(one, env)
+        assert est.value == 0.0 and est.std_error == 0.0
+        batch = PointQuery(x_star=np.ones((3, 2)), y_star=np.zeros(3), e2=np.ones(3),
+                           d=np.full(3, 2.0))
+        with pytest.warns(UserWarning, match="empty sum"):
+            est = dshapley_regression_quadrature(batch, env)
+        assert np.array_equal(est.value, np.zeros(3)) and np.array_equal(est.std_error, np.zeros(3))
+
+    def test_preconditions(self):
+        query = PointQuery(x_star=np.zeros(2), y_star=0.0, e2=0.0, d=0.0)
+        with pytest.raises(InvalidParameterError):
+            dshapley_regression_quadrature(query, make_env(gamma=0.5))
+        with pytest.raises(InvalidParameterError):
+            dshapley_regression_quadrature(query, make_env(q=4))  # p + 3 = 5 required
 
 
 class TestBounds:
