@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _ENUMERATION_LIMIT = 20
+# IRLS controls of the accuracy utility's subset fits
+_ACCURACY_TOL = 1e-8
+_ACCURACY_MAX_ITER = 25
 
 
 @dataclass(frozen=True)
@@ -85,12 +88,10 @@ class RegressionUtilityContext:
 
 @dataclass
 class AccuracyUtilityContext:
-    """Held-out sample and fit controls for the accuracy utility."""
+    """Held-out sample for the accuracy utility."""
 
     x_test: np.ndarray
     y_test: np.ndarray
-    tol: float = 1e-8
-    max_iter: int = 25
 
 
 @dataclass
@@ -157,7 +158,7 @@ def _accuracy_utility(subset, spec: UtilitySpec, ctx: AccuracyUtilityContext) ->
         warnings.simplefilter("ignore")
         try:
             # the fitted direction is a usable classifier even short of the MLE
-            state = irls_fit(x, y, tol=ctx.tol, max_iter=ctx.max_iter)
+            state = irls_fit(x, y, tol=_ACCURACY_TOL, max_iter=_ACCURACY_MAX_ITER)
         except SingularMatrixError as exc:
             raise UtilityEvaluationError(str(exc), subset_size=size) from exc
     predicted = (ctx.x_test @ state.beta >= 0.0).astype(float)

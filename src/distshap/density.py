@@ -1,9 +1,10 @@
 """Distributional Shapley values for kernel density estimation.
 
-Provides the sampled set-value estimator, least-squares cross-validated
-bandwidth selection, closed forms for one- and two-point sets under the
-uniform kernel on the unit interval, and the synergy scan that probes when
-a pair of points is worth more than its members.
+Provides the sampled set-value estimator, bandwidth selection by
+leave-one-out least-squares cross-validation, closed forms for one- and
+two-point sets under the uniform kernel on the unit interval, and the
+synergy scan that probes when a pair of points is worth more than its
+members.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
 ]
 
 _BLOCK_BUDGET = 4_000_000  # floats per pairwise block
-_CV_FOLDS = 5  # folds of the bandwidth cross-validation
 
 
 def _block_rows(n_ref: int, dim: int) -> int:
@@ -163,44 +163,47 @@ def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def _gaussian_cv_scores(pts, grid, fold_ids):
-    # squared distances are bandwidth-free, so compute them once per fold
+def _gaussian_loo_scores(pts, grid):
+    """Leave-one-out LSCV score of each bandwidth, over row blocks of the distance matrix."""
     n, dim = pts.shape
-    scores = np.zeros(len(grid))
+    h = np.asarray(grid)
+    square = np.zeros(h.size)  # sums of exp(-sq / 4h^2) over all pairs
+    cross = np.zeros(h.size)   # sums of exp(-sq / 2h^2) over pairs i != j
+    step = _block_rows(n, dim)
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        for heldout in fold_ids:
-            mask = np.ones(n, dtype=bool)
-            mask[heldout] = False
-            train = pts[mask]
-            sq_tt = _pairwise_sq_dists(train, train)
-            sq_th = _pairwise_sq_dists(train, pts[heldout])
-            for gi, h in enumerate(grid):
-                term_sq = np.mean(np.exp(-sq_tt / (4.0 * h * h))) / (h ** dim * (4.0 * np.pi) ** (dim / 2.0))
-                term_cross = np.mean(np.exp(-sq_th / (2.0 * h * h))) / (h ** dim * (2.0 * np.pi) ** (dim / 2.0))
-                scores[gi] += term_sq - 2.0 * term_cross
-    return scores / len(fold_ids)
+        for start in range(0, n, step):
+            sq = _pairwise_sq_dists(pts[start:start + step], pts)
+            rows = np.arange(sq.shape[0])
+            for gi in range(h.size):
+                wide = np.exp(sq * (-0.25 / (h[gi] * h[gi])))
+                square[gi] += wide.sum()
+                wide *= wide
+                wide[rows, start + rows] = 0.0  # rounding leaves the diagonal distances nonzero
+                cross[gi] += wide.sum()
+        return (square / (n * n * (4.0 * np.pi * h * h) ** (dim / 2.0))
+                - 2.0 * cross / (n * (n - 1) * (2.0 * np.pi * h * h) ** (dim / 2.0)))
 
 
-def select_bandwidth(samples, grid, rng: RandomStream | None = None) -> float:
-    """Pick the grid bandwidth minimizing the least-squares cross-validation score.
+def select_bandwidth(samples, grid) -> float:
+    """Pick the grid bandwidth minimizing the leave-one-out least-squares CV score.
 
-    The score per fold is ``integral p_hat^2 - 2 * mean(p_hat at held-out
-    points)`` for the Gaussian kernel, the integrated squared error up to a
-    constant. Ties break toward the larger bandwidth. Raises when no grid
-    entry yields a finite score.
+    The score is ``integral p_hat^2 - (2/n) * sum_i p_hat_{-i}(x_i)`` for the
+    Gaussian kernel, where ``p_hat_{-i}`` leaves sample ``i`` out: the
+    integrated squared error up to a constant. Ties break toward the larger
+    bandwidth. Raises when no grid entry yields a finite score.
     """
     pts = _as_points(samples)
     grid = [float(h) for h in grid]
     if not grid:
         raise InvalidParameterError("bandwidth grid must be nonempty")
-    n = pts.shape[0]
-    if n < _CV_FOLDS:
-        raise InvalidParameterError(f"need at least {_CV_FOLDS} samples for {_CV_FOLDS}-fold CV")
+    if not all(np.isfinite(h) and h > 0 for h in grid):
+        raise InvalidParameterError(f"bandwidths must be finite and positive, got {grid}")
+    if pts.shape[0] < 2:
+        raise InvalidParameterError("leave-one-out CV needs at least 2 samples")
     if len(grid) == 1:
         return grid[0]
 
-    order = np.arange(n) if rng is None else rng.generator.permutation(n)
-    scores = _gaussian_cv_scores(pts, grid, np.array_split(order, _CV_FOLDS))
+    scores = _gaussian_loo_scores(pts, grid)
     scores[~np.isfinite(scores)] = np.inf
     if not np.isfinite(scores).any():
         raise BandwidthSelectionError("no bandwidth in the grid produced a finite CV score")

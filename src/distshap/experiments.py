@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -39,7 +39,6 @@ from .density import (
     select_bandwidth,
 )
 from .errors import InvalidParameterError, UtilityEvaluationError
-from .estimates import BoundParams
 from .numerics import RandomStream, spd_inverse
 from .regression import (
     PointQuery,
@@ -66,7 +65,6 @@ _TASKS = ("regression", "classification", "density")
 _METHODS = ("fast", "baseline", "bounds")
 
 # auxiliary substream ids, far above any per-point index
-_STREAM_BANDWIDTH = 2**32
 _STREAM_EVAL_POINTS = 2**32 + 1
 _STREAM_ORDER = 2**32 + 2
 
@@ -88,7 +86,6 @@ class ExperimentConfig:
     background_size: int = 2000
     heldout_size: int = 1000
     repetitions: int = 50
-    bound_params: BoundParams = field(default_factory=BoundParams)
     bound_side: str = "lower"
     baseline_draws: int = 500
     density_budget: int = 2000
@@ -205,8 +202,7 @@ def _regression_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     env = fit_background(bx, by, m=config.m, q=q, gamma=config.gamma)
     utility = partial(_regression_utility, env)
     if config.method == "bounds":
-        bounds = dshapley_regression_bounds(PointQuery.from_point(xs, ys, env), env,
-                                            config.bound_params)
+        bounds = dshapley_regression_bounds(PointQuery.from_point(xs, ys, env), env)
         return _bound_side(bounds, config.bound_side), utility
     if config.method == "fast":
         est = dshapley_regression_quadrature(PointQuery.from_point(xs, ys, env), env)
@@ -229,15 +225,14 @@ def _classification_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     state = irls_fit(bx, by)
     sigma_tilde_inv = spd_inverse(estimate_weighted_second_moment(bx, state.beta))
     query = transform_query(xs, ys, state, sigma_tilde_inv, clamp_weight=True)
-    bounds = dshapley_binary_bounds(query, config.m, q, config.bound_params)
+    bounds = dshapley_binary_bounds(query, config.m, q)
     side = config.bound_side if config.method == "bounds" else "lower"
     return _bound_side(bounds, side), utility
 
 
 def _density_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     background = dataset.x[bg_idx]
-    h = select_bandwidth(background, config.bandwidth_grid,
-                         rng=rng.substream(_STREAM_BANDWIDTH))
+    h = select_bandwidth(background, config.bandwidth_grid)
     kernel = KernelSpec("gaussian", h, dataset.p)
     utility = partial(_density_utility, kernel)
     if config.method == "fast":
@@ -364,6 +359,8 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
     """
     if not grid:
         raise InvalidParameterError("the benchmark grid must be nonempty")
+    if repetitions < 1 or baseline_points < 1:
+        raise InvalidParameterError("repetitions and baseline_points must be at least 1")
     rows = []
     for ti, task in enumerate(tasks):
         for ci, (n_points, p) in enumerate(grid):

@@ -61,6 +61,29 @@ class TestErrors:
             assert "InvalidParameterError" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_invalid_bandwidth_grid_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n" + "\n".join(f"{i * 0.01},{i * 0.02}" for i in range(100)))
+        out = tmp_path / "o.csv"
+        code = run(["value", "--data", str(data), "--task", "density",
+                    "--m", "20", "--n-value-points", "5", "--background-size", "50",
+                    "--heldout-size", "0", "--density-budget", "50",
+                    "--bandwidth-grid=0,0.1", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameterError")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_time_bench_counts_exit_code(self, tmp_path, capsys):
+        for flags in (["--repetitions", "0"], ["--baseline-points", "0"]):
+            out = tmp_path / "bench.csv"
+            code = run(["time-bench", "--cells", "15,2", "--tasks", "regression",
+                        "--seed", "0", "--output", str(out)] + flags)
+            assert code == 2
+            assert "InvalidParameterError" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_density_task_without_target(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("a,b\n" + "\n".join(f"{i * 0.01},{i * 0.02}" for i in range(300)))

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+import distshap.density as density
 from distshap import (
     BandwidthSelectionError,
     DensityValueRequest,
@@ -67,32 +68,60 @@ class TestKdeEvaluate:
 class TestSelectBandwidth:
     def test_single_entry_grid(self):
         samples = RandomStream(0).generator.standard_normal(100)
-        assert select_bandwidth(samples, [0.37], rng=RandomStream(1)) == 0.37
+        assert select_bandwidth(samples, [0.37]) == 0.37
 
     def test_standard_normal_picks_plugin_neighborhood(self):
         samples = RandomStream(3).generator.standard_normal(2000)
-        h = select_bandwidth(samples, APPENDIX_GRID, rng=RandomStream(4))
+        h = select_bandwidth(samples, APPENDIX_GRID)
         assert h in (10.0 ** -0.5, 1.0)
 
     def test_duplicated_samples_degenerate(self):
         dup = np.full(50, 0.7)
-        h = select_bandwidth(dup, [0.001, 0.1, 1.0], rng=RandomStream(1))
+        h = select_bandwidth(dup, [0.001, 0.1, 1.0])
         assert h == 0.001
 
     def test_empty_grid(self):
         with pytest.raises(InvalidParameterError):
-            select_bandwidth(np.zeros(10), [], rng=RandomStream(0))
+            select_bandwidth(np.zeros(10), [])
 
     def test_all_nonfinite_scores(self):
         pts = RandomStream(9).generator.standard_normal((50, 2))
         with pytest.raises(BandwidthSelectionError):
-            select_bandwidth(pts, [1e-200, 1e-201], rng=RandomStream(0))
+            select_bandwidth(pts, [1e-200, 1e-201])
 
     def test_tie_breaks_to_larger(self):
         # duplicated grid entries force an exact tie
         samples = RandomStream(3).generator.standard_normal(200)
-        h = select_bandwidth(samples, [0.3, 0.3], rng=RandomStream(4))
+        h = select_bandwidth(samples, [0.3, 0.3])
         assert h == 0.3
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_loo_scores_match_direct_formula(self, dim, monkeypatch):
+        # a small block budget runs several blocks, the last one short
+        monkeypatch.setattr(density, "_BLOCK_BUDGET", 400)
+        n = 37
+        assert n % density._block_rows(n, dim) != 0 and density._block_rows(n, dim) < n
+        pts = RandomStream(11).generator.standard_normal((n, dim))
+        grid = [0.05, 0.2, 0.7, 2.5]
+        diffs = pts[:, None, :] - pts[None, :, :]
+        off_diagonal = ~np.eye(n, dtype=bool)
+        for h, got in zip(grid, density._gaussian_loo_scores(pts, grid)):
+            kern = KernelSpec("gaussian", h, dim)
+            square = kern.self_convolution(diffs).sum() / n ** 2
+            held_out = kern.evaluate(diffs)[off_diagonal].sum() / (n * (n - 1))
+            assert got == pytest.approx(square - 2.0 * held_out, rel=1e-12)
+
+    def test_two_samples_accepted_one_rejected(self):
+        assert select_bandwidth(np.array([0.0, 1.0]), [0.1, 1.0]) in (0.1, 1.0)
+        with pytest.raises(InvalidParameterError):
+            select_bandwidth(np.array([0.0]), [0.1, 1.0])
+
+    @pytest.mark.parametrize("grid", [[0.0], [0.0, 0.1], [float("nan"), 0.1],
+                                      [-0.1, 0.1], [float("inf"), 0.1]])
+    def test_nonpositive_or_nonfinite_entry_rejected(self, grid):
+        samples = RandomStream(0).generator.standard_normal(50)
+        with pytest.raises(InvalidParameterError):
+            select_bandwidth(samples, grid)
 
 
 class TestCoefficients:
@@ -233,7 +262,7 @@ class TestSynergyScan:
 
     def test_no_synergy_reports_none(self):
         # a large shared constant inflates the two singles against the pair
-        res = synergy_scan([0.2], C_den=500.0, n_draws=400, rng=RandomStream(1))
+        res = synergy_scan([0.2], C_den=500.0, n_draws=400)
         assert res.records[0].threshold is None
         assert res.records[0].probability == 0.0
 
@@ -246,4 +275,4 @@ class TestSynergyScan:
 
     def test_empty_grid(self):
         with pytest.raises(InvalidParameterError):
-            synergy_scan([], rng=RandomStream(0))
+            synergy_scan([])

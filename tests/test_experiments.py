@@ -274,3 +274,9 @@ class TestTimeBench:
     def test_empty_grid(self):
         with pytest.raises(InvalidParameterError):
             run_time_bench([], ["regression"], RandomStream(0))
+
+    @pytest.mark.parametrize("counts", [{"repetitions": 0}, {"baseline_points": 0},
+                                        {"repetitions": -1}])
+    def test_counts_below_one_rejected(self, counts):
+        with pytest.raises(InvalidParameterError):
+            run_time_bench([(20, 3)], ["regression"], RandomStream(0), **counts)
