@@ -42,9 +42,7 @@ __all__ = [
 ]
 
 _ENUMERATION_LIMIT = 20
-# IRLS controls of the accuracy utility's subset fits
-_ACCURACY_TOL = 1e-8
-_ACCURACY_MAX_ITER = 25
+_ACCURACY_MAX_ITER = 25  # IRLS iterations of the accuracy utility's subset fits
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,7 @@ def _accuracy_utility(subset, spec: UtilitySpec, ctx: AccuracyUtilityContext) ->
         warnings.simplefilter("ignore")
         try:
             # the fitted direction is a usable classifier even short of the MLE
-            state = irls_fit(x, y, tol=_ACCURACY_TOL, max_iter=_ACCURACY_MAX_ITER)
+            state = irls_fit(x, y, max_iter=_ACCURACY_MAX_ITER)
         except SingularMatrixError as exc:
             raise UtilityEvaluationError(str(exc), subset_size=size) from exc
     predicted = (ctx.x_test @ state.beta >= 0.0).astype(float)

@@ -164,7 +164,7 @@ def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_loo_scores(pts, grid):
-    """Leave-one-out LSCV score of each bandwidth, over row blocks of the distance matrix."""
+    # squared distances are bandwidth-free, so each block serves every bandwidth
     n, dim = pts.shape
     h = np.asarray(grid)
     square = np.zeros(h.size)  # sums of exp(-sq / 4h^2) over all pairs

@@ -262,7 +262,7 @@ class TestSynergyScan:
 
     def test_no_synergy_reports_none(self):
         # a large shared constant inflates the two singles against the pair
-        res = synergy_scan([0.2], C_den=500.0, n_draws=400)
+        res = synergy_scan([0.2], C_den=500.0, n_draws=400, rng=RandomStream(1))
         assert res.records[0].threshold is None
         assert res.records[0].probability == 0.0
 
@@ -275,4 +275,4 @@ class TestSynergyScan:
 
     def test_empty_grid(self):
         with pytest.raises(InvalidParameterError):
-            synergy_scan([])
+            synergy_scan([], rng=RandomStream(0))
