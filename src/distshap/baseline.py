@@ -273,8 +273,10 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     accumulates the marginal contribution of ``z_star``. Draws below the
     utility gate are recorded as exact zeros without evaluating the utility.
 
-    Raises ``BaselineFailureError`` if more than half of the evaluated draws
-    fail in the utility.
+    A draw whose utility fails is dropped, not counted, as long as at most
+    half of the evaluated draws fail; this biases the mean toward the subset
+    sizes where fits succeed. Raises ``BaselineFailureError`` if more
+    than half of the evaluated draws fail in the utility.
     """
     if m < 1 or max_draws < 1:
         raise InvalidParameterError("m and max_draws must be at least 1")

@@ -50,7 +50,8 @@ def _add_valuation_args(parser):
     parser.add_argument("--background-size", type=int, default=2000)
     parser.add_argument("--heldout-size", type=int, default=1000)
     parser.add_argument("--baseline-draws", type=int, default=500)
-    parser.add_argument("--density-budget", type=int, default=2000)
+    parser.add_argument("--density-budget", type=int, default=2000,
+                        help="accepted and ignored: density values draw nothing")
     parser.add_argument("--bandwidth-grid", default=None,
                         help="comma-separated bandwidths for density valuation")
     parser.add_argument("--bound-side", choices=("lower", "upper"), default="lower")
@@ -136,7 +137,7 @@ def _experiment_config(args, method: str) -> ExperimentConfig:
         m=args.m, q=args.q, gamma=args.gamma, seed=args.seed,
         background_size=args.background_size, heldout_size=args.heldout_size,
         repetitions=getattr(args, "repetitions", 1),
-        baseline_draws=args.baseline_draws, density_budget=args.density_budget,
+        baseline_draws=args.baseline_draws,
         bound_side=args.bound_side, threads=args.threads, **extra,
     )
 

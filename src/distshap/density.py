@@ -1,10 +1,11 @@
 """Distributional Shapley values for kernel density estimation.
 
-Provides the sampled set-value estimator, bandwidth selection by
-leave-one-out least-squares cross-validation, closed forms for one- and
-two-point sets under the uniform kernel on the unit interval, and the
-synergy scan that probes when a pair of points is worth more than its
-members.
+Provides the set value as its exact expectation over the background rows
+(its standard error is what remains because those rows stand in for the
+data distribution), bandwidth selection by leave-one-out least-squares
+cross-validation, closed forms for one- and two-point sets under the
+uniform kernel on the unit interval, and the synergy scan that probes when
+a pair of points is worth more than its members.
 """
 
 from __future__ import annotations
@@ -80,16 +81,14 @@ class KernelSpec:
         overlap = np.maximum(h - np.abs(diff), 0.0) / h ** 2
         return np.prod(overlap, axis=-1)
 
-    def sample_noise(self, count: int, gen: np.random.Generator) -> np.ndarray:
-        """Noise draws distributed like the kernel itself."""
-        if self.family == "gaussian":
-            return self.bandwidth * gen.standard_normal((count, self.dim))
-        return gen.uniform(-self.bandwidth / 2.0, self.bandwidth / 2.0, size=(count, self.dim))
-
 
 @dataclass
 class DensityValueRequest:
-    """A set of points to value against horizon ``m`` with ``mc_budget`` draws."""
+    """A set of points to value against horizon ``m``.
+
+    ``mc_budget`` is unused: the value is an exact expectation over the
+    background rows, so there is nothing to draw.
+    """
 
     s_star: np.ndarray
     m: int
@@ -99,8 +98,8 @@ class DensityValueRequest:
         self.s_star = np.atleast_2d(np.asarray(self.s_star, dtype=float))
         if self.s_star.shape[0] < 1:
             raise InvalidParameterError("the valued set must contain at least one point")
-        if self.m < 1 or self.mc_budget < 1:
-            raise InvalidParameterError("m and mc_budget must be at least 1")
+        if self.m < 1:
+            raise InvalidParameterError("m must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -124,6 +123,25 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _kernel_means(fn, pts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Mean over the set ``pts`` of ``fn(z_r - s_i)`` for each row ``z_r`` of ``z``.
+
+    ``fn`` is a bound ``KernelSpec.evaluate`` or ``KernelSpec.self_convolution``;
+    the rows, the set and the kernel must share one width.
+    """
+    dim = pts.shape[1]
+    if z.shape[1] != dim or fn.__self__.dim != dim:
+        raise InvalidParameterError(
+            f"rows of width {z.shape[1]} against a set of width {dim} "
+            f"under a {fn.__self__.dim}-d kernel")
+    out = np.empty(z.shape[0])
+    step = _block_rows(pts.shape[0], dim)
+    for start in range(0, z.shape[0], step):
+        diffs = z[start:start + step, None, :] - pts[None, :, :]
+        out[start:start + step] = fn(diffs).mean(axis=1)
+    return out
+
+
 def kde_evaluate(s, kernel: KernelSpec, z):
     """Kernel density estimate built on ``s``, evaluated at ``z``.
 
@@ -134,27 +152,13 @@ def kde_evaluate(s, kernel: KernelSpec, z):
     if pts.shape[0] == 0:
         raise InvalidParameterError("the reference set must be nonempty")
     z_arr = np.asarray(z, dtype=float)
-    single = z_arr.ndim <= 1
-    z_arr = np.atleast_2d(z_arr)
-    out = np.empty(z_arr.shape[0])
-    step = _block_rows(pts.shape[0], pts.shape[1])
-    for start in range(0, z_arr.shape[0], step):
-        block = z_arr[start:start + step]
-        diffs = block[:, None, :] - pts[None, :, :]
-        out[start:start + step] = kernel.evaluate(diffs).mean(axis=1)
-    return float(out[0]) if single else out
+    out = _kernel_means(kernel.evaluate, pts, np.atleast_2d(z_arr))
+    return float(out[0]) if z_arr.ndim <= 1 else out
 
 
 def _mean_self_convolution(kernel: KernelSpec, pts: np.ndarray) -> float:
     """Exact ``integral p_hat^2`` via pairwise kernel self-convolutions."""
-    n = pts.shape[0]
-    total = 0.0
-    step = _block_rows(n, pts.shape[1])
-    for start in range(0, n, step):
-        block = pts[start:start + step]
-        diffs = block[:, None, :] - pts[None, :, :]
-        total += float(kernel.self_convolution(diffs).sum())
-    return total / n ** 2
+    return float(_kernel_means(kernel.self_convolution, pts, pts).mean())
 
 
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,40 +236,31 @@ def coeff_B(n: int, m: int) -> float:
 
 def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpec,
                      rng: RandomStream, return_components: bool = False):
-    """Sampled set value of ``request.s_star`` for the kernel density estimator.
+    """Set value of ``request.s_star`` for the kernel density estimator.
 
-    Draws ``mc_budget`` background points with replacement from the provided
-    sample (standing in for the data distribution) and as many points from
-    the estimate built on the valued set (component pick plus kernel noise).
-    The value is reported up to an additive constant shared by all sets of
-    the same size and horizon, so only differences and rankings at fixed set
-    size are meaningful.
+    The value is the exact expectation over the background rows, which stand
+    in for the data distribution. With ``p_hat`` built on the valued set
+    ``s_1..s_n``, row ``r`` contributes
+    ``-A (int p_hat^2 - 2 p_hat(r)) + B (p_hat(r) - mean_i (k*k)(s_i - r))``;
+    ``std_error`` is the standard error of the row mean. Nothing is drawn:
+    ``rng`` and ``request.mc_budget`` are unused. The value is reported up to
+    an additive constant shared by all sets of the same size and horizon, so
+    only differences and rankings at fixed set size are meaningful.
     """
     bg = _as_points(background)
     if bg.shape[0] == 0:
         raise InvalidParameterError("background sample must be nonempty")
     pts = request.s_star
     n = pts.shape[0]
-    b = request.mc_budget
-    gen = rng.generator
+    p_at_bg = _kernel_means(kernel.evaluate, pts, bg)
+    k_cross = _kernel_means(kernel.self_convolution, pts, bg)
 
-    z_bg = bg[gen.integers(0, bg.shape[0], size=b)]
-    comps = gen.integers(0, n, size=b)
-    z_set = pts[comps] + kernel.sample_noise(b, gen)
-
-    p_at_set = kde_evaluate(pts, kernel, z_set)
-    p_at_bg = kde_evaluate(pts, kernel, z_bg)
-    k_cross = kernel.evaluate(z_set - z_bg)
-
-    a_coef = coeff_A(n, request.m)
-    b_coef = coeff_B(n, request.m)
-    fit_term = -a_coef * (p_at_set - 2.0 * p_at_bg)
-    bias_term = b_coef * (p_at_bg - k_cross)
-    per_draw = fit_term + bias_term
-    value = float(per_draw.mean())
-    std_error = float(per_draw.std(ddof=1) / np.sqrt(b)) if b > 1 else 0.0
-    estimate = ValueEstimate(value=value, std_error=std_error,
-                             inner_iters_used=[b], truncated_at_j=None)
+    fit_term = -coeff_A(n, request.m) * (_mean_self_convolution(kernel, pts) - 2.0 * p_at_bg)
+    bias_term = coeff_B(n, request.m) * (p_at_bg - k_cross)
+    per_row = fit_term + bias_term
+    std_error = float(per_row.std(ddof=1) / np.sqrt(per_row.size)) if per_row.size > 1 else 0.0
+    estimate = ValueEstimate(value=float(per_row.mean()), std_error=std_error,
+                             inner_iters_used=[], truncated_at_j=None)
     if return_components:
         return estimate, (float(fit_term.mean()), float(bias_term.mean()))
     return estimate

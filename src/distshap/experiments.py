@@ -88,7 +88,6 @@ class ExperimentConfig:
     repetitions: int = 50
     bound_side: str = "lower"
     baseline_draws: int = 500
-    density_budget: int = 2000
     bandwidth_grid: tuple = DEFAULT_BANDWIDTH_GRID
     threads: int = 1  # echoed in the metadata; the work runs in one thread
 
@@ -121,7 +120,6 @@ class ExperimentConfig:
             "heldout_size": self.heldout_size,
             "repetitions": self.repetitions,
             "baseline_draws": self.baseline_draws,
-            "density_budget": self.density_budget,
             "bound_side": self.bound_side,
             "threads": self.threads,
         }
@@ -237,8 +235,7 @@ def _density_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     utility = partial(_density_utility, kernel)
     if config.method == "fast":
         return _per_point(lambda x, y, sub: dshapley_density(
-            DensityValueRequest(s_star=np.atleast_2d(x), m=config.m,
-                                mc_budget=config.density_budget),
+            DensityValueRequest(s_star=np.atleast_2d(x), m=config.m),
             background, kernel, sub), xs, ys, rng), utility
     eval_idx = rng.substream(_STREAM_EVAL_POINTS).generator.integers(
         0, background.shape[0], size=_DENSITY_EVAL_POINTS)
@@ -262,10 +259,12 @@ def value_points(dataset: Dataset, config: ExperimentConfig, rng: RandomStream,
     """Value a set of points; returns (indices, values, std_errors).
 
     Without explicit index sets the dataset is split deterministically from
-    the stream. The bounds routes, the regression fast route (the
-    quadrature) and the classification fast route (its lower bound) value
-    all points in one array call; the sampled routes draw each point from
-    its own substream. ``config.threads`` does not change how the work runs.
+    the stream. No fast route draws random numbers: the bounds routes, the
+    regression fast route (the quadrature) and the classification fast
+    route (its lower bound) value all points in one array call, and the
+    density fast route values each point by its exact expectation over the
+    background rows. The sampled baseline draws each point from its own
+    substream. ``config.threads`` does not change how the work runs.
     """
     if value_idx is None:
         value_idx, held_idx, bg_idx = _split_indices(dataset.n, config, rng.generator)

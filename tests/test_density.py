@@ -64,6 +64,16 @@ class TestKdeEvaluate:
         est = np.mean(kde_evaluate(pts, kern, z) / proposal)
         assert abs(est - 1.0) < 0.01
 
+    def test_width_mismatch_rejected(self):
+        pts = RandomStream(4).generator.standard_normal((5, 3))
+        kern = KernelSpec("gaussian", 0.8, 3)
+        z = np.array([0.1, -0.2, 0.3])  # a 1-d z of length dim is one point
+        assert kde_evaluate(pts, kern, z) == kde_evaluate(pts, kern, z[None, :])[0]
+        with pytest.raises(InvalidParameterError, match="width"):
+            kde_evaluate(pts, kern, np.array([0.5]))
+        with pytest.raises(InvalidParameterError, match="width"):
+            kde_evaluate(pts, KernelSpec("gaussian", 0.8, 1), np.zeros(3))
+
 
 class TestSelectBandwidth:
     def test_single_entry_grid(self):
@@ -251,6 +261,38 @@ class TestDensityEstimator:
         req = DensityValueRequest(np.array([[0.5]]), m=10)
         with pytest.raises(InvalidParameterError):
             dshapley_density(req, np.empty((0, 1)), KernelSpec("uniform", 0.2, 1), RandomStream(0))
+
+
+class TestDensityExpectation:
+    @pytest.mark.parametrize("family, dim", [("gaussian", 3), ("uniform", 1)])
+    def test_matches_direct_sum(self, family, dim, monkeypatch):
+        # a small block budget runs several blocks, the last one short
+        monkeypatch.setattr(density, "_BLOCK_BUDGET", 63)
+        rows, m = 50, 40
+        assert rows % density._block_rows(3, dim) != 0 and density._block_rows(3, dim) < rows
+        gen = RandomStream(12).generator
+        s_star = gen.uniform(0.3, 0.7, size=(3, dim))
+        bg = gen.uniform(size=(rows, dim))
+        kern = KernelSpec(family, 0.3, dim)
+        est = dshapley_density(DensityValueRequest(s_star, m=m), bg, kern, RandomStream(0))
+
+        to_set = bg[:, None, :] - s_star[None, :, :]
+        p_hat = kern.evaluate(to_set).mean(axis=1)
+        cross = kern.self_convolution(to_set).mean(axis=1)
+        square = kern.self_convolution(s_star[:, None, :] - s_star[None, :, :]).mean()
+        per_row = -coeff_A(3, m) * (square - 2.0 * p_hat) + coeff_B(3, m) * (p_hat - cross)
+        assert est.value == pytest.approx(per_row.mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(per_row.std(ddof=1) / np.sqrt(rows), rel=1e-12)
+        assert est.inner_iters_used == []
+
+    def test_width_mismatch_rejected(self):
+        bg = RandomStream(1).generator.uniform(size=50)
+        req = DensityValueRequest(np.full((1, 3), 0.5), m=10)
+        with pytest.raises(InvalidParameterError, match="width"):
+            dshapley_density(req, bg, KernelSpec("gaussian", 0.3, 3), RandomStream(0))
+        with pytest.raises(InvalidParameterError, match="width"):
+            dshapley_density(req, np.full((50, 3), 0.5), KernelSpec("gaussian", 0.3, 1),
+                             RandomStream(0))
 
 
 class TestSynergyScan:

@@ -77,10 +77,11 @@ class TestValuePoints:
         _, v2, _ = value_points(data, config, RandomStream(5))
         assert np.array_equal(v1, v2)
 
-    def test_regression_fast_route_draws_nothing(self):
+    @pytest.mark.parametrize("task", ["regression", "density"])
+    def test_fast_route_draws_nothing(self, task):
         data = gen_gaussian_r(800, 4, RandomStream(3))
         split = (np.arange(20), np.arange(20, 170), np.arange(170, 800))
-        config = small_config()
+        config = small_config(task=task)
         _, v1, s1 = value_points(data, config, RandomStream(1), *split)
         _, v2, s2 = value_points(data, config, RandomStream(2), *split)
         assert v1.tobytes() == v2.tobytes() and s1.tobytes() == s2.tobytes()
@@ -244,7 +245,7 @@ class TestCurvesUseBaselineUtilities:
         calls = _counting(monkeypatch, fitted)
         config = small_config(task=task, method="bounds" if task == "regression" else "fast",
                               n_value_points=6, background_size=150, heldout_size=100,
-                              repetitions=2, bandwidth_grid=(0.3, 1.0), density_budget=50)
+                              repetitions=2, bandwidth_grid=(0.3, 1.0))
         run_point_addition(config, data, RandomStream(4))
         assert len(calls) == 2
 
