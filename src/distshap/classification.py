@@ -182,6 +182,8 @@ def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int,
     """
     params = params if params is not None else BoundParams()
     p = query.x_star.shape[-1]
+    if m < 1:
+        raise InvalidParameterError("valuation horizon m must be at least 1")
     if q < p + 3:
         raise InvalidParameterError(f"binary bounds need q >= p + 3, got q={q}, p={p}")
     result = _envelope_bounds(np.atleast_1d(query.d_tilde), np.atleast_1d(query.e2_b),

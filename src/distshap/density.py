@@ -327,6 +327,8 @@ def synergy_scan(h_grid, m: int = 100, C_den: float = 0.2, n_draws: int = 5000,
         raise InvalidParameterError("bandwidth grid must be nonempty")
     if any(not (0.0 < h < 1.0) for h in grid):
         raise InvalidParameterError("bandwidths must lie in (0, 1)")
+    if n_draws < 1:
+        raise InvalidParameterError("n_draws must be at least 1")
     if rng is None:
         rng = RandomStream(0)
     records = []

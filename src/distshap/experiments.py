@@ -111,7 +111,7 @@ class ExperimentConfig:
         return self.q if self.q is not None else p + 3
 
     def metadata(self) -> dict:
-        meta = {
+        return {
             "task": self.task, "method": self.method, "m": self.m,
             "q": self.q if self.q is not None else "auto",
             "gamma": self.gamma, "seed": self.seed,
@@ -123,7 +123,6 @@ class ExperimentConfig:
             "bound_side": self.bound_side,
             "threads": self.threads,
         }
-        return meta
 
 
 @dataclass
@@ -360,6 +359,8 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
         raise InvalidParameterError("the benchmark grid must be nonempty")
     if repetitions < 1 or baseline_points < 1:
         raise InvalidParameterError("repetitions and baseline_points must be at least 1")
+    if not tasks or any(task not in _TASKS for task in tasks):
+        raise InvalidParameterError(f"tasks must be a nonempty list from {_TASKS}, got {tasks}")
     rows = []
     for ti, task in enumerate(tasks):
         for ci, (n_points, p) in enumerate(grid):

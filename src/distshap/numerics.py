@@ -9,7 +9,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import lapack
+from numpy.random import SeedSequence, default_rng
 
 from .errors import InvalidParameterError, RankDeficiencyError, SingularMatrixError
 
@@ -45,9 +45,7 @@ class RandomStream:
         """The underlying generator, created lazily on first use."""
         if self._generator is None:
             key = (self.stream_id,) + self._path
-            self._generator = np.random.default_rng(
-                np.random.SeedSequence(self.seed, spawn_key=key)
-            )
+            self._generator = default_rng(SeedSequence(self.seed, spawn_key=key))
         return self._generator
 
     def substream(self, index: int) -> "RandomStream":
@@ -72,15 +70,17 @@ def sample_chi_squared(k: int, rng: RandomStream, size=None):
 
 
 def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor via LAPACK, raising with the failing pivot index."""
-    factor, info = lapack.dpotrf(matrix, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        raise SingularMatrixError(
-            "matrix is not positive definite", pivot=int(info)
-        )
-    if info < 0:
-        raise InvalidParameterError(f"illegal value in Cholesky argument {-info}")
-    return factor
+    """Lower Cholesky factor; on failure the pivot is the first leading minor that fails."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        pass
+    for pivot in range(1, matrix.shape[0] + 1):
+        try:
+            np.linalg.cholesky(matrix[:pivot, :pivot])
+        except np.linalg.LinAlgError:
+            break
+    raise SingularMatrixError("matrix is not positive definite", pivot=pivot)
 
 
 class SpdMatrix:
@@ -122,29 +122,24 @@ class SpdMatrix:
 
 
 def spd_inverse(matrix: SpdMatrix) -> SpdMatrix:
-    """Invert an SPD matrix by Cholesky factorization.
+    """Invert an SPD matrix through its lower Cholesky factor, ``L^-T L^-1``.
 
     A failing factorization is retried once with a jitter of
     ``1e-10 * trace / p`` added to the diagonal, with a ``RuntimeWarning``
     that gives the jitter; small empirical second moments can sit right at
     the edge of positive definiteness.
     """
-    values = matrix.values if isinstance(matrix, SpdMatrix) else np.asarray(matrix, float)
-    p = values.shape[0]
     try:
-        factor = _cholesky_lower(values)
+        factor = matrix.cholesky()
     except SingularMatrixError:
-        retry = 1e-10 * np.trace(values) / p
+        retry = 1e-10 * np.trace(matrix.values) / matrix.dim
         warnings.warn(f"matrix is not positive definite; retrying the Cholesky "
                       f"factorization with jitter {retry:.3g} added to the diagonal",
                       RuntimeWarning, stacklevel=2)
-        factor = _cholesky_lower(values + retry * np.eye(p))
-    inv, info = lapack.dpotri(factor, lower=1)
-    if info != 0:
-        raise SingularMatrixError("Cholesky inverse failed", pivot=int(abs(info)))
-    # dpotri fills one triangle only
-    inv = np.tril(inv) + np.tril(inv, -1).T
-    return SpdMatrix(inv)
+        factor = _cholesky_lower(matrix.values + retry * np.eye(matrix.dim))
+    factor_inv = np.linalg.inv(factor)
+    inv = factor_inv.T @ factor_inv
+    return SpdMatrix(0.5 * (inv + inv.T))  # exact symmetry, not just up to rounding
 
 
 def estimate_second_moment(samples) -> SpdMatrix:

@@ -161,6 +161,11 @@ class TestBinaryBounds:
         with pytest.raises(InvalidParameterError):
             dshapley_binary_bounds(make_query(1.0, 1.0), m=100, q=5)  # p + 3 = 6
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_horizon_below_one_rejected(self, m):
+        with pytest.raises(InvalidParameterError, match="valuation horizon m must be at least 1"):
+            dshapley_binary_bounds(make_query(1.0, 1.0), m=m, q=6)
+
     def test_ranking_prefers_smaller_error(self):
         res_small = dshapley_binary_bounds(make_query(1.0, 0.5), m=800, q=6)
         res_big = dshapley_binary_bounds(make_query(1.0, 4.0), m=800, q=6)

@@ -76,13 +76,29 @@ class TestErrors:
         assert not out.exists()
 
     def test_time_bench_counts_exit_code(self, tmp_path, capsys):
-        for flags in (["--repetitions", "0"], ["--baseline-points", "0"]):
+        for flags in (["--repetitions", "0"], ["--baseline-points", "0"],
+                      ["--tasks", "nope"], ["--tasks", ","]):
             out = tmp_path / "bench.csv"
             code = run(["time-bench", "--cells", "15,2", "--tasks", "regression",
                         "--seed", "0", "--output", str(out)] + flags)
             assert code == 2
             assert "InvalidParameterError" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_classification_horizon_below_one_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "c.csv"
+        assert run(["gen", "--kind", "gaussian-c", "--n", "400",
+                    "--seed", "1", "--output", str(data)]) == 0
+        for command in ("value", "bounds"):
+            for m in ("0", "-3"):
+                out = tmp_path / "o.csv"
+                code = run([command, "--data", str(data), "--target-column", "y",
+                            "--task", "classification", "--m", m, "--n-value-points", "10",
+                            "--background-size", "300", "--heldout-size", "50",
+                            "--output", str(out)])
+                assert code == 2
+                assert "valuation horizon m must be at least 1" in capsys.readouterr().err
+                assert not out.exists()
 
     def test_density_task_without_target(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

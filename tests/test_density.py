@@ -318,3 +318,8 @@ class TestSynergyScan:
     def test_empty_grid(self):
         with pytest.raises(InvalidParameterError):
             synergy_scan([], rng=RandomStream(0))
+
+    @pytest.mark.parametrize("n_draws", [0, -4])
+    def test_draw_count_below_one_rejected(self, n_draws):
+        with pytest.raises(InvalidParameterError, match="n_draws"):
+            synergy_scan([0.1], n_draws=n_draws, rng=RandomStream(0))

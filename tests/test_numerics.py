@@ -80,6 +80,7 @@ class TestSpdInverse:
         inv = spd_inverse(m)
         err = np.linalg.norm(m.values @ inv.values - np.eye(6))
         assert err < 1e-8
+        assert np.array_equal(inv.values, inv.values.T)
 
     def test_involution(self):
         gen = np.random.default_rng(9)
@@ -96,11 +97,14 @@ class TestSpdInverse:
         jittered = singular.values + 1e-10 * np.eye(2)
         assert np.allclose(jittered @ inv.values, np.eye(2), atol=1e-5)
 
-    def test_non_spd_names_pivot(self):
-        bad = SpdMatrix(np.diag([1.0, -1.0, 2.0]), validate=False)
+    @pytest.mark.parametrize("diagonal, pivot", [
+        ([-1.0, 1.0, 2.0], 1), ([1.0, -1.0, 2.0], 2), ([1.0, 2.0, -1.0], 3)],
+        ids=("pivot1", "pivot2", "pivot3"))
+    def test_non_spd_names_pivot(self, diagonal, pivot):
+        bad = SpdMatrix(np.diag(diagonal), validate=False)
         with pytest.raises(SingularMatrixError) as excinfo:
             spd_inverse(bad)
-        assert excinfo.value.pivot == 2
+        assert excinfo.value.pivot == pivot
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidParameterError):
