@@ -168,7 +168,7 @@ def _density_utility(subset, spec: UtilitySpec, ctx: DensityUtilityContext) -> f
     size = pts.shape[0]
     if size == 0:
         return 0.0
-    ise = (_mean_self_convolution(ctx.kernel, pts)
+    ise = (float(_mean_self_convolution(ctx.kernel, pts[None])[0])
            - 2.0 * float(np.mean(kde_evaluate(pts, ctx.kernel, ctx.eval_points))))
     return spec.constant - ise
 

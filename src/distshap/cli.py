@@ -105,15 +105,18 @@ def _apply_config_file(parser, args, argv):
     """Re-parse with the config file's values as the command's defaults, so flags win."""
     with open(args.config, encoding="utf-8") as handle:
         file_values = json.load(handle)
-    defaults = {}
-    for key, value in file_values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise InvalidParameterError(f"unknown config key {key!r}")
-        defaults[attr] = value
     commands = next(action for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
-    commands.choices[args.command].set_defaults(**defaults)
+    command = commands.choices[args.command]
+    actions = {action.dest: action for action in command._actions}
+    defaults = {}
+    for key, value in file_values.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise InvalidParameterError(f"unknown config key {key!r}")
+        # argparse passes a string default through the flag's type, as it does a flag value
+        defaults[action.dest] = value if action.type is None or value is None else str(value)
+    command.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 

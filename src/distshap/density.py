@@ -32,7 +32,7 @@ __all__ = [
     "synergy_scan",
 ]
 
-_BLOCK_BUDGET = 4_000_000  # floats per pairwise block
+_BLOCK_BUDGET = 1 << 18  # floats per pairwise block
 
 
 def _block_rows(n_ref: int, dim: int) -> int:
@@ -55,8 +55,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ("gaussian", "uniform"):
             raise InvalidParameterError(f"unknown kernel family {self.family!r}")
-        if self.bandwidth <= 0:
-            raise InvalidParameterError("bandwidth must be positive")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise InvalidParameterError(f"bandwidth must be finite and positive: {self.bandwidth}")
         if self.dim < 1:
             raise InvalidParameterError("dimension must be at least 1")
 
@@ -84,7 +84,7 @@ class KernelSpec:
 
 @dataclass
 class DensityValueRequest:
-    """A set of points to value against horizon ``m``.
+    """A set ``(n, dim)`` or a stack ``(k, n, dim)`` of equal-size sets, valued at horizon ``m``.
 
     ``mc_budget`` is unused: the value is an exact expectation over the
     background rows, so there is nothing to draw.
@@ -95,9 +95,10 @@ class DensityValueRequest:
     mc_budget: int = 2000
 
     def __post_init__(self):
-        self.s_star = np.atleast_2d(np.asarray(self.s_star, dtype=float))
-        if self.s_star.shape[0] < 1:
-            raise InvalidParameterError("the valued set must contain at least one point")
+        s_star = np.asarray(self.s_star, dtype=float)
+        self.s_star = s_star if s_star.ndim == 3 else np.atleast_2d(s_star)
+        if self.s_star.ndim > 3 or 0 in self.s_star.shape[:-1]:
+            raise InvalidParameterError("s_star must be a nonempty (n, dim) set or (k, n, dim) stack")
         if self.m < 1:
             raise InvalidParameterError("m must be at least 1")
 
@@ -123,22 +124,23 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _kernel_means(fn, pts: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Mean over the set ``pts`` of ``fn(z_r - s_i)`` for each row ``z_r`` of ``z``.
+def _kernel_means(fn, sets: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Mean over each set of the stack ``sets`` (k, n, dim) of ``fn(z_r - s_i)``, as (rows, k).
 
-    ``fn`` is a bound ``KernelSpec.evaluate`` or ``KernelSpec.self_convolution``;
-    the rows, the set and the kernel must share one width.
+    ``z`` is ``(rows, 1, dim)``, rows shared by every set, or ``(rows, k, dim)``,
+    one column of rows per set. ``fn`` is a bound ``KernelSpec.evaluate`` or
+    ``self_convolution``; the rows, the sets and the kernel must share one width.
     """
-    dim = pts.shape[1]
-    if z.shape[1] != dim or fn.__self__.dim != dim:
+    k, n, dim = sets.shape
+    if z.shape[-1] != dim or fn.__self__.dim != dim:
         raise InvalidParameterError(
-            f"rows of width {z.shape[1]} against a set of width {dim} "
+            f"rows of width {z.shape[-1]} against a set of width {dim} "
             f"under a {fn.__self__.dim}-d kernel")
-    out = np.empty(z.shape[0])
-    step = _block_rows(pts.shape[0], dim)
+    out = np.empty((z.shape[0], k))
+    step = _block_rows(k * n, dim)
     for start in range(0, z.shape[0], step):
-        diffs = z[start:start + step, None, :] - pts[None, :, :]
-        out[start:start + step] = fn(diffs).mean(axis=1)
+        diffs = z[start:start + step, :, None, :] - sets[None]
+        out[start:start + step] = fn(diffs).mean(axis=2)
     return out
 
 
@@ -152,13 +154,13 @@ def kde_evaluate(s, kernel: KernelSpec, z):
     if pts.shape[0] == 0:
         raise InvalidParameterError("the reference set must be nonempty")
     z_arr = np.asarray(z, dtype=float)
-    out = _kernel_means(kernel.evaluate, pts, np.atleast_2d(z_arr))
+    out = _kernel_means(kernel.evaluate, pts[None], np.atleast_2d(z_arr)[:, None, :])[:, 0]
     return float(out[0]) if z_arr.ndim <= 1 else out
 
 
-def _mean_self_convolution(kernel: KernelSpec, pts: np.ndarray) -> float:
-    """Exact ``integral p_hat^2`` via pairwise kernel self-convolutions."""
-    return float(_kernel_means(kernel.self_convolution, pts, pts).mean())
+def _mean_self_convolution(kernel: KernelSpec, sets: np.ndarray) -> np.ndarray:
+    """Exact ``integral p_hat^2`` of each set of the stack, via pairwise self-convolutions."""
+    return _kernel_means(kernel.self_convolution, sets, sets.transpose(1, 0, 2)).mean(axis=0)
 
 
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,29 +243,42 @@ def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpe
     The value is the exact expectation over the background rows, which stand
     in for the data distribution. With ``p_hat`` built on the valued set
     ``s_1..s_n``, row ``r`` contributes
-    ``-A (int p_hat^2 - 2 p_hat(r)) + B (p_hat(r) - mean_i (k*k)(s_i - r))``;
-    ``std_error`` is the standard error of the row mean. Nothing is drawn:
-    ``rng`` and ``request.mc_budget`` are unused. The value is reported up to
-    an additive constant shared by all sets of the same size and horizon, so
-    only differences and rankings at fixed set size are meaningful.
+    ``(2A + B) p_hat(r) - B mean_i (k*k)(s_i - r) - A int p_hat^2``;
+    ``std_error`` is the standard error of the row mean. A stack of sets is
+    valued in one pass over the rows and gives ``(k,)`` arrays; one set
+    gives floats. ``return_components`` adds the row means of the fit term
+    ``-A (int p_hat^2 - 2 p_hat(r))`` and of the bias term, the rest.
+    Nothing is drawn: ``rng`` and ``request.mc_budget`` are unused. The
+    value is reported up to an additive constant shared by all sets of the
+    same size and horizon, so only differences and rankings at fixed set
+    size are meaningful.
     """
     bg = _as_points(background)
     if bg.shape[0] == 0:
         raise InvalidParameterError("background sample must be nonempty")
-    pts = request.s_star
-    n = pts.shape[0]
-    p_at_bg = _kernel_means(kernel.evaluate, pts, bg)
-    k_cross = _kernel_means(kernel.self_convolution, pts, bg)
-
-    fit_term = -coeff_A(n, request.m) * (_mean_self_convolution(kernel, pts) - 2.0 * p_at_bg)
-    bias_term = coeff_B(n, request.m) * (p_at_bg - k_cross)
-    per_row = fit_term + bias_term
-    std_error = float(per_row.std(ddof=1) / np.sqrt(per_row.size)) if per_row.size > 1 else 0.0
-    estimate = ValueEstimate(value=float(per_row.mean()), std_error=std_error,
-                             inner_iters_used=[], truncated_at_j=None)
+    single = request.s_star.ndim == 2
+    sets = request.s_star[None] if single else request.s_star
+    a, b = coeff_A(sets.shape[1], request.m), coeff_B(sets.shape[1], request.m)
+    rows = bg[:, None, :]
+    p_hat = _kernel_means(kernel.evaluate, sets, rows)
+    per_row = _kernel_means(kernel.self_convolution, sets, rows)  # the cross term, then t_r
+    square = _mean_self_convolution(kernel, sets)
     if return_components:
-        return estimate, (float(fit_term.mean()), float(bias_term.mean()))
-    return estimate
+        p_mean = p_hat.mean(axis=0)
+        components = [-a * (square - 2.0 * p_mean), b * (p_mean - per_row.mean(axis=0))]
+    per_row *= -b
+    p_hat *= 2.0 * a + b
+    per_row += p_hat
+    per_row -= a * square
+    value = per_row.mean(axis=0)
+    std_error = (per_row.std(axis=0, ddof=1) / np.sqrt(bg.shape[0]) if bg.shape[0] > 1
+                 else np.zeros_like(value))
+    results = [value, std_error] + (components if return_components else [])
+    if single:
+        results = [float(r[0]) for r in results]
+    estimate = ValueEstimate(value=results[0], std_error=results[1],
+                             inner_iters_used=[], truncated_at_j=None)
+    return (estimate, tuple(results[2:])) if return_components else estimate
 
 
 def _h2_term(n: int, s: int, h: float) -> float:
@@ -329,6 +344,8 @@ def synergy_scan(h_grid, m: int = 100, C_den: float = 0.2, n_draws: int = 5000,
         raise InvalidParameterError("bandwidths must lie in (0, 1)")
     if n_draws < 1:
         raise InvalidParameterError("n_draws must be at least 1")
+    if not np.isfinite(C_den):
+        raise InvalidParameterError(f"C_den must be finite, got {C_den}")
     if rng is None:
         rng = RandomStream(0)
     records = []

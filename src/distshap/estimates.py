@@ -45,8 +45,8 @@ class BoundParams:
     rho: float = 0.005
 
     def __post_init__(self):
-        if self.C <= 0 or self.c <= 0:
-            raise InvalidParameterError("C and c must be strictly positive")
+        if not (0.0 < self.C < np.inf and 0.0 < self.c < np.inf):
+            raise InvalidParameterError("C and c must be finite and strictly positive")
         if not (0.0 < self.rho < 1.0):
             raise InvalidParameterError("rho must lie in (0, 1)")
 

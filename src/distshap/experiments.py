@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise InvalidParameterError(f"unknown method {self.method!r}")
         if self.method == "bounds" and self.task == "density":
             raise InvalidParameterError("bounds are available for regression and classification only")
+        if not np.isfinite(self.gamma):
+            raise InvalidParameterError(f"gamma must be finite, got {self.gamma}")
         if self.bound_side not in ("lower", "upper"):
             raise InvalidParameterError("bound_side must be lower or upper")
         if self.n_value_points < 1:
@@ -161,9 +163,13 @@ def _split_indices(n: int, config: ExperimentConfig, gen: np.random.Generator):
     return value_idx, held, bg
 
 
-def _per_point(estimate, xs, ys, rng):
-    """Values and standard errors of ``estimate(x, y, stream)``, one substream per point."""
-    results = [estimate(x, y, rng.substream(i)) for i, (x, y) in enumerate(zip(xs, ys))]
+def _baseline_values(points, pool, utility, rows, config, rng):
+    """Sampled-baseline values and standard errors of ``points`` against ``pool``,
+    one substream per point, under the utility ``utility(rows)`` builds."""
+    spec, ctx = utility(rows)
+    results = [dshapley_mc_baseline(point, pool, spec, m=config.m, max_draws=config.baseline_draws,
+                                    rng=rng.substream(i), context=ctx)
+               for i, point in enumerate(points)]
     return np.array([r.value for r in results]), np.array([r.std_error for r in results])
 
 
@@ -204,20 +210,16 @@ def _regression_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     if config.method == "fast":
         est = dshapley_regression_quadrature(PointQuery.from_point(xs, ys, env), env)
         return (est.value, est.std_error), utility
-    spec, ctx = utility((dataset.x[held_idx], dataset.y[held_idx]))
-    return _per_point(lambda x, y, sub: dshapley_mc_baseline(
-        (x, y), (bx, by), spec, m=config.m, max_draws=config.baseline_draws,
-        rng=sub, context=ctx), xs, ys, rng), utility
+    held = (dataset.x[held_idx], dataset.y[held_idx])
+    return _baseline_values(zip(xs, ys), (bx, by), utility, held, config, rng), utility
 
 
 def _classification_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     bx, by = dataset.x[bg_idx], dataset.y[bg_idx]
     utility = partial(_accuracy_utility, q)
     if config.method == "baseline":
-        spec, ctx = utility((dataset.x[held_idx], dataset.y[held_idx]))
-        return _per_point(lambda x, y, sub: dshapley_mc_baseline(
-            (x, y), (bx, by), spec, m=config.m, max_draws=config.baseline_draws,
-            rng=sub, context=ctx), xs, ys, rng), utility
+        held = (dataset.x[held_idx], dataset.y[held_idx])
+        return _baseline_values(zip(xs, ys), (bx, by), utility, held, config, rng), utility
     # the fast route is the lower bound
     state = irls_fit(bx, by)
     sigma_tilde_inv = spd_inverse(estimate_weighted_second_moment(bx, state.beta))
@@ -233,15 +235,12 @@ def _density_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     kernel = KernelSpec("gaussian", h, dataset.p)
     utility = partial(_density_utility, kernel)
     if config.method == "fast":
-        return _per_point(lambda x, y, sub: dshapley_density(
-            DensityValueRequest(s_star=np.atleast_2d(x), m=config.m),
-            background, kernel, sub), xs, ys, rng), utility
+        est = dshapley_density(DensityValueRequest(s_star=xs[:, None, :], m=config.m),
+                               background, kernel, rng)
+        return (est.value, est.std_error), utility
     eval_idx = rng.substream(_STREAM_EVAL_POINTS).generator.integers(
         0, background.shape[0], size=_DENSITY_EVAL_POINTS)
-    spec, ctx = utility(background[eval_idx])
-    return _per_point(lambda x, y, sub: dshapley_mc_baseline(
-        np.atleast_1d(x), background, spec, m=config.m, max_draws=config.baseline_draws,
-        rng=sub, context=ctx), xs, ys, rng), utility
+    return _baseline_values(xs, background, utility, background[eval_idx], config, rng), utility
 
 
 def _value_split(dataset, config, rng, value_idx, held_idx, bg_idx):
@@ -260,10 +259,10 @@ def value_points(dataset: Dataset, config: ExperimentConfig, rng: RandomStream,
     Without explicit index sets the dataset is split deterministically from
     the stream. No fast route draws random numbers: the bounds routes, the
     regression fast route (the quadrature) and the classification fast
-    route (its lower bound) value all points in one array call, and the
-    density fast route values each point by its exact expectation over the
-    background rows. The sampled baseline draws each point from its own
-    substream. ``config.threads`` does not change how the work runs.
+    route (its lower bound) and the density fast route (the exact
+    expectation over the background rows) value all points in one call. The
+    sampled baseline draws each point from its own substream.
+    ``config.threads`` does not change how the work runs.
     """
     if value_idx is None:
         value_idx, held_idx, bg_idx = _split_indices(dataset.n, config, rng.generator)

@@ -6,8 +6,6 @@ should be partitioned by stream so results do not depend on scheduling.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
@@ -87,34 +85,29 @@ class SpdMatrix:
     """A symmetric positive definite matrix with a cached Cholesky factor.
 
     Symmetry is required to within 1e-12 relative tolerance and the
-    factorization must succeed. Construct with ``validate=False`` only when
-    the caller takes responsibility for those invariants.
+    factorization must succeed; both are checked on construction.
     """
 
     _SYM_RTOL = 1e-12
 
-    def __init__(self, values, validate: bool = True):
+    def __init__(self, values):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise InvalidParameterError("SpdMatrix requires a square 2-d array")
+        scale = np.linalg.norm(values)
+        asym = np.linalg.norm(values - values.T)
+        if scale > 0 and asym > self._SYM_RTOL * scale:
+            raise InvalidParameterError(
+                f"matrix is not symmetric (relative asymmetry {asym / scale:.3e})"
+            )
         self.values = values
-        self._chol = None
-        if validate:
-            scale = np.linalg.norm(values)
-            asym = np.linalg.norm(values - values.T)
-            if scale > 0 and asym > self._SYM_RTOL * scale:
-                raise InvalidParameterError(
-                    f"matrix is not symmetric (relative asymmetry {asym / scale:.3e})"
-                )
-            self._chol = _cholesky_lower(values)
+        self._chol = _cholesky_lower(values)
 
     @property
     def dim(self) -> int:
         return self.values.shape[0]
 
     def cholesky(self) -> np.ndarray:
-        if self._chol is None:
-            self._chol = _cholesky_lower(self.values)
         return self._chol
 
     def __repr__(self):
@@ -122,22 +115,8 @@ class SpdMatrix:
 
 
 def spd_inverse(matrix: SpdMatrix) -> SpdMatrix:
-    """Invert an SPD matrix through its lower Cholesky factor, ``L^-T L^-1``.
-
-    A failing factorization is retried once with a jitter of
-    ``1e-10 * trace / p`` added to the diagonal, with a ``RuntimeWarning``
-    that gives the jitter; small empirical second moments can sit right at
-    the edge of positive definiteness.
-    """
-    try:
-        factor = matrix.cholesky()
-    except SingularMatrixError:
-        retry = 1e-10 * np.trace(matrix.values) / matrix.dim
-        warnings.warn(f"matrix is not positive definite; retrying the Cholesky "
-                      f"factorization with jitter {retry:.3g} added to the diagonal",
-                      RuntimeWarning, stacklevel=2)
-        factor = _cholesky_lower(matrix.values + retry * np.eye(matrix.dim))
-    factor_inv = np.linalg.inv(factor)
+    """Invert an SPD matrix through its lower Cholesky factor, ``L^-T L^-1``."""
+    factor_inv = np.linalg.inv(matrix.cholesky())
     inv = factor_inv.T @ factor_inv
     return SpdMatrix(0.5 * (inv + inv.T))  # exact symmetry, not just up to rounding
 

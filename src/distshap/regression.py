@@ -76,8 +76,8 @@ class RegressionEnvironment:
             raise InvalidParameterError("valuation horizon m must be at least 1")
         if self.q < 2:
             raise InvalidParameterError("utility gate q must be at least 2")
-        if self.gamma < 0:
-            raise InvalidParameterError("gamma must be nonnegative")
+        if not 0.0 <= self.gamma < np.inf:
+            raise InvalidParameterError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.sigma2 < 0:
             raise InvalidParameterError("sigma2 must be nonnegative")
         self.beta_hat = np.asarray(self.beta_hat, dtype=float)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from distshap.cli import main
 from distshap.output import read_results
 
@@ -100,6 +102,24 @@ class TestErrors:
                 assert "valuation horizon m must be at least 1" in capsys.readouterr().err
                 assert not out.exists()
 
+    def test_nonfinite_parameters_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert run(["gen", "--kind", "gaussian-r", "--n", "300", "--p", "3",
+                    "--seed", "1", "--output", str(data)]) == 0
+        capsys.readouterr()
+        common = ["--data", str(data), "--target-column", "y", "--task", "regression",
+                  "--m", "50", "--n-value-points", "20", "--heldout-size", "50"]
+        runs = [[command] + common + ["--gamma", gamma]
+                for command in ("bounds", "baseline", "point-addition")
+                for gamma in ("nan", "inf")]
+        runs.append(["bounds"] + common + ["--gamma", "nan", "--format", "json"])
+        runs.append(["synergy-scan", "--grid", "0.1", "--c-den", "nan"])
+        for argv in runs:
+            out = tmp_path / "o.csv"
+            assert run(argv + ["--output", str(out)]) == 2, argv
+            assert "InvalidParameterError" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_density_task_without_target(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("a,b\n" + "\n".join(f"{i * 0.01},{i * 0.02}" for i in range(300)))
@@ -138,6 +158,38 @@ class TestConfigFile:
         assert len(table.rows) == 3
         assert table.metadata["m"] == "1000"
         assert table.metadata["seed"] == "0"
+
+    def test_file_values_take_the_flag_types(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        run(["gen", "--kind", "gaussian-r", "--n", "300", "--p", "3",
+             "--seed", "3", "--output", str(data)])
+        cfg = tmp_path / "cfg.json"
+        command = ["value", "--data", str(data), "--target-column", "y",
+                   "--task", "regression", "--n-value-points", "5",
+                   "--background-size", "200", "--heldout-size", "50", "--config", str(cfg)]
+        for bad in ({"m": 1.5}, {"seed": 1.5}, {"m": True}):
+            cfg.write_text(json.dumps(bad))
+            out = tmp_path / "bad.csv"
+            with pytest.raises(SystemExit) as excinfo:  # as for the same value given as a flag
+                run(command + ["--output", str(out)])
+            assert excinfo.value.code == 2, bad
+            assert f"argument --{next(iter(bad))}: invalid int value" in capsys.readouterr().err
+            assert not out.exists()
+        for good in ({"m": 50}, {"m": "50", "no_header": False}):
+            cfg.write_text(json.dumps(good))
+            out = tmp_path / "good.csv"
+            assert run(command + ["--output", str(out)]) == 0, good
+            assert read_results(out).metadata["m"] == "50"
+
+        # lists and booleans pass through unconverted
+        density = tmp_path / "d.csv"
+        density.write_text("\n".join(f"{i * 0.01},{i * 0.02}" for i in range(120)))
+        cfg.write_text(json.dumps({"bandwidth_grid": [0.5, 1.0], "no_header": True}))
+        out = tmp_path / "density.csv"
+        assert run(["value", "--data", str(density), "--task", "density", "--m", "20",
+                    "--n-value-points", "5", "--heldout-size", "0", "--config", str(cfg),
+                    "--output", str(out)]) == 0
+        assert len(read_results(out).rows) == 5
 
     def test_unknown_config_key(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

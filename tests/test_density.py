@@ -44,6 +44,11 @@ class TestKdeEvaluate:
         with pytest.raises(InvalidParameterError):
             kde_evaluate(np.empty((0, 1)), KernelSpec("uniform", 1.0, 1), np.array([0.0]))
 
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0])
+    def test_nonfinite_or_nonpositive_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(InvalidParameterError, match="bandwidth"):
+            KernelSpec("gaussian", bandwidth, 1)
+
     @pytest.mark.parametrize("family", ["uniform", "gaussian"])
     def test_integrates_to_one_1d(self, family):
         pts = RandomStream(3).generator.standard_normal((40, 1))
@@ -285,6 +290,35 @@ class TestDensityExpectation:
         assert est.std_error == pytest.approx(per_row.std(ddof=1) / np.sqrt(rows), rel=1e-12)
         assert est.inner_iters_used == []
 
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("family, dim", [("gaussian", 3), ("uniform", 1)])
+    def test_stack_matches_single_sets(self, family, dim, size, monkeypatch):
+        # a small block budget makes the stack span several row blocks, the last one short
+        monkeypatch.setattr(density, "_BLOCK_BUDGET", 500)
+        rows, k, m = 90, 7, 40
+        step = density._block_rows(k * size, dim)
+        assert step < rows and rows % step != 0
+        gen = RandomStream(13).generator
+        stack = gen.uniform(0.3, 0.7, size=(k, size, dim))
+        bg = gen.uniform(size=(rows, dim))
+        kern = KernelSpec(family, 0.3, dim)
+        est, parts = dshapley_density(DensityValueRequest(stack, m=m), bg, kern,
+                                      RandomStream(0), return_components=True)
+        assert est.value.shape == est.std_error.shape == (k,)
+        for i, s in enumerate(stack):
+            one, one_parts = dshapley_density(DensityValueRequest(s, m=m), bg, kern,
+                                              RandomStream(0), return_components=True)
+            assert isinstance(one.value, float) and isinstance(one.std_error, float)
+            assert est.value[i] == pytest.approx(one.value, rel=1e-12)
+            assert est.std_error[i] == pytest.approx(one.std_error, rel=1e-12)
+            assert [p[i] for p in parts] == pytest.approx(list(one_parts), rel=1e-12)
+
+    @pytest.mark.parametrize("s_star", [np.empty((0, 2, 1)), np.empty((3, 0, 1)),
+                                        np.empty((0, 1)), np.zeros((1, 1, 1, 1))])
+    def test_empty_or_deeper_stack_rejected(self, s_star):
+        with pytest.raises(InvalidParameterError, match="stack"):
+            DensityValueRequest(s_star, m=10)
+
     def test_width_mismatch_rejected(self):
         bg = RandomStream(1).generator.uniform(size=50)
         req = DensityValueRequest(np.full((1, 3), 0.5), m=10)
@@ -318,6 +352,11 @@ class TestSynergyScan:
     def test_empty_grid(self):
         with pytest.raises(InvalidParameterError):
             synergy_scan([], rng=RandomStream(0))
+
+    @pytest.mark.parametrize("c_den", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_c_den_rejected(self, c_den):
+        with pytest.raises(InvalidParameterError, match="C_den"):
+            synergy_scan([0.1], C_den=c_den, rng=RandomStream(0))
 
     @pytest.mark.parametrize("n_draws", [0, -4])
     def test_draw_count_below_one_rejected(self, n_draws):

@@ -6,6 +6,7 @@ from distshap import (
     AccuracyUtilityContext,
     Dataset,
     DensityUtilityContext,
+    DensityValueRequest,
     ExperimentConfig,
     InvalidParameterError,
     KernelSpec,
@@ -24,6 +25,7 @@ from distshap import (
     irls_fit,
     run_point_addition,
     run_time_bench,
+    select_bandwidth,
     spd_inverse,
     transform_query,
     value_points,
@@ -51,6 +53,11 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="background_size"):
             small_config(background_size=0)
         assert small_config(heldout_size=0, background_size=1).heldout_size == 0
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gamma_rejected(self, gamma):
+        with pytest.raises(InvalidParameterError, match="gamma"):
+            small_config(gamma=gamma)
 
     def test_value_points_exceeding_dataset(self):
         data = gen_gaussian_r(30, 2, RandomStream(0))
@@ -85,6 +92,28 @@ class TestValuePoints:
         _, v1, s1 = value_points(data, config, RandomStream(1), *split)
         _, v2, s2 = value_points(data, config, RandomStream(2), *split)
         assert v1.tobytes() == v2.tobytes() and s1.tobytes() == s2.tobytes()
+
+    def test_density_values_all_points_in_one_call(self, monkeypatch):
+        data = gen_gaussian_r(600, 3, RandomStream(4))
+        split = (np.arange(25), np.arange(25, 100), np.arange(100, 600))
+        config = small_config(task="density", n_value_points=25)
+        calls = []
+        original = experiments.dshapley_density
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].s_star.shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "dshapley_density", counted)
+        _, values, errs = value_points(data, config, RandomStream(1), *split)
+        assert calls == [(25, 1, 3)]
+
+        background = data.x[split[2]]
+        kernel = KernelSpec("gaussian", select_bandwidth(background, config.bandwidth_grid), 3)
+        loop = [original(DensityValueRequest(x[None, :], m=config.m), background, kernel,
+                         RandomStream(0)) for x in data.x[split[0]]]
+        np.testing.assert_allclose(values, [e.value for e in loop], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(errs, [e.std_error for e in loop], rtol=1e-12, atol=0.0)
 
     def test_bounds_method(self):
         data = gen_gaussian_r(800, 4, RandomStream(3))

@@ -90,20 +90,12 @@ class TestSpdInverse:
         rel = np.linalg.norm(back.values - m.values) / np.linalg.norm(m.values)
         assert rel < 1e-6
 
-    def test_jitter_retry_warns(self):
-        singular = SpdMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]), validate=False)
-        with pytest.warns(RuntimeWarning, match="jitter 1e-10"):
-            inv = spd_inverse(singular)
-        jittered = singular.values + 1e-10 * np.eye(2)
-        assert np.allclose(jittered @ inv.values, np.eye(2), atol=1e-5)
-
     @pytest.mark.parametrize("diagonal, pivot", [
         ([-1.0, 1.0, 2.0], 1), ([1.0, -1.0, 2.0], 2), ([1.0, 2.0, -1.0], 3)],
         ids=("pivot1", "pivot2", "pivot3"))
     def test_non_spd_names_pivot(self, diagonal, pivot):
-        bad = SpdMatrix(np.diag(diagonal), validate=False)
         with pytest.raises(SingularMatrixError) as excinfo:
-            spd_inverse(bad)
+            SpdMatrix(np.diag(diagonal))
         assert excinfo.value.pivot == pivot
 
     def test_asymmetric_rejected(self):

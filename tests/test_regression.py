@@ -349,6 +349,19 @@ class TestQuadrature:
             dshapley_regression_quadrature(query, make_env(q=4))  # p + 3 = 5 required
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_gamma_rejected(self, gamma):
+        with pytest.raises(InvalidParameterError, match="gamma"):
+            make_env(gamma=gamma)
+
+    @pytest.mark.parametrize("params", [dict(C=np.nan), dict(C=np.inf), dict(c=np.nan),
+                                        dict(c=np.inf)])
+    def test_bound_constants_rejected(self, params):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            BoundParams(**params)
+
+
 class TestBounds:
     def test_lower_le_upper(self):
         env = make_env(m=200, q=5)
