@@ -114,8 +114,9 @@ def _apply_config_file(parser, args, argv):
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise InvalidParameterError(f"unknown config key {key!r}")
-        # argparse passes a string default through the flag's type, as it does a flag value
-        defaults[action.dest] = value if action.type is None or value is None else str(value)
+        # a string meets the flag's type as on the command line; null stays only for a None default
+        defaults[action.dest] = (value if action.type is None or value is None is action.default
+                                 else str(value))
     command.set_defaults(**defaults)
     return parser.parse_args(argv)
 

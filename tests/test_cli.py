@@ -167,7 +167,7 @@ class TestConfigFile:
         command = ["value", "--data", str(data), "--target-column", "y",
                    "--task", "regression", "--n-value-points", "5",
                    "--background-size", "200", "--heldout-size", "50", "--config", str(cfg)]
-        for bad in ({"m": 1.5}, {"seed": 1.5}, {"m": True}):
+        for bad in ({"m": 1.5}, {"seed": 1.5}, {"m": True}, {"m": None}):
             cfg.write_text(json.dumps(bad))
             out = tmp_path / "bad.csv"
             with pytest.raises(SystemExit) as excinfo:  # as for the same value given as a flag
@@ -175,7 +175,7 @@ class TestConfigFile:
             assert excinfo.value.code == 2, bad
             assert f"argument --{next(iter(bad))}: invalid int value" in capsys.readouterr().err
             assert not out.exists()
-        for good in ({"m": 50}, {"m": "50", "no_header": False}):
+        for good in ({"m": 50}, {"m": "50", "no_header": False, "q": None}):
             cfg.write_text(json.dumps(good))
             out = tmp_path / "good.csv"
             assert run(command + ["--output", str(out)]) == 0, good
