@@ -6,28 +6,31 @@ validated against. The Monte-Carlo baseline samples the size-then-subset
 reformulation of the distributional value and stands in for the slow
 comparator in the timing experiments. Three utility families are provided:
 gated regression risk, held-out classification accuracy, and density
-integrated squared error up to a constant.
+integrated squared error up to a constant. Each is defined once, on the
+prefixes of a stack of row sets: one subset is the stack of one, a curve's
+prefixes are one call, and so are the baseline's draws of one size.
 """
 
 from __future__ import annotations
 
-import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .classification import irls_fit
-from .density import KernelSpec, _mean_self_convolution, _as_points, kde_evaluate
+from .classification import _irls_stack
+from .classification import irls_fit  # noqa: F401  (bench/tracing.py rebinds baseline.irls_fit)
+from .density import KernelSpec, _kernel_means
+from .density import kde_evaluate  # noqa: F401  (bench/tracing.py rebinds baseline.kde_evaluate)
 from .errors import (
     BaselineFailureError,
     EnumerationSizeError,
     InvalidParameterError,
-    SingularMatrixError,
     UtilityEvaluationError,
 )
 from .estimates import ValueEstimate
-from .numerics import RandomStream, SpdMatrix
+from .numerics import RandomStream, SpdMatrix, solve_each
 
 __all__ = [
     "UtilitySpec",
@@ -36,13 +39,14 @@ __all__ = [
     "DensityUtilityContext",
     "ExactShapleyResult",
     "evaluate_utility",
-    "make_utility",
+    "prefix_utilities",
     "exact_data_shapley",
     "dshapley_mc_baseline",
 ]
 
 _ENUMERATION_LIMIT = 20
 _ACCURACY_MAX_ITER = 25  # IRLS iterations of the accuracy utility's subset fits
+_FITS_PER_BLOCK = 32  # subsets per block of IRLS fits and of held-out predictions
 
 
 @dataclass(frozen=True)
@@ -120,86 +124,102 @@ def _check_regression_gate(gate: int, p: int, gamma: float) -> None:
             "regression utility at gamma = 0 needs gate > p to keep gated fits full rank")
 
 
-def _regression_utility(subset, spec: UtilitySpec, ctx: RegressionUtilityContext) -> float:
-    x, y = subset
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    size = x.shape[0]
-    if size == 0 or size < spec.gate:
-        return 0.0
-    p = x.shape[1]
+def _heldout_scores(score, x_test, betas):
+    """``score(predictions)`` at the held-out rows for each fit of ``betas`` (..., p), in
+    fixed-size blocks of fits, each by its own product: no fit depends on the others."""
+    if len(x_test) == 0:
+        raise InvalidParameterError("the utility's held-out rows are empty")
+    flat = betas.reshape(-1, betas.shape[-1])
+    out = np.empty(len(flat))
+    for start in range(0, len(flat), _FITS_PER_BLOCK):
+        block = slice(start, start + _FITS_PER_BLOCK)
+        out[block] = score((x_test @ flat[block, :, None])[..., 0])
+    return out.reshape(betas.shape[:-1])
+
+
+def _regression_utilities(rows, sizes, spec: UtilitySpec, ctx: RegressionUtilityContext):
+    """Risk of each prefix's least-squares fit: each prefix's Gram is its own product,
+    one stacked product per size over the sets, and all fits are one stacked solve."""
+    (x, y), p = rows, rows[0].shape[-1]
     _check_regression_gate(spec.gate, p, ctx.gamma)
-    gram = x.T @ x + ctx.gamma * np.eye(p)
-    try:
-        beta_s = np.linalg.solve(gram, x.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise UtilityEvaluationError(f"subset fit is singular: {exc}", subset_size=size) from exc
+    gram, moment = np.empty((len(x), sizes.size, p, p)), np.empty((len(x), sizes.size, p, 1))
+    for j, k in enumerate(sizes):
+        xt = np.swapaxes(x[:, :k], 1, 2)
+        gram[:, j], moment[:, j] = xt @ x[:, :k], xt @ y[:, :k, None]
+    betas = solve_each(gram + ctx.gamma * np.eye(p), moment)[0][..., 0]
     if spec.evaluation_mode == "analytic":
-        diff = beta_s - ctx.beta_true
-        risk = ctx.sigma2 + float(diff @ ctx.sigma_x.values @ diff)
+        diff = betas - ctx.beta_true
+        risk = ctx.sigma2 + (diff[..., None, :] @ ctx.sigma_x.values @ diff[..., None])[..., 0, 0]
     else:
-        resid = ctx.y_test - ctx.x_test @ beta_s
-        risk = float(np.mean(resid ** 2))
+        risk = _heldout_scores(lambda pred: np.mean((ctx.y_test - pred) ** 2, axis=-1),
+                               ctx.x_test, betas)
     return spec.constant - risk
 
 
-def _accuracy_utility(subset, spec: UtilitySpec, ctx: AccuracyUtilityContext) -> float:
-    x, y = subset
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    size = x.shape[0]
-    if size == 0 or size < spec.gate:
-        return 0.0
-    if np.unique(y).size < 2 or size <= x.shape[1]:
-        raise UtilityEvaluationError("subset cannot identify a classifier", subset_size=size)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            # the fitted direction is a usable classifier even short of the MLE
-            state = irls_fit(x, y, max_iter=_ACCURACY_MAX_ITER)
-        except SingularMatrixError as exc:
-            raise UtilityEvaluationError(str(exc), subset_size=size) from exc
-    predicted = (ctx.x_test @ state.beta >= 0.0).astype(float)
-    return float(np.mean(predicted == ctx.y_test))
+def _accuracy_utilities(rows, sizes, spec: UtilitySpec, ctx: AccuracyUtilityContext):
+    """Held-out accuracy of each prefix's logistic fit, all in one IRLS loop (a fit cut at
+    the cap still classifies). One class, at most p rows or a singular system fails."""
+    x, y = rows
+    (b, s, p), n = x.shape, sizes.size
+    ones = np.cumsum(y, axis=1)[:, sizes - 1]
+    fit = np.flatnonzero(((ones > 0) & (ones < sizes) & (sizes > p)).ravel())  # set * n + size
+    out = np.full(b * n, np.nan)
+    for start in range(0, fit.size, _FITS_PER_BLOCK):
+        block = fit[start:start + _FITS_PER_BLOCK]
+        members = (np.arange(s) < sizes[block % n, None]).astype(float)
+        with np.errstate(all="ignore"):
+            state, singular = _irls_stack(*((x[0], y[0]) if b == 1 else (x[block // n], y[block // n])),
+                                          members, 1e-8, _ACCURACY_MAX_ITER)
+        out[block[~singular]] = _heldout_scores(
+            lambda pred: np.mean((pred >= 0.0) == ctx.y_test, axis=-1), ctx.x_test, state.beta[~singular])
+    return out.reshape(b, n)
 
 
-def _density_utility(subset, spec: UtilitySpec, ctx: DensityUtilityContext) -> float:
-    pts = _as_points(subset)
-    size = pts.shape[0]
-    if size == 0:
-        return 0.0
-    ise = (float(_mean_self_convolution(ctx.kernel, pts[None])[0])
-           - 2.0 * float(np.mean(kde_evaluate(pts, ctx.kernel, ctx.eval_points))))
-    return spec.constant - ise
+def _density_utilities(pts, sizes, spec: UtilitySpec, ctx: DensityUtilityContext):
+    """Integrated squared error of each prefix's estimate, up to a constant, from prefix
+    sums of the pairwise self-convolutions and of the kernel at the evaluation rows."""
+    evals, out = np.asarray(ctx.eval_points, dtype=float)[None], np.empty((len(pts), sizes.size))
+    if evals.shape[1] == 0:
+        raise InvalidParameterError("the utility's evaluation rows are empty")
+    for i, rows in enumerate(pts.reshape(len(pts), pts.shape[1], 1, -1)):
+        conv = np.cumsum(np.cumsum(_kernel_means(ctx.kernel.self_convolution, rows, rows), 0), 1)
+        cross = np.cumsum(_kernel_means(ctx.kernel.evaluate, evals, rows)[:, 0])
+        out[i] = conv[sizes - 1, sizes - 1] / sizes ** 2 - 2.0 * cross[sizes - 1] / sizes
+    return spec.constant - out
+
+
+def prefix_utilities(rows, sizes, spec: UtilitySpec, context) -> np.ndarray:
+    """Utilities of the prefixes of a stack of row sets, as a (b, len(sizes)) array.
+
+    ``rows`` is an (x, y) pair of (b, s, p) and (b, s) arrays, or (b, s, dim)
+    points ((b, s) in one dimension). Entry (i, j) is the utility of the first
+    ``sizes[j]`` rows of set i: 0 below the gate, NaN where the prefix cannot
+    be fitted, and independent of the other sets and sizes in the call."""
+    sizes, x = np.asarray(sizes, dtype=np.int64), np.asarray(rows[0] if isinstance(rows, tuple) else rows)
+    out, fit = np.zeros((len(x), sizes.size)), sizes >= spec.gate
+    if fit.any():
+        family = {"regression_risk": _regression_utilities, "accuracy": _accuracy_utilities,
+                  "density_ise": _density_utilities}[spec.family]
+        out[:, fit] = family(_take(rows, slice(None)), sizes[fit], spec, context)
+    return out
 
 
 def evaluate_utility(subset, spec: UtilitySpec, context) -> float:
-    """Utility of a subset under the given family; the empty set is worth 0."""
-    if spec.family == "regression_risk":
-        return _regression_utility(subset, spec, context)
-    if spec.family == "accuracy":
-        return _accuracy_utility(subset, spec, context)
-    return _density_utility(subset, spec, context)
-
-
-def make_utility(spec_or_fn, context=None):
-    """Adapt a ``UtilitySpec`` (or a plain callable on subsets) to one callable."""
-    if callable(spec_or_fn) and not isinstance(spec_or_fn, UtilitySpec):
-        return spec_or_fn
-    return lambda subset: evaluate_utility(subset, spec_or_fn, context)
+    """Utility of one subset, the stack of one: 0 when empty or below the gate;
+    ``UtilityEvaluationError`` when the subset cannot be fitted."""
+    size = _data_len(subset)
+    value = float(prefix_utilities(_take(subset, None), [size], spec, context)[0, 0])
+    if np.isnan(value):
+        raise UtilityEvaluationError("the subset cannot be fitted", subset_size=size)
+    return value
 
 
 def _take(data, idx):
-    if isinstance(data, tuple):
-        x, y = data
-        return (np.asarray(x)[idx], np.asarray(y)[idx])
-    return np.asarray(data)[idx]
+    return tuple(np.asarray(part)[idx] for part in data) if isinstance(data, tuple) else np.asarray(data)[idx]
 
 
 def _data_len(data) -> int:
-    if isinstance(data, tuple):
-        return int(np.asarray(data[0]).shape[0])
-    return int(np.asarray(data).shape[0])
+    return len(data[0]) if isinstance(data, tuple) else len(data)
 
 
 def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
@@ -217,19 +237,14 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
             "use dshapley_mc_baseline instead")
     if n == 0:
         raise InvalidParameterError("dataset must be nonempty")
-    ufunc = make_utility(utility, context)
+    if isinstance(utility, UtilitySpec):
+        spec, utility = utility, (lambda subset: evaluate_utility(subset, spec, context))
 
     masks = np.arange(1 << n, dtype=np.uint32)
-    util = np.empty(1 << n)
-    util[0] = 0.0
-    all_idx = np.arange(n)
+    util = np.zeros(1 << n)
     for mask in range(1, 1 << n):
-        members = all_idx[(mask >> all_idx) & 1 == 1]
-        util[mask] = ufunc(_take(data, members))
-
-    sizes = np.zeros(masks.size, dtype=np.int64)
-    for b in range(n):
-        sizes += (masks >> b) & 1
+        util[mask] = utility(_take(data, np.flatnonzero((mask >> np.arange(n)) & 1)))
+    sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
     weights = np.array([1.0 / (n * comb(n - 1, s)) for s in range(n)])
     values = np.empty(n)
     for i in range(n):
@@ -241,26 +256,24 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
                               subset_evaluations=int(1 << n))
 
 
-def _draw_subset(background, size, gen):
-    if callable(background):
-        return background(size, gen)
-    if isinstance(background, tuple):
-        x, y = background
-        idx = gen.integers(0, np.asarray(x).shape[0], size=size)
-        return (np.asarray(x)[idx], np.asarray(y)[idx])
-    pool = np.asarray(background)
-    idx = gen.integers(0, pool.shape[0], size=size)
-    return pool[idx]
+def _rows(parts, z_star):
+    """The rows of ``parts`` (a list of (x, y) pairs or of point arrays), then ``z_star``."""
+    if isinstance(parts[0], tuple):
+        return tuple(_rows(list(column), z) for column, z in zip(zip(*parts), z_star))
+    parts = [np.asarray(part, dtype=float) for part in parts]
+    return np.concatenate(parts + [np.reshape(z_star, (1,) + parts[0].shape[1:])])
 
 
-def _join(subset, z_star):
-    if isinstance(subset, tuple):
-        x, y = subset
-        xs, ys = z_star
-        return (np.vstack([np.asarray(x, float).reshape(-1, np.size(xs)), np.asarray(xs, float)[None, :]]),
-                np.append(np.asarray(y, float), ys))
-    pts = _as_points(subset) if np.asarray(subset).size else np.empty((0, np.atleast_1d(z_star).size))
-    return np.vstack([pts, np.atleast_1d(np.asarray(z_star, float))[None, :]])
+def _set_utilities(rows, sizes, utility, context) -> np.ndarray:
+    """``prefix_utilities`` for a ``UtilitySpec``; a plain callable is called once per
+    set and nonempty size, and is NaN where it fails."""
+    if isinstance(utility, UtilitySpec):
+        return prefix_utilities(rows, sizes, utility, context)
+    out = np.full((_data_len(rows), len(sizes)), np.nan)
+    for (i, j), _ in np.ndenumerate(out):
+        with suppress(UtilityEvaluationError):  # a failure stays NaN
+            out[i, j] = utility(_take(rows, (i, slice(sizes[j])))) if sizes[j] else 0.0
+    return out
 
 
 def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
@@ -269,52 +282,51 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
 
     Each draw picks a subset size uniformly up to ``m``, samples that many
     background points (a pool is resampled with replacement; a callable
-    ``background(size, rng)`` draws directly from a distribution) and
-    accumulates the marginal contribution of ``z_star``. Draws below the
-    utility gate are recorded as exact zeros without evaluating the utility.
-
-    A draw whose utility fails is dropped, not counted, as long as at most
-    half of the evaluated draws fail; this biases the mean toward the subset
-    sizes where fits succeed. Raises ``BaselineFailureError`` if more
-    than half of the evaluated draws fail in the utility.
+    ``background(size, rng)`` draws directly from a distribution) and takes
+    the marginal contribution of ``z_star``. A first pass makes the draws in
+    order, pool draws as indices; a second values them grouped by size, each
+    set without and with ``z_star`` (its last row) as two prefixes of one
+    stack. Draws below the gate are exact zeros. A draw whose utility fails
+    (raises ``UtilityEvaluationError`` or is NaN) is counted in
+    ``failed_draws`` and left out of the mean. Raises ``BaselineFailureError``
+    once 20 or more evaluated draws, in draw order, are more than half
+    failures, or if more than half fail in the end.
     """
     if m < 1 or max_draws < 1:
         raise InvalidParameterError("m and max_draws must be at least 1")
-    ufunc = make_utility(utility, context)
     gate = utility.gate if isinstance(utility, UtilitySpec) else 1
-    gen = rng.generator
-
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    attempted_evals = 0
-    failures = 0
+    pool = None if callable(background) else _rows([background], z_star)
+    n = None if pool is None else _data_len(pool) - 1  # draws keep compact pool indices
+    gen, sizes, draws = rng.generator, [], []
     for _ in range(max_draws):
         j = int(gen.integers(1, m + 1))
-        if j < gate:
-            count += 1  # both utilities are gated to zero; the draw is exact
-            continue
-        subset = _draw_subset(background, j - 1, gen)
-        attempted_evals += 1
-        try:
-            u_with = ufunc(_join(subset, z_star))
-            u_without = ufunc(subset) if j - 1 >= gate else 0.0
-        except UtilityEvaluationError:
-            failures += 1
-            if attempted_evals >= 20 and failures > attempted_evals / 2:
-                raise BaselineFailureError(
-                    f"utility failed on {failures} of {attempted_evals} evaluated draws")
-            continue
-        delta = u_with - u_without
-        total += delta
-        total_sq += delta * delta
-        count += 1
-    if attempted_evals > 0 and failures > attempted_evals / 2:
+        sizes.append(j)
+        draws.append(None if j < gate else background(j - 1, gen) if n is None
+                     else gen.integers(0, n, size=j - 1).astype(np.min_scalar_type(n)))
+
+    sizes, delta = np.array(sizes), np.zeros(max_draws)  # gated draws are exact zeros
+    for j in np.unique(sizes[sizes >= gate]):
+        at = np.flatnonzero(sizes == j)
+        group, rows = [draws[t] for t in at], pool
+        if pool is None:  # a callable's draws, pooled in order
+            group, rows = np.arange(at.size * (j - 1)).reshape(at.size, j - 1), _rows(group, z_star)
+        rows = _take(rows, np.column_stack([np.array(group, dtype=np.int64), np.full(at.size, -1)]))
+        without, with_z = _set_utilities(rows, [j - 1, j], utility, context).T
+        delta[at] = with_z - without
+
+    failed = np.isnan(delta)
+    attempts, failures = np.cumsum(sizes >= gate), np.cumsum(failed)
+    first = next(iter(np.flatnonzero(failed & (attempts >= 20) & (failures > attempts / 2))), -1)
+    if failures[first] > attempts[first] / 2:
         raise BaselineFailureError(
-            f"utility failed on {failures} of {attempted_evals} evaluated draws")
-    if count == 0:
+            f"utility failed on {failures[first]} of {attempts[first]} evaluated draws")
+    used = delta[~failed]
+    if used.size == 0:
         raise BaselineFailureError("no draw produced a usable marginal contribution")
+    count = used.size
+    total, total_sq = (float(np.cumsum(np.append(0.0, v))[-1]) for v in (used, used * used))
     mean = total / count
     var = max((total_sq - count * mean * mean) / (count - 1), 0.0) if count > 1 else 0.0
     return ValueEstimate(value=float(mean), std_error=float(np.sqrt(var / count)),
-                         inner_iters_used=[count], truncated_at_j=None)
+                         inner_iters_used=[count], truncated_at_j=None,
+                         evaluated_draws=int(attempts[-1]), failed_draws=int(failures[-1]))

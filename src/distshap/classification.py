@@ -23,7 +23,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .estimates import BoundParams, BoundsResult
-from .numerics import SpdMatrix, estimate_second_moment, inv_logit, mahalanobis_sq
+from .numerics import SpdMatrix, estimate_second_moment, inv_logit, mahalanobis_sq, solve_each
 from .regression import _envelope_bounds, _point_or_batch
 
 __all__ = [
@@ -40,7 +40,7 @@ _WEIGHT_FLOOR = 1e-10
 
 @dataclass
 class IRLSState:
-    """Outcome of an IRLS logistic fit."""
+    """Outcome of an IRLS logistic fit, or of a stack of fits as (k, ...) arrays."""
 
     beta: np.ndarray
     iterations: int
@@ -77,6 +77,43 @@ class BinaryPointQuery:
             raise InvalidParameterError("e2_b and d_tilde must be nonnegative")
 
 
+def _irls_stack(x, y, members, tol: float, max_iter: int):
+    """The IRLS loop on a stack of subsets: row i is in subset a where ``members[a, i]`` is 1.
+
+    ``x`` (s, p) and ``y`` (s,) are rows shared by the subsets, or (k, s, p)
+    and (k, s) one row set per subset. Each subset stops at its own ``tol``,
+    at ``max_iter`` or where its normal equations are singular, and does not
+    depend on the others. Returns an ``IRLSState`` of (k, ...) arrays and the
+    (k,) singular flags.
+    """
+    k, p = members.shape[0], x.shape[-1]
+    beta, step, iterations = np.zeros((k, p)), np.full(k, np.inf), np.zeros(k, dtype=int)
+    converged, singular = np.zeros((2, k), dtype=bool)
+    active = np.arange(k)
+    for it in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        xa, ya = (x, y) if x.ndim == 2 else (x[active], y[active])
+        eta = (xa @ beta[active, :, None])[..., 0]
+        pi = inv_logit(eta)
+        w = np.maximum(pi * (1.0 - pi), _WEIGHT_FLOOR)
+        z = eta + (ya - pi) / w
+        wx = (w * members[active])[..., None] * xa
+        new, bad = solve_each(np.swapaxes(xa, -1, -2) @ wx, np.swapaxes(wx, -1, -2) @ z[..., None])
+        new = new[..., 0]
+        moved = np.sqrt(_sq_norms(new - beta[active])) / (1.0 + np.sqrt(_sq_norms(new)))
+        done, fitted = ~bad & (moved <= tol), active[~bad]
+        beta[fitted], step[fitted], iterations[active] = new[~bad], moved[~bad], it
+        converged[active[done]], singular[active[bad]] = True, True
+        active = active[~bad & ~done]
+    return IRLSState(beta=beta, iterations=iterations, converged=converged,
+                     final_step_norm=step), singular
+
+
+def _sq_norms(v):
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def irls_fit(x, y, tol: float = 1e-8, max_iter: int = 100) -> IRLSState:
     """Fit logistic-regression coefficients by iteratively reweighted least squares.
 
@@ -84,7 +121,7 @@ def irls_fit(x, y, tol: float = 1e-8, max_iter: int = 100) -> IRLSState:
     relative step norm drops to ``tol``. Equals the maximum-likelihood
     estimate at convergence. Separable data never converge (the MLE does not
     exist); the returned state then has ``converged=False`` and a growing
-    coefficient norm.
+    coefficient norm. This is the IRLS loop on a stack of one subset.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -97,31 +134,17 @@ def irls_fit(x, y, tol: float = 1e-8, max_iter: int = 100) -> IRLSState:
             raise InvalidParameterError("both classes must be present")
         raise InvalidParameterError("labels must be 0/1")
 
-    beta = np.zeros(p)
-    step = np.inf
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        eta = x @ beta
-        pi = inv_logit(eta)
-        w = np.maximum(pi * (1.0 - pi), _WEIGHT_FLOOR)
-        z = eta + (y - pi) / w
-        wx = w[:, None] * x
-        try:
-            beta_new = np.linalg.solve(x.T @ wx, wx.T @ z)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"weighted normal equations are singular: {exc}") from exc
-        step = float(np.linalg.norm(beta_new - beta) / (1.0 + np.linalg.norm(beta_new)))
-        beta = beta_new
-        if step <= tol:
-            converged = True
-            break
+    state, singular = _irls_stack(x, y, np.ones((1, n)), tol, max_iter)
+    if singular[0]:
+        raise SingularMatrixError("weighted normal equations are singular")
+    beta, converged = state.beta[0], bool(state.converged[0])
     if not converged:
         warnings.warn(
             f"IRLS did not converge in {max_iter} iterations "
             f"(coefficient norm {np.linalg.norm(beta):.3g}, still moving); "
             "the data may be separable", stacklevel=2)
-    return IRLSState(beta=beta, iterations=it, converged=converged, final_step_norm=step)
+    return IRLSState(beta=beta, iterations=int(state.iterations[0]), converged=converged,
+                     final_step_norm=float(state.final_step_norm[0]))
 
 
 def estimate_weighted_second_moment(x, beta) -> SpdMatrix:

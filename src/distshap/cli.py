@@ -148,23 +148,24 @@ def _experiment_config(args, method: str) -> ExperimentConfig:
 
 def _cmd_gen(args) -> None:
     rng = RandomStream(args.seed)
-    if args.kind == "gaussian-r":
-        data = gen_gaussian_r(args.n, args.p, rng)
-    else:
-        data = gen_gaussian_c(args.n, rng)
+    data = gen_gaussian_r(args.n, args.p, rng) if args.kind == "gaussian-r" else gen_gaussian_c(args.n, rng)
     columns = [f"x{i}" for i in range(data.p)] + ["y"]
     rows = [tuple(float(v) for v in np.append(data.x[i], data.y[i])) for i in range(data.n)]
     table = ResultTable(columns=columns, rows=rows,
-                        metadata={"kind": args.kind, "n": args.n, "p": data.p,
-                                  "seed": args.seed})
+                        metadata={"kind": args.kind, "n": args.n, "p": data.p, "seed": args.seed})
     write_results(table, args.output, args.format)
 
 
-def _cmd_value(args, method: str) -> None:
+def _load(args):
     dataset = load_csv(args.data, target_column=_target_column(args),
                        has_header=not args.no_header)
     if args.task != "density" and dataset.y is None:
         raise InvalidParameterError(f"task {args.task} needs a target column")
+    return dataset
+
+
+def _cmd_value(args, method: str) -> None:
+    dataset = _load(args)
     config = _experiment_config(args, method)
     rng = RandomStream(args.seed)
     indices, values, std_errors = value_points(dataset, config, rng)
@@ -176,8 +177,7 @@ def _cmd_value(args, method: str) -> None:
 
 
 def _cmd_point_addition(args) -> None:
-    dataset = load_csv(args.data, target_column=_target_column(args),
-                       has_header=not args.no_header)
+    dataset = _load(args)
     config = _experiment_config(args, args.method)
     result = run_point_addition(config, dataset, RandomStream(args.seed))
     rows = []

@@ -27,7 +27,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray | None = None
     beta_true: np.ndarray | None = None
-    noise_variance: float | None = None
     name: str = ""
 
     @property
@@ -51,7 +50,7 @@ def gen_gaussian_r(m: int, p: int, rng: RandomStream) -> Dataset:
     beta = gen.standard_normal(p)
     x = gen.standard_normal((m, p))
     y = x @ beta + gen.standard_normal(m)
-    return Dataset(x=x, y=y, beta_true=beta, noise_variance=1.0, name="gaussian-r")
+    return Dataset(x=x, y=y, beta_true=beta, name="gaussian-r")
 
 
 def gen_gaussian_c(m: int, rng: RandomStream) -> Dataset:
@@ -142,8 +141,7 @@ def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
     else:
         target_idx = int(target_column)
         if not -width <= target_idx < width:
-            raise InvalidParameterError(
-                f"target index {target_idx} outside the {width} columns")
+            raise InvalidParameterError(f"target index {target_idx} outside the {width} columns")
         target_idx %= width
 
     y = values[:, target_idx]

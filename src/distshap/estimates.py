@@ -58,13 +58,16 @@ class ValueEstimate:
     For a batch of points ``value`` and ``std_error`` are arrays.
     ``inner_iters_used`` records the draws consumed per summation term (0 for
     terms skipped entirely); ``truncated_at_j`` is the term index at which the
-    outer early stop fired, or None if the whole sum was evaluated.
+    outer early stop fired, or None if the whole sum was evaluated. The sampled
+    baseline counts its draws that reached the utility and those that failed.
     """
 
     value: float
     std_error: float
     inner_iters_used: list = field(default_factory=list)
     truncated_at_j: int | None = None
+    evaluated_draws: int = 0
+    failed_draws: int = 0
 
     def __post_init__(self):
         if np.any(np.asarray(self.std_error) < 0):

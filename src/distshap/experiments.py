@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -22,7 +22,7 @@ from .baseline import (
     _check_regression_gate,
     _take,
     dshapley_mc_baseline,
-    make_utility,
+    prefix_utilities,
 )
 from .classification import (
     dshapley_binary_bounds,
@@ -38,7 +38,7 @@ from .density import (
     kde_evaluate,  # noqa: F401  (bench/tracing.py rebinds experiments.kde_evaluate)
     select_bandwidth,
 )
-from .errors import InvalidParameterError, UtilityEvaluationError
+from .errors import InvalidParameterError
 from .numerics import RandomStream, spd_inverse
 from .regression import (
     PointQuery,
@@ -113,18 +113,9 @@ class ExperimentConfig:
         return self.q if self.q is not None else p + 3
 
     def metadata(self) -> dict:
-        return {
-            "task": self.task, "method": self.method, "m": self.m,
-            "q": self.q if self.q is not None else "auto",
-            "gamma": self.gamma, "seed": self.seed,
-            "n_value_points": self.n_value_points,
-            "background_size": self.background_size,
-            "heldout_size": self.heldout_size,
-            "repetitions": self.repetitions,
-            "baseline_draws": self.baseline_draws,
-            "bound_side": self.bound_side,
-            "threads": self.threads,
-        }
+        """Every setting but the bandwidth grid, with an unset q as ``"auto"``."""
+        meta = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "bandwidth_grid"}
+        return {**meta, "q": self.q if self.q is not None else "auto"}
 
 
 @dataclass
@@ -177,23 +168,20 @@ def _bound_side(bounds, side):
     return (bounds.lower if side == "lower" else bounds.upper), np.zeros(len(bounds.lower))
 
 
-def _regression_utility(env, held):
+def _regression_spec(env, held):
     """Held-out risk gated at the environment's q, against the constant 2 sigma2."""
-    x_test, y_test = held
     return (UtilitySpec("regression_risk", gate=env.q, constant=2.0 * env.sigma2),
-            RegressionUtilityContext(gamma=env.gamma, x_test=x_test, y_test=y_test))
+            RegressionUtilityContext(gamma=env.gamma, x_test=held[0], y_test=held[1]))
 
 
-def _accuracy_utility(q, held):
+def _accuracy_spec(q, held):
     """Held-out accuracy gated at q."""
-    x_test, y_test = held
-    return UtilitySpec("accuracy", gate=q), AccuracyUtilityContext(x_test=x_test, y_test=y_test)
+    return UtilitySpec("accuracy", gate=q), AccuracyUtilityContext(*held)
 
 
-def _density_utility(kernel, eval_points):
+def _density_spec(kernel, eval_points):
     """Integrated squared error of the estimate, its cross term taken at ``eval_points``."""
-    return UtilitySpec("density_ise", gate=1), DensityUtilityContext(kernel=kernel,
-                                                                     eval_points=eval_points)
+    return UtilitySpec("density_ise", gate=1), DensityUtilityContext(kernel, eval_points)
 
 
 # Each family below values the points of one split and returns
@@ -203,7 +191,7 @@ def _density_utility(kernel, eval_points):
 def _regression_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     bx, by = dataset.x[bg_idx], dataset.y[bg_idx]
     env = fit_background(bx, by, m=config.m, q=q, gamma=config.gamma)
-    utility = partial(_regression_utility, env)
+    utility = partial(_regression_spec, env)
     if config.method == "bounds":
         bounds = dshapley_regression_bounds(PointQuery.from_point(xs, ys, env), env)
         return _bound_side(bounds, config.bound_side), utility
@@ -216,7 +204,7 @@ def _regression_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
 
 def _classification_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     bx, by = dataset.x[bg_idx], dataset.y[bg_idx]
-    utility = partial(_accuracy_utility, q)
+    utility = partial(_accuracy_spec, q)
     if config.method == "baseline":
         held = (dataset.x[held_idx], dataset.y[held_idx])
         return _baseline_values(zip(xs, ys), (bx, by), utility, held, config, rng), utility
@@ -233,7 +221,7 @@ def _density_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     background = dataset.x[bg_idx]
     h = select_bandwidth(background, config.bandwidth_grid)
     kernel = KernelSpec("gaussian", h, dataset.p)
-    utility = partial(_density_utility, kernel)
+    utility = partial(_density_spec, kernel)
     if config.method == "fast":
         est = dshapley_density(DensityValueRequest(s_star=xs[:, None, :], m=config.m),
                                background, kernel, rng)
@@ -277,8 +265,9 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
     Every repetition resamples the split, revalues the value set with the
     configured method and tracks the held-out utility after each addition.
     The utility is the one the sampled baseline uses, built from the fit
-    that valued the split; steps below its gate, and fits that fail
-    mid-curve, are recorded as gaps, not aborts. Passing an explicit
+    that valued the split, and one call per ordering values every prefix;
+    steps below its gate, and prefixes that cannot be fitted, are recorded
+    as gaps, not aborts. Passing an explicit
     ``split = (value_idx, held_idx, bg_idx)`` pins the design across
     repetitions (only the valuation and the random ordering then vary).
     """
@@ -288,8 +277,7 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
     orderings = ("largest", "lowest", "random")
     curves = {name: np.full((config.repetitions, steps + 1), np.nan) for name in orderings}
     data = dataset.x if config.task == "density" else (dataset.x, dataset.y)
-    rep0_values = None
-    rep0_indices = None
+    rep0_values = rep0_indices = None
 
     for rep in range(config.repetitions):
         sub = rng.substream(rep)
@@ -301,21 +289,16 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
         if rep == 0:
             rep0_values, rep0_indices = values.copy(), np.array(value_idx)
         spec, ctx = utility(_take(data, held_idx))
-        held_out = make_utility(spec, ctx)
         orders = {
             "largest": np.argsort(-values, kind="stable"),
             "lowest": np.argsort(values, kind="stable"),
             "random": sub.substream(_STREAM_ORDER).generator.permutation(steps),
         }
         for name, order in orders.items():
-            added = _take(data, value_idx[order])
             row = curves[name][rep]
             row[0] = 0.0  # empty-set utility by convention
-            for k in range(spec.gate, steps + 1):
-                try:
-                    row[k] = held_out(_take(added, slice(k)))
-                except UtilityEvaluationError:
-                    pass  # the prefix cannot be fitted: a gap
+            row[spec.gate:] = prefix_utilities(_take(data, value_idx[order][None]),
+                                               np.arange(spec.gate, steps + 1), spec, ctx)[0]
 
     results = []
     for name in orderings:
@@ -326,11 +309,9 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
             counts = np.sum(~np.isnan(grid), axis=0)
             stds = np.nanstd(grid, axis=0, ddof=1)
         std_errors = np.where(counts > 1, stds / np.sqrt(np.maximum(counts, 1)), 0.0)
-        results.append(PointAdditionCurve(ordering=name, utilities=means,
-                                          std_errors=std_errors,
+        results.append(PointAdditionCurve(ordering=name, utilities=means, std_errors=std_errors,
                                           repetitions=config.repetitions))
-    return PointAdditionResult(curves=results, rep0_indices=rep0_indices,
-                               rep0_values=rep0_values)
+    return PointAdditionResult(curves=results, rep0_indices=rep0_indices, rep0_values=rep0_values)
 
 
 _BENCH_BASELINE_DRAWS = {"regression": 1000, "classification": 50, "density": 100}
@@ -364,41 +345,31 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
     for ti, task in enumerate(tasks):
         for ci, (n_points, p) in enumerate(grid):
             cell_rng = rng.substream(1000 * ti + ci)
-            fast_times = []
-            base_times = []
             timed_points = min(baseline_points, n_points)
+            times = np.empty((2, repetitions))  # fast, and baseline scaled to every point
             for rep in range(repetitions):
                 rep_rng = cell_rng.substream(rep)
                 data = _bench_dataset(task, n_points + background_size + 200, p,
                                       rep_rng.substream(0))
-                config_common = dict(
-                    task=task, n_value_points=n_points, m=n_points,
-                    q=p + 3, seed=0, background_size=background_size,
-                    heldout_size=200, repetitions=1, threads=threads,
-                    baseline_draws=_BENCH_BASELINE_DRAWS[task],
-                )
-                fast_cfg = ExperimentConfig(method="fast", **config_common)
+                common = dict(task=task, n_value_points=n_points, m=n_points, q=p + 3, seed=0,
+                              background_size=background_size, heldout_size=200, repetitions=1,
+                              threads=threads, baseline_draws=_BENCH_BASELINE_DRAWS[task])
+                fast_cfg = ExperimentConfig(method="fast", **common)
                 split = _split_indices(data.n, fast_cfg, rep_rng.substream(1).generator)
-                value_idx, held_idx, bg_idx = split
-
                 start = time.perf_counter()
                 value_points(data, fast_cfg, rep_rng.substream(2), *split)
-                fast_times.append(time.perf_counter() - start)
-
-                base_cfg = ExperimentConfig(method="baseline", **config_common)
-                sub_idx = value_idx[:timed_points]
+                times[0, rep] = time.perf_counter() - start
                 start = time.perf_counter()
-                value_points(data, base_cfg, rep_rng.substream(3), sub_idx, held_idx, bg_idx)
-                elapsed = time.perf_counter() - start
-                base_times.append(elapsed * (n_points / timed_points))
-            fast_mean = float(np.mean(fast_times))
-            base_mean = float(np.mean(base_times))
+                value_points(data, ExperimentConfig(method="baseline", **common), rep_rng.substream(3),
+                             split[0][:timed_points], *split[1:])
+                times[1, rep] = (time.perf_counter() - start) * (n_points / timed_points)
+            fast_mean, base_mean = (float(t) for t in times.mean(axis=1))
             rows.append({
                 "task": task, "n_points": n_points, "p": p,
                 "fast_seconds": fast_mean,
-                "fast_seconds_std": float(np.std(fast_times)),
+                "fast_seconds_std": float(np.std(times[0])),
                 "baseline_seconds": base_mean,
-                "baseline_seconds_std": float(np.std(base_times)),
+                "baseline_seconds_std": float(np.std(times[1])),
                 "speedup": base_mean / fast_mean if fast_mean > 0 else float("inf"),
                 "repetitions": repetitions,
                 "baseline_draws": _BENCH_BASELINE_DRAWS[task],

@@ -6,6 +6,8 @@ should be partitioned by stream so results do not depend on scheduling.
 
 from __future__ import annotations
 
+from contextlib import suppress
+
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
@@ -19,6 +21,7 @@ __all__ = [
     "estimate_second_moment",
     "mahalanobis_sq",
     "inv_logit",
+    "solve_each",
 ]
 
 
@@ -98,8 +101,7 @@ class SpdMatrix:
         asym = np.linalg.norm(values - values.T)
         if scale > 0 and asym > self._SYM_RTOL * scale:
             raise InvalidParameterError(
-                f"matrix is not symmetric (relative asymmetry {asym / scale:.3e})"
-            )
+                f"matrix is not symmetric (relative asymmetry {asym / scale:.3e})")
         self.values = values
         self._chol = _cholesky_lower(values)
 
@@ -121,6 +123,19 @@ def spd_inverse(matrix: SpdMatrix) -> SpdMatrix:
     return SpdMatrix(0.5 * (inv + inv.T))  # exact symmetry, not just up to rounding
 
 
+def solve_each(a, b):
+    """Solve each system of a stack, ``a`` (..., p, p) against ``b`` (..., p, r), as if
+    alone; a singular one gives NaN and a True flag in the returned mask."""
+    try:
+        return np.linalg.solve(a, b), np.zeros(a.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        out, singular = np.full(b.shape, np.nan), np.ones(a.shape[:-2], dtype=bool)
+        for i in np.ndindex(singular.shape):
+            with suppress(np.linalg.LinAlgError):
+                out[i], singular[i] = np.linalg.solve(a[i], b[i]), False
+        return out, singular
+
+
 def estimate_second_moment(samples) -> SpdMatrix:
     """Uncentered second moment ``(1/N) sum_i x_i x_i^T``.
 
@@ -132,9 +147,7 @@ def estimate_second_moment(samples) -> SpdMatrix:
         raise InvalidParameterError("samples must form an (N, p) array")
     n, p = x.shape
     if n < p:
-        raise RankDeficiencyError(
-            f"{n} samples cannot identify a {p}-dimensional second moment"
-        )
+        raise RankDeficiencyError(f"{n} samples cannot identify a {p}-dimensional second moment")
     moment = (x.T @ x) / n
     # exact symmetrization guards against accumulation asymmetry
     moment = 0.5 * (moment + moment.T)

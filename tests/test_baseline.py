@@ -20,6 +20,7 @@ from distshap import (
     evaluate_utility,
     exact_data_shapley,
 )
+from distshap.baseline import prefix_utilities
 from distshap.estimates import MCControls
 from distshap.regression import (
     PointQuery,
@@ -100,6 +101,85 @@ class TestEvaluateUtility:
         ctx = DensityUtilityContext(kernel=KernelSpec("gaussian", 0.5, 1),
                                     eval_points=np.zeros((10, 1)))
         assert evaluate_utility(np.empty((0, 1)), spec, ctx) == 0.0
+
+
+def family_stack(family, b=4, s=14, p=3):
+    """A spec, its context and a stack of b row sets of s rows for one utility family."""
+    gen = np.random.default_rng(11)
+    x = gen.standard_normal((b, s, p))
+    x_test = gen.standard_normal((40, p))
+    beta = np.array([1.0, -0.5, 0.25])
+    if family == "density":
+        spec = UtilitySpec("density_ise", gate=1, constant=0.3)
+        return spec, DensityUtilityContext(KernelSpec("gaussian", 0.6, p), x_test), x
+    if family == "accuracy":
+        y = (x @ beta + gen.standard_normal((b, s)) > 0).astype(float)
+        ctx = AccuracyUtilityContext(x_test, (x_test @ beta > 0).astype(float))
+        return UtilitySpec("accuracy", gate=4), ctx, (x, y)
+    y = x @ beta + gen.standard_normal((b, s))
+    if family == "analytic":
+        ctx = RegressionUtilityContext(beta_true=beta, sigma_x=SpdMatrix(np.eye(p)), sigma2=1.0)
+        return UtilitySpec("regression_risk", gate=5, constant=2.0, evaluation_mode="analytic"), ctx, (x, y)
+    ctx = RegressionUtilityContext(x_test=x_test, y_test=x_test @ beta + gen.standard_normal(40))
+    return UtilitySpec("regression_risk", gate=5, constant=2.0), ctx, (x, y)
+
+
+def take(rows, idx):
+    return tuple(part[idx] for part in rows) if isinstance(rows, tuple) else rows[idx]
+
+
+FAMILIES = ("heldout", "analytic", "accuracy", "density")
+
+
+class TestStackedUtilities:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_split_stack_is_bit_identical(self, family):
+        spec, ctx, rows = family_stack(family)
+        sizes = np.arange(1, 15)
+        whole = prefix_utilities(rows, sizes, spec, ctx)
+        assert np.isfinite(whole[:, sizes >= max(spec.gate, 5)]).all()
+        by_sets = np.vstack([prefix_utilities(take(rows, slice(0, 1)), sizes, spec, ctx),
+                             prefix_utilities(take(rows, slice(1, None)), sizes, spec, ctx)])
+        by_sizes = np.hstack([prefix_utilities(rows, sizes[:6], spec, ctx),
+                              prefix_utilities(rows, sizes[6:], spec, ctx)])
+        assert np.array_equal(whole, by_sets, equal_nan=True)
+        assert np.array_equal(whole, by_sizes, equal_nan=True)
+        # one prefix evaluated alone is the stack of one
+        for i, k in ((0, 14), (2, 9), (3, 5)):
+            alone = evaluate_utility(take(take(rows, i), slice(k)), spec, ctx)
+            assert alone == whole[i, k - 1]
+        assert np.all(whole[:, sizes < spec.gate] == 0.0)
+
+    @pytest.mark.parametrize("family", ("heldout", "analytic", "accuracy"))
+    def test_unfittable_member_fails_alone(self, family):
+        spec, ctx, rows = family_stack(family)
+        x, y = (part.copy() for part in rows)
+        x[1, :, 2] = x[1, :, 0]  # set 1 has a singular Gram at every size
+        if family == "accuracy":
+            y[2] = 1.0  # set 2 has one class
+        sizes = np.arange(spec.gate, 15)
+        broken = prefix_utilities((x, y), sizes, spec, ctx)
+        clean = prefix_utilities(rows, sizes, spec, ctx)
+        failed = np.zeros(broken.shape, dtype=bool)
+        failed[1] = True
+        if family == "accuracy":
+            failed[2] = True
+            failed[:, sizes <= 3] = True  # at most p rows cannot identify a classifier
+        assert np.array_equal(np.isnan(broken), failed)
+        assert np.array_equal(broken[~failed], clean[~failed])
+        with pytest.raises(UtilityEvaluationError) as excinfo:
+            evaluate_utility((x[1], y[1]), spec, ctx)
+        assert excinfo.value.subset_size == 14
+
+    def test_empty_evaluation_rows_rejected(self):
+        for family in ("heldout", "accuracy", "density"):
+            spec, ctx, rows = family_stack(family)
+            if family == "density":
+                ctx = DensityUtilityContext(ctx.kernel, np.empty((0, 3)))
+            else:
+                ctx.x_test, ctx.y_test = ctx.x_test[:0], ctx.y_test[:0]
+            with pytest.raises(InvalidParameterError, match="empty"):
+                prefix_utilities(rows, [14], spec, ctx)
 
 
 class TestExactShapley:
@@ -196,6 +276,55 @@ class TestMcBaseline:
         with pytest.raises(BaselineFailureError):
             dshapley_mc_baseline(np.array([0.0]), np.zeros(10), always_fails,
                                  m=5, max_draws=200, rng=RandomStream(1))
+
+    def test_failed_draws_counted(self):
+        # a tabulated utility that fails on every set holding both 1 and 4;
+        # replay the draws to count the failures and to form the mean by hand
+        table = tabulated_utility(7)
+
+        def util(subset):
+            key = {int(i) for i in np.ravel(subset)}
+            if {1, 4} <= key:
+                raise UtilityEvaluationError("tabulated failure", subset_size=len(key))
+            return table(subset)
+
+        pool, z_star, m, draws = np.arange(6).astype(float), 2.0, 5, 400
+        est = dshapley_mc_baseline(np.array([z_star]), pool, util, m=m, max_draws=draws,
+                                   rng=RandomStream(13))
+        gen = RandomStream(13).generator
+        deltas, failed = [], 0
+        for _ in range(draws):
+            j = int(gen.integers(1, m + 1))
+            subset = pool[gen.integers(0, pool.size, size=j - 1)]
+            try:
+                deltas.append(util(np.append(subset, z_star)) - util(subset))
+            except UtilityEvaluationError:
+                failed += 1
+        assert 0 < failed < draws / 2
+        assert (est.evaluated_draws, est.failed_draws) == (draws, failed)
+        assert est.inner_iters_used == [draws - failed]
+        assert est.value == pytest.approx(np.mean(deltas), rel=1e-12)
+
+    def test_failure_threshold_judged_in_draw_order(self):
+        # fails on sets of 3 or more: the draw order decides where the raise fires
+        def util(subset):
+            if np.size(subset) >= 3:
+                raise UtilityEvaluationError("too large", subset_size=np.size(subset))
+            return float(np.size(subset))
+
+        gen = RandomStream(3).generator
+        attempts = failures = 0
+        for _ in range(200):
+            j = int(gen.integers(1, 7))
+            gen.integers(0, 10, size=j - 1)
+            attempts += 1
+            failures += j >= 3
+            if j >= 3 and attempts >= 20 and failures > attempts / 2:
+                break
+        with pytest.raises(BaselineFailureError,
+                           match=f"failed on {failures} of {attempts} evaluated draws"):
+            dshapley_mc_baseline(np.array([0.0]), np.arange(10.0), util, m=6, max_draws=200,
+                                 rng=RandomStream(3))
 
     def test_matches_exact_route_on_gaussian_truth(self):
         p, q, m = 2, 5, 12

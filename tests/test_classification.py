@@ -19,6 +19,7 @@ from distshap import (
     spd_inverse,
     transform_query,
 )
+from distshap.classification import _irls_stack
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,29 @@ class TestIrlsFit:
     def test_single_class_rejected(self):
         with pytest.raises(InvalidParameterError):
             irls_fit(np.random.default_rng(0).standard_normal((10, 2)), np.ones(10))
+
+    def test_stack_fits_each_subset_as_alone(self):
+        # irls_fit is the stack of one; in a stack each subset stops on its own,
+        # and a singular one fails without touching the others
+        gen = np.random.default_rng(5)
+        x = gen.standard_normal((5, 60, 3))
+        y = (gen.uniform(size=(5, 60)) < inv_logit(x @ np.array([1.5, -1.0, 0.0]))).astype(float)
+        x[2, :, 1] = x[2, :, 0]  # duplicated feature: singular normal equations
+        state, singular = _irls_stack(x, y, np.ones((5, 60)), 1e-8, 100)
+        assert singular.tolist() == [False, False, True, False, False]
+        for a in (0, 1, 3, 4):
+            alone = irls_fit(x[a], y[a])
+            assert np.array_equal(state.beta[a], alone.beta)
+            assert state.iterations[a] == alone.iterations and state.converged[a]
+            assert state.final_step_norm[a] == alone.final_step_norm
+        # subsets of shared rows: row i is in subset a for i < sizes[a]
+        sizes = np.array([20, 35, 60])
+        members = (np.arange(60) < sizes[:, None]).astype(float)
+        shared, _ = _irls_stack(x[0], y[0], members, 1e-8, 100)
+        for a, size in enumerate(sizes):
+            alone = irls_fit(x[0, :size], y[0, :size])
+            assert np.allclose(shared.beta[a], alone.beta, rtol=1e-12, atol=1e-14)
+            assert shared.iterations[a] == alone.iterations
 
     def test_rank_deficient_design(self):
         gen = np.random.default_rng(3)

@@ -130,6 +130,47 @@ class TestErrors:
         assert code == 0
 
 
+    def test_empty_heldout_set_exit_code(self, tmp_path, capsys):
+        # a curve or supervised-baseline utility built on no held-out rows is refused
+        reg, clf = tmp_path / "r.csv", tmp_path / "c.csv"
+        assert run(["gen", "--kind", "gaussian-r", "--n", "300", "--p", "3",
+                    "--seed", "1", "--output", str(reg)]) == 0
+        assert run(["gen", "--kind", "gaussian-c", "--n", "300",
+                    "--seed", "1", "--output", str(clf)]) == 0
+        common = ["--m", "40", "--n-value-points", "20", "--background-size", "200",
+                  "--heldout-size", "0", "--baseline-draws", "30", "--repetitions", "2"]
+        cases = (["baseline", "--data", str(clf), "--target-column", "y",
+                  "--task", "classification"],
+                 ["point-addition", "--data", str(reg), "--target-column", "y",
+                  "--task", "regression", "--method", "bounds"],
+                 ["point-addition", "--data", str(reg), "--task", "density",
+                  "--method", "fast", "--bandwidth-grid", "0.5"])
+        for argv in cases:
+            out = tmp_path / "o.csv"
+            flags = common if argv[0] == "point-addition" else common[:-2]  # no --repetitions
+            capsys.readouterr()
+            assert run(argv + flags + ["--output", str(out)]) == 2
+            assert "InvalidParameterError" in capsys.readouterr().err
+            assert not out.exists()
+        # value and bounds draw on no held-out rows and keep working without them
+        for command in ("value", "bounds"):
+            out = tmp_path / f"{command}.csv"
+            assert run([command, "--data", str(reg), "--target-column", "y",
+                        "--task", "regression", "--output", str(out)] + common[:-2]) == 0
+
+    def test_supervised_point_addition_needs_target(self, tmp_path, capsys):
+        data = tmp_path / "r.csv"
+        assert run(["gen", "--kind", "gaussian-r", "--n", "300", "--p", "3",
+                    "--seed", "1", "--output", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o.csv"
+        assert run(["point-addition", "--data", str(data), "--task", "regression",
+                    "--m", "40", "--n-value-points", "20", "--background-size", "200",
+                    "--repetitions", "1", "--output", str(out)]) == 2
+        assert "needs a target column" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_file_defaults_with_flag_override(self, tmp_path):
         data = tmp_path / "data.csv"

@@ -117,6 +117,20 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError):
             load_csv(path, target_column="a")
 
+    def test_quoted_cells(self, tmp_path):
+        # a quoted header name or numeric cell reads as its unquoted text; a
+        # quoted comma stays inside its cell, which then fails to parse there
+        path = tmp_path / "quoted.csv"
+        path.write_text('"a","b c","y"\n"1.5",2,"-3e-1"\n4," 5.25 ",6\n')
+        data = load_csv(path, target_column="y")
+        assert np.array_equal(data.x, [[1.5, 2.0], [4.0, 5.25]])
+        assert np.array_equal(data.y, [-0.3, 6.0])
+        assert np.array_equal(load_csv(path, target_column="b c").y, [2.0, 5.25])
+        path.write_text('"a","b"\n0,1\n"1,5",2\n')
+        with pytest.raises(CsvParseError) as excinfo:
+            load_csv(path, target_column="b")
+        assert (excinfo.value.row, excinfo.value.col) == (2, 1)
+
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("# seed=3\na,b\n1.0,2.0\n")

@@ -265,6 +265,20 @@ class TestCurvesUseBaselineUtilities:
             assert np.array_equal(curves[name], expected, equal_nan=True)
             assert np.all(np.isnan(curves[name][1:spec.gate]))
 
+    @pytest.mark.parametrize("task", ["regression", "classification", "density"])
+    def test_one_utility_call_per_ordering(self, task, monkeypatch):
+        generate = gen_mixture_c if task == "classification" else gen_gaussian_r
+        data = generate(500, 3, RandomStream(7))
+        if task == "density":
+            data = Dataset(x=data.x, y=None)
+        calls = _counting(monkeypatch, "prefix_utilities")
+        config = small_config(task=task, method="fast" if task == "density" else "bounds",
+                              n_value_points=15, background_size=200, heldout_size=100,
+                              repetitions=2, bandwidth_grid=(0.5,))
+        result = run_point_addition(config, data, RandomStream(4))
+        assert len(calls) == 3 * config.repetitions
+        assert all(np.isfinite(c.utilities[config.resolved_q(3):]).all() for c in result.curves)
+
     @pytest.mark.parametrize("task, fitted", [("regression", "fit_background"),
                                               ("density", "select_bandwidth")])
     def test_background_fitted_once_per_repetition(self, task, fitted, monkeypatch):
