@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -140,13 +141,17 @@ def _heldout_scores(score, x_test, betas):
 def _regression_utilities(rows, sizes, spec: UtilitySpec, ctx: RegressionUtilityContext):
     """Risk of each prefix's least-squares fit: each prefix's Gram is its own product,
     one stacked product per size over the sets, and all fits are one stacked solve."""
-    (x, y), p = rows, rows[0].shape[-1]
+    x, y = rows
+    b, p = x.shape[0], x.shape[-1]
     _check_regression_gate(spec.gate, p, ctx.gamma)
-    gram, moment = np.empty((len(x), sizes.size, p, p)), np.empty((len(x), sizes.size, p, 1))
+    gram = np.empty((b, sizes.size, p, p))
+    moment = np.empty((b, sizes.size, p, 1))
     for j, k in enumerate(sizes):
         xt = np.swapaxes(x[:, :k], 1, 2)
-        gram[:, j], moment[:, j] = xt @ x[:, :k], xt @ y[:, :k, None]
-    betas = solve_each(gram + ctx.gamma * np.eye(p), moment)[0][..., 0]
+        gram[:, j] = xt @ x[:, :k]
+        moment[:, j] = xt @ y[:, :k, None]
+    betas, _ = solve_each(gram + ctx.gamma * np.eye(p), moment)  # a singular fit is NaN
+    betas = betas[..., 0]
     if spec.evaluation_mode == "analytic":
         diff = betas - ctx.beta_true
         risk = ctx.sigma2 + (diff[..., None, :] @ ctx.sigma_x.values @ diff[..., None])[..., 0, 0]
@@ -160,27 +165,31 @@ def _accuracy_utilities(rows, sizes, spec: UtilitySpec, ctx: AccuracyUtilityCont
     """Held-out accuracy of each prefix's logistic fit, all in one IRLS loop (a fit cut at
     the cap still classifies). One class, at most p rows or a singular system fails."""
     x, y = rows
+    if not (np.isin(y, (0.0, 1.0)).all() and np.isin(ctx.y_test, (0.0, 1.0)).all()):
+        raise InvalidParameterError("labels must be 0/1")
     (b, s, p), n = x.shape, sizes.size
-    ones = np.cumsum(y, axis=1)[:, sizes - 1]
+    ones = np.cumsum(y, axis=1)[:, sizes - 1]  # positives in each prefix
     fit = np.flatnonzero(((ones > 0) & (ones < sizes) & (sizes > p)).ravel())  # set * n + size
     out = np.full(b * n, np.nan)
     for start in range(0, fit.size, _FITS_PER_BLOCK):
         block = fit[start:start + _FITS_PER_BLOCK]
         members = (np.arange(s) < sizes[block % n, None]).astype(float)
+        xb, yb = (x[0], y[0]) if b == 1 else (x[block // n], y[block // n])
         with np.errstate(all="ignore"):
-            state, singular = _irls_stack(*((x[0], y[0]) if b == 1 else (x[block // n], y[block // n])),
-                                          members, 1e-8, _ACCURACY_MAX_ITER)
+            state, singular = _irls_stack(xb, yb, members, 1e-8, _ACCURACY_MAX_ITER)
         out[block[~singular]] = _heldout_scores(
-            lambda pred: np.mean((pred >= 0.0) == ctx.y_test, axis=-1), ctx.x_test, state.beta[~singular])
+            lambda pred: np.mean((pred >= 0.0) == ctx.y_test, axis=-1),
+            ctx.x_test, state.beta[~singular])
     return out.reshape(b, n)
 
 
 def _density_utilities(pts, sizes, spec: UtilitySpec, ctx: DensityUtilityContext):
     """Integrated squared error of each prefix's estimate, up to a constant, from prefix
     sums of the pairwise self-convolutions and of the kernel at the evaluation rows."""
-    evals, out = np.asarray(ctx.eval_points, dtype=float)[None], np.empty((len(pts), sizes.size))
+    evals = np.asarray(ctx.eval_points, dtype=float)[None]
     if evals.shape[1] == 0:
         raise InvalidParameterError("the utility's evaluation rows are empty")
+    out = np.empty((len(pts), sizes.size))
     for i, rows in enumerate(pts.reshape(len(pts), pts.shape[1], 1, -1)):
         conv = np.cumsum(np.cumsum(_kernel_means(ctx.kernel.self_convolution, rows, rows), 0), 1)
         cross = np.cumsum(_kernel_means(ctx.kernel.evaluate, evals, rows)[:, 0])
@@ -195,8 +204,9 @@ def prefix_utilities(rows, sizes, spec: UtilitySpec, context) -> np.ndarray:
     points ((b, s) in one dimension). Entry (i, j) is the utility of the first
     ``sizes[j]`` rows of set i: 0 below the gate, NaN where the prefix cannot
     be fitted, and independent of the other sets and sizes in the call."""
-    sizes, x = np.asarray(sizes, dtype=np.int64), np.asarray(rows[0] if isinstance(rows, tuple) else rows)
-    out, fit = np.zeros((len(x), sizes.size)), sizes >= spec.gate
+    sizes = np.asarray(sizes, dtype=np.int64)
+    out = np.zeros((_data_len(rows), sizes.size))
+    fit = sizes >= spec.gate
     if fit.any():
         family = {"regression_risk": _regression_utilities, "accuracy": _accuracy_utilities,
                   "density_ise": _density_utilities}[spec.family]
@@ -215,11 +225,16 @@ def evaluate_utility(subset, spec: UtilitySpec, context) -> float:
 
 
 def _take(data, idx):
-    return tuple(np.asarray(part)[idx] for part in data) if isinstance(data, tuple) else np.asarray(data)[idx]
+    if isinstance(data, tuple):
+        x, y = data
+        return (np.asarray(x)[idx], np.asarray(y)[idx])
+    return np.asarray(data)[idx]
 
 
 def _data_len(data) -> int:
-    return len(data[0]) if isinstance(data, tuple) else len(data)
+    if isinstance(data, tuple):
+        return int(np.asarray(data[0]).shape[0])
+    return int(np.asarray(data).shape[0])
 
 
 def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
@@ -237,14 +252,21 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
             "use dshapley_mc_baseline instead")
     if n == 0:
         raise InvalidParameterError("dataset must be nonempty")
+    ufunc = utility
     if isinstance(utility, UtilitySpec):
-        spec, utility = utility, (lambda subset: evaluate_utility(subset, spec, context))
+        ufunc = partial(evaluate_utility, spec=utility, context=context)
 
     masks = np.arange(1 << n, dtype=np.uint32)
-    util = np.zeros(1 << n)
+    util = np.empty(1 << n)
+    util[0] = 0.0
+    all_idx = np.arange(n)
     for mask in range(1, 1 << n):
-        util[mask] = utility(_take(data, np.flatnonzero((mask >> np.arange(n)) & 1)))
-    sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
+        members = all_idx[(mask >> all_idx) & 1 == 1]
+        util[mask] = ufunc(_take(data, members))
+
+    sizes = np.zeros(masks.size, dtype=np.int64)
+    for b in range(n):
+        sizes += (masks >> b) & 1
     weights = np.array([1.0 / (n * comb(n - 1, s)) for s in range(n)])
     values = np.empty(n)
     for i in range(n):
@@ -295,38 +317,52 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     if m < 1 or max_draws < 1:
         raise InvalidParameterError("m and max_draws must be at least 1")
     gate = utility.gate if isinstance(utility, UtilitySpec) else 1
-    pool = None if callable(background) else _rows([background], z_star)
-    n = None if pool is None else _data_len(pool) - 1  # draws keep compact pool indices
+    pool = None if callable(background) else _rows([background], z_star)  # z_star last
     gen, sizes, draws = rng.generator, [], []
     for _ in range(max_draws):
         j = int(gen.integers(1, m + 1))
         sizes.append(j)
-        draws.append(None if j < gate else background(j - 1, gen) if n is None
-                     else gen.integers(0, n, size=j - 1).astype(np.min_scalar_type(n)))
+        if j < gate:
+            draws.append(None)  # both utilities are gated to zero; the draw is exact
+        elif pool is None:
+            draws.append(background(j - 1, gen))
+        else:  # pool indices, in the smallest integer type that holds them
+            n = _data_len(pool) - 1
+            draws.append(gen.integers(0, n, size=j - 1).astype(np.min_scalar_type(n)))
 
-    sizes, delta = np.array(sizes), np.zeros(max_draws)  # gated draws are exact zeros
+    sizes, delta = np.array(sizes), np.zeros(max_draws)
     for j in np.unique(sizes[sizes >= gate]):
         at = np.flatnonzero(sizes == j)
-        group, rows = [draws[t] for t in at], pool
-        if pool is None:  # a callable's draws, pooled in order
-            group, rows = np.arange(at.size * (j - 1)).reshape(at.size, j - 1), _rows(group, z_star)
-        rows = _take(rows, np.column_stack([np.array(group, dtype=np.int64), np.full(at.size, -1)]))
-        without, with_z = _set_utilities(rows, [j - 1, j], utility, context).T
+        if pool is None:  # a callable's draws, stacked in order
+            rows = _rows([draws[t] for t in at], z_star)
+            idx = np.arange(at.size * (j - 1)).reshape(at.size, j - 1)
+        else:
+            rows = pool
+            idx = np.array([draws[t] for t in at], dtype=np.int64).reshape(at.size, j - 1)
+        stack = _take(rows, np.column_stack([idx, np.full(at.size, -1)]))  # each set, then z_star
+        without, with_z = _set_utilities(stack, [j - 1, j], utility, context).T
         delta[at] = with_z - without
 
     failed = np.isnan(delta)
-    attempts, failures = np.cumsum(sizes >= gate), np.cumsum(failed)
-    first = next(iter(np.flatnonzero(failed & (attempts >= 20) & (failures > attempts / 2))), -1)
-    if failures[first] > attempts[first] / 2:
+    evaluated, failures = np.cumsum(sizes >= gate), np.cumsum(failed)
+    # taken in draw order, as a loop over the draws would stop: at the first failure
+    # that leaves 20 or more evaluated draws more than half failed, or at the end
+    stop = failed & (evaluated >= 20) & (failures > evaluated / 2)
+    stop[-1] |= failures[-1] > evaluated[-1] / 2
+    if stop.any():
+        at = int(np.argmax(stop))
         raise BaselineFailureError(
-            f"utility failed on {failures[first]} of {attempts[first]} evaluated draws")
+            f"utility failed on {failures[at]} of {evaluated[at]} evaluated draws")
     used = delta[~failed]
     if used.size == 0:
         raise BaselineFailureError("no draw produced a usable marginal contribution")
     count = used.size
-    total, total_sq = (float(np.cumsum(np.append(0.0, v))[-1]) for v in (used, used * used))
+    # running sums from 0.0 in draw order, bit-identical to a loop over the draws
+    # (np.sum adds pairwise, which differs in the last bits)
+    total = float(np.cumsum(np.append(0.0, used))[-1])
+    total_sq = float(np.cumsum(np.append(0.0, used * used))[-1])
     mean = total / count
     var = max((total_sq - count * mean * mean) / (count - 1), 0.0) if count > 1 else 0.0
     return ValueEstimate(value=float(mean), std_error=float(np.sqrt(var / count)),
                          inner_iters_used=[count], truncated_at_j=None,
-                         evaluated_draws=int(attempts[-1]), failed_draws=int(failures[-1]))
+                         evaluated_draws=int(evaluated[-1]), failed_draws=int(failures[-1]))

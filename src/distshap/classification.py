@@ -87,9 +87,12 @@ def _irls_stack(x, y, members, tol: float, max_iter: int):
     (k,) singular flags.
     """
     k, p = members.shape[0], x.shape[-1]
-    beta, step, iterations = np.zeros((k, p)), np.full(k, np.inf), np.zeros(k, dtype=int)
-    converged, singular = np.zeros((2, k), dtype=bool)
-    active = np.arange(k)
+    beta = np.zeros((k, p))
+    step = np.full(k, np.inf)
+    iterations = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    singular = np.zeros(k, dtype=bool)
+    active = np.arange(k)  # subsets still iterating
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
@@ -98,19 +101,24 @@ def _irls_stack(x, y, members, tol: float, max_iter: int):
         pi = inv_logit(eta)
         w = np.maximum(pi * (1.0 - pi), _WEIGHT_FLOOR)
         z = eta + (ya - pi) / w
-        wx = (w * members[active])[..., None] * xa
+        wx = (w * members[active])[..., None] * xa  # rows outside a subset weigh 0
         new, bad = solve_each(np.swapaxes(xa, -1, -2) @ wx, np.swapaxes(wx, -1, -2) @ z[..., None])
         new = new[..., 0]
         moved = np.sqrt(_sq_norms(new - beta[active])) / (1.0 + np.sqrt(_sq_norms(new)))
-        done, fitted = ~bad & (moved <= tol), active[~bad]
-        beta[fitted], step[fitted], iterations[active] = new[~bad], moved[~bad], it
-        converged[active[done]], singular[active[bad]] = True, True
-        active = active[~bad & ~done]
+        ok = ~bad
+        beta[active[ok]] = new[ok]
+        step[active[ok]] = moved[ok]
+        iterations[active] = it
+        singular[active[bad]] = True
+        done = ok & (moved <= tol)
+        converged[active[done]] = True
+        active = active[ok & ~done]
     return IRLSState(beta=beta, iterations=iterations, converged=converged,
                      final_step_norm=step), singular
 
 
 def _sq_norms(v):
+    # row by row as a dot product, which is what np.linalg.norm takes of one vector
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 

@@ -148,11 +148,15 @@ def _experiment_config(args, method: str) -> ExperimentConfig:
 
 def _cmd_gen(args) -> None:
     rng = RandomStream(args.seed)
-    data = gen_gaussian_r(args.n, args.p, rng) if args.kind == "gaussian-r" else gen_gaussian_c(args.n, rng)
+    if args.kind == "gaussian-r":
+        data = gen_gaussian_r(args.n, args.p, rng)
+    else:
+        data = gen_gaussian_c(args.n, rng)
     columns = [f"x{i}" for i in range(data.p)] + ["y"]
     rows = [tuple(float(v) for v in np.append(data.x[i], data.y[i])) for i in range(data.n)]
     table = ResultTable(columns=columns, rows=rows,
-                        metadata={"kind": args.kind, "n": args.n, "p": data.p, "seed": args.seed})
+                        metadata={"kind": args.kind, "n": args.n, "p": data.p,
+                                  "seed": args.seed})
     write_results(table, args.output, args.format)
 
 

@@ -141,7 +141,8 @@ def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
     else:
         target_idx = int(target_column)
         if not -width <= target_idx < width:
-            raise InvalidParameterError(f"target index {target_idx} outside the {width} columns")
+            raise InvalidParameterError(
+                f"target index {target_idx} outside the {width} columns")
         target_idx %= width
 
     y = values[:, target_idx]

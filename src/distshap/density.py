@@ -158,6 +158,17 @@ def kde_evaluate(s, kernel: KernelSpec, z):
     return float(out[0]) if z_arr.ndim <= 1 else out
 
 
+def _mean_self_convolution(kernel: KernelSpec, sets: np.ndarray) -> np.ndarray:
+    """Exact ``integral p_hat^2`` of each set of the stack, via pairwise self-convolutions."""
+    return _kernel_means(kernel.self_convolution, sets, sets.transpose(1, 0, 2)).mean(axis=0)
+
+
+def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    sq = (np.sum(a ** 2, axis=1)[:, None] + np.sum(b ** 2, axis=1)[None, :]
+          - 2.0 * (a @ b.T))
+    return np.maximum(sq, 0.0)
+
+
 def _gaussian_loo_scores(pts, grid):
     # squared distances are bandwidth-free, so each block serves every bandwidth
     n, dim = pts.shape
@@ -167,9 +178,7 @@ def _gaussian_loo_scores(pts, grid):
     step = _block_rows(n, dim)
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         for start in range(0, n, step):
-            block = pts[start:start + step]
-            sq = np.maximum(np.sum(block ** 2, axis=1)[:, None] + np.sum(pts ** 2, axis=1)[None, :]
-                            - 2.0 * (block @ pts.T), 0.0)
+            sq = _pairwise_sq_dists(pts[start:start + step], pts)
             rows = np.arange(sq.shape[0])
             for gi in range(h.size):
                 wide = np.exp(sq * (-0.25 / (h[gi] * h[gi])))
@@ -222,6 +231,8 @@ def coeff_B(n: int, m: int) -> float:
     if n < 1 or m < 1:
         raise InvalidParameterError("n and m must be at least 1")
     j = np.arange(2, m + 1, dtype=float)
+    if j.size == 0:
+        return 0.0
     return float(np.sum(2.0 * n * (j - 1.0) / (j + n - 1.0) ** 2) / m)
 
 
@@ -251,7 +262,7 @@ def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpe
     rows = bg[:, None, :]
     p_hat = _kernel_means(kernel.evaluate, sets, rows)
     per_row = _kernel_means(kernel.self_convolution, sets, rows)  # the cross term, then t_r
-    square = _kernel_means(kernel.self_convolution, sets, sets.transpose(1, 0, 2)).mean(axis=0)
+    square = _mean_self_convolution(kernel, sets)
     if return_components:
         p_mean = p_hat.mean(axis=0)
         components = [-a * (square - 2.0 * p_mean), b * (p_mean - per_row.mean(axis=0))]
@@ -272,7 +283,8 @@ def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpe
 
 def _h2_term(n: int, s: int, h: float) -> float:
     """Size-only part of the marginal contribution for the uniform kernel on [0, 1]."""
-    n2, s2 = float(n), float(s)
+    n2 = float(n)
+    s2 = float(s)
     lead = (n2 ** 2 + 2.0 * n2 * s2) / (s2 + n2) ** 2
     body = (12.0 - 15.0 * h + (5.0 + s2) * h ** 2) / (12.0 * s2 * h)
     tail = (2.0 * n2 * s2 / (s2 + n2) ** 2) * (h / 4.0)
@@ -309,7 +321,10 @@ def uniform_closed_form(points, h: float, m: int, C_den: float) -> float:
         raise InvalidParameterError(
             f"bandwidth {h} violates the interior condition (limit {margin:.6g})")
     n = pts.size
-    fit = 1.0 - 1.0 / h if n == 1 else float(_pair_fit_coefficient(abs(pts[0] - pts[1]), h))
+    if n == 1:
+        fit = 1.0 - 1.0 / h
+    else:
+        fit = float(_pair_fit_coefficient(abs(pts[0] - pts[1]), h))
     return coeff_A(n, m) * fit + _c0(n, m, h, C_den)
 
 
@@ -331,7 +346,8 @@ def synergy_scan(h_grid, m: int = 100, C_den: float = 0.2, n_draws: int = 5000,
         raise InvalidParameterError("n_draws must be at least 1")
     if not np.isfinite(C_den):
         raise InvalidParameterError(f"C_den must be finite, got {C_den}")
-    rng = rng if rng is not None else RandomStream(0)
+    if rng is None:
+        rng = RandomStream(0)
     records = []
     for gi, h in enumerate(grid):
         gen = rng.substream(gi).generator
@@ -344,5 +360,6 @@ def synergy_scan(h_grid, m: int = 100, C_den: float = 0.2, n_draws: int = 5000,
         synergy = pair_value >= 2.0 * single_value
         probability = float(synergy.mean())
         threshold = float(delta[synergy].min()) if synergy.any() else None
-        records.append(SynergyRecord(bandwidth=h, threshold=threshold, probability=probability))
+        records.append(SynergyRecord(bandwidth=h, threshold=threshold,
+                                     probability=probability))
     return SynergyScanResult(records=records)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -113,9 +113,18 @@ class ExperimentConfig:
         return self.q if self.q is not None else p + 3
 
     def metadata(self) -> dict:
-        """Every setting but the bandwidth grid, with an unset q as ``"auto"``."""
-        meta = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "bandwidth_grid"}
-        return {**meta, "q": self.q if self.q is not None else "auto"}
+        return {
+            "task": self.task, "method": self.method, "m": self.m,
+            "q": self.q if self.q is not None else "auto",
+            "gamma": self.gamma, "seed": self.seed,
+            "n_value_points": self.n_value_points,
+            "background_size": self.background_size,
+            "heldout_size": self.heldout_size,
+            "repetitions": self.repetitions,
+            "baseline_draws": self.baseline_draws,
+            "bound_side": self.bound_side,
+            "threads": self.threads,
+        }
 
 
 @dataclass
@@ -170,18 +179,21 @@ def _bound_side(bounds, side):
 
 def _regression_spec(env, held):
     """Held-out risk gated at the environment's q, against the constant 2 sigma2."""
+    x_test, y_test = held
     return (UtilitySpec("regression_risk", gate=env.q, constant=2.0 * env.sigma2),
-            RegressionUtilityContext(gamma=env.gamma, x_test=held[0], y_test=held[1]))
+            RegressionUtilityContext(gamma=env.gamma, x_test=x_test, y_test=y_test))
 
 
 def _accuracy_spec(q, held):
     """Held-out accuracy gated at q."""
-    return UtilitySpec("accuracy", gate=q), AccuracyUtilityContext(*held)
+    x_test, y_test = held
+    return UtilitySpec("accuracy", gate=q), AccuracyUtilityContext(x_test=x_test, y_test=y_test)
 
 
 def _density_spec(kernel, eval_points):
     """Integrated squared error of the estimate, its cross term taken at ``eval_points``."""
-    return UtilitySpec("density_ise", gate=1), DensityUtilityContext(kernel, eval_points)
+    return UtilitySpec("density_ise", gate=1), DensityUtilityContext(kernel=kernel,
+                                                                     eval_points=eval_points)
 
 
 # Each family below values the points of one split and returns
@@ -277,7 +289,8 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
     orderings = ("largest", "lowest", "random")
     curves = {name: np.full((config.repetitions, steps + 1), np.nan) for name in orderings}
     data = dataset.x if config.task == "density" else (dataset.x, dataset.y)
-    rep0_values = rep0_indices = None
+    rep0_values = None
+    rep0_indices = None
 
     for rep in range(config.repetitions):
         sub = rng.substream(rep)
@@ -309,9 +322,11 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
             counts = np.sum(~np.isnan(grid), axis=0)
             stds = np.nanstd(grid, axis=0, ddof=1)
         std_errors = np.where(counts > 1, stds / np.sqrt(np.maximum(counts, 1)), 0.0)
-        results.append(PointAdditionCurve(ordering=name, utilities=means, std_errors=std_errors,
+        results.append(PointAdditionCurve(ordering=name, utilities=means,
+                                          std_errors=std_errors,
                                           repetitions=config.repetitions))
-    return PointAdditionResult(curves=results, rep0_indices=rep0_indices, rep0_values=rep0_values)
+    return PointAdditionResult(curves=results, rep0_indices=rep0_indices,
+                               rep0_values=rep0_values)
 
 
 _BENCH_BASELINE_DRAWS = {"regression": 1000, "classification": 50, "density": 100}
@@ -345,31 +360,41 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
     for ti, task in enumerate(tasks):
         for ci, (n_points, p) in enumerate(grid):
             cell_rng = rng.substream(1000 * ti + ci)
+            fast_times = []
+            base_times = []
             timed_points = min(baseline_points, n_points)
-            times = np.empty((2, repetitions))  # fast, and baseline scaled to every point
             for rep in range(repetitions):
                 rep_rng = cell_rng.substream(rep)
                 data = _bench_dataset(task, n_points + background_size + 200, p,
                                       rep_rng.substream(0))
-                common = dict(task=task, n_value_points=n_points, m=n_points, q=p + 3, seed=0,
-                              background_size=background_size, heldout_size=200, repetitions=1,
-                              threads=threads, baseline_draws=_BENCH_BASELINE_DRAWS[task])
-                fast_cfg = ExperimentConfig(method="fast", **common)
+                config_common = dict(
+                    task=task, n_value_points=n_points, m=n_points,
+                    q=p + 3, seed=0, background_size=background_size,
+                    heldout_size=200, repetitions=1, threads=threads,
+                    baseline_draws=_BENCH_BASELINE_DRAWS[task],
+                )
+                fast_cfg = ExperimentConfig(method="fast", **config_common)
                 split = _split_indices(data.n, fast_cfg, rep_rng.substream(1).generator)
+                value_idx, held_idx, bg_idx = split
+
                 start = time.perf_counter()
                 value_points(data, fast_cfg, rep_rng.substream(2), *split)
-                times[0, rep] = time.perf_counter() - start
+                fast_times.append(time.perf_counter() - start)
+
+                base_cfg = ExperimentConfig(method="baseline", **config_common)
+                sub_idx = value_idx[:timed_points]
                 start = time.perf_counter()
-                value_points(data, ExperimentConfig(method="baseline", **common), rep_rng.substream(3),
-                             split[0][:timed_points], *split[1:])
-                times[1, rep] = (time.perf_counter() - start) * (n_points / timed_points)
-            fast_mean, base_mean = (float(t) for t in times.mean(axis=1))
+                value_points(data, base_cfg, rep_rng.substream(3), sub_idx, held_idx, bg_idx)
+                elapsed = time.perf_counter() - start
+                base_times.append(elapsed * (n_points / timed_points))
+            fast_mean = float(np.mean(fast_times))
+            base_mean = float(np.mean(base_times))
             rows.append({
                 "task": task, "n_points": n_points, "p": p,
                 "fast_seconds": fast_mean,
-                "fast_seconds_std": float(np.std(times[0])),
+                "fast_seconds_std": float(np.std(fast_times)),
                 "baseline_seconds": base_mean,
-                "baseline_seconds_std": float(np.std(times[1])),
+                "baseline_seconds_std": float(np.std(base_times)),
                 "speedup": base_mean / fast_mean if fast_mean > 0 else float("inf"),
                 "repetitions": repetitions,
                 "baseline_draws": _BENCH_BASELINE_DRAWS[task],

@@ -101,7 +101,8 @@ class SpdMatrix:
         asym = np.linalg.norm(values - values.T)
         if scale > 0 and asym > self._SYM_RTOL * scale:
             raise InvalidParameterError(
-                f"matrix is not symmetric (relative asymmetry {asym / scale:.3e})")
+                f"matrix is not symmetric (relative asymmetry {asym / scale:.3e})"
+            )
         self.values = values
         self._chol = _cholesky_lower(values)
 
@@ -147,7 +148,9 @@ def estimate_second_moment(samples) -> SpdMatrix:
         raise InvalidParameterError("samples must form an (N, p) array")
     n, p = x.shape
     if n < p:
-        raise RankDeficiencyError(f"{n} samples cannot identify a {p}-dimensional second moment")
+        raise RankDeficiencyError(
+            f"{n} samples cannot identify a {p}-dimensional second moment"
+        )
     moment = (x.T @ x) / n
     # exact symmetrization guards against accumulation asymmetry
     moment = 0.5 * (moment + moment.T)

@@ -67,8 +67,11 @@ def write_results(table: ResultTable, path, format: str = "csv") -> None:
                 lines.append(",".join(_format_cell(v) for v in row))
             payload = "\n".join(lines) + "\n"
         else:
-            def cell(v):  # strict JSON has no NaN/infinity tokens
-                return None if isinstance(v, float) and not math.isfinite(v) else v
+            def cell(v):
+                # strict JSON has no NaN/infinity tokens
+                if isinstance(v, float) and not math.isfinite(v):
+                    return None
+                return v
 
             document = {
                 "metadata": {k: table.metadata[k] for k in sorted(table.metadata)},

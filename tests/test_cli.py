@@ -129,7 +129,6 @@ class TestErrors:
                     "--output", str(tmp_path / "o.csv")])
         assert code == 0
 
-
     def test_empty_heldout_set_exit_code(self, tmp_path, capsys):
         # a curve or supervised-baseline utility built on no held-out rows is refused
         reg, clf = tmp_path / "r.csv", tmp_path / "c.csv"
@@ -157,6 +156,25 @@ class TestErrors:
             out = tmp_path / f"{command}.csv"
             assert run([command, "--data", str(reg), "--target-column", "y",
                         "--task", "regression", "--output", str(out)] + common[:-2]) == 0
+
+    def test_classification_labels_not_zero_one_exit_code(self, tmp_path, capsys):
+        # the accuracy utility fits 0/1 labels only; -1/1 labels are refused, not scored
+        data = tmp_path / "c.csv"
+        assert run(["gen", "--kind", "gaussian-c", "--n", "300",
+                    "--seed", "1", "--output", str(data)]) == 0
+        rows = [line for line in data.read_text().splitlines() if not line.startswith("#")]
+        data.write_text("\n".join(rows[:1] + [line[:-3] + "-1.0" if line.endswith(",0.0")
+                                               else line for line in rows[1:]]) + "\n")
+        assert ",-1.0" in data.read_text()
+        common = ["--data", str(data), "--target-column", "y", "--task", "classification",
+                  "--m", "40", "--n-value-points", "5", "--background-size", "200",
+                  "--heldout-size", "50", "--baseline-draws", "30"]
+        for argv in (["baseline"], ["point-addition", "--method", "baseline", "--repetitions", "1"]):
+            out = tmp_path / "o.csv"
+            capsys.readouterr()
+            assert run(argv + common + ["--output", str(out)]) == 2
+            assert "labels must be 0/1" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_supervised_point_addition_needs_target(self, tmp_path, capsys):
         data = tmp_path / "r.csv"
