@@ -192,7 +192,7 @@ def _density_utilities(pts, sizes, spec: UtilitySpec, ctx: DensityUtilityContext
     out = np.empty((len(pts), sizes.size))
     for i, rows in enumerate(pts.reshape(len(pts), pts.shape[1], 1, -1)):
         conv = np.cumsum(np.cumsum(_kernel_means(ctx.kernel.self_convolution, rows, rows), 0), 1)
-        cross = np.cumsum(_kernel_means(ctx.kernel.evaluate, evals, rows)[:, 0])
+        cross = np.cumsum(_kernel_means(ctx.kernel.evaluate, evals, rows)[0])
         out[i] = conv[sizes - 1, sizes - 1] / sizes ** 2 - 2.0 * cross[sizes - 1] / sizes
     return spec.constant - out
 
@@ -205,6 +205,9 @@ def prefix_utilities(rows, sizes, spec: UtilitySpec, context) -> np.ndarray:
     ``sizes[j]`` rows of set i: 0 below the gate, NaN where the prefix cannot
     be fitted, and independent of the other sets and sizes in the call."""
     sizes = np.asarray(sizes, dtype=np.int64)
+    s = np.shape(rows[0] if isinstance(rows, tuple) else rows)[1]
+    if ((sizes < 0) | (sizes > s)).any():
+        raise InvalidParameterError(f"prefix sizes must lie in 0..{s}, got {sizes.tolist()}")
     out = np.zeros((_data_len(rows), sizes.size))
     fit = sizes >= spec.gate
     if fit.any():

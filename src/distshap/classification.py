@@ -23,8 +23,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .estimates import BoundParams, BoundsResult
-from .numerics import SpdMatrix, estimate_second_moment, inv_logit, mahalanobis_sq, solve_each
-from .regression import _envelope_bounds, _point_or_batch
+from .numerics import SpdMatrix, estimate_second_moment, in_shape, inv_logit, mahalanobis_sq, solve_each
+from .regression import _envelope_bounds
 
 __all__ = [
     "IRLSState",
@@ -55,7 +55,9 @@ class BinaryPointQuery:
     ``pi_star`` is the fitted class-1 probability, ``w_star`` its variance
     weight, ``z_star`` the working response, ``e2_b`` the weighted squared
     error and ``d_tilde`` the weighted Mahalanobis statistic driving the
-    value bounds. A batch holds ``(n, p)`` inputs and ``(n,)`` arrays.
+    value bounds. A batch holds ``(n, p)`` inputs and ``(n,)`` arrays; a point
+    holds scalars. The bounds value a point as a batch of one, and the shape
+    of ``d_tilde`` is the shape of their results.
     """
 
     x_star: np.ndarray
@@ -173,32 +175,26 @@ def transform_query(x_star, y_star, state: IRLSState, sigma_tilde_inv: SpdMatrix
     Refuses to proceed on a non-converged fit (the transformed quantities
     are meaningless when the MLE diverges). A probability that saturates to
     numerically 0 or 1 raises ``SaturationError`` unless ``clamp_weight``
-    opts into flooring the weight at 1e-12.
+    opts into flooring the weight at 1e-12. A datum is a batch of one, and
+    each row's statistics do not depend on the rows beside it.
     """
     if not state.converged:
         raise NotConvergedError("transform requires a converged IRLS fit")
     if not np.all(np.isin(y_star, (0, 1))):
         raise InvalidParameterError("y_star must be 0 or 1")
     x_star = np.asarray(x_star, dtype=float)
-    if x_star.ndim == 1:
-        eta = float(x_star @ state.beta)
-        y_star = int(y_star)
-    else:
-        eta = x_star @ state.beta
-        y_star = np.asarray(y_star).astype(int)
+    rows, shape = np.atleast_2d(x_star), x_star.shape[:-1]
+    y = np.atleast_1d(y_star).astype(int)
+    eta = np.einsum("ij,j->i", np.ascontiguousarray(rows), state.beta)
     pi = inv_logit(eta)
     w = pi * (1.0 - pi)
-    saturated = np.asarray(w) <= 0.0
-    if saturated.any():
-        if not clamp_weight:
-            first = float(np.atleast_1d(eta)[np.atleast_1d(saturated)][0])
-            raise SaturationError(f"fitted probability saturated (linear predictor {first:.3g})")
-        w = np.where(saturated, 1e-12, w) if saturated.ndim else 1e-12
-    z = eta + (y_star - pi) / w
-    e2_b = (y_star - pi) ** 2 / w
-    d_tilde = w * mahalanobis_sq(x_star, sigma_tilde_inv)
-    return BinaryPointQuery(x_star=x_star, y_star=y_star, pi_star=pi,
-                            w_star=w, z_star=z, e2_b=e2_b, d_tilde=d_tilde)
+    saturated = w <= 0.0
+    if saturated.any() and not clamp_weight:
+        raise SaturationError(f"fitted probability saturated (linear predictor {eta[saturated][0]:.3g})")
+    w[saturated] = 1e-12
+    stats = dict(y_star=y, pi_star=pi, w_star=w, z_star=eta + (y - pi) / w, e2_b=(y - pi) ** 2 / w,
+                 d_tilde=w * mahalanobis_sq(rows, sigma_tilde_inv))
+    return BinaryPointQuery(x_star=x_star, **{k: in_shape(v, shape) for k, v in stats.items()})
 
 
 def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int,
@@ -217,6 +213,5 @@ def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int,
         raise InvalidParameterError("valuation horizon m must be at least 1")
     if q < p + 3:
         raise InvalidParameterError(f"binary bounds need q >= p + 3, got q={q}, p={p}")
-    result = _envelope_bounds(np.atleast_1d(query.d_tilde), np.atleast_1d(query.e2_b),
-                              sigma2=1.0, m=m, q=q, p=p, params=params, early_stop=True)
-    return _point_or_batch(result, query.x_star.ndim == 2)
+    return _envelope_bounds(query.d_tilde, query.e2_b, sigma2=1.0, m=m, q=q, p=p, params=params,
+                            early_stop=True)

@@ -132,10 +132,10 @@ def _target_column(args):
 
 def _experiment_config(args, method: str) -> ExperimentConfig:
     extra = {}
-    if args.bandwidth_grid:
+    if args.bandwidth_grid is not None:  # an empty grid goes on, for select_bandwidth to refuse
         grid = args.bandwidth_grid
         extra["bandwidth_grid"] = tuple(
-            float(h) for h in (grid.split(",") if isinstance(grid, str) else grid))
+            float(h) for h in (grid.split(",") if grid and isinstance(grid, str) else grid))
     return ExperimentConfig(
         task=args.task, method=method, n_value_points=args.n_value_points,
         m=args.m, q=args.q, gamma=args.gamma, seed=args.seed,
@@ -196,8 +196,11 @@ def _cmd_point_addition(args) -> None:
 def _cmd_time_bench(args) -> None:
     cells = []
     for chunk in args.cells.split(";"):
-        n_str, p_str = chunk.split(",")
-        cells.append((int(n_str), int(p_str)))
+        try:
+            n_str, p_str = chunk.split(",")
+            cells.append((int(n_str), int(p_str)))
+        except ValueError:
+            raise InvalidParameterError(f"cell {chunk!r} is not two integers n,p") from None
     tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
     rows = run_time_bench(cells, tasks, RandomStream(args.seed),
                           repetitions=args.repetitions,

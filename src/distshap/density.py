@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BandwidthSelectionError, InvalidParameterError
 from .estimates import ValueEstimate
-from .numerics import RandomStream
+from .numerics import RandomStream, in_shape
 
 __all__ = [
     "KernelSpec",
@@ -86,6 +86,7 @@ class KernelSpec:
 class DensityValueRequest:
     """A set ``(n, dim)`` or a stack ``(k, n, dim)`` of equal-size sets, valued at horizon ``m``.
 
+    One set is a stack of one and gives floats; no set's bits depend on the rest of a stack.
     ``mc_budget`` is unused: the value is an exact expectation over the
     background rows, so there is nothing to draw.
     """
@@ -119,28 +120,27 @@ class SynergyScanResult:
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return pts
+    return pts[:, None] if pts.ndim == 1 else pts
 
 
 def _kernel_means(fn, sets: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Mean over each set of the stack ``sets`` (k, n, dim) of ``fn(z_r - s_i)``, as (rows, k).
+    """Mean over each set of the stack ``sets`` (k, n, dim) of ``fn(z_r - s_i)``, as (k, rows).
 
     ``z`` is ``(rows, 1, dim)``, rows shared by every set, or ``(rows, k, dim)``,
     one column of rows per set. ``fn`` is a bound ``KernelSpec.evaluate`` or
     ``self_convolution``; the rows, the sets and the kernel must share one width.
+    Set-major, so each set's reductions over the rows do not depend on ``k``.
     """
     k, n, dim = sets.shape
     if z.shape[-1] != dim or fn.__self__.dim != dim:
         raise InvalidParameterError(
             f"rows of width {z.shape[-1]} against a set of width {dim} "
             f"under a {fn.__self__.dim}-d kernel")
-    out = np.empty((z.shape[0], k))
+    out = np.empty((k, z.shape[0]))
     step = _block_rows(k * n, dim)
     for start in range(0, z.shape[0], step):
-        diffs = z[start:start + step, :, None, :] - sets[None]
-        out[start:start + step] = fn(diffs).mean(axis=2)
+        diffs = z[start:start + step, :, None, :].swapaxes(0, 1) - sets[:, None]
+        out[:, start:start + step] = fn(diffs).mean(axis=2)
     return out
 
 
@@ -154,13 +154,13 @@ def kde_evaluate(s, kernel: KernelSpec, z):
     if pts.shape[0] == 0:
         raise InvalidParameterError("the reference set must be nonempty")
     z_arr = np.asarray(z, dtype=float)
-    out = _kernel_means(kernel.evaluate, pts[None], np.atleast_2d(z_arr)[:, None, :])[:, 0]
-    return float(out[0]) if z_arr.ndim <= 1 else out
+    out = _kernel_means(kernel.evaluate, pts[None], np.atleast_2d(z_arr)[:, None, :])[0]
+    return in_shape(out, z_arr.shape[:-1])
 
 
 def _mean_self_convolution(kernel: KernelSpec, sets: np.ndarray) -> np.ndarray:
     """Exact ``integral p_hat^2`` of each set of the stack, via pairwise self-convolutions."""
-    return _kernel_means(kernel.self_convolution, sets, sets.transpose(1, 0, 2)).mean(axis=0)
+    return _kernel_means(kernel.self_convolution, sets, sets.transpose(1, 0, 2)).mean(axis=1)
 
 
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,9 +245,9 @@ def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpe
     ``s_1..s_n``, row ``r`` contributes
     ``(2A + B) p_hat(r) - B mean_i (k*k)(s_i - r) - A int p_hat^2``;
     ``std_error`` is the standard error of the row mean. A stack of sets is
-    valued in one pass over the rows and gives ``(k,)`` arrays; one set
-    gives floats. ``return_components`` adds the row means of the fit term
-    ``-A (int p_hat^2 - 2 p_hat(r))`` and of the bias term, the rest.
+    valued in one pass over the rows and gives ``(k,)`` arrays; one set is a
+    stack of one and gives floats. ``return_components`` adds the row means of
+    the fit term ``-A (int p_hat^2 - 2 p_hat(r))`` and of the bias term, the rest.
     Nothing is drawn: ``rng`` and ``request.mc_budget`` are unused. The
     value is reported up to an additive constant shared by all sets of the
     same size and horizon, so only differences and rankings at fixed set
@@ -256,26 +256,25 @@ def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpe
     bg = _as_points(background)
     if bg.shape[0] == 0:
         raise InvalidParameterError("background sample must be nonempty")
-    single = request.s_star.ndim == 2
-    sets = request.s_star[None] if single else request.s_star
+    shape = request.s_star.shape[:-2]
+    sets = request.s_star.reshape((-1,) + request.s_star.shape[-2:])
     a, b = coeff_A(sets.shape[1], request.m), coeff_B(sets.shape[1], request.m)
     rows = bg[:, None, :]
-    p_hat = _kernel_means(kernel.evaluate, sets, rows)
+    p_hat = _kernel_means(kernel.evaluate, sets, rows)  # (sets, rows)
     per_row = _kernel_means(kernel.self_convolution, sets, rows)  # the cross term, then t_r
     square = _mean_self_convolution(kernel, sets)
     if return_components:
-        p_mean = p_hat.mean(axis=0)
-        components = [-a * (square - 2.0 * p_mean), b * (p_mean - per_row.mean(axis=0))]
+        p_mean = p_hat.mean(axis=1)
+        components = [-a * (square - 2.0 * p_mean), b * (p_mean - per_row.mean(axis=1))]
     per_row *= -b
     p_hat *= 2.0 * a + b
     per_row += p_hat
-    per_row -= a * square
-    value = per_row.mean(axis=0)
-    std_error = (per_row.std(axis=0, ddof=1) / np.sqrt(bg.shape[0]) if bg.shape[0] > 1
+    per_row -= a * square[:, None]
+    value = per_row.mean(axis=1)
+    std_error = (per_row.std(axis=1, ddof=1) / np.sqrt(bg.shape[0]) if bg.shape[0] > 1
                  else np.zeros_like(value))
     results = [value, std_error] + (components if return_components else [])
-    if single:
-        results = [float(r[0]) for r in results]
+    results = [in_shape(r, shape) for r in results]
     estimate = ValueEstimate(value=results[0], std_error=results[1],
                              inner_iters_used=[], truncated_at_j=None)
     return (estimate, tuple(results[2:])) if return_components else estimate

@@ -20,6 +20,7 @@ __all__ = [
     "spd_inverse",
     "estimate_second_moment",
     "mahalanobis_sq",
+    "in_shape",
     "inv_logit",
     "solve_each",
 ]
@@ -160,16 +161,21 @@ def estimate_second_moment(samples) -> SpdMatrix:
 def mahalanobis_sq(x, sigma_inv: SpdMatrix):
     """Quadratic form ``x^T sigma_inv x`` (squared Mahalanobis distance from zero).
 
-    A vector gives a float; the rows of an ``(n, p)`` array give an ``(n,)`` array.
+    A vector gives a float and the rows of an ``(n, p)`` array an ``(n,)`` array, each row summed alone.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != sigma_inv.dim:
         raise InvalidParameterError(
             f"dimension mismatch: input of shape {x.shape} vs matrix dim {sigma_inv.dim}"
         )
-    if x.ndim == 1:
-        return max(float(x @ sigma_inv.values @ x), 0.0)
-    return np.maximum(np.sum((x @ sigma_inv.values) * x, axis=1), 0.0)
+    return in_shape(np.maximum(np.einsum("...i,ij,...j->...", x, sigma_inv.values, x), 0.0),
+                    x.shape[:-1])
+
+
+def in_shape(values, shape):
+    """A kernel's results for a batch, in the shape its query came in: a batch's ``(n,)``
+    as they are, and a point's (``shape`` is ``()``) its one entry as a Python scalar."""
+    return values if shape else np.asarray(values).item()
 
 
 def inv_logit(t):
@@ -180,7 +186,4 @@ def inv_logit(t):
     """
     arr = np.asarray(t, dtype=float)
     e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    return in_shape(np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), arr.shape)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
 from .estimates import BoundParams, BoundsResult, MCControls, ValueEstimate
-from .numerics import RandomStream, SpdMatrix, estimate_second_moment, mahalanobis_sq, spd_inverse
+from .numerics import RandomStream, SpdMatrix, estimate_second_moment, in_shape, mahalanobis_sq, spd_inverse
 
 __all__ = [
     "RegressionEnvironment",
@@ -91,7 +91,8 @@ class PointQuery:
 
     ``e2`` is the squared prediction error against the environment's fit and
     ``d`` the squared Mahalanobis distance of the input from zero. A batch
-    holds ``(n, p)`` inputs and ``(n,)`` arrays of targets and statistics.
+    holds ``(n, p)`` inputs and ``(n,)`` arrays of targets and statistics, a
+    point floats; the kernels value a point as a batch of one.
     """
 
     x_star: np.ndarray
@@ -106,13 +107,11 @@ class PointQuery:
 
     @classmethod
     def from_point(cls, x, y, env: RegressionEnvironment) -> "PointQuery":
-        """Query for one input ``x`` of shape (p,), or for the rows of an (n, p) batch."""
+        """Query for one input ``x`` (p,) or the rows of an (n, p) batch, each row summed alone."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            e2 = float(y - x @ env.beta_hat) ** 2
-            return cls(x_star=x, y_star=float(y), e2=e2, d=mahalanobis_sq(x, env.sigma_inv))
         y = np.asarray(y, dtype=float)
-        return cls(x_star=x, y_star=y, e2=(y - x @ env.beta_hat) ** 2,
+        e2 = (y - np.einsum("...j,j->...", np.ascontiguousarray(x), env.beta_hat)) ** 2
+        return cls(x_star=x, y_star=in_shape(y, x.shape[:-1]), e2=in_shape(e2, x.shape[:-1]),
                    d=mahalanobis_sq(x, env.sigma_inv))
 
 
@@ -145,11 +144,12 @@ def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0) -> RegressionEnv
                                  beta_hat=beta_hat, sigma_inv=sigma_inv)
 
 
-def _empty_sum_estimate(m, q) -> ValueEstimate:
+def _empty_sum_estimate(m, q, shape) -> ValueEstimate:
     warnings.warn(
         f"valuation horizon m={m} is below the utility gate q={q}; "
         "the value is an empty sum and exactly 0", stacklevel=3)
-    return ValueEstimate(value=0.0, std_error=0.0, inner_iters_used=[], truncated_at_j=None)
+    return ValueEstimate(value=in_shape(np.zeros(shape), shape),
+                         std_error=in_shape(np.zeros(shape), shape), inner_iters_used=[], truncated_at_j=None)
 
 
 def _first_stable_index(running: np.ndarray, rho: float,
@@ -193,18 +193,17 @@ def dshapley_regression_quadrature(query: PointQuery, env: RegressionEnvironment
     double-exponential rule roughly squares its relative error.
 
     Requires ``gamma = 0`` and ``q >= p + 3``. Returns exact 0 (with a
-    warning) when the horizon sits below the gate. For a batch query the
-    value and ``std_error`` are ``(n,)`` arrays.
+    warning) when the horizon sits below the gate. The value and ``std_error``
+    take the shape of ``query.d``; no point's bits depend on the batch.
     """
     if env.gamma != 0.0:
         raise InvalidParameterError("the quadrature route requires gamma = 0")
     if env.q < env.p + 3:
         raise InvalidParameterError(f"quadrature route needs q >= p + 3, got q={env.q}, p={env.p}")
-    batched = query.x_star.ndim == 2
-    d, e2 = np.atleast_1d(query.d).astype(float), np.atleast_1d(query.e2).astype(float)
+    shape = np.shape(query.d)
     if env.m < env.q:
-        empty = _empty_sum_estimate(env.m, env.q)
-        return ValueEstimate(value=np.zeros(d.size), std_error=np.zeros(d.size)) if batched else empty
+        return _empty_sum_estimate(env.m, env.q, shape)
+    d, e2 = np.atleast_1d(query.d).astype(float), np.atleast_1d(query.e2).astype(float)
 
     js = np.arange(env.q - 1, env.m, dtype=float)
     coef = (js - 1.0) / (js - env.p)
@@ -222,13 +221,13 @@ def dshapley_regression_quadrature(query: PointQuery, env: RegressionEnvironment
     def rule(every):
         w = every * _QUAD_W[::every] * g[::every]
         nodes = decay[:, ::every]
-        return -(s2 * (nodes @ w) + d * (e2 - s2) * (nodes @ (w * _QUAD_U[::every]))) / env.m
+        # row by row, not a matrix product, whose summation order depends on the row count
+        return -(s2 * np.einsum("ij,j->i", nodes, w)
+                 + d * (e2 - s2) * np.einsum("ij,j->i", nodes, w * _QUAD_U[::every])) / env.m
 
     value = rule(1)
     std_error = np.abs(value - rule(2))
-    if batched:
-        return ValueEstimate(value=value, std_error=std_error)
-    return ValueEstimate(value=float(value[0]), std_error=float(std_error[0]))
+    return ValueEstimate(value=in_shape(value, shape), std_error=in_shape(std_error, shape))
 
 
 def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
@@ -253,7 +252,7 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
     if env.q < env.p + 3:
         raise InvalidParameterError(f"exact route needs q >= p + 3, got q={env.q}, p={env.p}")
     if env.m < env.q:
-        return _empty_sum_estimate(env.m, env.q)
+        return _empty_sum_estimate(env.m, env.q, ())
 
     d, e2, s2 = query.d, query.e2, env.sigma2
     js = np.arange(env.q - 1, env.m)
@@ -310,7 +309,7 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
 def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
                      params: BoundParams, ridge: tuple = (0.0, 0.0),
                      early_stop: bool = False) -> BoundsResult:
-    """Eigenvalue-envelope value bounds for the ``(n,)`` arrays ``d`` and ``e2``.
+    """Eigenvalue-envelope value bounds, in the shape of ``d``, for ``d`` and ``e2``.
 
     Each admitted subset size ``j`` carries envelopes for the inverse design
     Gram matrix, ``1 / (j (1 -+ delta_j)^2 + ridge)``, where ``ridge`` holds
@@ -319,8 +318,10 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
     skipped and counted, since the probability bound is vacuous there. With
     ``early_stop`` each point's sums end where its running lower bound
     changes by at most ``params.rho`` relatively. Points are worked through
-    in row blocks small enough to stay in cache.
+    in row blocks small enough to stay in cache; a point is a block of one.
     """
+    shape = np.shape(d)
+    d, e2 = np.atleast_1d(d), np.atleast_1d(e2)
     js = np.arange(q - 1, m, dtype=float)
     delta = (params.C * np.sqrt(p) + np.sqrt(np.log(js * m) / (2.0 * params.c))) / np.sqrt(js)
     valid = delta < 1.0
@@ -346,15 +347,9 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
         lower[rows] = np.where(summed, lower_terms, 0.0).sum(axis=1) / m
         upper[rows] = np.where(summed, upper_terms, 0.0).sum(axis=1) / m
     stopped = [int(js[k - 1]) if h else None for h, k in zip(hit, counts)]
-    return BoundsResult(lower=lower, upper=upper, skipped_terms=int(np.count_nonzero(~valid)),
-                        stopped_at_j=stopped)
-
-
-def _point_or_batch(result: BoundsResult, batched: bool) -> BoundsResult:
-    if batched:
-        return result
-    return BoundsResult(lower=float(result.lower[0]), upper=float(result.upper[0]),
-                        skipped_terms=result.skipped_terms, stopped_at_j=result.stopped_at_j[0])
+    return BoundsResult(lower=in_shape(lower, shape), upper=in_shape(upper, shape),
+                        skipped_terms=int(np.count_nonzero(~valid)),
+                        stopped_at_j=in_shape(stopped, shape))
 
 
 def dshapley_regression_bounds(query: PointQuery, env: RegressionEnvironment,
@@ -367,10 +362,8 @@ def dshapley_regression_bounds(query: PointQuery, env: RegressionEnvironment,
     """
     params = params if params is not None else BoundParams()
     eigs = np.linalg.eigvalsh(env.sigma_inv.values)
-    result = _envelope_bounds(np.atleast_1d(query.d), np.atleast_1d(query.e2),
-                              sigma2=env.sigma2, m=env.m, q=env.q, p=env.p, params=params,
-                              ridge=(env.gamma * float(eigs[0]), env.gamma * float(eigs[-1])))
-    return _point_or_batch(result, query.x_star.ndim == 2)
+    return _envelope_bounds(query.d, query.e2, sigma2=env.sigma2, m=env.m, q=env.q, p=env.p,
+                            params=params, ridge=(env.gamma * eigs[0], env.gamma * eigs[-1]))
 
 
 def make_gaussian_sampler(sigma_x: SpdMatrix):
@@ -402,7 +395,7 @@ def dshapley_regression_general_mc(query: PointQuery, env: RegressionEnvironment
     if n_outer < 1:
         raise InvalidParameterError("n_outer must be at least 1")
     if env.m < env.q:
-        return _empty_sum_estimate(env.m, env.q)
+        return _empty_sum_estimate(env.m, env.q, ())
 
     sigma_x = spd_inverse(env.sigma_inv).values
     x = query.x_star

@@ -171,6 +171,15 @@ class TestStackedUtilities:
             evaluate_utility((x[1], y[1]), spec, ctx)
         assert excinfo.value.subset_size == 14
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_size_outside_the_set_rejected(self, family):
+        # each set has 14 rows; 0 and 14 are the ends of the valid range
+        spec, ctx, rows = family_stack(family)
+        assert prefix_utilities(rows, [0, 14], spec, ctx).shape == (4, 2)
+        for size in (15, 25, 40, -1, -3):
+            with pytest.raises(InvalidParameterError, match="prefix sizes"):
+                prefix_utilities(rows, [5, size], spec, ctx)
+
     def test_empty_evaluation_rows_rejected(self):
         for family in ("heldout", "accuracy", "density"):
             spec, ctx, rows = family_stack(family)

@@ -77,6 +77,17 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_empty_bandwidth_grid_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n" + "\n".join(f"{i * 0.01},{i * 0.02}" for i in range(100)))
+        out = tmp_path / "o.csv"
+        code = run(["value", "--data", str(data), "--task", "density",
+                    "--m", "20", "--n-value-points", "5", "--background-size", "50",
+                    "--heldout-size", "0", "--bandwidth-grid", "", "--output", str(out)])
+        assert code == 2
+        assert "InvalidParameterError: bandwidth grid must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_time_bench_counts_exit_code(self, tmp_path, capsys):
         for flags in (["--repetitions", "0"], ["--baseline-points", "0"],
                       ["--tasks", "nope"], ["--tasks", ","]):
@@ -85,6 +96,13 @@ class TestErrors:
                         "--seed", "0", "--output", str(out)] + flags)
             assert code == 2
             assert "InvalidParameterError" in capsys.readouterr().err
+            assert not out.exists()
+        for cells, bad in (("200", "'200'"), ("200,10,5", "'200,10,5'"), ("200,10;", "''")):
+            out = tmp_path / "bench.csv"
+            code = run(["time-bench", "--cells", cells, "--tasks", "regression",
+                        "--seed", "0", "--output", str(out)])
+            assert code == 2
+            assert f"InvalidParameterError: cell {bad} is not" in capsys.readouterr().err
             assert not out.exists()
 
     def test_classification_horizon_below_one_exit_code(self, tmp_path, capsys):
@@ -249,6 +267,16 @@ class TestConfigFile:
                     "--n-value-points", "5", "--heldout-size", "0", "--config", str(cfg),
                     "--output", str(out)]) == 0
         assert len(read_results(out).rows) == 5
+
+        # an empty grid is refused, not replaced by the default grid
+        cfg.write_text(json.dumps({"bandwidth_grid": [], "no_header": True}))
+        out = tmp_path / "empty-grid.csv"
+        capsys.readouterr()
+        assert run(["value", "--data", str(density), "--task", "density", "--m", "20",
+                    "--n-value-points", "5", "--heldout-size", "0", "--config", str(cfg),
+                    "--output", str(out)]) == 2
+        assert "bandwidth grid must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
