@@ -110,6 +110,15 @@ class TestSelectBandwidth:
         h = select_bandwidth(samples, [0.3, 0.3])
         assert h == 0.3
 
+    @staticmethod
+    def direct_loo_score(pts, h):
+        n, dim = pts.shape
+        diffs = pts[:, None, :] - pts[None, :, :]
+        kern = KernelSpec("gaussian", h, dim)
+        square = kern.self_convolution(diffs).sum() / n ** 2
+        held_out = kern.evaluate(diffs)[~np.eye(n, dtype=bool)].sum() / (n * (n - 1))
+        return square - 2.0 * held_out
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_loo_scores_match_direct_formula(self, dim, monkeypatch):
         # a small block budget runs several blocks, the last one short
@@ -118,13 +127,43 @@ class TestSelectBandwidth:
         assert n % density._block_rows(n, dim) != 0 and density._block_rows(n, dim) < n
         pts = RandomStream(11).generator.standard_normal((n, dim))
         grid = [0.05, 0.2, 0.7, 2.5]
-        diffs = pts[:, None, :] - pts[None, :, :]
-        off_diagonal = ~np.eye(n, dtype=bool)
         for h, got in zip(grid, density._gaussian_loo_scores(pts, grid)):
-            kern = KernelSpec("gaussian", h, dim)
-            square = kern.self_convolution(diffs).sum() / n ** 2
-            held_out = kern.evaluate(diffs)[off_diagonal].sum() / (n * (n - 1))
-            assert got == pytest.approx(square - 2.0 * held_out, rel=1e-12)
+            assert got == pytest.approx(self.direct_loo_score(pts, h), rel=1e-12)
+
+    @pytest.mark.parametrize("arg, band", [(-726.0, (-745.0, -708.4)),
+                                           (-800.0, (-np.inf, -745.2))])
+    def test_loo_scores_in_underflow_bands(self, arg, band, monkeypatch):
+        # Nearly equidistant points put every off-diagonal term exp(-sq / 4h^2) of the
+        # all-pairs sum where numpy's exp is slow: subnormal at -726, 0 at -800.
+        monkeypatch.setattr(density, "_BLOCK_BUDGET", 750)
+        n = 12
+        assert n % density._block_rows(n, n) != 0 and density._block_rows(n, n) < n
+        pts = 3.0 * np.eye(n) + 0.01 * RandomStream(14).generator.standard_normal((n, n))
+        sq = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)[~np.eye(n, dtype=bool)]
+        h = np.sqrt(np.median(sq) / (-4.0 * arg))
+        args = -sq / (4.0 * h * h)
+        assert np.all((args > band[0]) & (args < band[1]))
+        (got,) = density._gaussian_loo_scores(pts, [h])
+        assert got == pytest.approx(self.direct_loo_score(pts, h), rel=1e-12)
+
+    def test_loo_scores_do_not_depend_on_blocking(self, monkeypatch):
+        n, dim = 37, 3
+        pts = RandomStream(15).generator.standard_normal((n, dim))
+        grid = [0.01, 0.05, 0.2, 0.7, 2.5]
+        whole = density._gaussian_loo_scores(pts, grid)
+        assert density._block_rows(n, dim) >= n
+        monkeypatch.setattr(density, "_BLOCK_BUDGET", 400)
+        assert n % density._block_rows(n, dim) != 0 and density._block_rows(n, dim) < n
+        assert density._gaussian_loo_scores(pts, grid) == pytest.approx(whole, rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_nonfinite_sample_rejected(self, dim, bad):
+        # before any scoring, which would drop a NaN pair in its masked exp
+        samples = RandomStream(0).generator.standard_normal((50, dim))
+        samples[7, dim - 1] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            select_bandwidth(samples[:, 0] if dim == 1 else samples, APPENDIX_GRID)
 
     def test_two_samples_accepted_one_rejected(self):
         assert select_bandwidth(np.array([0.0, 1.0]), [0.1, 1.0]) in (0.1, 1.0)
