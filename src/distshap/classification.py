@@ -198,14 +198,16 @@ def transform_query(x_star, y_star, state: IRLSState, sigma_tilde_inv: SpdMatrix
 
 
 def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int,
-                           params: BoundParams | None = None) -> BoundsResult:
+                           params: BoundParams | None = None, *,
+                           _side: str | None = None) -> BoundsResult:
     """Deterministic lower/upper value bounds for a transformed binary datum or batch.
 
     The regression envelope bounds at zero ridge, with the conditional
     variance fixed at 1 by the working-response model. Summation runs until
     the running lower bound's relative change drops to ``params.rho``;
     indices with vacuous concentration (deviation >= 1) are skipped and
-    counted.
+    counted. ``_side`` ("lower" or "upper") computes that side alone and
+    leaves the other None; the stop always follows the lower bound.
     """
     params = params if params is not None else BoundParams()
     p = query.x_star.shape[-1]
@@ -214,4 +216,4 @@ def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int,
     if q < p + 3:
         raise InvalidParameterError(f"binary bounds need q >= p + 3, got q={q}, p={p}")
     return _envelope_bounds(query.d_tilde, query.e2_b, sigma2=1.0, m=m, q=q, p=p, params=params,
-                            early_stop=True)
+                            early_stop=True, side=_side)

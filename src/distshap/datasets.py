@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -93,16 +94,36 @@ def _parse_cells(path, rows) -> np.ndarray:
     return values
 
 
-def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
-    """Load a numeric delimited file into a dataset.
+def _parse_text(text: str, has_header: bool):
+    """(header, values) of quote-free text parsed in C, or None when the
+    cell-by-cell path must parse it (to locate a bad cell, among others).
 
-    ``target_column`` may be a column name (requires a header), a 0-based
-    index, or None for features-only data. Non-finite and non-numeric
-    entries are rejected with their 1-based (data row, column) location.
+    Without quotes, csv.reader ends a record at CR LF, CR or LF and splits it
+    at every comma; this splits the same way. The result is kept only when
+    every kept line gives one row of finite values.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
+    if '"' in text:
+        return None
+    lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+             if line and not line.lstrip().startswith("#")]
+    header = [name.strip() for name in lines[0].split(",")] if has_header and lines else None
+    body = lines[1:] if has_header else lines
+    if not body:
+        return None
+    try:
+        # no comment character: "4 # note" is a bad cell, not 4
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(body), body[0].count(",") + 1) or not np.isfinite(values).all():
+        return None
+    return header, values
+
+
+def _parse_records(path, text: str, has_header: bool):
+    """(header, values) through csv.reader; raises at the first bad row or cell."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline=""))
+            if row and not row[0].lstrip().startswith("#")]
     if not rows:
         raise CsvParseError(f"{path} contains no data")
 
@@ -126,6 +147,22 @@ def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
         # the slow path locates the bad cell; should numpy reject a cell that
         # float() accepts, it returns the array float() parses instead
         values = _parse_cells(path, rows)
+    return header, values
+
+
+def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
+    """Load a numeric delimited file into a dataset.
+
+    ``target_column`` may be a column name (requires a header), a 0-based
+    index, or None for features-only data. Non-finite and non-numeric
+    entries are rejected with their 1-based (data row, column) location.
+    Lines whose first cell starts with "#" are comments. The file is parsed
+    in C where it can be, and cell by cell with ``float()`` otherwise.
+    """
+    with open(path, newline="") as handle:
+        text = handle.read()
+    header, values = _parse_text(text, has_header) or _parse_records(path, text, has_header)
+    width = values.shape[1]
 
     if target_column is None:
         return Dataset(x=values, y=None, name=str(path))

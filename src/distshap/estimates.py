@@ -82,7 +82,8 @@ class BoundsResult:
     ``skipped_terms`` counts summation indices dropped because the
     concentration deviation reached 1 (the bound is vacuous there);
     ``stopped_at_j`` is the index where the early stop fired, if any. For a
-    batch of points the bounds are arrays and ``stopped_at_j`` is a list.
+    batch of points the bounds are arrays and ``stopped_at_j`` is a list. A
+    side the caller did not ask for is None.
     """
 
     lower: float

@@ -174,7 +174,8 @@ def _baseline_values(points, pool, utility, rows, config, rng):
 
 
 def _bound_side(bounds, side):
-    return (bounds.lower if side == "lower" else bounds.upper), np.zeros(len(bounds.lower))
+    values = getattr(bounds, side)
+    return values, np.zeros(len(values))
 
 
 def _regression_spec(env, held):
@@ -205,7 +206,8 @@ def _regression_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     env = fit_background(bx, by, m=config.m, q=q, gamma=config.gamma)
     utility = partial(_regression_spec, env)
     if config.method == "bounds":
-        bounds = dshapley_regression_bounds(PointQuery.from_point(xs, ys, env), env)
+        bounds = dshapley_regression_bounds(PointQuery.from_point(xs, ys, env), env,
+                                            _side=config.bound_side)
         return _bound_side(bounds, config.bound_side), utility
     if config.method == "fast":
         est = dshapley_regression_quadrature(PointQuery.from_point(xs, ys, env), env)
@@ -224,8 +226,8 @@ def _classification_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     state = irls_fit(bx, by)
     sigma_tilde_inv = spd_inverse(estimate_weighted_second_moment(bx, state.beta))
     query = transform_query(xs, ys, state, sigma_tilde_inv, clamp_weight=True)
-    bounds = dshapley_binary_bounds(query, config.m, q)
     side = config.bound_side if config.method == "bounds" else "lower"
+    bounds = dshapley_binary_bounds(query, config.m, q, _side=side)
     return _bound_side(bounds, side), utility
 
 

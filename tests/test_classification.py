@@ -19,6 +19,7 @@ from distshap import (
     spd_inverse,
     transform_query,
 )
+import distshap.regression as regression
 from distshap.classification import _irls_stack
 
 
@@ -160,6 +161,49 @@ class TestTransformQuery:
             transform_query(np.zeros(3), 2, state, sti)
 
 
+_STOP_M, _STOP_Q, _STOP_P = 1000, 6, 3
+
+
+def _stop_inputs():
+    """Statistics of 300 random points, a d=0 point and an e2=0 point, and the
+    admitted sizes with their envelopes at m=1000, q=6, p=3."""
+    m, q, p = _STOP_M, _STOP_Q, _STOP_P
+    js = np.arange(q - 1, m, dtype=float)
+    delta = (np.sqrt(p) + np.sqrt(np.log(js * m) / 2.0)) / np.sqrt(js)
+    js, delta = js[delta < 1.0], delta[delta < 1.0]
+    gen = RandomStream(8).generator
+    d = np.concatenate([gen.exponential(1.0, 300), [0.0, 1.5]])
+    e2 = np.concatenate([gen.exponential(2.0, 300), [1.0, 0.0]])
+    return d, e2, js, 1.0 / (js * (1.0 + delta) ** 2), 1.0 / (js * (1.0 - delta) ** 2)
+
+
+def _one_pass_bounds(d, e2, js, env_lo, env_up, rho):
+    """Unit-noise bounds from every size's terms at once, as one cumsum and
+    one pairwise sum per point: (lower, upper, stopped_at_j, relative changes)."""
+    m = _STOP_M
+    t, err = d[:, None], e2[:, None]
+    ratio = ((1.0 + t * env_lo) / (1.0 + t * env_up)) ** 2
+    lower_terms = t * env_lo ** 2 / (1.0 + t * env_up) ** 2 * ((2.0 + t * env_lo) * 1.0 - err / ratio)
+    upper_terms = t * env_up ** 2 / (1.0 + t * env_lo) ** 2 * ((2.0 + t * env_up) * 1.0 - ratio * err)
+    running = np.cumsum(lower_terms, axis=1) / m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(running[:, :-1] / running[:, 1:] - 1.0)
+    ok = (running[:, 1:] != 0.0) & (rel <= rho)
+    hit = ok.any(axis=1)
+    counts = np.where(hit, np.argmax(ok, axis=1) + 2, js.size)
+    summed = np.arange(js.size) < counts[:, None]
+    lower = np.where(summed, lower_terms, 0.0).sum(axis=1) / m
+    upper = np.where(summed, upper_terms, 0.0).sum(axis=1) / m
+    return lower, upper, [int(js[k - 1]) if h else None for h, k in zip(hit, counts)], rel
+
+
+def _stop_query(d, e2):
+    shape = np.shape(d)
+    return BinaryPointQuery(x_star=np.zeros(shape + (_STOP_P,)), y_star=np.ones(shape, dtype=int),
+                            pi_star=np.full(shape, 0.5), w_star=np.full(shape, 0.25),
+                            z_star=np.full(shape, 2.0), e2_b=e2, d_tilde=d)
+
+
 def make_query(d_tilde, e2_b, p=3):
     return BinaryPointQuery(x_star=np.zeros(p), y_star=1, pi_star=0.5, w_star=0.25,
                             z_star=2.0, e2_b=e2_b, d_tilde=d_tilde)
@@ -240,6 +284,43 @@ class TestBinaryBounds:
         # the per-point magnitude shrinks once the horizon is well past the gate
         assert abs(results[2000].lower[0]) < abs(results[120].lower[0])
         assert results[2000].lower[1] == 0.0 == results[2000].upper[1]
+
+    @pytest.mark.parametrize("width", [1, 7, regression._STOP_CHUNK, 2000])
+    @pytest.mark.parametrize("rows", [regression._BOUND_ROWS, 5])
+    def test_chunked_stop_is_bit_identical(self, monkeypatch, width, rows):
+        # the stop computes sizes in chunks and ends a row block once all its
+        # points stopped; every bit must be that of one pass over all sizes
+        d, e2, js, env_lo, env_up = _stop_inputs()
+        # the second term's bracket vanishes, so the first pair stops
+        e2[17] = (2.0 + d[17] * env_lo[1]) * ((1.0 + d[17] * env_lo[1]) / (1.0 + d[17] * env_up[1])) ** 2
+        lower, upper, stopped, _ = _one_pass_bounds(d, e2, js, env_lo, env_up, BoundParams().rho)
+        assert stopped[17] == js[1] and stopped[300] is None and None not in stopped[:300]
+
+        monkeypatch.setattr(regression, "_STOP_CHUNK", width)
+        monkeypatch.setattr(regression, "_BOUND_ROWS", rows)
+        batch = _stop_query(d, e2)
+        res = dshapley_binary_bounds(batch, m=_STOP_M, q=_STOP_Q)
+        assert res.lower.tobytes() == lower.tobytes() and res.upper.tobytes() == upper.tobytes()
+        assert res.stopped_at_j == stopped
+        assert res.skipped_terms == _STOP_M - _STOP_Q + 1 - js.size
+        for side, expected in (("lower", lower), ("upper", upper)):
+            alone = dshapley_binary_bounds(batch, m=_STOP_M, q=_STOP_Q, _side=side)
+            assert getattr(alone, side).tobytes() == expected.tobytes()
+            assert getattr(alone, "upper" if side == "lower" else "lower") is None
+            assert alone.stopped_at_j == stopped
+
+    @pytest.mark.parametrize("width", [7, regression._STOP_CHUNK])
+    def test_chunked_stop_keeps_one_pass_running_sums(self, monkeypatch, width):
+        # a rho equal to a pair's relative change stops there only if the
+        # running lower sums across chunks have the bits of one cumsum
+        d, e2, js, env_lo, env_up = _stop_inputs()
+        _, _, _, rel = _one_pass_bounds(d, e2, js, env_lo, env_up, BoundParams().rho)
+        edges = [(i, k) for i in range(d.size - 2) for k in range(70, 250) if rel[i, k] < rel[i, :k].min()]
+        monkeypatch.setattr(regression, "_STOP_CHUNK", width)
+        for i, k in edges[::len(edges) // 80]:
+            res = dshapley_binary_bounds(_stop_query(d[i], e2[i]), m=_STOP_M, q=_STOP_Q,
+                                         params=BoundParams(rho=rel[i, k]))
+            assert res.stopped_at_j == js[k + 1]
 
     def test_early_stop_reported(self):
         res = dshapley_binary_bounds(make_query(1.0, 0.2), m=5000, q=6)

@@ -94,7 +94,12 @@ class TestLoadCsv:
                 raise ValueError("rejected")
             return real_array(obj, *args, **kwargs)
 
+        def rejecting_loadtxt(*args, **kwargs):
+            raise ValueError("rejected")
+
+        # both numpy parsers reject, so each cell goes through float()
         monkeypatch.setattr(np, "array", rejecting_array)
+        monkeypatch.setattr(np, "loadtxt", rejecting_loadtxt)
         loaded = load_csv(path, target_column="b")
         assert np.array_equal(loaded.x, expected.x) and np.array_equal(loaded.y, expected.y)
 
@@ -136,3 +141,70 @@ class TestLoadCsv:
         path.write_text("# seed=3\na,b\n1.0,2.0\n")
         data = load_csv(path, target_column="b")
         assert data.x.shape == (1, 1)
+        # a line is a comment when its first cell starts with "#" after
+        # leading whitespace; blank lines are dropped, and neither counts as a row
+        path.write_text("# seed=3\n  # m=10,x\na,b\n\n1.0,2.0\n#,9\n3.0,4.0\n\n")
+        data = load_csv(path, target_column="b")
+        assert np.array_equal(data.x, [[1.0], [3.0]]) and np.array_equal(data.y, [2.0, 4.0])
+        path.write_text("a,b\n1.0,2.0\n#,9\n3.0,oops\n")
+        with pytest.raises(CsvParseError) as excinfo:
+            load_csv(path, target_column="b")
+        assert (excinfo.value.row, excinfo.value.col) == (2, 2)
+
+    def test_inline_hash_is_a_bad_cell(self, tmp_path):
+        # "#" only marks a comment as the first character of a line's first cell
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0,4 # note\n")
+        with pytest.raises(CsvParseError) as excinfo:
+            load_csv(path, target_column="b")
+        assert (excinfo.value.row, excinfo.value.col) == (2, 2)
+
+    def test_whitespace_row_is_ragged(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1.0,2.0\n   \n3.0,4.0\n")
+        with pytest.raises(CsvParseError, match="row has 1 fields, expected 2") as excinfo:
+            load_csv(path, target_column="b")
+        assert (excinfo.value.row, excinfo.value.col) == (2, 1)
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        # float() accepts underscores, surrounding whitespace and non-ASCII digits
+        path = tmp_path / "data.csv"
+        path.write_text('a,b,c\n1_000,"2.5", 7 \n-0.5,\u0661\u0662,1e-3\n', encoding="utf-8")
+        data = load_csv(path)
+        assert np.array_equal(data.x, [[1000.0, 2.5, 7.0], [-0.5, 12.0, 0.001]])
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    @pytest.mark.parametrize("header", ["a,b", '"a","b"'])
+    def test_line_endings(self, tmp_path, newline, header):
+        # a quoted header sends the file through csv.reader
+        path = tmp_path / "data.csv"
+        path.write_bytes(newline.join(["# c", header, "1.0,2.0", "", "3.0,4.0", ""]).encode())
+        data = load_csv(path, target_column="b")
+        assert np.array_equal(data.x, [[1.0], [3.0]]) and np.array_equal(data.y, [2.0, 4.0])
+
+    def test_fast_parse_matches_cell_parse(self, tmp_path, monkeypatch):
+        # shortest round-trip floats, as the benchmark writes them; the same
+        # bytes whether numpy parses the text or each cell goes through float()
+        gen = RandomStream(12).generator
+        scales = 10.0 ** gen.integers(-300, 300, (300, 4))
+        table = np.column_stack([gen.standard_normal((300, 4)) * scales, gen.integers(0, 2, 300)])
+        path = tmp_path / "data.csv"
+        path.write_text("x0,x1,x2,x3,y\n" + "\n".join(",".join(map(repr, row)) for row in table.tolist()) + "\n")
+        calls = []
+        real_loadtxt = np.loadtxt
+
+        def counting_loadtxt(*args, **kwargs):
+            calls.append(1)
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        fast = load_csv(path, target_column="y")
+
+        def rejecting_loadtxt(*args, **kwargs):
+            raise ValueError("rejected")
+
+        monkeypatch.setattr(np, "loadtxt", rejecting_loadtxt)
+        slow = load_csv(path, target_column="y")
+        assert calls == [1]
+        assert fast.x.tobytes() == slow.x.tobytes() == table[:, :4].tobytes()
+        assert fast.y.tobytes() == slow.y.tobytes() == table[:, 4].tobytes()
