@@ -1,21 +1,21 @@
 """Ground-truth machinery: exact Shapley enumeration and the slow sampled baseline.
 
-The exact enumerator walks every subset of a small dataset and applies the
+The exact enumerator values every subset of a small dataset and applies the
 combinatorial weights directly; it is the reference the fast estimators are
 validated against. The Monte-Carlo baseline samples the size-then-subset
 reformulation of the distributional value and stands in for the slow
 comparator in the timing experiments. Three utility families are provided:
 gated regression risk, held-out classification accuracy, and density
 integrated squared error up to a constant. Each is defined once, on the
-prefixes of a stack of row sets: one subset is the stack of one, a curve's
-prefixes are one call, and so are the baseline's draws of one size.
+prefixes of a stack of row sets: one subset is the stack of one, the
+enumeration's subsets of one size are one stack, a repetition's three curves
+are one call, and so are the baseline's draws of one size.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 
 import numpy as np
@@ -48,6 +48,7 @@ __all__ = [
 _ENUMERATION_LIMIT = 20
 _ACCURACY_MAX_ITER = 25  # IRLS iterations of the accuracy utility's subset fits
 _FITS_PER_BLOCK = 32  # subsets per block of IRLS fits and of held-out predictions
+_SETS_PER_BLOCK = 4096  # subsets of one size per stack of the exact enumeration
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,9 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
     ``data`` is an (X, y) pair, an array of points, or any indexable array
     (e.g. indices, for tabulated utilities). Requires at most 20 points
     because every one of the 2^n subsets is evaluated once; use the
-    Monte-Carlo baseline beyond that.
+    Monte-Carlo baseline beyond that. The subsets of each size are valued as
+    stacks of member rows, members ascending; a subset that cannot be fitted
+    raises ``UtilityEvaluationError`` for the first such subset in mask order.
     """
     n = _data_len(data)
     if n > _ENUMERATION_LIMIT:
@@ -255,21 +258,23 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
             "use dshapley_mc_baseline instead")
     if n == 0:
         raise InvalidParameterError("dataset must be nonempty")
-    ufunc = utility
-    if isinstance(utility, UtilitySpec):
-        ufunc = partial(evaluate_utility, spec=utility, context=context)
 
     masks = np.arange(1 << n, dtype=np.uint32)
-    util = np.empty(1 << n)
-    util[0] = 0.0
-    all_idx = np.arange(n)
-    for mask in range(1, 1 << n):
-        members = all_idx[(mask >> all_idx) & 1 == 1]
-        util[mask] = ufunc(_take(data, members))
-
     sizes = np.zeros(masks.size, dtype=np.int64)
     for b in range(n):
         sizes += (masks >> b) & 1
+    util = np.zeros(1 << n)
+    for k in range(1, n + 1):
+        of_size = np.flatnonzero(sizes == k)
+        for start in range(0, of_size.size, _SETS_PER_BLOCK):
+            block = of_size[start:start + _SETS_PER_BLOCK]
+            members = np.nonzero((block[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k)
+            util[block] = _set_utilities(_take(data, members), [k], utility, context)[:, 0]
+    failed = np.flatnonzero(np.isnan(util))
+    if failed.size:
+        raise UtilityEvaluationError("the subset cannot be fitted",
+                                     subset_size=int(sizes[failed[0]]))
+
     weights = np.array([1.0 / (n * comb(n - 1, s)) for s in range(n)])
     values = np.empty(n)
     for i in range(n):
@@ -309,8 +314,9 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     background points (a pool is resampled with replacement; a callable
     ``background(size, rng)`` draws directly from a distribution) and takes
     the marginal contribution of ``z_star``. A first pass makes the draws in
-    order, pool draws as indices; a second values them grouped by size, each
-    set without and with ``z_star`` (its last row) as two prefixes of one
+    order, each as indices into one pool: the background, or the rows of all
+    of a callable's draws. A second values them grouped by size, each set
+    without and with ``z_star`` (the pool's last row) as two prefixes of one
     stack. Draws below the gate are exact zeros. A draw whose utility fails
     (raises ``UtilityEvaluationError`` or is NaN) is counted in
     ``failed_draws`` and left out of the mean. Raises ``BaselineFailureError``
@@ -321,28 +327,27 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
         raise InvalidParameterError("m and max_draws must be at least 1")
     gate = utility.gate if isinstance(utility, UtilitySpec) else 1
     pool = None if callable(background) else _rows([background], z_star)  # z_star last
-    gen, sizes, draws = rng.generator, [], []
+    gen, sizes, draws, parts, drawn = rng.generator, [], [], [], 0
     for _ in range(max_draws):
         j = int(gen.integers(1, m + 1))
         sizes.append(j)
         if j < gate:
             draws.append(None)  # both utilities are gated to zero; the draw is exact
-        elif pool is None:
-            draws.append(background(j - 1, gen))
+        elif pool is None:  # the rows drawn, as an index range into the pool of all draws
+            parts.append(background(j - 1, gen))
+            draws.append(np.arange(drawn, drawn + j - 1))
+            drawn += j - 1
         else:  # pool indices, in the smallest integer type that holds them
             n = _data_len(pool) - 1
             draws.append(gen.integers(0, n, size=j - 1).astype(np.min_scalar_type(n)))
+    if parts:
+        pool = _rows(parts, z_star)  # z_star last
 
     sizes, delta = np.array(sizes), np.zeros(max_draws)
     for j in np.unique(sizes[sizes >= gate]):
         at = np.flatnonzero(sizes == j)
-        if pool is None:  # a callable's draws, stacked in order
-            rows = _rows([draws[t] for t in at], z_star)
-            idx = np.arange(at.size * (j - 1)).reshape(at.size, j - 1)
-        else:
-            rows = pool
-            idx = np.array([draws[t] for t in at], dtype=np.int64).reshape(at.size, j - 1)
-        stack = _take(rows, np.column_stack([idx, np.full(at.size, -1)]))  # each set, then z_star
+        idx = np.array([draws[t] for t in at], dtype=np.int64).reshape(at.size, j - 1)
+        stack = _take(pool, np.column_stack([idx, np.full(at.size, -1)]))  # each set, then z_star
         without, with_z = _set_utilities(stack, [j - 1, j], utility, context).T
         delta[at] = with_z - without
 
@@ -356,9 +361,7 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
         at = int(np.argmax(stop))
         raise BaselineFailureError(
             f"utility failed on {failures[at]} of {evaluated[at]} evaluated draws")
-    used = delta[~failed]
-    if used.size == 0:
-        raise BaselineFailureError("no draw produced a usable marginal contribution")
+    used = delta[~failed]  # never empty: all draws failed is a majority, raised above
     count = used.size
     # running sums from 0.0 in draw order, bit-identical to a loop over the draws
     # (np.sum adds pairwise, which differs in the last bits)

@@ -153,7 +153,7 @@ def _cmd_gen(args) -> None:
     else:
         data = gen_gaussian_c(args.n, rng)
     columns = [f"x{i}" for i in range(data.p)] + ["y"]
-    rows = [tuple(float(v) for v in np.append(data.x[i], data.y[i])) for i in range(data.n)]
+    rows = np.column_stack([data.x, data.y]).tolist()
     table = ResultTable(columns=columns, rows=rows,
                         metadata={"kind": args.kind, "n": args.n, "p": data.p,
                                   "seed": args.seed})

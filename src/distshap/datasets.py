@@ -139,15 +139,7 @@ def _parse_records(path, text: str, has_header: bool):
         if len(row) != width:
             raise CsvParseError(
                 f"{path}: row has {len(row)} fields, expected {width}", row=r, col=len(row))
-    try:
-        values = np.array(rows, dtype=float)  # parses each cell as float() does
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        # the slow path locates the bad cell; should numpy reject a cell that
-        # float() accepts, it returns the array float() parses instead
-        values = _parse_cells(path, rows)
-    return header, values
+    return header, _parse_cells(path, rows)
 
 
 def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:

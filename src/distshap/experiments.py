@@ -279,9 +279,9 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
     Every repetition resamples the split, revalues the value set with the
     configured method and tracks the held-out utility after each addition.
     The utility is the one the sampled baseline uses, built from the fit
-    that valued the split, and one call per ordering values every prefix;
-    steps below its gate, and prefixes that cannot be fitted, are recorded
-    as gaps, not aborts. Passing an explicit
+    that valued the split, and one call per repetition values every prefix
+    of the three orderings as one stack; steps below its gate, and prefixes
+    that cannot be fitted, are recorded as gaps, not aborts. Passing an explicit
     ``split = (value_idx, held_idx, bg_idx)`` pins the design across
     repetitions (only the valuation and the random ordering then vary).
     """
@@ -289,7 +289,7 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
         _check_regression_gate(config.resolved_q(dataset.p), dataset.p, config.gamma)
     steps = config.n_value_points
     orderings = ("largest", "lowest", "random")
-    curves = {name: np.full((config.repetitions, steps + 1), np.nan) for name in orderings}
+    curves = np.full((len(orderings), config.repetitions, steps + 1), np.nan)
     data = dataset.x if config.task == "density" else (dataset.x, dataset.y)
     rep0_values = None
     rep0_indices = None
@@ -304,20 +304,14 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
         if rep == 0:
             rep0_values, rep0_indices = values.copy(), np.array(value_idx)
         spec, ctx = utility(_take(data, held_idx))
-        orders = {
-            "largest": np.argsort(-values, kind="stable"),
-            "lowest": np.argsort(values, kind="stable"),
-            "random": sub.substream(_STREAM_ORDER).generator.permutation(steps),
-        }
-        for name, order in orders.items():
-            row = curves[name][rep]
-            row[0] = 0.0  # empty-set utility by convention
-            row[spec.gate:] = prefix_utilities(_take(data, value_idx[order][None]),
-                                               np.arange(spec.gate, steps + 1), spec, ctx)[0]
+        orders = np.stack([np.argsort(-values, kind="stable"), np.argsort(values, kind="stable"),
+                           sub.substream(_STREAM_ORDER).generator.permutation(steps)])
+        curves[:, rep, 0] = 0.0  # empty-set utility by convention
+        curves[:, rep, spec.gate:] = prefix_utilities(_take(data, value_idx[orders]),
+                                                      np.arange(spec.gate, steps + 1), spec, ctx)
 
     results = []
-    for name in orderings:
-        grid = curves[name]
+    for name, grid in zip(orderings, curves):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", category=RuntimeWarning)
             means = np.nanmean(grid, axis=0)

@@ -11,6 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 __all__ = ["ResultTable", "write_results", "read_results", "RESULTS_JSON_SCHEMA"]
@@ -48,8 +50,8 @@ class ResultTable:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too: its repr is "np.float64(...)"
+        return float.__repr__(value)
     return str(value)
 
 
@@ -68,6 +70,8 @@ def write_results(table: ResultTable, path, format: str = "csv") -> None:
             payload = "\n".join(lines) + "\n"
         else:
             def cell(v):
+                if isinstance(v, np.generic):  # json writes no numpy scalar
+                    v = v.item()
                 # strict JSON has no NaN/infinity tokens
                 if isinstance(v, float) and not math.isfinite(v):
                     return None

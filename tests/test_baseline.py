@@ -1,5 +1,6 @@
 import itertools
-from math import factorial
+from functools import partial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -57,6 +58,29 @@ def permutation_shapley(n, util):
             prefix.append(player)
             values[player] += (util(prefix) - before) / factorial(n)
     return values
+
+
+def subsets_in_mask_order(n):
+    """The member lists of the nonempty subsets of range(n), in mask order."""
+    return [[i for i in range(n) if mask >> i & 1] for mask in range(1, 1 << n)]
+
+
+def per_subset_shapley(data, util):
+    """Exact values from one utility call per subset, in mask order, weighted as the
+    enumerator weights them."""
+    n = len(data[0]) if isinstance(data, tuple) else len(data)
+    masks = np.arange(1 << n, dtype=np.uint32)
+    u = np.zeros(1 << n)
+    for mask, members in enumerate(subsets_in_mask_order(n), start=1):
+        u[mask] = util(take(data, members))
+    sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
+    weights = np.array([1.0 / (n * comb(n - 1, s)) for s in range(n)])
+    values = np.empty(n)
+    for i in range(n):
+        without = masks[(masks & np.uint32(1 << i)) == 0]
+        gains = u[without | np.uint32(1 << i)] - u[without]
+        values[i] = float(np.sum(weights[sizes[without]] * gains))
+    return values, float(u[-1])
 
 
 class TestEvaluateUtility:
@@ -257,6 +281,51 @@ class TestExactShapley:
         assert res.values.sum() == pytest.approx(full, abs=1e-10)
         assert res.subset_evaluations == 64
 
+    @pytest.mark.parametrize("case", FAMILIES + ("callable-index", "callable-pairs"))
+    def test_stacks_match_a_per_subset_loop(self, case):
+        spec = ctx = None
+        if case == "callable-index":
+            data, util = np.arange(7), tabulated_utility(3)
+        elif case == "callable-pairs":
+            gen = np.random.default_rng(4)
+            data = (gen.standard_normal((6, 2)), gen.standard_normal(6))
+            util = lambda s: float(np.sum(s[0] @ [1.0, -2.0]) * np.sum(s[1] ** 3))  # noqa: E731
+        else:
+            spec, ctx, rows = family_stack(case, b=1, s=8)
+            data = take(rows, 0)
+            if case == "accuracy":  # 4 of each class: every set of 5 or more has both
+                spec, data = UtilitySpec("accuracy", gate=5), (data[0], np.tile([1.0, 0.0], 4))
+            util = partial(evaluate_utility, spec=spec, context=ctx)
+        res = exact_data_shapley(data, spec or util, ctx)
+        values, total = per_subset_shapley(data, util)
+        assert np.array_equal(res.values, values) and res.total == total
+
+    def test_unfittable_subset_raises_first_in_mask_order(self):
+        spec, ctx, rows = family_stack("accuracy", b=1, s=7)
+        x = take(rows, 0)[0]
+        y = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])  # five positives: one-class sets fail
+        first = None
+        for members in subsets_in_mask_order(7):
+            try:
+                evaluate_utility((x[members], y[members]), spec, ctx)
+            except UtilityEvaluationError as exc:
+                first = exc.subset_size
+                break
+        with pytest.raises(UtilityEvaluationError) as excinfo:
+            exact_data_shapley((x, y), spec, ctx)
+        assert excinfo.value.subset_size == first == 4
+
+    def test_callable_failure_raises_first_in_mask_order(self):
+        # {0, 1} (mask 3) precedes {2} (mask 4): the size reported is 2, not 1
+        def util(subset):
+            if set(subset.tolist()) in ({0, 1}, {2}):
+                raise UtilityEvaluationError("tabulated failure", subset_size=len(subset))
+            return float(len(subset))
+
+        with pytest.raises(UtilityEvaluationError) as excinfo:
+            exact_data_shapley(np.arange(4), util)
+        assert excinfo.value.subset_size == 2
+
 
 class TestMcBaseline:
     def test_all_draws_gated_give_exact_zero(self):
@@ -358,6 +427,43 @@ class TestMcBaseline:
         base = dshapley_mc_baseline((x_star, query.y_star), background, spec, m=m,
                                     max_draws=2 * 10**4, rng=RandomStream(3), context=ctx)
         assert abs(base.value - exact.value) < 3.0 * np.hypot(exact.std_error, base.std_error)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_callable_background_matches_a_one_set_replay(self, family):
+        spec, ctx, rows = family_stack(family)
+        beta = np.array([1.0, -0.5, 0.25])
+
+        def background(k, gen):
+            x = gen.standard_normal((k, 3))
+            if family == "density":
+                return x
+            y = x @ beta + gen.standard_normal(k)
+            return (x, (y > 0).astype(float)) if family == "accuracy" else (x, y)
+
+        z_star = take(take(rows, 0), 0)
+        est = dshapley_mc_baseline(z_star, background, spec, m=9, max_draws=300,
+                                   rng=RandomStream(5), context=ctx)
+        gen, deltas, failed = RandomStream(5).generator, [], 0
+        for _ in range(300):
+            j = int(gen.integers(1, 10))
+            if j < spec.gate:
+                deltas.append(0.0)
+                continue
+            subset = background(j - 1, gen)
+            with_z = (tuple(np.concatenate([part, [z]]) for part, z in zip(subset, z_star))
+                      if family != "density" else np.concatenate([subset, [z_star]]))
+            try:
+                deltas.append(evaluate_utility(with_z, spec, ctx)
+                              - evaluate_utility(subset, spec, ctx))
+            except UtilityEvaluationError:
+                failed += 1
+        total = total_sq = 0.0
+        for delta in deltas:
+            total, total_sq = total + delta, total_sq + delta * delta
+        mean = total / len(deltas)
+        var = max((total_sq - len(deltas) * mean * mean) / (len(deltas) - 1), 0.0)
+        assert est.failed_draws == failed and (failed > 0) == (family == "accuracy")
+        assert est.value == mean and est.std_error == float(np.sqrt(var / len(deltas)))
 
     def test_pool_mean_matches_enumeration_average(self):
         # value of a pool element against datasets resampled from the pool:

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from distshap import InvalidParameterError, ResultTable, read_results, write_results
@@ -51,6 +52,13 @@ class TestCsv:
         with pytest.raises(InvalidParameterError):
             write_results(table, tmp_path / "x.csv")
 
+    def test_numpy_scalars_written_as_python_numbers(self, tmp_path):
+        path = tmp_path / "np.csv"
+        write_results(ResultTable(columns=["a", "b", "c"],
+                                  rows=[(np.float64(1.5), np.int64(3), np.float64(-2e-300))]), path)
+        assert path.read_text().splitlines()[-1] == "1.5,3,-2e-300"
+        assert read_results(path).rows == [(1.5, 3, -2e-300)]
+
     def test_unwritable_path(self):
         with pytest.raises(InvalidParameterError, match="cannot write"):
             write_results(sample_table(), "/nonexistent-dir/x.csv")
@@ -70,6 +78,14 @@ class TestJson:
         back = read_results(path, format="json")
         assert back.rows[0][1] == table.rows[0][1]
         assert back.metadata["seed"] == 42
+
+    def test_numpy_scalars_written_as_python_numbers(self, tmp_path):
+        path = tmp_path / "np.json"
+        rows = [(np.float64(1.5), np.int64(3), np.float64("nan"))]
+        write_results(ResultTable(columns=["a", "b", "c"], rows=rows), path, format="json")
+        document = json.loads(path.read_text())
+        jsonschema.validate(document, RESULTS_JSON_SCHEMA)
+        assert document["rows"] == [[1.5, 3, None]]
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InvalidParameterError):
