@@ -7,9 +7,9 @@ reformulation of the distributional value and stands in for the slow
 comparator in the timing experiments. Three utility families are provided:
 gated regression risk, held-out classification accuracy, and density
 integrated squared error up to a constant. Each is defined once, on the
-prefixes of a stack of row sets: one subset is the stack of one, the
-enumeration's subsets of one size are one stack, a repetition's three curves
-are one call, and so are the baseline's draws of one size.
+prefixes of a stack of row sets, each set with sizes of its own: one subset
+is the stack of one, the enumeration values 4,096 subsets a stack, a
+repetition's three curves are one call, and so is a block of 8 baseline draws.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ __all__ = [
 _ENUMERATION_LIMIT = 20
 _ACCURACY_MAX_ITER = 25  # IRLS iterations of the accuracy utility's subset fits
 _FITS_PER_BLOCK = 32  # subsets per block of IRLS fits and of held-out predictions
-_SETS_PER_BLOCK = 4096  # subsets of one size per stack of the exact enumeration
+_DRAWS_PER_BLOCK = 8  # baseline draws per stack, each valued without and with z_star
+_SETS_PER_BLOCK = 4096  # subsets per stack of the exact enumeration
 
 
 @dataclass(frozen=True)
@@ -127,32 +128,30 @@ def _check_regression_gate(gate: int, p: int, gamma: float) -> None:
 
 
 def _heldout_scores(score, x_test, betas):
-    """``score(predictions)`` at the held-out rows for each fit of ``betas`` (..., p), in
+    """``score(predictions)`` at the held-out rows for each fit of ``betas`` (k, p), in
     fixed-size blocks of fits, each by its own product: no fit depends on the others."""
     if len(x_test) == 0:
         raise InvalidParameterError("the utility's held-out rows are empty")
-    flat = betas.reshape(-1, betas.shape[-1])
-    out = np.empty(len(flat))
-    for start in range(0, len(flat), _FITS_PER_BLOCK):
+    out = np.empty(len(betas))
+    for start in range(0, len(betas), _FITS_PER_BLOCK):
         block = slice(start, start + _FITS_PER_BLOCK)
-        out[block] = score((x_test @ flat[block, :, None])[..., 0])
-    return out.reshape(betas.shape[:-1])
+        out[block] = score((x_test @ betas[block, :, None])[..., 0])
+    return out
 
 
-def _regression_utilities(rows, sizes, spec: UtilitySpec, ctx: RegressionUtilityContext):
-    """Risk of each prefix's least-squares fit: each prefix's Gram is its own product,
-    one stacked product per size over the sets, and all fits are one stacked solve."""
+def _regression_utilities(rows, sets, sizes, spec: UtilitySpec, ctx: RegressionUtilityContext):
+    """Risk of each fit's least-squares solution. Each prefix's Gram is its own product
+    over exactly its rows, one stacked product per size, and all fits are one stacked solve."""
     x, y = rows
-    b, p = x.shape[0], x.shape[-1]
+    p = x.shape[-1]
     _check_regression_gate(spec.gate, p, ctx.gamma)
-    gram = np.empty((b, sizes.size, p, p))
-    moment = np.empty((b, sizes.size, p, 1))
-    for j, k in enumerate(sizes):
-        xt = np.swapaxes(x[:, :k], 1, 2)
-        gram[:, j] = xt @ x[:, :k]
-        moment[:, j] = xt @ y[:, :k, None]
-    betas, _ = solve_each(gram + ctx.gamma * np.eye(p), moment)  # a singular fit is NaN
-    betas = betas[..., 0]
+    gram, moment = np.empty((sizes.size, p, p)), np.empty((sizes.size, p, 1))
+    for k in np.unique(sizes):
+        at = np.flatnonzero(sizes == k)
+        xt = np.swapaxes(x[sets[at], :k], 1, 2)
+        gram[at] = xt @ np.swapaxes(xt, 1, 2)
+        moment[at] = xt @ y[sets[at], :k, None]
+    betas = solve_each(gram + ctx.gamma * np.eye(p), moment)[0][..., 0]  # a singular fit is NaN
     if spec.evaluation_mode == "analytic":
         diff = betas - ctx.beta_true
         risk = ctx.sigma2 + (diff[..., None, :] @ ctx.sigma_x.values @ diff[..., None])[..., 0, 0]
@@ -162,59 +161,63 @@ def _regression_utilities(rows, sizes, spec: UtilitySpec, ctx: RegressionUtility
     return spec.constant - risk
 
 
-def _accuracy_utilities(rows, sizes, spec: UtilitySpec, ctx: AccuracyUtilityContext):
-    """Held-out accuracy of each prefix's logistic fit, all in one IRLS loop (a fit cut at
-    the cap still classifies). One class, at most p rows or a singular system fails."""
+def _accuracy_utilities(rows, sets, sizes, spec: UtilitySpec, ctx: AccuracyUtilityContext):
+    """Held-out accuracy of each fit's logistic regression, in IRLS blocks cut to their widest
+    fit (a fit cut at the cap still classifies). One class, <= p rows or a singular system fails."""
     x, y = rows
     if not (np.isin(y, (0.0, 1.0)).all() and np.isin(ctx.y_test, (0.0, 1.0)).all()):
         raise InvalidParameterError("labels must be 0/1")
-    (b, s, p), n = x.shape, sizes.size
-    ones = np.cumsum(y, axis=1)[:, sizes - 1]  # positives in each prefix
-    fit = np.flatnonzero(((ones > 0) & (ones < sizes) & (sizes > p)).ravel())  # set * n + size
-    out = np.full(b * n, np.nan)
+    ones = np.cumsum(y, axis=1)[sets, sizes - 1]  # positives in each prefix
+    fit = np.flatnonzero((ones > 0) & (ones < sizes) & (sizes > x.shape[-1]))
+    out = np.full(sizes.size, np.nan)
     for start in range(0, fit.size, _FITS_PER_BLOCK):
         block = fit[start:start + _FITS_PER_BLOCK]
-        members = (np.arange(s) < sizes[block % n, None]).astype(float)
-        xb, yb = (x[0], y[0]) if b == 1 else (x[block // n], y[block // n])
+        width = sizes[block].max()
+        members = (np.arange(width) < sizes[block, None]).astype(float)
         with np.errstate(all="ignore"):
-            state, singular = _irls_stack(xb, yb, members, 1e-8, _ACCURACY_MAX_ITER)
+            state, singular = _irls_stack(x[sets[block], :width], y[sets[block], :width],
+                                          members, 1e-8, _ACCURACY_MAX_ITER)
         out[block[~singular]] = _heldout_scores(
             lambda pred: np.mean((pred >= 0.0) == ctx.y_test, axis=-1),
             ctx.x_test, state.beta[~singular])
-    return out.reshape(b, n)
+    return out
 
 
-def _density_utilities(pts, sizes, spec: UtilitySpec, ctx: DensityUtilityContext):
-    """Integrated squared error of each prefix's estimate, up to a constant, from prefix
+def _density_utilities(pts, sets, sizes, spec: UtilitySpec, ctx: DensityUtilityContext):
+    """Integrated squared error of each fit's estimate, up to a constant, from prefix
     sums of the pairwise self-convolutions and of the kernel at the evaluation rows."""
     evals = np.asarray(ctx.eval_points, dtype=float)[None]
     if evals.shape[1] == 0:
         raise InvalidParameterError("the utility's evaluation rows are empty")
-    out = np.empty((len(pts), sizes.size))
-    for i, rows in enumerate(pts.reshape(len(pts), pts.shape[1], 1, -1)):
+    out = np.empty(sizes.size)
+    for i in np.unique(sets):  # each set's rows up to its largest prefix
+        k = sizes[sets == i]
+        rows = pts[i, :k.max()].reshape(k.max(), 1, -1)
         conv = np.cumsum(np.cumsum(_kernel_means(ctx.kernel.self_convolution, rows, rows), 0), 1)
         cross = np.cumsum(_kernel_means(ctx.kernel.evaluate, evals, rows)[0])
-        out[i] = conv[sizes - 1, sizes - 1] / sizes ** 2 - 2.0 * cross[sizes - 1] / sizes
+        out[sets == i] = conv[k - 1, k - 1] / k ** 2 - 2.0 * cross[k - 1] / k
     return spec.constant - out
 
 
 def prefix_utilities(rows, sizes, spec: UtilitySpec, context) -> np.ndarray:
-    """Utilities of the prefixes of a stack of row sets, as a (b, len(sizes)) array.
+    """Utilities of the prefixes of a stack of row sets, as a (b, n) array.
 
     ``rows`` is an (x, y) pair of (b, s, p) and (b, s) arrays, or (b, s, dim)
-    points ((b, s) in one dimension). Entry (i, j) is the utility of the first
-    ``sizes[j]`` rows of set i: 0 below the gate, NaN where the prefix cannot
-    be fitted, and independent of the other sets and sizes in the call."""
+    points ((b, s) in one dimension); ``sizes`` is a (b, n) table of prefix
+    sizes, or one (n,) row for every set. Entry (i, j) is the utility of the
+    first ``sizes[i, j]`` rows of set i: 0 below the gate, NaN where it cannot
+    be fitted, and independent of the other entries and of the rows past it."""
     sizes = np.asarray(sizes, dtype=np.int64)
     s = np.shape(rows[0] if isinstance(rows, tuple) else rows)[1]
     if ((sizes < 0) | (sizes > s)).any():
         raise InvalidParameterError(f"prefix sizes must lie in 0..{s}, got {sizes.tolist()}")
-    out = np.zeros((_data_len(rows), sizes.size))
-    fit = sizes >= spec.gate
-    if fit.any():
+    table = np.broadcast_to(sizes, (_data_len(rows), sizes.shape[-1]))
+    out = np.zeros(table.shape)
+    sets, fit = np.nonzero(table >= spec.gate)
+    if sets.size:
         family = {"regression_risk": _regression_utilities, "accuracy": _accuracy_utilities,
                   "density_ise": _density_utilities}[spec.family]
-        out[:, fit] = family(_take(rows, slice(None)), sizes[fit], spec, context)
+        out[sets, fit] = family(_take(rows, slice(None)), sets, table[sets, fit], spec, context)
     return out
 
 
@@ -230,15 +233,12 @@ def evaluate_utility(subset, spec: UtilitySpec, context) -> float:
 
 def _take(data, idx):
     if isinstance(data, tuple):
-        x, y = data
-        return (np.asarray(x)[idx], np.asarray(y)[idx])
+        return tuple(np.asarray(part)[idx] for part in data)
     return np.asarray(data)[idx]
 
 
 def _data_len(data) -> int:
-    if isinstance(data, tuple):
-        return int(np.asarray(data[0]).shape[0])
-    return int(np.asarray(data).shape[0])
+    return int(np.shape(data[0] if isinstance(data, tuple) else data)[0])
 
 
 def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
@@ -247,9 +247,9 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
     ``data`` is an (X, y) pair, an array of points, or any indexable array
     (e.g. indices, for tabulated utilities). Requires at most 20 points
     because every one of the 2^n subsets is evaluated once; use the
-    Monte-Carlo baseline beyond that. The subsets of each size are valued as
-    stacks of member rows, members ascending; a subset that cannot be fitted
-    raises ``UtilityEvaluationError`` for the first such subset in mask order.
+    Monte-Carlo baseline beyond that. The subsets are valued in mask order, 4,096 to a
+    stack, each as its members' rows (ascending) padded with the rest; the first in mask
+    order that cannot be fitted raises ``UtilityEvaluationError``.
     """
     n = _data_len(data)
     if n > _ENUMERATION_LIMIT:
@@ -264,12 +264,10 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
     for b in range(n):
         sizes += (masks >> b) & 1
     util = np.zeros(1 << n)
-    for k in range(1, n + 1):
-        of_size = np.flatnonzero(sizes == k)
-        for start in range(0, of_size.size, _SETS_PER_BLOCK):
-            block = of_size[start:start + _SETS_PER_BLOCK]
-            members = np.nonzero((block[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k)
-            util[block] = _set_utilities(_take(data, members), [k], utility, context)[:, 0]
+    for start in range(1, 1 << n, _SETS_PER_BLOCK):  # each set's members first, ascending
+        block = masks[start:start + _SETS_PER_BLOCK]
+        idx = np.argsort(1 - ((block[:, None] >> np.arange(n)) & 1), axis=1, kind="stable")
+        util[block] = _set_utilities(_take(data, idx), sizes[block, None], utility, context)[:, 0]
     failed = np.flatnonzero(np.isnan(util))
     if failed.size:
         raise UtilityEvaluationError("the subset cannot be fitted",
@@ -278,9 +276,8 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
     weights = np.array([1.0 / (n * comb(n - 1, s)) for s in range(n)])
     values = np.empty(n)
     for i in range(n):
-        bit = np.uint32(1 << i)
-        without = masks[(masks & bit) == 0]
-        gains = util[without | bit] - util[without]
+        without = masks[((masks >> i) & 1) == 0]
+        gains = util[without | np.uint32(1 << i)] - util[without]
         values[i] = float(np.sum(weights[sizes[without]] * gains))
     return ExactShapleyResult(values=values, total=float(util[(1 << n) - 1]),
                               subset_evaluations=int(1 << n))
@@ -299,10 +296,10 @@ def _set_utilities(rows, sizes, utility, context) -> np.ndarray:
     set and nonempty size, and is NaN where it fails."""
     if isinstance(utility, UtilitySpec):
         return prefix_utilities(rows, sizes, utility, context)
-    out = np.full((_data_len(rows), len(sizes)), np.nan)
-    for (i, j), _ in np.ndenumerate(out):
+    out = np.full((_data_len(rows), np.shape(sizes)[-1]), np.nan)
+    for (i, j), k in np.ndenumerate(np.broadcast_to(sizes, out.shape)):
         with suppress(UtilityEvaluationError):  # a failure stays NaN
-            out[i, j] = utility(_take(rows, (i, slice(sizes[j])))) if sizes[j] else 0.0
+            out[i, j] = utility(_take(rows, (i, slice(k)))) if k else 0.0
     return out
 
 
@@ -315,13 +312,13 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     ``background(size, rng)`` draws directly from a distribution) and takes
     the marginal contribution of ``z_star``. A first pass makes the draws in
     order, each as indices into one pool: the background, or the rows of all
-    of a callable's draws. A second values them grouped by size, each set
-    without and with ``z_star`` (the pool's last row) as two prefixes of one
-    stack. Draws below the gate are exact zeros. A draw whose utility fails
-    (raises ``UtilityEvaluationError`` or is NaN) is counted in
-    ``failed_draws`` and left out of the mean. Raises ``BaselineFailureError``
-    once 20 or more evaluated draws, in draw order, are more than half
-    failures, or if more than half fail in the end.
+    of a callable's draws. A second values them by size in blocks of 8, each
+    set padded to the block's widest with ``z_star`` (the pool's last row) and
+    valued without and with it as two prefixes. Draws below the gate are
+    exact zeros. A draw whose utility fails (raises ``UtilityEvaluationError``
+    or is NaN) is counted in ``failed_draws`` and left out of the mean. Raises
+    ``BaselineFailureError`` once 20 or more evaluated draws, in draw order,
+    are more than half failures, or if more than half fail in the end.
     """
     if m < 1 or max_draws < 1:
         raise InvalidParameterError("m and max_draws must be at least 1")
@@ -344,11 +341,14 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
         pool = _rows(parts, z_star)  # z_star last
 
     sizes, delta = np.array(sizes), np.zeros(max_draws)
-    for j in np.unique(sizes[sizes >= gate]):
-        at = np.flatnonzero(sizes == j)
-        idx = np.array([draws[t] for t in at], dtype=np.int64).reshape(at.size, j - 1)
-        stack = _take(pool, np.column_stack([idx, np.full(at.size, -1)]))  # each set, then z_star
-        without, with_z = _set_utilities(stack, [j - 1, j], utility, context).T
+    live = np.flatnonzero(sizes >= gate)[np.argsort(sizes[sizes >= gate], kind="stable")]
+    for start in range(0, live.size, _DRAWS_PER_BLOCK):
+        at = live[start:start + _DRAWS_PER_BLOCK]
+        drawn = sizes[at] - 1
+        idx = np.full((at.size, drawn.max() + 1), -1, dtype=np.int64)  # z_star pads each set
+        idx[np.arange(idx.shape[1]) < drawn[:, None]] = np.concatenate([draws[t] for t in at])
+        table = np.column_stack([drawn, drawn + 1])  # each set without, then with z_star
+        without, with_z = _set_utilities(_take(pool, idx), table, utility, context).T
         delta[at] = with_z - without
 
     failed = np.isnan(delta)

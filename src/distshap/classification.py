@@ -82,29 +82,29 @@ class BinaryPointQuery:
 def _irls_stack(x, y, members, tol: float, max_iter: int):
     """The IRLS loop on a stack of subsets: row i is in subset a where ``members[a, i]`` is 1.
 
-    ``x`` (s, p) and ``y`` (s,) are rows shared by the subsets, or (k, s, p)
-    and (k, s) one row set per subset. Each subset stops at its own ``tol``,
-    at ``max_iter`` or where its normal equations are singular, and does not
-    depend on the others. Returns an ``IRLSState`` of (k, ...) arrays and the
-    (k,) singular flags.
+    ``x`` (s, p) and ``y`` (s,) are rows shared by the subsets, or (k, s, p) and (k, s) one
+    row set per subset. Each subset stops at its own ``tol``, at ``max_iter`` or where its
+    normal equations are singular. No product is a gemv, whose sums depend on the row count,
+    so a fit's bits depend neither on the other subsets nor on the padding width (for p^2 *
+    width < 10^6). Returns an ``IRLSState`` of (k, ...) arrays and the (k,) singular flags.
     """
     k, p = members.shape[0], x.shape[-1]
     beta = np.zeros((k, p))
     step = np.full(k, np.inf)
     iterations = np.zeros(k, dtype=int)
-    converged = np.zeros(k, dtype=bool)
-    singular = np.zeros(k, dtype=bool)
+    converged, singular = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
     active = np.arange(k)  # subsets still iterating
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
-        xa, ya = (x, y) if x.ndim == 2 else (x[active], y[active])
-        eta = (xa @ beta[active, :, None])[..., 0]
+        xa, ya = (x, y) if x.ndim == 2 or active.size == len(x) else (x[active], y[active])
+        eta = np.einsum("...ij,...j->...i", xa, beta[active])
         pi = inv_logit(eta)
         w = np.maximum(pi * (1.0 - pi), _WEIGHT_FLOOR)
         z = eta + (ya - pi) / w
         wx = (w * members[active])[..., None] * xa  # rows outside a subset weigh 0
-        new, bad = solve_each(np.swapaxes(xa, -1, -2) @ wx, np.swapaxes(wx, -1, -2) @ z[..., None])
+        rhs = np.swapaxes(wx, -1, -2) @ np.stack([z, z], -1)  # two columns: a gemm, not a gemv
+        new, bad = solve_each(np.swapaxes(xa, -1, -2) @ wx, rhs[..., :1])
         new = new[..., 0]
         moved = np.sqrt(_sq_norms(new - beta[active])) / (1.0 + np.sqrt(_sq_norms(new)))
         ok = ~bad

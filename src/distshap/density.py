@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _BLOCK_BUDGET = 1 << 18  # floats per pairwise block
+_LOG_TINY = np.log(np.finfo(float).tiny)  # exp of less is subnormal (slow); taken as 0
 
 
 def _block_rows(n_ref: int, dim: int) -> int:
@@ -65,8 +66,9 @@ class KernelSpec:
         diff = np.asarray(diff, dtype=float)
         h = self.bandwidth
         if self.family == "gaussian":
-            sq = np.sum((diff / h) ** 2, axis=-1)
-            return np.exp(-0.5 * sq) / (h ** self.dim * (2.0 * np.pi) ** (self.dim / 2.0))
+            arg = -0.5 * np.sum((diff / h) ** 2, axis=-1)
+            out = np.exp(arg, out=np.zeros(np.shape(arg)), where=arg >= _LOG_TINY)
+            return out / (h ** self.dim * (2.0 * np.pi) ** (self.dim / 2.0))
         inside = np.all(np.abs(diff) <= h / 2.0, axis=-1)
         return inside / h ** self.dim
 
@@ -74,10 +76,8 @@ class KernelSpec:
         """Value of ``integral k(u - a) k(u - b) du`` at ``diff = a - b``."""
         diff = np.asarray(diff, dtype=float)
         h = self.bandwidth
-        if self.family == "gaussian":
-            wide = h * np.sqrt(2.0)
-            sq = np.sum((diff / wide) ** 2, axis=-1)
-            return np.exp(-0.5 * sq) / (wide ** self.dim * (2.0 * np.pi) ** (self.dim / 2.0))
+        if self.family == "gaussian":  # the Gaussian kernel at bandwidth h * sqrt(2)
+            return KernelSpec("gaussian", h * np.sqrt(2.0), self.dim).evaluate(diff)
         overlap = np.maximum(h - np.abs(diff), 0.0) / h ** 2
         return np.prod(overlap, axis=-1)
 
@@ -179,14 +179,14 @@ def _gaussian_loo_scores(pts, grid):
     cross = np.zeros(h.size)   # sums of exp(-sq / 2h^2) over pairs i != j
     step = _block_rows(n, dim)
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        scale, floor = -0.25 / (h * h), np.log(np.finfo(float).tiny)
+        scale = -0.25 / (h * h)
         for start in range(0, n, step):
             sq = _pairwise_sq_dists(pts[start:start + step], pts[start:])
             diag = sq.diagonal().copy()  # rounding leaves these nonzero; `square` keeps them
             sq[np.tril_indices(diag.size)] = np.inf  # leaves the pairs j > i
             for gi in range(h.size):
                 arg = sq * scale[gi]
-                wide = np.exp(arg, out=np.zeros_like(arg), where=arg >= floor)
+                wide = np.exp(arg, out=np.zeros_like(arg), where=arg >= _LOG_TINY)
                 square[gi] += 2.0 * wide.sum() + np.exp(diag * scale[gi]).sum()
                 wide *= wide
                 cross[gi] += 2.0 * wide.sum()

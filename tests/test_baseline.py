@@ -22,6 +22,7 @@ from distshap import (
     exact_data_shapley,
 )
 from distshap.baseline import prefix_utilities
+from distshap.classification import _irls_stack
 from distshap.estimates import MCControls
 from distshap.regression import (
     PointQuery,
@@ -173,6 +174,34 @@ class TestStackedUtilities:
             alone = evaluate_utility(take(take(rows, i), slice(k)), spec, ctx)
             assert alone == whole[i, k - 1]
         assert np.all(whole[:, sizes < spec.gate] == 0.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_prefix_has_the_same_bits_at_any_padding(self, family):
+        # each set's prefixes valued alone (cut to the prefix), padded into its 600-row
+        # set, and in one table beside different block-mates, in either order; a gemv in
+        # IRLS gives a 50- and a 599-row prefix of a 600-row set bits of their own
+        spec, ctx, rows = family_stack(family, b=3, s=600)
+        table = np.array([[50, 599], [600, 37], [301, 50]])
+        alone = np.array([[prefix_utilities(take(rows, (slice(i, i + 1), slice(k))), [k],
+                                            spec, ctx)[0, 0] for k in row]
+                          for i, row in enumerate(table)])
+        assert np.isfinite(alone).all()
+        padded = np.vstack([prefix_utilities(take(rows, slice(i, i + 1)), row, spec, ctx)
+                            for i, row in enumerate(table)])
+        together = prefix_utilities(rows, table, spec, ctx)
+        reversed_ = prefix_utilities(take(rows, slice(None, None, -1)), table[::-1], spec, ctx)
+        mixed = prefix_utilities(take(rows, [0, 2, 0]), [[50, 599], [301, 600], [599, 50]],
+                                 spec, ctx)
+        assert np.array_equal(padded, alone) and np.array_equal(together, alone)
+        assert np.array_equal(reversed_[::-1], alone)
+        assert mixed[0].tolist() == alone[0].tolist() == mixed[2, ::-1].tolist()
+        assert mixed[1, 0] == alone[2, 0]
+        if family == "accuracy":  # an accuracy moves in steps of 1/40: compare the fits too
+            x, y = take(rows, 0)
+            for k in (50, 599):
+                fit, _ = _irls_stack(x[None, :k], y[None, :k], np.ones((1, k)), 1e-8, 25)
+                wide, _ = _irls_stack(x[None], y[None], (np.arange(600) < k)[None] * 1.0, 1e-8, 25)
+                assert np.array_equal(fit.beta, wide.beta)
 
     @pytest.mark.parametrize("family", ("heldout", "analytic", "accuracy"))
     def test_unfittable_member_fails_alone(self, family):
@@ -327,6 +356,33 @@ class TestExactShapley:
         assert excinfo.value.subset_size == 2
 
 
+def replay_baseline(z_star, background, spec, ctx, *, m, draws):
+    """The baseline's estimate, and its mean, standard error, failures and subset sizes
+    formed by replaying its draws one set at a time."""
+    est = dshapley_mc_baseline(z_star, background, spec, m=m, max_draws=draws,
+                               rng=RandomStream(5), context=ctx)
+    gen, deltas, failed, sizes = RandomStream(5).generator, [], 0, []
+    for _ in range(draws):
+        j = int(gen.integers(1, m + 1))
+        sizes.append(j)
+        if j < spec.gate:
+            deltas.append(0.0)
+            continue
+        subset = background(j - 1, gen)
+        with_z = (tuple(np.concatenate([part, [z]]) for part, z in zip(subset, z_star))
+                  if isinstance(subset, tuple) else np.concatenate([subset, [z_star]]))
+        try:
+            deltas.append(evaluate_utility(with_z, spec, ctx) - evaluate_utility(subset, spec, ctx))
+        except UtilityEvaluationError:
+            failed += 1
+    total = total_sq = 0.0
+    for delta in deltas:
+        total, total_sq = total + delta, total_sq + delta * delta
+    mean = total / len(deltas)
+    var = max((total_sq - len(deltas) * mean * mean) / (len(deltas) - 1), 0.0)
+    return est, (mean, float(np.sqrt(var / len(deltas))), failed, sizes)
+
+
 class TestMcBaseline:
     def test_all_draws_gated_give_exact_zero(self):
         spec = UtilitySpec("regression_risk", gate=3, constant=0.0, evaluation_mode="analytic")
@@ -441,29 +497,16 @@ class TestMcBaseline:
             return (x, (y > 0).astype(float)) if family == "accuracy" else (x, y)
 
         z_star = take(take(rows, 0), 0)
-        est = dshapley_mc_baseline(z_star, background, spec, m=9, max_draws=300,
-                                   rng=RandomStream(5), context=ctx)
-        gen, deltas, failed = RandomStream(5).generator, [], 0
-        for _ in range(300):
-            j = int(gen.integers(1, 10))
-            if j < spec.gate:
-                deltas.append(0.0)
-                continue
-            subset = background(j - 1, gen)
-            with_z = (tuple(np.concatenate([part, [z]]) for part, z in zip(subset, z_star))
-                      if family != "density" else np.concatenate([subset, [z_star]]))
-            try:
-                deltas.append(evaluate_utility(with_z, spec, ctx)
-                              - evaluate_utility(subset, spec, ctx))
-            except UtilityEvaluationError:
-                failed += 1
-        total = total_sq = 0.0
-        for delta in deltas:
-            total, total_sq = total + delta, total_sq + delta * delta
-        mean = total / len(deltas)
-        var = max((total_sq - len(deltas) * mean * mean) / (len(deltas) - 1), 0.0)
+        est, (mean, std_error, failed, _) = replay_baseline(z_star, background, spec, ctx,
+                                                            m=9, draws=300)
         assert est.failed_draws == failed and (failed > 0) == (family == "accuracy")
-        assert est.value == mean and est.std_error == float(np.sqrt(var / len(deltas)))
+        assert est.value == mean and est.std_error == std_error
+        # a wide horizon: the blocks of draws, taken by size, mix set widths up to 599 rows
+        est, (mean, std_error, failed, sizes) = replay_baseline(z_star, background, spec, ctx,
+                                                                m=600, draws=40)
+        assert len(set(sizes)) > 8 and max(sizes) > 300
+        assert est.failed_draws == failed
+        assert est.value == mean and est.std_error == std_error
 
     def test_pool_mean_matches_enumeration_average(self):
         # value of a pool element against datasets resampled from the pool:
