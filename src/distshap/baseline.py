@@ -9,7 +9,8 @@ gated regression risk, held-out classification accuracy, and density
 integrated squared error up to a constant. Each is defined once, on the
 prefixes of a stack of row sets, each set with sizes of its own: one subset
 is the stack of one, the enumeration values 4,096 subsets a stack, a
-repetition's three curves are one call, and so is a block of 8 baseline draws.
+repetition's three curves are one call, and so is a block of baseline draws of
+at most 8,192 padded rows.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ __all__ = [
 _ENUMERATION_LIMIT = 20
 _ACCURACY_MAX_ITER = 25  # IRLS iterations of the accuracy utility's subset fits
 _FITS_PER_BLOCK = 32  # subsets per block of IRLS fits and of held-out predictions
-_DRAWS_PER_BLOCK = 8  # baseline draws per stack, each valued without and with z_star
+_ROWS_PER_BLOCK = 8192  # baseline draws per stack times their widest padded set
 _SETS_PER_BLOCK = 4096  # subsets per stack of the exact enumeration
 
 
@@ -312,8 +313,9 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     ``background(size, rng)`` draws directly from a distribution) and takes
     the marginal contribution of ``z_star``. A first pass makes the draws in
     order, each as indices into one pool: the background, or the rows of all
-    of a callable's draws. A second values them by size in blocks of 8, each
-    set padded to the block's widest with ``z_star`` (the pool's last row) and
+    of a callable's draws. A second values them by size in blocks that grow
+    while their draws times their widest set stay within 8,192 rows, each set
+    padded to the block's widest with ``z_star`` (the pool's last row) and
     valued without and with it as two prefixes. Draws below the gate are
     exact zeros. A draw whose utility fails (raises ``UtilityEvaluationError``
     or is NaN) is counted in ``failed_draws`` and left out of the mean. Raises
@@ -324,30 +326,33 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
         raise InvalidParameterError("m and max_draws must be at least 1")
     gate = utility.gate if isinstance(utility, UtilitySpec) else 1
     pool = None if callable(background) else _rows([background], z_star)  # z_star last
-    gen, sizes, draws, parts, drawn = rng.generator, [], [], [], 0
+    n = None if pool is None else _data_len(pool) - 1
+    gen, sizes, draws = rng.generator, [], []
     for _ in range(max_draws):
         j = int(gen.integers(1, m + 1))
         sizes.append(j)
         if j < gate:
             draws.append(None)  # both utilities are gated to zero; the draw is exact
-        elif pool is None:  # the rows drawn, as an index range into the pool of all draws
-            parts.append(background(j - 1, gen))
-            draws.append(np.arange(drawn, drawn + j - 1))
-            drawn += j - 1
-        else:  # pool indices, in the smallest integer type that holds them
-            n = _data_len(pool) - 1
-            draws.append(gen.integers(0, n, size=j - 1).astype(np.min_scalar_type(n)))
-    if parts:
-        pool = _rows(parts, z_star)  # z_star last
-
+        else:  # a callable's rows, or pool indices in the smallest integer type that holds them
+            draws.append(background(j - 1, gen) if pool is None else
+                         gen.integers(0, n, size=j - 1).astype(np.min_scalar_type(n)))
     sizes, delta = np.array(sizes), np.zeros(max_draws)
+    drawn = np.where(sizes >= gate, sizes - 1, 0)
+    starts = np.cumsum(drawn) - drawn  # where each draw's rows begin in the pool of all draws
     live = np.flatnonzero(sizes >= gate)[np.argsort(sizes[sizes >= gate], kind="stable")]
-    for start in range(0, live.size, _DRAWS_PER_BLOCK):
-        at = live[start:start + _DRAWS_PER_BLOCK]
-        drawn = sizes[at] - 1
-        idx = np.full((at.size, drawn.max() + 1), -1, dtype=np.int64)  # z_star pads each set
-        idx[np.arange(idx.shape[1]) < drawn[:, None]] = np.concatenate([draws[t] for t in at])
-        table = np.column_stack([drawn, drawn + 1])  # each set without, then with z_star
+    if pool is None and live.size:
+        pool = _rows([part for part in draws if part is not None], z_star)  # z_star last
+    start = 0
+    while start < live.size:  # the most draws whose count times the last's size fits, or one
+        rows = np.arange(1, live.size - start + 1) * sizes[live[start:]]
+        end = start + max(1, int(np.searchsorted(rows, _ROWS_PER_BLOCK, side="right")))
+        at, start = live[start:end], end
+        cols = np.arange(sizes[at].max())
+        inside = cols < drawn[at, None]
+        idx = np.full(inside.shape, -1, dtype=np.int64)  # z_star pads each set
+        idx[inside] = ((starts[at, None] + cols)[inside] if callable(background)
+                       else np.concatenate([draws[t] for t in at]))
+        table = np.column_stack([drawn[at], drawn[at] + 1])  # each set without, then with z_star
         without, with_z = _set_utilities(_take(pool, idx), table, utility, context).T
         delta[at] = with_z - without
 

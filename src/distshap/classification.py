@@ -80,13 +80,12 @@ class BinaryPointQuery:
 
 
 def _irls_stack(x, y, members, tol: float, max_iter: int):
-    """The IRLS loop on a stack of subsets: row i is in subset a where ``members[a, i]`` is 1.
-
-    ``x`` (s, p) and ``y`` (s,) are rows shared by the subsets, or (k, s, p) and (k, s) one
-    row set per subset. Each subset stops at its own ``tol``, at ``max_iter`` or where its
-    normal equations are singular. No product is a gemv, whose sums depend on the row count,
-    so a fit's bits depend neither on the other subsets nor on the padding width (for p^2 *
-    width < 10^6). Returns an ``IRLSState`` of (k, ...) arrays and the (k,) singular flags.
+    """The IRLS loop on a stack of subsets: row i of ``x[a]`` (k, s, p) and ``y[a]`` (k, s)
+    is in subset a where ``members[a, i]`` is 1. Each subset stops at its own ``tol``, at
+    ``max_iter`` or where its normal equations are singular. No product is a gemv, whose sums
+    depend on the row count, so a fit's bits depend neither on the other subsets nor on the
+    padding width (for p^2 * width < 10^6). Returns an ``IRLSState`` of (k, ...) arrays and
+    the (k,) singular flags.
     """
     k, p = members.shape[0], x.shape[-1]
     beta = np.zeros((k, p))
@@ -97,7 +96,7 @@ def _irls_stack(x, y, members, tol: float, max_iter: int):
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
-        xa, ya = (x, y) if x.ndim == 2 or active.size == len(x) else (x[active], y[active])
+        xa, ya = (x, y) if active.size == k else (x[active], y[active])
         eta = np.einsum("...ij,...j->...i", xa, beta[active])
         pi = inv_logit(eta)
         w = np.maximum(pi * (1.0 - pi), _WEIGHT_FLOOR)
@@ -144,7 +143,7 @@ def irls_fit(x, y, tol: float = 1e-8, max_iter: int = 100) -> IRLSState:
             raise InvalidParameterError("both classes must be present")
         raise InvalidParameterError("labels must be 0/1")
 
-    state, singular = _irls_stack(x, y, np.ones((1, n)), tol, max_iter)
+    state, singular = _irls_stack(x[None], y[None], np.ones((1, n)), tol, max_iter)
     if singular[0]:
         raise SingularMatrixError("weighted normal equations are singular")
     beta, converged = state.beta[0], bool(state.converged[0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .datasets import gen_gaussian_c, gen_gaussian_r, load_csv
 from .density import synergy_scan
 from .errors import DistShapError, InvalidParameterError
 from .experiments import (
+    _METHODS,
+    _TASKS,
     ExperimentConfig,
     run_point_addition,
     run_time_bench,
@@ -28,10 +31,14 @@ from .output import CURVE_COLUMNS, VALUES_COLUMNS, ResultTable, write_results
 
 __all__ = ["main", "build_parser"]
 
+# the valuation commands and the method each runs
+_VALUE_METHODS = {"value": "fast", "bounds": "bounds", "baseline": "baseline"}
+_CONFIG_FIELDS = {field.name for field in fields(ExperimentConfig)}
+
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON file of defaults; flags override it")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     parser.add_argument("--output", required=True, help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -41,21 +48,18 @@ def _add_valuation_args(parser):
     parser.add_argument("--target-column", default=None,
                         help="target column name or index; omit for density data")
     parser.add_argument("--no-header", action="store_true")
-    parser.add_argument("--task", choices=("regression", "classification", "density"),
-                        required=True)
-    parser.add_argument("--m", type=int, default=1000)
-    parser.add_argument("--q", type=int, default=None)
-    parser.add_argument("--gamma", type=float, default=0.0)
-    parser.add_argument("--n-value-points", type=int, default=200)
-    parser.add_argument("--background-size", type=int, default=2000)
-    parser.add_argument("--heldout-size", type=int, default=1000)
-    parser.add_argument("--baseline-draws", type=int, default=500)
+    parser.add_argument("--task", choices=_TASKS, required=True)
+    for name, kind in (("m", int), ("q", int), ("gamma", float), ("n_value_points", int),
+                       ("background_size", int), ("heldout_size", int), ("baseline_draws", int)):
+        parser.add_argument("--" + name.replace("_", "-"), type=kind,
+                            default=getattr(ExperimentConfig, name))
     parser.add_argument("--density-budget", type=int, default=2000,
                         help="accepted and ignored: density values draw nothing")
     parser.add_argument("--bandwidth-grid", default=None,
                         help="comma-separated bandwidths for density valuation")
-    parser.add_argument("--bound-side", choices=("lower", "upper"), default="lower")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--bound-side", choices=("lower", "upper"),
+                        default=ExperimentConfig.bound_side)
+    parser.add_argument("--threads", type=int, default=ExperimentConfig.threads)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--p", type=int, default=10)
 
-    for name, method in (("value", "fast"), ("bounds", "bounds"), ("baseline", "baseline")):
+    for name, method in _VALUE_METHODS.items():
         p_cmd = sub.add_parser(name, help=f"per-point values via the {method} route")
         _add_common(p_cmd)
         _add_valuation_args(p_cmd)
@@ -77,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_add = sub.add_parser("point-addition", help="point-addition curves")
     _add_common(p_add)
     _add_valuation_args(p_add)
-    p_add.add_argument("--method", choices=("fast", "baseline", "bounds"), default="fast")
-    p_add.add_argument("--repetitions", type=int, default=50)
+    p_add.add_argument("--method", choices=_METHODS, default=ExperimentConfig.method)
+    p_add.add_argument("--repetitions", type=int, default=ExperimentConfig.repetitions)
 
     p_bench = sub.add_parser("time-bench", help="fast vs baseline timing grid")
     _add_common(p_bench)
@@ -88,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated tasks to benchmark")
     p_bench.add_argument("--repetitions", type=int, default=5)
     p_bench.add_argument("--baseline-points", type=int, default=20)
-    p_bench.add_argument("--threads", type=int, default=1)
+    p_bench.add_argument("--threads", type=int, default=ExperimentConfig.threads)
 
     p_syn = sub.add_parser("synergy-scan", help="pair-synergy scan over bandwidths")
     _add_common(p_syn)
@@ -131,19 +135,15 @@ def _target_column(args):
 
 
 def _experiment_config(args, method: str) -> ExperimentConfig:
-    extra = {}
-    if args.bandwidth_grid is not None:  # an empty grid goes on, for select_bandwidth to refuse
-        grid = args.bandwidth_grid
-        extra["bandwidth_grid"] = tuple(
-            float(h) for h in (grid.split(",") if grid and isinstance(grid, str) else grid))
-    return ExperimentConfig(
-        task=args.task, method=method, n_value_points=args.n_value_points,
-        m=args.m, q=args.q, gamma=args.gamma, seed=args.seed,
-        background_size=args.background_size, heldout_size=args.heldout_size,
-        repetitions=getattr(args, "repetitions", 1),
-        baseline_draws=args.baseline_draws,
-        bound_side=args.bound_side, threads=args.threads, **extra,
-    )
+    """The config of the parsed flags named after its fields. ``method`` is the command's,
+    a valuation command makes one repetition, and no grid is the default grid."""
+    settings = {"repetitions": 1, **{key: value for key, value in vars(args).items()
+                                     if key in _CONFIG_FIELDS}, "method": method}
+    grid = settings["bandwidth_grid"]
+    settings["bandwidth_grid"] = (  # an empty grid goes on, for select_bandwidth to refuse
+        ExperimentConfig.bandwidth_grid if grid is None else
+        tuple(float(h) for h in (grid.split(",") if grid and isinstance(grid, str) else grid)))
+    return ExperimentConfig(**settings)
 
 
 def _cmd_gen(args) -> None:
@@ -236,8 +236,8 @@ def main(argv=None) -> int:
             args = _apply_config_file(parser, args, argv)
         if args.command == "gen":
             _cmd_gen(args)
-        elif args.command in ("value", "bounds", "baseline"):
-            _cmd_value(args, {"value": "fast", "bounds": "bounds", "baseline": "baseline"}[args.command])
+        elif args.command in _VALUE_METHODS:
+            _cmd_value(args, _VALUE_METHODS[args.command])
         elif args.command == "point-addition":
             _cmd_point_addition(args)
         elif args.command == "time-bench":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -113,18 +113,8 @@ class ExperimentConfig:
         return self.q if self.q is not None else p + 3
 
     def metadata(self) -> dict:
-        return {
-            "task": self.task, "method": self.method, "m": self.m,
-            "q": self.q if self.q is not None else "auto",
-            "gamma": self.gamma, "seed": self.seed,
-            "n_value_points": self.n_value_points,
-            "background_size": self.background_size,
-            "heldout_size": self.heldout_size,
-            "repetitions": self.repetitions,
-            "baseline_draws": self.baseline_draws,
-            "bound_side": self.bound_side,
-            "threads": self.threads,
-        }
+        """Every field by name; an unset q is written "auto"."""
+        return {**asdict(self), "q": self.q if self.q is not None else "auto"}
 
 
 @dataclass
@@ -363,13 +353,12 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
                 rep_rng = cell_rng.substream(rep)
                 data = _bench_dataset(task, n_points + background_size + 200, p,
                                       rep_rng.substream(0))
-                config_common = dict(
+                fast_cfg = ExperimentConfig(
                     task=task, n_value_points=n_points, m=n_points,
                     q=p + 3, seed=0, background_size=background_size,
                     heldout_size=200, repetitions=1, threads=threads,
                     baseline_draws=_BENCH_BASELINE_DRAWS[task],
                 )
-                fast_cfg = ExperimentConfig(method="fast", **config_common)
                 split = _split_indices(data.n, fast_cfg, rep_rng.substream(1).generator)
                 value_idx, held_idx, bg_idx = split
 
@@ -377,7 +366,7 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
                 value_points(data, fast_cfg, rep_rng.substream(2), *split)
                 fast_times.append(time.perf_counter() - start)
 
-                base_cfg = ExperimentConfig(method="baseline", **config_common)
+                base_cfg = replace(fast_cfg, method="baseline")
                 sub_idx = value_idx[:timed_points]
                 start = time.perf_counter()
                 value_points(data, base_cfg, rep_rng.substream(3), sub_idx, held_idx, bg_idx)

@@ -21,6 +21,7 @@ from distshap import (
     evaluate_utility,
     exact_data_shapley,
 )
+from distshap import baseline
 from distshap.baseline import prefix_utilities
 from distshap.classification import _irls_stack
 from distshap.estimates import MCControls
@@ -507,6 +508,27 @@ class TestMcBaseline:
         assert len(set(sizes)) > 8 and max(sizes) > 300
         assert est.failed_draws == failed
         assert est.value == mean and est.std_error == std_error
+
+    def test_blocks_are_cut_by_padded_rows(self, monkeypatch):
+        # the draws, sorted by size, share a stack while its draws times its widest set
+        # stay within 8,192 rows: few calls for small sets, bounded stacks for wide ones
+        spec, ctx, rows = family_stack("heldout")
+        pool = take(rows, 0)
+        stacks = []
+
+        def spy(stack, *args):
+            stacks.append(stack[0].shape[:2])  # (draws, padded width)
+            return prefix_utilities(stack, *args)
+
+        monkeypatch.setattr(baseline, "prefix_utilities", spy)
+        dshapley_mc_baseline(take(pool, 0), pool, spec, m=12, max_draws=2000,
+                             rng=RandomStream(4), context=ctx)
+        assert 1 <= len(stacks) <= 4
+        stacks.clear()
+        dshapley_mc_baseline(take(pool, 0), pool, spec, m=1000, max_draws=200,
+                             rng=RandomStream(4), context=ctx)
+        assert max(draws * width for draws, width in stacks) <= 8192
+        assert max(draws for draws, _ in stacks) > 8
 
     def test_pool_mean_matches_enumeration_average(self):
         # value of a pool element against datasets resampled from the pool:

@@ -91,10 +91,11 @@ class TestIrlsFit:
             assert np.array_equal(state.beta[a], alone.beta)
             assert state.iterations[a] == alone.iterations and state.converged[a]
             assert state.final_step_norm[a] == alone.final_step_norm
-        # subsets of shared rows: row i is in subset a for i < sizes[a]
+        # subsets of one row set, broadcast: row i is in subset a for i < sizes[a]
         sizes = np.array([20, 35, 60])
         members = (np.arange(60) < sizes[:, None]).astype(float)
-        shared, _ = _irls_stack(x[0], y[0], members, 1e-8, 100)
+        shared, _ = _irls_stack(np.broadcast_to(x[0], (3, 60, 3)), np.broadcast_to(y[0], (3, 60)),
+                                members, 1e-8, 100)
         for a, size in enumerate(sizes):
             alone = irls_fit(x[0, :size], y[0, :size])
             assert np.allclose(shared.beta[a], alone.beta, rtol=1e-12, atol=1e-14)

@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from distshap.cli import main
+from distshap.cli import _experiment_config, build_parser, main
+from distshap.experiments import ExperimentConfig
 from distshap.output import read_results
 
 
@@ -289,6 +291,44 @@ class TestConfigFile:
                     "--output", str(tmp_path / "o.csv")])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+
+class TestResolvedConfig:
+    def test_outputs_echo_every_config_field(self, tmp_path):
+        data = tmp_path / "data.csv"
+        run(["gen", "--kind", "gaussian-r", "--n", "600", "--p", "3",
+             "--seed", "5", "--output", str(data)])
+        common = ["--data", str(data), "--target-column", "y", "--task", "regression",
+                  "--m", "100", "--n-value-points", "8", "--background-size", "300",
+                  "--heldout-size", "150", "--bandwidth-grid", "0.5,2", "--seed", "1"]
+        for command, repetitions in ((["value"], 1), (["point-addition", "--repetitions", "2"], 2)):
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"{command[0]}.{fmt}"
+                assert run(command + common + ["--format", fmt, "--output", str(out)]) == 0
+                metadata = read_results(out, fmt).metadata
+                assert set(metadata) == {field.name for field in fields(ExperimentConfig)}
+                echoed = {key: str(metadata[key]) for key in
+                          ("method", "repetitions", "q", "m", "bandwidth_grid")}
+                assert echoed == {"method": "fast", "repetitions": str(repetitions),
+                                  "q": "auto", "m": "100",
+                                  "bandwidth_grid": "(0.5, 2.0)" if fmt == "csv" else "[0.5, 2.0]"}
+
+    def test_valuation_flags_default_to_the_config(self):
+        parser = build_parser()
+        settings = ("m", "q", "gamma", "n_value_points", "background_size", "heldout_size",
+                    "baseline_draws", "bound_side", "threads", "seed")
+        required = ["--data", "d.csv", "--task", "regression", "--output", "o.csv"]
+        for command, method in (("value", "fast"), ("bounds", "bounds"), ("baseline", "baseline"),
+                                ("point-addition", "fast")):
+            args = parser.parse_args([command] + required)
+            extra = ("method", "repetitions") if command == "point-addition" else ()
+            for name in settings + extra:
+                assert getattr(args, name) == getattr(ExperimentConfig, name), (command, name)
+            repetitions = ExperimentConfig.repetitions if extra else 1
+            assert _experiment_config(args, method) == ExperimentConfig(
+                task="regression", method=method, repetitions=repetitions)
+        bench = parser.parse_args(["time-bench", "--cells", "10,2", "--output", "o.csv"])
+        assert bench.threads == ExperimentConfig.threads
 
 
 class TestOtherSubcommands:
