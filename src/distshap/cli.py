@@ -3,7 +3,8 @@
 Subcommands: ``gen``, ``value``, ``bounds``, ``baseline``, ``point-addition``,
 ``time-bench``, ``synergy-scan``. Flags override an optional JSON config file
 and the resolved configuration is echoed into every output file's metadata,
-so a fixed seed reproduces output files byte for byte.
+so a fixed seed reproduces output files byte for byte. Each command returns
+the columns and metadata of its result table, and :func:`main` writes them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .experiments import (
     value_points,
 )
 from .numerics import RandomStream
-from .output import CURVE_COLUMNS, VALUES_COLUMNS, ResultTable, write_results
+from .output import ResultTable, write_results
 
 __all__ = ["main", "build_parser"]
 
@@ -146,18 +147,15 @@ def _experiment_config(args, method: str) -> ExperimentConfig:
     return ExperimentConfig(**settings)
 
 
-def _cmd_gen(args) -> None:
+def _cmd_gen(args):
     rng = RandomStream(args.seed)
     if args.kind == "gaussian-r":
         data = gen_gaussian_r(args.n, args.p, rng)
     else:
         data = gen_gaussian_c(args.n, rng)
-    columns = [f"x{i}" for i in range(data.p)] + ["y"]
-    rows = np.column_stack([data.x, data.y]).tolist()
-    table = ResultTable(columns=columns, rows=rows,
-                        metadata={"kind": args.kind, "n": args.n, "p": data.p,
-                                  "seed": args.seed})
-    write_results(table, args.output, args.format)
+    columns = {f"x{i}": data.x[:, i] for i in range(data.p)}
+    columns["y"] = data.y
+    return columns, {"kind": args.kind, "n": args.n, "p": data.p, "seed": args.seed}
 
 
 def _load(args):
@@ -168,32 +166,32 @@ def _load(args):
     return dataset
 
 
-def _cmd_value(args, method: str) -> None:
+def _cmd_value(args):
+    method = _VALUE_METHODS[args.command]
     dataset = _load(args)
     config = _experiment_config(args, method)
-    rng = RandomStream(args.seed)
-    indices, values, std_errors = value_points(dataset, config, rng)
-    q = config.resolved_q(dataset.p)
-    rows = [(int(i), float(v), float(se), method, config.m, q, args.seed)
-            for i, v, se in zip(indices, values, std_errors)]
-    table = ResultTable(columns=VALUES_COLUMNS, rows=rows, metadata=config.metadata())
-    write_results(table, args.output, args.format)
+    indices, values, std_errors = value_points(dataset, config, RandomStream(args.seed))
+    n = len(indices)
+    columns = {"index": indices, "value": values, "std_error": std_errors,
+               "method": [method] * n, "m": [config.m] * n,
+               "q": [config.resolved_q(dataset.p)] * n, "seed": [args.seed] * n}
+    return columns, config.metadata()
 
 
-def _cmd_point_addition(args) -> None:
+def _cmd_point_addition(args):
     dataset = _load(args)
     config = _experiment_config(args, args.method)
-    result = run_point_addition(config, dataset, RandomStream(args.seed))
-    rows = []
-    for curve in result.curves:
-        for step in range(curve.utilities.size):
-            rows.append((curve.ordering, step, float(curve.utilities[step]),
-                         float(curve.std_errors[step]), curve.repetitions))
-    table = ResultTable(columns=CURVE_COLUMNS, rows=rows, metadata=config.metadata())
-    write_results(table, args.output, args.format)
+    curves = run_point_addition(config, dataset, RandomStream(args.seed)).curves
+    steps = [curve.utilities.size for curve in curves]
+    columns = {"ordering": np.repeat([curve.ordering for curve in curves], steps),
+               "step": np.concatenate([np.arange(k) for k in steps]),
+               "utility_mean": np.concatenate([curve.utilities for curve in curves]),
+               "utility_stderr": np.concatenate([curve.std_errors for curve in curves]),
+               "repetitions": [config.repetitions] * sum(steps)}
+    return columns, config.metadata()
 
 
-def _cmd_time_bench(args) -> None:
+def _cmd_time_bench(args):
     cells = []
     for chunk in args.cells.split(";"):
         try:
@@ -205,27 +203,24 @@ def _cmd_time_bench(args) -> None:
     rows = run_time_bench(cells, tasks, RandomStream(args.seed),
                           repetitions=args.repetitions,
                           baseline_points=args.baseline_points, threads=args.threads)
-    columns = list(rows[0].keys())
-    table = ResultTable(columns=columns,
-                        rows=[tuple(row[c] for c in columns) for row in rows],
-                        metadata={"seed": args.seed, "cells": args.cells,
-                                  "tasks": ",".join(tasks)})
-    write_results(table, args.output, args.format)
+    columns = {key: [row[key] for row in rows] for key in rows[0]}
+    return columns, {"seed": args.seed, "cells": args.cells, "tasks": ",".join(tasks)}
 
 
-def _cmd_synergy_scan(args) -> None:
+def _cmd_synergy_scan(args):
     grid = [float(h) for h in args.grid.split(",") if h]
-    result = synergy_scan(grid, m=args.m, C_den=args.c_den, n_draws=args.draws,
-                          rng=RandomStream(args.seed))
-    rows = [(rec.bandwidth,
-             rec.threshold if rec.threshold is not None else "none",
-             rec.probability)
-            for rec in result.records]
-    table = ResultTable(columns=["bandwidth", "synergy_threshold", "synergy_probability"],
-                        rows=rows,
-                        metadata={"m": args.m, "c_den": args.c_den,
-                                  "draws": args.draws, "seed": args.seed})
-    write_results(table, args.output, args.format)
+    records = synergy_scan(grid, m=args.m, C_den=args.c_den, n_draws=args.draws,
+                           rng=RandomStream(args.seed)).records
+    columns = {"bandwidth": [rec.bandwidth for rec in records],
+               "synergy_threshold": ["none" if rec.threshold is None else rec.threshold
+                                     for rec in records],
+               "synergy_probability": [rec.probability for rec in records]}
+    return columns, {"m": args.m, "c_den": args.c_den, "draws": args.draws, "seed": args.seed}
+
+
+_COMMANDS = {"gen": _cmd_gen, **dict.fromkeys(_VALUE_METHODS, _cmd_value),
+             "point-addition": _cmd_point_addition, "time-bench": _cmd_time_bench,
+             "synergy-scan": _cmd_synergy_scan}
 
 
 def main(argv=None) -> int:
@@ -234,16 +229,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "config", None):
             args = _apply_config_file(parser, args, argv)
-        if args.command == "gen":
-            _cmd_gen(args)
-        elif args.command in _VALUE_METHODS:
-            _cmd_value(args, _VALUE_METHODS[args.command])
-        elif args.command == "point-addition":
-            _cmd_point_addition(args)
-        elif args.command == "time-bench":
-            _cmd_time_bench(args)
-        elif args.command == "synergy-scan":
-            _cmd_synergy_scan(args)
+        columns, metadata = _COMMANDS[args.command](args)
+        write_results(ResultTable(columns, metadata), args.output, args.format)
     except (DistShapError, OSError, ValueError) as exc:
         message = str(exc).replace("\n", " ")
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -155,6 +155,8 @@ def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
         text = handle.read()
     header, values = _parse_text(text, has_header) or _parse_records(path, text, has_header)
     width = values.shape[1]
+    if header is not None and len(header) != width:
+        raise CsvParseError(f"{path}: header has {len(header)} fields, rows have {width}")
 
     if target_column is None:
         return Dataset(x=values, y=None, name=str(path))

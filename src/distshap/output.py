@@ -1,8 +1,11 @@
 """Deterministic result tables and their CSV / JSON serialization.
 
-Given identical inputs the emitted bytes are identical: floats are written
-with shortest round-trip precision, metadata keys are sorted, and no
-timestamps are recorded.
+A table is named columns: the numpy arrays a valuation returns, as they
+are, and lists for string and constant columns. The writer turns each
+column into Python values once and joins the rows from them. Given
+identical inputs the emitted bytes are identical: floats are written with
+shortest round-trip precision, metadata keys are sorted, and no timestamps
+are recorded.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ import numpy as np
 from .errors import InvalidParameterError
 
 __all__ = ["ResultTable", "write_results", "read_results", "RESULTS_JSON_SCHEMA"]
-
-VALUES_COLUMNS = ["index", "value", "std_error", "method", "m", "q", "seed"]
-CURVE_COLUMNS = ["ordering", "step", "utility_mean", "utility_stderr", "repetitions"]
 
 RESULTS_JSON_SCHEMA = {
     "type": "object",
@@ -40,47 +40,38 @@ RESULTS_JSON_SCHEMA = {
 
 @dataclass
 class ResultTable:
-    """A plain columns-and-rows table with free-form metadata."""
+    """An ordered mapping from column name to an equal-length column, with
+    free-form metadata. A column is a numpy array or a list of Python
+    numbers, strings and None."""
 
-    columns: list
-    rows: list = field(default_factory=list)
+    columns: dict
     metadata: dict = field(default_factory=dict)
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):  # np.float64 too: its repr is "np.float64(...)"
-        return float.__repr__(value)
-    return str(value)
 
 
 def write_results(table: ResultTable, path, format: str = "csv") -> None:
     """Serialize a result table; metadata rides along as comment lines or a JSON object."""
     if format not in ("csv", "json"):
         raise InvalidParameterError(f"unknown output format {format!r}")
+    columns = [column.tolist() if isinstance(column, np.ndarray) else column
+               for column in table.columns.values()]
+    if len({len(column) for column in columns}) > 1:
+        raise InvalidParameterError("columns of unequal length")
     try:
         if format == "csv":
             lines = [f"# {key}={table.metadata[key]}" for key in sorted(table.metadata)]
             lines.append(",".join(table.columns))
-            for row in table.rows:
-                if len(row) != len(table.columns):
-                    raise InvalidParameterError("row width does not match the columns")
-                lines.append(",".join(_format_cell(v) for v in row))
+            # str of a float is its shortest round-trip repr
+            texts = [("" if v is None else str(v) for v in column) for column in columns]
+            lines.extend(map(",".join, zip(*texts)))
             payload = "\n".join(lines) + "\n"
         else:
-            def cell(v):
-                if isinstance(v, np.generic):  # json writes no numpy scalar
-                    v = v.item()
-                # strict JSON has no NaN/infinity tokens
-                if isinstance(v, float) and not math.isfinite(v):
-                    return None
-                return v
-
+            # strict JSON has no NaN/infinity tokens
+            finite = [(None if isinstance(v, float) and not math.isfinite(v) else v
+                       for v in column) for column in columns]
             document = {
                 "metadata": {k: table.metadata[k] for k in sorted(table.metadata)},
                 "columns": list(table.columns),
-                "rows": [[cell(v) for v in row] for row in table.rows],
+                "rows": [list(row) for row in zip(*finite)],
             }
             payload = json.dumps(document, sort_keys=True, indent=1, allow_nan=False) + "\n"
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -103,25 +94,26 @@ def read_results(path, format: str = "csv") -> ResultTable:
     if format == "json":
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-        return ResultTable(columns=doc["columns"], rows=[tuple(r) for r in doc["rows"]],
-                           metadata=doc["metadata"])
-    metadata = {}
-    rows = []
-    columns = None
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                metadata[key] = value
-                continue
-            cells = line.split(",")
-            if columns is None:
-                columns = cells
-            else:
-                rows.append(tuple(_parse_cell(c) for c in cells))
-    if columns is None:
-        raise InvalidParameterError(f"{path} has no header row")
-    return ResultTable(columns=columns, rows=rows, metadata=metadata)
+        names, rows, metadata = doc["columns"], doc["rows"], doc["metadata"]
+    else:
+        names, rows, metadata = None, [], {}
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                if line.startswith("# "):
+                    key, _, value = line[2:].partition("=")
+                    metadata[key] = value
+                elif names is None:
+                    names = line.split(",")
+                else:
+                    rows.append([_parse_cell(c) for c in line.split(",")])
+        if names is None:
+            raise InvalidParameterError(f"{path} has no header row")
+    for r, row in enumerate(rows, start=1):
+        if len(row) != len(names):
+            raise InvalidParameterError(
+                f"{path}: data row {r} has {len(row)} cells, expected {len(names)}")
+    columns = zip(*rows) if rows else [()] * len(names)
+    return ResultTable(columns=dict(zip(names, map(list, columns))), metadata=metadata)

@@ -1,11 +1,14 @@
 import json
+import math
+import re
 from dataclasses import fields
 
+import jsonschema
 import pytest
 
 from distshap.cli import _experiment_config, build_parser, main
 from distshap.experiments import ExperimentConfig
-from distshap.output import read_results
+from distshap.output import RESULTS_JSON_SCHEMA, read_results
 
 
 def run(argv):
@@ -29,8 +32,8 @@ class TestGenAndValue:
         assert out1.read_bytes() == out2.read_bytes()
 
         table = read_results(out1)
-        assert table.columns == ["index", "value", "std_error", "method", "m", "q", "seed"]
-        assert len(table.rows) == 10
+        assert list(table.columns) == ["index", "value", "std_error", "method", "m", "q", "seed"]
+        assert len(table.columns["index"]) == 10
         assert table.metadata["task"] == "regression"
 
     def test_gen_classification(self, tmp_path):
@@ -51,6 +54,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    def test_header_width_mismatch_single_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "o.csv"
+        for header in ("a,b,y", "a,b,c,d,y"):
+            data.write_text(header + "\n" + "".join(f"{i},{i + 1},{i + 2},{i * i}\n"
+                                                     for i in range(50)))
+            code = run(["value", "--data", str(data), "--target-column", "y",
+                        "--task", "regression", "--m", "20", "--n-value-points", "5",
+                        "--background-size", "30", "--heldout-size", "10",
+                        "--output", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: CsvParseError: ")
+            assert "rows have 4" in err
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     def test_negative_split_sizes_exit_code(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -223,7 +243,7 @@ class TestConfigFile:
                     "--n-value-points", "4", "--output", str(out)])
         assert code == 0
         table = read_results(out)
-        assert len(table.rows) == 4  # flag wins
+        assert len(table.columns["index"]) == 4  # flag wins
         assert table.metadata["m"] == "100"  # file value applied
 
         # a flag equal to its default still wins over the file
@@ -234,7 +254,7 @@ class TestConfigFile:
                     "--m", "1000", "--seed", "0", "--output", str(out)])
         assert code == 0
         table = read_results(out)
-        assert len(table.rows) == 3
+        assert len(table.columns["index"]) == 3
         assert table.metadata["m"] == "1000"
         assert table.metadata["seed"] == "0"
 
@@ -268,7 +288,7 @@ class TestConfigFile:
         assert run(["value", "--data", str(density), "--task", "density", "--m", "20",
                     "--n-value-points", "5", "--heldout-size", "0", "--config", str(cfg),
                     "--output", str(out)]) == 0
-        assert len(read_results(out).rows) == 5
+        assert len(read_results(out).columns["index"]) == 5
 
         # an empty grid is refused, not replaced by the default grid
         cfg.write_text(json.dumps({"bandwidth_grid": [], "no_header": True}))
@@ -337,8 +357,8 @@ class TestOtherSubcommands:
         assert run(["synergy-scan", "--grid", "0.1,0.2", "--draws", "300",
                     "--seed", "2", "--output", str(out)]) == 0
         table = read_results(out)
-        assert table.columns == ["bandwidth", "synergy_threshold", "synergy_probability"]
-        assert len(table.rows) == 2
+        assert list(table.columns) == ["bandwidth", "synergy_threshold", "synergy_probability"]
+        assert len(table.columns["bandwidth"]) == 2
 
     def test_point_addition_small(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -351,9 +371,9 @@ class TestOtherSubcommands:
                     "--repetitions", "2", "--seed", "1", "--output", str(out)])
         assert code == 0
         table = read_results(out)
-        assert table.columns == ["ordering", "step", "utility_mean", "utility_stderr",
-                                 "repetitions"]
-        assert len(table.rows) == 3 * 9  # three orderings, steps 0..8
+        assert list(table.columns) == ["ordering", "step", "utility_mean", "utility_stderr",
+                                       "repetitions"]
+        assert len(table.columns["step"]) == 3 * 9  # three orderings, steps 0..8
 
     def test_time_bench_json(self, tmp_path):
         out = tmp_path / "bench.json"
@@ -364,3 +384,81 @@ class TestOtherSubcommands:
         doc = json.loads(out.read_text())
         assert doc["columns"][0] == "task"
         assert len(doc["rows"]) == 1
+
+
+# integer columns of the result tables; the other numeric columns are floats
+INT_COLUMNS = {"index", "m", "q", "seed", "step", "repetitions", "n_points", "p",
+               "baseline_draws", "baseline_points_timed", "threads"}
+TIMING_COLUMNS = {"fast_seconds", "fast_seconds_std", "baseline_seconds",
+                  "baseline_seconds_std", "speedup"}
+VALUATION = ["--m", "40", "--n-value-points", "6", "--background-size", "150",
+             "--heldout-size", "60", "--baseline-draws", "20", "--seed", "4"]
+COMMANDS = {
+    "gen-r": ["gen", "--kind", "gaussian-r", "--n", "12", "--p", "3", "--seed", "2"],
+    "gen-c": ["gen", "--kind", "gaussian-c", "--n", "12", "--seed", "2"],
+    "value": ["value", "--data", "{reg}", "--target-column", "y", "--task", "regression"]
+    + VALUATION,
+    "value-density": ["value", "--data", "{reg}", "--task", "density",
+                      "--bandwidth-grid", "0.5,1"] + VALUATION,
+    "bounds": ["bounds", "--data", "{clf}", "--target-column", "y",
+               "--task", "classification", "--bound-side", "upper"] + VALUATION,
+    "baseline": ["baseline", "--data", "{reg}", "--target-column", "y",
+                 "--task", "regression"] + VALUATION,
+    "point-addition": ["point-addition", "--data", "{reg}", "--target-column", "y",
+                       "--task", "regression", "--repetitions", "2"] + VALUATION,
+    # one bandwidth with a synergy threshold and one without
+    "synergy-scan": ["synergy-scan", "--grid", "0.1,0.3", "--c-den", "5", "--draws", "200",
+                     "--seed", "2"],
+    "time-bench": ["time-bench", "--cells", "15,2", "--tasks", "regression",
+                   "--repetitions", "1", "--baseline-points", "2", "--seed", "0"],
+}
+
+
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory):
+    root = tmp_path_factory.mktemp("data")
+    paths = {"reg": root / "r.csv", "clf": root / "c.csv"}
+    assert run(["gen", "--kind", "gaussian-r", "--n", "300", "--p", "3",
+                "--seed", "1", "--output", str(paths["reg"])]) == 0
+    assert run(["gen", "--kind", "gaussian-c", "--n", "300",
+                "--seed", "1", "--output", str(paths["clf"])]) == 0
+    return paths
+
+
+class TestWrittenFormat:
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_csv_and_json_cells(self, name, datasets, tmp_path):
+        argv = [arg.format(**datasets) for arg in COMMANDS[name]]
+        paths = {fmt: tmp_path / f"out.{fmt}" for fmt in ("csv", "json")}
+        for fmt, path in paths.items():
+            assert run(argv + ["--format", fmt, "--output", str(path)]) == 0
+
+        document = json.loads(paths["json"].read_text())
+        jsonschema.validate(document, RESULTS_JSON_SCHEMA)
+
+        lines = [line for line in paths["csv"].read_text().splitlines()
+                 if not line.startswith("# ")]
+        header, cells = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        assert header == document["columns"]
+        assert len(cells) == len(document["rows"]) > 0
+        for c, column in enumerate(header):
+            for text, value in zip((row[c] for row in cells), (row[c] for row in document["rows"])):
+                if column in INT_COLUMNS:
+                    assert re.fullmatch(r"-?\d+", text), (column, text)
+                    assert type(value) is int, (column, value)
+                elif isinstance(value, str):
+                    assert text == value
+                else:  # a float, or null where the float is not finite
+                    assert repr(float(text)) == text, (column, text)
+                    assert "." in text or "e" in text or text in ("nan", "inf", "-inf"), text
+                    assert (value is None) == (not math.isfinite(float(text))), (column, text)
+                    assert value is None or type(value) is float, (column, value)
+                    if value is not None and column not in TIMING_COLUMNS:
+                        assert repr(value) == text, (column, text)
+
+        def read(fmt):
+            columns = read_results(paths[fmt], fmt).columns
+            return {key: [None if isinstance(v, float) and math.isnan(v) else v for v in values]
+                    for key, values in columns.items() if key not in TIMING_COLUMNS}
+
+        assert read("csv") == read("json")

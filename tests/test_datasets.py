@@ -122,6 +122,17 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError):
             load_csv(path, target_column="a")
 
+    def test_header_width_must_match_rows(self, tmp_path):
+        # unquoted text is parsed in C, quoted text by csv.reader: both check the header
+        path = tmp_path / "data.csv"
+        rows = "1.0,2.0,3.0,4.0\n5.0,6.0,7.0,8.0\n"
+        for names, width in ((["a", "b", "y"], 3), (["a", "b", "c", "d", "y"], 5)):
+            for header in (",".join(names), ",".join(f'"{name}"' for name in names)):
+                path.write_text(header + "\n" + rows)
+                with pytest.raises(CsvParseError,
+                                   match=f"header has {width} fields, rows have 4"):
+                    load_csv(path, target_column="y")
+
     def test_quoted_cells(self, tmp_path):
         # a quoted header name or numeric cell reads as its unquoted text; a
         # quoted comma stays inside its cell, which then fails to parse there
