@@ -3,14 +3,14 @@
 The exact enumerator values every subset of a small dataset and applies the
 combinatorial weights directly; it is the reference the fast estimators are
 validated against. The Monte-Carlo baseline samples the size-then-subset
-reformulation of the distributional value and stands in for the slow
-comparator in the timing experiments. Three utility families are provided:
-gated regression risk, held-out classification accuracy, and density
-integrated squared error up to a constant. Each is defined once, on the
-prefixes of a stack of row sets, each set with sizes of its own: one subset
-is the stack of one, the enumeration values 4,096 subsets a stack, a
-repetition's three curves are one call, and so is a block of baseline draws of
-at most 8,192 padded rows.
+reformulation of the distributional value (all sizes in one call, all rows in
+another) and stands in for the slow comparator in the timing experiments.
+Three utility families are provided: gated regression risk, held-out
+classification accuracy, and density integrated squared error up to a
+constant. Each is defined once, on the prefixes of a stack of row sets, each
+set with sizes of its own: one subset is the stack of one, the enumeration
+values 4,096 subsets a stack, a repetition's three curves are one call, and so
+is a block of baseline draws of at most 8,192 padded rows.
 """
 
 from __future__ import annotations
@@ -284,12 +284,11 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
                               subset_evaluations=int(1 << n))
 
 
-def _rows(parts, z_star):
-    """The rows of ``parts`` (a list of (x, y) pairs or of point arrays), then ``z_star``."""
-    if isinstance(parts[0], tuple):
-        return tuple(_rows(list(column), z) for column, z in zip(zip(*parts), z_star))
-    parts = [np.asarray(part, dtype=float) for part in parts]
-    return np.concatenate(parts + [np.reshape(z_star, (1,) + parts[0].shape[1:])])
+def _rows(data, z_star):
+    """The rows of ``data`` (an (x, y) pair or an array of points), then ``z_star``."""
+    if isinstance(data, tuple):
+        return tuple(map(_rows, data, z_star))
+    return np.concatenate([np.asarray(data, dtype=float), np.reshape(z_star, (1,) + np.shape(data)[1:])])
 
 
 def _set_utilities(rows, sizes, utility, context) -> np.ndarray:
@@ -311,37 +310,36 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     Each draw picks a subset size uniformly up to ``m``, samples that many
     background points (a pool is resampled with replacement; a callable
     ``background(size, rng)`` draws directly from a distribution) and takes
-    the marginal contribution of ``z_star``. A first pass makes the draws in
-    order, each as indices into one pool: the background, or the rows of all
-    of a callable's draws. A second values them by size in blocks that grow
-    while their draws times their widest set stay within 8,192 rows, each set
-    padded to the block's widest with ``z_star`` (the pool's last row) and
-    valued without and with it as two prefixes. Draws below the gate are
-    exact zeros. A draw whose utility fails (raises ``UtilityEvaluationError``
-    or is NaN) is counted in ``failed_draws`` and left out of the mean. Raises
+    the marginal contribution of ``z_star``. The draws take two calls: every
+    draw's size, then every draw's rows in draw order, as indices into the
+    pool or as one ``background(total, rng)`` call whose parts must each have
+    ``total`` rows. Draws below the gate are exact zeros and draw no rows.
+    The others are valued by size in blocks that grow while their draws times
+    their widest set stay within 8,192 rows, each set padded to the block's
+    widest with ``z_star`` and valued without and with it as two prefixes. A
+    draw whose utility fails (raises ``UtilityEvaluationError`` or is NaN) is
+    counted in ``failed_draws`` and left out of the mean. Raises
     ``BaselineFailureError`` once 20 or more evaluated draws, in draw order,
     are more than half failures, or if more than half fail in the end.
     """
     if m < 1 or max_draws < 1:
         raise InvalidParameterError("m and max_draws must be at least 1")
     gate = utility.gate if isinstance(utility, UtilitySpec) else 1
-    pool = None if callable(background) else _rows([background], z_star)  # z_star last
-    n = None if pool is None else _data_len(pool) - 1
-    gen, sizes, draws = rng.generator, [], []
-    for _ in range(max_draws):
-        j = int(gen.integers(1, m + 1))
-        sizes.append(j)
-        if j < gate:
-            draws.append(None)  # both utilities are gated to zero; the draw is exact
-        else:  # a callable's rows, or pool indices in the smallest integer type that holds them
-            draws.append(background(j - 1, gen) if pool is None else
-                         gen.integers(0, n, size=j - 1).astype(np.min_scalar_type(n)))
-    sizes, delta = np.array(sizes), np.zeros(max_draws)
-    drawn = np.where(sizes >= gate, sizes - 1, 0)
-    starts = np.cumsum(drawn) - drawn  # where each draw's rows begin in the pool of all draws
+    sizes, delta = rng.generator.integers(1, m + 1, size=max_draws), np.zeros(max_draws)
+    drawn = np.where(sizes >= gate, sizes - 1, 0)  # below the gate: no rows, both utilities zero
+    starts = np.cumsum(drawn) - drawn  # where each draw's rows begin in the index
+    n_drawn = int(drawn.sum())
+    if callable(background):  # one call for the rows of every draw
+        background = background(n_drawn, rng.generator)
+        counts = set(map(len, background if isinstance(background, tuple) else [background]))
+        if counts != {n_drawn}:
+            raise InvalidParameterError(f"background({n_drawn}, rng) returned {sorted(counts)} rows")
+        index = np.arange(n_drawn)
+    else:  # pool indices in the smallest integer type that holds them
+        n = _data_len(background)
+        index = rng.generator.integers(0, n, size=n_drawn, dtype=np.min_scalar_type(n))
+    pool = _rows(background, z_star)  # z_star last
     live = np.flatnonzero(sizes >= gate)[np.argsort(sizes[sizes >= gate], kind="stable")]
-    if pool is None and live.size:
-        pool = _rows([part for part in draws if part is not None], z_star)  # z_star last
     start = 0
     while start < live.size:  # the most draws whose count times the last's size fits, or one
         rows = np.arange(1, live.size - start + 1) * sizes[live[start:]]
@@ -350,11 +348,9 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
         cols = np.arange(sizes[at].max())
         inside = cols < drawn[at, None]
         idx = np.full(inside.shape, -1, dtype=np.int64)  # z_star pads each set
-        idx[inside] = ((starts[at, None] + cols)[inside] if callable(background)
-                       else np.concatenate([draws[t] for t in at]))
+        idx[inside] = index[(starts[at, None] + cols)[inside]]
         table = np.column_stack([drawn[at], drawn[at] + 1])  # each set without, then with z_star
-        without, with_z = _set_utilities(_take(pool, idx), table, utility, context).T
-        delta[at] = with_z - without
+        delta[at] = np.diff(_set_utilities(_take(pool, idx), table, utility, context))[:, 0]
 
     failed = np.isnan(delta)
     evaluated, failures = np.cumsum(sizes >= gate), np.cumsum(failed)
@@ -364,8 +360,7 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     stop[-1] |= failures[-1] > evaluated[-1] / 2
     if stop.any():
         at = int(np.argmax(stop))
-        raise BaselineFailureError(
-            f"utility failed on {failures[at]} of {evaluated[at]} evaluated draws")
+        raise BaselineFailureError(f"utility failed on {failures[at]} of {evaluated[at]} evaluated draws")
     used = delta[~failed]  # never empty: all draws failed is a majority, raised above
     count = used.size
     # running sums from 0.0 in draw order, bit-identical to a loop over the draws

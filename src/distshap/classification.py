@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-10
+_GRAM_ROWS = 256  # rows per block of the IRLS Gram, summed in order
 
 
 @dataclass
@@ -83,9 +84,9 @@ def _irls_stack(x, y, members, tol: float, max_iter: int):
     """The IRLS loop on a stack of subsets: row i of ``x[a]`` (k, s, p) and ``y[a]`` (k, s)
     is in subset a where ``members[a, i]`` is 1. Each subset stops at its own ``tol``, at
     ``max_iter`` or where its normal equations are singular. No product is a gemv, whose sums
-    depend on the row count, so a fit's bits depend neither on the other subsets nor on the
-    padding width (for p^2 * width < 10^6). Returns an ``IRLSState`` of (k, ...) arrays and
-    the (k,) singular flags.
+    depend on the row count, and the Gram is summed over fixed 256-row blocks, so a fit's bits
+    depend neither on the other subsets nor on the padding width. Returns an ``IRLSState`` of
+    (k, ...) arrays and the (k,) singular flags.
     """
     k, p = members.shape[0], x.shape[-1]
     beta = np.zeros((k, p))
@@ -103,7 +104,11 @@ def _irls_stack(x, y, members, tol: float, max_iter: int):
         z = eta + (ya - pi) / w
         wx = (w * members[active])[..., None] * xa  # rows outside a subset weigh 0
         rhs = np.swapaxes(wx, -1, -2) @ np.stack([z, z], -1)  # two columns: a gemm, not a gemv
-        new, bad = solve_each(np.swapaxes(xa, -1, -2) @ wx, rhs[..., :1])
+        xt = np.swapaxes(xa, -1, -2)
+        gram = xt[..., :_GRAM_ROWS] @ wx[..., :_GRAM_ROWS, :]
+        for at in range(_GRAM_ROWS, xa.shape[-2], _GRAM_ROWS):
+            gram += xt[..., at:at + _GRAM_ROWS] @ wx[..., at:at + _GRAM_ROWS, :]
+        new, bad = solve_each(gram, rhs[..., :1])
         new = new[..., 0]
         moved = np.sqrt(_sq_norms(new - beta[active])) / (1.0 + np.sqrt(_sq_norms(new)))
         ok = ~bad

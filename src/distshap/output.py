@@ -100,7 +100,7 @@ def read_results(path, format: str = "csv") -> ResultTable:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
                 line = line.rstrip("\n")
-                if not line:
+                if not line and names is None:  # after the header, an empty line is one empty cell
                     continue
                 if line.startswith("# "):
                     key, _, value = line[2:].partition("=")

@@ -203,6 +203,16 @@ class TestStackedUtilities:
                 fit, _ = _irls_stack(x[None, :k], y[None, :k], np.ones((1, k)), 1e-8, 25)
                 wide, _ = _irls_stack(x[None], y[None], (np.arange(600) < k)[None] * 1.0, 1e-8, 25)
                 assert np.array_equal(fit.beta, wide.beta)
+            # p = 30 at widths up to 1,300: one gemm over all rows splits them into blocks
+            # whose bounds depend on the width, so the Gram is summed over fixed row blocks
+            gen = np.random.default_rng(3)
+            x = gen.standard_normal((1300, 30))
+            y = (x @ gen.standard_normal(30) + 3.0 * gen.standard_normal(1300) > 0).astype(float)
+            for k, width in ((409, 1300), (700, 1300), (1000, 1300), (256, 1300), (409, 700)):
+                fit, _ = _irls_stack(x[None, :k], y[None, :k], np.ones((1, k)), 1e-8, 25)
+                wide, _ = _irls_stack(x[None, :width], y[None, :width],
+                                      (np.arange(width) < k)[None] * 1.0, 1e-8, 25)
+                assert np.isfinite(fit.beta).all() and np.array_equal(fit.beta, wide.beta)
 
     @pytest.mark.parametrize("family", ("heldout", "analytic", "accuracy"))
     def test_unfittable_member_fails_alone(self, family):
@@ -359,17 +369,20 @@ class TestExactShapley:
 
 def replay_baseline(z_star, background, spec, ctx, *, m, draws):
     """The baseline's estimate, and its mean, standard error, failures and subset sizes
-    formed by replaying its draws one set at a time."""
+    formed by replaying its draws one set at a time: every size in one call, then every
+    gated draw's rows in one background call, cut in draw order."""
     est = dshapley_mc_baseline(z_star, background, spec, m=m, max_draws=draws,
                                rng=RandomStream(5), context=ctx)
-    gen, deltas, failed, sizes = RandomStream(5).generator, [], 0, []
-    for _ in range(draws):
-        j = int(gen.integers(1, m + 1))
-        sizes.append(j)
+    gen, deltas, failed = RandomStream(5).generator, [], 0
+    sizes = gen.integers(1, m + 1, size=draws).tolist()
+    counts = [j - 1 if j >= spec.gate else 0 for j in sizes]
+    rows, start = background(sum(counts), gen), 0
+    for j, count in zip(sizes, counts):
         if j < spec.gate:
             deltas.append(0.0)
             continue
-        subset = background(j - 1, gen)
+        subset = take(rows, slice(start, start + count))
+        start += count
         with_z = (tuple(np.concatenate([part, [z]]) for part, z in zip(subset, z_star))
                   if isinstance(subset, tuple) else np.concatenate([subset, [z_star]]))
         try:
@@ -428,9 +441,11 @@ class TestMcBaseline:
                                    rng=RandomStream(13))
         gen = RandomStream(13).generator
         deltas, failed = [], 0
-        for _ in range(draws):
-            j = int(gen.integers(1, m + 1))
-            subset = pool[gen.integers(0, pool.size, size=j - 1)]
+        sizes = gen.integers(1, m + 1, size=draws)
+        index = gen.integers(0, pool.size, size=int(np.sum(sizes - 1)),
+                             dtype=np.min_scalar_type(pool.size))
+        for j, start in zip(sizes, np.cumsum(sizes - 1) - (sizes - 1)):
+            subset = pool[index[start:start + j - 1]]
             try:
                 deltas.append(util(np.append(subset, z_star)) - util(subset))
             except UtilityEvaluationError:
@@ -447,11 +462,9 @@ class TestMcBaseline:
                 raise UtilityEvaluationError("too large", subset_size=np.size(subset))
             return float(np.size(subset))
 
-        gen = RandomStream(3).generator
+        # the sizes are the first call; the indices drawn after them decide no failure
         attempts = failures = 0
-        for _ in range(200):
-            j = int(gen.integers(1, 7))
-            gen.integers(0, 10, size=j - 1)
+        for j in RandomStream(3).generator.integers(1, 7, size=200):
             attempts += 1
             failures += j >= 3
             if j >= 3 and attempts >= 20 and failures > attempts / 2:
@@ -508,6 +521,37 @@ class TestMcBaseline:
         assert len(set(sizes)) > 8 and max(sizes) > 300
         assert est.failed_draws == failed
         assert est.value == mean and est.std_error == std_error
+
+    def test_callable_background_called_once_with_every_row(self):
+        # one call per estimate, for the rows of every draw at or above the gate
+        spec, ctx, rows = family_stack("heldout")
+        calls = []
+
+        def background(k, gen):
+            calls.append(k)
+            x = gen.standard_normal((k, 3))
+            return x, x @ np.array([1.0, -0.5, 0.25])
+
+        dshapley_mc_baseline(take(take(rows, 0), 0), background, spec, m=12, max_draws=300,
+                             rng=RandomStream(6), context=ctx)
+        sizes = RandomStream(6).generator.integers(1, 13, size=300)
+        assert calls == [int(np.sum(sizes[sizes >= spec.gate] - 1))]
+
+    @pytest.mark.parametrize("extra", (1, -1))
+    def test_callable_background_row_count_checked(self, extra):
+        # one row too many would shift every later draw's subset; too few would run short
+        spec, ctx, rows = family_stack("heldout")
+
+        def background(k, gen):
+            x = gen.standard_normal((k + extra, 3))
+            return x, x[:, 0]
+
+        sizes = RandomStream(6).generator.integers(1, 13, size=50)
+        total = int(np.sum(sizes[sizes >= spec.gate] - 1))
+        with pytest.raises(InvalidParameterError,
+                           match=rf"background\({total}, rng\) returned \[{total + extra}\] rows"):
+            dshapley_mc_baseline(take(take(rows, 0), 0), background, spec, m=12, max_draws=50,
+                                 rng=RandomStream(6), context=ctx)
 
     def test_blocks_are_cut_by_padded_rows(self, monkeypatch):
         # the draws, sorted by size, share a stack while its draws times its widest set

@@ -77,13 +77,23 @@ class TestCsv:
         assert path.read_text().splitlines() == ["a,b", "1,x", ",y"]
         assert read_results(path).columns == {"a": [1, None], "b": ["x", "y"]}
 
+    def test_one_column_none_round_trips(self, tmp_path):
+        # a one-column row of None is an empty line, which is a cell after the header
+        path = tmp_path / "one.csv"
+        write_results(ResultTable(columns={"a": [1, None, 3]}, metadata={"k": 1}), path)
+        assert path.read_text() == "# k=1\na\n1\n\n3\n"
+        assert read_results(path).columns == {"a": [1, None, 3]}
+        path.write_text("\n# k=1\n\na\n1\n\n3\n")  # blank lines before the header are skipped
+        assert read_results(path).columns == {"a": [1, None, 3]}
+
     def test_unwritable_path(self):
         with pytest.raises(InvalidParameterError, match="cannot write"):
             write_results(sample_table(), "/nonexistent-dir/x.csv")
 
     def test_ragged_data_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
-        for body, row in (("1,2\n3\n", 2), ("1,2,3\n", 1), ("1,2\n3,4\n5,6,7\n", 3)):
+        for body, row in (("1,2\n3\n", 2), ("1,2,3\n", 1), ("1,2\n3,4\n5,6,7\n", 3),
+                          ("1,2\n\n3,4\n", 2)):
             path.write_text("# seed=1\na,b\n" + body)
             with pytest.raises(InvalidParameterError, match=f"data row {row} has"):
                 read_results(path)
