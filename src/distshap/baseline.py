@@ -194,8 +194,9 @@ def _density_utilities(pts, sets, sizes, spec: UtilitySpec, ctx: DensityUtilityC
     for i in np.unique(sets):  # each set's rows up to its largest prefix
         k = sizes[sets == i]
         rows = pts[i, :k.max()].reshape(k.max(), 1, -1)
-        conv = np.cumsum(np.cumsum(_kernel_means(ctx.kernel.self_convolution, rows, rows), 0), 1)
-        cross = np.cumsum(_kernel_means(ctx.kernel.evaluate, evals, rows)[0])
+        (conv,) = _kernel_means(ctx.kernel, rows, rows, ["self_convolution"])
+        conv = np.cumsum(np.cumsum(conv, 0), 1)
+        cross = np.cumsum(_kernel_means(ctx.kernel, evals, rows)[0][0])
         out[sets == i] = conv[k - 1, k - 1] / k ** 2 - 2.0 * cross[k - 1] / k
     return spec.constant - out
 

@@ -32,12 +32,12 @@ __all__ = [
     "synergy_scan",
 ]
 
-_BLOCK_BUDGET = 1 << 18  # floats per pairwise block
+_BLOCK_BUDGET = 1 << 16  # entries of one (sets, rows, n) kernel block or one block of LSCV pairs
 _LOG_TINY = np.log(np.finfo(float).tiny)  # exp of less is subnormal (slow); taken as 0
 
 
-def _block_rows(n_ref: int, dim: int) -> int:
-    return max(1, _BLOCK_BUDGET // max(1, n_ref * dim))
+def _block_rows(cols: int) -> int:
+    return max(1, _BLOCK_BUDGET // cols)
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,32 @@ class KernelSpec:
 
     def evaluate(self, diff) -> np.ndarray:
         """Kernel value at the given displacement(s), shape (..., dim)."""
-        diff = np.asarray(diff, dtype=float)
-        h = self.bandwidth
-        if self.family == "gaussian":
-            arg = -0.5 * np.sum((diff / h) ** 2, axis=-1)
-            out = np.exp(arg, out=np.zeros(np.shape(arg)), where=arg >= _LOG_TINY)
-            return out / (h ** self.dim * (2.0 * np.pi) ** (self.dim / 2.0))
-        inside = np.all(np.abs(diff) <= h / 2.0, axis=-1)
-        return inside / h ** self.dim
+        return self._values(np.moveaxis(np.asarray(diff, dtype=float), -1, 0), ["evaluate"])[0]
 
     def self_convolution(self, diff) -> np.ndarray:
         """Value of ``integral k(u - a) k(u - b) du`` at ``diff = a - b``."""
-        diff = np.asarray(diff, dtype=float)
-        h = self.bandwidth
-        if self.family == "gaussian":  # the Gaussian kernel at bandwidth h * sqrt(2)
-            return KernelSpec("gaussian", h * np.sqrt(2.0), self.dim).evaluate(diff)
-        overlap = np.maximum(h - np.abs(diff), 0.0) / h ** 2
-        return np.prod(overlap, axis=-1)
+        diff = np.moveaxis(np.asarray(diff, dtype=float), -1, 0)
+        return self._values(diff, ["self_convolution"])[0]
+
+    def _values(self, coords, kinds) -> list:
+        """The ``"evaluate"`` or ``"self_convolution"`` values, per entry of ``kinds``, at the
+        displacements whose coordinates ``coords`` yields in order: squares added (Gaussian)
+        or factors multiplied (uniform) one coordinate at a time."""
+        h, dim = self.bandwidth, self.dim
+        if self.family == "uniform":
+            inside, overlap = True, 1.0
+            for d in coords:
+                d = np.abs(d)
+                inside = inside & (d <= h / 2.0)
+                overlap = overlap * (np.maximum(h - d, 0.0) / h ** 2)
+            return [inside / h ** dim if kind == "evaluate" else overlap for kind in kinds]
+        sq, out = sum(d * d for d in coords), []
+        for w in (h if kind == "evaluate" else h * np.sqrt(2.0) for kind in kinds):
+            arg = sq * (-0.5 / (w * w))  # the self-convolution is the kernel at h * sqrt(2)
+            value = np.exp(arg, out=np.zeros(np.shape(arg)), where=arg >= _LOG_TINY)
+            value /= w ** dim * (2.0 * np.pi) ** (dim / 2.0)
+            out.append(value)
+        return out
 
 
 @dataclass
@@ -123,24 +132,30 @@ def _as_points(points) -> np.ndarray:
     return pts[:, None] if pts.ndim == 1 else pts
 
 
-def _kernel_means(fn, sets: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Mean over each set of the stack ``sets`` (k, n, dim) of ``fn(z_r - s_i)``, as (k, rows).
+def _kernel_means(kernel: KernelSpec, sets: np.ndarray, z: np.ndarray,
+                  kinds=("evaluate",)) -> list:
+    """Mean over each set of the stack ``sets`` (k, n, dim) of the kernel values ``kinds``
+    (see ``KernelSpec._values``) at ``z_r - s_i``, one (k, rows) array per kind.
 
     ``z`` is ``(rows, 1, dim)``, rows shared by every set, or ``(rows, k, dim)``,
-    one column of rows per set. ``fn`` is a bound ``KernelSpec.evaluate`` or
-    ``self_convolution``; the rows, the sets and the kernel must share one width.
-    Set-major, so each set's reductions over the rows do not depend on ``k``.
+    one column of rows per set; the rows, the sets and the kernel must share one width.
+    A block of rows is (k, rows, n), its displacements formed by subtraction one coordinate
+    at a time (a gemm's sums would depend on the block's shape), and each set's mean
+    reduces its own n, so a set's bits depend neither on ``k`` nor on the block.
     """
     k, n, dim = sets.shape
-    if z.shape[-1] != dim or fn.__self__.dim != dim:
+    if z.shape[-1] != dim or kernel.dim != dim:
         raise InvalidParameterError(
             f"rows of width {z.shape[-1]} against a set of width {dim} "
-            f"under a {fn.__self__.dim}-d kernel")
-    out = np.empty((k, z.shape[0]))
-    step = _block_rows(k * n, dim)
+            f"under a {kernel.dim}-d kernel")
+    out = [np.empty((k, z.shape[0])) for _ in kinds]
+    columns = z.transpose(1, 0, 2)[:, :, None, :]  # (k or 1, rows, 1, dim)
+    step = _block_rows(k * n)
     for start in range(0, z.shape[0], step):
-        diffs = z[start:start + step, :, None, :].swapaxes(0, 1) - sets[:, None]
-        out[:, start:start + step] = fn(diffs).mean(axis=2)
+        block = columns[:, start:start + step]
+        coords = (block[..., c] - sets[:, None, :, c] for c in range(dim))
+        for means, values in zip(out, kernel._values(coords, kinds)):
+            means[:, start:start + step] = values.mean(axis=2)
     return out
 
 
@@ -154,42 +169,43 @@ def kde_evaluate(s, kernel: KernelSpec, z):
     if pts.shape[0] == 0:
         raise InvalidParameterError("the reference set must be nonempty")
     z_arr = np.asarray(z, dtype=float)
-    out = _kernel_means(kernel.evaluate, pts[None], np.atleast_2d(z_arr)[:, None, :])[0]
+    out = _kernel_means(kernel, pts[None], np.atleast_2d(z_arr)[:, None, :])[0][0]
     return in_shape(out, z_arr.shape[:-1])
 
 
 def _mean_self_convolution(kernel: KernelSpec, sets: np.ndarray) -> np.ndarray:
     """Exact ``integral p_hat^2`` of each set of the stack, via pairwise self-convolutions."""
-    return _kernel_means(kernel.self_convolution, sets, sets.transpose(1, 0, 2)).mean(axis=1)
-
-
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = (np.sum(a ** 2, axis=1)[:, None] + np.sum(b ** 2, axis=1)[None, :]
-          - 2.0 * (a @ b.T))
-    return np.maximum(sq, 0.0)
+    (conv,) = _kernel_means(kernel, sets, sets.transpose(1, 0, 2), ["self_convolution"])
+    return conv.mean(axis=1)
 
 
 def _gaussian_loo_scores(pts, grid):
-    # A block serves every bandwidth and scores each pair j > i once, counted twice.
-    # Terms below the smallest normal double are 0, skipping exp's slow subnormal path:
-    # they square to 0 in `cross` and are far below `square`'s n diagonal terms of ~1.
+    # A block of rows serves every bandwidth and scores each pair j > i once, counted twice,
+    # from one contiguous vector of the block's pairs. Terms below the smallest normal double
+    # are 0, skipping exp's slow subnormal path: they square to 0 in `cross` and are far below
+    # `square`'s n diagonal terms of 1. A bandwidth that gates the block's closest pair skips
+    # the block; one that gates only some pairs takes exp of the others alone.
     n, dim = pts.shape
     h = np.asarray(grid)
-    square = np.zeros(h.size)  # sums of exp(-sq / 4h^2) over all pairs
+    square = np.full(h.size, float(n))  # sums of exp(-sq / 4h^2) over all pairs, i = j too
     cross = np.zeros(h.size)   # sums of exp(-sq / 2h^2) over pairs i != j
-    step = _block_rows(n, dim)
+    norms = np.sum(pts ** 2, axis=1)
+    step = _block_rows(n)
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         scale = -0.25 / (h * h)
-        for start in range(0, n, step):
-            sq = _pairwise_sq_dists(pts[start:start + step], pts[start:])
-            diag = sq.diagonal().copy()  # rounding leaves these nonzero; `square` keeps them
-            sq[np.tril_indices(diag.size)] = np.inf  # leaves the pairs j > i
-            for gi in range(h.size):
-                arg = sq * scale[gi]
-                wide = np.exp(arg, out=np.zeros_like(arg), where=arg >= _LOG_TINY)
-                square[gi] += 2.0 * wide.sum() + np.exp(diag * scale[gi]).sum()
-                wide *= wide
-                cross[gi] += 2.0 * wide.sum()
+        for start in range(0, n - 1, step):
+            sq = pts[start:start + step] @ (-2.0 * pts[start:].T)
+            sq += norms[start:start + step, None]
+            sq += norms[start:]
+            pairs = np.maximum(np.concatenate([row[i + 1:] for i, row in enumerate(sq)]), 0.0)
+            near, far = pairs.min(), pairs.max()
+            for gi, s in enumerate(scale):
+                if near * s >= _LOG_TINY:  # else every pair of the block is gated
+                    arg = pairs * s
+                    arg = arg if far * s >= _LOG_TINY else arg[arg >= _LOG_TINY]
+                    wide = np.exp(arg, out=arg)
+                    square[gi] += 2.0 * wide.sum()
+                    cross[gi] += 2.0 * np.einsum("i,i", wide, wide)
         return (square / (n * n * (4.0 * np.pi * h * h) ** (dim / 2.0))
                 - 2.0 * cross / (n * (n - 1) * (2.0 * np.pi * h * h) ** (dim / 2.0)))
 
@@ -216,12 +232,10 @@ def select_bandwidth(samples, grid) -> float:
         return grid[0]
 
     scores = _gaussian_loo_scores(pts, grid)
-    scores[~np.isfinite(scores)] = np.inf
     if not np.isfinite(scores).any():
         raise BandwidthSelectionError("no bandwidth in the grid produced a finite CV score")
     best = np.min(scores[np.isfinite(scores)])
-    winners = [h for h, s in zip(grid, scores) if np.isfinite(s) and s == best]
-    return max(winners)
+    return max(h for h, s in zip(grid, scores) if s == best)
 
 
 def coeff_A(n: int, m: int) -> float:
@@ -265,9 +279,8 @@ def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpe
     shape = request.s_star.shape[:-2]
     sets = request.s_star.reshape((-1,) + request.s_star.shape[-2:])
     a, b = coeff_A(sets.shape[1], request.m), coeff_B(sets.shape[1], request.m)
-    rows = bg[:, None, :]
-    p_hat = _kernel_means(kernel.evaluate, sets, rows)  # (sets, rows)
-    per_row = _kernel_means(kernel.self_convolution, sets, rows)  # the cross term, then t_r
+    # (sets, rows) each: p_hat, and the cross term that becomes t_r
+    p_hat, per_row = _kernel_means(kernel, sets, bg[:, None, :], ["evaluate", "self_convolution"])
     square = _mean_self_convolution(kernel, sets)
     if return_components:
         p_mean = p_hat.mean(axis=1)

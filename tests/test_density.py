@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,8 @@ from distshap import (
 )
 
 APPENDIX_GRID = [10.0 ** e for e in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0)]
+# 0.3 unless listed: a 10-d uniform kernel needs a wide window to cover a [0, 1] pair
+BANDWIDTHS = {("uniform", 10): 0.9}
 
 
 class TestKdeEvaluate:
@@ -124,7 +127,7 @@ class TestSelectBandwidth:
         # a small block budget runs several blocks, the last one short
         monkeypatch.setattr(density, "_BLOCK_BUDGET", 400)
         n = 37
-        assert n % density._block_rows(n, dim) != 0 and density._block_rows(n, dim) < n
+        assert n % density._block_rows(n) != 0 and density._block_rows(n) < n
         pts = RandomStream(11).generator.standard_normal((n, dim))
         grid = [0.05, 0.2, 0.7, 2.5]
         for h, got in zip(grid, density._gaussian_loo_scores(pts, grid)):
@@ -135,9 +138,9 @@ class TestSelectBandwidth:
     def test_loo_scores_in_underflow_bands(self, arg, band, monkeypatch):
         # Nearly equidistant points put every off-diagonal term exp(-sq / 4h^2) of the
         # all-pairs sum where numpy's exp is slow: subnormal at -726, 0 at -800.
-        monkeypatch.setattr(density, "_BLOCK_BUDGET", 750)
+        monkeypatch.setattr(density, "_BLOCK_BUDGET", 60)
         n = 12
-        assert n % density._block_rows(n, n) != 0 and density._block_rows(n, n) < n
+        assert n % density._block_rows(n) != 0 and density._block_rows(n) < n
         pts = 3.0 * np.eye(n) + 0.01 * RandomStream(14).generator.standard_normal((n, n))
         sq = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)[~np.eye(n, dtype=bool)]
         h = np.sqrt(np.median(sq) / (-4.0 * arg))
@@ -151,10 +154,30 @@ class TestSelectBandwidth:
         pts = RandomStream(15).generator.standard_normal((n, dim))
         grid = [0.01, 0.05, 0.2, 0.7, 2.5]
         whole = density._gaussian_loo_scores(pts, grid)
-        assert density._block_rows(n, dim) >= n
+        assert density._block_rows(n) >= n
         monkeypatch.setattr(density, "_BLOCK_BUDGET", 400)
-        assert n % density._block_rows(n, dim) != 0 and density._block_rows(n, dim) < n
+        assert n % density._block_rows(n) != 0 and density._block_rows(n) < n
         assert density._gaussian_loo_scores(pts, grid) == pytest.approx(whole, rel=1e-14)
+
+    def test_loo_scores_in_each_gate_branch(self, monkeypatch):
+        # At h = 1 a pair is gated beyond a distance of ~53.2. In blocks of ten rows: the
+        # first ten points lie far from every other point (every pair gated); the next ten
+        # lie within reach of all later points (every pair in range); the last ten sit on
+        # two sides 60 apart (pairs across the sides gated, the others in range).
+        monkeypatch.setattr(density, "_BLOCK_BUDGET", 300)
+        n, h = 30, 1.0
+        assert density._block_rows(n) == 10
+        gen = RandomStream(17).generator
+        far = np.column_stack([1000.0 * np.arange(1, 11), np.zeros(10)])
+        near = gen.uniform(-5.0, 5.0, size=(10, 2))
+        sides = np.column_stack([np.tile([30.0, -30.0], 5), np.zeros(10)])
+        pts = np.vstack([far, near, sides + gen.uniform(-1.0, 1.0, size=(10, 2))])
+        args = -np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1) / (4.0 * h * h)
+        later = np.triu(np.ones((n, n), dtype=bool), 1)
+        kept = [args[b:b + 10][later[b:b + 10]] >= density._LOG_TINY for b in (0, 10, 20)]
+        assert not kept[0].any() and kept[1].all() and 0 < kept[2].sum() < kept[2].size
+        (got,) = density._gaussian_loo_scores(pts, [h])
+        assert got == pytest.approx(self.direct_loo_score(pts, h), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dim", [1, 3])
@@ -308,16 +331,17 @@ class TestDensityEstimator:
 
 
 class TestDensityExpectation:
-    @pytest.mark.parametrize("family, dim", [("gaussian", 3), ("uniform", 1)])
+    @pytest.mark.parametrize("family, dim", [("gaussian", 3), ("gaussian", 10),
+                                             ("uniform", 1), ("uniform", 10)])
     def test_matches_direct_sum(self, family, dim, monkeypatch):
         # a small block budget runs several blocks, the last one short
         monkeypatch.setattr(density, "_BLOCK_BUDGET", 63)
         rows, m = 50, 40
-        assert rows % density._block_rows(3, dim) != 0 and density._block_rows(3, dim) < rows
+        assert rows % density._block_rows(3) != 0 and density._block_rows(3) < rows
         gen = RandomStream(12).generator
         s_star = gen.uniform(0.3, 0.7, size=(3, dim))
         bg = gen.uniform(size=(rows, dim))
-        kern = KernelSpec(family, 0.3, dim)
+        kern = KernelSpec(family, BANDWIDTHS.get((family, dim), 0.3), dim)
         est = dshapley_density(DensityValueRequest(s_star, m=m), bg, kern, RandomStream(0))
 
         to_set = bg[:, None, :] - s_star[None, :, :]
@@ -329,27 +353,79 @@ class TestDensityExpectation:
         assert est.std_error == pytest.approx(per_row.std(ddof=1) / np.sqrt(rows), rel=1e-12)
         assert est.inner_iters_used == []
 
-    @pytest.mark.parametrize("size", [1, 2])
-    @pytest.mark.parametrize("family, dim", [("gaussian", 3), ("uniform", 1)])
+    @pytest.mark.parametrize("size", [1, 2, 9])
+    @pytest.mark.parametrize("family, dim", [("gaussian", 3), ("gaussian", 10),
+                                             ("uniform", 1), ("uniform", 10)])
     def test_stack_matches_single_sets(self, family, dim, size, monkeypatch):
-        # a small block budget makes the stack span several row blocks, the last one short
-        monkeypatch.setattr(density, "_BLOCK_BUDGET", 500)
+        # each set alone, the stack in one row block, and the stack under a small block
+        # budget, where it spans several row blocks, the last one short
         rows, k, m = 90, 7, 40
-        step = density._block_rows(k * size, dim)
-        assert step < rows and rows % step != 0
         gen = RandomStream(13).generator
         stack = gen.uniform(0.3, 0.7, size=(k, size, dim))
         bg = gen.uniform(size=(rows, dim))
-        kern = KernelSpec(family, 0.3, dim)
-        est, parts = dshapley_density(DensityValueRequest(stack, m=m), bg, kern,
-                                      RandomStream(0), return_components=True)
-        assert est.value.shape == est.std_error.shape == (k,)
-        for i, s in enumerate(stack):
-            one, one_parts = dshapley_density(DensityValueRequest(s, m=m), bg, kern,
-                                              RandomStream(0), return_components=True)
-            assert isinstance(one.value, float) and isinstance(one.std_error, float)
-            assert (est.value[i], est.std_error[i]) == (one.value, one.std_error)
-            assert [p[i] for p in parts] == list(one_parts)
+        kern = KernelSpec(family, BANDWIDTHS.get((family, dim), 0.3), dim)
+
+        def value(sets):
+            est, parts = dshapley_density(DensityValueRequest(sets, m=m), bg, kern,
+                                          RandomStream(0), return_components=True)
+            return [est.value, est.std_error, *parts]
+
+        alone = [value(s) for s in stack]
+        assert all(isinstance(x, float) for one in alone for x in one)
+        whole = value(stack)
+        monkeypatch.setattr(density, "_BLOCK_BUDGET", 500)
+        step = density._block_rows(k * size)
+        assert step < rows and rows % step != 0
+        for got in (whole, value(stack)):
+            assert got[0].shape == got[1].shape == (k,)
+            assert [list(column) for column in got] == [list(x) for x in zip(*alone)]
+
+    @pytest.mark.parametrize("dim", [1, 3, 10])
+    def test_uniform_bits_match_the_difference_tensor(self, dim, monkeypatch):
+        # the per-coordinate loop multiplies the factors in the order np.prod and np.all
+        # reduce a (..., dim) tensor, and each set's mean still reduces its own n
+        monkeypatch.setattr(density, "_BLOCK_BUDGET", 500)
+        rows, k, size, h = 60, 4, 9, 0.9
+        gen = RandomStream(16).generator
+        stack = gen.uniform(0.3, 0.7, size=(k, size, dim))
+        bg = gen.uniform(size=(rows, dim))
+        kern = KernelSpec("uniform", h, dim)
+        p_hat, cross = density._kernel_means(kern, stack, bg[:, None, :],
+                                             ("evaluate", "self_convolution"))
+        square = density._mean_self_convolution(kern, stack)
+
+        def overlap(diffs):
+            return np.prod(np.maximum(h - np.abs(diffs), 0.0) / h ** 2, axis=-1)
+
+        to_set = bg[None, :, None, :] - stack[:, None, :, :]  # (sets, rows, n, dim)
+        inside = np.all(np.abs(to_set) <= h / 2.0, axis=-1) / h ** dim
+        assert 0.0 < inside.mean() < 1.0 / h ** dim
+        assert np.array_equal(p_hat, inside.mean(axis=2))
+        assert np.array_equal(cross, overlap(to_set).mean(axis=2))
+        pairs = stack[:, :, None, :] - stack[:, None, :, :]
+        assert np.array_equal(square, overlap(pairs).mean(axis=2).mean(axis=1))
+
+    def test_blocks_stay_within_a_multiple_of_the_budget(self, monkeypatch):
+        # The peak-memory guard: a Gaussian kernel block and an LSCV block each hold a few
+        # arrays of _BLOCK_BUDGET floats, however many rows, sets or pairs there are.
+        # Unblocked, the first call would hold 146 and the last 549 budgets of floats.
+        monkeypatch.setattr(density, "_BLOCK_BUDGET", 1 << 12)
+        gen = RandomStream(18).generator
+        pts = gen.standard_normal((1500, 10))
+        sets = gen.standard_normal((2, 400, 10))
+        kern = KernelSpec("gaussian", 1.0, 10)
+        calls = [lambda: kde_evaluate(pts, kern, pts[:40]),
+                 lambda: dshapley_density(DensityValueRequest(sets, m=50), pts[:300], kern,
+                                          RandomStream(0)),
+                 lambda: density._gaussian_loo_scores(pts, [0.01, 0.1, 1.0])]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 8 * density._BLOCK_BUDGET  # eight budgets of 8-byte floats
 
     @pytest.mark.parametrize("s_star", [np.empty((0, 2, 1)), np.empty((3, 0, 1)),
                                         np.empty((0, 1)), np.zeros((1, 1, 1, 1))])
