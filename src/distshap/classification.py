@@ -207,11 +207,10 @@ def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int,
     """Deterministic lower/upper value bounds for a transformed binary datum or batch.
 
     The regression envelope bounds at zero ridge, with the conditional
-    variance fixed at 1 by the working-response model. Summation runs until
-    the running lower bound's relative change drops to ``params.rho``;
-    indices with vacuous concentration (deviation >= 1) are skipped and
-    counted. ``_side`` ("lower" or "upper") computes that side alone and
-    leaves the other None; the stop always follows the lower bound.
+    variance fixed at 1 by the working-response model, summed over every
+    admitted size; indices with vacuous concentration (deviation >= 1) are
+    skipped and counted. ``_side`` ("lower" or "upper") computes that side
+    alone and leaves the other None.
     """
     params = params if params is not None else BoundParams()
     p = query.x_star.shape[-1]
@@ -220,4 +219,4 @@ def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int,
     if q < p + 3:
         raise InvalidParameterError(f"binary bounds need q >= p + 3, got q={q}, p={p}")
     return _envelope_bounds(query.d_tilde, query.e2_b, sigma2=1.0, m=m, q=q, p=p, params=params,
-                            early_stop=True, side=_side)
+                            side=_side)

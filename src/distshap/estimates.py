@@ -36,19 +36,15 @@ class BoundParams:
     """Concentration constants for the closed-form value bounds.
 
     ``C`` and ``c`` depend only on the sub-Gaussian norm of the inputs and
-    default to 1. ``rho`` is the relative-change threshold for the early stop
-    of the classification lower-bound sum.
+    default to 1.
     """
 
     C: float = 1.0
     c: float = 1.0
-    rho: float = 0.005
 
     def __post_init__(self):
         if not (0.0 < self.C < np.inf and 0.0 < self.c < np.inf):
             raise InvalidParameterError("C and c must be finite and strictly positive")
-        if not (0.0 < self.rho < 1.0):
-            raise InvalidParameterError("rho must lie in (0, 1)")
 
 
 @dataclass
@@ -80,16 +76,14 @@ class BoundsResult:
 
     Iterating yields ``(lower, upper)`` so the result unpacks like a tuple.
     ``skipped_terms`` counts summation indices dropped because the
-    concentration deviation reached 1 (the bound is vacuous there);
-    ``stopped_at_j`` is the index where the early stop fired, if any. For a
-    batch of points the bounds are arrays and ``stopped_at_j`` is a list. A
-    side the caller did not ask for is None.
+    concentration deviation reached 1 (the bound is vacuous there). For a
+    batch of points the bounds are arrays. A side the caller did not ask for
+    is None.
     """
 
     lower: float
     upper: float
     skipped_terms: int = 0
-    stopped_at_j: int | None = None
 
     def __iter__(self):
         yield self.lower

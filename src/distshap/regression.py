@@ -44,10 +44,9 @@ _INNER_BLOCK = 128
 _OUTER_BLOCK = 128
 # (nodes x sizes) entries per block of the quadrature's size sum
 _BLOCK_FLOATS = 1 << 14
-# points per row block and sizes per chunk of the envelope bounds; the early
-# stop ends a row block after the first chunk by which all its points stopped
-_BOUND_ROWS = 128
-_STOP_CHUNK = 64
+# (points x sizes) entries per row block of the envelope bounds, few enough
+# to stay in cache
+_BOUND_ENTRIES = 1 << 14
 
 # exp-sinh (double-exponential) rule on [0, inf): u = exp(pi/2 sinh t) on a
 # uniform t grid (Takahasi & Mori 1974); with an odd node count, every other
@@ -311,26 +310,23 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
 
 def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
                      params: BoundParams, ridge: tuple = (0.0, 0.0),
-                     early_stop: bool = False, side: str | None = None) -> BoundsResult:
+                     side: str | None = None) -> BoundsResult:
     """Eigenvalue-envelope value bounds, in the shape of ``d``, for ``d`` and ``e2``.
 
     Each admitted subset size ``j`` carries envelopes for the inverse design
     Gram matrix, ``1 / (j (1 -+ delta_j)^2 + ridge)``, where ``ridge`` holds
     ``gamma`` times the extreme eigenvalues of the inverse second moment.
     Sizes where the concentration deviation ``delta_j`` reaches 1 are
-    skipped and counted, since the probability bound is vacuous there. With
-    ``early_stop`` each point's sums end where its running lower bound
-    changes by at most ``params.rho`` relatively. ``side`` ("lower" or
-    "upper") computes that side alone and leaves the other None; the stop
-    still reads the lower terms.
+    skipped and counted, since the probability bound is vacuous there. Each
+    bound sums every admitted size of ``t a^2 / (1 + t b)^2 ((2 + t a) sigma2
+    - ((1 + t b) / (1 + t a))^2 e2)`` at ``t = d``; the sides differ only in
+    which envelope plays which role, ``(a, b)`` being (lower, upper) for the
+    lower side and (upper, lower) for the upper. ``side`` ("lower" or
+    "upper") computes that side alone and leaves the other None.
 
-    Points are worked through in row blocks, and each block's sizes in
-    chunks small enough to stay in cache. The running lower sum carries
-    from chunk to chunk within one sequential cumsum, so it has the bits of
-    a cumsum over all sizes, and a block's work ends after the first chunk
-    by which all its points have stopped. Each sum then runs pairwise over
-    all sizes with zeros past the point's stop, so a point's bits do not
-    depend on its block or the chunk width; a point is a block of one.
+    Points are summed in row blocks of ``_BOUND_ENTRIES // sizes`` rows, each
+    row pairwise over all its sizes, so a point's bits do not depend on its
+    block; a point is a block of one.
     """
     shape = np.shape(d)
     d, e2 = np.atleast_1d(d), np.atleast_1d(e2)
@@ -340,56 +336,22 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
     js, delta = js[valid], delta[valid]
     env_up = 1.0 / (js * (1.0 - delta) ** 2 + ridge[0])
     env_lo = 1.0 / (js * (1.0 + delta) ** 2 + ridge[1])
-    env_up2, env_lo2 = env_up ** 2, env_lo ** 2
-
-    n, size = len(d), js.size
-    sides = ("lower", "upper") if side is None else (side,)
-    need_lower = early_stop or "lower" in sides
-    sums = {name: np.zeros(n) for name in sides}
-    hit = np.zeros(n, dtype=bool)
-    counts = np.full(n, size)  # terms summed per point
-    # a row block's terms for every size: a block writes the chunks it computes
-    # and zeroes each point's entries past its stop, which covers the rest
-    tables = {name: np.empty((min(_BOUND_ROWS, n), size)) for name in sides}
-    for start in range(0, n, _BOUND_ROWS):
-        rows = slice(start, start + _BOUND_ROWS)
-        t, err = d[rows, None], e2[rows, None]
-        block_hit, block_counts = hit[rows], counts[rows]
-        terms = {name: table[:len(t)] for name, table in tables.items()}
-        carried = None  # unscaled running lower sums before this chunk
-        for first in range(0, size, _STOP_CHUNK):
-            cols = slice(first, first + _STOP_CHUNK)
-            tl, tu = t * env_lo[cols], t * env_up[cols]
-            lo_factor, up_factor = 1.0 + tl, 1.0 + tu
-            ratio = (lo_factor / up_factor) ** 2
-            if need_lower:
-                lower_terms = np.multiply(t * env_lo2[cols] / up_factor ** 2,
-                                          (2.0 + tl) * sigma2 - err / ratio,
-                                          out=terms["lower"][:, cols] if "lower" in terms else None)
-            if "upper" in terms:
-                np.multiply(t * env_up2[cols] / lo_factor ** 2, (2.0 + tu) * sigma2 - ratio * err,
-                            out=terms["upper"][:, cols])
-            if not early_stop:
-                continue
-            # one sequential cumsum with the carried sum leading: the bits of a full-width cumsum
-            running = np.cumsum(lower_terms if carried is None
-                                else np.concatenate((carried, lower_terms), axis=1), axis=1)
-            chunk_hit, chunk_counts = _first_stable_index(running / m, params.rho, denominator="cur")
-            fresh = chunk_hit & ~block_hit
-            block_counts[fresh] = chunk_counts[fresh] + (first if carried is None else first - 1)
-            block_hit |= chunk_hit
-            carried = running[:, -1:]
-            if block_hit.all():
-                break  # the sizes left are past every stop of the block
-        past_stop = np.arange(size) >= block_counts[:, None]
-        for name, block in terms.items():
-            np.copyto(block, 0.0, where=past_stop)
-            sums[name][rows] = block.sum(axis=1) / m
-    stopped = [int(js[k - 1]) if h else None for h, k in zip(hit, counts)]
-    lower, upper = (in_shape(sums[name], shape) if name in sums else None
-                    for name in ("lower", "upper"))
-    return BoundsResult(lower=lower, upper=upper, skipped_terms=int(np.count_nonzero(~valid)),
-                        stopped_at_j=in_shape(stopped, shape))
+    roles = {"lower": (env_lo, env_up), "upper": (env_up, env_lo)}
+    step = max(1, _BOUND_ENTRIES // max(js.size, 1))
+    sums = {}
+    for name in ("lower", "upper") if side is None else (side,):
+        a, b = roles[name]
+        a2 = a ** 2
+        total = np.empty(len(d))
+        for start in range(0, len(d), step):
+            rows = slice(start, start + step)
+            t, err = d[rows, None], e2[rows, None]
+            ta, tb = t * a, t * b
+            terms = t * a2 / (1.0 + tb) ** 2 * ((2.0 + ta) * sigma2 - ((1.0 + tb) / (1.0 + ta)) ** 2 * err)
+            total[rows] = terms.sum(axis=1) / m
+        sums[name] = in_shape(total, shape)
+    return BoundsResult(lower=sums.get("lower"), upper=sums.get("upper"),
+                        skipped_terms=int(np.count_nonzero(~valid)))
 
 
 def dshapley_regression_bounds(query: PointQuery, env: RegressionEnvironment,

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,15 +7,19 @@ from hypothesis import strategies as st
 
 from distshap import (
     BinaryPointQuery,
-    BoundParams,
     InvalidParameterError,
     NotConvergedError,
+    PointQuery,
     RandomStream,
+    RegressionEnvironment,
     SaturationError,
     SingularMatrixError,
+    SpdMatrix,
     dshapley_binary_bounds,
+    dshapley_regression_bounds,
     estimate_weighted_second_moment,
     gen_gaussian_c,
+    gen_mixture_c,
     inv_logit,
     irls_fit,
     spd_inverse,
@@ -162,45 +168,39 @@ class TestTransformQuery:
             transform_query(np.zeros(3), 2, state, sti)
 
 
-_STOP_M, _STOP_Q, _STOP_P = 1000, 6, 3
+_BLOCK_M, _BLOCK_Q, _BLOCK_P = 1000, 6, 3
 
 
-def _stop_inputs():
-    """Statistics of 300 random points, a d=0 point and an e2=0 point, and the
-    admitted sizes with their envelopes at m=1000, q=6, p=3."""
-    m, q, p = _STOP_M, _STOP_Q, _STOP_P
-    js = np.arange(q - 1, m, dtype=float)
-    delta = (np.sqrt(p) + np.sqrt(np.log(js * m) / 2.0)) / np.sqrt(js)
-    js, delta = js[delta < 1.0], delta[delta < 1.0]
+def _block_inputs():
+    """Statistics of 300 random points, a d=0 point and an e2=0 point."""
     gen = RandomStream(8).generator
     d = np.concatenate([gen.exponential(1.0, 300), [0.0, 1.5]])
     e2 = np.concatenate([gen.exponential(2.0, 300), [1.0, 0.0]])
-    return d, e2, js, 1.0 / (js * (1.0 + delta) ** 2), 1.0 / (js * (1.0 - delta) ** 2)
+    return d, e2
 
 
-def _one_pass_bounds(d, e2, js, env_lo, env_up, rho):
-    """Unit-noise bounds from every size's terms at once, as one cumsum and
-    one pairwise sum per point: (lower, upper, stopped_at_j, relative changes)."""
-    m = _STOP_M
+def _one_pass_bounds(d, e2, sigma2, ridge):
+    """Bounds from every point's terms at every admitted size at m=1000, q=6,
+    p=3, as one (points, sizes) array and one pairwise sum per point."""
+    m, q, p = _BLOCK_M, _BLOCK_Q, _BLOCK_P
+    js = np.arange(q - 1, m, dtype=float)
+    delta = (np.sqrt(p) + np.sqrt(np.log(js * m) / 2.0)) / np.sqrt(js)
+    js, delta = js[delta < 1.0], delta[delta < 1.0]
+    env_up = 1.0 / (js * (1.0 - delta) ** 2 + ridge[0])
+    env_lo = 1.0 / (js * (1.0 + delta) ** 2 + ridge[1])
     t, err = d[:, None], e2[:, None]
-    ratio = ((1.0 + t * env_lo) / (1.0 + t * env_up)) ** 2
-    lower_terms = t * env_lo ** 2 / (1.0 + t * env_up) ** 2 * ((2.0 + t * env_lo) * 1.0 - err / ratio)
-    upper_terms = t * env_up ** 2 / (1.0 + t * env_lo) ** 2 * ((2.0 + t * env_up) * 1.0 - ratio * err)
-    running = np.cumsum(lower_terms, axis=1) / m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(running[:, :-1] / running[:, 1:] - 1.0)
-    ok = (running[:, 1:] != 0.0) & (rel <= rho)
-    hit = ok.any(axis=1)
-    counts = np.where(hit, np.argmax(ok, axis=1) + 2, js.size)
-    summed = np.arange(js.size) < counts[:, None]
-    lower = np.where(summed, lower_terms, 0.0).sum(axis=1) / m
-    upper = np.where(summed, upper_terms, 0.0).sum(axis=1) / m
-    return lower, upper, [int(js[k - 1]) if h else None for h, k in zip(hit, counts)], rel
+
+    def side(a, b):
+        ta, tb = t * a, t * b
+        terms = t * a ** 2 / (1.0 + tb) ** 2 * ((2.0 + ta) * sigma2 - ((1.0 + tb) / (1.0 + ta)) ** 2 * err)
+        return terms.sum(axis=1) / m
+
+    return side(env_lo, env_up), side(env_up, env_lo), m - q + 1 - js.size
 
 
-def _stop_query(d, e2):
+def _batch_query(d, e2):
     shape = np.shape(d)
-    return BinaryPointQuery(x_star=np.zeros(shape + (_STOP_P,)), y_star=np.ones(shape, dtype=int),
+    return BinaryPointQuery(x_star=np.zeros(shape + (_BLOCK_P,)), y_star=np.ones(shape, dtype=int),
                             pi_star=np.full(shape, 0.5), w_star=np.full(shape, 0.25),
                             z_star=np.full(shape, 2.0), e2_b=e2, d_tilde=d)
 
@@ -224,6 +224,14 @@ class TestBinaryBounds:
         for d_tilde, e2b in [(0.1, 0.5), (1.0, 2.0), (3.0, 8.0)]:
             res = dshapley_binary_bounds(make_query(d_tilde, e2b), m=800, q=6)
             assert res.lower <= res.upper
+        # every point of a mixture batch; a confidently misclassified point
+        # (tiny d, huge e2) can cross, which this batch does not reach
+        data = gen_mixture_c(2200, 10, RandomStream(5))
+        state = irls_fit(data.x[:2000], data.y[:2000])
+        sti = spd_inverse(estimate_weighted_second_moment(data.x[:2000], state.beta))
+        batch = transform_query(data.x[2000:], data.y[2000:], state, sti, clamp_weight=True)
+        res = dshapley_binary_bounds(batch, m=1000, q=13)
+        assert res.lower.shape == (200,) and np.all(res.lower <= res.upper)
 
     def test_gate_precondition(self):
         with pytest.raises(InvalidParameterError):
@@ -240,9 +248,8 @@ class TestBinaryBounds:
         assert res_small.lower > res_big.lower
 
     def test_matches_naive_summation_and_shrinks_with_horizon(self):
-        # independent plain-loop oracle with the relative-change early stop, over
-        # a batch holding a d=0 row and an e2=0 row; at m=100 and the default rho
-        # the e2=0 row never stops and rows 0 and 3 do, at rho=1e-12 none stops
+        # independent plain-loop sum over every admitted size, over a batch
+        # holding a d=0 row and an e2=0 row
         rows = [(1.3, 0.7), (0.0, 1.0), (0.9, 0.0), (2.5, 3.0)]
         n, p = len(rows), 3
         batch = BinaryPointQuery(x_star=np.zeros((n, p)), y_star=np.ones(n, dtype=int),
@@ -251,79 +258,53 @@ class TestBinaryBounds:
                                  e2_b=np.array([e2b for _, e2b in rows]),
                                  d_tilde=np.array([t for t, _ in rows]))
         results = {}
-        for m, rho in ((120, 1e-12), (2000, 1e-12), (100, BoundParams().rho)):
-            res = dshapley_binary_bounds(batch, m=m, q=6, params=BoundParams(rho=rho))
+        for m in (100, 120, 2000):
+            res = dshapley_binary_bounds(batch, m=m, q=6)
             for i, (t, e2b) in enumerate(rows):
                 lower = upper = 0.0
                 skipped = 0
-                stopped = None
                 for j in range(5, m):
                     delta = (np.sqrt(p) + np.sqrt(np.log(j * m) / 2.0)) / np.sqrt(j)
                     if delta >= 1.0:
                         skipped += 1
                         continue
-                    if stopped is not None:
-                        continue
                     up = 1.0 / (j * (1.0 - delta) ** 2)
                     lo = 1.0 / (j * (1.0 + delta) ** 2)
                     ratio = ((1.0 + t * lo) / (1.0 + t * up)) ** 2
-                    prev = lower / m
                     lower += t * lo**2 / (1.0 + t * up) ** 2 * ((2.0 + t * lo) - e2b / ratio)
                     upper += t * up**2 / (1.0 + t * lo) ** 2 * ((2.0 + t * up) - ratio * e2b)
-                    cur = lower / m
-                    if cur != 0.0 and abs(prev / cur - 1.0) <= rho:
-                        stopped = j
                 assert res.lower[i] == pytest.approx(lower / m, rel=1e-12)
                 assert res.upper[i] == pytest.approx(upper / m, rel=1e-12)
                 assert res.skipped_terms == skipped
-                assert res.stopped_at_j[i] == stopped
             results[m] = res
-        assert results[100].stopped_at_j[1:3] == [None, None]
-        assert None not in results[100].stopped_at_j[::3]
-        assert results[2000].stopped_at_j == [None] * n
         # extra admitted terms decay like 1/j^2 while the prefactor grows, so
         # the per-point magnitude shrinks once the horizon is well past the gate
         assert abs(results[2000].lower[0]) < abs(results[120].lower[0])
         assert results[2000].lower[1] == 0.0 == results[2000].upper[1]
 
-    @pytest.mark.parametrize("width", [1, 7, regression._STOP_CHUNK, 2000])
-    @pytest.mark.parametrize("rows", [regression._BOUND_ROWS, 5])
-    def test_chunked_stop_is_bit_identical(self, monkeypatch, width, rows):
-        # the stop computes sizes in chunks and ends a row block once all its
-        # points stopped; every bit must be that of one pass over all sizes
-        d, e2, js, env_lo, env_up = _stop_inputs()
-        # the second term's bracket vanishes, so the first pair stops
-        e2[17] = (2.0 + d[17] * env_lo[1]) * ((1.0 + d[17] * env_lo[1]) / (1.0 + d[17] * env_up[1])) ** 2
-        lower, upper, stopped, _ = _one_pass_bounds(d, e2, js, env_lo, env_up, BoundParams().rho)
-        assert stopped[17] == js[1] and stopped[300] is None and None not in stopped[:300]
-
-        monkeypatch.setattr(regression, "_STOP_CHUNK", width)
-        monkeypatch.setattr(regression, "_BOUND_ROWS", rows)
-        batch = _stop_query(d, e2)
-        res = dshapley_binary_bounds(batch, m=_STOP_M, q=_STOP_Q)
+    @pytest.mark.parametrize("entries", [1, 7, regression._BOUND_ENTRIES, 1 << 30])
+    @pytest.mark.parametrize("route", ["binary", "regression"])
+    def test_bounds_do_not_depend_on_the_block_size(self, monkeypatch, route, entries):
+        # points are summed in row blocks of _BOUND_ENTRIES // sizes rows (one
+        # row at 1 and 7, all at 2^30); every bit must be that of one pass
+        d, e2 = _block_inputs()
+        monkeypatch.setattr(regression, "_BOUND_ENTRIES", entries)
+        if route == "binary":
+            bounds = partial(dshapley_binary_bounds, _batch_query(d, e2), m=_BLOCK_M, q=_BLOCK_Q)
+            lower, upper, skipped = _one_pass_bounds(d, e2, 1.0, (0.0, 0.0))
+        else:
+            env = RegressionEnvironment(p=_BLOCK_P, m=_BLOCK_M, q=_BLOCK_Q, gamma=0.5, sigma2=1.3,
+                                        beta_hat=np.zeros(_BLOCK_P),
+                                        sigma_inv=SpdMatrix(np.diag([0.5, 1.0, 2.0])))
+            query = PointQuery(x_star=np.zeros((d.size, _BLOCK_P)), y_star=np.zeros(d.size), e2=e2, d=d)
+            bounds = partial(dshapley_regression_bounds, query, env)
+            eigs = np.linalg.eigvalsh(env.sigma_inv.values)
+            lower, upper, skipped = _one_pass_bounds(d, e2, env.sigma2,
+                                                     (env.gamma * eigs[0], env.gamma * eigs[-1]))
+        res = bounds()
         assert res.lower.tobytes() == lower.tobytes() and res.upper.tobytes() == upper.tobytes()
-        assert res.stopped_at_j == stopped
-        assert res.skipped_terms == _STOP_M - _STOP_Q + 1 - js.size
+        assert res.skipped_terms == skipped
         for side, expected in (("lower", lower), ("upper", upper)):
-            alone = dshapley_binary_bounds(batch, m=_STOP_M, q=_STOP_Q, _side=side)
+            alone = bounds(_side=side)
             assert getattr(alone, side).tobytes() == expected.tobytes()
             assert getattr(alone, "upper" if side == "lower" else "lower") is None
-            assert alone.stopped_at_j == stopped
-
-    @pytest.mark.parametrize("width", [7, regression._STOP_CHUNK])
-    def test_chunked_stop_keeps_one_pass_running_sums(self, monkeypatch, width):
-        # a rho equal to a pair's relative change stops there only if the
-        # running lower sums across chunks have the bits of one cumsum
-        d, e2, js, env_lo, env_up = _stop_inputs()
-        _, _, _, rel = _one_pass_bounds(d, e2, js, env_lo, env_up, BoundParams().rho)
-        edges = [(i, k) for i in range(d.size - 2) for k in range(70, 250) if rel[i, k] < rel[i, :k].min()]
-        monkeypatch.setattr(regression, "_STOP_CHUNK", width)
-        for i, k in edges[::len(edges) // 80]:
-            res = dshapley_binary_bounds(_stop_query(d[i], e2[i]), m=_STOP_M, q=_STOP_Q,
-                                         params=BoundParams(rho=rel[i, k]))
-            assert res.stopped_at_j == js[k + 1]
-
-    def test_early_stop_reported(self):
-        res = dshapley_binary_bounds(make_query(1.0, 0.2), m=5000, q=6)
-        assert res.stopped_at_j is not None
-        assert res.stopped_at_j < 5000

@@ -382,7 +382,7 @@ class TestBounds:
 
     def test_matches_naive_summation(self):
         # independent plain-loop evaluation of the envelope sums, point by point
-        # over a batch holding a d=0 row and an e2=0 row; no early stop applies
+        # over a batch holding a d=0 row and an e2=0 row
         env = make_env(m=120, q=5, sigma2=1.3)
         rows = [(1.7, 0.8), (0.0, 0.8), (2.4, 0.0), (6.0, 5.0)]
         d_all = np.array([d for d, _ in rows])
@@ -391,7 +391,6 @@ class TestBounds:
         batch = PointQuery(x_star=x_all, y_star=np.zeros(len(rows)), e2=e2_all, d=d_all)
         params = BoundParams(C=1.0, c=1.0)
         res = dshapley_regression_bounds(batch, env, params)
-        assert res.stopped_at_j == [None] * len(rows)
         for i, (d, e2) in enumerate(rows):
             single = dshapley_regression_bounds(
                 PointQuery(x_star=x_all[i], y_star=0.0, e2=e2, d=d), env, params)
