@@ -171,11 +171,11 @@ class TestTransformQuery:
 _BLOCK_M, _BLOCK_Q, _BLOCK_P = 1000, 6, 3
 
 
-def _block_inputs():
-    """Statistics of 300 random points, a d=0 point and an e2=0 point."""
+def _block_inputs(rows):
+    """Statistics of ``rows - 2`` random points, a d=0 point and an e2=0 point."""
     gen = RandomStream(8).generator
-    d = np.concatenate([gen.exponential(1.0, 300), [0.0, 1.5]])
-    e2 = np.concatenate([gen.exponential(2.0, 300), [1.0, 0.0]])
+    d = np.concatenate([gen.exponential(1.0, 300)[:rows - 2], [0.0, 1.5]])
+    e2 = np.concatenate([gen.exponential(2.0, 300)[:rows - 2], [1.0, 0.0]])
     return d, e2
 
 
@@ -282,29 +282,32 @@ class TestBinaryBounds:
         assert abs(results[2000].lower[0]) < abs(results[120].lower[0])
         assert results[2000].lower[1] == 0.0 == results[2000].upper[1]
 
-    @pytest.mark.parametrize("entries", [1, 7, regression._BOUND_ENTRIES, 1 << 30])
-    @pytest.mark.parametrize("route", ["binary", "regression"])
-    def test_bounds_do_not_depend_on_the_block_size(self, monkeypatch, route, entries):
-        # points are summed in row blocks of _BOUND_ENTRIES // sizes rows (one
-        # row at 1 and 7, all at 2^30); every bit must be that of one pass
-        d, e2 = _block_inputs()
-        monkeypatch.setattr(regression, "_BOUND_ENTRIES", entries)
-        if route == "binary":
-            bounds = partial(dshapley_binary_bounds, _batch_query(d, e2), m=_BLOCK_M, q=_BLOCK_Q)
-            lower, upper, skipped = _one_pass_bounds(d, e2, 1.0, (0.0, 0.0))
-        else:
-            env = RegressionEnvironment(p=_BLOCK_P, m=_BLOCK_M, q=_BLOCK_Q, gamma=0.5, sigma2=1.3,
-                                        beta_hat=np.zeros(_BLOCK_P),
-                                        sigma_inv=SpdMatrix(np.diag([0.5, 1.0, 2.0])))
-            query = PointQuery(x_star=np.zeros((d.size, _BLOCK_P)), y_star=np.zeros(d.size), e2=e2, d=d)
-            bounds = partial(dshapley_regression_bounds, query, env)
-            eigs = np.linalg.eigvalsh(env.sigma_inv.values)
-            lower, upper, skipped = _one_pass_bounds(d, e2, env.sigma2,
-                                                     (env.gamma * eigs[0], env.gamma * eigs[-1]))
-        res = bounds()
-        assert res.lower.tobytes() == lower.tobytes() and res.upper.tobytes() == upper.tobytes()
-        assert res.skipped_terms == skipped
-        for side, expected in (("lower", lower), ("upper", upper)):
-            alone = bounds(_side=side)
-            assert getattr(alone, side).tobytes() == expected.tobytes()
-            assert getattr(alone, "upper" if side == "lower" else "lower") is None
+    @pytest.mark.parametrize("width", [1, 7, 64, 2000])
+    @pytest.mark.parametrize("rows", [128, 5])
+    def test_chunked_stop_is_bit_identical(self, monkeypatch, width, rows):
+        # a batch of `rows` points is summed in row blocks of
+        # _BOUND_ENTRIES // sizes rows, set here to `width` rows (a ragged last
+        # block at 128-7, one partial block at 5-7 and 128-2000); on both
+        # routes every bit must be that of one pass over all points and sizes
+        d, e2 = _block_inputs(rows)
+        env = RegressionEnvironment(p=_BLOCK_P, m=_BLOCK_M, q=_BLOCK_Q, gamma=0.5, sigma2=1.3,
+                                    beta_hat=np.zeros(_BLOCK_P),
+                                    sigma_inv=SpdMatrix(np.diag([0.5, 1.0, 2.0])))
+        eigs = np.linalg.eigvalsh(env.sigma_inv.values)
+        query = PointQuery(x_star=np.zeros((d.size, _BLOCK_P)), y_star=np.zeros(d.size), e2=e2, d=d)
+        routes = [
+            (partial(dshapley_binary_bounds, _batch_query(d, e2), m=_BLOCK_M, q=_BLOCK_Q),
+             _one_pass_bounds(d, e2, 1.0, (0.0, 0.0))),
+            (partial(dshapley_regression_bounds, query, env),
+             _one_pass_bounds(d, e2, env.sigma2, (env.gamma * eigs[0], env.gamma * eigs[-1]))),
+        ]
+        skipped = routes[0][1][2]
+        monkeypatch.setattr(regression, "_BOUND_ENTRIES", width * (_BLOCK_M - _BLOCK_Q + 1 - skipped))
+        for bounds, (lower, upper, skipped) in routes:
+            res = bounds()
+            assert res.lower.tobytes() == lower.tobytes() and res.upper.tobytes() == upper.tobytes()
+            assert res.skipped_terms == skipped
+            for side, expected in (("lower", lower), ("upper", upper)):
+                alone = bounds(_side=side)
+                assert getattr(alone, side).tobytes() == expected.tobytes()
+                assert getattr(alone, "upper" if side == "lower" else "lower") is None
