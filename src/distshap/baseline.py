@@ -1,16 +1,13 @@
 """Ground-truth machinery: exact Shapley enumeration and the slow sampled baseline.
 
-The exact enumerator values every subset of a small dataset and applies the
-combinatorial weights directly; it is the reference the fast estimators are
-validated against. The Monte-Carlo baseline samples the size-then-subset
-reformulation of the distributional value (all sizes in one call, all rows in
-another) and stands in for the slow comparator in the timing experiments.
-Three utility families are provided: gated regression risk, held-out
-classification accuracy, and density integrated squared error up to a
-constant. Each is defined once, on the prefixes of a stack of row sets, each
-set with sizes of its own: one subset is the stack of one, the enumeration
-values 4,096 subsets a stack, a repetition's three curves are one call, and so
-is a block of baseline draws of at most 8,192 padded rows.
+The exact enumerator values every subset of a small dataset with the combinatorial
+weights; the Monte-Carlo baseline samples the size-then-subset form of the value (all
+sizes in one call, all rows in another) and is the slow comparator in the timing
+experiments. Both run on three utility families (gated regression risk, held-out accuracy,
+density integrated squared error up to a constant), each defined once on the prefixes of a
+stack of sets given as a pool of rows and a table of row indices: one subset is a stack of
+one, the enumeration values 4,096 subsets a stack, a repetition's three curves are one
+call, and so is a block of baseline draws of at most 8,192 padded rows.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ import numpy as np
 
 from .classification import _irls_stack
 from .classification import irls_fit  # noqa: F401  (bench/tracing.py rebinds baseline.irls_fit)
-from .density import KernelSpec, _kernel_means
+from .density import _BLOCK_BUDGET, KernelSpec, _as_points, _kernel_means
 from .density import kde_evaluate  # noqa: F401  (bench/tracing.py rebinds baseline.kde_evaluate)
 from .errors import (
     BaselineFailureError,
@@ -55,12 +52,9 @@ _SETS_PER_BLOCK = 4096  # subsets per stack of the exact enumeration
 
 @dataclass(frozen=True)
 class UtilitySpec:
-    """One of the three utility families with its gate and constant.
-
-    The utility is zero below ``gate`` elements (density uses gate 1).
-    ``evaluation_mode`` picks between the analytic risk under a known truth
-    and the empirical risk on a held-out set.
-    """
+    """One of the three utility families with its gate and constant: the utility is zero
+    below ``gate`` elements (density uses gate 1), and ``evaluation_mode`` picks between the
+    analytic risk under a known truth and the empirical risk on a held-out set."""
 
     family: str
     gate: int = 1
@@ -78,11 +72,8 @@ class UtilitySpec:
 
 @dataclass
 class RegressionUtilityContext:
-    """Resources for the regression-risk utility.
-
-    Analytic mode requires the generating coefficients, input second moment
-    and noise variance; held-out mode requires a test sample.
-    """
+    """Resources for the regression-risk utility: analytic mode requires the generating
+    coefficients, input second moment and noise variance; held-out mode, a test sample."""
 
     gamma: float = 0.0
     beta_true: np.ndarray | None = None
@@ -102,12 +93,8 @@ class AccuracyUtilityContext:
 
 @dataclass
 class DensityUtilityContext:
-    """Kernel and evaluation draws for the density utility.
-
-    ``eval_points`` are draws from the data distribution used for the cross
-    term of the integrated squared error. The utility leaves out the
-    constant ``integral p^2``, so it is defined up to that constant.
-    """
+    """Kernel and evaluation draws for the density utility: ``eval_points`` are draws from the
+    data distribution for the cross term of the ISE, which leaves out ``integral p^2``."""
 
     kernel: KernelSpec
     eval_points: np.ndarray
@@ -140,10 +127,10 @@ def _heldout_scores(score, x_test, betas):
     return out
 
 
-def _regression_utilities(rows, sets, sizes, spec: UtilitySpec, ctx: RegressionUtilityContext):
+def _regression_utilities(pool, index, sets, sizes, spec: UtilitySpec, ctx: RegressionUtilityContext):
     """Risk of each fit's least-squares solution. Each prefix's Gram is its own product
     over exactly its rows, one stacked product per size, and all fits are one stacked solve."""
-    x, y = rows
+    x, y = (np.asarray(part)[index[:, :sizes.max()]] for part in pool)  # to the widest fit
     p = x.shape[-1]
     _check_regression_gate(spec.gate, p, ctx.gamma)
     gram, moment = np.empty((sizes.size, p, p)), np.empty((sizes.size, p, 1))
@@ -162,10 +149,10 @@ def _regression_utilities(rows, sets, sizes, spec: UtilitySpec, ctx: RegressionU
     return spec.constant - risk
 
 
-def _accuracy_utilities(rows, sets, sizes, spec: UtilitySpec, ctx: AccuracyUtilityContext):
+def _accuracy_utilities(pool, index, sets, sizes, spec: UtilitySpec, ctx: AccuracyUtilityContext):
     """Held-out accuracy of each fit's logistic regression, in IRLS blocks cut to their widest
     fit (a fit cut at the cap still classifies). One class, <= p rows or a singular system fails."""
-    x, y = rows
+    x, y = (np.asarray(part)[index[:, :sizes.max()]] for part in pool)  # to the widest fit
     if not (np.isin(y, (0.0, 1.0)).all() and np.isin(ctx.y_test, (0.0, 1.0)).all()):
         raise InvalidParameterError("labels must be 0/1")
     ones = np.cumsum(y, axis=1)[sets, sizes - 1]  # positives in each prefix
@@ -184,42 +171,61 @@ def _accuracy_utilities(rows, sets, sizes, spec: UtilitySpec, ctx: AccuracyUtili
     return out
 
 
-def _density_utilities(pts, sets, sizes, spec: UtilitySpec, ctx: DensityUtilityContext):
-    """Integrated squared error of each fit's estimate, up to a constant, from prefix
-    sums of the pairwise self-convolutions and of the kernel at the evaluation rows."""
+def _density_utilities(pool, index, sets, sizes, spec: UtilitySpec, ctx: DensityUtilityContext):
+    """Integrated squared error of each fit's estimate, up to a constant, from prefix sums of
+    the kernel means at the evaluation rows, one per pool row, and double prefix sums of the
+    pairwise self-convolutions. Sets by width share a group while their count times the widest
+    squared stays within ``_BLOCK_BUDGET`` (or are one set); a group's pairs come in blocks of
+    at most that many entries, each carrying its running sums into the next, so every sum adds
+    in the order it would for the set alone."""
     evals = np.asarray(ctx.eval_points, dtype=float)[None]
     if evals.shape[1] == 0:
         raise InvalidParameterError("the utility's evaluation rows are empty")
-    out = np.empty(sizes.size)
-    for i in np.unique(sets):  # each set's rows up to its largest prefix
-        k = sizes[sets == i]
-        rows = pts[i, :k.max()].reshape(k.max(), 1, -1)
-        (conv,) = _kernel_means(ctx.kernel, rows, rows, ["self_convolution"])
-        conv = np.cumsum(np.cumsum(conv, 0), 1)
-        cross = np.cumsum(_kernel_means(ctx.kernel, evals, rows)[0][0])
-        out[sets == i] = conv[k - 1, k - 1] / k ** 2 - 2.0 * cross[k - 1] / k
-    return spec.constant - out
+    pts, width = _as_points(pool), np.zeros(len(index), dtype=np.int64)
+    np.maximum.at(width, sets, sizes)  # each set's rows up to its largest prefix
+    read, means = np.unique(index), np.zeros(len(pts))
+    means[read] = _kernel_means(ctx.kernel, evals, pts[read, None])[0][0]
+    pair = np.empty(index.shape)  # pair[i, a]: set i's double sum through its row a
+    order, start = np.flatnonzero(width)[np.argsort(width[width > 0], kind="stable")], 0
+    while start < order.size:  # the most sets whose count times the last's width squared fits
+        cost = np.arange(1, order.size - start + 1) * width[order[start:]] ** 2
+        end = start + max(1, int(np.searchsorted(cost, _BLOCK_BUDGET, side="right")))
+        group, start = order[start:end], end
+        rows = pts[index[group, :width[group[-1]]]]  # (sets, widest, dim)
+        step, carry = max(1, _BLOCK_BUDGET // rows[..., 0].size), 0.0
+        for first in range(0, rows.shape[1], step):  # kc(x_r - x_a) at a block of rows a
+            (conv,) = ctx.kernel._values((rows[:, None, :, c] - rows[:, first:first + step, None, c]
+                                          for c in range(rows.shape[2])), ["self_convolution"])
+            conv[:, 0] += carry
+            carry = np.cumsum(conv, axis=1, out=conv)[:, -1].copy()
+            a = np.arange(conv.shape[1])
+            pair[group[:, None], first + a] = np.cumsum(conv, axis=2, out=conv)[:, a, first + a]
+    cross = np.cumsum(means[index], axis=1)[sets, sizes - 1]
+    return spec.constant - (pair[sets, sizes - 1] / sizes ** 2 - 2.0 * cross / sizes)
 
 
-def prefix_utilities(rows, sizes, spec: UtilitySpec, context) -> np.ndarray:
+def prefix_utilities(pool, index, sizes, spec: UtilitySpec, context) -> np.ndarray:
     """Utilities of the prefixes of a stack of row sets, as a (b, n) array.
 
-    ``rows`` is an (x, y) pair of (b, s, p) and (b, s) arrays, or (b, s, dim)
-    points ((b, s) in one dimension); ``sizes`` is a (b, n) table of prefix
-    sizes, or one (n,) row for every set. Entry (i, j) is the utility of the
-    first ``sizes[i, j]`` rows of set i: 0 below the gate, NaN where it cannot
-    be fitted, and independent of the other entries and of the rows past it."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    s = np.shape(rows[0] if isinstance(rows, tuple) else rows)[1]
+    ``pool`` is an (x, y) pair of (N, p) and (N,) arrays, or (N, dim) points ((N,) in one
+    dimension); ``index`` is a (b, s) table of pool rows, a set to a row; ``sizes`` is a (b, n)
+    table of prefix sizes, or one (n,) row for every set. Entry (i, j) is the utility of rows
+    ``index[i, :sizes[i, j]]``: 0 below the gate, NaN where it cannot be fitted, and not
+    dependent on the other entries or the rows past it. Each family gathers what it reads."""
+    index, sizes = np.asarray(index, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+    n, s = _data_len(pool), index.shape[1]
+    bad = index[(index < 0) | (index >= n)]
+    if bad.size:
+        raise InvalidParameterError(f"index entries must lie in 0..{n - 1}, got {bad[0]}")
     if ((sizes < 0) | (sizes > s)).any():
         raise InvalidParameterError(f"prefix sizes must lie in 0..{s}, got {sizes.tolist()}")
-    table = np.broadcast_to(sizes, (_data_len(rows), sizes.shape[-1]))
+    table = np.broadcast_to(sizes, (len(index), sizes.shape[-1]))
     out = np.zeros(table.shape)
     sets, fit = np.nonzero(table >= spec.gate)
     if sets.size:
         family = {"regression_risk": _regression_utilities, "accuracy": _accuracy_utilities,
                   "density_ise": _density_utilities}[spec.family]
-        out[sets, fit] = family(_take(rows, slice(None)), sets, table[sets, fit], spec, context)
+        out[sets, fit] = family(pool, index, sets, table[sets, fit], spec, context)
     return out
 
 
@@ -227,7 +233,7 @@ def evaluate_utility(subset, spec: UtilitySpec, context) -> float:
     """Utility of one subset, the stack of one: 0 when empty or below the gate;
     ``UtilityEvaluationError`` when the subset cannot be fitted."""
     size = _data_len(subset)
-    value = float(prefix_utilities(_take(subset, None), [size], spec, context)[0, 0])
+    value = float(prefix_utilities(subset, np.arange(size)[None], [size], spec, context)[0, 0])
     if np.isnan(value):
         raise UtilityEvaluationError("the subset cannot be fitted", subset_size=size)
     return value
@@ -246,12 +252,11 @@ def _data_len(data) -> int:
 def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
     """Exact per-point Shapley values of a small dataset by full enumeration.
 
-    ``data`` is an (X, y) pair, an array of points, or any indexable array
-    (e.g. indices, for tabulated utilities). Requires at most 20 points
-    because every one of the 2^n subsets is evaluated once; use the
-    Monte-Carlo baseline beyond that. The subsets are valued in mask order, 4,096 to a
-    stack, each as its members' rows (ascending) padded with the rest; the first in mask
-    order that cannot be fitted raises ``UtilityEvaluationError``.
+    ``data`` is an (X, y) pair, an array of points, or any indexable array (e.g. indices,
+    for tabulated utilities): the pool of every stack. Requires at most 20 points, since each
+    of the 2^n subsets is evaluated once; beyond that use the Monte-Carlo baseline. Subsets
+    are valued in mask order, 4,096 to a stack, each as its members' rows (ascending) padded
+    with the rest; the first that cannot be fitted raises ``UtilityEvaluationError``.
     """
     n = _data_len(data)
     if n > _ENUMERATION_LIMIT:
@@ -269,11 +274,10 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
     for start in range(1, 1 << n, _SETS_PER_BLOCK):  # each set's members first, ascending
         block = masks[start:start + _SETS_PER_BLOCK]
         idx = np.argsort(1 - ((block[:, None] >> np.arange(n)) & 1), axis=1, kind="stable")
-        util[block] = _set_utilities(_take(data, idx), sizes[block, None], utility, context)[:, 0]
+        util[block] = _set_utilities(data, idx, sizes[block, None], utility, context)[:, 0]
     failed = np.flatnonzero(np.isnan(util))
     if failed.size:
-        raise UtilityEvaluationError("the subset cannot be fitted",
-                                     subset_size=int(sizes[failed[0]]))
+        raise UtilityEvaluationError("the subset cannot be fitted", subset_size=int(sizes[failed[0]]))
 
     weights = np.array([1.0 / (n * comb(n - 1, s)) for s in range(n)])
     values = np.empty(n)
@@ -292,15 +296,15 @@ def _rows(data, z_star):
     return np.concatenate([np.asarray(data, dtype=float), np.reshape(z_star, (1,) + np.shape(data)[1:])])
 
 
-def _set_utilities(rows, sizes, utility, context) -> np.ndarray:
+def _set_utilities(pool, index, sizes, utility, context) -> np.ndarray:
     """``prefix_utilities`` for a ``UtilitySpec``; a plain callable is called once per
-    set and nonempty size, and is NaN where it fails."""
+    set and nonempty size, on the gathered rows, and is NaN where it fails."""
     if isinstance(utility, UtilitySpec):
-        return prefix_utilities(rows, sizes, utility, context)
-    out = np.full((_data_len(rows), np.shape(sizes)[-1]), np.nan)
+        return prefix_utilities(pool, index, sizes, utility, context)
+    out = np.full((len(index), np.shape(sizes)[-1]), np.nan)
     for (i, j), k in np.ndenumerate(np.broadcast_to(sizes, out.shape)):
         with suppress(UtilityEvaluationError):  # a failure stays NaN
-            out[i, j] = utility(_take(rows, (i, slice(k)))) if k else 0.0
+            out[i, j] = utility(_take(pool, index[i, :k])) if k else 0.0
     return out
 
 
@@ -308,20 +312,17 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
                          rng: RandomStream, context=None) -> ValueEstimate:
     """Slow sampled estimate of the distributional value of one datum.
 
-    Each draw picks a subset size uniformly up to ``m``, samples that many
-    background points (a pool is resampled with replacement; a callable
-    ``background(size, rng)`` draws directly from a distribution) and takes
-    the marginal contribution of ``z_star``. The draws take two calls: every
-    draw's size, then every draw's rows in draw order, as indices into the
-    pool or as one ``background(total, rng)`` call whose parts must each have
-    ``total`` rows. Draws below the gate are exact zeros and draw no rows.
-    The others are valued by size in blocks that grow while their draws times
-    their widest set stay within 8,192 rows, each set padded to the block's
-    widest with ``z_star`` and valued without and with it as two prefixes. A
-    draw whose utility fails (raises ``UtilityEvaluationError`` or is NaN) is
-    counted in ``failed_draws`` and left out of the mean. Raises
-    ``BaselineFailureError`` once 20 or more evaluated draws, in draw order,
-    are more than half failures, or if more than half fail in the end.
+    Each draw picks a subset size uniformly up to ``m``, samples that many background points
+    (a pool is resampled with replacement; a callable ``background(size, rng)`` draws from a
+    distribution) and takes the marginal contribution of ``z_star``. The draws take two calls:
+    every draw's size, then every draw's rows in draw order, as indices into the pool or as one
+    ``background(total, rng)`` call whose parts must each have ``total`` rows. Draws below the
+    gate are exact zeros and draw no rows. The others are valued by size in blocks that grow
+    while their draws times their widest set stay within 8,192 rows, each set padded to the
+    block's widest with ``z_star`` and valued without and with it as two prefixes. A draw
+    whose utility fails (raises ``UtilityEvaluationError`` or is NaN) is counted in
+    ``failed_draws`` and left out of the mean. Raises ``BaselineFailureError`` once 20 or more
+    evaluated draws, in draw order, are more than half failures, or if more than half fail.
     """
     if m < 1 or max_draws < 1:
         raise InvalidParameterError("m and max_draws must be at least 1")
@@ -335,23 +336,22 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
         counts = set(map(len, background if isinstance(background, tuple) else [background]))
         if counts != {n_drawn}:
             raise InvalidParameterError(f"background({n_drawn}, rng) returned {sorted(counts)} rows")
-        index = np.arange(n_drawn)
+        index = np.arange(n_drawn + 1)
     else:  # pool indices in the smallest integer type that holds them
         n = _data_len(background)
         index = rng.generator.integers(0, n, size=n_drawn, dtype=np.min_scalar_type(n))
-    pool = _rows(background, z_star)  # z_star last
+        index = np.append(index, index.dtype.type(n))
+    pool = _rows(background, z_star)  # z_star last, the index's last entry too
     live = np.flatnonzero(sizes >= gate)[np.argsort(sizes[sizes >= gate], kind="stable")]
     start = 0
     while start < live.size:  # the most draws whose count times the last's size fits, or one
         rows = np.arange(1, live.size - start + 1) * sizes[live[start:]]
         end = start + max(1, int(np.searchsorted(rows, _ROWS_PER_BLOCK, side="right")))
         at, start = live[start:end], end
-        cols = np.arange(sizes[at].max())
-        inside = cols < drawn[at, None]
-        idx = np.full(inside.shape, -1, dtype=np.int64)  # z_star pads each set
-        idx[inside] = index[(starts[at, None] + cols)[inside]]
+        cols = np.arange(sizes[at].max())  # each set's rows, padded with z_star
+        idx = index[np.where(cols < drawn[at, None], starts[at, None] + cols, -1)]
         table = np.column_stack([drawn[at], drawn[at] + 1])  # each set without, then with z_star
-        delta[at] = np.diff(_set_utilities(_take(pool, idx), table, utility, context))[:, 0]
+        delta[at] = np.diff(_set_utilities(pool, idx, table, utility, context))[:, 0]
 
     failed = np.isnan(delta)
     evaluated, failures = np.cumsum(sizes >= gate), np.cumsum(failed)

@@ -297,7 +297,7 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
         orders = np.stack([np.argsort(-values, kind="stable"), np.argsort(values, kind="stable"),
                            sub.substream(_STREAM_ORDER).generator.permutation(steps)])
         curves[:, rep, 0] = 0.0  # empty-set utility by convention
-        curves[:, rep, spec.gate:] = prefix_utilities(_take(data, value_idx[orders]),
+        curves[:, rep, spec.gate:] = prefix_utilities(data, value_idx[orders],
                                                       np.arange(spec.gate, steps + 1), spec, ctx)
 
     results = []

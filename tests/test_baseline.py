@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import partial
 from math import comb, factorial
 
@@ -20,6 +21,7 @@ from distshap import (
     dshapley_mc_baseline,
     evaluate_utility,
     exact_data_shapley,
+    kde_evaluate,
 )
 from distshap import baseline
 from distshap.baseline import prefix_utilities
@@ -154,6 +156,15 @@ def take(rows, idx):
     return tuple(part[idx] for part in rows) if isinstance(rows, tuple) else rows[idx]
 
 
+def stacked(rows):
+    """A (b, s) stack of row sets as ``prefix_utilities`` takes it: a pool of its b * s
+    rows and the (b, s) table of each set's rows in that pool."""
+    parts = rows if isinstance(rows, tuple) else (rows,)
+    b, s = parts[0].shape[:2]
+    pool = tuple(part.reshape((b * s,) + part.shape[2:]) for part in parts)
+    return (pool if isinstance(rows, tuple) else pool[0]), np.arange(b * s).reshape(b, s)
+
+
 FAMILIES = ("heldout", "analytic", "accuracy", "density")
 
 
@@ -162,12 +173,12 @@ class TestStackedUtilities:
     def test_split_stack_is_bit_identical(self, family):
         spec, ctx, rows = family_stack(family)
         sizes = np.arange(1, 15)
-        whole = prefix_utilities(rows, sizes, spec, ctx)
+        whole = prefix_utilities(*stacked(rows), sizes, spec, ctx)
         assert np.isfinite(whole[:, sizes >= max(spec.gate, 5)]).all()
-        by_sets = np.vstack([prefix_utilities(take(rows, slice(0, 1)), sizes, spec, ctx),
-                             prefix_utilities(take(rows, slice(1, None)), sizes, spec, ctx)])
-        by_sizes = np.hstack([prefix_utilities(rows, sizes[:6], spec, ctx),
-                              prefix_utilities(rows, sizes[6:], spec, ctx)])
+        by_sets = np.vstack([prefix_utilities(*stacked(take(rows, slice(0, 1))), sizes, spec, ctx),
+                             prefix_utilities(*stacked(take(rows, slice(1, None))), sizes, spec, ctx)])
+        by_sizes = np.hstack([prefix_utilities(*stacked(rows), sizes[:6], spec, ctx),
+                              prefix_utilities(*stacked(rows), sizes[6:], spec, ctx)])
         assert np.array_equal(whole, by_sets, equal_nan=True)
         assert np.array_equal(whole, by_sizes, equal_nan=True)
         # one prefix evaluated alone is the stack of one
@@ -183,16 +194,17 @@ class TestStackedUtilities:
         # IRLS gives a 50- and a 599-row prefix of a 600-row set bits of their own
         spec, ctx, rows = family_stack(family, b=3, s=600)
         table = np.array([[50, 599], [600, 37], [301, 50]])
-        alone = np.array([[prefix_utilities(take(rows, (slice(i, i + 1), slice(k))), [k],
-                                            spec, ctx)[0, 0] for k in row]
+        alone = np.array([[prefix_utilities(*stacked(take(rows, (slice(i, i + 1), slice(k)))),
+                                            [k], spec, ctx)[0, 0] for k in row]
                           for i, row in enumerate(table)])
         assert np.isfinite(alone).all()
-        padded = np.vstack([prefix_utilities(take(rows, slice(i, i + 1)), row, spec, ctx)
+        padded = np.vstack([prefix_utilities(*stacked(take(rows, slice(i, i + 1))), row, spec, ctx)
                             for i, row in enumerate(table)])
-        together = prefix_utilities(rows, table, spec, ctx)
-        reversed_ = prefix_utilities(take(rows, slice(None, None, -1)), table[::-1], spec, ctx)
-        mixed = prefix_utilities(take(rows, [0, 2, 0]), [[50, 599], [301, 600], [599, 50]],
-                                 spec, ctx)
+        together = prefix_utilities(*stacked(rows), table, spec, ctx)
+        reversed_ = prefix_utilities(*stacked(take(rows, slice(None, None, -1))), table[::-1],
+                                     spec, ctx)
+        mixed = prefix_utilities(*stacked(take(rows, [0, 2, 0])),
+                                 [[50, 599], [301, 600], [599, 50]], spec, ctx)
         assert np.array_equal(padded, alone) and np.array_equal(together, alone)
         assert np.array_equal(reversed_[::-1], alone)
         assert mixed[0].tolist() == alone[0].tolist() == mixed[2, ::-1].tolist()
@@ -222,8 +234,8 @@ class TestStackedUtilities:
         if family == "accuracy":
             y[2] = 1.0  # set 2 has one class
         sizes = np.arange(spec.gate, 15)
-        broken = prefix_utilities((x, y), sizes, spec, ctx)
-        clean = prefix_utilities(rows, sizes, spec, ctx)
+        broken = prefix_utilities(*stacked((x, y)), sizes, spec, ctx)
+        clean = prefix_utilities(*stacked(rows), sizes, spec, ctx)
         failed = np.zeros(broken.shape, dtype=bool)
         failed[1] = True
         if family == "accuracy":
@@ -239,10 +251,59 @@ class TestStackedUtilities:
     def test_size_outside_the_set_rejected(self, family):
         # each set has 14 rows; 0 and 14 are the ends of the valid range
         spec, ctx, rows = family_stack(family)
-        assert prefix_utilities(rows, [0, 14], spec, ctx).shape == (4, 2)
+        assert prefix_utilities(*stacked(rows), [0, 14], spec, ctx).shape == (4, 2)
         for size in (15, 25, 40, -1, -3):
             with pytest.raises(InvalidParameterError, match="prefix sizes"):
-                prefix_utilities(rows, [5, size], spec, ctx)
+                prefix_utilities(*stacked(rows), [5, size], spec, ctx)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("entry", (56, 57, 1000, -1, -56))
+    def test_index_outside_the_pool_rejected(self, family, entry):
+        # the pool has 4 * 14 = 56 rows; 0 and 55 are the ends of the valid range
+        spec, ctx, rows = family_stack(family)
+        pool, index = stacked(rows)
+        index[2, 13] = 55
+        assert prefix_utilities(pool, index, [14], spec, ctx).shape == (4, 1)
+        index[2, 13] = entry  # past every prefix valued: still rejected, not read
+        with pytest.raises(InvalidParameterError,
+                           match=rf"index entries must lie in 0\.\.55, got {entry}"):
+            prefix_utilities(pool, index, [5], spec, ctx)
+
+    def test_density_sets_that_repeat_pool_rows(self):
+        # baseline draws resample a pool: rows repeat within and across sets. By width the
+        # sets fall into three pair groups ({2, 30, 31, 120}, {200}, {300}), and the
+        # 300-row set's pairs take two blocks
+        spec, ctx, _ = family_stack("density")
+        gen = np.random.default_rng(12)
+        pool = gen.standard_normal((40, 3))
+        index = gen.integers(0, 40, size=(6, 300))
+        table = np.array([[1, 2], [7, 30], [31, 30], [120, 119], [200, 5], [300, 299]])
+        got = prefix_utilities(pool, index, table, spec, ctx)
+        loop = [[evaluate_utility(pool[index[i, :k]], spec, ctx) for k in row]
+                for i, row in enumerate(table)]
+        assert np.array_equal(got, loop)
+        # the defining sums, one prefix at a time and unblocked
+        for (i, j), k in np.ndenumerate(table):
+            rows = pool[index[i, :k]]
+            conv = ctx.kernel.self_convolution(rows[None] - rows[:, None])  # kc(x_r - x_a)
+            cross = kde_evaluate(ctx.eval_points, ctx.kernel, rows)
+            ise = np.cumsum(np.cumsum(conv, 0), 1)[-1, -1] / k ** 2 - 2.0 * np.cumsum(cross)[-1] / k
+            assert got[i, j] == spec.constant - ise
+
+    def test_pair_blocks_stay_within_a_multiple_of_the_budget(self):
+        # A 600-row set has 5.5 budgets of pairs. Formed in blocks of at most _BLOCK_BUDGET
+        # entries, a call holds ~4.3 budgets of floats at its peak; in one block, ~17
+        spec, ctx, rows = family_stack("density", b=1, s=600)
+        pool, index = stacked(rows)
+        prefix_utilities(pool, index[:, :5], [5], spec, ctx)  # first-call allocations
+        for sizes in ([600], np.arange(1, 601)):
+            tracemalloc.start()
+            try:
+                prefix_utilities(pool, index, sizes, spec, ctx)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 8 * baseline._BLOCK_BUDGET  # eight budgets of 8-byte floats
 
     def test_empty_evaluation_rows_rejected(self):
         for family in ("heldout", "accuracy", "density"):
@@ -252,7 +313,7 @@ class TestStackedUtilities:
             else:
                 ctx.x_test, ctx.y_test = ctx.x_test[:0], ctx.y_test[:0]
             with pytest.raises(InvalidParameterError, match="empty"):
-                prefix_utilities(rows, [14], spec, ctx)
+                prefix_utilities(*stacked(rows), [14], spec, ctx)
 
 
 class TestExactShapley:
@@ -560,9 +621,9 @@ class TestMcBaseline:
         pool = take(rows, 0)
         stacks = []
 
-        def spy(stack, *args):
-            stacks.append(stack[0].shape[:2])  # (draws, padded width)
-            return prefix_utilities(stack, *args)
+        def spy(pool, index, *args):
+            stacks.append(index.shape)  # (draws, padded width)
+            return prefix_utilities(pool, index, *args)
 
         monkeypatch.setattr(baseline, "prefix_utilities", spy)
         dshapley_mc_baseline(take(pool, 0), pool, spec, m=12, max_draws=2000,

@@ -233,6 +233,17 @@ class TestBinaryBounds:
         res = dshapley_binary_bounds(batch, m=1000, q=13)
         assert res.lower.shape == (200,) and np.all(res.lower <= res.upper)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the envelope terms bound each size's expectation only where the bracket keeps its "
+        "sign; a confidently misclassified point's lower bound lies above its upper"))
+    def test_lower_le_upper_when_confidently_misclassified(self):
+        # y = 1 at a fitted probability of 1e-4: e2_b = (1 - pi)^2 / w = 9,999, and at
+        # d_tilde = 0.01 lower is about -4.85e-4 and upper about -861.4
+        pi = 1e-4
+        res = dshapley_binary_bounds(make_query(0.01, (1.0 - pi) ** 2 / (pi * (1.0 - pi)), p=10),
+                                     m=1000, q=13)
+        assert res.lower <= res.upper
+
     def test_gate_precondition(self):
         with pytest.raises(InvalidParameterError):
             dshapley_binary_bounds(make_query(1.0, 1.0), m=100, q=5)  # p + 3 = 6
