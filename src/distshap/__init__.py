@@ -7,11 +7,10 @@ subset-enumeration oracle and a slow Monte-Carlo baseline.
 """
 
 from .baseline import (
-    AccuracyUtilityContext,
-    DensityUtilityContext,
+    AccuracyUtility,
+    DensityUtility,
     ExactShapleyResult,
-    RegressionUtilityContext,
-    UtilitySpec,
+    RegressionUtility,
     dshapley_mc_baseline,
     evaluate_utility,
     exact_data_shapley,
@@ -51,7 +50,7 @@ from .errors import (
     SingularMatrixError,
     UtilityEvaluationError,
 )
-from .estimates import BoundParams, BoundsResult, MCControls, ValueEstimate
+from .estimates import BoundsResult, MCControls, ValueEstimate
 from .experiments import (
     DEFAULT_BANDWIDTH_GRID,
     ExperimentConfig,
@@ -67,7 +66,6 @@ from .numerics import (
     estimate_second_moment,
     inv_logit,
     mahalanobis_sq,
-    sample_chi_squared,
     spd_inverse,
 )
 from .output import ResultTable, read_results, write_results

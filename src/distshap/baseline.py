@@ -3,9 +3,10 @@
 The exact enumerator values every subset of a small dataset with the combinatorial
 weights; the Monte-Carlo baseline samples the size-then-subset form of the value (all
 sizes in one call, all rows in another) and is the slow comparator in the timing
-experiments. Both run on three utility families (gated regression risk, held-out accuracy,
-density integrated squared error up to a constant), each defined once on the prefixes of a
-stack of sets given as a pool of rows and a table of row indices: one subset is a stack of
+experiments. Both run on three utility families, one dataclass each: ``RegressionUtility``
+(gated regression risk), ``AccuracyUtility`` (held-out accuracy) and ``DensityUtility``
+(density integrated squared error up to a constant). Each is defined once on the prefixes of
+a stack of sets given as a pool of rows and a table of row indices: one subset is a stack of
 one, the enumeration values 4,096 subsets a stack, a repetition's three curves are one
 call, and so is a block of baseline draws of at most 8,192 padded rows.
 """
@@ -32,10 +33,9 @@ from .estimates import ValueEstimate
 from .numerics import RandomStream, SpdMatrix, solve_each
 
 __all__ = [
-    "UtilitySpec",
-    "RegressionUtilityContext",
-    "AccuracyUtilityContext",
-    "DensityUtilityContext",
+    "RegressionUtility",
+    "AccuracyUtility",
+    "DensityUtility",
     "ExactShapleyResult",
     "evaluate_utility",
     "prefix_utilities",
@@ -50,54 +50,57 @@ _ROWS_PER_BLOCK = 8192  # baseline draws per stack times their widest padded set
 _SETS_PER_BLOCK = 4096  # subsets per stack of the exact enumeration
 
 
+def _check_gate(gate: int) -> None:
+    if gate < 1:
+        raise InvalidParameterError("gate must be at least 1")
+
+
 @dataclass(frozen=True)
-class UtilitySpec:
-    """One of the three utility families with its gate and constant: the utility is zero
-    below ``gate`` elements (density uses gate 1), and ``evaluation_mode`` picks between the
-    analytic risk under a known truth and the empirical risk on a held-out set."""
+class RegressionUtility:
+    """``constant`` minus the risk of a subset's fit at ridge ``gamma``, zero below ``gate``
+    elements: the empirical risk on a held-out sample (``x_test``, ``y_test``) or the analytic
+    risk under a known truth (``beta_true``, ``sigma_x``, ``sigma2``), whichever it holds."""
 
-    family: str
-    gate: int = 1
+    gate: int
     constant: float = 0.0
-    evaluation_mode: str = "heldout"
-
-    def __post_init__(self):
-        if self.family not in ("regression_risk", "accuracy", "density_ise"):
-            raise InvalidParameterError(f"unknown utility family {self.family!r}")
-        if self.gate < 1:
-            raise InvalidParameterError("gate must be at least 1")
-        if self.evaluation_mode not in ("analytic", "heldout"):
-            raise InvalidParameterError("evaluation_mode must be analytic or heldout")
-
-
-@dataclass
-class RegressionUtilityContext:
-    """Resources for the regression-risk utility: analytic mode requires the generating
-    coefficients, input second moment and noise variance; held-out mode, a test sample."""
-
     gamma: float = 0.0
+    x_test: np.ndarray | None = None
+    y_test: np.ndarray | None = None
     beta_true: np.ndarray | None = None
     sigma_x: SpdMatrix | None = None
     sigma2: float | None = None
-    x_test: np.ndarray | None = None
-    y_test: np.ndarray | None = None
+
+    def __post_init__(self):
+        _check_gate(self.gate)
+        heldout = [part is not None for part in (self.x_test, self.y_test)]
+        truth = [part is not None for part in (self.beta_true, self.sigma_x, self.sigma2)]
+        if not ((all(heldout) and not any(truth)) or (all(truth) and not any(heldout))):
+            raise InvalidParameterError("a regression utility takes either x_test and y_test "
+                                        "or beta_true, sigma_x and sigma2")
 
 
-@dataclass
-class AccuracyUtilityContext:
-    """Held-out sample for the accuracy utility."""
+@dataclass(frozen=True)
+class AccuracyUtility:
+    """Held-out accuracy of a subset's logistic fit, zero below ``gate`` elements."""
 
+    gate: int
     x_test: np.ndarray
     y_test: np.ndarray
 
+    def __post_init__(self):
+        _check_gate(self.gate)
 
-@dataclass
-class DensityUtilityContext:
-    """Kernel and evaluation draws for the density utility: ``eval_points`` are draws from the
-    data distribution for the cross term of the ISE, which leaves out ``integral p^2``."""
+
+@dataclass(frozen=True)
+class DensityUtility:
+    """``constant`` minus the integrated squared error of a subset's kernel density estimate,
+    zero when empty: ``eval_points`` are draws from the data distribution for the cross
+    term of the ISE, which leaves out ``integral p^2``."""
 
     kernel: KernelSpec
     eval_points: np.ndarray
+    constant: float = 0.0
+    gate = 1  # a class attribute, not a field: no density utility has another gate
 
 
 @dataclass
@@ -127,33 +130,33 @@ def _heldout_scores(score, x_test, betas):
     return out
 
 
-def _regression_utilities(pool, index, sets, sizes, spec: UtilitySpec, ctx: RegressionUtilityContext):
+def _regression_utilities(pool, index, sets, sizes, utility: RegressionUtility):
     """Risk of each fit's least-squares solution. Each prefix's Gram is its own product
     over exactly its rows, one stacked product per size, and all fits are one stacked solve."""
     x, y = (np.asarray(part)[index[:, :sizes.max()]] for part in pool)  # to the widest fit
     p = x.shape[-1]
-    _check_regression_gate(spec.gate, p, ctx.gamma)
+    _check_regression_gate(utility.gate, p, utility.gamma)
     gram, moment = np.empty((sizes.size, p, p)), np.empty((sizes.size, p, 1))
     for k in np.unique(sizes):
         at = np.flatnonzero(sizes == k)
         xt = np.swapaxes(x[sets[at], :k], 1, 2)
         gram[at] = xt @ np.swapaxes(xt, 1, 2)
         moment[at] = xt @ y[sets[at], :k, None]
-    betas = solve_each(gram + ctx.gamma * np.eye(p), moment)[0][..., 0]  # a singular fit is NaN
-    if spec.evaluation_mode == "analytic":
-        diff = betas - ctx.beta_true
-        risk = ctx.sigma2 + (diff[..., None, :] @ ctx.sigma_x.values @ diff[..., None])[..., 0, 0]
+    betas = solve_each(gram + utility.gamma * np.eye(p), moment)[0][..., 0]  # a singular fit is NaN
+    if utility.x_test is None:  # the analytic risk under the known truth
+        diff = betas - utility.beta_true
+        risk = utility.sigma2 + (diff[..., None, :] @ utility.sigma_x.values @ diff[..., None])[..., 0, 0]
     else:
-        risk = _heldout_scores(lambda pred: np.mean((ctx.y_test - pred) ** 2, axis=-1),
-                               ctx.x_test, betas)
-    return spec.constant - risk
+        risk = _heldout_scores(lambda pred: np.mean((utility.y_test - pred) ** 2, axis=-1),
+                               utility.x_test, betas)
+    return utility.constant - risk
 
 
-def _accuracy_utilities(pool, index, sets, sizes, spec: UtilitySpec, ctx: AccuracyUtilityContext):
+def _accuracy_utilities(pool, index, sets, sizes, utility: AccuracyUtility):
     """Held-out accuracy of each fit's logistic regression, in IRLS blocks cut to their widest
     fit (a fit cut at the cap still classifies). One class, <= p rows or a singular system fails."""
     x, y = (np.asarray(part)[index[:, :sizes.max()]] for part in pool)  # to the widest fit
-    if not (np.isin(y, (0.0, 1.0)).all() and np.isin(ctx.y_test, (0.0, 1.0)).all()):
+    if not (np.isin(y, (0.0, 1.0)).all() and np.isin(utility.y_test, (0.0, 1.0)).all()):
         raise InvalidParameterError("labels must be 0/1")
     ones = np.cumsum(y, axis=1)[sets, sizes - 1]  # positives in each prefix
     fit = np.flatnonzero((ones > 0) & (ones < sizes) & (sizes > x.shape[-1]))
@@ -166,25 +169,25 @@ def _accuracy_utilities(pool, index, sets, sizes, spec: UtilitySpec, ctx: Accura
             state, singular = _irls_stack(x[sets[block], :width], y[sets[block], :width],
                                           members, 1e-8, _ACCURACY_MAX_ITER)
         out[block[~singular]] = _heldout_scores(
-            lambda pred: np.mean((pred >= 0.0) == ctx.y_test, axis=-1),
-            ctx.x_test, state.beta[~singular])
+            lambda pred: np.mean((pred >= 0.0) == utility.y_test, axis=-1),
+            utility.x_test, state.beta[~singular])
     return out
 
 
-def _density_utilities(pool, index, sets, sizes, spec: UtilitySpec, ctx: DensityUtilityContext):
+def _density_utilities(pool, index, sets, sizes, utility: DensityUtility):
     """Integrated squared error of each fit's estimate, up to a constant, from prefix sums of
     the kernel means at the evaluation rows, one per pool row, and double prefix sums of the
     pairwise self-convolutions. Sets by width share a group while their count times the widest
     squared stays within ``_BLOCK_BUDGET`` (or are one set); a group's pairs come in blocks of
     at most that many entries, each carrying its running sums into the next, so every sum adds
     in the order it would for the set alone."""
-    evals = np.asarray(ctx.eval_points, dtype=float)[None]
+    evals = np.asarray(utility.eval_points, dtype=float)[None]
     if evals.shape[1] == 0:
         raise InvalidParameterError("the utility's evaluation rows are empty")
     pts, width = _as_points(pool), np.zeros(len(index), dtype=np.int64)
     np.maximum.at(width, sets, sizes)  # each set's rows up to its largest prefix
     read, means = np.unique(index), np.zeros(len(pts))
-    means[read] = _kernel_means(ctx.kernel, evals, pts[read, None])[0][0]
+    means[read] = _kernel_means(utility.kernel, evals, pts[read, None])[0][0]
     pair = np.empty(index.shape)  # pair[i, a]: set i's double sum through its row a
     order, start = np.flatnonzero(width)[np.argsort(width[width > 0], kind="stable")], 0
     while start < order.size:  # the most sets whose count times the last's width squared fits
@@ -194,24 +197,29 @@ def _density_utilities(pool, index, sets, sizes, spec: UtilitySpec, ctx: Density
         rows = pts[index[group, :width[group[-1]]]]  # (sets, widest, dim)
         step, carry = max(1, _BLOCK_BUDGET // rows[..., 0].size), 0.0
         for first in range(0, rows.shape[1], step):  # kc(x_r - x_a) at a block of rows a
-            (conv,) = ctx.kernel._values((rows[:, None, :, c] - rows[:, first:first + step, None, c]
+            (conv,) = utility.kernel._values((rows[:, None, :, c] - rows[:, first:first + step, None, c]
                                           for c in range(rows.shape[2])), ["self_convolution"])
             conv[:, 0] += carry
             carry = np.cumsum(conv, axis=1, out=conv)[:, -1].copy()
             a = np.arange(conv.shape[1])
             pair[group[:, None], first + a] = np.cumsum(conv, axis=2, out=conv)[:, a, first + a]
     cross = np.cumsum(means[index], axis=1)[sets, sizes - 1]
-    return spec.constant - (pair[sets, sizes - 1] / sizes ** 2 - 2.0 * cross / sizes)
+    return utility.constant - (pair[sets, sizes - 1] / sizes ** 2 - 2.0 * cross / sizes)
 
 
-def prefix_utilities(pool, index, sizes, spec: UtilitySpec, context) -> np.ndarray:
+_FAMILIES = {RegressionUtility: _regression_utilities, AccuracyUtility: _accuracy_utilities,
+             DensityUtility: _density_utilities}
+
+
+def prefix_utilities(pool, index, sizes, utility) -> np.ndarray:
     """Utilities of the prefixes of a stack of row sets, as a (b, n) array.
 
     ``pool`` is an (x, y) pair of (N, p) and (N,) arrays, or (N, dim) points ((N,) in one
     dimension); ``index`` is a (b, s) table of pool rows, a set to a row; ``sizes`` is a (b, n)
-    table of prefix sizes, or one (n,) row for every set. Entry (i, j) is the utility of rows
-    ``index[i, :sizes[i, j]]``: 0 below the gate, NaN where it cannot be fitted, and not
-    dependent on the other entries or the rows past it. Each family gathers what it reads."""
+    table of prefix sizes, or one (n,) row for every set. Entry (i, j) is ``utility`` (one of
+    the three families) of rows ``index[i, :sizes[i, j]]``: 0 below the gate, NaN where it
+    cannot be fitted, and not dependent on the other entries or the rows past it. Each family
+    gathers what it reads."""
     index, sizes = np.asarray(index, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
     n, s = _data_len(pool), index.shape[1]
     bad = index[(index < 0) | (index >= n)]
@@ -221,19 +229,17 @@ def prefix_utilities(pool, index, sizes, spec: UtilitySpec, context) -> np.ndarr
         raise InvalidParameterError(f"prefix sizes must lie in 0..{s}, got {sizes.tolist()}")
     table = np.broadcast_to(sizes, (len(index), sizes.shape[-1]))
     out = np.zeros(table.shape)
-    sets, fit = np.nonzero(table >= spec.gate)
+    sets, fit = np.nonzero(table >= utility.gate)
     if sets.size:
-        family = {"regression_risk": _regression_utilities, "accuracy": _accuracy_utilities,
-                  "density_ise": _density_utilities}[spec.family]
-        out[sets, fit] = family(pool, index, sets, table[sets, fit], spec, context)
+        out[sets, fit] = _FAMILIES[type(utility)](pool, index, sets, table[sets, fit], utility)
     return out
 
 
-def evaluate_utility(subset, spec: UtilitySpec, context) -> float:
+def evaluate_utility(subset, utility) -> float:
     """Utility of one subset, the stack of one: 0 when empty or below the gate;
     ``UtilityEvaluationError`` when the subset cannot be fitted."""
     size = _data_len(subset)
-    value = float(prefix_utilities(subset, np.arange(size)[None], [size], spec, context)[0, 0])
+    value = float(prefix_utilities(subset, np.arange(size)[None], [size], utility)[0, 0])
     if np.isnan(value):
         raise UtilityEvaluationError("the subset cannot be fitted", subset_size=size)
     return value
@@ -249,7 +255,7 @@ def _data_len(data) -> int:
     return int(np.shape(data[0] if isinstance(data, tuple) else data)[0])
 
 
-def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
+def exact_data_shapley(data, utility) -> ExactShapleyResult:
     """Exact per-point Shapley values of a small dataset by full enumeration.
 
     ``data`` is an (X, y) pair, an array of points, or any indexable array (e.g. indices,
@@ -274,7 +280,7 @@ def exact_data_shapley(data, utility, context=None) -> ExactShapleyResult:
     for start in range(1, 1 << n, _SETS_PER_BLOCK):  # each set's members first, ascending
         block = masks[start:start + _SETS_PER_BLOCK]
         idx = np.argsort(1 - ((block[:, None] >> np.arange(n)) & 1), axis=1, kind="stable")
-        util[block] = _set_utilities(data, idx, sizes[block, None], utility, context)[:, 0]
+        util[block] = _set_utilities(data, idx, sizes[block, None], utility)[:, 0]
     failed = np.flatnonzero(np.isnan(util))
     if failed.size:
         raise UtilityEvaluationError("the subset cannot be fitted", subset_size=int(sizes[failed[0]]))
@@ -296,11 +302,11 @@ def _rows(data, z_star):
     return np.concatenate([np.asarray(data, dtype=float), np.reshape(z_star, (1,) + np.shape(data)[1:])])
 
 
-def _set_utilities(pool, index, sizes, utility, context) -> np.ndarray:
-    """``prefix_utilities`` for a ``UtilitySpec``; a plain callable is called once per
+def _set_utilities(pool, index, sizes, utility) -> np.ndarray:
+    """``prefix_utilities`` for a utility family; a plain callable is called once per
     set and nonempty size, on the gathered rows, and is NaN where it fails."""
-    if isinstance(utility, UtilitySpec):
-        return prefix_utilities(pool, index, sizes, utility, context)
+    if type(utility) in _FAMILIES:
+        return prefix_utilities(pool, index, sizes, utility)
     out = np.full((len(index), np.shape(sizes)[-1]), np.nan)
     for (i, j), k in np.ndenumerate(np.broadcast_to(sizes, out.shape)):
         with suppress(UtilityEvaluationError):  # a failure stays NaN
@@ -309,7 +315,7 @@ def _set_utilities(pool, index, sizes, utility, context) -> np.ndarray:
 
 
 def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
-                         rng: RandomStream, context=None) -> ValueEstimate:
+                         rng: RandomStream) -> ValueEstimate:
     """Slow sampled estimate of the distributional value of one datum.
 
     Each draw picks a subset size uniformly up to ``m``, samples that many background points
@@ -326,7 +332,7 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     """
     if m < 1 or max_draws < 1:
         raise InvalidParameterError("m and max_draws must be at least 1")
-    gate = utility.gate if isinstance(utility, UtilitySpec) else 1
+    gate = utility.gate if type(utility) in _FAMILIES else 1
     sizes, delta = rng.generator.integers(1, m + 1, size=max_draws), np.zeros(max_draws)
     drawn = np.where(sizes >= gate, sizes - 1, 0)  # below the gate: no rows, both utilities zero
     starts = np.cumsum(drawn) - drawn  # where each draw's rows begin in the index
@@ -351,7 +357,7 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
         cols = np.arange(sizes[at].max())  # each set's rows, padded with z_star
         idx = index[np.where(cols < drawn[at, None], starts[at, None] + cols, -1)]
         table = np.column_stack([drawn[at], drawn[at] + 1])  # each set without, then with z_star
-        delta[at] = np.diff(_set_utilities(pool, idx, table, utility, context))[:, 0]
+        delta[at] = np.diff(_set_utilities(pool, idx, table, utility))[:, 0]
 
     failed = np.isnan(delta)
     evaluated, failures = np.cumsum(sizes >= gate), np.cumsum(failed)

@@ -22,9 +22,9 @@ from .errors import (
     SaturationError,
     SingularMatrixError,
 )
-from .estimates import BoundParams, BoundsResult
+from .estimates import BoundsResult
 from .numerics import SpdMatrix, estimate_second_moment, in_shape, inv_logit, mahalanobis_sq, solve_each
-from .regression import _envelope_bounds
+from .regression import _check_q, _envelope_bounds
 
 __all__ = [
     "IRLSState",
@@ -201,8 +201,7 @@ def transform_query(x_star, y_star, state: IRLSState, sigma_tilde_inv: SpdMatrix
     return BinaryPointQuery(x_star=x_star, **{k: in_shape(v, shape) for k, v in stats.items()})
 
 
-def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int,
-                           params: BoundParams | None = None, *,
+def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int, *,
                            _side: str | None = None) -> BoundsResult:
     """Deterministic lower/upper value bounds for a transformed binary datum or batch.
 
@@ -212,11 +211,8 @@ def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int,
     skipped and counted. ``_side`` ("lower" or "upper") computes that side
     alone and leaves the other None.
     """
-    params = params if params is not None else BoundParams()
     p = query.x_star.shape[-1]
     if m < 1:
         raise InvalidParameterError("valuation horizon m must be at least 1")
-    if q < p + 3:
-        raise InvalidParameterError(f"binary bounds need q >= p + 3, got q={q}, p={p}")
-    return _envelope_bounds(query.d_tilde, query.e2_b, sigma2=1.0, m=m, q=q, p=p, params=params,
-                            side=_side)
+    _check_q(q, p, "the binary bounds")
+    return _envelope_bounds(query.d_tilde, query.e2_b, sigma2=1.0, m=m, q=q, p=p, side=_side)

@@ -32,22 +32,6 @@ class MCControls:
 
 
 @dataclass
-class BoundParams:
-    """Concentration constants for the closed-form value bounds.
-
-    ``C`` and ``c`` depend only on the sub-Gaussian norm of the inputs and
-    default to 1.
-    """
-
-    C: float = 1.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.C < np.inf and 0.0 < self.c < np.inf):
-            raise InvalidParameterError("C and c must be finite and strictly positive")
-
-
-@dataclass
 class ValueEstimate:
     """A point value with its standard error and convergence metadata.
 

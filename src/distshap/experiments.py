@@ -15,10 +15,9 @@ from functools import partial
 import numpy as np
 
 from .baseline import (
-    AccuracyUtilityContext,
-    DensityUtilityContext,
-    RegressionUtilityContext,
-    UtilitySpec,
+    AccuracyUtility,
+    DensityUtility,
+    RegressionUtility,
     _check_regression_gate,
     _take,
     dshapley_mc_baseline,
@@ -156,9 +155,9 @@ def _split_indices(n: int, config: ExperimentConfig, gen: np.random.Generator):
 def _baseline_values(points, pool, utility, rows, config, rng):
     """Sampled-baseline values and standard errors of ``points`` against ``pool``,
     one substream per point, under the utility ``utility(rows)`` builds."""
-    spec, ctx = utility(rows)
-    results = [dshapley_mc_baseline(point, pool, spec, m=config.m, max_draws=config.baseline_draws,
-                                    rng=rng.substream(i), context=ctx)
+    util = utility(rows)
+    results = [dshapley_mc_baseline(point, pool, util, m=config.m, max_draws=config.baseline_draws,
+                                    rng=rng.substream(i))
                for i, point in enumerate(points)]
     return np.array([r.value for r in results]), np.array([r.std_error for r in results])
 
@@ -168,33 +167,19 @@ def _bound_side(bounds, side):
     return values, np.zeros(len(values))
 
 
-def _regression_spec(env, held):
-    """Held-out risk gated at the environment's q, against the constant 2 sigma2."""
-    x_test, y_test = held
-    return (UtilitySpec("regression_risk", gate=env.q, constant=2.0 * env.sigma2),
-            RegressionUtilityContext(gamma=env.gamma, x_test=x_test, y_test=y_test))
-
-
-def _accuracy_spec(q, held):
-    """Held-out accuracy gated at q."""
-    x_test, y_test = held
-    return UtilitySpec("accuracy", gate=q), AccuracyUtilityContext(x_test=x_test, y_test=y_test)
-
-
-def _density_spec(kernel, eval_points):
-    """Integrated squared error of the estimate, its cross term taken at ``eval_points``."""
-    return UtilitySpec("density_ise", gate=1), DensityUtilityContext(kernel=kernel,
-                                                                     eval_points=eval_points)
-
-
 # Each family below values the points of one split and returns
 # ((values, std_errors), utility): ``utility(held)`` builds the family's
-# UtilitySpec and context from the split's fit for an evaluation sample.
+# utility from the split's fit for an evaluation sample: the held-out risk
+# gated at q against 2 sigma2, the held-out accuracy gated at q, or the
+# density ISE with its cross term taken at the sample.
 
 def _regression_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     bx, by = dataset.x[bg_idx], dataset.y[bg_idx]
     env = fit_background(bx, by, m=config.m, q=q, gamma=config.gamma)
-    utility = partial(_regression_spec, env)
+
+    def utility(held):
+        return RegressionUtility(env.q, 2.0 * env.sigma2, env.gamma, *held)
+
     if config.method == "bounds":
         bounds = dshapley_regression_bounds(PointQuery.from_point(xs, ys, env), env,
                                             _side=config.bound_side)
@@ -208,7 +193,10 @@ def _regression_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
 
 def _classification_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     bx, by = dataset.x[bg_idx], dataset.y[bg_idx]
-    utility = partial(_accuracy_spec, q)
+
+    def utility(held):
+        return AccuracyUtility(q, *held)
+
     if config.method == "baseline":
         held = (dataset.x[held_idx], dataset.y[held_idx])
         return _baseline_values(zip(xs, ys), (bx, by), utility, held, config, rng), utility
@@ -225,7 +213,7 @@ def _density_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     background = dataset.x[bg_idx]
     h = select_bandwidth(background, config.bandwidth_grid)
     kernel = KernelSpec("gaussian", h, dataset.p)
-    utility = partial(_density_spec, kernel)
+    utility = partial(DensityUtility, kernel)
     if config.method == "fast":
         est = dshapley_density(DensityValueRequest(s_star=xs[:, None, :], m=config.m),
                                background, kernel, rng)
@@ -293,12 +281,12 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
         (values, _), utility = _value_split(dataset, config, sub, value_idx, held_idx, bg_idx)
         if rep == 0:
             rep0_values, rep0_indices = values.copy(), np.array(value_idx)
-        spec, ctx = utility(_take(data, held_idx))
+        util = utility(_take(data, held_idx))
         orders = np.stack([np.argsort(-values, kind="stable"), np.argsort(values, kind="stable"),
                            sub.substream(_STREAM_ORDER).generator.permutation(steps)])
         curves[:, rep, 0] = 0.0  # empty-set utility by convention
-        curves[:, rep, spec.gate:] = prefix_utilities(data, value_idx[orders],
-                                                      np.arange(spec.gate, steps + 1), spec, ctx)
+        curves[:, rep, util.gate:] = prefix_utilities(data, value_idx[orders],
+                                                      np.arange(util.gate, steps + 1), util)
 
     results = []
     for name, grid in zip(orderings, curves):

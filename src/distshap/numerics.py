@@ -16,7 +16,6 @@ from .errors import InvalidParameterError, RankDeficiencyError, SingularMatrixEr
 __all__ = [
     "RandomStream",
     "SpdMatrix",
-    "sample_chi_squared",
     "spd_inverse",
     "estimate_second_moment",
     "mahalanobis_sq",
@@ -57,18 +56,6 @@ class RandomStream:
     def __repr__(self):
         path = "".join(f".{i}" for i in self._path)
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id}{path})"
-
-
-def sample_chi_squared(k: int, rng: RandomStream, size=None):
-    """Draw from the chi-squared distribution with ``k`` degrees of freedom.
-
-    Sampling goes through the Gamma(k/2, scale=2) equivalence provided by
-    the generator. Returns a float when ``size`` is None, otherwise an array.
-    """
-    if k < 1:
-        raise InvalidParameterError("degrees of freedom must be a positive integer")
-    draws = rng.generator.chisquare(k, size=size)
-    return float(draws) if size is None else draws
 
 
 def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
-from .estimates import BoundParams, BoundsResult, MCControls, ValueEstimate
+from .estimates import BoundsResult, MCControls, ValueEstimate
 from .numerics import RandomStream, SpdMatrix, estimate_second_moment, in_shape, mahalanobis_sq, spd_inverse
 
 __all__ = [
@@ -146,6 +146,13 @@ def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0) -> RegressionEnv
                                  beta_hat=beta_hat, sigma_inv=sigma_inv)
 
 
+def _check_q(q: int, p: int, route: str) -> None:
+    """The chi-squared forms need ``q >= p + 3``: below it the smallest admitted size
+    divides by zero or flips a sign."""
+    if q < p + 3:
+        raise InvalidParameterError(f"{route}: q >= p + 3 is required, got q={q}, p={p}")
+
+
 def _empty_sum_estimate(m, q, shape) -> ValueEstimate:
     warnings.warn(
         f"valuation horizon m={m} is below the utility gate q={q}; "
@@ -200,8 +207,7 @@ def dshapley_regression_quadrature(query: PointQuery, env: RegressionEnvironment
     """
     if env.gamma != 0.0:
         raise InvalidParameterError("the quadrature route requires gamma = 0")
-    if env.q < env.p + 3:
-        raise InvalidParameterError(f"quadrature route needs q >= p + 3, got q={env.q}, p={env.p}")
+    _check_q(env.q, env.p, "the quadrature route")
     shape = np.shape(query.d)
     if env.m < env.q:
         return _empty_sum_estimate(env.m, env.q, shape)
@@ -251,8 +257,7 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
     mc = mc if mc is not None else MCControls()
     if env.gamma != 0.0:
         raise InvalidParameterError("the exact route requires gamma = 0")
-    if env.q < env.p + 3:
-        raise InvalidParameterError(f"exact route needs q >= p + 3, got q={env.q}, p={env.p}")
+    _check_q(env.q, env.p, "the exact route")
     if env.m < env.q:
         return _empty_sum_estimate(env.m, env.q, ())
 
@@ -309,15 +314,15 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
 
 
 def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
-                     params: BoundParams, ridge: tuple = (0.0, 0.0),
-                     side: str | None = None) -> BoundsResult:
+                     ridge: tuple = (0.0, 0.0), side: str | None = None) -> BoundsResult:
     """Eigenvalue-envelope value bounds, in the shape of ``d``, for ``d`` and ``e2``.
 
     Each admitted subset size ``j`` carries envelopes for the inverse design
     Gram matrix, ``1 / (j (1 -+ delta_j)^2 + ridge)``, where ``ridge`` holds
     ``gamma`` times the extreme eigenvalues of the inverse second moment.
-    Sizes where the concentration deviation ``delta_j`` reaches 1 are
-    skipped and counted, since the probability bound is vacuous there. Each
+    Sizes where the concentration deviation ``delta_j = (sqrt(p) +
+    sqrt(log(j m) / 2)) / sqrt(j)`` (sub-Gaussian constants C = c = 1)
+    reaches 1 are skipped and counted, since the bound is vacuous there. Each
     bound sums every admitted size of ``t a^2 / (1 + t b)^2 ((2 + t a) sigma2
     - ((1 + t b) / (1 + t a))^2 e2)`` at ``t = d``; the sides differ only in
     which envelope plays which role, ``(a, b)`` being (lower, upper) for the
@@ -331,7 +336,7 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
     shape = np.shape(d)
     d, e2 = np.atleast_1d(d), np.atleast_1d(e2)
     js = np.arange(q - 1, m, dtype=float)
-    delta = (params.C * np.sqrt(p) + np.sqrt(np.log(js * m) / (2.0 * params.c))) / np.sqrt(js)
+    delta = (np.sqrt(p) + np.sqrt(np.log(js * m) / 2.0)) / np.sqrt(js)
     valid = delta < 1.0
     js, delta = js[valid], delta[valid]
     env_up = 1.0 / (js * (1.0 - delta) ** 2 + ridge[0])
@@ -354,8 +359,7 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
                         skipped_terms=int(np.count_nonzero(~valid)))
 
 
-def dshapley_regression_bounds(query: PointQuery, env: RegressionEnvironment,
-                               params: BoundParams | None = None, *,
+def dshapley_regression_bounds(query: PointQuery, env: RegressionEnvironment, *,
                                _side: str | None = None) -> BoundsResult:
     """Deterministic lower/upper value bounds for sub-Gaussian inputs.
 
@@ -364,10 +368,9 @@ def dshapley_regression_bounds(query: PointQuery, env: RegressionEnvironment,
     bounds at ``gamma > 0`` are approximate. ``_side`` ("lower" or "upper")
     computes that side alone and leaves the other None.
     """
-    params = params if params is not None else BoundParams()
     eigs = np.linalg.eigvalsh(env.sigma_inv.values)
     return _envelope_bounds(query.d, query.e2, sigma2=env.sigma2, m=env.m, q=env.q, p=env.p,
-                            params=params, ridge=(env.gamma * eigs[0], env.gamma * eigs[-1]),
+                            ridge=(env.gamma * eigs[0], env.gamma * eigs[-1]),
                             side=_side)
 
 
@@ -443,8 +446,9 @@ def normalization_shift(env: RegressionEnvironment) -> float:
     ``(sigma2 / m) * sum_s (s - 1) / ((s - p) (s - p - 1))``. Subtract this
     from a general-form estimate to compare it with the Gaussian-form
     estimate of the same point. Rankings and value differences are
-    unaffected either way.
+    unaffected either way. Requires ``q >= p + 3``.
     """
+    _check_q(env.q, env.p, "normalization_shift")
     if env.m < env.q:
         return 0.0
     sizes = np.arange(env.q - 1, env.m, dtype=float)
@@ -459,7 +463,8 @@ def analytic_utility_constant(env: RegressionEnvironment) -> float:
     Equals ``sigma2 * (1 + p / (q - p - 2))`` minus ``m`` times
     :func:`normalization_shift`; using it in the analytic regression-risk
     utility makes the slow baseline estimate the same normalized value the
-    exact route reports.
+    exact route reports. Requires ``q >= p + 3``.
     """
+    _check_q(env.q, env.p, "analytic_utility_constant")
     lead = env.sigma2 * (1.0 + env.p / (env.q - env.p - 2.0))
     return float(lead - env.m * normalization_shift(env))

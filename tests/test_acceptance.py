@@ -41,11 +41,9 @@ class TestCriterion1OracleEquivalenceRegression:
         start = time.time()
         p, q, m = 2, 5, 12
         env, beta = gaussian_truth_env(p=p, q=q, m=m)
-        spec = ds.UtilitySpec("regression_risk", gate=q,
-                              constant=analytic_utility_constant(env),
-                              evaluation_mode="analytic")
-        ctx = ds.RegressionUtilityContext(gamma=0.0, beta_true=beta,
-                                          sigma_x=ds.SpdMatrix(np.eye(p)), sigma2=1.0)
+        utility = ds.RegressionUtility(gate=q, constant=analytic_utility_constant(env),
+                                       gamma=0.0, beta_true=beta,
+                                       sigma_x=ds.SpdMatrix(np.eye(p)), sigma2=1.0)
 
         def background(k, gen):
             x = gen.standard_normal((k, p))
@@ -60,10 +58,9 @@ class TestCriterion1OracleEquivalenceRegression:
                 query = ds.PointQuery(x_star=x, y_star=y, e2=e2, d=d)
                 exact = ds.dshapley_regression_exact(query, env, TIGHT,
                                                      ds.RandomStream(100 + index))
-                base = ds.dshapley_mc_baseline((x, y), background, spec, m=m,
+                base = ds.dshapley_mc_baseline((x, y), background, utility, m=m,
                                                max_draws=10**5,
-                                               rng=ds.RandomStream(200 + index),
-                                               context=ctx)
+                                               rng=ds.RandomStream(200 + index))
                 diff = abs(exact.value - base.value)
                 limit = 3.0 * np.hypot(exact.std_error, base.std_error)
                 if diff >= limit:

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from math import comb, factorial
 
@@ -7,17 +8,16 @@ import numpy as np
 import pytest
 
 from distshap import (
-    AccuracyUtilityContext,
+    AccuracyUtility,
     BaselineFailureError,
-    DensityUtilityContext,
+    DensityUtility,
     EnumerationSizeError,
     InvalidParameterError,
     KernelSpec,
     RandomStream,
-    RegressionUtilityContext,
+    RegressionUtility,
     SpdMatrix,
     UtilityEvaluationError,
-    UtilitySpec,
     dshapley_mc_baseline,
     evaluate_utility,
     exact_data_shapley,
@@ -89,67 +89,91 @@ def per_subset_shapley(data, util):
 
 class TestEvaluateUtility:
     def test_empty_set_zero(self):
-        spec = UtilitySpec("regression_risk", gate=4, constant=1.0, evaluation_mode="analytic")
-        ctx = RegressionUtilityContext(beta_true=np.zeros(2), sigma_x=SpdMatrix(np.eye(2)), sigma2=1.0)
-        assert evaluate_utility((np.empty((0, 2)), np.empty(0)), spec, ctx) == 0.0
+        utility = RegressionUtility(gate=4, constant=1.0, beta_true=np.zeros(2),
+                                    sigma_x=SpdMatrix(np.eye(2)), sigma2=1.0)
+        assert evaluate_utility((np.empty((0, 2)), np.empty(0)), utility) == 0.0
 
     def test_below_gate_zero(self):
-        spec = UtilitySpec("regression_risk", gate=4, constant=1.0, evaluation_mode="analytic")
-        ctx = RegressionUtilityContext(beta_true=np.zeros(2), sigma_x=SpdMatrix(np.eye(2)), sigma2=1.0)
+        utility = RegressionUtility(gate=4, constant=1.0, beta_true=np.zeros(2),
+                                    sigma_x=SpdMatrix(np.eye(2)), sigma2=1.0)
         x = np.random.default_rng(0).standard_normal((3, 2))
-        assert evaluate_utility((x, np.zeros(3)), spec, ctx) == 0.0
+        assert evaluate_utility((x, np.zeros(3)), utility) == 0.0
 
     def test_perfect_fit_risk_is_noise_floor(self):
         beta = np.array([1.0, -1.0])
-        spec = UtilitySpec("regression_risk", gate=3, constant=5.0, evaluation_mode="analytic")
-        ctx = RegressionUtilityContext(beta_true=beta, sigma_x=SpdMatrix(np.eye(2)), sigma2=0.7)
+        utility = RegressionUtility(gate=3, constant=5.0, beta_true=beta,
+                                    sigma_x=SpdMatrix(np.eye(2)), sigma2=0.7)
         x = np.random.default_rng(1).standard_normal((8, 2))
-        u = evaluate_utility((x, x @ beta), spec, ctx)
+        u = evaluate_utility((x, x @ beta), utility)
         assert u == pytest.approx(5.0 - 0.7, rel=1e-12)
 
     def test_zero_ridge_gate_must_exceed_dimension(self):
-        spec = UtilitySpec("regression_risk", gate=2, constant=0.0, evaluation_mode="analytic")
-        ctx = RegressionUtilityContext(beta_true=np.zeros(2), sigma_x=SpdMatrix(np.eye(2)), sigma2=1.0)
+        utility = RegressionUtility(gate=2, constant=0.0, beta_true=np.zeros(2),
+                                    sigma_x=SpdMatrix(np.eye(2)), sigma2=1.0)
         x = np.random.default_rng(2).standard_normal((4, 2))
         with pytest.raises(InvalidParameterError):
-            evaluate_utility((x, np.zeros(4)), spec, ctx)
+            evaluate_utility((x, np.zeros(4)), utility)
 
     def test_accuracy_single_class_fails(self):
-        spec = UtilitySpec("accuracy", gate=3)
         gen = np.random.default_rng(3)
-        ctx = AccuracyUtilityContext(x_test=gen.standard_normal((20, 2)),
-                                     y_test=(gen.uniform(size=20) < 0.5).astype(float))
+        utility = AccuracyUtility(gate=3, x_test=gen.standard_normal((20, 2)),
+                                  y_test=(gen.uniform(size=20) < 0.5).astype(float))
         x = gen.standard_normal((6, 2))
         with pytest.raises(UtilityEvaluationError) as excinfo:
-            evaluate_utility((x, np.ones(6)), spec, ctx)
+            evaluate_utility((x, np.ones(6)), utility)
         assert excinfo.value.subset_size == 6
 
     def test_density_empty_zero(self):
-        spec = UtilitySpec("density_ise", gate=1, constant=0.3)
-        ctx = DensityUtilityContext(kernel=KernelSpec("gaussian", 0.5, 1),
-                                    eval_points=np.zeros((10, 1)))
-        assert evaluate_utility(np.empty((0, 1)), spec, ctx) == 0.0
+        utility = DensityUtility(kernel=KernelSpec("gaussian", 0.5, 1),
+                                 eval_points=np.zeros((10, 1)), constant=0.3)
+        assert evaluate_utility(np.empty((0, 1)), utility) == 0.0
+
+
+TRUTH = dict(beta_true=np.zeros(2), sigma_x=SpdMatrix(np.eye(2)), sigma2=1.0)
+HELDOUT = dict(x_test=np.zeros((5, 2)), y_test=np.zeros(5))
+
+
+class TestUtilityFields:
+    @pytest.mark.parametrize("fields", [{}, {**TRUTH, **HELDOUT}, {"x_test": np.zeros((5, 2))},
+                                        {**TRUTH, "y_test": np.zeros(5)},
+                                        {"beta_true": np.zeros(2), "sigma2": 1.0}],
+                             ids=["neither", "both", "x_test-alone", "truth-and-y_test",
+                                  "truth-without-sigma_x"])
+    def test_regression_holds_exactly_one_data_set(self, fields):
+        with pytest.raises(InvalidParameterError, match="either x_test and y_test or beta_true"):
+            RegressionUtility(gate=3, **fields)
+
+    @pytest.mark.parametrize("gate", (0, -2))
+    def test_gate_below_one_rejected(self, gate):
+        with pytest.raises(InvalidParameterError, match="gate must be at least 1"):
+            RegressionUtility(gate=gate, **HELDOUT)
+        with pytest.raises(InvalidParameterError, match="gate must be at least 1"):
+            AccuracyUtility(gate, **HELDOUT)
+
+    def test_density_gate_is_one(self):
+        utility = DensityUtility(KernelSpec("gaussian", 0.5, 1), np.zeros((10, 1)))
+        assert utility.gate == 1 and utility.constant == 0.0
+        with pytest.raises(TypeError):
+            DensityUtility(KernelSpec("gaussian", 0.5, 1), np.zeros((10, 1)), gate=2)
 
 
 def family_stack(family, b=4, s=14, p=3):
-    """A spec, its context and a stack of b row sets of s rows for one utility family."""
+    """A utility and a stack of b row sets of s rows for one utility family."""
     gen = np.random.default_rng(11)
     x = gen.standard_normal((b, s, p))
     x_test = gen.standard_normal((40, p))
     beta = np.array([1.0, -0.5, 0.25])
     if family == "density":
-        spec = UtilitySpec("density_ise", gate=1, constant=0.3)
-        return spec, DensityUtilityContext(KernelSpec("gaussian", 0.6, p), x_test), x
+        return DensityUtility(KernelSpec("gaussian", 0.6, p), x_test, constant=0.3), x
     if family == "accuracy":
         y = (x @ beta + gen.standard_normal((b, s)) > 0).astype(float)
-        ctx = AccuracyUtilityContext(x_test, (x_test @ beta > 0).astype(float))
-        return UtilitySpec("accuracy", gate=4), ctx, (x, y)
+        return AccuracyUtility(4, x_test, (x_test @ beta > 0).astype(float)), (x, y)
     y = x @ beta + gen.standard_normal((b, s))
     if family == "analytic":
-        ctx = RegressionUtilityContext(beta_true=beta, sigma_x=SpdMatrix(np.eye(p)), sigma2=1.0)
-        return UtilitySpec("regression_risk", gate=5, constant=2.0, evaluation_mode="analytic"), ctx, (x, y)
-    ctx = RegressionUtilityContext(x_test=x_test, y_test=x_test @ beta + gen.standard_normal(40))
-    return UtilitySpec("regression_risk", gate=5, constant=2.0), ctx, (x, y)
+        return RegressionUtility(5, 2.0, beta_true=beta, sigma_x=SpdMatrix(np.eye(p)),
+                                 sigma2=1.0), (x, y)
+    return RegressionUtility(5, 2.0, x_test=x_test,
+                             y_test=x_test @ beta + gen.standard_normal(40)), (x, y)
 
 
 def take(rows, idx):
@@ -171,40 +195,40 @@ FAMILIES = ("heldout", "analytic", "accuracy", "density")
 class TestStackedUtilities:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_split_stack_is_bit_identical(self, family):
-        spec, ctx, rows = family_stack(family)
+        utility, rows = family_stack(family)
         sizes = np.arange(1, 15)
-        whole = prefix_utilities(*stacked(rows), sizes, spec, ctx)
-        assert np.isfinite(whole[:, sizes >= max(spec.gate, 5)]).all()
-        by_sets = np.vstack([prefix_utilities(*stacked(take(rows, slice(0, 1))), sizes, spec, ctx),
-                             prefix_utilities(*stacked(take(rows, slice(1, None))), sizes, spec, ctx)])
-        by_sizes = np.hstack([prefix_utilities(*stacked(rows), sizes[:6], spec, ctx),
-                              prefix_utilities(*stacked(rows), sizes[6:], spec, ctx)])
+        whole = prefix_utilities(*stacked(rows), sizes, utility)
+        assert np.isfinite(whole[:, sizes >= max(utility.gate, 5)]).all()
+        by_sets = np.vstack([prefix_utilities(*stacked(take(rows, slice(0, 1))), sizes, utility),
+                             prefix_utilities(*stacked(take(rows, slice(1, None))), sizes, utility)])
+        by_sizes = np.hstack([prefix_utilities(*stacked(rows), sizes[:6], utility),
+                              prefix_utilities(*stacked(rows), sizes[6:], utility)])
         assert np.array_equal(whole, by_sets, equal_nan=True)
         assert np.array_equal(whole, by_sizes, equal_nan=True)
         # one prefix evaluated alone is the stack of one
         for i, k in ((0, 14), (2, 9), (3, 5)):
-            alone = evaluate_utility(take(take(rows, i), slice(k)), spec, ctx)
+            alone = evaluate_utility(take(take(rows, i), slice(k)), utility)
             assert alone == whole[i, k - 1]
-        assert np.all(whole[:, sizes < spec.gate] == 0.0)
+        assert np.all(whole[:, sizes < utility.gate] == 0.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_a_prefix_has_the_same_bits_at_any_padding(self, family):
         # each set's prefixes valued alone (cut to the prefix), padded into its 600-row
         # set, and in one table beside different block-mates, in either order; a gemv in
         # IRLS gives a 50- and a 599-row prefix of a 600-row set bits of their own
-        spec, ctx, rows = family_stack(family, b=3, s=600)
+        utility, rows = family_stack(family, b=3, s=600)
         table = np.array([[50, 599], [600, 37], [301, 50]])
         alone = np.array([[prefix_utilities(*stacked(take(rows, (slice(i, i + 1), slice(k)))),
-                                            [k], spec, ctx)[0, 0] for k in row]
+                                            [k], utility)[0, 0] for k in row]
                           for i, row in enumerate(table)])
         assert np.isfinite(alone).all()
-        padded = np.vstack([prefix_utilities(*stacked(take(rows, slice(i, i + 1))), row, spec, ctx)
+        padded = np.vstack([prefix_utilities(*stacked(take(rows, slice(i, i + 1))), row, utility)
                             for i, row in enumerate(table)])
-        together = prefix_utilities(*stacked(rows), table, spec, ctx)
+        together = prefix_utilities(*stacked(rows), table, utility)
         reversed_ = prefix_utilities(*stacked(take(rows, slice(None, None, -1))), table[::-1],
-                                     spec, ctx)
+                                     utility)
         mixed = prefix_utilities(*stacked(take(rows, [0, 2, 0])),
-                                 [[50, 599], [301, 600], [599, 50]], spec, ctx)
+                                 [[50, 599], [301, 600], [599, 50]], utility)
         assert np.array_equal(padded, alone) and np.array_equal(together, alone)
         assert np.array_equal(reversed_[::-1], alone)
         assert mixed[0].tolist() == alone[0].tolist() == mixed[2, ::-1].tolist()
@@ -228,14 +252,14 @@ class TestStackedUtilities:
 
     @pytest.mark.parametrize("family", ("heldout", "analytic", "accuracy"))
     def test_unfittable_member_fails_alone(self, family):
-        spec, ctx, rows = family_stack(family)
+        utility, rows = family_stack(family)
         x, y = (part.copy() for part in rows)
         x[1, :, 2] = x[1, :, 0]  # set 1 has a singular Gram at every size
         if family == "accuracy":
             y[2] = 1.0  # set 2 has one class
-        sizes = np.arange(spec.gate, 15)
-        broken = prefix_utilities(*stacked((x, y)), sizes, spec, ctx)
-        clean = prefix_utilities(*stacked(rows), sizes, spec, ctx)
+        sizes = np.arange(utility.gate, 15)
+        broken = prefix_utilities(*stacked((x, y)), sizes, utility)
+        clean = prefix_utilities(*stacked(rows), sizes, utility)
         failed = np.zeros(broken.shape, dtype=bool)
         failed[1] = True
         if family == "accuracy":
@@ -244,62 +268,62 @@ class TestStackedUtilities:
         assert np.array_equal(np.isnan(broken), failed)
         assert np.array_equal(broken[~failed], clean[~failed])
         with pytest.raises(UtilityEvaluationError) as excinfo:
-            evaluate_utility((x[1], y[1]), spec, ctx)
+            evaluate_utility((x[1], y[1]), utility)
         assert excinfo.value.subset_size == 14
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_size_outside_the_set_rejected(self, family):
         # each set has 14 rows; 0 and 14 are the ends of the valid range
-        spec, ctx, rows = family_stack(family)
-        assert prefix_utilities(*stacked(rows), [0, 14], spec, ctx).shape == (4, 2)
+        utility, rows = family_stack(family)
+        assert prefix_utilities(*stacked(rows), [0, 14], utility).shape == (4, 2)
         for size in (15, 25, 40, -1, -3):
             with pytest.raises(InvalidParameterError, match="prefix sizes"):
-                prefix_utilities(*stacked(rows), [5, size], spec, ctx)
+                prefix_utilities(*stacked(rows), [5, size], utility)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("entry", (56, 57, 1000, -1, -56))
     def test_index_outside_the_pool_rejected(self, family, entry):
         # the pool has 4 * 14 = 56 rows; 0 and 55 are the ends of the valid range
-        spec, ctx, rows = family_stack(family)
+        utility, rows = family_stack(family)
         pool, index = stacked(rows)
         index[2, 13] = 55
-        assert prefix_utilities(pool, index, [14], spec, ctx).shape == (4, 1)
+        assert prefix_utilities(pool, index, [14], utility).shape == (4, 1)
         index[2, 13] = entry  # past every prefix valued: still rejected, not read
         with pytest.raises(InvalidParameterError,
                            match=rf"index entries must lie in 0\.\.55, got {entry}"):
-            prefix_utilities(pool, index, [5], spec, ctx)
+            prefix_utilities(pool, index, [5], utility)
 
     def test_density_sets_that_repeat_pool_rows(self):
         # baseline draws resample a pool: rows repeat within and across sets. By width the
         # sets fall into three pair groups ({2, 30, 31, 120}, {200}, {300}), and the
         # 300-row set's pairs take two blocks
-        spec, ctx, _ = family_stack("density")
+        utility, _ = family_stack("density")
         gen = np.random.default_rng(12)
         pool = gen.standard_normal((40, 3))
         index = gen.integers(0, 40, size=(6, 300))
         table = np.array([[1, 2], [7, 30], [31, 30], [120, 119], [200, 5], [300, 299]])
-        got = prefix_utilities(pool, index, table, spec, ctx)
-        loop = [[evaluate_utility(pool[index[i, :k]], spec, ctx) for k in row]
+        got = prefix_utilities(pool, index, table, utility)
+        loop = [[evaluate_utility(pool[index[i, :k]], utility) for k in row]
                 for i, row in enumerate(table)]
         assert np.array_equal(got, loop)
         # the defining sums, one prefix at a time and unblocked
         for (i, j), k in np.ndenumerate(table):
             rows = pool[index[i, :k]]
-            conv = ctx.kernel.self_convolution(rows[None] - rows[:, None])  # kc(x_r - x_a)
-            cross = kde_evaluate(ctx.eval_points, ctx.kernel, rows)
+            conv = utility.kernel.self_convolution(rows[None] - rows[:, None])  # kc(x_r - x_a)
+            cross = kde_evaluate(utility.eval_points, utility.kernel, rows)
             ise = np.cumsum(np.cumsum(conv, 0), 1)[-1, -1] / k ** 2 - 2.0 * np.cumsum(cross)[-1] / k
-            assert got[i, j] == spec.constant - ise
+            assert got[i, j] == utility.constant - ise
 
     def test_pair_blocks_stay_within_a_multiple_of_the_budget(self):
         # A 600-row set has 5.5 budgets of pairs. Formed in blocks of at most _BLOCK_BUDGET
         # entries, a call holds ~4.3 budgets of floats at its peak; in one block, ~17
-        spec, ctx, rows = family_stack("density", b=1, s=600)
+        utility, rows = family_stack("density", b=1, s=600)
         pool, index = stacked(rows)
-        prefix_utilities(pool, index[:, :5], [5], spec, ctx)  # first-call allocations
+        prefix_utilities(pool, index[:, :5], [5], utility)  # first-call allocations
         for sizes in ([600], np.arange(1, 601)):
             tracemalloc.start()
             try:
-                prefix_utilities(pool, index, sizes, spec, ctx)
+                prefix_utilities(pool, index, sizes, utility)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -307,13 +331,13 @@ class TestStackedUtilities:
 
     def test_empty_evaluation_rows_rejected(self):
         for family in ("heldout", "accuracy", "density"):
-            spec, ctx, rows = family_stack(family)
+            utility, rows = family_stack(family)
             if family == "density":
-                ctx = DensityUtilityContext(ctx.kernel, np.empty((0, 3)))
+                utility = replace(utility, eval_points=np.empty((0, 3)))
             else:
-                ctx.x_test, ctx.y_test = ctx.x_test[:0], ctx.y_test[:0]
+                utility = replace(utility, x_test=utility.x_test[:0], y_test=utility.y_test[:0])
             with pytest.raises(InvalidParameterError, match="empty"):
-                prefix_utilities(*stacked(rows), [14], spec, ctx)
+                prefix_utilities(*stacked(rows), [14], utility)
 
 
 class TestExactShapley:
@@ -373,18 +397,16 @@ class TestExactShapley:
         beta = np.array([0.5, -1.0])
         x = gen.standard_normal((6, 2))
         y = x @ beta + 0.1 * gen.standard_normal(6)
-        spec = UtilitySpec("regression_risk", gate=4, constant=2.0,
-                           evaluation_mode="analytic")
-        ctx = RegressionUtilityContext(beta_true=beta, sigma_x=SpdMatrix(np.eye(2)),
-                                       sigma2=0.01)
-        res = exact_data_shapley((x, y), spec, ctx)
-        full = evaluate_utility((x, y), spec, ctx)
+        utility = RegressionUtility(gate=4, constant=2.0, beta_true=beta,
+                                    sigma_x=SpdMatrix(np.eye(2)), sigma2=0.01)
+        res = exact_data_shapley((x, y), utility)
+        full = evaluate_utility((x, y), utility)
         assert res.values.sum() == pytest.approx(full, abs=1e-10)
         assert res.subset_evaluations == 64
 
     @pytest.mark.parametrize("case", FAMILIES + ("callable-index", "callable-pairs"))
     def test_stacks_match_a_per_subset_loop(self, case):
-        spec = ctx = None
+        utility = None
         if case == "callable-index":
             data, util = np.arange(7), tabulated_utility(3)
         elif case == "callable-pairs":
@@ -392,28 +414,29 @@ class TestExactShapley:
             data = (gen.standard_normal((6, 2)), gen.standard_normal(6))
             util = lambda s: float(np.sum(s[0] @ [1.0, -2.0]) * np.sum(s[1] ** 3))  # noqa: E731
         else:
-            spec, ctx, rows = family_stack(case, b=1, s=8)
+            utility, rows = family_stack(case, b=1, s=8)
             data = take(rows, 0)
             if case == "accuracy":  # 4 of each class: every set of 5 or more has both
-                spec, data = UtilitySpec("accuracy", gate=5), (data[0], np.tile([1.0, 0.0], 4))
-            util = partial(evaluate_utility, spec=spec, context=ctx)
-        res = exact_data_shapley(data, spec or util, ctx)
+                utility = replace(utility, gate=5)
+                data = (data[0], np.tile([1.0, 0.0], 4))
+            util = partial(evaluate_utility, utility=utility)
+        res = exact_data_shapley(data, utility or util)
         values, total = per_subset_shapley(data, util)
         assert np.array_equal(res.values, values) and res.total == total
 
     def test_unfittable_subset_raises_first_in_mask_order(self):
-        spec, ctx, rows = family_stack("accuracy", b=1, s=7)
+        utility, rows = family_stack("accuracy", b=1, s=7)
         x = take(rows, 0)[0]
         y = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])  # five positives: one-class sets fail
         first = None
         for members in subsets_in_mask_order(7):
             try:
-                evaluate_utility((x[members], y[members]), spec, ctx)
+                evaluate_utility((x[members], y[members]), utility)
             except UtilityEvaluationError as exc:
                 first = exc.subset_size
                 break
         with pytest.raises(UtilityEvaluationError) as excinfo:
-            exact_data_shapley((x, y), spec, ctx)
+            exact_data_shapley((x, y), utility)
         assert excinfo.value.subset_size == first == 4
 
     def test_callable_failure_raises_first_in_mask_order(self):
@@ -428,18 +451,18 @@ class TestExactShapley:
         assert excinfo.value.subset_size == 2
 
 
-def replay_baseline(z_star, background, spec, ctx, *, m, draws):
+def replay_baseline(z_star, background, utility, *, m, draws):
     """The baseline's estimate, and its mean, standard error, failures and subset sizes
     formed by replaying its draws one set at a time: every size in one call, then every
     gated draw's rows in one background call, cut in draw order."""
-    est = dshapley_mc_baseline(z_star, background, spec, m=m, max_draws=draws,
-                               rng=RandomStream(5), context=ctx)
+    est = dshapley_mc_baseline(z_star, background, utility, m=m, max_draws=draws,
+                               rng=RandomStream(5))
     gen, deltas, failed = RandomStream(5).generator, [], 0
     sizes = gen.integers(1, m + 1, size=draws).tolist()
-    counts = [j - 1 if j >= spec.gate else 0 for j in sizes]
+    counts = [j - 1 if j >= utility.gate else 0 for j in sizes]
     rows, start = background(sum(counts), gen), 0
     for j, count in zip(sizes, counts):
-        if j < spec.gate:
+        if j < utility.gate:
             deltas.append(0.0)
             continue
         subset = take(rows, slice(start, start + count))
@@ -447,7 +470,7 @@ def replay_baseline(z_star, background, spec, ctx, *, m, draws):
         with_z = (tuple(np.concatenate([part, [z]]) for part, z in zip(subset, z_star))
                   if isinstance(subset, tuple) else np.concatenate([subset, [z_star]]))
         try:
-            deltas.append(evaluate_utility(with_z, spec, ctx) - evaluate_utility(subset, spec, ctx))
+            deltas.append(evaluate_utility(with_z, utility) - evaluate_utility(subset, utility))
         except UtilityEvaluationError:
             failed += 1
     total = total_sq = 0.0
@@ -460,11 +483,11 @@ def replay_baseline(z_star, background, spec, ctx, *, m, draws):
 
 class TestMcBaseline:
     def test_all_draws_gated_give_exact_zero(self):
-        spec = UtilitySpec("regression_risk", gate=3, constant=0.0, evaluation_mode="analytic")
-        ctx = RegressionUtilityContext(beta_true=np.zeros(2), sigma_x=SpdMatrix(np.eye(2)), sigma2=1.0)
+        utility = RegressionUtility(gate=3, constant=0.0, beta_true=np.zeros(2),
+                                    sigma_x=SpdMatrix(np.eye(2)), sigma2=1.0)
         pool = (np.random.default_rng(0).standard_normal((20, 2)), np.zeros(20))
-        est = dshapley_mc_baseline((np.zeros(2), 0.0), pool, spec, m=1, max_draws=100,
-                                   rng=RandomStream(0), context=ctx)
+        est = dshapley_mc_baseline((np.zeros(2), 0.0), pool, utility, m=1, max_draws=100,
+                                   rng=RandomStream(0))
         assert est.value == 0.0 and est.std_error == 0.0
 
     def test_deterministic(self):
@@ -540,10 +563,8 @@ class TestMcBaseline:
         beta = np.array([1.0, -0.5])
         env = RegressionEnvironment(p=p, m=m, q=q, gamma=0.0, sigma2=1.0,
                                     beta_hat=beta, sigma_inv=SpdMatrix(np.eye(p)))
-        spec = UtilitySpec("regression_risk", gate=q,
-                           constant=analytic_utility_constant(env),
-                           evaluation_mode="analytic")
-        ctx = RegressionUtilityContext(beta_true=beta, sigma_x=SpdMatrix(np.eye(p)), sigma2=1.0)
+        utility = RegressionUtility(gate=q, constant=analytic_utility_constant(env),
+                                    beta_true=beta, sigma_x=SpdMatrix(np.eye(p)), sigma2=1.0)
 
         def background(k, gen):
             x = gen.standard_normal((k, p))
@@ -555,13 +576,13 @@ class TestMcBaseline:
         exact = dshapley_regression_exact(query, env,
                                           MCControls(max_inner=10**5, rho1=1e-12, rho2=1e-12),
                                           RandomStream(7))
-        base = dshapley_mc_baseline((x_star, query.y_star), background, spec, m=m,
-                                    max_draws=2 * 10**4, rng=RandomStream(3), context=ctx)
+        base = dshapley_mc_baseline((x_star, query.y_star), background, utility, m=m,
+                                    max_draws=2 * 10**4, rng=RandomStream(3))
         assert abs(base.value - exact.value) < 3.0 * np.hypot(exact.std_error, base.std_error)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_callable_background_matches_a_one_set_replay(self, family):
-        spec, ctx, rows = family_stack(family)
+        utility, rows = family_stack(family)
         beta = np.array([1.0, -0.5, 0.25])
 
         def background(k, gen):
@@ -572,12 +593,12 @@ class TestMcBaseline:
             return (x, (y > 0).astype(float)) if family == "accuracy" else (x, y)
 
         z_star = take(take(rows, 0), 0)
-        est, (mean, std_error, failed, _) = replay_baseline(z_star, background, spec, ctx,
+        est, (mean, std_error, failed, _) = replay_baseline(z_star, background, utility,
                                                             m=9, draws=300)
         assert est.failed_draws == failed and (failed > 0) == (family == "accuracy")
         assert est.value == mean and est.std_error == std_error
         # a wide horizon: the blocks of draws, taken by size, mix set widths up to 599 rows
-        est, (mean, std_error, failed, sizes) = replay_baseline(z_star, background, spec, ctx,
+        est, (mean, std_error, failed, sizes) = replay_baseline(z_star, background, utility,
                                                                 m=600, draws=40)
         assert len(set(sizes)) > 8 and max(sizes) > 300
         assert est.failed_draws == failed
@@ -585,7 +606,7 @@ class TestMcBaseline:
 
     def test_callable_background_called_once_with_every_row(self):
         # one call per estimate, for the rows of every draw at or above the gate
-        spec, ctx, rows = family_stack("heldout")
+        utility, rows = family_stack("heldout")
         calls = []
 
         def background(k, gen):
@@ -593,31 +614,31 @@ class TestMcBaseline:
             x = gen.standard_normal((k, 3))
             return x, x @ np.array([1.0, -0.5, 0.25])
 
-        dshapley_mc_baseline(take(take(rows, 0), 0), background, spec, m=12, max_draws=300,
-                             rng=RandomStream(6), context=ctx)
+        dshapley_mc_baseline(take(take(rows, 0), 0), background, utility, m=12, max_draws=300,
+                             rng=RandomStream(6))
         sizes = RandomStream(6).generator.integers(1, 13, size=300)
-        assert calls == [int(np.sum(sizes[sizes >= spec.gate] - 1))]
+        assert calls == [int(np.sum(sizes[sizes >= utility.gate] - 1))]
 
     @pytest.mark.parametrize("extra", (1, -1))
     def test_callable_background_row_count_checked(self, extra):
         # one row too many would shift every later draw's subset; too few would run short
-        spec, ctx, rows = family_stack("heldout")
+        utility, rows = family_stack("heldout")
 
         def background(k, gen):
             x = gen.standard_normal((k + extra, 3))
             return x, x[:, 0]
 
         sizes = RandomStream(6).generator.integers(1, 13, size=50)
-        total = int(np.sum(sizes[sizes >= spec.gate] - 1))
+        total = int(np.sum(sizes[sizes >= utility.gate] - 1))
         with pytest.raises(InvalidParameterError,
                            match=rf"background\({total}, rng\) returned \[{total + extra}\] rows"):
-            dshapley_mc_baseline(take(take(rows, 0), 0), background, spec, m=12, max_draws=50,
-                                 rng=RandomStream(6), context=ctx)
+            dshapley_mc_baseline(take(take(rows, 0), 0), background, utility, m=12, max_draws=50,
+                                 rng=RandomStream(6))
 
     def test_blocks_are_cut_by_padded_rows(self, monkeypatch):
         # the draws, sorted by size, share a stack while its draws times its widest set
         # stay within 8,192 rows: few calls for small sets, bounded stacks for wide ones
-        spec, ctx, rows = family_stack("heldout")
+        utility, rows = family_stack("heldout")
         pool = take(rows, 0)
         stacks = []
 
@@ -626,12 +647,12 @@ class TestMcBaseline:
             return prefix_utilities(pool, index, *args)
 
         monkeypatch.setattr(baseline, "prefix_utilities", spy)
-        dshapley_mc_baseline(take(pool, 0), pool, spec, m=12, max_draws=2000,
-                             rng=RandomStream(4), context=ctx)
+        dshapley_mc_baseline(take(pool, 0), pool, utility, m=12, max_draws=2000,
+                             rng=RandomStream(4))
         assert 1 <= len(stacks) <= 4
         stacks.clear()
-        dshapley_mc_baseline(take(pool, 0), pool, spec, m=1000, max_draws=200,
-                             rng=RandomStream(4), context=ctx)
+        dshapley_mc_baseline(take(pool, 0), pool, utility, m=1000, max_draws=200,
+                             rng=RandomStream(4))
         assert max(draws * width for draws, width in stacks) <= 8192
         assert max(draws for draws, _ in stacks) > 8
 

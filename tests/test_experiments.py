@@ -3,18 +3,17 @@ import pytest
 
 import distshap.experiments as experiments
 from distshap import (
-    AccuracyUtilityContext,
+    AccuracyUtility,
     Dataset,
-    DensityUtilityContext,
+    DensityUtility,
     DensityValueRequest,
     ExperimentConfig,
     InvalidParameterError,
     KernelSpec,
     PointQuery,
     RandomStream,
-    RegressionUtilityContext,
+    RegressionUtility,
     UtilityEvaluationError,
-    UtilitySpec,
     dshapley_binary_bounds,
     dshapley_regression_bounds,
     estimate_weighted_second_moment,
@@ -242,14 +241,12 @@ class TestCurvesUseBaselineUtilities:
         q = config.resolved_q(p)
         if task == "regression":
             env = fit_background(data.x[split[2]], data.y[split[2]], m=config.m, q=q)
-            spec = UtilitySpec("regression_risk", gate=q, constant=2.0 * env.sigma2)
-            ctx = RegressionUtilityContext(x_test=hx, y_test=data.y[split[1]])
+            utility = RegressionUtility(gate=q, constant=2.0 * env.sigma2, x_test=hx,
+                                        y_test=data.y[split[1]])
         elif task == "classification":
-            spec = UtilitySpec("accuracy", gate=q)
-            ctx = AccuracyUtilityContext(x_test=hx, y_test=data.y[split[1]])
+            utility = AccuracyUtility(gate=q, x_test=hx, y_test=data.y[split[1]])
         else:
-            spec = UtilitySpec("density_ise", gate=1)
-            ctx = DensityUtilityContext(kernel=KernelSpec("gaussian", 0.7, p), eval_points=hx)
+            utility = DensityUtility(kernel=KernelSpec("gaussian", 0.7, p), eval_points=hx)
         result = run_point_addition(config, data, RandomStream(8), split=split)
         curves = {c.ordering: c.utilities for c in result.curves}
         for name, sign in (("largest", -1.0), ("lowest", 1.0)):
@@ -260,12 +257,12 @@ class TestCurvesUseBaselineUtilities:
                 if task != "density":
                     prefix = (prefix, data.y[added[:k]])
                 try:
-                    expected.append(evaluate_utility(prefix, spec, ctx)
-                                    if k >= spec.gate else np.nan)
+                    expected.append(evaluate_utility(prefix, utility)
+                                    if k >= utility.gate else np.nan)
                 except UtilityEvaluationError:
                     expected.append(np.nan)
             assert np.array_equal(curves[name], expected, equal_nan=True)
-            assert np.all(np.isnan(curves[name][1:spec.gate]))
+            assert np.all(np.isnan(curves[name][1:utility.gate]))
 
     @pytest.mark.parametrize("task", ["regression", "classification", "density"])
     def test_one_utility_call_per_ordering(self, task, monkeypatch):

@@ -12,20 +12,19 @@ from distshap import (
     estimate_second_moment,
     inv_logit,
     mahalanobis_sq,
-    sample_chi_squared,
     spd_inverse,
 )
 
 
 class TestRandomStream:
     def test_same_seed_bit_identical(self):
-        a = sample_chi_squared(3, RandomStream(77, 1), size=1000)
-        b = sample_chi_squared(3, RandomStream(77, 1), size=1000)
+        a = RandomStream(77, 1).generator.chisquare(3, size=1000)
+        b = RandomStream(77, 1).generator.chisquare(3, size=1000)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_chi_squared(3, RandomStream(77, 1), size=1000)
-        b = sample_chi_squared(3, RandomStream(77, 2), size=1000)
+        a = RandomStream(77, 1).generator.chisquare(3, size=1000)
+        b = RandomStream(77, 2).generator.chisquare(3, size=1000)
         assert not np.array_equal(a, b)
 
     def test_substreams_reproducible_and_independent(self):
@@ -35,33 +34,6 @@ class TestRandomStream:
         c = root.substream(4).generator.standard_normal(100)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-
-class TestChiSquared:
-    def test_mean_k2(self):
-        draws = sample_chi_squared(2, RandomStream(0), size=10**5)
-        assert abs(draws.mean() - 2.0) < 0.05
-
-    def test_mean_k5(self):
-        draws = sample_chi_squared(5, RandomStream(1), size=10**5)
-        assert abs(draws.mean() - 5.0) < 0.15
-
-    def test_variance_k5(self):
-        draws = sample_chi_squared(5, RandomStream(2), size=10**5)
-        assert abs(draws.var(ddof=1) - 10.0) < 1.0
-
-    def test_mean_sweep(self):
-        # 4-sigma band on the empirical mean for every k up to 50
-        for k in range(1, 51):
-            draws = sample_chi_squared(k, RandomStream(100 + k), size=10**5)
-            assert abs(draws.mean() - k) < 4.0 * np.sqrt(2.0 * k / 10**5), k
-
-    def test_zero_dof_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            sample_chi_squared(0, RandomStream(0))
-
-    def test_scalar_return(self):
-        assert isinstance(sample_chi_squared(4, RandomStream(3)), float)
 
 
 class TestSpdInverse:

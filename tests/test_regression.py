@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import chi2
 
 from distshap import (
-    BoundParams,
     InsufficientDataError,
     InvalidParameterError,
     MCControls,
@@ -352,12 +351,6 @@ class TestNonFiniteParameters:
         with pytest.raises(InvalidParameterError, match="gamma"):
             make_env(gamma=gamma)
 
-    @pytest.mark.parametrize("params", [dict(C=np.nan), dict(C=np.inf), dict(c=np.nan),
-                                        dict(c=np.inf)])
-    def test_bound_constants_rejected(self, params):
-        with pytest.raises(InvalidParameterError, match="finite"):
-            BoundParams(**params)
-
 
 class TestBounds:
     def test_lower_le_upper(self):
@@ -400,11 +393,10 @@ class TestBounds:
         e2_all = np.array([e2 for _, e2 in rows])
         x_all = np.column_stack([np.sqrt(d_all), np.zeros(len(rows))])
         batch = PointQuery(x_star=x_all, y_star=np.zeros(len(rows)), e2=e2_all, d=d_all)
-        params = BoundParams(C=1.0, c=1.0)
-        res = dshapley_regression_bounds(batch, env, params)
+        res = dshapley_regression_bounds(batch, env)
         for i, (d, e2) in enumerate(rows):
             single = dshapley_regression_bounds(
-                PointQuery(x_star=x_all[i], y_star=0.0, e2=e2, d=d), env, params)
+                PointQuery(x_star=x_all[i], y_star=0.0, e2=e2, d=d), env)
             assert (single.lower, single.upper) == (res.lower[i], res.upper[i])
             lower = upper = 0.0
             skipped = 0
@@ -430,7 +422,6 @@ class TestBounds:
         env = make_env(m=200, q=5)
         d, e2 = 1.0, 0.0
         query = PointQuery(x_star=np.array([1.0, 0.0]), y_star=0.0, e2=e2, d=d)
-        params = BoundParams()
         gen = RandomStream(31).generator
         record = []
         for j in range(env.q - 1, env.m):
@@ -500,3 +491,17 @@ class TestNormalizationConstants:
         env = make_env(p=2, m=12, q=5, sigma2=1.0)
         expected = 1.0 * (1.0 + 2.0 / (5 - 2 - 2)) - 12 * normalization_shift(env)
         assert analytic_utility_constant(env) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("q", (3, 4))
+    @pytest.mark.parametrize("route", ["normalization_shift", "analytic_utility_constant",
+                                       "quadrature", "exact"])
+    def test_q_below_p_plus_3_rejected(self, route, q):
+        # at p = 2, q = 4 the shift was inf and the constant a ZeroDivisionError; at q = 3, NaN
+        env = make_env(p=2, m=12, q=q)
+        query = PointQuery(x_star=np.array([1.0, 0.0]), y_star=0.0, e2=1.0, d=1.0)
+        call = {"normalization_shift": lambda: normalization_shift(env),
+                "analytic_utility_constant": lambda: analytic_utility_constant(env),
+                "quadrature": lambda: dshapley_regression_quadrature(query, env),
+                "exact": lambda: dshapley_regression_exact(query, env, None, RandomStream(0))}[route]
+        with pytest.raises(InvalidParameterError, match=rf"q >= p \+ 3 is required, got q={q}, p=2"):
+            call()
