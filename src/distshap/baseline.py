@@ -181,10 +181,10 @@ def _density_utilities(pool, index, sets, sizes, utility: DensityUtility):
     squared stays within ``_BLOCK_BUDGET`` (or are one set); a group's pairs come in blocks of
     at most that many entries, each carrying its running sums into the next, so every sum adds
     in the order it would for the set alone."""
-    evals = np.asarray(utility.eval_points, dtype=float)[None]
+    evals = _as_points(utility.eval_points, "the utility's evaluation rows")[None]
     if evals.shape[1] == 0:
         raise InvalidParameterError("the utility's evaluation rows are empty")
-    pts, width = _as_points(pool), np.zeros(len(index), dtype=np.int64)
+    pts, width = _as_points(pool, "the pool"), np.zeros(len(index), dtype=np.int64)
     np.maximum.at(width, sets, sizes)  # each set's rows up to its largest prefix
     read, means = np.unique(index), np.zeros(len(pts))
     means[read] = _kernel_means(utility.kernel, evals, pts[read, None])[0][0]

@@ -76,7 +76,7 @@ class BinaryPointQuery:
         w = np.asarray(self.w_star)
         if not np.all((0.0 < w) & (w <= 0.25)):
             raise InvalidParameterError("w_star must lie in (0, 0.25]")
-        if np.any(np.asarray(self.e2_b) < 0) or np.any(np.asarray(self.d_tilde) < 0):
+        if not (np.all(np.asarray(self.e2_b) >= 0) and np.all(np.asarray(self.d_tilde) >= 0)):
             raise InvalidParameterError("e2_b and d_tilde must be nonnegative")
 
 

@@ -28,7 +28,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray | None = None
     beta_true: np.ndarray | None = None
-    name: str = ""
 
     @property
     def n(self) -> int:
@@ -51,7 +50,7 @@ def gen_gaussian_r(m: int, p: int, rng: RandomStream) -> Dataset:
     beta = gen.standard_normal(p)
     x = gen.standard_normal((m, p))
     y = x @ beta + gen.standard_normal(m)
-    return Dataset(x=x, y=y, beta_true=beta, name="gaussian-r")
+    return Dataset(x=x, y=y, beta_true=beta)
 
 
 def gen_gaussian_c(m: int, rng: RandomStream) -> Dataset:
@@ -62,7 +61,7 @@ def gen_gaussian_c(m: int, rng: RandomStream) -> Dataset:
     beta = np.array([2.0, 0.0, 0.0])
     x = gen.standard_normal((m, 3))
     y = (gen.uniform(size=m) < inv_logit(x @ beta)).astype(float)
-    return Dataset(x=x, y=y, beta_true=beta, name="gaussian-c")
+    return Dataset(x=x, y=y, beta_true=beta)
 
 
 def gen_mixture_c(m: int, p: int, rng: RandomStream) -> Dataset:
@@ -76,7 +75,7 @@ def gen_mixture_c(m: int, p: int, rng: RandomStream) -> Dataset:
     y = (gen.uniform(size=m) < 0.5).astype(float)
     x = gen.standard_normal((m, p))
     x[:, 0] += 2.0 * y
-    return Dataset(x=x, y=y, name="mixture-c")
+    return Dataset(x=x, y=y)
 
 
 def _parse_cells(path, rows) -> np.ndarray:
@@ -159,7 +158,7 @@ def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
         raise CsvParseError(f"{path}: header has {len(header)} fields, rows have {width}")
 
     if target_column is None:
-        return Dataset(x=values, y=None, name=str(path))
+        return Dataset(x=values, y=None)
 
     if isinstance(target_column, str):
         if header is None:
@@ -178,4 +177,4 @@ def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
 
     y = values[:, target_idx]
     x = np.delete(values, target_idx, axis=1)
-    return Dataset(x=x, y=y, name=str(path))
+    return Dataset(x=x, y=y)

@@ -109,6 +109,8 @@ class DensityValueRequest:
         self.s_star = s_star if s_star.ndim == 3 else np.atleast_2d(s_star)
         if self.s_star.ndim > 3 or 0 in self.s_star.shape[:-1]:
             raise InvalidParameterError("s_star must be a nonempty (n, dim) set or (k, n, dim) stack")
+        if not np.isfinite(self.s_star).all():
+            raise InvalidParameterError("s_star must be finite")
         if self.m < 1:
             raise InvalidParameterError("m must be at least 1")
 
@@ -127,8 +129,10 @@ class SynergyScanResult:
     records: list = field(default_factory=list)
 
 
-def _as_points(points) -> np.ndarray:
+def _as_points(points, what: str) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
+    if not np.isfinite(pts).all():
+        raise InvalidParameterError(f"{what} must be finite")
     return pts[:, None] if pts.ndim == 1 else pts
 
 
@@ -163,13 +167,14 @@ def kde_evaluate(s, kernel: KernelSpec, z):
     """Kernel density estimate built on ``s``, evaluated at ``z``.
 
     ``z`` may be a single point or an array of points; a float is returned
-    for a single point.
+    for a single point. A NaN or infinite entry of ``s`` or ``z`` raises.
     """
-    pts = _as_points(s)
+    pts = _as_points(s, "the reference set")
     if pts.shape[0] == 0:
         raise InvalidParameterError("the reference set must be nonempty")
     z_arr = np.asarray(z, dtype=float)
-    out = _kernel_means(kernel, pts[None], np.atleast_2d(z_arr)[:, None, :])[0][0]
+    rows = _as_points(np.atleast_2d(z_arr), "z")
+    out = _kernel_means(kernel, pts[None], rows[:, None, :])[0][0]
     return in_shape(out, z_arr.shape[:-1])
 
 
@@ -218,7 +223,7 @@ def select_bandwidth(samples, grid) -> float:
     integrated squared error up to a constant. Ties break toward the larger
     bandwidth. Raises on a non-finite sample or when no grid entry yields a finite score.
     """
-    pts = _as_points(samples)
+    pts = _as_points(samples, "samples")
     grid = [float(h) for h in grid]
     if not grid:
         raise InvalidParameterError("bandwidth grid must be nonempty")
@@ -226,8 +231,6 @@ def select_bandwidth(samples, grid) -> float:
         raise InvalidParameterError(f"bandwidths must be finite and positive, got {grid}")
     if pts.shape[0] < 2:
         raise InvalidParameterError("leave-one-out CV needs at least 2 samples")
-    if not np.isfinite(pts).all():
-        raise InvalidParameterError("samples must be finite")
     if len(grid) == 1:
         return grid[0]
 
@@ -273,7 +276,7 @@ def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpe
     same size and horizon, so only differences and rankings at fixed set
     size are meaningful.
     """
-    bg = _as_points(background)
+    bg = _as_points(background, "background")
     if bg.shape[0] == 0:
         raise InvalidParameterError("background sample must be nonempty")
     shape = request.s_star.shape[:-2]
@@ -332,10 +335,10 @@ def uniform_closed_form(points, h: float, m: int, C_den: float) -> float:
     pts = np.asarray(points, dtype=float).ravel()
     if not 1 <= pts.size <= 2:
         raise InvalidParameterError("closed form covers sets of one or two points")
-    if h <= 0:
-        raise InvalidParameterError("bandwidth must be positive")
+    if not 0.0 < h < np.inf:
+        raise InvalidParameterError(f"bandwidth must be finite and positive, got {h}")
     margin = 2.0 * min(float(np.min(pts)), float(1.0 - np.max(pts)))
-    if h > margin:
+    if not h <= margin:  # a NaN point makes the margin NaN
         raise InvalidParameterError(
             f"bandwidth {h} violates the interior condition (limit {margin:.6g})")
     n = pts.size

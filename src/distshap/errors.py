@@ -1,5 +1,11 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "DistShapError", "InvalidParameterError", "SingularMatrixError", "RankDeficiencyError",
+    "InsufficientDataError", "NotConvergedError", "SaturationError", "BandwidthSelectionError",
+    "UtilityEvaluationError", "BaselineFailureError", "EnumerationSizeError", "CsvParseError",
+]
+
 
 class DistShapError(Exception):
     """Base class for all errors raised by distshap."""

@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
+__all__ = ["MCControls", "ValueEstimate", "BoundsResult"]
+
 
 @dataclass
 class MCControls:

@@ -312,7 +312,7 @@ def _bench_dataset(task: str, n: int, p: int, rng: RandomStream) -> Dataset:
     if task == "classification":
         return gen_mixture_c(n, p, rng)
     gen = rng.generator
-    return Dataset(x=gen.standard_normal((n, p)), y=None, name="gaussian-d")
+    return Dataset(x=gen.standard_normal((n, p)), y=None)
 
 
 def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,

@@ -19,9 +19,7 @@ __all__ = [
     "spd_inverse",
     "estimate_second_moment",
     "mahalanobis_sq",
-    "in_shape",
     "inv_logit",
-    "solve_each",
 ]
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidParameterError
+from .errors import InsufficientDataError, InvalidParameterError, SingularMatrixError
 from .estimates import BoundsResult, MCControls, ValueEstimate
 from .numerics import RandomStream, SpdMatrix, estimate_second_moment, in_shape, mahalanobis_sq, spd_inverse
 
@@ -80,8 +80,8 @@ class RegressionEnvironment:
             raise InvalidParameterError("utility gate q must be at least 2")
         if not 0.0 <= self.gamma < np.inf:
             raise InvalidParameterError(f"gamma must be finite and nonnegative, got {self.gamma}")
-        if self.sigma2 < 0:
-            raise InvalidParameterError("sigma2 must be nonnegative")
+        if not 0.0 <= self.sigma2 < np.inf:
+            raise InvalidParameterError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
         self.beta_hat = np.asarray(self.beta_hat, dtype=float)
         if self.beta_hat.shape != (self.p,) or self.sigma_inv.dim != self.p:
             raise InvalidParameterError("beta_hat / sigma_inv dimensions must match p")
@@ -104,7 +104,7 @@ class PointQuery:
 
     def __post_init__(self):
         self.x_star = np.asarray(self.x_star, dtype=float)
-        if np.any(np.asarray(self.e2) < 0) or np.any(np.asarray(self.d) < 0):
+        if not (np.all(np.asarray(self.e2) >= 0) and np.all(np.asarray(self.d) >= 0)):
             raise InvalidParameterError("e2 and d must be nonnegative")
 
     @classmethod
@@ -133,7 +133,10 @@ def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0) -> RegressionEnv
         raise InvalidParameterError("x and y lengths differ")
     if n <= p:
         raise InsufficientDataError(f"need more than p={p} samples, got {n}")
-    beta_hat = np.linalg.solve(x.T @ x, x.T @ y)
+    try:
+        beta_hat = np.linalg.solve(x.T @ x, x.T @ y)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("background normal equations are singular") from exc
     rss = float(np.sum((y - x @ beta_hat) ** 2))
     sigma2 = rss / (n - p)
     # residuals at rounding scale mean the background is an exact linear fit

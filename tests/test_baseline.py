@@ -128,6 +128,15 @@ class TestEvaluateUtility:
                                  eval_points=np.zeros((10, 1)), constant=0.3)
         assert evaluate_utility(np.empty((0, 1)), utility) == 0.0
 
+    @pytest.mark.parametrize("part", ["pool", "evaluation"])
+    def test_density_nonfinite_rows_rejected(self, part):
+        gen = np.random.default_rng(5)
+        rows, evals = gen.standard_normal((8, 2)), gen.standard_normal((30, 2))
+        (rows if part == "pool" else evals)[3, 1] = np.nan
+        utility = DensityUtility(KernelSpec("gaussian", 0.5, 2), evals)
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            evaluate_utility(rows, utility)
+
 
 TRUTH = dict(beta_true=np.zeros(2), sigma_x=SpdMatrix(np.eye(2)), sigma2=1.0)
 HELDOUT = dict(x_test=np.zeros((5, 2)), y_test=np.zeros(5))

@@ -1,9 +1,16 @@
-"""A point's value does not depend on the batch it is valued in.
+"""A point's value does not depend on the batch it is valued in, nor on the BLAS threads.
 
 Each per-point kernel is run on 200 points at p = 10 and horizon m = 1000:
 on each point alone, in batches of 2, 3 and 7, and in the full batch. Every
-statistic must be the same to the bit in all of them.
+statistic must be the same to the bit in all of them. The CLI's output files
+must be the same bytes with one BLAS thread and with two.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +35,7 @@ from distshap import (
     transform_query,
     value_points,
 )
+from distshap import cli
 
 N, P, M = 200, 10, 1000
 BATCHES = (2, 3, 7)
@@ -117,3 +125,40 @@ def test_value_points_one_point_is_its_row(task, method):
         _, one, one_error = value_points(data, config, RandomStream(0), np.array([i]), held, bg)
         assert (one.tobytes(), one_error.tobytes()) == (values[i:i + 1].tobytes(),
                                                          errors[i:i + 1].tobytes()), i
+
+
+# runs each argv list of ``sys.argv[1]`` through the CLI in one interpreter
+CLI_CHILD = """
+import json, sys
+from distshap.cli import main
+sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+def test_cli_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    data = {kind: str(tmp_path / f"{kind}.csv") for kind in ("gaussian-r", "gaussian-c")}
+    for kind, path in data.items():
+        assert cli.main(["gen", "--kind", kind, "--n", "2300", "--p", str(P), "--seed", "1",
+                         "--output", path]) == 0
+    split = ["--m", str(M), "--n-value-points", "100", "--background-size", "2000",
+             "--heldout-size", "200", "--seed", "3"]
+    commands = {
+        "value-regression": ["value", "--task", "regression", "--data", data["gaussian-r"]],
+        "value-classification": ["value", "--task", "classification", "--data", data["gaussian-c"]],
+        "value-density": ["value", "--task", "density", "--data", data["gaussian-r"]],
+        "bounds-classification": ["bounds", "--task", "classification", "--data", data["gaussian-c"]],
+    }
+    src = str(Path(cli.__file__).parents[1])
+    for threads in ("1", "2"):  # set before the child's numpy loads its BLAS
+        argvs = [argv + split + (["--target-column", "y"] if "density" not in name else [])
+                 + ["--output", str(tmp_path / f"{name}-{threads}.csv")]
+                 for name, argv in commands.items()]
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        child = subprocess.run([sys.executable, "-c", CLI_CHILD, json.dumps(argvs)], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+    for name in commands:
+        one, two = ((tmp_path / f"{name}-{t}.csv").read_bytes() for t in ("1", "2"))
+        assert one == two, name

@@ -85,6 +85,20 @@ class TestErrors:
             assert "InvalidParameterError" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_singular_background_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        rows = [(i % 7 * 0.3, i % 11 * 0.2, i % 5 * 0.1 - i % 3 * 0.05) for i in range(200)]
+        data.write_text("a,a2,b,y\n" + "".join(f"{a},{a},{b},{a - b + c}\n" for a, b, c in rows))
+        out = tmp_path / "o.csv"
+        code = run(["value", "--data", str(data), "--target-column", "y",
+                    "--task", "regression", "--m", "20", "--n-value-points", "5",
+                    "--background-size", "150", "--heldout-size", "10", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SingularMatrixError: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_invalid_bandwidth_grid_exit_code(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("a,b\n" + "\n".join(f"{i * 0.01},{i * 0.02}" for i in range(100)))

@@ -47,6 +47,16 @@ class TestKdeEvaluate:
         with pytest.raises(InvalidParameterError):
             kde_evaluate(np.empty((0, 1)), KernelSpec("uniform", 1.0, 1), np.array([0.0]))
 
+    @pytest.mark.parametrize("family", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("where", ["set", "z"])
+    def test_nonfinite_input_rejected(self, family, where):
+        # a NaN fails the Gaussian's underflow gate and the uniform's window test alike,
+        # so unchecked it would read as a density of 0
+        s, z = np.array([[0.0], [0.5]]), np.array([[0.2], [0.4]])
+        (s if where == "set" else z)[1, 0] = np.nan
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            kde_evaluate(s, KernelSpec(family, 1.0, 1), z)
+
     @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0])
     def test_nonfinite_or_nonpositive_bandwidth_rejected(self, bandwidth):
         with pytest.raises(InvalidParameterError, match="bandwidth"):
@@ -264,8 +274,27 @@ class TestUniformClosedForm:
         with pytest.raises(InvalidParameterError):
             uniform_closed_form([0.3, 0.5, 0.7], 0.2, 100, 0.2)
 
+    @pytest.mark.parametrize("points, h", [([0.5], np.nan), ([0.5], np.inf), ([np.nan], 0.2),
+                                           ([0.4, np.nan], 0.2)],
+                             ids=["h-nan", "h-inf", "point-nan", "second-point-nan"])
+    def test_nonfinite_input_rejected(self, points, h):
+        with pytest.raises(InvalidParameterError):
+            uniform_closed_form(points, h, 100, 0.2)
+
 
 class TestDensityEstimator:
+    def test_nonfinite_set_rejected(self):
+        with pytest.raises(InvalidParameterError, match="s_star must be finite"):
+            DensityValueRequest(np.array([[[0.3], [0.5]], [[0.4], [np.nan]]]), m=10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_background_row_rejected(self, bad):
+        bg = RandomStream(1).generator.uniform(size=(100, 2))
+        bg[7, 1] = bad
+        with pytest.raises(InvalidParameterError, match="background must be finite"):
+            dshapley_density(DensityValueRequest(np.array([[0.3, 0.4]]), m=10), bg,
+                             KernelSpec("gaussian", 0.5, 2), RandomStream(0))
+
     def test_deterministic(self):
         bg = RandomStream(1).generator.uniform(size=5000)
         req = DensityValueRequest(s_star=np.array([[0.3], [0.7]]), m=100, mc_budget=2000)

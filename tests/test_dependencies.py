@@ -1,5 +1,6 @@
-"""numpy is the only runtime dependency: the CLI imports no scipy module. The package's
-exports and its modules' ``__all__`` lists agree, so a rename leaves no stale export."""
+"""numpy is the only runtime dependency: the CLI imports no scipy module. The package
+exports exactly the union of its modules' ``__all__`` lists, each name in one list only,
+so a star import shadows nothing and a rename leaves no stale export."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -32,24 +34,23 @@ def test_runtime_dependencies_are_numpy_alone():
     assert names == ["numpy"]
 
 
-def _package_imports():
-    """(module, names) for each ``from .module import names`` in ``distshap/__init__.py``."""
+def test_package_exports_the_union_of_module_alls():
+    import distshap
+
     tree = ast.parse((ROOT / "src" / "distshap" / "__init__.py").read_text(encoding="utf-8"))
-    return [(node.module, [alias.name for alias in node.names]) for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1]
-
-
-def test_every_package_export_is_in_its_module_all():
-    imports = _package_imports()
-    assert imports
-    for module_name, names in imports:
-        module = importlib.import_module(f"distshap.{module_name}")
-        if hasattr(module, "__all__"):
-            missing = sorted(set(names) - set(module.__all__))
-        else:  # a module without __all__ exports what it defines
-            missing = sorted(name for name in names
-                             if getattr(getattr(module, name), "__module__", None) != module.__name__)
-        assert not missing, f"distshap.{module_name} does not export {missing}"
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert all(node.level == 1 and [a.name for a in node.names] == ["*"] for node in imports)
+    modules = sorted(node.module for node in imports)
+    assert modules == sorted(info.name for info in pkgutil.iter_modules(distshap.__path__)
+                             if info.name != "cli")
+    owners = {}
+    for name in modules:
+        for export in importlib.import_module(f"distshap.{name}").__all__:
+            assert export not in owners, f"{export} is in {owners[export]} and {name}"
+            owners[export] = name
+    public = {name for name, value in vars(distshap).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(owners)
 
 
 def test_every_all_entry_resolves():

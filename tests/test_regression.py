@@ -5,12 +5,14 @@ import pytest
 from scipy.stats import chi2
 
 from distshap import (
+    BinaryPointQuery,
     InsufficientDataError,
     InvalidParameterError,
     MCControls,
     PointQuery,
     RandomStream,
     RegressionEnvironment,
+    SingularMatrixError,
     SpdMatrix,
     dshapley_regression_bounds,
     dshapley_regression_exact,
@@ -61,6 +63,14 @@ class TestFitBackground:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             fit_background(np.ones((3, 3)), np.ones(3), m=10, q=6)
+
+    def test_duplicated_column_raises_singular(self):
+        gen = RandomStream(4).generator
+        x = gen.standard_normal((50, 2))
+        x = np.column_stack([x, x[:, 0]])
+        with pytest.raises(SingularMatrixError) as excinfo:
+            fit_background(x, gen.standard_normal(50), m=100, q=6)
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestExactEstimator:
@@ -345,11 +355,33 @@ class TestQuadrature:
             dshapley_regression_quadrature(query, make_env(q=4))  # p + 3 = 5 required
 
 
+def _binary_query(e2_b, d_tilde):
+    return BinaryPointQuery(x_star=np.zeros(2), y_star=1, pi_star=0.5, w_star=0.25,
+                            z_star=2.0, e2_b=e2_b, d_tilde=d_tilde)
+
+
+# NaN compares False with 0, so each sign check must be written to fail on it
+NOT_NONNEGATIVE = {
+    "sigma2-nan": lambda: make_env(sigma2=np.nan),
+    "sigma2-inf": lambda: make_env(sigma2=np.inf),
+    "e2-nan": lambda: PointQuery(x_star=np.zeros(2), y_star=0.0, e2=np.nan, d=1.0),
+    "d-nan-in-a-batch": lambda: PointQuery(x_star=np.zeros((2, 2)), y_star=np.zeros(2),
+                                           e2=np.ones(2), d=np.array([1.0, np.nan])),
+    "e2_b-nan": lambda: _binary_query(np.nan, 1.0),
+    "d_tilde-nan": lambda: _binary_query(1.0, np.nan),
+}
+
+
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_gamma_rejected(self, gamma):
         with pytest.raises(InvalidParameterError, match="gamma"):
             make_env(gamma=gamma)
+
+    @pytest.mark.parametrize("build", NOT_NONNEGATIVE.values(), ids=NOT_NONNEGATIVE.keys())
+    def test_nan_fails_the_sign_checks(self, build):
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            build()
 
 
 class TestBounds:
