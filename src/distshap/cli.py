@@ -63,45 +63,49 @@ def _add_valuation_args(parser):
     parser.add_argument("--threads", type=int, default=ExperimentConfig.threads)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone, which parses that
+    command's arguments alike and names every command in its usage line."""
     parser = argparse.ArgumentParser(prog="distshap",
                                      description="Distributional Shapley data valuation")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if command is None else "{" + ",".join(_COMMANDS) + "}"))
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
-    _add_common(p_gen)
-    p_gen.add_argument("--kind", choices=("gaussian-r", "gaussian-c"), required=True)
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--p", type=int, default=10)
+    def add(name, help_text):  # the subparser of ``name``, or None when it is not built
+        if command in (None, name):
+            p_cmd = sub.add_parser(name, help=help_text)
+            _add_common(p_cmd)
+            return p_cmd
+
+    if p_gen := add("gen", "generate a synthetic dataset CSV"):
+        p_gen.add_argument("--kind", choices=("gaussian-r", "gaussian-c"), required=True)
+        p_gen.add_argument("--n", type=int, required=True)
+        p_gen.add_argument("--p", type=int, default=10)
 
     for name, method in _VALUE_METHODS.items():
-        p_cmd = sub.add_parser(name, help=f"per-point values via the {method} route")
-        _add_common(p_cmd)
-        _add_valuation_args(p_cmd)
+        if p_cmd := add(name, f"per-point values via the {method} route"):
+            _add_valuation_args(p_cmd)
 
-    p_add = sub.add_parser("point-addition", help="point-addition curves")
-    _add_common(p_add)
-    _add_valuation_args(p_add)
-    p_add.add_argument("--method", choices=_METHODS, default=ExperimentConfig.method)
-    p_add.add_argument("--repetitions", type=int, default=ExperimentConfig.repetitions)
+    if p_add := add("point-addition", "point-addition curves"):
+        _add_valuation_args(p_add)
+        p_add.add_argument("--method", choices=_METHODS, default=ExperimentConfig.method)
+        p_add.add_argument("--repetitions", type=int, default=ExperimentConfig.repetitions)
 
-    p_bench = sub.add_parser("time-bench", help="fast vs baseline timing grid")
-    _add_common(p_bench)
-    p_bench.add_argument("--cells", required=True,
-                         help="semicolon-separated n,p cells, e.g. '200,10;1000,30'")
-    p_bench.add_argument("--tasks", default="regression",
-                         help="comma-separated tasks to benchmark")
-    p_bench.add_argument("--repetitions", type=int, default=5)
-    p_bench.add_argument("--baseline-points", type=int, default=20)
-    p_bench.add_argument("--threads", type=int, default=ExperimentConfig.threads)
+    if p_bench := add("time-bench", "fast vs baseline timing grid"):
+        p_bench.add_argument("--cells", required=True,
+                             help="semicolon-separated n,p cells, e.g. '200,10;1000,30'")
+        p_bench.add_argument("--tasks", default="regression",
+                             help="comma-separated tasks to benchmark")
+        p_bench.add_argument("--repetitions", type=int, default=5)
+        p_bench.add_argument("--baseline-points", type=int, default=20)
+        p_bench.add_argument("--threads", type=int, default=ExperimentConfig.threads)
 
-    p_syn = sub.add_parser("synergy-scan", help="pair-synergy scan over bandwidths")
-    _add_common(p_syn)
-    p_syn.add_argument("--grid", default="0.05,0.1,0.15,0.2,0.25,0.3",
-                       help="comma-separated bandwidths")
-    p_syn.add_argument("--m", type=int, default=100)
-    p_syn.add_argument("--c-den", type=float, default=0.2)
-    p_syn.add_argument("--draws", type=int, default=5000)
+    if p_syn := add("synergy-scan", "pair-synergy scan over bandwidths"):
+        p_syn.add_argument("--grid", default="0.05,0.1,0.15,0.2,0.25,0.3",
+                           help="comma-separated bandwidths")
+        p_syn.add_argument("--m", type=int, default=100)
+        p_syn.add_argument("--c-den", type=float, default=0.2)
+        p_syn.add_argument("--draws", type=int, default=5000)
 
     return parser
 
@@ -224,7 +228,9 @@ _COMMANDS = {"gen": _cmd_gen, **dict.fromkeys(_VALUE_METHODS, _cmd_value),
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only the invoked command's parser; help, a missing or an unknown command need them all
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BandwidthSelectionError, InvalidParameterError
 from .estimates import ValueEstimate
-from .numerics import RandomStream, in_shape
+from .numerics import LOG_TINY, RandomStream, exp_or_zero, in_shape
 
 __all__ = [
     "KernelSpec",
@@ -32,8 +32,9 @@ __all__ = [
     "synergy_scan",
 ]
 
-_BLOCK_BUDGET = 1 << 16  # entries of one (sets, rows, n) kernel block or one block of LSCV pairs
-_LOG_TINY = np.log(np.finfo(float).tiny)  # exp of less is subnormal (slow); taken as 0
+# entries of one (sets, rows, n) kernel block, of a chunk of sets' (sets, rows) arrays
+# together, or of one block of LSCV pairs
+_BLOCK_BUDGET = 1 << 16
 
 
 def _block_rows(cols: int) -> int:
@@ -85,7 +86,7 @@ class KernelSpec:
         sq, out = sum(d * d for d in coords), []
         for w in (h if kind == "evaluate" else h * np.sqrt(2.0) for kind in kinds):
             arg = sq * (-0.5 / (w * w))  # the self-convolution is the kernel at h * sqrt(2)
-            value = np.exp(arg, out=np.zeros(np.shape(arg)), where=arg >= _LOG_TINY)
+            value = exp_or_zero(arg)
             value /= w ** dim * (2.0 * np.pi) ** (dim / 2.0)
             out.append(value)
         return out
@@ -205,9 +206,9 @@ def _gaussian_loo_scores(pts, grid):
             pairs = np.maximum(np.concatenate([row[i + 1:] for i, row in enumerate(sq)]), 0.0)
             near, far = pairs.min(), pairs.max()
             for gi, s in enumerate(scale):
-                if near * s >= _LOG_TINY:  # else every pair of the block is gated
+                if near * s >= LOG_TINY:  # else every pair of the block is gated
                     arg = pairs * s
-                    arg = arg if far * s >= _LOG_TINY else arg[arg >= _LOG_TINY]
+                    arg = arg if far * s >= LOG_TINY else arg[arg >= LOG_TINY]
                     wide = np.exp(arg, out=arg)
                     square[gi] += 2.0 * wide.sum()
                     cross[gi] += 2.0 * np.einsum("i,i", wide, wide)
@@ -259,29 +260,10 @@ def coeff_B(n: int, m: int) -> float:
     return float(np.sum(2.0 * n * (j - 1.0) / (j + n - 1.0) ** 2) / m)
 
 
-def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpec,
-                     rng: RandomStream, return_components: bool = False):
-    """Set value of ``request.s_star`` for the kernel density estimator.
-
-    The value is the exact expectation over the background rows, which stand
-    in for the data distribution. With ``p_hat`` built on the valued set
-    ``s_1..s_n``, row ``r`` contributes
-    ``(2A + B) p_hat(r) - B mean_i (k*k)(s_i - r) - A int p_hat^2``;
-    ``std_error`` is the standard error of the row mean. A stack of sets is
-    valued in one pass over the rows and gives ``(k,)`` arrays; one set is a
-    stack of one and gives floats. ``return_components`` adds the row means of
-    the fit term ``-A (int p_hat^2 - 2 p_hat(r))`` and of the bias term, the rest.
-    Nothing is drawn: ``rng`` and ``request.mc_budget`` are unused. The
-    value is reported up to an additive constant shared by all sets of the
-    same size and horizon, so only differences and rankings at fixed set
-    size are meaningful.
-    """
-    bg = _as_points(background, "background")
-    if bg.shape[0] == 0:
-        raise InvalidParameterError("background sample must be nonempty")
-    shape = request.s_star.shape[:-2]
-    sets = request.s_star.reshape((-1,) + request.s_star.shape[-2:])
-    a, b = coeff_A(sets.shape[1], request.m), coeff_B(sets.shape[1], request.m)
+def _set_values(kernel: KernelSpec, sets: np.ndarray, bg: np.ndarray, a: float, b: float,
+                return_components: bool) -> list:
+    """``dshapley_density``'s value and ``std_error`` of each set of the stack ``sets``,
+    then, with ``return_components``, its fit and bias terms: one (sets,) array each."""
     # (sets, rows) each: p_hat, and the cross term that becomes t_r
     p_hat, per_row = _kernel_means(kernel, sets, bg[:, None, :], ["evaluate", "self_convolution"])
     square = _mean_self_convolution(kernel, sets)
@@ -295,10 +277,44 @@ def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpe
     value = per_row.mean(axis=1)
     std_error = (per_row.std(axis=1, ddof=1) / np.sqrt(bg.shape[0]) if bg.shape[0] > 1
                  else np.zeros_like(value))
-    results = [value, std_error] + (components if return_components else [])
+    return [value, std_error] + (components if return_components else [])
+
+
+def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpec,
+                     rng: RandomStream, return_components: bool = False):
+    """Set value of ``request.s_star`` for the kernel density estimator.
+
+    The value is the exact expectation over the background rows, which stand
+    in for the data distribution. With ``p_hat`` built on the valued set
+    ``s_1..s_n``, row ``r`` contributes
+    ``(2A + B) p_hat(r) - B mean_i (k*k)(s_i - r) - A int p_hat^2``;
+    ``std_error`` is the standard error of the row mean. A stack of sets is
+    valued in chunks of sets, each in one pass over the rows, and gives ``(k,)``
+    arrays; one set is a stack of one and gives floats. However many sets and
+    rows there are, the work holds a few arrays, each of at most a budget of
+    floats or one set's rows. ``return_components`` adds the row means
+    of the fit term ``-A (int p_hat^2 - 2 p_hat(r))`` and of the bias term, the rest.
+    Nothing is drawn: ``rng`` and ``request.mc_budget`` are unused. The
+    value is reported up to an additive constant shared by all sets of the
+    same size and horizon, so only differences and rankings at fixed set
+    size are meaningful.
+    """
+    bg = _as_points(background, "background")
+    if bg.shape[0] == 0:
+        raise InvalidParameterError("background sample must be nonempty")
+    shape = request.s_star.shape[:-2]
+    sets = request.s_star.reshape((-1,) + request.s_star.shape[-2:])
+    a, b = coeff_A(sets.shape[1], request.m), coeff_B(sets.shape[1], request.m)
+    # a chunk of sets holds about four (sets, rows) arrays at a time, one budget in all;
+    # a set's arithmetic is the same in any chunk, so its bits do not depend on the chunk
+    step = max(1, _BLOCK_BUDGET // (4 * bg.shape[0]))
+    results = [np.empty(sets.shape[0]) for _ in range(4 if return_components else 2)]
+    for start in range(0, sets.shape[0], step):
+        chunk = _set_values(kernel, sets[start:start + step], bg, a, b, return_components)
+        for out, part in zip(results, chunk):
+            out[start:start + step] = part
     results = [in_shape(r, shape) for r in results]
-    estimate = ValueEstimate(value=results[0], std_error=results[1],
-                             inner_iters_used=[], truncated_at_j=None)
+    estimate = ValueEstimate(value=results[0], std_error=results[1])
     return (estimate, tuple(results[2:])) if return_components else estimate
 
 

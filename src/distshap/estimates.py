@@ -25,7 +25,7 @@ class MCControls:
     rho2: float = 0.005
 
     def __post_init__(self):
-        if self.max_inner < 1:
+        if not self.max_inner >= 1:  # NaN fails too
             raise InvalidParameterError("max_inner must be at least 1")
         for name in ("rho1", "rho2"):
             v = getattr(self, name)
@@ -52,7 +52,7 @@ class ValueEstimate:
     failed_draws: int = 0
 
     def __post_init__(self):
-        if np.any(np.asarray(self.std_error) < 0):
+        if not np.all(np.asarray(self.std_error) >= 0):  # NaN fails too
             raise InvalidParameterError("std_error must be nonnegative")
 
 

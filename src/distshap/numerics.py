@@ -157,6 +157,14 @@ def mahalanobis_sq(x, sigma_inv: SpdMatrix):
                     x.shape[:-1])
 
 
+LOG_TINY = np.log(np.finfo(float).tiny)  # exp of less is subnormal (slow); taken as 0
+
+
+def exp_or_zero(arg):
+    """``exp(arg)``, with 0 wherever ``arg`` lies below ``LOG_TINY``."""
+    return np.exp(arg, out=np.zeros(np.shape(arg)), where=arg >= LOG_TINY)
+
+
 def in_shape(values, shape):
     """A kernel's results for a batch, in the shape its query came in: a batch's ``(n,)``
     as they are, and a point's (``shape`` is ``()``) its one entry as a Python scalar."""

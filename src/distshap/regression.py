@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError, SingularMatrixError
 from .estimates import BoundsResult, MCControls, ValueEstimate
-from .numerics import RandomStream, SpdMatrix, estimate_second_moment, in_shape, mahalanobis_sq, spd_inverse
+from .numerics import RandomStream, SpdMatrix, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
 
 __all__ = [
     "RegressionEnvironment",
@@ -42,7 +42,8 @@ __all__ = [
 _INNER_BLOCK = 128
 # sizes per window of first blocks in the exact sampler
 _OUTER_BLOCK = 128
-# (nodes x sizes) entries per block of the quadrature's size sum
+# entries per block of the quadrature's (nodes x sizes) size sum and of its
+# (points x nodes) rule sums
 _BLOCK_FLOATS = 1 << 14
 # (points x sizes) entries per row block of the envelope bounds, few enough
 # to stay in cache
@@ -198,8 +199,8 @@ def dshapley_regression_quadrature(query: PointQuery, env: RegressionEnvironment
         G(u)  = sum_j (j-1)/(j-p) (1 + 2u)^(-(j-p+1)/2)
 
     ``G`` depends on ``(m, p, q)`` alone: it is tabulated once at the nodes
-    of a fixed exp-sinh rule, and all points are one product with it. No
-    size is truncated and nothing is drawn. ``std_error`` is the gap between
+    of a fixed exp-sinh rule, and points are summed against it in blocks of
+    points. No size is truncated and nothing is drawn. ``std_error`` is the gap between
     the full rule and the rule on every other node: a conservative estimate
     of the full rule's quadrature error, since halving the step of a
     double-exponential rule roughly squares its relative error.
@@ -224,20 +225,20 @@ def dshapley_regression_quadrature(query: PointQuery, env: RegressionEnvironment
     step = max(1, _BLOCK_FLOATS // _QUAD_U.size)
     for start in range(0, js.size, step):
         sizes = slice(start, start + step)
-        g += np.exp(np.outer(log_base, -half_dfs[sizes])) @ coef[sizes]
+        g += exp_or_zero(np.outer(log_base, -half_dfs[sizes])) @ coef[sizes]
 
     s2 = env.sigma2
-    decay = np.exp(-np.outer(d, _QUAD_U))  # (points, nodes)
-
-    def rule(every):
-        w = every * _QUAD_W[::every] * g[::every]
-        nodes = decay[:, ::every]
-        # row by row, not a matrix product, whose summation order depends on the row count
-        return -(s2 * np.einsum("ij,j->i", nodes, w)
-                 + d * (e2 - s2) * np.einsum("ij,j->i", nodes, w * _QUAD_U[::every])) / env.m
-
-    value = rule(1)
-    std_error = np.abs(value - rule(2))
+    value, half = np.empty(d.size), np.empty(d.size)
+    for start in range(0, d.size, step):
+        rows = slice(start, start + step)
+        decay = exp_or_zero(np.outer(-d[rows], _QUAD_U))  # (points, nodes)
+        for out, every in ((value, 1), (half, 2)):
+            w = every * _QUAD_W[::every] * g[::every]
+            nodes = decay[:, ::every]
+            # row by row, not a matrix product, whose summation order depends on the row count
+            out[rows] = -(s2 * np.einsum("ij,j->i", nodes, w) + d[rows] * (e2[rows] - s2)
+                          * np.einsum("ij,j->i", nodes, w * _QUAD_U[::every])) / env.m
+    std_error = np.abs(value - half)
     return ValueEstimate(value=in_shape(value, shape), std_error=in_shape(std_error, shape))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -6,6 +7,7 @@ from dataclasses import fields
 import jsonschema
 import pytest
 
+from distshap import cli
 from distshap.cli import _experiment_config, build_parser, main
 from distshap.experiments import ExperimentConfig
 from distshap.output import RESULTS_JSON_SCHEMA, read_results
@@ -363,6 +365,34 @@ class TestResolvedConfig:
                 task="regression", method=method, repetitions=repetitions)
         bench = parser.parse_args(["time-bench", "--cells", "10,2", "--output", "o.csv"])
         assert bench.threads == ExperimentConfig.threads
+
+    def test_one_command_parser_parses_like_the_full_parser(self, tmp_path, monkeypatch, capsys):
+        valuation = ["--data", "d.csv", "--task", "density", "--m", "50",
+                     "--bandwidth-grid", "0.5,2"]
+        flags = {"gen": ["--kind", "gaussian-r", "--n", "5"],
+                 **dict.fromkeys(("value", "bounds", "baseline"), valuation),
+                 "point-addition": valuation + ["--method", "bounds", "--repetitions", "3"],
+                 "time-bench": ["--cells", "10,2", "--tasks", "density", "--threads", "2"],
+                 "synergy-scan": ["--draws", "7", "--c-den", "0.3"]}
+        full = build_parser()
+        commands = next(action for action in full._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert set(flags) == set(commands.choices)
+        for command, extra in flags.items():
+            argv = [command, *extra, "--output", "o.csv", "--seed", "3"]
+            one = build_parser(command)
+            assert vars(one.parse_args(argv)) == vars(full.parse_args(argv)), command
+            assert one.format_usage() == full.format_usage()
+        # main builds the invoked command's parser alone, and every parser for help
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build_parser(command))
+        assert main(["synergy-scan", "--grid", "0.1", "--draws", "5",
+                     "--output", str(tmp_path / "syn.csv")]) == 0
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "synergy-scan" in capsys.readouterr().out
+        assert built == ["synergy-scan", None]
 
 
 class TestOtherSubcommands:

@@ -184,7 +184,7 @@ class TestSelectBandwidth:
         pts = np.vstack([far, near, sides + gen.uniform(-1.0, 1.0, size=(10, 2))])
         args = -np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1) / (4.0 * h * h)
         later = np.triu(np.ones((n, n), dtype=bool), 1)
-        kept = [args[b:b + 10][later[b:b + 10]] >= density._LOG_TINY for b in (0, 10, 20)]
+        kept = [args[b:b + 10][later[b:b + 10]] >= density.LOG_TINY for b in (0, 10, 20)]
         assert not kept[0].any() and kept[1].all() and 0 < kept[2].sum() < kept[2].size
         (got,) = density._gaussian_loo_scores(pts, [h])
         assert got == pytest.approx(self.direct_loo_score(pts, h), rel=1e-12)
@@ -386,8 +386,9 @@ class TestDensityExpectation:
     @pytest.mark.parametrize("family, dim", [("gaussian", 3), ("gaussian", 10),
                                              ("uniform", 1), ("uniform", 10)])
     def test_stack_matches_single_sets(self, family, dim, size, monkeypatch):
-        # each set alone, the stack in one row block, and the stack under a small block
-        # budget, where it spans several row blocks, the last one short
+        # each set alone; the stack in one chunk of sets and one row block; in chunks of
+        # three sets, the last one short; and in chunks of one set under a budget so small
+        # that each set spans several row blocks, the last one short
         rows, k, m = 90, 7, 40
         gen = RandomStream(13).generator
         stack = gen.uniform(0.3, 0.7, size=(k, size, dim))
@@ -401,13 +402,22 @@ class TestDensityExpectation:
 
         alone = [value(s) for s in stack]
         assert all(isinstance(x, float) for one in alone for x in one)
-        whole = value(stack)
-        monkeypatch.setattr(density, "_BLOCK_BUDGET", 500)
-        step = density._block_rows(k * size)
-        assert step < rows and rows % step != 0
-        for got in (whole, value(stack)):
+        set_values, chunks = density._set_values, []
+
+        def spy(kernel, sets, *rest):
+            chunks.append(len(sets))
+            return set_values(kernel, sets, *rest)
+
+        monkeypatch.setattr(density, "_set_values", spy)
+        for budget, expected in ((density._BLOCK_BUDGET, [7]), (1080, [3, 3, 1]), (70, [1] * 7)):
+            monkeypatch.setattr(density, "_BLOCK_BUDGET", budget)
+            chunks.clear()
+            got = value(stack)
+            assert chunks == expected
             assert got[0].shape == got[1].shape == (k,)
             assert [list(column) for column in got] == [list(x) for x in zip(*alone)]
+        step = density._block_rows(size)
+        assert step < rows and rows % step != 0
 
     @pytest.mark.parametrize("dim", [1, 3, 10])
     def test_uniform_bits_match_the_difference_tensor(self, dim, monkeypatch):
@@ -435,16 +445,20 @@ class TestDensityExpectation:
         assert np.array_equal(square, overlap(pairs).mean(axis=2).mean(axis=1))
 
     def test_blocks_stay_within_a_multiple_of_the_budget(self, monkeypatch):
-        # The peak-memory guard: a Gaussian kernel block and an LSCV block each hold a few
-        # arrays of _BLOCK_BUDGET floats, however many rows, sets or pairs there are.
-        # Unblocked, the first call would hold 146 and the last 549 budgets of floats.
+        # The peak-memory guard: a Gaussian kernel block, a chunk of sets and an LSCV block
+        # each hold a few arrays of _BLOCK_BUDGET floats, however many rows, sets or pairs
+        # there are. Unblocked, the first call would hold 146 and the last 549 budgets of
+        # floats; valued in one chunk, the stack of 300 sets held 41.
         monkeypatch.setattr(density, "_BLOCK_BUDGET", 1 << 12)
         gen = RandomStream(18).generator
         pts = gen.standard_normal((1500, 10))
         sets = gen.standard_normal((2, 400, 10))
+        stack = gen.standard_normal((300, 4, 10))
         kern = KernelSpec("gaussian", 1.0, 10)
         calls = [lambda: kde_evaluate(pts, kern, pts[:40]),
                  lambda: dshapley_density(DensityValueRequest(sets, m=50), pts[:300], kern,
+                                          RandomStream(0)),
+                 lambda: dshapley_density(DensityValueRequest(stack, m=50), pts, kern,
                                           RandomStream(0)),
                  lambda: density._gaussian_loo_scores(pts, [0.01, 0.1, 1.0])]
         for call in calls:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from distshap import (
     fit_background,
     make_gaussian_sampler,
 )
+from distshap import regression
 from distshap.estimates import ValueEstimate
 from distshap.regression import _first_stable_index, analytic_utility_constant, normalization_shift
 
@@ -321,19 +323,39 @@ class TestQuadrature:
         expected = -(1.0 / q) * (q - 2.0) / (q - 1.0 - p) * s2 / (q - p - 2.0)
         assert est.value == pytest.approx(expected, rel=1e-12)
 
-    def test_batch_matches_per_point(self):
+    def test_batch_matches_per_point(self, monkeypatch):
+        # the batch in one block of points, then in blocks of 7 points, the last one short
         gen = np.random.default_rng(4)
         env = RegressionEnvironment(p=3, m=500, q=6, gamma=0.0, sigma2=0.9,
                                     beta_hat=np.array([0.5, -1.0, 0.2]),
                                     sigma_inv=SpdMatrix(np.diag([1.0, 2.0, 0.5])))
         xs = np.vstack([np.zeros(3), 3.0 * gen.standard_normal((40, 3))])
         ys = gen.standard_normal(41)
-        batch = dshapley_regression_quadrature(PointQuery.from_point(xs, ys, env), env)
-        assert batch.value.shape == batch.std_error.shape == (41,)
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            one = dshapley_regression_quadrature(PointQuery.from_point(x, y, env), env)
-            assert isinstance(one.value, float)
-            assert (one.value, one.std_error) == (batch.value[i], batch.std_error[i])
+        for block_floats in (regression._BLOCK_FLOATS, 7 * 321):
+            monkeypatch.setattr(regression, "_BLOCK_FLOATS", block_floats)
+            batch = dshapley_regression_quadrature(PointQuery.from_point(xs, ys, env), env)
+            assert batch.value.shape == batch.std_error.shape == (41,)
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                one = dshapley_regression_quadrature(PointQuery.from_point(x, y, env), env)
+                assert isinstance(one.value, float)
+                assert (one.value, one.std_error) == (batch.value[i], batch.std_error[i])
+
+    def test_blocks_stay_within_a_multiple_of_the_budget(self):
+        # The peak-memory guard: a block of points holds a few (points, nodes) arrays of
+        # _BLOCK_FLOATS floats, and the batch a few arrays of one float a point. One
+        # (points, nodes) table of 20,000 points held 44 times this bound.
+        points = 20_000
+        gen = np.random.default_rng(6)
+        query = PointQuery(x_star=np.zeros((points, 2)), y_star=np.zeros(points),
+                           e2=gen.exponential(size=points), d=gen.exponential(size=points))
+        env = make_env(m=1000, q=5)
+        tracemalloc.start()
+        try:
+            dshapley_regression_quadrature(query, env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * (regression._BLOCK_FLOATS + points)  # eight such arrays
 
     def test_empty_sum_below_gate(self):
         env = make_env(m=4, q=5)
@@ -377,6 +399,15 @@ class TestNonFiniteParameters:
     def test_gamma_rejected(self, gamma):
         with pytest.raises(InvalidParameterError, match="gamma"):
             make_env(gamma=gamma)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: MCControls(max_inner=np.nan), "max_inner"),
+        (lambda: ValueEstimate(value=1.0, std_error=np.nan), "std_error"),
+        (lambda: ValueEstimate(value=np.ones(2), std_error=np.array([0.1, np.nan])), "std_error"),
+    ], ids=["max_inner-nan", "std_error-nan", "std_error-nan-in-a-batch"])
+    def test_nan_fails_the_estimate_checks(self, build, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            build()
 
     @pytest.mark.parametrize("build", NOT_NONNEGATIVE.values(), ids=NOT_NONNEGATIVE.keys())
     def test_nan_fails_the_sign_checks(self, build):
