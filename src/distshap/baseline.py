@@ -21,7 +21,7 @@ import numpy as np
 
 from .classification import _irls_stack
 from .classification import irls_fit  # noqa: F401  (bench/tracing.py rebinds baseline.irls_fit)
-from .density import _BLOCK_BUDGET, KernelSpec, _as_points, _kernel_means
+from .density import KernelSpec, _as_points, _kernel_means
 from .density import kde_evaluate  # noqa: F401  (bench/tracing.py rebinds baseline.kde_evaluate)
 from .errors import (
     BaselineFailureError,
@@ -30,7 +30,7 @@ from .errors import (
     UtilityEvaluationError,
 )
 from .estimates import ValueEstimate
-from .numerics import RandomStream, SpdMatrix, solve_each
+from .numerics import RandomStream, SpdMatrix, blocks, runs, solve_each
 
 __all__ = [
     "RegressionUtility",
@@ -51,7 +51,7 @@ _SETS_PER_BLOCK = 4096  # subsets per stack of the exact enumeration
 
 
 def _check_gate(gate: int) -> None:
-    if gate < 1:
+    if not gate >= 1:  # NaN fails too
         raise InvalidParameterError("gate must be at least 1")
 
 
@@ -178,9 +178,9 @@ def _density_utilities(pool, index, sets, sizes, utility: DensityUtility):
     """Integrated squared error of each fit's estimate, up to a constant, from prefix sums of
     the kernel means at the evaluation rows, one per pool row, and double prefix sums of the
     pairwise self-convolutions. Sets by width share a group while their count times the widest
-    squared stays within ``_BLOCK_BUDGET`` (or are one set); a group's pairs come in blocks of
-    at most that many entries, each carrying its running sums into the next, so every sum adds
-    in the order it would for the set alone."""
+    squared stays within a block budget of floats (or are one set); a group's pairs come in
+    blocks of at most that many entries, each carrying its running sums into the next, so every
+    sum adds in the order it would for the set alone."""
     evals = _as_points(utility.eval_points, "the utility's evaluation rows")[None]
     if evals.shape[1] == 0:
         raise InvalidParameterError("the utility's evaluation rows are empty")
@@ -189,20 +189,17 @@ def _density_utilities(pool, index, sets, sizes, utility: DensityUtility):
     read, means = np.unique(index), np.zeros(len(pts))
     means[read] = _kernel_means(utility.kernel, evals, pts[read, None])[0][0]
     pair = np.empty(index.shape)  # pair[i, a]: set i's double sum through its row a
-    order, start = np.flatnonzero(width)[np.argsort(width[width > 0], kind="stable")], 0
-    while start < order.size:  # the most sets whose count times the last's width squared fits
-        cost = np.arange(1, order.size - start + 1) * width[order[start:]] ** 2
-        end = start + max(1, int(np.searchsorted(cost, _BLOCK_BUDGET, side="right")))
-        group, start = order[start:end], end
+    order = np.flatnonzero(width)[np.argsort(width[width > 0], kind="stable")]
+    for run in runs(width[order] ** 2):
+        group, carry = order[run], 0.0
         rows = pts[index[group, :width[group[-1]]]]  # (sets, widest, dim)
-        step, carry = max(1, _BLOCK_BUDGET // rows[..., 0].size), 0.0
-        for first in range(0, rows.shape[1], step):  # kc(x_r - x_a) at a block of rows a
-            (conv,) = utility.kernel._values((rows[:, None, :, c] - rows[:, first:first + step, None, c]
-                                          for c in range(rows.shape[2])), ["self_convolution"])
+        for block in blocks(rows.shape[1], rows[..., 0].size):  # kc(x_r - x_a) at rows a
+            (conv,) = utility.kernel._values((rows[:, None, :, c] - rows[:, block, None, c]
+                                              for c in range(rows.shape[2])), ["self_convolution"])
             conv[:, 0] += carry
             carry = np.cumsum(conv, axis=1, out=conv)[:, -1].copy()
-            a = np.arange(conv.shape[1])
-            pair[group[:, None], first + a] = np.cumsum(conv, axis=2, out=conv)[:, a, first + a]
+            a = np.arange(block.start, block.start + conv.shape[1])
+            pair[group[:, None], a] = np.cumsum(conv, axis=2, out=conv)[:, a - block.start, a]
     cross = np.cumsum(means[index], axis=1)[sets, sizes - 1]
     return utility.constant - (pair[sets, sizes - 1] / sizes ** 2 - 2.0 * cross / sizes)
 
@@ -349,11 +346,8 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
         index = np.append(index, index.dtype.type(n))
     pool = _rows(background, z_star)  # z_star last, the index's last entry too
     live = np.flatnonzero(sizes >= gate)[np.argsort(sizes[sizes >= gate], kind="stable")]
-    start = 0
-    while start < live.size:  # the most draws whose count times the last's size fits, or one
-        rows = np.arange(1, live.size - start + 1) * sizes[live[start:]]
-        end = start + max(1, int(np.searchsorted(rows, _ROWS_PER_BLOCK, side="right")))
-        at, start = live[start:end], end
+    for run in runs(sizes[live], _ROWS_PER_BLOCK):
+        at = live[run]
         cols = np.arange(sizes[at].max())  # each set's rows, padded with z_star
         idx = index[np.where(cols < drawn[at, None], starts[at, None] + cols, -1)]
         table = np.column_stack([drawn[at], drawn[at] + 1])  # each set without, then with z_star

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BandwidthSelectionError, InvalidParameterError
 from .estimates import ValueEstimate
-from .numerics import LOG_TINY, RandomStream, exp_or_zero, in_shape
+from .numerics import LOG_TINY, RandomStream, blocks, exp_or_zero, in_shape
 
 __all__ = [
     "KernelSpec",
@@ -31,15 +31,6 @@ __all__ = [
     "uniform_closed_form",
     "synergy_scan",
 ]
-
-# entries of one (sets, rows, n) kernel block, of a chunk of sets' (sets, rows) arrays
-# together, or of one block of LSCV pairs
-_BLOCK_BUDGET = 1 << 16
-
-
-def _block_rows(cols: int) -> int:
-    return max(1, _BLOCK_BUDGET // cols)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -59,7 +50,7 @@ class KernelSpec:
             raise InvalidParameterError(f"unknown kernel family {self.family!r}")
         if not 0.0 < self.bandwidth < np.inf:
             raise InvalidParameterError(f"bandwidth must be finite and positive: {self.bandwidth}")
-        if self.dim < 1:
+        if not self.dim >= 1:  # NaN fails too
             raise InvalidParameterError("dimension must be at least 1")
 
     def evaluate(self, diff) -> np.ndarray:
@@ -112,7 +103,7 @@ class DensityValueRequest:
             raise InvalidParameterError("s_star must be a nonempty (n, dim) set or (k, n, dim) stack")
         if not np.isfinite(self.s_star).all():
             raise InvalidParameterError("s_star must be finite")
-        if self.m < 1:
+        if not self.m >= 1:  # NaN fails too
             raise InvalidParameterError("m must be at least 1")
 
 
@@ -155,12 +146,10 @@ def _kernel_means(kernel: KernelSpec, sets: np.ndarray, z: np.ndarray,
             f"under a {kernel.dim}-d kernel")
     out = [np.empty((k, z.shape[0])) for _ in kinds]
     columns = z.transpose(1, 0, 2)[:, :, None, :]  # (k or 1, rows, 1, dim)
-    step = _block_rows(k * n)
-    for start in range(0, z.shape[0], step):
-        block = columns[:, start:start + step]
-        coords = (block[..., c] - sets[:, None, :, c] for c in range(dim))
+    for rows in blocks(z.shape[0], k * n):
+        coords = (columns[:, rows, :, c] - sets[:, None, :, c] for c in range(dim))
         for means, values in zip(out, kernel._values(coords, kinds)):
-            means[:, start:start + step] = values.mean(axis=2)
+            means[:, rows] = values.mean(axis=2)
     return out
 
 
@@ -196,13 +185,12 @@ def _gaussian_loo_scores(pts, grid):
     square = np.full(h.size, float(n))  # sums of exp(-sq / 4h^2) over all pairs, i = j too
     cross = np.zeros(h.size)   # sums of exp(-sq / 2h^2) over pairs i != j
     norms = np.sum(pts ** 2, axis=1)
-    step = _block_rows(n)
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         scale = -0.25 / (h * h)
-        for start in range(0, n - 1, step):
-            sq = pts[start:start + step] @ (-2.0 * pts[start:].T)
-            sq += norms[start:start + step, None]
-            sq += norms[start:]
+        for rows in blocks(n - 1, n):
+            sq = pts[rows] @ (-2.0 * pts[rows.start:].T)
+            sq += norms[rows, None]
+            sq += norms[rows.start:]
             pairs = np.maximum(np.concatenate([row[i + 1:] for i, row in enumerate(sq)]), 0.0)
             near, far = pairs.min(), pairs.max()
             for gi, s in enumerate(scale):
@@ -307,12 +295,10 @@ def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpe
     a, b = coeff_A(sets.shape[1], request.m), coeff_B(sets.shape[1], request.m)
     # a chunk of sets holds about four (sets, rows) arrays at a time, one budget in all;
     # a set's arithmetic is the same in any chunk, so its bits do not depend on the chunk
-    step = max(1, _BLOCK_BUDGET // (4 * bg.shape[0]))
     results = [np.empty(sets.shape[0]) for _ in range(4 if return_components else 2)]
-    for start in range(0, sets.shape[0], step):
-        chunk = _set_values(kernel, sets[start:start + step], bg, a, b, return_components)
-        for out, part in zip(results, chunk):
-            out[start:start + step] = part
+    for chunk in blocks(sets.shape[0], 4 * bg.shape[0]):
+        for out, part in zip(results, _set_values(kernel, sets[chunk], bg, a, b, return_components)):
+            out[chunk] = part
     results = [in_shape(r, shape) for r in results]
     estimate = ValueEstimate(value=results[0], std_error=results[1])
     return (estimate, tuple(results[2:])) if return_components else estimate

@@ -101,11 +101,11 @@ class ExperimentConfig:
             raise InvalidParameterError(f"gamma must be finite, got {self.gamma}")
         if self.bound_side not in ("lower", "upper"):
             raise InvalidParameterError("bound_side must be lower or upper")
-        if self.n_value_points < 1:
+        if not self.n_value_points >= 1:  # NaN fails these checks too
             raise InvalidParameterError("n_value_points must be at least 1")
-        if self.repetitions < 1:
+        if not self.repetitions >= 1:
             raise InvalidParameterError("repetitions must be at least 1")
-        if self.heldout_size < 0 or self.background_size < 1:
+        if not (self.heldout_size >= 0 and self.background_size >= 1):
             raise InvalidParameterError("heldout_size must be nonnegative and background_size positive")
 
     def resolved_q(self, p: int) -> int:

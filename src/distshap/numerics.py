@@ -1,4 +1,4 @@
-"""Seedable randomness and the small SPD linear-algebra kernel shared by every estimator.
+"""Seedable randomness, SPD linear algebra and the block rule shared by every estimator.
 
 All operations here are pure given their inputs. Parallel Monte-Carlo work
 should be partitioned by stream so results do not depend on scheduling.
@@ -155,6 +155,34 @@ def mahalanobis_sq(x, sigma_inv: SpdMatrix):
         )
     return in_shape(np.maximum(np.einsum("...i,ij,...j->...", x, sigma_inv.values, x), 0.0),
                     x.shape[:-1])
+
+
+# Floats one block of a bounded kernel may hold, read at each call: _BLOCK_FLOATS bounds
+# memory, the smaller _CACHE_FLOATS keeps a working set in cache where that is faster.
+_BLOCK_FLOATS = 1 << 16
+_CACHE_FLOATS = 1 << 14
+
+
+def blocks(stop: int, width: int, *, cache: bool = False):
+    """Slices cutting ``range(stop)`` in order into blocks of as many rows of ``width`` floats
+    as one budget holds (``_CACHE_FLOATS`` with ``cache``, else ``_BLOCK_FLOATS``), or one row.
+    The last slice may reach past ``stop``. A generator: no list of slices is held."""
+    step = max(1, (_CACHE_FLOATS if cache else _BLOCK_FLOATS) // max(width, 1))
+    for start in range(0, stop, step):
+        yield slice(start, start + step)
+
+
+def runs(cost, budget: int | None = None):
+    """Slices cutting the ascending ``cost`` in order into runs, each of the most entries
+    whose count times the run's last cost stays within ``budget`` (``_BLOCK_FLOATS`` when
+    None), or of one entry."""
+    budget = _BLOCK_FLOATS if budget is None else budget
+    start = 0
+    while start < len(cost):
+        total = np.arange(1, len(cost) - start + 1) * cost[start:]
+        end = start + max(1, int(np.searchsorted(total, budget, side="right")))
+        yield slice(start, end)
+        start = end
 
 
 LOG_TINY = np.log(np.finfo(float).tiny)  # exp of less is subnormal (slow); taken as 0

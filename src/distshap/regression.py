@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError, SingularMatrixError
 from .estimates import BoundsResult, MCControls, ValueEstimate
-from .numerics import RandomStream, SpdMatrix, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
+from .numerics import RandomStream, SpdMatrix, blocks, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
 
 __all__ = [
     "RegressionEnvironment",
@@ -42,12 +42,7 @@ __all__ = [
 _INNER_BLOCK = 128
 # sizes per window of first blocks in the exact sampler
 _OUTER_BLOCK = 128
-# entries per block of the quadrature's (nodes x sizes) size sum and of its
-# (points x nodes) rule sums
-_BLOCK_FLOATS = 1 << 14
-# (points x sizes) entries per row block of the envelope bounds, few enough
-# to stay in cache
-_BOUND_ENTRIES = 1 << 14
+_TABLE_SIZES = 51  # sizes per block of the quadrature's size table; the cut fixes its bits
 
 # exp-sinh (double-exponential) rule on [0, inf): u = exp(pi/2 sinh t) on a
 # uniform t grid (Takahasi & Mori 1974); with an odd node count, every other
@@ -75,9 +70,9 @@ class RegressionEnvironment:
     sigma_inv: SpdMatrix
 
     def __post_init__(self):
-        if self.m < 1:
+        if not self.m >= 1:  # NaN fails too
             raise InvalidParameterError("valuation horizon m must be at least 1")
-        if self.q < 2:
+        if not self.q >= 2:
             raise InvalidParameterError("utility gate q must be at least 2")
         if not 0.0 <= self.gamma < np.inf:
             raise InvalidParameterError(f"gamma must be finite and nonnegative, got {self.gamma}")
@@ -222,15 +217,13 @@ def dshapley_regression_quadrature(query: PointQuery, env: RegressionEnvironment
     half_dfs = (js - env.p + 1.0) / 2.0
     log_base = np.log1p(2.0 * _QUAD_U)
     g = np.zeros(_QUAD_U.size)
-    step = max(1, _BLOCK_FLOATS // _QUAD_U.size)
-    for start in range(0, js.size, step):
-        sizes = slice(start, start + step)
+    for start in range(0, js.size, _TABLE_SIZES):
+        sizes = slice(start, start + _TABLE_SIZES)
         g += exp_or_zero(np.outer(log_base, -half_dfs[sizes])) @ coef[sizes]
 
     s2 = env.sigma2
     value, half = np.empty(d.size), np.empty(d.size)
-    for start in range(0, d.size, step):
-        rows = slice(start, start + step)
+    for rows in blocks(d.size, _QUAD_U.size, cache=True):
         decay = exp_or_zero(np.outer(-d[rows], _QUAD_U))  # (points, nodes)
         for out, every in ((value, 1), (half, 2)):
             w = every * _QUAD_W[::every] * g[::every]
@@ -333,9 +326,9 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
     lower side and (upper, lower) for the upper. ``side`` ("lower" or
     "upper") computes that side alone and leaves the other None.
 
-    Points are summed in row blocks of ``_BOUND_ENTRIES // sizes`` rows, each
-    row pairwise over all its sizes, so a point's bits do not depend on its
-    block; a point is a block of one.
+    Points are summed in row blocks of a cache budget of (points x sizes)
+    entries, each row pairwise over all its sizes, so a point's bits do not
+    depend on its block; a point is a block of one.
     """
     shape = np.shape(d)
     d, e2 = np.atleast_1d(d), np.atleast_1d(e2)
@@ -346,14 +339,12 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
     env_up = 1.0 / (js * (1.0 - delta) ** 2 + ridge[0])
     env_lo = 1.0 / (js * (1.0 + delta) ** 2 + ridge[1])
     roles = {"lower": (env_lo, env_up), "upper": (env_up, env_lo)}
-    step = max(1, _BOUND_ENTRIES // max(js.size, 1))
     sums = {}
     for name in ("lower", "upper") if side is None else (side,):
         a, b = roles[name]
         a2 = a ** 2
         total = np.empty(len(d))
-        for start in range(0, len(d), step):
-            rows = slice(start, start + step)
+        for rows in blocks(len(d), js.size, cache=True):
             t, err = d[rows, None], e2[rows, None]
             ta, tb = t * a, t * b
             terms = t * a2 / (1.0 + tb) ** 2 * ((2.0 + ta) * sigma2 - ((1.0 + tb) / (1.0 + ta)) ** 2 * err)

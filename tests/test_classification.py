@@ -25,7 +25,7 @@ from distshap import (
     spd_inverse,
     transform_query,
 )
-import distshap.regression as regression
+from distshap import numerics
 from distshap.classification import _irls_stack
 
 
@@ -297,7 +297,7 @@ class TestBinaryBounds:
     @pytest.mark.parametrize("rows", [128, 5])
     def test_chunked_stop_is_bit_identical(self, monkeypatch, width, rows):
         # a batch of `rows` points is summed in row blocks of
-        # _BOUND_ENTRIES // sizes rows, set here to `width` rows (a ragged last
+        # _CACHE_FLOATS // sizes rows, set here to `width` rows (a ragged last
         # block at 128-7, one partial block at 5-7 and 128-2000); on both
         # routes every bit must be that of one pass over all points and sizes
         d, e2 = _block_inputs(rows)
@@ -313,7 +313,7 @@ class TestBinaryBounds:
              _one_pass_bounds(d, e2, env.sigma2, (env.gamma * eigs[0], env.gamma * eigs[-1]))),
         ]
         skipped = routes[0][1][2]
-        monkeypatch.setattr(regression, "_BOUND_ENTRIES", width * (_BLOCK_M - _BLOCK_Q + 1 - skipped))
+        monkeypatch.setattr(numerics, "_CACHE_FLOATS", width * (_BLOCK_M - _BLOCK_Q + 1 - skipped))
         for bounds, (lower, upper, skipped) in routes:
             res = bounds()
             assert res.lower.tobytes() == lower.tobytes() and res.upper.tobytes() == upper.tobytes()

@@ -7,7 +7,7 @@ from dataclasses import fields
 import jsonschema
 import pytest
 
-from distshap import cli
+from distshap import cli, numerics
 from distshap.cli import _experiment_config, build_parser, main
 from distshap.experiments import ExperimentConfig
 from distshap.output import RESULTS_JSON_SCHEMA, read_results
@@ -506,3 +506,25 @@ class TestWrittenFormat:
                     for key, values in columns.items() if key not in TIMING_COLUMNS}
 
         assert read("csv") == read("json")
+
+
+class TestBudgets:
+    # Every bounded kernel these commands run cuts its blocks by a numerics budget: the
+    # quadrature and the envelope by the cache budget, LSCV, the kernel means and the
+    # density chunks by the memory budget. Blocks move, bytes must not.
+    @pytest.mark.parametrize("name, extra", [
+        ("value", []), ("value-density", []), ("bounds", ["--bound-side", "lower"]),
+        ("bounds", []), ("baseline", ["--n-value-points", "2"])],
+        ids=["value-regression", "value-density", "bounds-lower", "bounds-upper", "baseline"])
+    def test_output_bytes_do_not_depend_on_the_budgets(self, name, extra, datasets, tmp_path,
+                                                      monkeypatch):
+        argv = [arg.format(**datasets) for arg in COMMANDS[name]] + extra
+        written = []
+        for block_floats, cache_floats in ((numerics._BLOCK_FLOATS, numerics._CACHE_FLOATS),
+                                           (300, 40)):
+            monkeypatch.setattr(numerics, "_BLOCK_FLOATS", block_floats)
+            monkeypatch.setattr(numerics, "_CACHE_FLOATS", cache_floats)
+            path = tmp_path / f"{block_floats}.csv"
+            assert run(argv + ["--output", str(path)]) == 0
+            written.append(path.read_bytes())
+        assert written[0] == written[1]

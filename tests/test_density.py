@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +6,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 import distshap.density as density
+from distshap import numerics
 from distshap import (
     BandwidthSelectionError,
     DensityValueRequest,
@@ -25,6 +25,11 @@ from distshap import (
 APPENDIX_GRID = [10.0 ** e for e in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0)]
 # 0.3 unless listed: a 10-d uniform kernel needs a wide window to cover a [0, 1] pair
 BANDWIDTHS = {("uniform", 10): 0.9}
+
+
+def block_sizes(stop, width):
+    """Rows in each block that cuts ``stop`` rows of ``width`` floats under the memory budget."""
+    return [len(range(stop)[rows]) for rows in numerics.blocks(stop, width)]
 
 
 class TestKdeEvaluate:
@@ -61,6 +66,11 @@ class TestKdeEvaluate:
     def test_nonfinite_or_nonpositive_bandwidth_rejected(self, bandwidth):
         with pytest.raises(InvalidParameterError, match="bandwidth"):
             KernelSpec("gaussian", bandwidth, 1)
+
+    @pytest.mark.parametrize("dim", [0, np.nan])
+    def test_dimension_below_one_rejected(self, dim):
+        with pytest.raises(InvalidParameterError, match="dimension must be at least 1"):
+            KernelSpec("gaussian", 1.0, dim)
 
     @pytest.mark.parametrize("family", ["uniform", "gaussian"])
     def test_integrates_to_one_1d(self, family):
@@ -135,9 +145,9 @@ class TestSelectBandwidth:
     @pytest.mark.parametrize("dim", [1, 3])
     def test_loo_scores_match_direct_formula(self, dim, monkeypatch):
         # a small block budget runs several blocks, the last one short
-        monkeypatch.setattr(density, "_BLOCK_BUDGET", 400)
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", 400)
         n = 37
-        assert n % density._block_rows(n) != 0 and density._block_rows(n) < n
+        assert block_sizes(n, n) == [10, 10, 10, 7]
         pts = RandomStream(11).generator.standard_normal((n, dim))
         grid = [0.05, 0.2, 0.7, 2.5]
         for h, got in zip(grid, density._gaussian_loo_scores(pts, grid)):
@@ -148,9 +158,9 @@ class TestSelectBandwidth:
     def test_loo_scores_in_underflow_bands(self, arg, band, monkeypatch):
         # Nearly equidistant points put every off-diagonal term exp(-sq / 4h^2) of the
         # all-pairs sum where numpy's exp is slow: subnormal at -726, 0 at -800.
-        monkeypatch.setattr(density, "_BLOCK_BUDGET", 60)
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", 60)
         n = 12
-        assert n % density._block_rows(n) != 0 and density._block_rows(n) < n
+        assert block_sizes(n, n) == [5, 5, 2]
         pts = 3.0 * np.eye(n) + 0.01 * RandomStream(14).generator.standard_normal((n, n))
         sq = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)[~np.eye(n, dtype=bool)]
         h = np.sqrt(np.median(sq) / (-4.0 * arg))
@@ -164,9 +174,9 @@ class TestSelectBandwidth:
         pts = RandomStream(15).generator.standard_normal((n, dim))
         grid = [0.01, 0.05, 0.2, 0.7, 2.5]
         whole = density._gaussian_loo_scores(pts, grid)
-        assert density._block_rows(n) >= n
-        monkeypatch.setattr(density, "_BLOCK_BUDGET", 400)
-        assert n % density._block_rows(n) != 0 and density._block_rows(n) < n
+        assert block_sizes(n, n) == [n]
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", 400)
+        assert block_sizes(n, n) == [10, 10, 10, 7]
         assert density._gaussian_loo_scores(pts, grid) == pytest.approx(whole, rel=1e-14)
 
     def test_loo_scores_in_each_gate_branch(self, monkeypatch):
@@ -174,9 +184,9 @@ class TestSelectBandwidth:
         # first ten points lie far from every other point (every pair gated); the next ten
         # lie within reach of all later points (every pair in range); the last ten sit on
         # two sides 60 apart (pairs across the sides gated, the others in range).
-        monkeypatch.setattr(density, "_BLOCK_BUDGET", 300)
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", 300)
         n, h = 30, 1.0
-        assert density._block_rows(n) == 10
+        assert block_sizes(n, n) == [10, 10, 10]
         gen = RandomStream(17).generator
         far = np.column_stack([1000.0 * np.arange(1, 11), np.zeros(10)])
         near = gen.uniform(-5.0, 5.0, size=(10, 2))
@@ -241,17 +251,29 @@ class TestCoefficients:
 
 
 class TestUniformClosedForm:
+    @staticmethod
+    def plain_constant(n, m, h, c_den):
+        """The size-only part of an n-point set's value, summed by a plain loop."""
+        def h2(s):
+            lead = (n * n + 2.0 * n * s) / (s + n) ** 2
+            body = (12.0 - 15.0 * h + (5.0 + s) * h * h) / (12.0 * s * h)
+            return lead * body - (2.0 * n * s / (s + n) ** 2) * (h / 4.0)
+        return c_den / m + sum(h2(j - 1) for j in range(2, m + 1)) / m
+
     def test_half_bandwidth_makes_fit_term_vanish(self):
         # at h = 1/2 the separated-pair fit coefficient is zero, so any two
         # admissible far-apart pairs share the same value
         v1 = uniform_closed_form([0.25, 0.75], 0.5, 100, 0.2)
-        # independent plain-loop constant
-        def h2(n, s, h):
-            lead = (n * n + 2.0 * n * s) / (s + n) ** 2
-            body = (12.0 - 15.0 * h + (5.0 + s) * h * h) / (12.0 * s * h)
-            return lead * body - (2.0 * n * s / (s + n) ** 2) * (h / 4.0)
-        c0 = 0.2 / 100 + sum(h2(2, j - 1, 0.5) for j in range(2, 101)) / 100
-        assert v1 == pytest.approx(c0, rel=1e-12)
+        assert v1 == pytest.approx(self.plain_constant(2, 100, 0.5, 0.2), rel=1e-12)
+
+    @pytest.mark.parametrize("point", [0.1, 0.5, 0.85])
+    def test_single_point(self, point):
+        # an interior point's value does not depend on where it sits: the fit term
+        # (1/m) sum_j 1/j^2 (1 - 1/h) plus the size-only part
+        h, m = 0.2, 100
+        fit = sum(1.0 / j ** 2 for j in range(1, m + 1)) / m * (1.0 - 1.0 / h)
+        expected = fit + self.plain_constant(1, m, h, 0.2)
+        assert uniform_closed_form([point], h, m, 0.2) == pytest.approx(expected, rel=1e-12)
 
     def test_branch_continuity(self):
         h, m = 0.2, 100
@@ -286,6 +308,11 @@ class TestDensityEstimator:
     def test_nonfinite_set_rejected(self):
         with pytest.raises(InvalidParameterError, match="s_star must be finite"):
             DensityValueRequest(np.array([[[0.3], [0.5]], [[0.4], [np.nan]]]), m=10)
+
+    @pytest.mark.parametrize("m", [0, np.nan])
+    def test_horizon_below_one_rejected(self, m):
+        with pytest.raises(InvalidParameterError, match="m must be at least 1"):
+            DensityValueRequest(np.array([[0.3]]), m=m)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_background_row_rejected(self, bad):
@@ -364,9 +391,9 @@ class TestDensityExpectation:
                                              ("uniform", 1), ("uniform", 10)])
     def test_matches_direct_sum(self, family, dim, monkeypatch):
         # a small block budget runs several blocks, the last one short
-        monkeypatch.setattr(density, "_BLOCK_BUDGET", 63)
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", 63)
         rows, m = 50, 40
-        assert rows % density._block_rows(3) != 0 and density._block_rows(3) < rows
+        assert block_sizes(rows, 3) == [21, 21, 8]
         gen = RandomStream(12).generator
         s_star = gen.uniform(0.3, 0.7, size=(3, dim))
         bg = gen.uniform(size=(rows, dim))
@@ -381,6 +408,26 @@ class TestDensityExpectation:
         assert est.value == pytest.approx(per_row.mean(), rel=1e-12)
         assert est.std_error == pytest.approx(per_row.std(ddof=1) / np.sqrt(rows), rel=1e-12)
         assert est.inner_iters_used == []
+        _, (fit, bias) = dshapley_density(DensityValueRequest(s_star, m=m), bg, kern,
+                                          RandomStream(0), return_components=True)
+        assert fit == pytest.approx(np.mean(-coeff_A(3, m) * (square - 2.0 * p_hat)), rel=1e-12)
+        assert bias == pytest.approx(np.mean(coeff_B(3, m) * (p_hat - cross)), rel=1e-12)
+        assert fit + bias == pytest.approx(est.value, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    def test_one_background_row(self, family):
+        # one row is the whole expectation: its term is the value, with no spread to report
+        s_star = np.array([[[0.3, 0.5], [0.4, 0.6]], [[0.5, 0.5], [0.45, 0.55]]])
+        row = np.array([[0.42, 0.52]])
+        kern = KernelSpec(family, 0.3, 2)
+        est = dshapley_density(DensityValueRequest(s_star, m=30), row, kern, RandomStream(0))
+        assert np.array_equal(est.std_error, np.zeros(2))
+        for sets, value in zip(s_star, est.value):
+            to_set = row - sets
+            square = kern.self_convolution(sets[:, None, :] - sets[None, :, :]).mean()
+            p_hat, cross = kern.evaluate(to_set).mean(), kern.self_convolution(to_set).mean()
+            term = -coeff_A(2, 30) * (square - 2.0 * p_hat) + coeff_B(2, 30) * (p_hat - cross)
+            assert value == pytest.approx(term, rel=1e-12)
 
     @pytest.mark.parametrize("size", [1, 2, 9])
     @pytest.mark.parametrize("family, dim", [("gaussian", 3), ("gaussian", 10),
@@ -402,6 +449,8 @@ class TestDensityExpectation:
 
         alone = [value(s) for s in stack]
         assert all(isinstance(x, float) for one in alone for x in one)
+        # the fit and bias terms add up to the value
+        assert all(fit + bias == pytest.approx(v, rel=1e-12) for v, _, fit, bias in alone)
         set_values, chunks = density._set_values, []
 
         def spy(kernel, sets, *rest):
@@ -409,21 +458,21 @@ class TestDensityExpectation:
             return set_values(kernel, sets, *rest)
 
         monkeypatch.setattr(density, "_set_values", spy)
-        for budget, expected in ((density._BLOCK_BUDGET, [7]), (1080, [3, 3, 1]), (70, [1] * 7)):
-            monkeypatch.setattr(density, "_BLOCK_BUDGET", budget)
+        for budget, expected in ((numerics._BLOCK_FLOATS, [7]), (1080, [3, 3, 1]), (70, [1] * 7)):
+            monkeypatch.setattr(numerics, "_BLOCK_FLOATS", budget)
             chunks.clear()
             got = value(stack)
             assert chunks == expected
             assert got[0].shape == got[1].shape == (k,)
             assert [list(column) for column in got] == [list(x) for x in zip(*alone)]
-        step = density._block_rows(size)
-        assert step < rows and rows % step != 0
+        cuts = block_sizes(rows, size)
+        assert len(cuts) > 1 and cuts[-1] < cuts[0]
 
     @pytest.mark.parametrize("dim", [1, 3, 10])
     def test_uniform_bits_match_the_difference_tensor(self, dim, monkeypatch):
         # the per-coordinate loop multiplies the factors in the order np.prod and np.all
         # reduce a (..., dim) tensor, and each set's mean still reduces its own n
-        monkeypatch.setattr(density, "_BLOCK_BUDGET", 500)
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", 500)
         rows, k, size, h = 60, 4, 9, 0.9
         gen = RandomStream(16).generator
         stack = gen.uniform(0.3, 0.7, size=(k, size, dim))
@@ -443,32 +492,6 @@ class TestDensityExpectation:
         assert np.array_equal(cross, overlap(to_set).mean(axis=2))
         pairs = stack[:, :, None, :] - stack[:, None, :, :]
         assert np.array_equal(square, overlap(pairs).mean(axis=2).mean(axis=1))
-
-    def test_blocks_stay_within_a_multiple_of_the_budget(self, monkeypatch):
-        # The peak-memory guard: a Gaussian kernel block, a chunk of sets and an LSCV block
-        # each hold a few arrays of _BLOCK_BUDGET floats, however many rows, sets or pairs
-        # there are. Unblocked, the first call would hold 146 and the last 549 budgets of
-        # floats; valued in one chunk, the stack of 300 sets held 41.
-        monkeypatch.setattr(density, "_BLOCK_BUDGET", 1 << 12)
-        gen = RandomStream(18).generator
-        pts = gen.standard_normal((1500, 10))
-        sets = gen.standard_normal((2, 400, 10))
-        stack = gen.standard_normal((300, 4, 10))
-        kern = KernelSpec("gaussian", 1.0, 10)
-        calls = [lambda: kde_evaluate(pts, kern, pts[:40]),
-                 lambda: dshapley_density(DensityValueRequest(sets, m=50), pts[:300], kern,
-                                          RandomStream(0)),
-                 lambda: dshapley_density(DensityValueRequest(stack, m=50), pts, kern,
-                                          RandomStream(0)),
-                 lambda: density._gaussian_loo_scores(pts, [0.01, 0.1, 1.0])]
-        for call in calls:
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 8 * 8 * density._BLOCK_BUDGET  # eight budgets of 8-byte floats
 
     @pytest.mark.parametrize("s_star", [np.empty((0, 2, 1)), np.empty((3, 0, 1)),
                                         np.empty((0, 1)), np.zeros((1, 1, 1, 1))])

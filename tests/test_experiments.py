@@ -15,6 +15,7 @@ from distshap import (
     RegressionUtility,
     UtilityEvaluationError,
     dshapley_binary_bounds,
+    dshapley_mc_baseline,
     dshapley_regression_bounds,
     estimate_weighted_second_moment,
     evaluate_utility,
@@ -57,6 +58,12 @@ class TestConfig:
     def test_nonfinite_gamma_rejected(self, gamma):
         with pytest.raises(InvalidParameterError, match="gamma"):
             small_config(gamma=gamma)
+
+    @pytest.mark.parametrize("field", ["n_value_points", "repetitions", "heldout_size",
+                                       "background_size"])
+    def test_nan_count_rejected(self, field):
+        with pytest.raises(InvalidParameterError, match=field):
+            small_config(**{field: np.nan})
 
     def test_value_points_exceeding_dataset(self):
         data = gen_gaussian_r(30, 2, RandomStream(0))
@@ -113,6 +120,32 @@ class TestValuePoints:
                          RandomStream(0)) for x in data.x[split[0]]]
         np.testing.assert_allclose(values, [e.value for e in loop], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(errs, [e.std_error for e in loop], rtol=1e-12, atol=0.0)
+
+    def test_density_baseline_values(self):
+        # Each point's sampled baseline runs on its own substream, under the ISE utility at
+        # the LSCV bandwidth with evaluation rows drawn from the background. A point at the
+        # mode is worth more than one in either tail, as on the fast route.
+        data = gen_gaussian_r(600, 1, RandomStream(4))
+        value_idx = np.argsort(data.x[:, 0])[[300, 2, 597]]
+        rest = np.setdiff1d(np.arange(600), value_idx)
+        split = (value_idx, rest[:100], rest[100:])
+        config = small_config(task="density", method="baseline", n_value_points=3, m=20,
+                              baseline_draws=2000)
+        _, values, errs = value_points(data, config, RandomStream(1), *split)
+
+        background = data.x[split[2]]
+        kernel = KernelSpec("gaussian", select_bandwidth(background, config.bandwidth_grid), 1)
+        rows = RandomStream(1).substream(experiments._STREAM_EVAL_POINTS).generator.integers(
+            0, len(background), size=experiments._DENSITY_EVAL_POINTS)
+        utility = DensityUtility(kernel, background[rows])
+        loop = [dshapley_mc_baseline(x, background, utility, m=20, max_draws=2000,
+                                     rng=RandomStream(1).substream(i))
+                for i, x in enumerate(data.x[value_idx])]
+        assert values.tobytes() == np.array([e.value for e in loop]).tobytes()
+        assert errs.tobytes() == np.array([e.std_error for e in loop]).tobytes()
+        _, fast, _ = value_points(data, small_config(task="density", n_value_points=3, m=20),
+                                  RandomStream(1), *split)
+        assert values[0] > values[1:].max() and fast[0] > fast[1:].max()
 
     def test_bounds_method(self):
         data = gen_gaussian_r(800, 4, RandomStream(3))

@@ -1,19 +1,34 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distshap import (
+    DensityUtility,
+    DensityValueRequest,
     InvalidParameterError,
+    KernelSpec,
+    PointQuery,
     RandomStream,
     RankDeficiencyError,
+    RegressionEnvironment,
     SingularMatrixError,
     SpdMatrix,
+    dshapley_density,
+    dshapley_regression_bounds,
+    dshapley_regression_quadrature,
     estimate_second_moment,
     inv_logit,
+    kde_evaluate,
     mahalanobis_sq,
+    prefix_utilities,
     spd_inverse,
 )
+from distshap import numerics
+from distshap.density import _gaussian_loo_scores
 
 
 class TestRandomStream:
@@ -143,3 +158,100 @@ class TestInvLogit:
         out = inv_logit(np.array([-1.0, 0.0, 1.0]))
         assert out.shape == (3,)
         assert out[1] == 0.5
+
+
+class TestBlocks:
+    def test_blocks_cut_in_order_under_each_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", 30)
+        monkeypatch.setattr(numerics, "_CACHE_FLOATS", 12)
+        assert list(numerics.blocks(25, 7)) == [slice(0, 4), slice(4, 8), slice(8, 12),
+                                                slice(12, 16), slice(16, 20), slice(20, 24),
+                                                slice(24, 28)]
+        assert list(numerics.blocks(7, 5, cache=True)) == [slice(0, 2), slice(2, 4),
+                                                           slice(4, 6), slice(6, 8)]
+        # a row wider than the budget, or of no floats, is still a block
+        assert list(numerics.blocks(2, 100)) == [slice(0, 1), slice(1, 2)]
+        assert list(numerics.blocks(3, 0, cache=True)) == [slice(0, 12)]
+        assert list(numerics.blocks(0, 5)) == []
+
+    def test_runs_take_the_most_entries_that_fit(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", 12)
+        cost = np.array([1, 2, 2, 3, 5, 13, 13])
+        # counts times last costs: 1, 4, 6, 12 | 5 | 13 | 13
+        assert list(numerics.runs(cost)) == [slice(0, 4), slice(4, 5), slice(5, 6), slice(6, 7)]
+        assert list(numerics.runs(cost, 26)) == [slice(0, 5), slice(5, 7)]
+        assert list(numerics.runs(cost[:0])) == []
+
+    def test_runs_match_a_plain_loop(self):
+        gen = np.random.default_rng(3)
+        for _ in range(50):
+            cost = np.sort(gen.integers(1, 40, size=gen.integers(1, 30)))
+            budget = int(gen.integers(1, 200))
+            cuts, start = [], 0
+            while start < cost.size:
+                end = start + 1
+                while end < cost.size and (end + 1 - start) * cost[end] <= budget:
+                    end += 1
+                cuts.append(slice(start, end))
+                start = end
+            assert list(numerics.runs(cost, budget)) == cuts
+
+
+
+# case: the budget its blocks obey and the value the case sets it to (None keeps the
+# default). Unblocked, the quadrature's (points, nodes) table of 20,000 points held 44 times
+# its bound and the envelope's (points, sizes) table more; the kernel means would hold 146
+# budgets and LSCV 549, the stack of 300 sets held 41 in one chunk, and a 600-row set's
+# pairs, 5.5 budgets, held ~17 in one block.
+GUARDS = {"quadrature": ("_CACHE_FLOATS", None), "envelope": ("_CACHE_FLOATS", None),
+          "kernel-means": ("_BLOCK_FLOATS", 1 << 12), "density-sets": ("_BLOCK_FLOATS", 1 << 12),
+          "density-stack": ("_BLOCK_FLOATS", 1 << 12), "lscv": ("_BLOCK_FLOATS", 1 << 12),
+          "pairs-one-prefix": ("_BLOCK_FLOATS", None), "pairs-every-prefix": ("_BLOCK_FLOATS", None)}
+
+
+def _guarded_call(case):
+    """The case's call, its inputs made outside the traced region, and the floats it holds
+    a point besides its blocks."""
+    if case in ("quadrature", "envelope"):
+        points = 20_000
+        gen = np.random.default_rng(6)
+        query = PointQuery(x_star=np.zeros((points, 2)), y_star=np.zeros(points),
+                           e2=gen.exponential(size=points), d=gen.exponential(size=points))
+        env = RegressionEnvironment(p=2, m=1000, q=5, gamma=0.0, sigma2=1.0,
+                                    beta_hat=np.zeros(2), sigma_inv=SpdMatrix(np.eye(2)))
+        route = dshapley_regression_quadrature if case == "quadrature" else dshapley_regression_bounds
+        return partial(route, query, env), points
+    if case.startswith("pairs"):
+        gen = np.random.default_rng(11)
+        pool, evals = gen.standard_normal((600, 3)), gen.standard_normal((40, 3))
+        utility = DensityUtility(KernelSpec("gaussian", 0.6, 3), evals, constant=0.3)
+        prefix_utilities(pool, np.arange(5)[None], [5], utility)  # first-call allocations
+        sizes = [600] if case == "pairs-one-prefix" else np.arange(1, 601)
+        return partial(prefix_utilities, pool, np.arange(600)[None], sizes, utility), 0
+    gen = RandomStream(18).generator
+    pts = gen.standard_normal((1500, 10))
+    sets, stack = gen.standard_normal((2, 400, 10)), gen.standard_normal((300, 4, 10))
+    kern = KernelSpec("gaussian", 1.0, 10)
+    return {"kernel-means": partial(kde_evaluate, pts, kern, pts[:40]),
+            "density-sets": partial(dshapley_density, DensityValueRequest(sets, m=50), pts[:300],
+                                    kern, RandomStream(0)),
+            "density-stack": partial(dshapley_density, DensityValueRequest(stack, m=50), pts,
+                                     kern, RandomStream(0)),
+            "lscv": partial(_gaussian_loo_scores, pts, [0.01, 0.1, 1.0])}[case], 0
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_bounded_kernel_peak_stays_within_budgets(case, monkeypatch):
+    """The peak-memory guard: each bounded kernel holds a few arrays of its budget's floats,
+    however many points, rows, sets or pairs it values, besides a few floats a point."""
+    budget, value = GUARDS[case]
+    if value is not None:
+        monkeypatch.setattr(numerics, budget, value)
+    call, points = _guarded_call(case)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * (getattr(numerics, budget) + points)  # eight such arrays of floats

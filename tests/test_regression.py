@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +19,11 @@ from distshap import (
     dshapley_regression_general_mc,
     dshapley_regression_quadrature,
     fit_background,
+    mahalanobis_sq,
     make_gaussian_sampler,
+    spd_inverse,
 )
-from distshap import regression
+from distshap import numerics
 from distshap.estimates import ValueEstimate
 from distshap.regression import _first_stable_index, analytic_utility_constant, normalization_shift
 
@@ -331,31 +332,14 @@ class TestQuadrature:
                                     sigma_inv=SpdMatrix(np.diag([1.0, 2.0, 0.5])))
         xs = np.vstack([np.zeros(3), 3.0 * gen.standard_normal((40, 3))])
         ys = gen.standard_normal(41)
-        for block_floats in (regression._BLOCK_FLOATS, 7 * 321):
-            monkeypatch.setattr(regression, "_BLOCK_FLOATS", block_floats)
+        for block_floats in (numerics._CACHE_FLOATS, 7 * 321):
+            monkeypatch.setattr(numerics, "_CACHE_FLOATS", block_floats)
             batch = dshapley_regression_quadrature(PointQuery.from_point(xs, ys, env), env)
             assert batch.value.shape == batch.std_error.shape == (41,)
             for i, (x, y) in enumerate(zip(xs, ys)):
                 one = dshapley_regression_quadrature(PointQuery.from_point(x, y, env), env)
                 assert isinstance(one.value, float)
                 assert (one.value, one.std_error) == (batch.value[i], batch.std_error[i])
-
-    def test_blocks_stay_within_a_multiple_of_the_budget(self):
-        # The peak-memory guard: a block of points holds a few (points, nodes) arrays of
-        # _BLOCK_FLOATS floats, and the batch a few arrays of one float a point. One
-        # (points, nodes) table of 20,000 points held 44 times this bound.
-        points = 20_000
-        gen = np.random.default_rng(6)
-        query = PointQuery(x_star=np.zeros((points, 2)), y_star=np.zeros(points),
-                           e2=gen.exponential(size=points), d=gen.exponential(size=points))
-        env = make_env(m=1000, q=5)
-        tracemalloc.start()
-        try:
-            dshapley_regression_quadrature(query, env)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 8 * (regression._BLOCK_FLOATS + points)  # eight such arrays
 
     def test_empty_sum_below_gate(self):
         env = make_env(m=4, q=5)
@@ -404,7 +388,9 @@ class TestNonFiniteParameters:
         (lambda: MCControls(max_inner=np.nan), "max_inner"),
         (lambda: ValueEstimate(value=1.0, std_error=np.nan), "std_error"),
         (lambda: ValueEstimate(value=np.ones(2), std_error=np.array([0.1, np.nan])), "std_error"),
-    ], ids=["max_inner-nan", "std_error-nan", "std_error-nan-in-a-batch"])
+        (lambda: make_env(m=np.nan), "horizon m"),
+        (lambda: make_env(q=np.nan), "gate q"),
+    ], ids=["max_inner-nan", "std_error-nan", "std_error-nan-in-a-batch", "m-nan", "q-nan"])
     def test_nan_fails_the_estimate_checks(self, build, name):
         with pytest.raises(InvalidParameterError, match=name):
             build()
@@ -543,12 +529,51 @@ class TestGeneralMC:
         b = dshapley_regression_general_mc(query, env, sampler, 500, RandomStream(4))
         assert a.value == b.value and a.std_error == b.std_error
 
+    @pytest.mark.parametrize("gamma, skipped", [(0.7, 0), (0.0, 2)])
+    def test_matches_a_per_size_loop(self, gamma, skipped):
+        # At gamma > 0 every size is valued through the ridge term; at gamma = 0 the sizes
+        # k = 1, 2 below p = 3 cannot be inverted and record 0 draws. Size j draws its
+        # designs from substream j, here one design at a time.
+        p, m, q, n_outer, s2, e2 = 3, 9, 2, 40, 0.8, 1.3
+        sigma_x = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.5]])
+        env = RegressionEnvironment(p=p, m=m, q=q, gamma=gamma, sigma2=s2, beta_hat=np.zeros(p),
+                                    sigma_inv=spd_inverse(SpdMatrix(sigma_x)))
+        x = np.array([0.4, -1.1, 0.7])
+        query = PointQuery(x_star=x, y_star=0.0, e2=e2, d=mahalanobis_sq(x, env.sigma_inv))
+        sampler = make_gaussian_sampler(SpdMatrix(sigma_x))
+        est = dshapley_regression_general_mc(query, env, sampler, n_outer, RandomStream(5))
+        total = var = 0.0
+        used = []
+        for j in range(q, m + 1):
+            k = j - 1
+            if gamma == 0.0 and k < p:
+                used.append(0)
+                continue
+            designs = sampler(n_outer * k, RandomStream(5).substream(j)).reshape(n_outer, k, p)
+            terms = []
+            for design in designs:
+                u = np.linalg.solve(design.T @ design + gamma * np.eye(p), x)
+                lev = u @ x
+                terms.append(u @ sigma_x @ u * ((2.0 + lev) * s2 - e2) / (1.0 + lev) ** 2)
+            total += np.mean(terms)
+            var += np.var(terms, ddof=1) / n_outer
+            used.append(n_outer)
+        assert est.inner_iters_used == used and used.count(0) == skipped
+        assert est.value == pytest.approx(total / m, rel=1e-12)
+        assert est.std_error == pytest.approx(np.sqrt(var) / m, rel=1e-12)
+
 
 class TestNormalizationConstants:
     def test_shift_matches_plain_sum(self):
         env = make_env(p=2, m=12, q=5, sigma2=2.0)
         total = sum(Fraction(s - 1, (s - 2) * (s - 3)) for s in range(4, 12))
         assert normalization_shift(env) == pytest.approx(2.0 * float(total) / 12.0, rel=1e-12)
+
+    def test_shift_is_zero_below_the_gate(self):
+        # a horizon below the gate admits no size: the sum is empty
+        env = make_env(p=2, m=4, q=5, sigma2=2.0)
+        assert normalization_shift(env) == 0.0
+        assert analytic_utility_constant(env) == 2.0 * (1.0 + 2.0 / (5 - 2 - 2))
 
     def test_analytic_constant_decomposition(self):
         env = make_env(p=2, m=12, q=5, sigma2=1.0)
