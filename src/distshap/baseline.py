@@ -30,7 +30,7 @@ from .errors import (
     UtilityEvaluationError,
 )
 from .estimates import ValueEstimate
-from .numerics import RandomStream, SpdMatrix, blocks, runs, solve_each
+from .numerics import RandomStream, SpdMatrix, blocks, check_count, runs, solve_each
 
 __all__ = [
     "RegressionUtility",
@@ -50,11 +50,6 @@ _ROWS_PER_BLOCK = 8192  # baseline draws per stack times their widest padded set
 _SETS_PER_BLOCK = 4096  # subsets per stack of the exact enumeration
 
 
-def _check_gate(gate: int) -> None:
-    if not gate >= 1:  # NaN fails too
-        raise InvalidParameterError("gate must be at least 1")
-
-
 @dataclass(frozen=True)
 class RegressionUtility:
     """``constant`` minus the risk of a subset's fit at ridge ``gamma``, zero below ``gate``
@@ -71,7 +66,7 @@ class RegressionUtility:
     sigma2: float | None = None
 
     def __post_init__(self):
-        _check_gate(self.gate)
+        check_count(self.gate, 1, "gate")
         heldout = [part is not None for part in (self.x_test, self.y_test)]
         truth = [part is not None for part in (self.beta_true, self.sigma_x, self.sigma2)]
         if not ((all(heldout) and not any(truth)) or (all(truth) and not any(heldout))):
@@ -88,7 +83,7 @@ class AccuracyUtility:
     y_test: np.ndarray
 
     def __post_init__(self):
-        _check_gate(self.gate)
+        check_count(self.gate, 1, "gate")
 
 
 @dataclass(frozen=True)
@@ -204,8 +199,22 @@ def _density_utilities(pool, index, sets, sizes, utility: DensityUtility):
     return utility.constant - (pair[sets, sizes - 1] / sizes ** 2 - 2.0 * cross / sizes)
 
 
+def _callable_utilities(pool, index, sets, sizes, utility):
+    """A plain callable on each prefix's gathered rows, in order; NaN where it fails."""
+    out = np.full(sets.size, np.nan)
+    for at, (i, k) in enumerate(zip(sets, sizes)):
+        with suppress(UtilityEvaluationError):  # a failure stays NaN
+            out[at] = utility(_take(pool, index[i, :k]))
+    return out
+
+
 _FAMILIES = {RegressionUtility: _regression_utilities, AccuracyUtility: _accuracy_utilities,
              DensityUtility: _density_utilities}
+
+
+def _gate(utility) -> int:
+    """A family's gate; a plain callable's is 1."""
+    return utility.gate if type(utility) in _FAMILIES else 1
 
 
 def prefix_utilities(pool, index, sizes, utility) -> np.ndarray:
@@ -213,10 +222,12 @@ def prefix_utilities(pool, index, sizes, utility) -> np.ndarray:
 
     ``pool`` is an (x, y) pair of (N, p) and (N,) arrays, or (N, dim) points ((N,) in one
     dimension); ``index`` is a (b, s) table of pool rows, a set to a row; ``sizes`` is a (b, n)
-    table of prefix sizes, or one (n,) row for every set. Entry (i, j) is ``utility`` (one of
-    the three families) of rows ``index[i, :sizes[i, j]]``: 0 below the gate, NaN where it
-    cannot be fitted, and not dependent on the other entries or the rows past it. Each family
-    gathers what it reads."""
+    table of prefix sizes, or one (n,) row for every set. Entry (i, j) is ``utility`` of rows
+    ``index[i, :sizes[i, j]]``: 0 below the gate, NaN where it cannot be fitted, and not
+    dependent on the other entries or the rows past it. ``utility`` is one of the three
+    families, which gathers what it reads, or a plain callable on the rows, called once per
+    set and nonzero size in row-major order, with gate 1 and NaN where it raises
+    ``UtilityEvaluationError``."""
     index, sizes = np.asarray(index, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
     n, s = _data_len(pool), index.shape[1]
     bad = index[(index < 0) | (index >= n)]
@@ -226,9 +237,10 @@ def prefix_utilities(pool, index, sizes, utility) -> np.ndarray:
         raise InvalidParameterError(f"prefix sizes must lie in 0..{s}, got {sizes.tolist()}")
     table = np.broadcast_to(sizes, (len(index), sizes.shape[-1]))
     out = np.zeros(table.shape)
-    sets, fit = np.nonzero(table >= utility.gate)
+    sets, fit = np.nonzero(table >= _gate(utility))
     if sets.size:
-        out[sets, fit] = _FAMILIES[type(utility)](pool, index, sets, table[sets, fit], utility)
+        family = _FAMILIES.get(type(utility), _callable_utilities)
+        out[sets, fit] = family(pool, index, sets, table[sets, fit], utility)
     return out
 
 
@@ -277,7 +289,7 @@ def exact_data_shapley(data, utility) -> ExactShapleyResult:
     for start in range(1, 1 << n, _SETS_PER_BLOCK):  # each set's members first, ascending
         block = masks[start:start + _SETS_PER_BLOCK]
         idx = np.argsort(1 - ((block[:, None] >> np.arange(n)) & 1), axis=1, kind="stable")
-        util[block] = _set_utilities(data, idx, sizes[block, None], utility)[:, 0]
+        util[block] = prefix_utilities(data, idx, sizes[block, None], utility)[:, 0]
     failed = np.flatnonzero(np.isnan(util))
     if failed.size:
         raise UtilityEvaluationError("the subset cannot be fitted", subset_size=int(sizes[failed[0]]))
@@ -299,18 +311,6 @@ def _rows(data, z_star):
     return np.concatenate([np.asarray(data, dtype=float), np.reshape(z_star, (1,) + np.shape(data)[1:])])
 
 
-def _set_utilities(pool, index, sizes, utility) -> np.ndarray:
-    """``prefix_utilities`` for a utility family; a plain callable is called once per
-    set and nonempty size, on the gathered rows, and is NaN where it fails."""
-    if type(utility) in _FAMILIES:
-        return prefix_utilities(pool, index, sizes, utility)
-    out = np.full((len(index), np.shape(sizes)[-1]), np.nan)
-    for (i, j), k in np.ndenumerate(np.broadcast_to(sizes, out.shape)):
-        with suppress(UtilityEvaluationError):  # a failure stays NaN
-            out[i, j] = utility(_take(pool, index[i, :k])) if k else 0.0
-    return out
-
-
 def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
                          rng: RandomStream) -> ValueEstimate:
     """Slow sampled estimate of the distributional value of one datum.
@@ -327,9 +327,9 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     ``failed_draws`` and left out of the mean. Raises ``BaselineFailureError`` once 20 or more
     evaluated draws, in draw order, are more than half failures, or if more than half fail.
     """
-    if m < 1 or max_draws < 1:
-        raise InvalidParameterError("m and max_draws must be at least 1")
-    gate = utility.gate if type(utility) in _FAMILIES else 1
+    check_count(m, 1, "m")
+    check_count(max_draws, 1, "max_draws")
+    gate = _gate(utility)
     sizes, delta = rng.generator.integers(1, m + 1, size=max_draws), np.zeros(max_draws)
     drawn = np.where(sizes >= gate, sizes - 1, 0)  # below the gate: no rows, both utilities zero
     starts = np.cumsum(drawn) - drawn  # where each draw's rows begin in the index
@@ -351,7 +351,7 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
         cols = np.arange(sizes[at].max())  # each set's rows, padded with z_star
         idx = index[np.where(cols < drawn[at, None], starts[at, None] + cols, -1)]
         table = np.column_stack([drawn[at], drawn[at] + 1])  # each set without, then with z_star
-        delta[at] = np.diff(_set_utilities(pool, idx, table, utility))[:, 0]
+        delta[at] = np.diff(prefix_utilities(pool, idx, table, utility))[:, 0]
 
     failed = np.isnan(delta)
     evaluated, failures = np.cumsum(sizes >= gate), np.cumsum(failed)

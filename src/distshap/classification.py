@@ -23,7 +23,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .estimates import BoundsResult
-from .numerics import SpdMatrix, estimate_second_moment, in_shape, inv_logit, mahalanobis_sq, solve_each
+from .numerics import SpdMatrix, check_count, estimate_second_moment, in_shape, inv_logit, mahalanobis_sq, solve_each
 from .regression import _check_q, _envelope_bounds
 
 __all__ = [
@@ -137,6 +137,7 @@ def irls_fit(x, y, tol: float = 1e-8, max_iter: int = 100) -> IRLSState:
     exist); the returned state then has ``converged=False`` and a growing
     coefficient norm. This is the IRLS loop on a stack of one subset.
     """
+    check_count(max_iter, 1, "max_iter")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, p = x.shape
@@ -212,7 +213,6 @@ def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int, *,
     alone and leaves the other None.
     """
     p = query.x_star.shape[-1]
-    if m < 1:
-        raise InvalidParameterError("valuation horizon m must be at least 1")
+    check_count(m, 1, "valuation horizon m")
     _check_q(q, p, "the binary bounds")
     return _envelope_bounds(query.d_tilde, query.e2_b, sigma2=1.0, m=m, q=q, p=p, side=_side)

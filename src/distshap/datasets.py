@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvParseError, InvalidParameterError
-from .numerics import RandomStream, inv_logit
+from .numerics import RandomStream, check_count, inv_logit
 
 __all__ = [
     "Dataset",
@@ -44,8 +44,8 @@ def gen_gaussian_r(m: int, p: int, rng: RandomStream) -> Dataset:
     Coefficients are drawn once per dataset from a standard normal and
     recorded so analytic utilities can use the truth.
     """
-    if m < 1 or p < 1:
-        raise InvalidParameterError("m and p must be at least 1")
+    check_count(m, 1, "m")
+    check_count(p, 1, "p")
     gen = rng.generator
     beta = gen.standard_normal(p)
     x = gen.standard_normal((m, p))
@@ -55,8 +55,7 @@ def gen_gaussian_r(m: int, p: int, rng: RandomStream) -> Dataset:
 
 def gen_gaussian_c(m: int, rng: RandomStream) -> Dataset:
     """Binary labels from a logistic model on three standard normal inputs."""
-    if m < 1:
-        raise InvalidParameterError("m must be at least 1")
+    check_count(m, 1, "m")
     gen = rng.generator
     beta = np.array([2.0, 0.0, 0.0])
     x = gen.standard_normal((m, 3))
@@ -69,8 +68,8 @@ def gen_mixture_c(m: int, p: int, rng: RandomStream) -> Dataset:
 
     Used by the timing benchmark, where the classification dimension varies.
     """
-    if m < 1 or p < 1:
-        raise InvalidParameterError("m and p must be at least 1")
+    check_count(m, 1, "m")
+    check_count(p, 1, "p")
     gen = rng.generator
     y = (gen.uniform(size=m) < 0.5).astype(float)
     x = gen.standard_normal((m, p))
@@ -175,6 +174,8 @@ def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
                 f"target index {target_idx} outside the {width} columns")
         target_idx %= width
 
+    if width == 1:
+        raise InvalidParameterError(f"{path}: the target column leaves no feature column")
     y = values[:, target_idx]
     x = np.delete(values, target_idx, axis=1)
     return Dataset(x=x, y=y)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BandwidthSelectionError, InvalidParameterError
 from .estimates import ValueEstimate
-from .numerics import LOG_TINY, RandomStream, blocks, exp_or_zero, in_shape
+from .numerics import LOG_TINY, RandomStream, blocks, check_count, exp_or_zero, in_shape
 
 __all__ = [
     "KernelSpec",
@@ -50,8 +50,7 @@ class KernelSpec:
             raise InvalidParameterError(f"unknown kernel family {self.family!r}")
         if not 0.0 < self.bandwidth < np.inf:
             raise InvalidParameterError(f"bandwidth must be finite and positive: {self.bandwidth}")
-        if not self.dim >= 1:  # NaN fails too
-            raise InvalidParameterError("dimension must be at least 1")
+        check_count(self.dim, 1, "dimension")
 
     def evaluate(self, diff) -> np.ndarray:
         """Kernel value at the given displacement(s), shape (..., dim)."""
@@ -103,8 +102,7 @@ class DensityValueRequest:
             raise InvalidParameterError("s_star must be a nonempty (n, dim) set or (k, n, dim) stack")
         if not np.isfinite(self.s_star).all():
             raise InvalidParameterError("s_star must be finite")
-        if not self.m >= 1:  # NaN fails too
-            raise InvalidParameterError("m must be at least 1")
+        check_count(self.m, 1, "m")
 
 
 @dataclass(frozen=True)
@@ -232,19 +230,17 @@ def select_bandwidth(samples, grid) -> float:
 
 def coeff_A(n: int, m: int) -> float:
     """``(1/m) * sum_{j=1}^{m} n^2 / (j + n - 1)^2``."""
-    if n < 1 or m < 1:
-        raise InvalidParameterError("n and m must be at least 1")
+    check_count(n, 1, "n")
+    check_count(m, 1, "m")
     j = np.arange(1, m + 1, dtype=float)
     return float(np.sum(n ** 2 / (j + n - 1.0) ** 2) / m)
 
 
 def coeff_B(n: int, m: int) -> float:
     """``(1/m) * sum_{j=2}^{m} 2 n (j - 1) / (j + n - 1)^2``."""
-    if n < 1 or m < 1:
-        raise InvalidParameterError("n and m must be at least 1")
+    check_count(n, 1, "n")
+    check_count(m, 1, "m")
     j = np.arange(2, m + 1, dtype=float)
-    if j.size == 0:
-        return 0.0
     return float(np.sum(2.0 * n * (j - 1.0) / (j + n - 1.0) ** 2) / m)
 
 
@@ -315,6 +311,8 @@ def _h2_term(n: int, s: int, h: float) -> float:
 
 
 def _c0(n: int, m: int, h: float, c_den: float) -> float:
+    if not np.isfinite(c_den):
+        raise InvalidParameterError(f"C_den must be finite, got {c_den}")
     total = sum(_h2_term(n, j - 1, h) for j in range(2, m + 1))
     return c_den / m + total / m
 
@@ -365,10 +363,7 @@ def synergy_scan(h_grid, m: int = 100, C_den: float = 0.2, n_draws: int = 5000,
         raise InvalidParameterError("bandwidth grid must be nonempty")
     if any(not (0.0 < h < 1.0) for h in grid):
         raise InvalidParameterError("bandwidths must lie in (0, 1)")
-    if n_draws < 1:
-        raise InvalidParameterError("n_draws must be at least 1")
-    if not np.isfinite(C_den):
-        raise InvalidParameterError(f"C_den must be finite, got {C_den}")
+    check_count(n_draws, 1, "n_draws")
     if rng is None:
         rng = RandomStream(0)
     records = []

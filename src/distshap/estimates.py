@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
+from .numerics import check_count
 
 __all__ = ["MCControls", "ValueEstimate", "BoundsResult"]
 
@@ -25,8 +26,7 @@ class MCControls:
     rho2: float = 0.005
 
     def __post_init__(self):
-        if not self.max_inner >= 1:  # NaN fails too
-            raise InvalidParameterError("max_inner must be at least 1")
+        check_count(self.max_inner, 1, "max_inner")
         for name in ("rho1", "rho2"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):

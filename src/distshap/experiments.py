@@ -38,7 +38,7 @@ from .density import (
     select_bandwidth,
 )
 from .errors import InvalidParameterError
-from .numerics import RandomStream, spd_inverse
+from .numerics import RandomStream, check_count, spd_inverse
 from .regression import (
     PointQuery,
     dshapley_regression_bounds,
@@ -101,12 +101,8 @@ class ExperimentConfig:
             raise InvalidParameterError(f"gamma must be finite, got {self.gamma}")
         if self.bound_side not in ("lower", "upper"):
             raise InvalidParameterError("bound_side must be lower or upper")
-        if not self.n_value_points >= 1:  # NaN fails these checks too
-            raise InvalidParameterError("n_value_points must be at least 1")
-        if not self.repetitions >= 1:
-            raise InvalidParameterError("repetitions must be at least 1")
-        if not (self.heldout_size >= 0 and self.background_size >= 1):
-            raise InvalidParameterError("heldout_size must be nonnegative and background_size positive")
+        for name, floor in (("n_value_points", 1), ("repetitions", 1), ("heldout_size", 0), ("background_size", 1)):
+            check_count(getattr(self, name), floor, name)
 
     def resolved_q(self, p: int) -> int:
         return self.q if self.q is not None else p + 3
@@ -326,8 +322,8 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
     """
     if not grid:
         raise InvalidParameterError("the benchmark grid must be nonempty")
-    if repetitions < 1 or baseline_points < 1:
-        raise InvalidParameterError("repetitions and baseline_points must be at least 1")
+    check_count(repetitions, 1, "repetitions")
+    check_count(baseline_points, 1, "baseline_points")
     if not tasks or any(task not in _TASKS for task in tasks):
         raise InvalidParameterError(f"tasks must be a nonempty list from {_TASKS}, got {tasks}")
     rows = []

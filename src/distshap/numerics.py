@@ -1,4 +1,4 @@
-"""Seedable randomness, SPD linear algebra and the block rule shared by every estimator.
+"""Seedable randomness, SPD linear algebra, and the block and count rules shared by every estimator.
 
 All operations here are pure given their inputs. Parallel Monte-Carlo work
 should be partitioned by stream so results do not depend on scheduling.
@@ -155,6 +155,14 @@ def mahalanobis_sq(x, sigma_inv: SpdMatrix):
         )
     return in_shape(np.maximum(np.einsum("...i,ij,...j->...", x, sigma_inv.values, x), 0.0),
                     x.shape[:-1])
+
+
+def check_count(value, minimum, name: str) -> None:
+    """The one rule for a count (a horizon, a gate, a size, a number of draws): raise
+    ``InvalidParameterError`` naming it unless ``minimum <= value < inf``, so NaN and
+    infinity fail with the rest. No integrality is required."""
+    if not minimum <= value < np.inf:
+        raise InvalidParameterError(f"{name} must be at least {minimum}, got {value!r}")
 
 
 # Floats one block of a bounded kernel may hold, read at each call: _BLOCK_FLOATS bounds

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError, SingularMatrixError
 from .estimates import BoundsResult, MCControls, ValueEstimate
-from .numerics import RandomStream, SpdMatrix, blocks, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
+from .numerics import RandomStream, SpdMatrix, blocks, check_count, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
 
 __all__ = [
     "RegressionEnvironment",
@@ -70,10 +70,9 @@ class RegressionEnvironment:
     sigma_inv: SpdMatrix
 
     def __post_init__(self):
-        if not self.m >= 1:  # NaN fails too
-            raise InvalidParameterError("valuation horizon m must be at least 1")
-        if not self.q >= 2:
-            raise InvalidParameterError("utility gate q must be at least 2")
+        check_count(self.p, 1, "dimension p")
+        check_count(self.m, 1, "valuation horizon m")
+        check_count(self.q, 2, "utility gate q")
         if not 0.0 <= self.gamma < np.inf:
             raise InvalidParameterError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if not 0.0 <= self.sigma2 < np.inf:
@@ -148,16 +147,26 @@ def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0) -> RegressionEnv
 def _check_q(q: int, p: int, route: str) -> None:
     """The chi-squared forms need ``q >= p + 3``: below it the smallest admitted size
     divides by zero or flips a sign."""
-    if q < p + 3:
-        raise InvalidParameterError(f"{route}: q >= p + 3 is required, got q={q}, p={p}")
+    check_count(q, p + 3, f"{route}: the gate q (q >= p + 3 is required, got q={q}, p={p})")
 
 
-def _empty_sum_estimate(m, q, shape) -> ValueEstimate:
+def _empty_sum_estimate(m, q, shape, stacklevel: int = 3) -> ValueEstimate:
     warnings.warn(
         f"valuation horizon m={m} is below the utility gate q={q}; "
-        "the value is an empty sum and exactly 0", stacklevel=3)
-    return ValueEstimate(value=in_shape(np.zeros(shape), shape),
-                         std_error=in_shape(np.zeros(shape), shape), inner_iters_used=[], truncated_at_j=None)
+        "the value is an empty sum and exactly 0", stacklevel=stacklevel)
+    return ValueEstimate(value=in_shape(np.zeros(shape), shape), std_error=in_shape(np.zeros(shape), shape))
+
+
+def _gaussian_sizes(env: RegressionEnvironment, route: str, shape):
+    """(empty, sizes, weights, dofs) of the Gaussian closed form's routes, which need gamma = 0
+    and q >= p + 3: the sizes ``j = q-1 .. m-1`` with weights ``(j-1)/(j-p)`` and chi-squared
+    degrees of freedom ``j-p+1``, and when ``m < q``, ``empty``, the empty sum's estimate."""
+    if env.gamma != 0.0:
+        raise InvalidParameterError(f"{route} requires gamma = 0")
+    _check_q(env.q, env.p, route)
+    js = np.arange(env.q - 1, env.m, dtype=float)
+    empty = _empty_sum_estimate(env.m, env.q, shape, stacklevel=4) if env.m < env.q else None
+    return empty, js, (js - 1.0) / (js - env.p), js - env.p + 1.0
 
 
 def _first_stable_index(running: np.ndarray, rho: float,
@@ -204,17 +213,13 @@ def dshapley_regression_quadrature(query: PointQuery, env: RegressionEnvironment
     warning) when the horizon sits below the gate. The value and ``std_error``
     take the shape of ``query.d``; no point's bits depend on the batch.
     """
-    if env.gamma != 0.0:
-        raise InvalidParameterError("the quadrature route requires gamma = 0")
-    _check_q(env.q, env.p, "the quadrature route")
     shape = np.shape(query.d)
-    if env.m < env.q:
-        return _empty_sum_estimate(env.m, env.q, shape)
+    empty, js, coef, dfs = _gaussian_sizes(env, "the quadrature route", shape)
+    if empty is not None:
+        return empty
     d, e2 = np.atleast_1d(query.d).astype(float), np.atleast_1d(query.e2).astype(float)
 
-    js = np.arange(env.q - 1, env.m, dtype=float)
-    coef = (js - 1.0) / (js - env.p)
-    half_dfs = (js - env.p + 1.0) / 2.0
+    half_dfs = dfs / 2.0
     log_base = np.log1p(2.0 * _QUAD_U)
     g = np.zeros(_QUAD_U.size)
     for start in range(0, js.size, _TABLE_SIZES):
@@ -252,16 +257,11 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
     ``truncated_at_j`` is the subset size at which the outer stop fired.
     """
     mc = mc if mc is not None else MCControls()
-    if env.gamma != 0.0:
-        raise InvalidParameterError("the exact route requires gamma = 0")
-    _check_q(env.q, env.p, "the exact route")
-    if env.m < env.q:
-        return _empty_sum_estimate(env.m, env.q, ())
+    empty, js, coef, dfs = _gaussian_sizes(env, "the exact route", ())
+    if empty is not None:
+        return empty
 
     d, e2, s2 = query.d, query.e2, env.sigma2
-    js = np.arange(env.q - 1, env.m)
-    dfs = (js - env.p + 1).astype(float)
-    coef = (js - 1.0) / (js - env.p)
     sums, sqsums, counts = np.zeros(js.size), np.zeros(js.size), np.zeros(js.size, dtype=int)
     means = np.full(js.size, np.nan)  # running means; NaN before a size's first block
     done = np.zeros(js.size, dtype=bool)  # stable, or max_inner draws used
@@ -395,8 +395,7 @@ def dshapley_regression_general_mc(query: PointQuery, env: RegressionEnvironment
     :func:`normalization_shift` for the constant separating it from the
     Gaussian closed form.
     """
-    if n_outer < 1:
-        raise InvalidParameterError("n_outer must be at least 1")
+    check_count(n_outer, 1, "n_outer")
     if env.m < env.q:
         return _empty_sum_estimate(env.m, env.q, ())
 

@@ -176,6 +176,19 @@ class TestErrors:
             assert "InvalidParameterError" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_target_only_data_exit_code(self, tmp_path, capsys):
+        # the target was the only column: this exited 0, one value for every point
+        data = tmp_path / "y.csv"
+        data.write_text("y\n" + "\n".join(f"{y}.0" for y in (1, 2, 3, 4, 5)))
+        out = tmp_path / "o.csv"
+        assert run(["value", "--data", str(data), "--task", "regression", "--target-column", "y",
+                    "--q", "3", "--m", "10", "--n-value-points", "2", "--heldout-size", "0",
+                    "--output", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: InvalidParameterError:")
+        assert "leaves no feature column" in lines[0]
+        assert not out.exists()
+
     def test_density_task_without_target(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("a,b\n" + "\n".join(f"{i * 0.01},{i * 0.02}" for i in range(300)))

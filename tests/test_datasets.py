@@ -110,6 +110,14 @@ class TestLoadCsv:
         assert data.y is None
         assert data.x.shape == (2, 2)
 
+    def test_target_leaving_no_feature_rejected(self, tmp_path):
+        # a design of zero columns valued every point alike
+        path = tmp_path / "y.csv"
+        path.write_text("y\n1.0\n2.0\n")
+        with pytest.raises(InvalidParameterError, match="leaves no feature column"):
+            load_csv(path, target_column="y")
+        assert load_csv(path).x.shape == (2, 1)  # without a target the column is a feature
+
     def test_missing_target(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1.0,2.0\n")

@@ -303,6 +303,12 @@ class TestUniformClosedForm:
         with pytest.raises(InvalidParameterError):
             uniform_closed_form(points, h, 100, 0.2)
 
+    @pytest.mark.parametrize("c_den", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_c_den_rejected(self, c_den):
+        # returned NaN or an infinity while synergy_scan refused the same constant
+        with pytest.raises(InvalidParameterError, match="C_den must be finite"):
+            uniform_closed_form([0.5], 0.2, 10, c_den)
+
 
 class TestDensityEstimator:
     def test_nonfinite_set_rejected(self):

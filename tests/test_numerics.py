@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import partial
 
@@ -27,6 +28,7 @@ from distshap import (
     prefix_utilities,
     spd_inverse,
 )
+import distshap as ds
 from distshap import numerics
 from distshap.density import _gaussian_loo_scores
 
@@ -255,3 +257,82 @@ def test_bounded_kernel_peak_stays_within_budgets(case, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 8 * (getattr(numerics, budget) + points)  # eight such arrays of floats
+
+
+def _env(**changes):
+    return RegressionEnvironment(**{**dict(p=2, m=10, q=5, gamma=0.0, sigma2=1.0, beta_hat=np.zeros(2),
+                                           sigma_inv=SpdMatrix(np.eye(2))), **changes})
+
+
+_BINARY = ds.BinaryPointQuery(x_star=np.zeros(3), y_star=1, pi_star=0.5, w_star=0.25, z_star=2.0,
+                              e2_b=1.0, d_tilde=1.0)
+_POINT = PointQuery(x_star=np.array([1.0, 0.0]), y_star=0.0, e2=1.0, d=1.0)
+_LOGIT_X = np.column_stack([np.ones(8), np.arange(8.0)])
+_LOGIT_Y = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+
+
+def _baseline(**counts):
+    return ds.dshapley_mc_baseline(np.zeros(1), np.zeros((5, 1)), lambda rows: 0.0,
+                                   **{"m": 5, "max_draws": 10, **counts}, rng=RandomStream(0))
+
+
+def _time_bench(**counts):
+    return ds.run_time_bench([(10, 2)], ["regression"], RandomStream(0), **counts)
+
+
+# entry point: (floor, the name its message gives the count, a call with the count set to v)
+COUNTS = {
+    "RegressionEnvironment.p": (1, "dimension p", lambda v: _env(p=v)),
+    "RegressionEnvironment.m": (1, "valuation horizon m", lambda v: _env(m=v)),
+    "RegressionEnvironment.q": (2, "utility gate q", lambda v: _env(q=v)),
+    "dshapley_regression_general_mc.n_outer": (1, "n_outer", lambda v: ds.dshapley_regression_general_mc(
+        _POINT, _env(), ds.make_gaussian_sampler(SpdMatrix(np.eye(2))), v, RandomStream(0))),
+    "MCControls.max_inner": (1, "max_inner", lambda v: ds.MCControls(max_inner=v)),
+    "KernelSpec.dim": (1, "dimension", lambda v: KernelSpec("gaussian", 1.0, v)),
+    "DensityValueRequest.m": (1, "m", lambda v: DensityValueRequest(np.zeros((1, 1)), v)),
+    "coeff_A.n": (1, "n", lambda v: ds.coeff_A(v, 10)),
+    "coeff_A.m": (1, "m", lambda v: ds.coeff_A(2, v)),
+    "coeff_B.n": (1, "n", lambda v: ds.coeff_B(v, 10)),
+    "coeff_B.m": (1, "m", lambda v: ds.coeff_B(2, v)),
+    "synergy_scan.n_draws": (1, "n_draws", lambda v: ds.synergy_scan([0.1], n_draws=v, rng=RandomStream(0))),
+    "synergy_scan.m": (1, "m", lambda v: ds.synergy_scan([0.1], m=v, n_draws=10, rng=RandomStream(0))),
+    "uniform_closed_form.m": (1, "m", lambda v: ds.uniform_closed_form([0.5], 0.2, v, 0.2)),
+    "RegressionUtility.gate": (1, "gate", lambda v: ds.RegressionUtility(v, x_test=np.zeros((1, 2)),
+                                                                         y_test=np.zeros(1))),
+    "AccuracyUtility.gate": (1, "gate", lambda v: ds.AccuracyUtility(v, np.zeros((1, 2)), np.zeros(1))),
+    "dshapley_mc_baseline.m": (1, "m", lambda v: _baseline(m=v)),
+    "dshapley_mc_baseline.max_draws": (1, "max_draws", lambda v: _baseline(max_draws=v)),
+    "dshapley_binary_bounds.m": (1, "valuation horizon m", lambda v: ds.dshapley_binary_bounds(_BINARY, v, 6)),
+    "dshapley_binary_bounds.q": (6, "the binary bounds: the gate q",
+                                 lambda v: ds.dshapley_binary_bounds(_BINARY, 10, v)),
+    "irls_fit.max_iter": (1, "max_iter", lambda v: ds.irls_fit(_LOGIT_X, _LOGIT_Y, max_iter=v)),
+    "ExperimentConfig.n_value_points": (1, "n_value_points",
+                                        lambda v: ds.ExperimentConfig("regression", n_value_points=v)),
+    "ExperimentConfig.repetitions": (1, "repetitions", lambda v: ds.ExperimentConfig("regression", repetitions=v)),
+    "ExperimentConfig.background_size": (1, "background_size",
+                                         lambda v: ds.ExperimentConfig("regression", background_size=v)),
+    "ExperimentConfig.heldout_size": (0, "heldout_size", lambda v: ds.ExperimentConfig("regression", heldout_size=v)),
+    "run_time_bench.repetitions": (1, "repetitions", lambda v: _time_bench(repetitions=v)),
+    "run_time_bench.baseline_points": (1, "baseline_points", lambda v: _time_bench(baseline_points=v)),
+    "gen_gaussian_r.m": (1, "m", lambda v: ds.gen_gaussian_r(v, 2, RandomStream(0))),
+    "gen_gaussian_r.p": (1, "p", lambda v: ds.gen_gaussian_r(10, v, RandomStream(0))),
+    "gen_gaussian_c.m": (1, "m", lambda v: ds.gen_gaussian_c(v, RandomStream(0))),
+    "gen_mixture_c.m": (1, "m", lambda v: ds.gen_mixture_c(v, 2, RandomStream(0))),
+    "gen_mixture_c.p": (1, "p", lambda v: ds.gen_mixture_c(10, v, RandomStream(0))),
+}
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("which", ["nan", "inf", "below"])
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_entry_point_refuses_a_count_naming_it(self, entry, which):
+        floor, name, call = COUNTS[entry]
+        value = {"nan": float("nan"), "inf": float("inf"), "below": floor - 1}[which]
+        # a count the message qualifies, the gate q of the chi-squared forms, carries p in brackets
+        message = rf"^{re.escape(name)}( \(.*\))? must be at least {floor}, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            call(value)
+
+    @pytest.mark.parametrize("value", [1, 2.5, 10 ** 30, np.int64(7)])
+    def test_a_finite_count_at_or_above_its_floor_passes(self, value):
+        numerics.check_count(value, 1, "n")  # no integrality check

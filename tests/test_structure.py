@@ -1,7 +1,8 @@
-"""The block rule lives in one module. ``numerics`` alone defines the float budgets of a
-bounded kernel's blocks and the helpers that cut rows and groups by them, so the decision
+"""The block and count rules live in one module. ``numerics`` alone defines the float budgets
+of a bounded kernel's blocks and the helpers that cut rows and groups by them, so the decision
 cannot fork again. Counts that fix bits (``_GRAM_ROWS``, ``_ROWS_PER_BLOCK``, ...) are not
-float budgets and stay with their kernels."""
+float budgets and stay with their kernels. ``numerics.check_count`` alone decides what a valid
+count is, so no module compares a count against its floor by hand."""
 
 import ast
 import inspect
@@ -60,3 +61,74 @@ def test_the_checks_catch_each_hand_written_rule():
     assert found == ["binds a budget at import, where a patch of numerics cannot reach it",
                      "cuts sorted runs by hand", "defines the float budget _PAIR_ENTRIES",
                      "defines the float budget _SPAN", "works out a block's rows by hand"]
+
+
+_FLOORS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _int_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _tested(test):
+    """The comparisons whose truth an if tests, through ``not``, ``and`` and ``or``; one inside
+    a call (``(sizes < 0).any()``) checks the entries of an array, not a count."""
+    if isinstance(test, ast.Compare):
+        yield test
+    elif isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        yield from _tested(test.operand)
+    elif isinstance(test, ast.BoolOp):
+        for value in test.values:
+            yield from _tested(value)
+
+
+def _count_checks(tree):
+    """Ifs that test a comparison of a parameter (an argument of the enclosing function or a
+    ``self.<field>``) with an integer literal and raise ``InvalidParameterError``. Count floors
+    are integers; a real parameter (a bandwidth, a ridge) is checked against a float like 0.0."""
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        args = func.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs} - {"self"}
+
+        def is_param(node):
+            return ((isinstance(node, ast.Name) and node.id in params)
+                    or (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"))
+
+        for node in ast.walk(func):
+            if not isinstance(node, ast.If):
+                continue
+            raises = any(isinstance(stmt, ast.Raise) and "InvalidParameterError" in ast.unparse(stmt)
+                         for body in node.body for stmt in ast.walk(body))
+            compares = [(a, op, b) for cmp in _tested(node.test)
+                        for a, op, b in zip([cmp.left] + cmp.comparators[:-1], cmp.ops, cmp.comparators)]
+            if raises and any(isinstance(op, _FLOORS) and ((is_param(a) and _int_literal(b))
+                                                          or (_int_literal(a) and is_param(b)))
+                              for a, op, b in compares):
+                yield node
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_only_numerics_checks_counts(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted({f"{path.name}:{node.lineno} {ast.unparse(node.test)}" for node in _count_checks(tree)})
+    assert not found, found
+
+
+def test_the_count_check_catches_each_hand_written_form():
+    source = ("def f(m, n, h, grid):\n"
+              "    if not m >= 1:  # NaN fails too\n        raise InvalidParameterError('m')\n"
+              "    if n < 1 or m < 1:\n        raise InvalidParameterError('n and m')\n"
+              "    if -1 >= n:\n        raise InvalidParameterError('n')\n"
+              "    if not 0.0 < h < np.inf:\n        raise InvalidParameterError('h')\n"
+              "    if n == 0:\n        raise InvalidParameterError('empty')\n"
+              "    if n < 1:\n        raise ValueError('n')\n"
+              "    if any(g < 1 for g in grid):\n        raise InvalidParameterError('grid')\n"
+              "class C:\n    def __post_init__(self):\n"
+              "        if not (self.a >= 0 and self.b >= 1):\n            raise InvalidParameterError('a')\n")
+    found = sorted(node.lineno for node in _count_checks(ast.parse(source)))
+    assert found == [2, 4, 6, 18]
