@@ -4,8 +4,9 @@ A logistic model is fitted by iteratively reweighted least squares; each
 datum is then mapped to its working response and weight, after which the
 weighted point is valued with the sub-Gaussian regression bounds (the
 working-response model has unit conditional variance, so no noise estimate
-is needed). Only the lower bound is recommended for ranking; the upper
-bound is exposed for comparison but ranks poorly in practice.
+is needed); both sides come from one pass, each part at its own eigenvalue
+extreme. Only the lower bound is recommended for ranking; the upper bound
+is exposed for comparison but ranks poorly in practice.
 """
 
 from __future__ import annotations
@@ -202,17 +203,15 @@ def transform_query(x_star, y_star, state: IRLSState, sigma_tilde_inv: SpdMatrix
     return BinaryPointQuery(x_star=x_star, **{k: in_shape(v, shape) for k, v in stats.items()})
 
 
-def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int, *,
-                           _side: str | None = None) -> BoundsResult:
+def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int) -> BoundsResult:
     """Deterministic lower/upper value bounds for a transformed binary datum or batch.
 
     The regression envelope bounds at zero ridge, with the conditional
     variance fixed at 1 by the working-response model, summed over every
-    admitted size; indices with vacuous concentration (deviation >= 1) are
-    skipped and counted. ``_side`` ("lower" or "upper") computes that side
-    alone and leaves the other None.
+    admitted size, both sides at once; indices with vacuous concentration
+    (deviation >= 1) are skipped and counted.
     """
     p = query.x_star.shape[-1]
     check_count(m, 1, "valuation horizon m")
     _check_q(q, p, "the binary bounds")
-    return _envelope_bounds(query.d_tilde, query.e2_b, sigma2=1.0, m=m, q=q, p=p, side=_side)
+    return _envelope_bounds(query.d_tilde, query.e2_b, sigma2=1.0, m=m, q=q, p=p)

@@ -63,8 +63,7 @@ class BoundsResult:
     Iterating yields ``(lower, upper)`` so the result unpacks like a tuple.
     ``skipped_terms`` counts summation indices dropped because the
     concentration deviation reached 1 (the bound is vacuous there). For a
-    batch of points the bounds are arrays. A side the caller did not ask for
-    is None.
+    batch of points the bounds are arrays. Both sides are always computed.
     """
 
     lower: float

@@ -177,8 +177,7 @@ def _regression_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
         return RegressionUtility(env.q, 2.0 * env.sigma2, env.gamma, *held)
 
     if config.method == "bounds":
-        bounds = dshapley_regression_bounds(PointQuery.from_point(xs, ys, env), env,
-                                            _side=config.bound_side)
+        bounds = dshapley_regression_bounds(PointQuery.from_point(xs, ys, env), env)
         return _bound_side(bounds, config.bound_side), utility
     if config.method == "fast":
         est = dshapley_regression_quadrature(PointQuery.from_point(xs, ys, env), env)
@@ -201,8 +200,7 @@ def _classification_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     sigma_tilde_inv = spd_inverse(estimate_weighted_second_moment(bx, state.beta))
     query = transform_query(xs, ys, state, sigma_tilde_inv, clamp_weight=True)
     side = config.bound_side if config.method == "bounds" else "lower"
-    bounds = dshapley_binary_bounds(query, config.m, q, _side=side)
-    return _bound_side(bounds, side), utility
+    return _bound_side(dshapley_binary_bounds(query, config.m, q), side), utility
 
 
 def _density_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
@@ -324,6 +322,7 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
         raise InvalidParameterError("the benchmark grid must be nonempty")
     check_count(repetitions, 1, "repetitions")
     check_count(baseline_points, 1, "baseline_points")
+    check_count(background_size, 1, "background_size")
     if not tasks or any(task not in _TASKS for task in tasks):
         raise InvalidParameterError(f"tasks must be a nonempty list from {_TASKS}, got {tasks}")
     rows = []

@@ -160,9 +160,11 @@ def mahalanobis_sq(x, sigma_inv: SpdMatrix):
 def check_count(value, minimum, name: str) -> None:
     """The one rule for a count (a horizon, a gate, a size, a number of draws): raise
     ``InvalidParameterError`` naming it unless ``minimum <= value < inf``, so NaN and
-    infinity fail with the rest. No integrality is required."""
+    infinity fail with the rest, and unless it is a whole number (``5.0`` is one)."""
     if not minimum <= value < np.inf:
         raise InvalidParameterError(f"{name} must be at least {minimum}, got {value!r}")
+    if value != int(value):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
 # Floats one block of a bounded kernel may hold, read at each call: _BLOCK_FLOATS bounds

@@ -311,20 +311,21 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
 
 
 def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
-                     ridge: tuple = (0.0, 0.0), side: str | None = None) -> BoundsResult:
+                     ridge: tuple = (0.0, 0.0)) -> BoundsResult:
     """Eigenvalue-envelope value bounds, in the shape of ``d``, for ``d`` and ``e2``.
 
-    Each admitted subset size ``j`` carries envelopes for the inverse design
-    Gram matrix, ``1 / (j (1 -+ delta_j)^2 + ridge)``, where ``ridge`` holds
-    ``gamma`` times the extreme eigenvalues of the inverse second moment.
-    Sizes where the concentration deviation ``delta_j = (sqrt(p) +
-    sqrt(log(j m) / 2)) / sqrt(j)`` (sub-Gaussian constants C = c = 1)
-    reaches 1 are skipped and counted, since the bound is vacuous there. Each
-    bound sums every admitted size of ``t a^2 / (1 + t b)^2 ((2 + t a) sigma2
-    - ((1 + t b) / (1 + t a))^2 e2)`` at ``t = d``; the sides differ only in
-    which envelope plays which role, ``(a, b)`` being (lower, upper) for the
-    lower side and (upper, lower) for the upper. ``side`` ("lower" or
-    "upper") computes that side alone and leaves the other None.
+    Each admitted subset size ``j`` carries envelopes ``up, lo = 1 / (j (1 -+
+    delta_j)^2 + ridge)`` for the inverse design Gram matrix, where ``ridge`` holds
+    ``gamma`` times the extreme eigenvalues of the inverse second moment. Sizes
+    where the concentration deviation ``delta_j = (sqrt(p) + sqrt(log(j m) / 2)) /
+    sqrt(j)`` (sub-Gaussian constants C = c = 1) reaches 1 are skipped and counted,
+    since the bound is vacuous there. At ``t = d`` the error part ``E(lam)`` sums
+    ``t lam^2 / (1 + t lam)^2`` over the admitted sizes and the noise part ``S(lam)``
+    sums ``t lam^2 (2 + t lam) / (1 + t lam)^2``. Both increase with ``lam``, so each
+    is taken at its own extreme: lower = ``(sigma2 S(lo) - e2 E(up)) / m``, upper =
+    ``(sigma2 S(up) - e2 E(lo)) / m``, and lower <= upper. The tables ``x = t lam``
+    and ``w = x lam / (1 + x)^2`` of each extreme give ``E = sum w``, ``S = 2 E +
+    sum w x``.
 
     Points are summed in row blocks of a cache budget of (points x sizes)
     entries, each row pairwise over all its sizes, so a point's bits do not
@@ -336,37 +337,34 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
     delta = (np.sqrt(p) + np.sqrt(np.log(js * m) / 2.0)) / np.sqrt(js)
     valid = delta < 1.0
     js, delta = js[valid], delta[valid]
-    env_up = 1.0 / (js * (1.0 - delta) ** 2 + ridge[0])
-    env_lo = 1.0 / (js * (1.0 + delta) ** 2 + ridge[1])
-    roles = {"lower": (env_lo, env_up), "upper": (env_up, env_lo)}
-    sums = {}
-    for name in ("lower", "upper") if side is None else (side,):
-        a, b = roles[name]
-        a2 = a ** 2
-        total = np.empty(len(d))
-        for rows in blocks(len(d), js.size, cache=True):
-            t, err = d[rows, None], e2[rows, None]
-            ta, tb = t * a, t * b
-            terms = t * a2 / (1.0 + tb) ** 2 * ((2.0 + ta) * sigma2 - ((1.0 + tb) / (1.0 + ta)) ** 2 * err)
-            total[rows] = terms.sum(axis=1) / m
-        sums[name] = in_shape(total, shape)
-    return BoundsResult(lower=sums.get("lower"), upper=sums.get("upper"),
+    envelopes = (1.0 / (js * (1.0 + delta) ** 2 + ridge[1]), 1.0 / (js * (1.0 - delta) ** 2 + ridge[0]))
+    lower, upper = np.empty(len(d)), np.empty(len(d))
+    for rows in blocks(len(d), js.size, cache=True):
+        t, parts = d[rows, None], []
+        for lam in envelopes:  # lo, then up
+            x = t * lam
+            w = x * lam
+            w /= (1.0 + x) ** 2
+            e = w.sum(axis=1)
+            w *= x
+            parts.append((e, 2.0 * e + w.sum(axis=1)))
+        (e_lo, s_lo), (e_up, s_up) = parts
+        lower[rows] = (sigma2 * s_lo - e2[rows] * e_up) / m
+        upper[rows] = (sigma2 * s_up - e2[rows] * e_lo) / m
+    return BoundsResult(lower=in_shape(lower, shape), upper=in_shape(upper, shape),
                         skipped_terms=int(np.count_nonzero(~valid)))
 
 
-def dshapley_regression_bounds(query: PointQuery, env: RegressionEnvironment, *,
-                               _side: str | None = None) -> BoundsResult:
+def dshapley_regression_bounds(query: PointQuery, env: RegressionEnvironment) -> BoundsResult:
     """Deterministic lower/upper value bounds for sub-Gaussian inputs.
 
     Evaluates :func:`_envelope_bounds` for one point or a batch of points
-    (array-valued bounds). The ridge remainder term is evaluated as zero, so
-    bounds at ``gamma > 0`` are approximate. ``_side`` ("lower" or "upper")
-    computes that side alone and leaves the other None.
+    (array-valued bounds), both sides at once. The ridge remainder term is
+    evaluated as zero, so bounds at ``gamma > 0`` are approximate.
     """
     eigs = np.linalg.eigvalsh(env.sigma_inv.values)
     return _envelope_bounds(query.d, query.e2, sigma2=env.sigma2, m=env.m, q=env.q, p=env.p,
-                            ridge=(env.gamma * eigs[0], env.gamma * eigs[-1]),
-                            side=_side)
+                            ridge=(env.gamma * eigs[0], env.gamma * eigs[-1]))
 
 
 def make_gaussian_sampler(sigma_x: SpdMatrix):

@@ -188,14 +188,17 @@ def _one_pass_bounds(d, e2, sigma2, ridge):
     js, delta = js[delta < 1.0], delta[delta < 1.0]
     env_up = 1.0 / (js * (1.0 - delta) ** 2 + ridge[0])
     env_lo = 1.0 / (js * (1.0 + delta) ** 2 + ridge[1])
-    t, err = d[:, None], e2[:, None]
+    t = d[:, None]
 
-    def side(a, b):
-        ta, tb = t * a, t * b
-        terms = t * a ** 2 / (1.0 + tb) ** 2 * ((2.0 + ta) * sigma2 - ((1.0 + tb) / (1.0 + ta)) ** 2 * err)
-        return terms.sum(axis=1) / m
+    def parts(lam):  # E(lam) and S(lam): sums of x lam / (1 + x)^2 and of it times 2 + x
+        x = t * lam
+        w = x * lam / (1.0 + x) ** 2
+        e = w.sum(axis=1)
+        return e, 2.0 * e + (w * x).sum(axis=1)
 
-    return side(env_lo, env_up), side(env_up, env_lo), m - q + 1 - js.size
+    (e_lo, s_lo), (e_up, s_up) = parts(env_lo), parts(env_up)
+    return ((sigma2 * s_lo - e2 * e_up) / m, (sigma2 * s_up - e2 * e_lo) / m,
+            m - q + 1 - js.size)
 
 
 def _batch_query(d, e2):
@@ -233,12 +236,9 @@ class TestBinaryBounds:
         res = dshapley_binary_bounds(batch, m=1000, q=13)
         assert res.lower.shape == (200,) and np.all(res.lower <= res.upper)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the envelope terms bound each size's expectation only where the bracket keeps its "
-        "sign; a confidently misclassified point's lower bound lies above its upper"))
     def test_lower_le_upper_when_confidently_misclassified(self):
         # y = 1 at a fitted probability of 1e-4: e2_b = (1 - pi)^2 / w = 9,999, and at
-        # d_tilde = 0.01 lower is about -4.85e-4 and upper about -861.4
+        # d_tilde = 0.01 lower is about -879 and upper about 0.53
         pi = 1e-4
         res = dshapley_binary_bounds(make_query(0.01, (1.0 - pi) ** 2 / (pi * (1.0 - pi)), p=10),
                                      m=1000, q=13)
@@ -281,9 +281,10 @@ class TestBinaryBounds:
                         continue
                     up = 1.0 / (j * (1.0 - delta) ** 2)
                     lo = 1.0 / (j * (1.0 + delta) ** 2)
-                    ratio = ((1.0 + t * lo) / (1.0 + t * up)) ** 2
-                    lower += t * lo**2 / (1.0 + t * up) ** 2 * ((2.0 + t * lo) - e2b / ratio)
-                    upper += t * up**2 / (1.0 + t * lo) ** 2 * ((2.0 + t * up) - ratio * e2b)
+                    # E and S terms at each extreme; each side takes S at one and E at the other
+                    e_lo, e_up = t * lo**2 / (1.0 + t * lo) ** 2, t * up**2 / (1.0 + t * up) ** 2
+                    lower += (2.0 + t * lo) * e_lo - e2b * e_up
+                    upper += (2.0 + t * up) * e_up - e2b * e_lo
                 assert res.lower[i] == pytest.approx(lower / m, rel=1e-12)
                 assert res.upper[i] == pytest.approx(upper / m, rel=1e-12)
                 assert res.skipped_terms == skipped
@@ -318,7 +319,3 @@ class TestBinaryBounds:
             res = bounds()
             assert res.lower.tobytes() == lower.tobytes() and res.upper.tobytes() == upper.tobytes()
             assert res.skipped_terms == skipped
-            for side, expected in (("lower", lower), ("upper", upper)):
-                alone = bounds(_side=side)
-                assert getattr(alone, side).tobytes() == expected.tobytes()
-                assert getattr(alone, "upper" if side == "lower" else "lower") is None

@@ -173,7 +173,7 @@ class TestValuePoints:
                 query = transform_query(x, int(y), state, sti, clamp_weight=True)
                 return dshapley_binary_bounds(query, 100, 9)
         expected = [per_point(x, y) for x, y in zip(data.x[:30], data.y[:30])]
-        # library callers get both sides; value_points computes only the side it writes
+        # library callers get both sides; value_points writes the side the config names
         assert all(isinstance(b.lower, float) and isinstance(b.upper, float) and b.lower <= b.upper
                    for b in expected)
         for side in ("lower", "upper"):
@@ -352,7 +352,9 @@ class TestTimeBench:
             run_time_bench([], ["regression"], RandomStream(0))
 
     @pytest.mark.parametrize("counts", [{"repetitions": 0}, {"baseline_points": 0},
-                                        {"repetitions": -1}])
+                                        {"repetitions": -1}, {"background_size": -500},
+                                        {"background_size": float("nan")}])
     def test_counts_below_one_rejected(self, counts):
-        with pytest.raises(InvalidParameterError):
+        # each is refused under its own name, not by the generator it would reach
+        with pytest.raises(InvalidParameterError, match=f"^{next(iter(counts))} must be at least 1"):
             run_time_bench([(20, 3)], ["regression"], RandomStream(0), **counts)

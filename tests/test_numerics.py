@@ -314,6 +314,7 @@ COUNTS = {
     "ExperimentConfig.heldout_size": (0, "heldout_size", lambda v: ds.ExperimentConfig("regression", heldout_size=v)),
     "run_time_bench.repetitions": (1, "repetitions", lambda v: _time_bench(repetitions=v)),
     "run_time_bench.baseline_points": (1, "baseline_points", lambda v: _time_bench(baseline_points=v)),
+    "run_time_bench.background_size": (1, "background_size", lambda v: _time_bench(background_size=v)),
     "gen_gaussian_r.m": (1, "m", lambda v: ds.gen_gaussian_r(v, 2, RandomStream(0))),
     "gen_gaussian_r.p": (1, "p", lambda v: ds.gen_gaussian_r(10, v, RandomStream(0))),
     "gen_gaussian_c.m": (1, "m", lambda v: ds.gen_gaussian_c(v, RandomStream(0))),
@@ -323,16 +324,23 @@ COUNTS = {
 
 
 class TestCountRule:
-    @pytest.mark.parametrize("which", ["nan", "inf", "below"])
+    @pytest.mark.parametrize("which", ["nan", "inf", "below", "fraction"])
     @pytest.mark.parametrize("entry", COUNTS)
     def test_entry_point_refuses_a_count_naming_it(self, entry, which):
         floor, name, call = COUNTS[entry]
-        value = {"nan": float("nan"), "inf": float("inf"), "below": floor - 1}[which]
+        # a fraction above the floor: 2.5 where the floor is 1
+        value = {"nan": float("nan"), "inf": float("inf"), "below": floor - 1, "fraction": floor + 1.5}[which]
+        rule = "be an integer" if which == "fraction" else f"be at least {floor}"
         # a count the message qualifies, the gate q of the chi-squared forms, carries p in brackets
-        message = rf"^{re.escape(name)}( \(.*\))? must be at least {floor}, got {re.escape(repr(value))}$"
+        message = rf"^{re.escape(name)}( \(.*\))? must {rule}, got {re.escape(repr(value))}$"
         with pytest.raises(InvalidParameterError, match=message):
             call(value)
 
-    @pytest.mark.parametrize("value", [1, 2.5, 10 ** 30, np.int64(7)])
+    @pytest.mark.parametrize("value", [1, 5.0, 10 ** 30, np.int64(7)])
     def test_a_finite_count_at_or_above_its_floor_passes(self, value):
-        numerics.check_count(value, 1, "n")  # no integrality check
+        numerics.check_count(value, 1, "n")
+
+    @pytest.mark.parametrize("value", [2.5, np.float64(1.5), 10 ** 15 + 0.5])
+    def test_a_fractional_count_is_refused(self, value):
+        with pytest.raises(InvalidParameterError, match=rf"^n must be an integer, got {re.escape(repr(value))}$"):
+            numerics.check_count(value, 1, "n")

@@ -14,11 +14,13 @@ from distshap import (
     RegressionEnvironment,
     SingularMatrixError,
     SpdMatrix,
+    dshapley_binary_bounds,
     dshapley_regression_bounds,
     dshapley_regression_exact,
     dshapley_regression_general_mc,
     dshapley_regression_quadrature,
     fit_background,
+    gen_gaussian_r,
     mahalanobis_sq,
     make_gaussian_sampler,
     spd_inverse,
@@ -410,12 +412,9 @@ class TestBounds:
             assert res.lower <= res.upper
             assert res.skipped_terms > 0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the envelope terms bound each size's expectation only where the bracket keeps its "
-        "sign; at a tiny d and a huge e2 the lower bound lies above the upper"))
     def test_lower_le_upper_at_tiny_d_and_huge_e2(self):
         # the statistics of a confidently misclassified binary point: lower is about
-        # -4.85e-4 and upper about -861.5
+        # -879.4 and upper about 0.53
         env = make_env(p=10, m=1000, q=13)
         query = PointQuery(x_star=np.r_[0.1, np.zeros(9)], y_star=0.0, e2=1e4, d=0.01)
         res = dshapley_regression_bounds(query, env)
@@ -456,9 +455,10 @@ class TestBounds:
                     continue
                 up = 1.0 / (j * (1.0 - delta) ** 2)
                 lo = 1.0 / (j * (1.0 + delta) ** 2)
-                ratio = ((1.0 + d * lo) / (1.0 + d * up)) ** 2
-                lower += d * lo**2 / (1.0 + d * up) ** 2 * ((2.0 + d * lo) * env.sigma2 - e2 / ratio)
-                upper += d * up**2 / (1.0 + d * lo) ** 2 * ((2.0 + d * up) * env.sigma2 - ratio * e2)
+                # E and S terms at each extreme; each side takes S at one and E at the other
+                e_lo, e_up = d * lo**2 / (1.0 + d * lo) ** 2, d * up**2 / (1.0 + d * up) ** 2
+                lower += (2.0 + d * lo) * e_lo * env.sigma2 - e2 * e_up
+                upper += (2.0 + d * up) * e_up * env.sigma2 - e2 * e_lo
             assert res.lower[i] == pytest.approx(lower / env.m, rel=1e-12)
             assert res.upper[i] == pytest.approx(upper / env.m, rel=1e-12)
             assert res.skipped_terms == skipped
@@ -479,9 +479,9 @@ class TestBounds:
                 continue
             up_env = 1.0 / (j * (1.0 - delta) ** 2)
             lo_env = 1.0 / (j * (1.0 + delta) ** 2)
-            ratio = ((1.0 + d * lo_env) / (1.0 + d * up_env)) ** 2
-            lower_term = d * lo_env**2 / (1.0 + d * up_env) ** 2 * ((2.0 + d * lo_env) - e2 / ratio)
-            upper_term = d * up_env**2 / (1.0 + d * lo_env) ** 2 * ((2.0 + d * up_env) - ratio * e2)
+            e_lo, e_up = d * lo_env**2 / (1.0 + d * lo_env) ** 2, d * up_env**2 / (1.0 + d * up_env) ** 2
+            lower_term = (2.0 + d * lo_env) * e_lo - e2 * e_up
+            upper_term = (2.0 + d * up_env) * e_up - e2 * e_lo
             t = gen.chisquare(j - env.p + 1, size=10**5)
             gauss_term = (j - 1.0) / (j - env.p) * np.mean((d * e2 + t) / (d + t) ** 2)
             shift = (j - 1.0) / ((j - env.p) * (j - env.p - 1.0))
@@ -493,6 +493,34 @@ class TestBounds:
               f"(first admitted size {record[0][0]})")
         # bracketing must hold somewhere once the envelopes tighten
         assert any(ok for _, ok in record)
+
+
+class TestBoundsBracket:
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_gaussian_value_lies_within_the_bounds(self, seed):
+        # the bounds use the general-form normalization, in which the Gaussian closed form
+        # is the quadrature value plus normalization_shift; rows of large residual fell
+        # below the lower side when each side took the error part at the wrong extreme
+        data = gen_gaussian_r(2200, 10, RandomStream(seed))
+        env = fit_background(data.x[:2000], data.y[:2000], m=1000, q=13)
+        query = PointQuery.from_point(data.x[2000:], data.y[2000:], env)
+        value = dshapley_regression_quadrature(query, env).value + normalization_shift(env)
+        lower, upper = dshapley_regression_bounds(query, env)
+        assert np.all((lower <= value) & (value <= upper))
+
+    @pytest.mark.parametrize("m", [12, 13, 1000], ids=["m=q-1", "m=q", "m=1000"])
+    def test_lower_le_upper_over_the_grid(self, m):
+        p, q = 10, 13
+        d, e2 = (v.ravel() for v in np.meshgrid([0.0, 1e-8, 1e-3, 1.0, 100.0, 1e4, 1e9], [0.0, 1.0, 1e4]))
+        x, n = np.zeros((d.size, p)), d.size
+        sides = [dshapley_regression_bounds(PointQuery(x_star=x, y_star=np.zeros(n), e2=e2, d=d),
+                                            make_env(p=p, m=m, q=q, sigma2=sigma2))
+                 for sigma2 in (0.0, 1.0)]
+        sides.append(dshapley_binary_bounds(BinaryPointQuery(
+            x_star=x, y_star=np.ones(n, dtype=int), pi_star=np.full(n, 0.5), w_star=np.full(n, 0.25),
+            z_star=np.full(n, 2.0), e2_b=e2, d_tilde=d), m, q))
+        for lower, upper in sides:
+            assert np.all(np.isfinite(lower) & np.isfinite(upper)) and np.all(lower <= upper)
 
 
 class TestGeneralMC:
