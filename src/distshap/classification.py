@@ -5,8 +5,10 @@ datum is then mapped to its working response and weight, after which the
 weighted point is valued with the sub-Gaussian regression bounds (the
 working-response model has unit conditional variance, so no noise estimate
 is needed); both sides come from one pass, each part at its own eigenvalue
-extreme. Only the lower bound is recommended for ranking; the upper bound
-is exposed for comparison but ranks poorly in practice.
+extreme, and each part is a Laplace integral of the point's decay against
+size tables built once a call. Only the lower bound is recommended for
+ranking; the upper bound is exposed for comparison but ranks poorly in
+practice.
 """
 
 from __future__ import annotations
@@ -207,9 +209,9 @@ def dshapley_binary_bounds(query: BinaryPointQuery, m: int, q: int) -> BoundsRes
     """Deterministic lower/upper value bounds for a transformed binary datum or batch.
 
     The regression envelope bounds at zero ridge, with the conditional
-    variance fixed at 1 by the working-response model, summed over every
-    admitted size, both sides at once; indices with vacuous concentration
-    (deviation >= 1) are skipped and counted.
+    variance fixed at 1 by the working-response model, over every admitted
+    size, both sides at once with each side's noise and error sums; indices
+    with vacuous concentration (deviation >= 1) are skipped and counted.
     """
     p = query.x_star.shape[-1]
     check_count(m, 1, "valuation horizon m")

@@ -58,16 +58,23 @@ class ValueEstimate:
 
 @dataclass
 class BoundsResult:
-    """A lower/upper value bound pair.
+    """A lower/upper value bound pair with the sums that make each side.
 
     Iterating yields ``(lower, upper)`` so the result unpacks like a tuple.
+    Each side is ``(sigma2 * noise - e2 * error) / m``, bit for bit, with its
+    own noise sum S and error sum E: the lower side takes S at the lower
+    eigenvalue extreme and E at the upper, the upper side the reverse.
     ``skipped_terms`` counts summation indices dropped because the
     concentration deviation reached 1 (the bound is vacuous there). For a
-    batch of points the bounds are arrays. Both sides are always computed.
+    batch of points the bounds and sums are arrays.
     """
 
     lower: float
     upper: float
+    lower_noise: float
+    lower_error: float
+    upper_noise: float
+    upper_error: float
     skipped_terms: int = 0
 
     def __iter__(self):

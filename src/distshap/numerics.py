@@ -213,8 +213,9 @@ def inv_logit(t):
     """Numerically stable sigmoid ``exp(t) / (1 + exp(t))``.
 
     Saturates to 0 or 1 for very large ``|t|`` instead of overflowing;
-    accepts scalars or arrays.
+    accepts scalars or arrays. With ``e = exp(-|t|)`` it is ``1 / (1 + e)``
+    where ``t >= 0`` and ``e / (1 + e)`` elsewhere, one division for both.
     """
     arr = np.asarray(t, dtype=float)
     e = np.exp(-np.abs(arr))
-    return in_shape(np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), arr.shape)
+    return in_shape(np.divide(np.where(arr >= 0, 1.0, e), 1.0 + e), arr.shape)

@@ -42,7 +42,7 @@ __all__ = [
 _INNER_BLOCK = 128
 # sizes per window of first blocks in the exact sampler
 _OUTER_BLOCK = 128
-_TABLE_SIZES = 51  # sizes per block of the quadrature's size table; the cut fixes its bits
+_TABLE_SIZES = 51  # sizes per block of every size table; the cut fixes its bits
 
 # exp-sinh (double-exponential) rule on [0, inf): u = exp(pi/2 sinh t) on a
 # uniform t grid (Takahasi & Mori 1974); with an odd node count, every other
@@ -50,6 +50,11 @@ _TABLE_SIZES = 51  # sizes per block of the quadrature's size table; the cut fix
 _QUAD_T = np.linspace(-4.5, 4.5, 321)
 _QUAD_U = np.exp(np.pi / 2.0 * np.sinh(_QUAD_T))
 _QUAD_W = (_QUAD_T[1] - _QUAD_T[0]) * np.pi / 2.0 * np.cosh(_QUAD_T) * _QUAD_U
+
+# log-uniform trapezoid rule of the bounds: nodes exp(x) from x = _BOUND_FROM in steps of
+# _BOUND_STEP (7/32, exact in binary, so is every x), up to where exp(-v a) <= exp(-_BOUND_TAIL)
+# at the call's smallest a; at a step of 1/4 the rule's own error was 8e-15 relative
+_BOUND_FROM, _BOUND_STEP, _BOUND_TAIL = -62.0, 0.21875, 60.0
 
 
 @dataclass
@@ -314,22 +319,30 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
                      ridge: tuple = (0.0, 0.0)) -> BoundsResult:
     """Eigenvalue-envelope value bounds, in the shape of ``d``, for ``d`` and ``e2``.
 
-    Each admitted subset size ``j`` carries envelopes ``up, lo = 1 / (j (1 -+
-    delta_j)^2 + ridge)`` for the inverse design Gram matrix, where ``ridge`` holds
-    ``gamma`` times the extreme eigenvalues of the inverse second moment. Sizes
-    where the concentration deviation ``delta_j = (sqrt(p) + sqrt(log(j m) / 2)) /
-    sqrt(j)`` (sub-Gaussian constants C = c = 1) reaches 1 are skipped and counted,
-    since the bound is vacuous there. At ``t = d`` the error part ``E(lam)`` sums
-    ``t lam^2 / (1 + t lam)^2`` over the admitted sizes and the noise part ``S(lam)``
-    sums ``t lam^2 (2 + t lam) / (1 + t lam)^2``. Both increase with ``lam``, so each
-    is taken at its own extreme: lower = ``(sigma2 S(lo) - e2 E(up)) / m``, upper =
-    ``(sigma2 S(up) - e2 E(lo)) / m``, and lower <= upper. The tables ``x = t lam``
-    and ``w = x lam / (1 + x)^2`` of each extreme give ``E = sum w``, ``S = 2 E +
-    sum w x``.
+    Each admitted subset size ``j`` carries envelopes ``up, lo = 1 / a`` with ``a = j (1 -+
+    delta_j)^2 + ridge`` for the inverse design Gram matrix, where ``ridge`` holds ``gamma``
+    times the extreme eigenvalues of the inverse second moment. Sizes where the
+    concentration deviation ``delta_j = (sqrt(p) + sqrt(log(j m) / 2)) / sqrt(j)``
+    (sub-Gaussian constants C = c = 1) reaches 1 are skipped and counted, since the bound is
+    vacuous there. At ``t = d`` the error part ``E`` sums ``t lam^2 / (1 + t lam)^2 =
+    t / (a + t)^2`` over the admitted sizes and the noise part ``S`` sums ``t lam^2 (2 + t
+    lam) / (1 + t lam)^2``, which is ``2 E`` plus the sum of ``t^2 / (a (a + t)^2)``. Both
+    increase with ``lam``, so each is taken at its own extreme: lower = ``(sigma2 S(lo) - e2
+    E(up)) / m``, upper = ``(sigma2 S(up) - e2 E(lo)) / m``.
 
-    Points are summed in row blocks of a cache budget of (points x sizes)
-    entries, each row pairwise over all its sizes, so a point's bits do not
-    depend on its block; a point is a block of one.
+    With ``1 / (a + t)^2 = int_0^inf v exp(-v (a + t)) dv`` both sums are Laplace integrals
+    against the size tables ``H(v) = sum_j exp(-v a_j)`` and ``K(v) = sum_j exp(-v a_j) /
+    a_j``: ``E = t int v exp(-v t) H dv`` and ``S = 2 E + t^2 int v exp(-v t) K dv``. The
+    tables of both extremes are built once, ``_TABLE_SIZES`` sizes a block, at the nodes of
+    a log-uniform trapezoid rule: ``v = exp(x)`` at ``x = -62, -62 + h, ...`` up to
+    ``log(60 / a_min)``, weights ``h v^2``, ``h = 7/32``. ``a_lo >= a_up`` size by size, so
+    every table entry and every weighted node sum of the lower extreme is at most that of
+    the upper, and lower <= upper in floating point too.
+
+    Points are summed in row blocks of a cache budget of (points x nodes) entries, one
+    decay row ``exp(-t v)`` a point shared by both extremes and parts, each sum an
+    ``einsum`` over one row, so a point's bits do not depend on its block; a point is a
+    block of one. The result carries each side's noise and error sums.
     """
     shape = np.shape(d)
     d, e2 = np.atleast_1d(d), np.atleast_1d(e2)
@@ -337,21 +350,35 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
     delta = (np.sqrt(p) + np.sqrt(np.log(js * m) / 2.0)) / np.sqrt(js)
     valid = delta < 1.0
     js, delta = js[valid], delta[valid]
-    envelopes = (1.0 / (js * (1.0 + delta) ** 2 + ridge[1]), 1.0 / (js * (1.0 - delta) ** 2 + ridge[0]))
-    lower, upper = np.empty(len(d)), np.empty(len(d))
-    for rows in blocks(len(d), js.size, cache=True):
-        t, parts = d[rows, None], []
-        for lam in envelopes:  # lo, then up
-            x = t * lam
-            w = x * lam
-            w /= (1.0 + x) ** 2
-            e = w.sum(axis=1)
-            w *= x
-            parts.append((e, 2.0 * e + w.sum(axis=1)))
-        (e_lo, s_lo), (e_up, s_up) = parts
-        lower[rows] = (sigma2 * s_lo - e2[rows] * e_up) / m
-        upper[rows] = (sigma2 * s_up - e2[rows] * e_lo) / m
+    extremes = (js * (1.0 + delta) ** 2 + ridge[1], js * (1.0 - delta) ** 2 + ridge[0])  # lo, up
+    top = np.log(_BOUND_TAIL / extremes[1].min()) if js.size else _BOUND_FROM
+    nodes = int(np.ceil((top - _BOUND_FROM) / _BOUND_STEP)) + 1
+    v = np.exp(_BOUND_FROM + _BOUND_STEP * np.arange(nodes))
+    h_table, k_table = np.zeros((2, v.size)), np.zeros((2, v.size))  # rows: lo, up
+    for start in range(0, js.size, _TABLE_SIZES):
+        sizes = slice(start, start + _TABLE_SIZES)
+        for row, a in enumerate(extremes):
+            terms = exp_or_zero(np.outer(-v, a[sizes]))  # (nodes, sizes)
+            h_table[row] += terms.sum(axis=1)
+            k_table[row] += terms @ (1.0 / a[sizes])
+    weights = _BOUND_STEP * v * v
+    h_table *= weights
+    k_table *= weights
+
+    sums = np.empty((4, d.size))  # E(lo), S(lo), E(up), S(up)
+    for rows in blocks(d.size, v.size, cache=True):
+        t = d[rows]
+        decay = exp_or_zero(np.outer(-t, v))  # (points, nodes)
+        for row in range(2):
+            e = t * np.einsum("ij,j->i", decay, h_table[row])
+            sums[2 * row, rows] = e
+            sums[2 * row + 1, rows] = 2.0 * e + t * t * np.einsum("ij,j->i", decay, k_table[row])
+    e_lo, s_lo, e_up, s_up = sums
+    lower = (sigma2 * s_lo - e2 * e_up) / m
+    upper = (sigma2 * s_up - e2 * e_lo) / m
     return BoundsResult(lower=in_shape(lower, shape), upper=in_shape(upper, shape),
+                        lower_noise=in_shape(s_lo, shape), lower_error=in_shape(e_up, shape),
+                        upper_noise=in_shape(s_up, shape), upper_error=in_shape(e_lo, shape),
                         skipped_terms=int(np.count_nonzero(~valid)))
 
 

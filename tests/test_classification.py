@@ -180,25 +180,31 @@ def _block_inputs(rows):
 
 
 def _one_pass_bounds(d, e2, sigma2, ridge):
-    """Bounds from every point's terms at every admitted size at m=1000, q=6,
-    p=3, as one (points, sizes) array and one pairwise sum per point."""
+    """Bounds at m=1000, q=6, p=3 by the log-uniform Laplace rule, every point's decay at
+    every node as one (points, nodes) array and one row-wise sum per point and table.
+    Returns the sides, the sides' (noise, error) sums, the skipped sizes and the nodes."""
     m, q, p = _BLOCK_M, _BLOCK_Q, _BLOCK_P
     js = np.arange(q - 1, m, dtype=float)
     delta = (np.sqrt(p) + np.sqrt(np.log(js * m) / 2.0)) / np.sqrt(js)
     js, delta = js[delta < 1.0], delta[delta < 1.0]
-    env_up = 1.0 / (js * (1.0 - delta) ** 2 + ridge[0])
-    env_lo = 1.0 / (js * (1.0 + delta) ** 2 + ridge[1])
-    t = d[:, None]
+    a_lo, a_up = js * (1.0 + delta) ** 2 + ridge[1], js * (1.0 - delta) ** 2 + ridge[0]
+    # nodes v = exp(x), x = -62, -62 + h, ... up to log(60 / a_min), weights h v^2, h = 7/32
+    h = 0.21875
+    v = np.exp(-62.0 + h * np.arange(int(np.ceil((np.log(60.0 / a_up.min()) + 62.0) / h)) + 1))
+    decay = numerics.exp_or_zero(np.outer(-d, v))
 
-    def parts(lam):  # E(lam) and S(lam): sums of x lam / (1 + x)^2 and of it times 2 + x
-        x = t * lam
-        w = x * lam / (1.0 + x) ** 2
-        e = w.sum(axis=1)
-        return e, 2.0 * e + (w * x).sum(axis=1)
+    def parts(a):  # E = t int v e^(-vt) H dv and S = 2 E + t^2 int v e^(-vt) K dv
+        big_h, big_k = np.zeros(v.size), np.zeros(v.size)
+        for start in range(0, a.size, 51):  # the tables' fixed cut of 51 sizes fixes their bits
+            terms = numerics.exp_or_zero(np.outer(-v, a[start:start + 51]))
+            big_h += terms.sum(axis=1)
+            big_k += terms @ (1.0 / a[start:start + 51])
+        e = d * np.einsum("ij,j->i", decay, big_h * (h * v * v))
+        return e, 2.0 * e + d * d * np.einsum("ij,j->i", decay, big_k * (h * v * v))
 
-    (e_lo, s_lo), (e_up, s_up) = parts(env_lo), parts(env_up)
+    (e_lo, s_lo), (e_up, s_up) = parts(a_lo), parts(a_up)
     return ((sigma2 * s_lo - e2 * e_up) / m, (sigma2 * s_up - e2 * e_lo) / m,
-            m - q + 1 - js.size)
+            (s_lo, e_up, s_up, e_lo), m - q + 1 - js.size, v.size)
 
 
 def _batch_query(d, e2):
@@ -298,9 +304,9 @@ class TestBinaryBounds:
     @pytest.mark.parametrize("rows", [128, 5])
     def test_chunked_stop_is_bit_identical(self, monkeypatch, width, rows):
         # a batch of `rows` points is summed in row blocks of
-        # _CACHE_FLOATS // sizes rows, set here to `width` rows (a ragged last
+        # _CACHE_FLOATS // nodes rows, set here to `width` rows (a ragged last
         # block at 128-7, one partial block at 5-7 and 128-2000); on both
-        # routes every bit must be that of one pass over all points and sizes
+        # routes every bit must be that of one pass over all points and nodes
         d, e2 = _block_inputs(rows)
         env = RegressionEnvironment(p=_BLOCK_P, m=_BLOCK_M, q=_BLOCK_Q, gamma=0.5, sigma2=1.3,
                                     beta_hat=np.zeros(_BLOCK_P),
@@ -313,9 +319,10 @@ class TestBinaryBounds:
             (partial(dshapley_regression_bounds, query, env),
              _one_pass_bounds(d, e2, env.sigma2, (env.gamma * eigs[0], env.gamma * eigs[-1]))),
         ]
-        skipped = routes[0][1][2]
-        monkeypatch.setattr(numerics, "_CACHE_FLOATS", width * (_BLOCK_M - _BLOCK_Q + 1 - skipped))
-        for bounds, (lower, upper, skipped) in routes:
+        for bounds, (lower, upper, sums, skipped, nodes) in routes:
+            monkeypatch.setattr(numerics, "_CACHE_FLOATS", width * nodes)
             res = bounds()
             assert res.lower.tobytes() == lower.tobytes() and res.upper.tobytes() == upper.tobytes()
+            got = (res.lower_noise, res.lower_error, res.upper_noise, res.upper_error)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, sums))
             assert res.skipped_terms == skipped

@@ -161,6 +161,17 @@ class TestInvLogit:
         assert out.shape == (3,)
         assert out[1] == 0.5
 
+    def test_one_division_rounds_as_two_branches(self):
+        # 1 / (1 + e) at t >= 0 and e / (1 + e) below, each its own division
+        edges = np.array([0.0, 1e-300, 1.0, 36.0, 745.0, np.inf])
+        t = np.concatenate([edges, -edges, [np.nan],
+                            np.random.default_rng(9).normal(0.0, 20.0, 1000)])
+        e = np.exp(-np.abs(t))
+        with np.errstate(invalid="ignore"):
+            two_branch = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert inv_logit(t).tobytes() == two_branch.tobytes()
+        assert all(np.float64(inv_logit(s)).tobytes() == b.tobytes() for s, b in zip(t, two_branch))
+
 
 class TestBlocks:
     def test_blocks_cut_in_order_under_each_budget(self, monkeypatch):
@@ -202,7 +213,7 @@ class TestBlocks:
 
 # case: the budget its blocks obey and the value the case sets it to (None keeps the
 # default). Unblocked, the quadrature's (points, nodes) table of 20,000 points held 44 times
-# its bound and the envelope's (points, sizes) table more; the kernel means would hold 146
+# its bound and the envelope's (points, nodes) table about as much; the kernel means would hold 146
 # budgets and LSCV 549, the stack of 300 sets held 41 in one chunk, and a 600-row set's
 # pairs, 5.5 budgets, held ~17 in one block.
 GUARDS = {"quadrature": ("_CACHE_FLOATS", None), "envelope": ("_CACHE_FLOATS", None),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -521,6 +522,64 @@ class TestBoundsBracket:
             z_star=np.full(n, 2.0), e2_b=e2, d_tilde=d), m, q))
         for lower, upper in sides:
             assert np.all(np.isfinite(lower) & np.isfinite(upper)) and np.all(lower <= upper)
+
+
+def _parts_by_size(d, m, q, p, ridge):
+    """E and S at each extreme, ``{"lo": (E, S), "up": (E, S)}``, from the terms
+    ``t lam^2 / (1 + t lam)^2`` and ``(2 + t lam)`` times it, size by size, each sum exact."""
+    terms = {"lo": [], "up": []}
+    for j in range(q - 1, m):
+        delta = (np.sqrt(p) + np.sqrt(np.log(j * m) / 2.0)) / np.sqrt(j)
+        if delta >= 1.0:
+            continue
+        for name, a in (("lo", j * (1.0 + delta) ** 2 + ridge[1]), ("up", j * (1.0 - delta) ** 2 + ridge[0])):
+            lam = 1.0 / a
+            e = d * lam**2 / (1.0 + d * lam) ** 2
+            terms[name].append((e, (2.0 + d * lam) * e))
+    return {name: tuple(np.array([math.fsum(size[part][i] for size in sizes) for i in range(d.size)])
+                        for part in (0, 1))
+            for name, sizes in terms.items()}
+
+
+BOUND_GRID_D = np.array([0.0, 1e-12, 1e-8, 1e-4, 0.01, 1.0, 10.0, 100.0, 1e4, 1e6, 1e9, 1e12])
+BOUND_GRID_SIZES = [(120, 5, 2), (1000, 6, 3), (1000, 13, 10), (5000, 13, 10), (1000, 33, 30),
+                    (1140, 5, 2), (12, 13, 10), (13, 13, 10)]
+
+
+class TestBoundParts:
+    # (1140, 5, 2) has the smallest a = 1 / lam of the grid, 4.7e-10 at zero ridge
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("m, q, p", BOUND_GRID_SIZES,
+                             ids=[f"m={m}-q={q}-p={p}" for m, q, p in BOUND_GRID_SIZES])
+    def test_each_part_matches_a_per_size_sum(self, m, q, p, gamma):
+        sigma_inv = SpdMatrix(np.diag(np.linspace(0.5, 2.0, p)))
+        env = RegressionEnvironment(p=p, m=m, q=q, gamma=gamma, sigma2=1.0, beta_hat=np.zeros(p),
+                                    sigma_inv=sigma_inv)
+        d = BOUND_GRID_D
+        res = dshapley_regression_bounds(
+            PointQuery(x_star=np.zeros((d.size, p)), y_star=np.zeros(d.size), e2=np.ones(d.size), d=d), env)
+        ref = _parts_by_size(d, m, q, p, (gamma * 0.5, gamma * 2.0))
+        # the lower side takes S at lo and E at up, the upper side the reverse
+        for got, want in ((res.lower_noise, ref["lo"][1]), (res.lower_error, ref["up"][0]),
+                          (res.upper_noise, ref["up"][1]), (res.upper_error, ref["lo"][0])):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_each_side_is_made_of_its_sums(self):
+        gen = np.random.default_rng(12)
+        d, e2 = gen.exponential(5.0, 50), gen.exponential(3.0, 50)
+        env = make_env(p=3, m=400, q=6, sigma2=1.7, gamma=0.3)
+        binary = BinaryPointQuery(x_star=np.zeros((50, 3)), y_star=np.ones(50, dtype=int),
+                                  pi_star=np.full(50, 0.5), w_star=np.full(50, 0.25),
+                                  z_star=np.full(50, 2.0), e2_b=e2, d_tilde=d)
+        for res, sigma2 in ((dshapley_regression_bounds(PointQuery(
+                x_star=np.zeros((50, 3)), y_star=np.zeros(50), e2=e2, d=d), env), env.sigma2),
+                            (dshapley_binary_bounds(binary, m=400, q=6), 1.0)):
+            assert ((sigma2 * res.lower_noise - e2 * res.lower_error) / 400).tobytes() == res.lower.tobytes()
+            assert ((sigma2 * res.upper_noise - e2 * res.upper_error) / 400).tobytes() == res.upper.tobytes()
+            assert np.all((res.lower_noise <= res.upper_noise) & (res.upper_error <= res.lower_error))
+        one = dshapley_regression_bounds(PointQuery(x_star=np.zeros(3), y_star=0.0, e2=e2[0], d=d[0]), env)
+        assert all(isinstance(v, float) for v in (one.lower_noise, one.lower_error,
+                                                  one.upper_noise, one.upper_error))
 
 
 class TestGeneralMC:
