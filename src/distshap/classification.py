@@ -27,7 +27,7 @@ from .errors import (
 )
 from .estimates import BoundsResult
 from .numerics import SpdMatrix, check_count, estimate_second_moment, in_shape, inv_logit, mahalanobis_sq, solve_each
-from .regression import _check_q, _envelope_bounds
+from .regression import _check_q, _check_statistics, _envelope_bounds
 
 __all__ = [
     "IRLSState",
@@ -61,7 +61,8 @@ class BinaryPointQuery:
     error and ``d_tilde`` the weighted Mahalanobis statistic driving the
     value bounds. A batch holds ``(n, p)`` inputs and ``(n,)`` arrays; a point
     holds scalars. The bounds value a point as a batch of one, and the shape
-    of ``d_tilde`` is the shape of their results.
+    of ``d_tilde`` is the shape of their results. Every entry of ``e2_b`` and
+    ``d_tilde`` must be finite and nonnegative.
     """
 
     x_star: np.ndarray
@@ -79,8 +80,7 @@ class BinaryPointQuery:
         w = np.asarray(self.w_star)
         if not np.all((0.0 < w) & (w <= 0.25)):
             raise InvalidParameterError("w_star must lie in (0, 0.25]")
-        if not (np.all(np.asarray(self.e2_b) >= 0) and np.all(np.asarray(self.d_tilde) >= 0)):
-            raise InvalidParameterError("e2_b and d_tilde must be nonnegative")
+        _check_statistics(self, ("d_tilde", "e2_b"))
 
 
 def _irls_stack(x, y, members, tol: float, max_iter: int):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvParseError, InvalidParameterError
-from .numerics import RandomStream, check_count, inv_logit
+from .numerics import RandomStream, check_count, inv_logit, text_blocks
 
 __all__ = [
     "Dataset",
@@ -92,34 +92,44 @@ def _parse_cells(path, rows) -> np.ndarray:
     return values
 
 
-def _parse_text(text: str, has_header: bool):
-    """(header, values) of quote-free text parsed in C, or None when the
-    cell-by-cell path must parse it (to locate a bad cell, among others).
+def _parse_text(blocks, has_header: bool):
+    """(header, values) of quote-free text parsed in C a block of whole lines at a time, or
+    None when the cell-by-cell path must parse the whole file (to locate a bad cell, among
+    others).
 
-    Without quotes, csv.reader ends a record at CR LF, CR or LF and splits it
-    at every comma; this splits the same way. The result is kept only when
-    every kept line gives one row of finite values.
+    Without quotes, csv.reader ends a record at CR LF, CR or LF and splits it at every
+    comma; this splits the same way, so a CR LF pair cut between two blocks leaves a blank
+    line, which drops. Each block's kept lines go to one ``np.loadtxt`` call, and the result
+    is kept only when every kept line gives one row of finite values, as many as the first
+    row has. Besides the parsed blocks and their concatenation it holds one block of text.
     """
-    if '"' in text:
-        return None
-    lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-             if line and not line.lstrip().startswith("#")]
-    header = [name.strip() for name in lines[0].split(",")] if has_header and lines else None
-    body = lines[1:] if has_header else lines
-    if not body:
-        return None
-    try:
-        # no comment character: "4 # note" is a bad cell, not 4
-        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (len(body), body[0].count(",") + 1) or not np.isfinite(values).all():
-        return None
-    return header, values
+    header, width, parts = None, None, []
+    for text in blocks:
+        if '"' in text:
+            return None
+        lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+                 if line and not line.lstrip().startswith("#")]
+        if has_header and header is None and lines:
+            header = [name.strip() for name in lines.pop(0).split(",")]
+        if not lines:
+            continue
+        if width is None:
+            width = lines[0].count(",") + 1
+        try:
+            # no comment character: "4 # note" is a bad cell, not 4
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if values.shape != (len(lines), width) or not np.isfinite(values).all():
+            return None
+        parts.append(values)
+    return (header, np.concatenate(parts)) if parts else None
 
 
 def _parse_records(path, text: str, has_header: bool):
-    """(header, values) through csv.reader; raises at the first bad row or cell."""
+    """(header, values) of the whole file's ``text`` through csv.reader; raises at the first
+    bad row or cell. Quoted files and files with a bad cell come here, whole: a quoted
+    record may span lines, and a bad cell's row counts every kept line before it."""
     rows = [row for row in csv.reader(io.StringIO(text, newline=""))
             if row and not row[0].lstrip().startswith("#")]
     if not rows:
@@ -147,11 +157,17 @@ def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
     index, or None for features-only data. Non-finite and non-numeric
     entries are rejected with their 1-based (data row, column) location.
     Lines whose first cell starts with "#" are comments. The file is parsed
-    in C where it can be, and cell by cell with ``float()`` otherwise.
+    in C where it can be, read in blocks of whole lines (``numerics.text_blocks``), so
+    that besides the array and its parsed blocks only one block of text is held. A file
+    with a quote, or one that the C parser rejects, is read again whole and parsed cell by
+    cell with ``float()``, which locates the first bad cell.
     """
     with open(path, newline="") as handle:
-        text = handle.read()
-    header, values = _parse_text(text, has_header) or _parse_records(path, text, has_header)
+        parsed = _parse_text(text_blocks(handle), has_header)
+        if parsed is None:
+            handle.seek(0)
+            parsed = _parse_records(path, handle.read(), has_header)
+    header, values = parsed
     width = values.shape[1]
     if header is not None and len(header) != width:
         raise CsvParseError(f"{path}: header has {len(header)} fields, rows have {width}")

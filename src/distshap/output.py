@@ -1,11 +1,11 @@
 """Deterministic result tables and their CSV / JSON serialization.
 
 A table is named columns: the numpy arrays a valuation returns, as they
-are, and lists for string and constant columns. The writer turns each
-column into Python values once and joins the rows from them. Given
-identical inputs the emitted bytes are identical: floats are written with
-shortest round-trip precision, metadata keys are sorted, and no timestamps
-are recorded.
+are, and lists for string and constant columns. The CSV writer turns each
+column's slice of a block of rows into Python values and joins the rows from
+them, one block at a time. Given identical inputs the emitted bytes are
+identical: floats are written with shortest round-trip precision, metadata
+keys are sorted, and no timestamps are recorded.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
+from .numerics import blocks
 
 __all__ = ["ResultTable", "write_results", "read_results", "RESULTS_JSON_SCHEMA"]
 
@@ -48,34 +49,52 @@ class ResultTable:
     metadata: dict = field(default_factory=dict)
 
 
+def _python_values(column):
+    """A column's entries as Python numbers, strings and None."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _csv_blocks(table: ResultTable, columns: list):
+    """The CSV text: the metadata and header lines, then the rows of each block of
+    ``numerics.blocks`` at the cache budget, each column's slice turned into Python values
+    only when its block is written."""
+    yield "".join(f"# {key}={table.metadata[key]}\n" for key in sorted(table.metadata))
+    yield ",".join(table.columns) + "\n"
+    for rows in blocks(len(columns[0]) if columns else 0, len(columns), cache=True):
+        # str of a float is its shortest round-trip repr
+        texts = [("" if v is None else str(v) for v in _python_values(column[rows]))
+                 for column in columns]
+        yield "\n".join(map(",".join, zip(*texts))) + "\n"
+
+
+def _json_payload(table: ResultTable, columns: list) -> str:
+    """The whole JSON document, built at once: no workload writes JSON."""
+    # strict JSON has no NaN/infinity tokens
+    finite = [(None if isinstance(v, float) and not math.isfinite(v) else v
+               for v in _python_values(column)) for column in columns]
+    document = {
+        "metadata": {k: table.metadata[k] for k in sorted(table.metadata)},
+        "columns": list(table.columns),
+        "rows": [list(row) for row in zip(*finite)],
+    }
+    return json.dumps(document, sort_keys=True, indent=1, allow_nan=False) + "\n"
+
+
 def write_results(table: ResultTable, path, format: str = "csv") -> None:
-    """Serialize a result table; metadata rides along as comment lines or a JSON object."""
+    """Serialize a result table; metadata rides along as comment lines or a JSON object.
+
+    A CSV is formatted and written a block of rows at a time, so it holds one block's
+    strings whatever the row count; a JSON document is built whole before the file opens.
+    """
     if format not in ("csv", "json"):
         raise InvalidParameterError(f"unknown output format {format!r}")
-    columns = [column.tolist() if isinstance(column, np.ndarray) else column
-               for column in table.columns.values()]
+    columns = list(table.columns.values())
     if len({len(column) for column in columns}) > 1:
         raise InvalidParameterError("columns of unequal length")
     try:
-        if format == "csv":
-            lines = [f"# {key}={table.metadata[key]}" for key in sorted(table.metadata)]
-            lines.append(",".join(table.columns))
-            # str of a float is its shortest round-trip repr
-            texts = [("" if v is None else str(v) for v in column) for column in columns]
-            lines.extend(map(",".join, zip(*texts)))
-            payload = "\n".join(lines) + "\n"
-        else:
-            # strict JSON has no NaN/infinity tokens
-            finite = [(None if isinstance(v, float) and not math.isfinite(v) else v
-                       for v in column) for column in columns]
-            document = {
-                "metadata": {k: table.metadata[k] for k in sorted(table.metadata)},
-                "columns": list(table.columns),
-                "rows": [list(row) for row in zip(*finite)],
-            }
-            payload = json.dumps(document, sort_keys=True, indent=1, allow_nan=False) + "\n"
+        chunks = _csv_blocks(table, columns) if format == "csv" else [_json_payload(table, columns)]
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
     except OSError as exc:
         raise InvalidParameterError(f"cannot write results to {path}: {exc}") from exc
 

@@ -87,6 +87,18 @@ class RegressionEnvironment:
             raise InvalidParameterError("beta_hat / sigma_inv dimensions must match p")
 
 
+def _check_statistics(query, names) -> None:
+    """Raise ``InvalidParameterError`` naming the first of a query's statistics ``names``
+    with an entry that is not finite and nonnegative (NaN fails too). An infinite statistic,
+    which a finite but large input makes, leaves the kernels no finite value."""
+    for name in names:
+        value = np.asarray(getattr(query, name), dtype=float)
+        ok = (value >= 0) & (value < np.inf)
+        if not ok.all():
+            raise InvalidParameterError(
+                f"{name} must be finite and nonnegative, got {float(value[~ok].flat[0])}")
+
+
 @dataclass
 class PointQuery:
     """A datum to be valued, with its derived statistics.
@@ -94,7 +106,8 @@ class PointQuery:
     ``e2`` is the squared prediction error against the environment's fit and
     ``d`` the squared Mahalanobis distance of the input from zero. A batch
     holds ``(n, p)`` inputs and ``(n,)`` arrays of targets and statistics, a
-    point floats; the kernels value a point as a batch of one.
+    point floats; the kernels value a point as a batch of one. Every entry
+    of ``e2`` and ``d`` must be finite and nonnegative.
     """
 
     x_star: np.ndarray
@@ -104,15 +117,15 @@ class PointQuery:
 
     def __post_init__(self):
         self.x_star = np.asarray(self.x_star, dtype=float)
-        if not (np.all(np.asarray(self.e2) >= 0) and np.all(np.asarray(self.d) >= 0)):
-            raise InvalidParameterError("e2 and d must be nonnegative")
+        _check_statistics(self, ("d", "e2"))
 
     @classmethod
     def from_point(cls, x, y, env: RegressionEnvironment) -> "PointQuery":
         """Query for one input ``x`` (p,) or the rows of an (n, p) batch, each row summed alone."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        e2 = (y - np.einsum("...j,j->...", np.ascontiguousarray(x), env.beta_hat)) ** 2
+        with np.errstate(over="ignore"):  # an overflow to inf is refused by name, not warned of
+            e2 = (y - np.einsum("...j,j->...", np.ascontiguousarray(x), env.beta_hat)) ** 2
         return cls(x_star=x, y_star=in_shape(y, x.shape[:-1]), e2=in_shape(e2, x.shape[:-1]),
                    d=mahalanobis_sq(x, env.sigma_inv))
 

@@ -74,6 +74,26 @@ class TestErrors:
             assert err.count("\n") == 1
             assert not out.exists()
 
+    def test_a_large_finite_input_is_refused_naming_d(self, tmp_path, capsys):
+        # x0 = 1e200 is finite, but its squared distance d overflows: the bounds were NaN rows
+        data, out = tmp_path / "data.csv", tmp_path / "o.csv"
+        assert run(["gen", "--kind", "gaussian-r", "--n", "120", "--p", "2",
+                    "--seed", "1", "--output", str(data)]) == 0
+        argv = ["bounds", "--data", str(data), "--target-column", "y", "--task", "regression",
+                "--m", "40", "--n-value-points", "6", "--background-size", "100",
+                "--heldout-size", "0", "--seed", "4", "--output", str(out)]
+        assert run(argv) == 0
+        valued = read_results(out).columns["index"][0]  # the split depends on n and the seed
+        out.unlink()
+        lines = data.read_text().splitlines()
+        first_row = 1 + next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[first_row + valued] = "1e+200,0.0,1.0"
+        data.write_text("\n".join(lines) + "\n")
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: InvalidParameterError: d must be finite and nonnegative, got inf\n"
+        assert not out.exists()
+
     def test_negative_split_sizes_exit_code(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         assert run(["gen", "--kind", "gaussian-r", "--n", "300", "--p", "3",
@@ -524,11 +544,14 @@ class TestWrittenFormat:
 class TestBudgets:
     # Every bounded kernel these commands run cuts its blocks by a numerics budget: the
     # quadrature and the envelope by the cache budget, LSCV, the kernel means and the
-    # density chunks by the memory budget. Blocks move, bytes must not.
+    # density chunks by the memory budget. The reader reads its text and the writer writes
+    # its rows in cache blocks; at the tiny budgets a 300-row input spans ~70 text blocks and
+    # gen's 200 rows of floats ~20 row blocks. Blocks move, bytes must not.
     @pytest.mark.parametrize("name, extra", [
         ("value", []), ("value-density", []), ("bounds", ["--bound-side", "lower"]),
-        ("bounds", []), ("baseline", ["--n-value-points", "2"])],
-        ids=["value-regression", "value-density", "bounds-lower", "bounds-upper", "baseline"])
+        ("bounds", []), ("baseline", ["--n-value-points", "2"]), ("gen-r", ["--n", "200"])],
+        ids=["value-regression", "value-density", "bounds-lower", "bounds-upper", "baseline",
+             "gen"])
     def test_output_bytes_do_not_depend_on_the_budgets(self, name, extra, datasets, tmp_path,
                                                       monkeypatch):
         argv = [arg.format(**datasets) for arg in COMMANDS[name]] + extra

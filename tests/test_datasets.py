@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from distshap import datasets, numerics
 from distshap import (
     CsvParseError,
     InvalidParameterError,
@@ -227,3 +230,104 @@ class TestLoadCsv:
         assert calls == [1]
         assert fast.x.tobytes() == slow.x.tobytes() == table[:, :4].tobytes()
         assert fast.y.tobytes() == slow.y.tobytes() == table[:, 4].tobytes()
+
+
+# cache budgets of 8- to 40-character reads, at which a 30-row file spans 13 to 35 blocks
+SEAM_BUDGETS = (1, 2, 3, 5)
+ROWS = [f"{i}.5,{i * i}.25,{-i}" for i in range(30)]
+EXPECTED = np.array([[i + 0.5, i * i + 0.25, -i] for i in range(30)])
+
+
+def _blocks_at(cache, text, monkeypatch):
+    monkeypatch.setattr(numerics, "_CACHE_FLOATS", cache)
+    return list(numerics.text_blocks(io.StringIO(text, newline="")))
+
+
+def _load_at_budgets(path, monkeypatch):
+    """load_csv's outcome at the default cache budget and at each of ``SEAM_BUDGETS``: the
+    array bits, or the error's message and location, and whether the file went to csv.reader.
+    Every budget must give the default's outcome, which is returned."""
+    fallbacks = []
+    real_parse_records = datasets._parse_records
+
+    def recording_parse_records(*args):
+        fallbacks.append(cache)
+        return real_parse_records(*args)
+
+    monkeypatch.setattr(datasets, "_parse_records", recording_parse_records)
+    outcomes = []
+    for cache in (numerics._CACHE_FLOATS,) + SEAM_BUDGETS:
+        monkeypatch.setattr(numerics, "_CACHE_FLOATS", cache)
+        try:
+            data = load_csv(path, target_column="y")
+        except CsvParseError as exc:
+            outcome = (str(exc), exc.row, exc.col)
+        else:
+            outcome = (data.x.shape, data.x.tobytes(), data.y.tobytes())
+        outcomes.append((outcome, cache in fallbacks))
+    assert outcomes[1:] == outcomes[:1] * len(SEAM_BUDGETS)
+    return outcomes[0]
+
+
+def _parsed(values):
+    return (values[:, :2].shape, values[:, :2].tobytes(), values[:, 2].tobytes())
+
+
+class TestLoadCsvBlockSeams:
+    def test_crlf_pair_cut_at_a_seam(self, tmp_path, monkeypatch):
+        text = "\r\n".join(["# c", "a,b,y"] + ROWS) + "\r\n"
+        seams = []
+        for cache in SEAM_BUDGETS:
+            blocks = _blocks_at(cache, text, monkeypatch)
+            seams += [a[-1] + b[0] for a, b in zip(blocks, blocks[1:])]
+        assert "\r\n" in seams
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        assert _load_at_budgets(path, monkeypatch) == (_parsed(EXPECTED), False)
+
+    @pytest.mark.parametrize("endings", [("\r",), ("\n", "\r\n", "\r")], ids=["cr", "mixed"])
+    def test_cr_only_and_mixed_line_endings(self, tmp_path, endings, monkeypatch):
+        lines = ["a,b,y"] + ROWS
+        text = "".join(line + endings[i % len(endings)] for i, line in enumerate(lines))
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        assert _load_at_budgets(path, monkeypatch) == (_parsed(EXPECTED), False)
+
+    def test_no_final_newline(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,y\n" + "\n".join(ROWS))
+        assert _load_at_budgets(path, monkeypatch) == (_parsed(EXPECTED), False)
+
+    def test_blank_and_comment_lines_in_a_later_block(self, tmp_path, monkeypatch):
+        lines = ["a,b,y"] + ROWS[:20] + ["", "  # note,1", "#", "", ""] + ROWS[20:]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert _load_at_budgets(path, monkeypatch) == (_parsed(EXPECTED), False)
+
+    def test_quote_only_in_the_last_block(self, tmp_path, monkeypatch):
+        # one quote anywhere sends the whole file to csv.reader, which unquotes the cell
+        text = "a,b,y\n" + "\n".join(ROWS[:29]) + '\n"29.5",841.25,-29\n'
+        for cache in SEAM_BUDGETS:
+            blocks = _blocks_at(cache, text, monkeypatch)
+            assert '"' in blocks[-1] and '"' not in "".join(blocks[:-1])
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        assert _load_at_budgets(path, monkeypatch) == (_parsed(EXPECTED), True)
+        path.write_text(text.replace('"29.5"', '"29,5"'))
+        assert _load_at_budgets(path, monkeypatch) == (
+            (f"{path}: could not parse '29,5' at row 30, column 1", 30, 1), True)
+
+    @pytest.mark.parametrize("row, message, col", [
+        ("24.5,oops,-24", "could not parse 'oops'", 2),
+        ("24.5,576.25,inf", "non-finite value 'inf'", 3),
+        ("24.5,nan,-24", "non-finite value 'nan'", 2),
+        ("24.5,576.25", "row has 2 fields, expected 3", 2),
+    ], ids=["bad-cell", "inf", "nan", "short-row"])
+    def test_a_bad_row_in_a_later_block_keeps_its_location(self, tmp_path, monkeypatch,
+                                                           row, message, col):
+        # comment and blank lines in earlier blocks do not count as rows
+        lines = ["# seed=3", "a,b,y"] + ROWS[:10] + ["", "# x"] + ROWS[10:24] + [row] + ROWS[25:]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert _load_at_budgets(path, monkeypatch) == (
+            (f"{path}: {message} at row 25, column {col}", 25, col), True)

@@ -1,3 +1,4 @@
+import io
 import re
 import tracemalloc
 from functools import partial
@@ -24,9 +25,11 @@ from distshap import (
     estimate_second_moment,
     inv_logit,
     kde_evaluate,
+    load_csv,
     mahalanobis_sq,
     prefix_utilities,
     spd_inverse,
+    write_results,
 )
 import distshap as ds
 from distshap import numerics
@@ -209,22 +212,63 @@ class TestBlocks:
                 start = end
             assert list(numerics.runs(cost, budget)) == cuts
 
+    def test_text_blocks_end_at_a_line_end(self, monkeypatch):
+        def cut(text):
+            return list(numerics.text_blocks(io.StringIO(text, newline="")))
+
+        monkeypatch.setattr(numerics, "_CACHE_FLOATS", 1)  # read at each call: 8-character reads
+        assert cut("ab\ncd\nef\ngh\n") == ["ab\ncd\n", "ef\ngh\n"]
+        assert cut("a,b\rc,d\re") == ["a,b\rc,d\r", "e"]  # CR ends a line; the last may not end
+        assert cut("abcdefg\r\nh\n") == ["abcdefg\r", "\nh\n"]  # a CR LF pair cut at a read
+        assert cut("0123456789abc\nx") == ["0123456789abc\n", "x"]  # a long line grows its block
+        assert cut("") == []
+        monkeypatch.setattr(numerics, "_CACHE_FLOATS", 2)
+        assert cut("ab\ncd\nef\ngh\n") == ["ab\ncd\nef\ngh\n"]
+
+    @given(st.text(alphabet="ab,#\r\n", max_size=60), st.integers(1, 3))
+    def test_text_blocks_are_whole_lines_of_the_text(self, text, cache):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "_CACHE_FLOATS", cache)
+            blocks = list(numerics.text_blocks(io.StringIO(text, newline="")))
+        assert "".join(blocks) == text and all(blocks)
+        assert all(block[-1] in "\r\n" for block in blocks[:-1])
 
 
 # case: the budget its blocks obey and the value the case sets it to (None keeps the
 # default). Unblocked, the quadrature's (points, nodes) table of 20,000 points held 44 times
 # its bound and the envelope's (points, nodes) table about as much; the kernel means would hold 146
 # budgets and LSCV 549, the stack of 300 sets held 41 in one chunk, and a 600-row set's
-# pairs, 5.5 budgets, held ~17 in one block.
+# pairs, 5.5 budgets, held ~17 in one block. Read whole, the 20,000-row file's text, its
+# decoded copy and its lines held 1.9 times the reader's bound (0.6 read in blocks); written
+# whole, the table's cell strings and payload held 6.9 times the writer's (0.66 in blocks).
 GUARDS = {"quadrature": ("_CACHE_FLOATS", None), "envelope": ("_CACHE_FLOATS", None),
           "kernel-means": ("_BLOCK_FLOATS", 1 << 12), "density-sets": ("_BLOCK_FLOATS", 1 << 12),
           "density-stack": ("_BLOCK_FLOATS", 1 << 12), "lscv": ("_BLOCK_FLOATS", 1 << 12),
-          "pairs-one-prefix": ("_BLOCK_FLOATS", None), "pairs-every-prefix": ("_BLOCK_FLOATS", None)}
+          "pairs-one-prefix": ("_BLOCK_FLOATS", None), "pairs-every-prefix": ("_BLOCK_FLOATS", None),
+          "load-csv": ("_CACHE_FLOATS", None), "write-results": ("_CACHE_FLOATS", None)}
 
 
-def _guarded_call(case):
+def _guarded_call(case, tmp_path):
     """The case's call, its inputs made outside the traced region, and the floats it holds
-    a point besides its blocks."""
+    besides its blocks."""
+    if case == "load-csv":
+        rows, width = 20_000, 11
+        table = np.random.default_rng(7).standard_normal((rows, width))
+        path = tmp_path / "data.csv"
+        path.write_text(",".join(f"x{i}" for i in range(width - 1)) + ",y\n"
+                        + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+        load_csv(path, target_column="y")  # first-call allocations
+        # the parsed blocks, their concatenation and the features split from it
+        return partial(load_csv, path, target_column="y"), 3 * rows * width
+    if case == "write-results":
+        rows = 20_000
+        gen = np.random.default_rng(8)
+        columns = {"index": np.arange(rows), "value": gen.standard_normal(rows),
+                   "std_error": gen.exponential(size=rows), "method": ["bounds-lower"] * rows,
+                   "m": [1000] * rows, "q": [13] * rows, "seed": [1] * rows}
+        table = ds.ResultTable(columns, {"seed": 1})
+        write_results(table, tmp_path / "warm.csv")  # first-call allocations
+        return partial(write_results, table, tmp_path / "out.csv"), 0
     if case in ("quadrature", "envelope"):
         points = 20_000
         gen = np.random.default_rng(6)
@@ -233,7 +277,7 @@ def _guarded_call(case):
         env = RegressionEnvironment(p=2, m=1000, q=5, gamma=0.0, sigma2=1.0,
                                     beta_hat=np.zeros(2), sigma_inv=SpdMatrix(np.eye(2)))
         route = dshapley_regression_quadrature if case == "quadrature" else dshapley_regression_bounds
-        return partial(route, query, env), points
+        return partial(route, query, env), 8 * points  # eight floats a point
     if case.startswith("pairs"):
         gen = np.random.default_rng(11)
         pool, evals = gen.standard_normal((600, 3)), gen.standard_normal((40, 3))
@@ -254,20 +298,21 @@ def _guarded_call(case):
 
 
 @pytest.mark.parametrize("case", GUARDS)
-def test_bounded_kernel_peak_stays_within_budgets(case, monkeypatch):
+def test_bounded_kernel_peak_stays_within_budgets(case, monkeypatch, tmp_path):
     """The peak-memory guard: each bounded kernel holds a few arrays of its budget's floats,
-    however many points, rows, sets or pairs it values, besides a few floats a point."""
+    however many points, rows, sets or pairs it values, besides a few floats a point (or,
+    for the reader, a few arrays of what it returns)."""
     budget, value = GUARDS[case]
     if value is not None:
         monkeypatch.setattr(numerics, budget, value)
-    call, points = _guarded_call(case)
+    call, held = _guarded_call(case, tmp_path)
     tracemalloc.start()
     try:
         call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 8 * (getattr(numerics, budget) + points)  # eight such arrays of floats
+    assert peak <= 8 * (8 * getattr(numerics, budget) + held)  # eight such arrays of floats
 
 
 def _env(**changes):

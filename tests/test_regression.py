@@ -20,11 +20,15 @@ from distshap import (
     dshapley_regression_exact,
     dshapley_regression_general_mc,
     dshapley_regression_quadrature,
+    estimate_weighted_second_moment,
     fit_background,
+    gen_gaussian_c,
     gen_gaussian_r,
+    irls_fit,
     mahalanobis_sq,
     make_gaussian_sampler,
     spd_inverse,
+    transform_query,
 )
 from distshap import numerics
 from distshap.estimates import ValueEstimate
@@ -381,6 +385,38 @@ NOT_NONNEGATIVE = {
 }
 
 
+# an infinite statistic, of a point or of an entry of a batch: (build, the field it names)
+NOT_FINITE = {
+    "e2-inf": (lambda: PointQuery(x_star=np.zeros(2), y_star=0.0, e2=np.inf, d=1.0), "e2"),
+    "d-inf-in-a-batch": (lambda: PointQuery(x_star=np.zeros((2, 2)), y_star=np.zeros(2),
+                                            e2=np.ones(2), d=np.array([1.0, np.inf])), "d"),
+    "d-minus-inf": (lambda: PointQuery(x_star=np.zeros(2), y_star=0.0, e2=1.0, d=-np.inf), "d"),
+    "e2_b-inf": (lambda: _binary_query(np.inf, 1.0), "e2_b"),
+    "d_tilde-inf-in-a-batch": (lambda: _binary_query(np.ones(2), np.array([np.inf, 1.0])),
+                               "d_tilde"),
+}
+
+
+def _binary_route(x):
+    data = gen_gaussian_c(300, RandomStream(3))
+    state = irls_fit(data.x, data.y)
+    sigma_tilde_inv = spd_inverse(estimate_weighted_second_moment(data.x, state.beta))
+    return dshapley_binary_bounds(transform_query(x, 1, state, sigma_tilde_inv, clamp_weight=True),
+                                  100, 6)
+
+
+# each valuation route from a finite input whose statistic overflows: (call, the field named)
+LARGE_INPUT_ROUTES = {
+    "bounds": (lambda x: dshapley_regression_bounds(PointQuery.from_point(x, 0.0, make_env(m=100)),
+                                                    make_env(m=100)), "d"),
+    "quadrature": (lambda x: dshapley_regression_quadrature(
+        PointQuery.from_point(x, 0.0, make_env(m=100)), make_env(m=100)), "d"),
+    "exact": (lambda x: dshapley_regression_exact(PointQuery.from_point(x, 0.0, make_env(m=100)),
+                                                  make_env(m=100), None, RandomStream(0)), "d"),
+    "binary-bounds": (lambda x: _binary_route(np.concatenate([x, [0.0]])), "d_tilde"),
+}
+
+
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_gamma_rejected(self, gamma):
@@ -402,6 +438,19 @@ class TestNonFiniteParameters:
     def test_nan_fails_the_sign_checks(self, build):
         with pytest.raises(InvalidParameterError, match="nonnegative"):
             build()
+
+    @pytest.mark.parametrize("build, name", NOT_FINITE.values(), ids=NOT_FINITE.keys())
+    def test_an_infinite_statistic_is_refused_by_name(self, build, name):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{name} must be finite and nonnegative, got -?inf$"):
+            build()
+
+    @pytest.mark.parametrize("route, name", LARGE_INPUT_ROUTES.values(), ids=LARGE_INPUT_ROUTES.keys())
+    def test_a_large_finite_input_is_refused_before_the_route(self, route, name):
+        # 1e200 squared overflows: d was inf, and the bounds gave (nan, nan) while the
+        # quadrature and the exact sampler failed on a negative std_error
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
+            route(np.array([1e200, 0.0]))
 
 
 class TestBounds:
