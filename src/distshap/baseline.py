@@ -84,6 +84,8 @@ class AccuracyUtility:
 
     def __post_init__(self):
         check_count(self.gate, 1, "gate")
+        if not np.isin(self.y_test, (0.0, 1.0)).all():
+            raise InvalidParameterError("labels must be 0/1")
 
 
 @dataclass(frozen=True)
@@ -148,23 +150,26 @@ def _regression_utilities(pool, index, sets, sizes, utility: RegressionUtility):
 
 
 def _accuracy_utilities(pool, index, sets, sizes, utility: AccuracyUtility):
-    """Held-out accuracy of each fit's logistic regression, in IRLS blocks cut to their widest
-    fit (a fit cut at the cap still classifies). One class, <= p rows or a singular system fails."""
+    """Held-out accuracy of each fit's logistic regression, in IRLS blocks of fits taken in
+    order of size, each block cut to its widest fit (a fit cut at the cap still classifies).
+    One class, <= p rows or a singular system fails."""
     x, y = (np.asarray(part)[index[:, :sizes.max()]] for part in pool)  # to the widest fit
-    if not (np.isin(y, (0.0, 1.0)).all() and np.isin(utility.y_test, (0.0, 1.0)).all()):
+    if not np.isin(y, (0.0, 1.0)).all():
         raise InvalidParameterError("labels must be 0/1")
     ones = np.cumsum(y, axis=1)[sets, sizes - 1]  # positives in each prefix
     fit = np.flatnonzero((ones > 0) & (ones < sizes) & (sizes > x.shape[-1]))
+    fit = fit[np.argsort(sizes[fit], kind="stable")]  # near-equal widths share a block
+    labels = np.asarray(utility.y_test) == 1.0
     out = np.full(sizes.size, np.nan)
     for start in range(0, fit.size, _FITS_PER_BLOCK):
         block = fit[start:start + _FITS_PER_BLOCK]
-        width = sizes[block].max()
+        width = sizes[block[-1]]
         members = (np.arange(width) < sizes[block, None]).astype(float)
         with np.errstate(all="ignore"):
             state, singular = _irls_stack(x[sets[block], :width], y[sets[block], :width],
                                           members, 1e-8, _ACCURACY_MAX_ITER)
-        out[block[~singular]] = _heldout_scores(
-            lambda pred: np.mean((pred >= 0.0) == utility.y_test, axis=-1),
+        out[block[~singular]] = _heldout_scores(  # a count over n: the mean of the booleans
+            lambda pred: np.count_nonzero((pred >= 0.0) == labels, axis=-1) / labels.size,
             utility.x_test, state.beta[~singular])
     return out
 

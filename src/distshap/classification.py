@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .estimates import BoundsResult
-from .numerics import SpdMatrix, check_count, estimate_second_moment, in_shape, inv_logit, mahalanobis_sq, solve_each
+from .numerics import SpdMatrix, check_count, check_row_norms, estimate_second_moment, in_shape, inv_logit, mahalanobis_sq, solve_each
 from .regression import _check_q, _check_statistics, _envelope_bounds
 
 __all__ = [
@@ -85,13 +85,23 @@ class BinaryPointQuery:
 
 def _irls_stack(x, y, members, tol: float, max_iter: int):
     """The IRLS loop on a stack of subsets: row i of ``x[a]`` (k, s, p) and ``y[a]`` (k, s)
-    is in subset a where ``members[a, i]`` is 1. Each subset stops at its own ``tol``, at
-    ``max_iter`` or where its normal equations are singular. No product is a gemv, whose sums
-    depend on the row count, and the Gram is summed over fixed 256-row blocks, so a fit's bits
-    depend neither on the other subsets nor on the padding width. Returns an ``IRLSState`` of
-    (k, ...) arrays and the (k,) singular flags.
+    is in subset a where ``members[a, i]`` is 1. Each iteration is the Newton increment on a
+    feature-major (k, p, s) copy of the stack, taken once a call with the rows outside a
+    subset set to x = 0 and y = 1/2, so that their weighted rows ``w x`` and residuals
+    ``r = y - pi`` are exact zeros. With the floored weights ``w = max(pi (1 - pi), 1e-10)``,
+    one product of x with ``[w x ; r]``, summed over fixed 256-row blocks, gives the Gram G
+    and ``X^T r``, and beta moves by the solution of ``G d = X^T r``: the working-response
+    step ``G^-1 X^T W z``, since ``X^T W z = G beta + X^T r``. Each subset stops at its own
+    ``tol`` on ``|d| / (1 + |beta|)``, at ``max_iter`` or where G is singular, and the stack
+    is cut to the subsets still iterating only when one stops. No product is a gemv, whose
+    sums depend on the row count, so a fit's bits depend neither on the other subsets nor on
+    the padding width. Returns an ``IRLSState`` of (k, ...) arrays and the (k,) singular flags.
     """
-    k, p = members.shape[0], x.shape[-1]
+    k, s, p = np.shape(x)
+    inside = np.asarray(members) == 1.0
+    xt = np.multiply(np.swapaxes(x, -1, -2), inside[:, None], order="C")  # (k, p, s)
+    y = np.where(inside, y, 0.5)
+    buf = np.empty((k, p + 1, s))  # [w x ; r] of the subsets still iterating
     beta = np.zeros((k, p))
     step = np.full(k, np.inf)
     iterations = np.zeros(k, dtype=int)
@@ -100,28 +110,28 @@ def _irls_stack(x, y, members, tol: float, max_iter: int):
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
-        xa, ya = (x, y) if active.size == k else (x[active], y[active])
-        eta = np.einsum("...ij,...j->...i", xa, beta[active])
-        pi = inv_logit(eta)
+        part, old = buf[:active.size], beta[active]
+        pi = inv_logit(np.einsum("kjs,kj->ks", xt, old))
         w = np.maximum(pi * (1.0 - pi), _WEIGHT_FLOOR)
-        z = eta + (ya - pi) / w
-        wx = (w * members[active])[..., None] * xa  # rows outside a subset weigh 0
-        rhs = np.swapaxes(wx, -1, -2) @ np.stack([z, z], -1)  # two columns: a gemm, not a gemv
-        xt = np.swapaxes(xa, -1, -2)
-        gram = xt[..., :_GRAM_ROWS] @ wx[..., :_GRAM_ROWS, :]
-        for at in range(_GRAM_ROWS, xa.shape[-2], _GRAM_ROWS):
-            gram += xt[..., at:at + _GRAM_ROWS] @ wx[..., at:at + _GRAM_ROWS, :]
-        new, bad = solve_each(gram, rhs[..., :1])
-        new = new[..., 0]
-        moved = np.sqrt(_sq_norms(new - beta[active])) / (1.0 + np.sqrt(_sq_norms(new)))
-        ok = ~bad
-        beta[active[ok]] = new[ok]
-        step[active[ok]] = moved[ok]
+        np.multiply(xt, w[:, None], out=part[:, :p])
+        np.subtract(y, pi, out=part[:, p])
+        both = np.swapaxes(part, -1, -2)  # (k, s, p + 1): G and X^T r from one product
+        prod = xt[..., :_GRAM_ROWS] @ both[..., :_GRAM_ROWS, :]
+        for at in range(_GRAM_ROWS, s, _GRAM_ROWS):
+            prod += xt[..., at:at + _GRAM_ROWS] @ both[..., at:at + _GRAM_ROWS, :]
+        delta, bad = solve_each(prod[..., :p], prod[..., p:])
+        delta = delta[..., 0]
+        new = old + delta
+        moved = np.sqrt(_sq_norms(delta)) / (1.0 + np.sqrt(_sq_norms(new)))
         iterations[active] = it
-        singular[active[bad]] = True
-        done = ok & (moved <= tol)
-        converged[active[done]] = True
-        active = active[ok & ~done]
+        converged[active] = done = moved <= tol  # False where singular: moved is NaN
+        if bad.any():  # a singular subset stops with its last beta and step
+            singular[active[bad]] = True
+            new[bad], moved[bad] = old[bad], step[active[bad]]
+        beta[active], step[active] = new, moved
+        stay = ~(done | bad)
+        if not stay.all():
+            active, xt, y = active[stay], xt[stay], y[stay]
     return IRLSState(beta=beta, iterations=iterations, converged=converged,
                      final_step_norm=step), singular
 
@@ -134,11 +144,13 @@ def _sq_norms(v):
 def irls_fit(x, y, tol: float = 1e-8, max_iter: int = 100) -> IRLSState:
     """Fit logistic-regression coefficients by iteratively reweighted least squares.
 
-    Iterates the weighted normal equations on the working responses until the
-    relative step norm drops to ``tol``. Equals the maximum-likelihood
-    estimate at convergence. Separable data never converge (the MLE does not
-    exist); the returned state then has ``converged=False`` and a growing
-    coefficient norm. This is the IRLS loop on a stack of one subset.
+    Takes Newton increments, each the solution of the weighted normal equations
+    against ``X^T (y - pi)`` (the working-response step), until the relative
+    step norm ``|d| / (1 + |beta|)`` drops to ``tol``. Equals the
+    maximum-likelihood estimate at convergence. Separable data never converge
+    (the MLE does not exist); the returned state then has ``converged=False``
+    and a growing coefficient norm. A row whose squared norm is not finite is
+    refused by its 1-based number. This is the IRLS loop on a stack of one subset.
     """
     check_count(max_iter, 1, "max_iter")
     x = np.asarray(x, dtype=float)
@@ -146,6 +158,7 @@ def irls_fit(x, y, tol: float = 1e-8, max_iter: int = 100) -> IRLSState:
     n, p = x.shape
     if n <= p:
         raise InsufficientDataError(f"need more than p={p} samples, got {n}")
+    check_row_norms(x, "background")
     classes = np.unique(y)
     if not np.array_equal(classes, [0.0, 1.0]):
         if classes.size < 2:

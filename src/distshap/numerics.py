@@ -167,6 +167,18 @@ def check_count(value, minimum, name: str) -> None:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def check_row_norms(x, name: str) -> None:
+    """Raise ``InvalidParameterError`` naming the first row (1-based) of ``x`` (n, p) whose
+    squared norm is not finite: a row of finite entries such as 1e200 still overflows the
+    Gram of any fit that takes it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", x, x)
+    bad = np.flatnonzero(~np.isfinite(sq))
+    if bad.size:
+        raise InvalidParameterError(
+            f"{name} row {bad[0] + 1} has a squared norm that is not finite, got {float(sq[bad[0]])!r}")
+
+
 # Floats one block of a bounded kernel may hold, read at each call: _BLOCK_FLOATS bounds
 # memory, the smaller _CACHE_FLOATS keeps a working set in cache where that is faster.
 _BLOCK_FLOATS = 1 << 16
@@ -232,8 +244,9 @@ def inv_logit(t):
 
     Saturates to 0 or 1 for very large ``|t|`` instead of overflowing;
     accepts scalars or arrays. With ``e = exp(-|t|)`` it is ``1 / (1 + e)``
-    where ``t >= 0`` and ``e / (1 + e)`` elsewhere, one division for both.
+    where ``t >= 0`` and ``e / (1 + e)`` elsewhere, one division for both; the numerator
+    is ``max(e, t >= 0)``, since ``e <= 1``.
     """
     arr = np.asarray(t, dtype=float)
     e = np.exp(-np.abs(arr))
-    return in_shape(np.divide(np.where(arr >= 0, 1.0, e), 1.0 + e), arr.shape)
+    return in_shape(np.divide(np.maximum(e, arr >= 0), 1.0 + e), arr.shape)

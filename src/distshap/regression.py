@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError, SingularMatrixError
 from .estimates import BoundsResult, MCControls, ValueEstimate
-from .numerics import RandomStream, SpdMatrix, blocks, check_count, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
+from .numerics import RandomStream, SpdMatrix, blocks, check_count, check_row_norms, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
 
 __all__ = [
     "RegressionEnvironment",
@@ -135,7 +135,8 @@ def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0) -> RegressionEnv
 
     Fits ``beta_hat`` by least squares, the noise variance by
     ``RSS / (N - p)``, and the inverse uncentered second moment of the
-    inputs; ``gamma`` is stored as the valuation-time penalty.
+    inputs; ``gamma`` is stored as the valuation-time penalty. A row whose
+    squared norm is not finite is refused by its 1-based number.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -146,6 +147,7 @@ def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0) -> RegressionEnv
         raise InvalidParameterError("x and y lengths differ")
     if n <= p:
         raise InsufficientDataError(f"need more than p={p} samples, got {n}")
+    check_row_norms(x, "background")
     try:
         beta_hat = np.linalg.solve(x.T @ x, x.T @ y)
     except np.linalg.LinAlgError as exc:

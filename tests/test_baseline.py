@@ -159,6 +159,14 @@ class TestUtilityFields:
         with pytest.raises(InvalidParameterError, match="gate must be at least 1"):
             AccuracyUtility(gate, **HELDOUT)
 
+    @pytest.mark.parametrize("labels", ([0.0, 1.0, -1.0, 1.0, 0.0], [0, 1, 2, 1, 0], [0.0, np.nan, 1.0, 1.0, 0.0]),
+                             ids=["minus-one", "two", "nan"])
+    def test_accuracy_labels_are_checked_once_built(self, labels):
+        # held-out labels are checked when the utility is made, not on every stacked call
+        with pytest.raises(InvalidParameterError, match="labels must be 0/1"):
+            AccuracyUtility(3, np.zeros((5, 2)), np.array(labels))
+        AccuracyUtility(3, np.zeros((5, 2)), np.array([0, 1, 1, 0, True]))
+
     def test_density_gate_is_one(self):
         utility = DensityUtility(KernelSpec("gaussian", 0.5, 1), np.zeros((10, 1)))
         assert utility.gate == 1 and utility.constant == 0.0

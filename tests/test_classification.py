@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -106,6 +107,57 @@ class TestIrlsFit:
             alone = irls_fit(x[0, :size], y[0, :size])
             assert np.allclose(shared.beta[a], alone.beta, rtol=1e-12, atol=1e-14)
             assert shared.iterations[a] == alone.iterations
+
+    def test_newton_increment_is_the_working_response_step(self):
+        # one fit as IRLS is usually written, through the working response z and the
+        # floored weights, against the stack's Newton increment: six fits padded to 80
+        # rows, three ordinary, two separable that stop at the cap, one singular
+        def working_response(x, y, tol, max_iter):
+            beta = np.zeros(x.shape[1])
+            for it in range(1, max_iter + 1):
+                eta = x @ beta
+                pi = inv_logit(eta)
+                w = np.maximum(pi * (1.0 - pi), 1e-10)
+                z = eta + (y - pi) / w
+                try:
+                    new = np.linalg.solve(x.T @ (w[:, None] * x), x.T @ (w * z))
+                except np.linalg.LinAlgError:
+                    return beta, it, False, True
+                moved = np.linalg.norm(new - beta) / (1.0 + np.linalg.norm(new))
+                beta = new
+                if moved <= tol:
+                    return beta, it, True, False
+            return beta, max_iter, False, False
+
+        gen = np.random.default_rng(11)
+        x = gen.standard_normal((6, 80, 3))
+        y = (gen.uniform(size=(6, 80)) < inv_logit(x @ np.array([1.0, -0.5, 0.3]))).astype(float)
+        y[3], y[5] = x[3, :, 0] > 0.0, x[5, :, 1] + x[5, :, 2] > 0.0  # separable
+        x[4, :, 2] = x[4, :, 0]  # duplicated feature: singular normal equations
+        sizes = np.array([80, 55, 30, 60, 70, 40])
+        members = (np.arange(80) < sizes[:, None]).astype(float)
+        with np.errstate(all="ignore"):
+            state, singular = _irls_stack(x, y, members, 1e-8, 25)
+            alone = [working_response(x[a, :k], y[a, :k], 1e-8, 25) for a, k in enumerate(sizes)]
+        assert singular.tolist() == [False, False, False, False, True, False]
+        assert state.converged.tolist() == [True, True, True, False, False, False]
+        assert state.iterations[[3, 5]].tolist() == [25, 25]
+        for a, (beta, iterations, converged, bad) in enumerate(alone):
+            assert (state.iterations[a], state.converged[a], singular[a]) == (iterations, converged, bad)
+            if converged:
+                assert np.allclose(state.beta[a], beta, rtol=1e-10, atol=0.0)
+
+    def test_an_overflowing_row_is_refused_by_number(self):
+        # 1e200 is finite, but its square is not: the fit returned converged=True and a
+        # beta of [-0, 0.096, 0.067] without a word
+        data = gen_mixture_c(200, 3, RandomStream(1))
+        x = data.x.copy()
+        x[3, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError,
+                               match=r"^background row 4 has a squared norm that is not finite, got inf$"):
+                irls_fit(x, data.y)
 
     def test_rank_deficient_design(self):
         gen = np.random.default_rng(3)

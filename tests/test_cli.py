@@ -7,7 +7,7 @@ from dataclasses import fields
 import jsonschema
 import pytest
 
-from distshap import cli, numerics
+from distshap import baseline, cli, numerics
 from distshap.cli import _experiment_config, build_parser, main
 from distshap.experiments import ExperimentConfig
 from distshap.output import RESULTS_JSON_SCHEMA, read_results
@@ -92,6 +92,32 @@ class TestErrors:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err == "error: InvalidParameterError: d must be finite and nonnegative, got inf\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, task, row", [
+        ("gaussian-r", "regression", "1e+200,0.0,1.0"),
+        ("gaussian-c", "classification", "1e+200,0.0,0.0,1.0")])
+    def test_an_overflowing_background_row_is_refused_by_number(self, kind, task, row,
+                                                                 tmp_path, capsys):
+        # the background fits refuse a row whose squared norm overflows; the regression fit
+        # failed on a singular pivot after two warnings, and IRLS said nothing
+        data, out = tmp_path / "data.csv", tmp_path / "o.csv"
+        assert run(["gen", "--kind", kind, "--n", "120", "--p", "2",
+                    "--seed", "1", "--output", str(data)]) == 0
+        argv = ["bounds", "--data", str(data), "--target-column", "y", "--task", task,
+                "--m", "40", "--n-value-points", "6", "--background-size", "114",
+                "--heldout-size", "0", "--seed", "4", "--output", str(out)]
+        assert run(argv) == 0
+        valued = set(read_results(out).columns["index"])  # every other row is background
+        out.unlink()
+        lines = data.read_text().splitlines()
+        first_row = 1 + next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[first_row + min(set(range(120)) - valued)] = row
+        data.write_text("\n".join(lines) + "\n")
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: InvalidParameterError: background row \d+ has a squared norm "
+                            r"that is not finite, got inf\n", err), err
         assert not out.exists()
 
     def test_negative_split_sizes_exit_code(self, tmp_path, capsys):
@@ -564,3 +590,21 @@ class TestBudgets:
             assert run(argv + ["--output", str(path)]) == 0
             written.append(path.read_bytes())
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("baseline", ["--n-value-points", "2"]),
+        ("point-addition", ["--n-value-points", "40", "--method", "bounds", "--repetitions", "2"])])
+    def test_accuracy_bytes_do_not_depend_on_the_fits_per_block(self, command, extra, datasets,
+                                                               tmp_path, monkeypatch):
+        # the accuracy utility cuts its size-sorted fits into blocks of _FITS_PER_BLOCK, each
+        # padded to its widest: a fit's bits depend neither on its block-mates nor on the padding
+        argv = [command, "--data", str(datasets["clf"]), "--target-column", "y",
+                "--task", "classification", "--m", "40", "--background-size", "150",
+                "--heldout-size", "60", "--baseline-draws", "20", "--seed", "4"] + extra
+        written = []
+        for fits in (1, 5, 32):
+            monkeypatch.setattr(baseline, "_FITS_PER_BLOCK", fits)
+            path = tmp_path / f"{fits}.csv"
+            assert run(argv + ["--output", str(path)]) == 0
+            written.append(path.read_bytes())
+        assert written[0] == written[1] == written[2]

@@ -176,6 +176,19 @@ class TestInvLogit:
         assert all(np.float64(inv_logit(s)).tobytes() == b.tobytes() for s, b in zip(t, two_branch))
 
 
+class TestRowNorms:
+    def test_names_the_first_row_whose_square_is_not_finite(self):
+        x = np.ones((6, 3))
+        numerics.check_row_norms(x, "background")  # finite rows pass
+        x[4, 1], x[2, 0] = np.nan, -1e160  # 3 * 1e320 overflows, as does one 1e160 squared
+        with np.errstate(all="raise"):
+            with pytest.raises(InvalidParameterError, match=r"^x row 3 has a squared norm that is not finite, got inf$"):
+                numerics.check_row_norms(x, "x")
+        x[2, 0] = 1e150  # its square is 1e300: finite
+        with pytest.raises(InvalidParameterError, match=r"^x row 5 .* got nan$"):
+            numerics.check_row_norms(x, "x")
+
+
 class TestBlocks:
     def test_blocks_cut_in_order_under_each_budget(self, monkeypatch):
         monkeypatch.setattr(numerics, "_BLOCK_FLOATS", 30)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,18 @@ class TestFitBackground:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             fit_background(np.ones((3, 3)), np.ones(3), m=10, q=6)
+
+    def test_an_overflowing_row_is_refused_by_number(self):
+        # 1e200 is finite, but its square is not: the fit warned twice and then failed on
+        # a pivot of the second moment, a message that named no input
+        gen = np.random.default_rng(0)
+        x = gen.standard_normal((50, 3))
+        x[3, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError,
+                               match=r"^background row 4 has a squared norm that is not finite, got inf$"):
+                fit_background(x, gen.standard_normal(50), m=100, q=6)
 
     def test_duplicated_column_raises_singular(self):
         gen = RandomStream(4).generator
