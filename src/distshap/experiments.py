@@ -101,7 +101,8 @@ class ExperimentConfig:
             raise InvalidParameterError(f"gamma must be finite, got {self.gamma}")
         if self.bound_side not in ("lower", "upper"):
             raise InvalidParameterError("bound_side must be lower or upper")
-        for name, floor in (("n_value_points", 1), ("repetitions", 1), ("heldout_size", 0), ("background_size", 1)):
+        for name, floor in (("n_value_points", 1), ("repetitions", 1), ("heldout_size", 0),
+                            ("background_size", 1), ("threads", 1)):
             check_count(getattr(self, name), floor, name)
 
     def resolved_q(self, p: int) -> int:
@@ -323,6 +324,7 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
     check_count(repetitions, 1, "repetitions")
     check_count(baseline_points, 1, "baseline_points")
     check_count(background_size, 1, "background_size")
+    check_count(threads, 1, "threads")
     if not tasks or any(task not in _TASKS for task in tasks):
         raise InvalidParameterError(f"tasks must be a nonempty list from {_TASKS}, got {tasks}")
     rows = []

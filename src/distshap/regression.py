@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError, SingularMatrixError
 from .estimates import BoundsResult, MCControls, ValueEstimate
-from .numerics import RandomStream, SpdMatrix, blocks, check_count, check_row_norms, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
+from .numerics import LOG_TINY, RandomStream, SpdMatrix, blocks, check_count, check_row_norms, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
 
 __all__ = [
     "RegressionEnvironment",
@@ -44,17 +44,12 @@ _INNER_BLOCK = 128
 _OUTER_BLOCK = 128
 _TABLE_SIZES = 51  # sizes per block of every size table; the cut fixes its bits
 
-# exp-sinh (double-exponential) rule on [0, inf): u = exp(pi/2 sinh t) on a
-# uniform t grid (Takahasi & Mori 1974); with an odd node count, every other
-# node, both ends included, is the same rule at twice the step
-_QUAD_T = np.linspace(-4.5, 4.5, 321)
-_QUAD_U = np.exp(np.pi / 2.0 * np.sinh(_QUAD_T))
-_QUAD_W = (_QUAD_T[1] - _QUAD_T[0]) * np.pi / 2.0 * np.cosh(_QUAD_T) * _QUAD_U
-
-# log-uniform trapezoid rule of the bounds: nodes exp(x) from x = _BOUND_FROM in steps of
-# _BOUND_STEP (7/32, exact in binary, so is every x), up to where exp(-v a) <= exp(-_BOUND_TAIL)
-# at the call's smallest a; at a step of 1/4 the rule's own error was 8e-15 relative
-_BOUND_FROM, _BOUND_STEP, _BOUND_TAIL = -62.0, 0.21875, 60.0
+# the one Laplace rule of both regression routes: nodes v = exp(x) at x = _LAPLACE_FROM + k
+# _LAPLACE_STEP (7/32, exact in binary, so is every x), to x = _QUAD_TOP for the quadrature
+# (651 nodes), and for the bounds to where exp(-v a) <= exp(-_BOUND_TAIL) at the smallest a
+_LAPLACE_FROM, _LAPLACE_STEP, _QUAD_TOP, _BOUND_TAIL = -62.0, 0.21875, 80.0, 60.0
+# the quadrature's std_error per unit of value: a rounding bound (the error read <= 6 eps)
+_QUAD_ROUNDING = 64.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -212,52 +207,75 @@ def _first_stable_index(running: np.ndarray, rho: float,
     return hit, counts
 
 
+def _laplace_nodes(top: float) -> np.ndarray:
+    """Nodes ``exp(x)`` of the Laplace rule, from ``x = _LAPLACE_FROM`` to the first ``x`` at or
+    past ``top``."""
+    count = np.ceil((top - _LAPLACE_FROM) / _LAPLACE_STEP) + 1
+    return np.exp(_LAPLACE_FROM + _LAPLACE_STEP * np.arange(count))
+
+
+def _size_table(rates, exponents, weights) -> np.ndarray:
+    """``sum_j weights[:, j] exp(-rates[i] exponents[j])`` at each node ``i``, a ``(k, nodes)``
+    array for ``k`` rows of weights, summed ``_TABLE_SIZES`` sizes a block. ``rates`` ascend
+    and ``exponents`` are positive, so a block's products stop at the first node where its
+    smallest exponent's term underflows to ``exp_or_zero``'s 0, as all its later terms do."""
+    table = np.zeros((weights.shape[0], rates.size))
+    for start in range(0, exponents.size, _TABLE_SIZES):
+        sizes = slice(start, start + _TABLE_SIZES)
+        stop = np.searchsorted(rates * exponents[sizes].min(), -LOG_TINY, side="right")
+        terms = exp_or_zero(np.outer(-exponents[sizes], rates[:stop]))  # (sizes, nodes)
+        table[:, :stop] += weights[:, sizes] @ terms
+    return table
+
+
+def _laplace_sums(d, v, tables) -> np.ndarray:
+    """``int_0^inf v exp(-d v) F(v) dv`` at each point of ``d`` for each table ``F`` given at the
+    nodes ``v``: ``(tables, points)`` trapezoid sums in ``x``, weights ``_LAPLACE_STEP v^2``.
+    Points go in row blocks of a cache budget of (points x nodes) entries, one decay row a
+    point shared by every table, each sum an ``einsum`` over one row, not a matrix product,
+    whose summation order depends on the row count: a point's bits do not depend on its block."""
+    tables = _LAPLACE_STEP * v * v * np.asarray(tables)
+    sums = np.empty((len(tables), d.size))
+    for rows in blocks(d.size, v.size, cache=True):
+        decay = exp_or_zero(np.outer(-d[rows], v))  # (points, nodes)
+        for k, table in enumerate(tables):
+            sums[k, rows] = np.einsum("ij,j->i", decay, table)
+    return sums
+
+
 def dshapley_regression_quadrature(query: PointQuery, env: RegressionEnvironment) -> ValueEstimate:
     """Integrate the Gaussian-input closed form of the value of one point or a batch.
 
-    For ``T ~ chi2(nu)``, ``E[exp(-uT)] = (1 + 2u)^(-nu/2)``. Writing the
-    summand ``s2/(d+T) + d(e2-s2)/(d+T)^2`` as Laplace integrals and moving
-    the sum over the admitted sizes ``j = q-1 .. m-1`` inside gives::
+    Over the admitted sizes ``j = q-1 .. m-1``, with ``T ~ chi2(nu)``, ``nu = j-p+1``, the
+    value is ``-(s2 P + d e2 Q) / m`` with ``P = sum_j (j-1)/(j-p) E[T/(d+T)^2]`` and ``Q =
+    sum_j (j-1)/(j-p) E[1/(d+T)^2]``. ``E[exp(-uT)] = (1 + 2u)^(-nu/2)`` and ``E[T exp(-uT)] =
+    nu (1 + 2u)^(-nu/2-1)`` make both Laplace integrals of positive integrands::
 
-        value = -(1/m) int_0^inf exp(-u d) (s2 + d (e2 - s2) u) G(u) du
-        G(u)  = sum_j (j-1)/(j-p) (1 + 2u)^(-(j-p+1)/2)
+        P = int_0^inf u exp(-u d) G1(u) / (1 + 2u) du,   Q = int_0^inf u exp(-u d) G0(u) du
+        Gk(u) = sum_j (j-1)/(j-p) nu^k (1 + 2u)^(-nu/2)
 
-    ``G`` depends on ``(m, p, q)`` alone: it is tabulated once at the nodes
-    of a fixed exp-sinh rule, and points are summed against it in blocks of
-    points. No size is truncated and nothing is drawn. ``std_error`` is the gap between
-    the full rule and the rule on every other node: a conservative estimate
-    of the full rule's quadrature error, since halving the step of a
-    double-exponential rule roughly squares its relative error.
+    ``G0`` and ``G1`` depend on ``(m, p, q)`` alone: :func:`_size_table` tabulates them at the
+    nodes of the Laplace rule up to ``x = _QUAD_TOP``, and :func:`_laplace_sums` sums the
+    points against them. No size is truncated and nothing is drawn. Both parts are sums of
+    positive terms, so the rule's error is at rounding level: ``std_error`` is
+    ``_QUAD_ROUNDING`` times the value's magnitude.
 
     Requires ``gamma = 0`` and ``q >= p + 3``. Returns exact 0 (with a
     warning) when the horizon sits below the gate. The value and ``std_error``
     take the shape of ``query.d``; no point's bits depend on the batch.
     """
     shape = np.shape(query.d)
-    empty, js, coef, dfs = _gaussian_sizes(env, "the quadrature route", shape)
+    empty, _, coef, dfs = _gaussian_sizes(env, "the quadrature route", shape)
     if empty is not None:
         return empty
     d, e2 = np.atleast_1d(query.d).astype(float), np.atleast_1d(query.e2).astype(float)
 
-    half_dfs = dfs / 2.0
-    log_base = np.log1p(2.0 * _QUAD_U)
-    g = np.zeros(_QUAD_U.size)
-    for start in range(0, js.size, _TABLE_SIZES):
-        sizes = slice(start, start + _TABLE_SIZES)
-        g += exp_or_zero(np.outer(log_base, -half_dfs[sizes])) @ coef[sizes]
-
-    s2 = env.sigma2
-    value, half = np.empty(d.size), np.empty(d.size)
-    for rows in blocks(d.size, _QUAD_U.size, cache=True):
-        decay = exp_or_zero(np.outer(-d[rows], _QUAD_U))  # (points, nodes)
-        for out, every in ((value, 1), (half, 2)):
-            w = every * _QUAD_W[::every] * g[::every]
-            nodes = decay[:, ::every]
-            # row by row, not a matrix product, whose summation order depends on the row count
-            out[rows] = -(s2 * np.einsum("ij,j->i", nodes, w) + d[rows] * (e2[rows] - s2)
-                          * np.einsum("ij,j->i", nodes, w * _QUAD_U[::every])) / env.m
-    std_error = np.abs(value - half)
-    return ValueEstimate(value=in_shape(value, shape), std_error=in_shape(std_error, shape))
+    u = _laplace_nodes(_QUAD_TOP)
+    g0, g1 = _size_table(np.log1p(2.0 * u), dfs / 2.0, np.stack((coef, coef * dfs)))
+    big_p, big_q = _laplace_sums(d, u, (g1 / (1.0 + 2.0 * u), g0))
+    value = -(env.sigma2 * big_p + d * e2 * big_q) / env.m
+    return ValueEstimate(value=in_shape(value, shape),
+                         std_error=in_shape(_QUAD_ROUNDING * np.abs(value), shape))
 
 
 def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
@@ -347,17 +365,12 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
 
     With ``1 / (a + t)^2 = int_0^inf v exp(-v (a + t)) dv`` both sums are Laplace integrals
     against the size tables ``H(v) = sum_j exp(-v a_j)`` and ``K(v) = sum_j exp(-v a_j) /
-    a_j``: ``E = t int v exp(-v t) H dv`` and ``S = 2 E + t^2 int v exp(-v t) K dv``. The
-    tables of both extremes are built once, ``_TABLE_SIZES`` sizes a block, at the nodes of
-    a log-uniform trapezoid rule: ``v = exp(x)`` at ``x = -62, -62 + h, ...`` up to
-    ``log(60 / a_min)``, weights ``h v^2``, ``h = 7/32``. ``a_lo >= a_up`` size by size, so
-    every table entry and every weighted node sum of the lower extreme is at most that of
-    the upper, and lower <= upper in floating point too.
-
-    Points are summed in row blocks of a cache budget of (points x nodes) entries, one
-    decay row ``exp(-t v)`` a point shared by both extremes and parts, each sum an
-    ``einsum`` over one row, so a point's bits do not depend on its block; a point is a
-    block of one. The result carries each side's noise and error sums.
+    a_j``: ``E = t int v exp(-v t) H dv`` and ``S = 2 E + t^2 int v exp(-v t) K dv``.
+    :func:`_size_table` builds both tables of each extreme at the nodes of the Laplace rule
+    up to ``log(_BOUND_TAIL / a_min)``, and :func:`_laplace_sums` sums the points against
+    them. Every weight is positive and ``a_lo >= a_up`` size by size, so every table entry
+    and every node sum of the lower extreme is at most that of the upper, and lower <=
+    upper. The result carries each side's noise and error sums.
     """
     shape = np.shape(d)
     d, e2 = np.atleast_1d(d), np.atleast_1d(e2)
@@ -366,29 +379,11 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
     valid = delta < 1.0
     js, delta = js[valid], delta[valid]
     extremes = (js * (1.0 + delta) ** 2 + ridge[1], js * (1.0 - delta) ** 2 + ridge[0])  # lo, up
-    top = np.log(_BOUND_TAIL / extremes[1].min()) if js.size else _BOUND_FROM
-    nodes = int(np.ceil((top - _BOUND_FROM) / _BOUND_STEP)) + 1
-    v = np.exp(_BOUND_FROM + _BOUND_STEP * np.arange(nodes))
-    h_table, k_table = np.zeros((2, v.size)), np.zeros((2, v.size))  # rows: lo, up
-    for start in range(0, js.size, _TABLE_SIZES):
-        sizes = slice(start, start + _TABLE_SIZES)
-        for row, a in enumerate(extremes):
-            terms = exp_or_zero(np.outer(-v, a[sizes]))  # (nodes, sizes)
-            h_table[row] += terms.sum(axis=1)
-            k_table[row] += terms @ (1.0 / a[sizes])
-    weights = _BOUND_STEP * v * v
-    h_table *= weights
-    k_table *= weights
-
-    sums = np.empty((4, d.size))  # E(lo), S(lo), E(up), S(up)
-    for rows in blocks(d.size, v.size, cache=True):
-        t = d[rows]
-        decay = exp_or_zero(np.outer(-t, v))  # (points, nodes)
-        for row in range(2):
-            e = t * np.einsum("ij,j->i", decay, h_table[row])
-            sums[2 * row, rows] = e
-            sums[2 * row + 1, rows] = 2.0 * e + t * t * np.einsum("ij,j->i", decay, k_table[row])
-    e_lo, s_lo, e_up, s_up = sums
+    v = _laplace_nodes(np.log(_BOUND_TAIL / extremes[1].min()) if js.size else _LAPLACE_FROM)
+    h_lo, k_lo, h_up, k_up = _laplace_sums(d, v, np.concatenate(
+        [_size_table(v, a, np.stack((np.ones_like(a), 1.0 / a))) for a in extremes]))
+    e_lo, e_up = d * h_lo, d * h_up
+    s_lo, s_up = 2.0 * e_lo + d * d * k_lo, 2.0 * e_up + d * d * k_up
     lower = (sigma2 * s_lo - e2 * e_up) / m
     upper = (sigma2 * s_up - e2 * e_lo) / m
     return BoundsResult(lower=in_shape(lower, shape), upper=in_shape(upper, shape),

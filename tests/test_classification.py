@@ -28,6 +28,7 @@ from distshap import (
 )
 from distshap import numerics
 from distshap.classification import _irls_stack
+from distshap.regression import _size_table
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +234,8 @@ def _block_inputs(rows):
 
 def _one_pass_bounds(d, e2, sigma2, ridge):
     """Bounds at m=1000, q=6, p=3 by the log-uniform Laplace rule, every point's decay at
-    every node as one (points, nodes) array and one row-wise sum per point and table.
+    every node as one (points, nodes) array and one row-wise sum per point and table; the
+    tables, which depend on no point, come from the shared ``_size_table``.
     Returns the sides, the sides' (noise, error) sums, the skipped sizes and the nodes."""
     m, q, p = _BLOCK_M, _BLOCK_Q, _BLOCK_P
     js = np.arange(q - 1, m, dtype=float)
@@ -246,13 +248,9 @@ def _one_pass_bounds(d, e2, sigma2, ridge):
     decay = numerics.exp_or_zero(np.outer(-d, v))
 
     def parts(a):  # E = t int v e^(-vt) H dv and S = 2 E + t^2 int v e^(-vt) K dv
-        big_h, big_k = np.zeros(v.size), np.zeros(v.size)
-        for start in range(0, a.size, 51):  # the tables' fixed cut of 51 sizes fixes their bits
-            terms = numerics.exp_or_zero(np.outer(-v, a[start:start + 51]))
-            big_h += terms.sum(axis=1)
-            big_k += terms @ (1.0 / a[start:start + 51])
-        e = d * np.einsum("ij,j->i", decay, big_h * (h * v * v))
-        return e, 2.0 * e + d * d * np.einsum("ij,j->i", decay, big_k * (h * v * v))
+        big_h, big_k = _size_table(v, a, np.stack((np.ones_like(a), 1.0 / a)))
+        e = d * np.einsum("ij,j->i", decay, h * v * v * big_h)
+        return e, 2.0 * e + d * d * np.einsum("ij,j->i", decay, h * v * v * big_k)
 
     (e_lo, s_lo), (e_up, s_up) = parts(a_lo), parts(a_up)
     return ((sigma2 * s_lo - e2 * e_up) / m, (sigma2 * s_up - e2 * e_lo) / m,

@@ -189,6 +189,25 @@ class TestErrors:
             assert f"InvalidParameterError: cell {bad} is not" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_thread_count_below_one_exit_code(self, tmp_path, capsys):
+        # a thread count below one exited 0 and was echoed into the metadata
+        data = tmp_path / "data.csv"
+        assert run(["gen", "--kind", "gaussian-r", "--n", "300", "--p", "3",
+                    "--seed", "1", "--output", str(data)]) == 0
+        capsys.readouterr()
+        common = ["--data", str(data), "--target-column", "y", "--task", "regression",
+                  "--m", "50", "--n-value-points", "10", "--heldout-size", "50"]
+        runs = [[command] + common for command in ("value", "bounds", "baseline", "point-addition")]
+        runs.append(["time-bench", "--cells", "15,2", "--tasks", "regression"])
+        for argv in runs:
+            for threads in ("0", "-4"):
+                out = tmp_path / "o.csv"
+                assert run(argv + ["--threads", threads, "--output", str(out)]) == 2, argv
+                lines = capsys.readouterr().err.splitlines()
+                assert lines == [f"error: InvalidParameterError: threads must be at least 1, "
+                                 f"got {threads}"], argv
+                assert not out.exists()
+
     def test_classification_horizon_below_one_exit_code(self, tmp_path, capsys):
         data = tmp_path / "c.csv"
         assert run(["gen", "--kind", "gaussian-c", "--n", "400",

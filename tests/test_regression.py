@@ -33,7 +33,8 @@ from distshap import (
 )
 from distshap import numerics
 from distshap.estimates import ValueEstimate
-from distshap.regression import _first_stable_index, analytic_utility_constant, normalization_shift
+from distshap.regression import (
+    _QUAD_TOP, _first_stable_index, _laplace_nodes, analytic_utility_constant, normalization_shift)
 
 TIGHT = MCControls(max_inner=10**5, rho1=1e-12, rho2=1e-12)
 
@@ -352,7 +353,8 @@ class TestQuadrature:
                                     sigma_inv=SpdMatrix(np.diag([1.0, 2.0, 0.5])))
         xs = np.vstack([np.zeros(3), 3.0 * gen.standard_normal((40, 3))])
         ys = gen.standard_normal(41)
-        for block_floats in (numerics._CACHE_FLOATS, 7 * 321):
+        nodes = _laplace_nodes(_QUAD_TOP).size
+        for block_floats in (numerics._CACHE_FLOATS, 7 * nodes):
             monkeypatch.setattr(numerics, "_CACHE_FLOATS", block_floats)
             batch = dshapley_regression_quadrature(PointQuery.from_point(xs, ys, env), env)
             assert batch.value.shape == batch.std_error.shape == (41,)
