@@ -26,8 +26,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .estimates import BoundsResult
-from .numerics import SpdMatrix, check_count, check_row_norms, estimate_second_moment, in_shape, inv_logit, mahalanobis_sq, solve_each
-from .regression import _check_q, _check_statistics, _envelope_bounds
+from .numerics import SpdMatrix, check_count, check_nonnegative, check_row_norms, estimate_second_moment, in_shape, inv_logit, mahalanobis_sq, solve_each
+from .regression import _check_q, _envelope_bounds
 
 __all__ = [
     "IRLSState",
@@ -80,7 +80,7 @@ class BinaryPointQuery:
         w = np.asarray(self.w_star)
         if not np.all((0.0 < w) & (w <= 0.25)):
             raise InvalidParameterError("w_star must lie in (0, 0.25]")
-        _check_statistics(self, ("d_tilde", "e2_b"))
+        check_nonnegative(self, ("d_tilde", "e2_b"))
 
 
 def _irls_stack(x, y, members, tol: float, max_iter: int):

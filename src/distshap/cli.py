@@ -145,7 +145,7 @@ def _experiment_config(args, method: str) -> ExperimentConfig:
     settings = {"repetitions": 1, **{key: value for key, value in vars(args).items()
                                      if key in _CONFIG_FIELDS}, "method": method}
     grid = settings["bandwidth_grid"]
-    settings["bandwidth_grid"] = (  # an empty grid goes on, for select_bandwidth to refuse
+    settings["bandwidth_grid"] = (  # an empty grid goes on, for the config to refuse
         ExperimentConfig.bandwidth_grid if grid is None else
         tuple(float(h) for h in (grid.split(",") if grid and isinstance(grid, str) else grid)))
     return ExperimentConfig(**settings)

@@ -36,21 +36,18 @@ __all__ = [
 class KernelSpec:
     """A kernel family with a shared scalar bandwidth.
 
-    Both families integrate to one and are symmetric by construction; in
-    dimension above one the kernel is the product of identical per-coordinate
-    factors.
+    Both families integrate to one and are symmetric by construction; the
+    dimension is the width of the points the kernel is applied to, and above one
+    the kernel is the product of identical per-coordinate factors.
     """
 
     family: str
     bandwidth: float
-    dim: int = 1
 
     def __post_init__(self):
         if self.family not in ("gaussian", "uniform"):
             raise InvalidParameterError(f"unknown kernel family {self.family!r}")
-        if not 0.0 < self.bandwidth < np.inf:
-            raise InvalidParameterError(f"bandwidth must be finite and positive: {self.bandwidth}")
-        check_count(self.dim, 1, "dimension")
+        _as_bandwidths([self.bandwidth])
 
     def evaluate(self, diff) -> np.ndarray:
         """Kernel value at the given displacement(s), shape (..., dim)."""
@@ -64,16 +61,18 @@ class KernelSpec:
     def _values(self, coords, kinds) -> list:
         """The ``"evaluate"`` or ``"self_convolution"`` values, per entry of ``kinds``, at the
         displacements whose coordinates ``coords`` yields in order: squares added (Gaussian)
-        or factors multiplied (uniform) one coordinate at a time."""
-        h, dim = self.bandwidth, self.dim
+        or factors multiplied (uniform) one coordinate at a time, counting them as ``dim``."""
+        h, dim = self.bandwidth, 0
         if self.family == "uniform":
             inside, overlap = True, 1.0
-            for d in coords:
+            for dim, d in enumerate(coords, 1):
                 d = np.abs(d)
                 inside = inside & (d <= h / 2.0)
                 overlap = overlap * (np.maximum(h - d, 0.0) / h ** 2)
             return [inside / h ** dim if kind == "evaluate" else overlap for kind in kinds]
-        sq, out = sum(d * d for d in coords), []
+        sq, out = 0, []
+        for dim, d in enumerate(coords, 1):
+            sq += d * d  # in place after the first: the additions of sum(), in order
         for w in (h if kind == "evaluate" else h * np.sqrt(2.0) for kind in kinds):
             arg = sq * (-0.5 / (w * w))  # the self-convolution is the kernel at h * sqrt(2)
             value = exp_or_zero(arg)
@@ -87,19 +86,17 @@ class DensityValueRequest:
     """A set ``(n, dim)`` or a stack ``(k, n, dim)`` of equal-size sets, valued at horizon ``m``.
 
     One set is a stack of one and gives floats; no set's bits depend on the rest of a stack.
-    ``mc_budget`` is unused: the value is an exact expectation over the
-    background rows, so there is nothing to draw.
     """
 
     s_star: np.ndarray
     m: int
-    mc_budget: int = 2000
 
     def __post_init__(self):
         s_star = np.asarray(self.s_star, dtype=float)
         self.s_star = s_star if s_star.ndim == 3 else np.atleast_2d(s_star)
-        if self.s_star.ndim > 3 or 0 in self.s_star.shape[:-1]:
-            raise InvalidParameterError("s_star must be a nonempty (n, dim) set or (k, n, dim) stack")
+        if self.s_star.ndim > 3 or 0 in self.s_star.shape:
+            raise InvalidParameterError(
+                "s_star must be a nonempty (n, dimension) set or (k, n, dimension) stack")
         if not np.isfinite(self.s_star).all():
             raise InvalidParameterError("s_star must be finite")
         check_count(self.m, 1, "m")
@@ -119,11 +116,16 @@ class SynergyScanResult:
     records: list = field(default_factory=list)
 
 
-def _as_points(points, what: str) -> np.ndarray:
+def _as_points(points, what: str, rows: int = 0) -> np.ndarray:
+    """``points`` as an (n, dim) float array ((n,) is n points of width 1), refused unless finite,
+    at least 1 wide and at least ``rows`` points long: the entry rule of every density route."""
     pts = np.asarray(points, dtype=float)
     if not np.isfinite(pts).all():
         raise InvalidParameterError(f"{what} must be finite")
-    return pts[:, None] if pts.ndim == 1 else pts
+    pts = pts[:, None] if pts.ndim == 1 else pts
+    check_count(pts.shape[-1], 1, "dimension")
+    check_count(pts.shape[0], rows, f"the row count of {what}")
+    return pts
 
 
 def _kernel_means(kernel: KernelSpec, sets: np.ndarray, z: np.ndarray,
@@ -132,16 +134,14 @@ def _kernel_means(kernel: KernelSpec, sets: np.ndarray, z: np.ndarray,
     (see ``KernelSpec._values``) at ``z_r - s_i``, one (k, rows) array per kind.
 
     ``z`` is ``(rows, 1, dim)``, rows shared by every set, or ``(rows, k, dim)``,
-    one column of rows per set; the rows, the sets and the kernel must share one width.
+    one column of rows per set; the rows and the sets must share one width.
     A block of rows is (k, rows, n), its displacements formed by subtraction one coordinate
     at a time (a gemm's sums would depend on the block's shape), and each set's mean
     reduces its own n, so a set's bits depend neither on ``k`` nor on the block.
     """
     k, n, dim = sets.shape
-    if z.shape[-1] != dim or kernel.dim != dim:
-        raise InvalidParameterError(
-            f"rows of width {z.shape[-1]} against a set of width {dim} "
-            f"under a {kernel.dim}-d kernel")
+    if z.shape[-1] != dim:
+        raise InvalidParameterError(f"rows of width {z.shape[-1]} against a set of width {dim}")
     out = [np.empty((k, z.shape[0])) for _ in kinds]
     columns = z.transpose(1, 0, 2)[:, :, None, :]  # (k or 1, rows, 1, dim)
     for rows in blocks(z.shape[0], k * n):
@@ -157,9 +157,7 @@ def kde_evaluate(s, kernel: KernelSpec, z):
     ``z`` may be a single point or an array of points; a float is returned
     for a single point. A NaN or infinite entry of ``s`` or ``z`` raises.
     """
-    pts = _as_points(s, "the reference set")
-    if pts.shape[0] == 0:
-        raise InvalidParameterError("the reference set must be nonempty")
+    pts = _as_points(s, "the reference set", rows=1)
     z_arr = np.asarray(z, dtype=float)
     rows = _as_points(np.atleast_2d(z_arr), "z")
     out = _kernel_means(kernel, pts[None], rows[:, None, :])[0][0]
@@ -202,6 +200,16 @@ def _gaussian_loo_scores(pts, grid):
                 - 2.0 * cross / (n * (n - 1) * (2.0 * np.pi * h * h) ** (dim / 2.0)))
 
 
+def _as_bandwidths(grid) -> list:
+    """``grid`` as a list of floats; refused unless nonempty, finite and positive."""
+    grid = [float(h) for h in grid]
+    if not grid:
+        raise InvalidParameterError("bandwidth grid must be nonempty")
+    if not all(np.isfinite(h) and h > 0 for h in grid):
+        raise InvalidParameterError(f"bandwidths must be finite and positive, got {grid}")
+    return grid
+
+
 def select_bandwidth(samples, grid) -> float:
     """Pick the grid bandwidth minimizing the leave-one-out least-squares CV score.
 
@@ -210,14 +218,8 @@ def select_bandwidth(samples, grid) -> float:
     integrated squared error up to a constant. Ties break toward the larger
     bandwidth. Raises on a non-finite sample or when no grid entry yields a finite score.
     """
-    pts = _as_points(samples, "samples")
-    grid = [float(h) for h in grid]
-    if not grid:
-        raise InvalidParameterError("bandwidth grid must be nonempty")
-    if not all(np.isfinite(h) and h > 0 for h in grid):
-        raise InvalidParameterError(f"bandwidths must be finite and positive, got {grid}")
-    if pts.shape[0] < 2:
-        raise InvalidParameterError("leave-one-out CV needs at least 2 samples")
+    pts = _as_points(samples, "samples", rows=2)  # leave-one-out CV needs two
+    grid = _as_bandwidths(grid)
     if len(grid) == 1:
         return grid[0]
 
@@ -264,8 +266,8 @@ def _set_values(kernel: KernelSpec, sets: np.ndarray, bg: np.ndarray, a: float, 
     return [value, std_error] + (components if return_components else [])
 
 
-def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpec,
-                     rng: RandomStream, return_components: bool = False):
+def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpec, *,
+                     return_components: bool = False):
     """Set value of ``request.s_star`` for the kernel density estimator.
 
     The value is the exact expectation over the background rows, which stand
@@ -277,15 +279,11 @@ def dshapley_density(request: DensityValueRequest, background, kernel: KernelSpe
     arrays; one set is a stack of one and gives floats. However many sets and
     rows there are, the work holds a few arrays, each of at most a budget of
     floats or one set's rows. ``return_components`` adds the row means
-    of the fit term ``-A (int p_hat^2 - 2 p_hat(r))`` and of the bias term, the rest.
-    Nothing is drawn: ``rng`` and ``request.mc_budget`` are unused. The
-    value is reported up to an additive constant shared by all sets of the
-    same size and horizon, so only differences and rankings at fixed set
-    size are meaningful.
+    of the fit term ``-A (int p_hat^2 - 2 p_hat(r))`` and of the bias term, the rest. Nothing
+    is drawn. The value is reported up to an additive constant shared by all sets of the same
+    size and horizon, so only differences and rankings at fixed set size are meaningful.
     """
-    bg = _as_points(background, "background")
-    if bg.shape[0] == 0:
-        raise InvalidParameterError("background sample must be nonempty")
+    bg = _as_points(background, "background", rows=1)
     shape = request.s_star.shape[:-2]
     sets = request.s_star.reshape((-1,) + request.s_star.shape[-2:])
     a, b = coeff_A(sets.shape[1], request.m), coeff_B(sets.shape[1], request.m)
@@ -335,8 +333,7 @@ def uniform_closed_form(points, h: float, m: int, C_den: float) -> float:
     pts = np.asarray(points, dtype=float).ravel()
     if not 1 <= pts.size <= 2:
         raise InvalidParameterError("closed form covers sets of one or two points")
-    if not 0.0 < h < np.inf:
-        raise InvalidParameterError(f"bandwidth must be finite and positive, got {h}")
+    _as_bandwidths([h])
     margin = 2.0 * min(float(np.min(pts)), float(1.0 - np.max(pts)))
     if not h <= margin:  # a NaN point makes the margin NaN
         raise InvalidParameterError(
@@ -358,10 +355,8 @@ def synergy_scan(h_grid, m: int = 100, C_den: float = 0.2, n_draws: int = 5000,
     bandwidth the scan records the smallest pair distance exhibiting synergy
     and the fraction of synergetic pairs.
     """
-    grid = [float(h) for h in h_grid]
-    if not grid:
-        raise InvalidParameterError("bandwidth grid must be nonempty")
-    if any(not (0.0 < h < 1.0) for h in grid):
+    grid = _as_bandwidths(h_grid)
+    if any(h >= 1.0 for h in grid):
         raise InvalidParameterError("bandwidths must lie in (0, 1)")
     check_count(n_draws, 1, "n_draws")
     if rng is None:

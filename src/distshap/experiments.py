@@ -33,12 +33,13 @@ from .datasets import Dataset, gen_gaussian_r, gen_mixture_c
 from .density import (
     DensityValueRequest,
     KernelSpec,
+    _as_bandwidths,
     dshapley_density,
     kde_evaluate,  # noqa: F401  (bench/tracing.py rebinds experiments.kde_evaluate)
     select_bandwidth,
 )
 from .errors import InvalidParameterError
-from .numerics import RandomStream, check_count, spd_inverse
+from .numerics import RandomStream, check_count, check_nonnegative, spd_inverse
 from .regression import (
     PointQuery,
     dshapley_regression_bounds,
@@ -97,13 +98,16 @@ class ExperimentConfig:
             raise InvalidParameterError(f"unknown method {self.method!r}")
         if self.method == "bounds" and self.task == "density":
             raise InvalidParameterError("bounds are available for regression and classification only")
-        if not np.isfinite(self.gamma):
-            raise InvalidParameterError(f"gamma must be finite, got {self.gamma}")
+        check_nonnegative(self, ("gamma",))
         if self.bound_side not in ("lower", "upper"):
             raise InvalidParameterError("bound_side must be lower or upper")
         for name, floor in (("n_value_points", 1), ("repetitions", 1), ("heldout_size", 0),
-                            ("background_size", 1), ("threads", 1)):
+                            ("background_size", 1), ("baseline_draws", 1), ("threads", 1)):
             check_count(getattr(self, name), floor, name)
+        check_count(self.m, 1, "valuation horizon m")  # the name every route's own check gives
+        if self.q is not None:
+            check_count(self.q, 1, "utility gate q")
+        _as_bandwidths(self.bandwidth_grid)
 
     def resolved_q(self, p: int) -> int:
         return self.q if self.q is not None else p + 3
@@ -207,11 +211,11 @@ def _classification_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
 def _density_values(dataset, bg_idx, held_idx, config, q, xs, ys, rng):
     background = dataset.x[bg_idx]
     h = select_bandwidth(background, config.bandwidth_grid)
-    kernel = KernelSpec("gaussian", h, dataset.p)
+    kernel = KernelSpec("gaussian", h)
     utility = partial(DensityUtility, kernel)
     if config.method == "fast":
         est = dshapley_density(DensityValueRequest(s_star=xs[:, None, :], m=config.m),
-                               background, kernel, rng)
+                               background, kernel)
         return (est.value, est.std_error), utility
     eval_idx = rng.substream(_STREAM_EVAL_POINTS).generator.integers(
         0, background.shape[0], size=_DENSITY_EVAL_POINTS)

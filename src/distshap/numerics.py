@@ -167,6 +167,18 @@ def check_count(value, minimum, name: str) -> None:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def check_nonnegative(obj, names) -> None:
+    """Raise ``InvalidParameterError`` naming the first of the fields ``names`` of ``obj`` with an
+    entry that is not finite and nonnegative (NaN fails too). An infinite statistic, which a
+    finite but large input makes, leaves the kernels no finite value."""
+    for name in names:
+        value = np.asarray(getattr(obj, name), dtype=float)
+        ok = (value >= 0) & (value < np.inf)
+        if not ok.all():
+            raise InvalidParameterError(
+                f"{name} must be finite and nonnegative, got {float(value[~ok].flat[0])}")
+
+
 def check_row_norms(x, name: str) -> None:
     """Raise ``InvalidParameterError`` naming the first row (1-based) of ``x`` (n, p) whose
     squared norm is not finite: a row of finite entries such as 1e200 still overflows the

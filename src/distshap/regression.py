@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError, SingularMatrixError
 from .estimates import BoundsResult, MCControls, ValueEstimate
-from .numerics import LOG_TINY, RandomStream, SpdMatrix, blocks, check_count, check_row_norms, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
+from .numerics import LOG_TINY, RandomStream, SpdMatrix, blocks, check_count, check_nonnegative, check_row_norms, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
 
 __all__ = [
     "RegressionEnvironment",
@@ -56,12 +56,11 @@ _QUAD_ROUNDING = 64.0 * np.finfo(float).eps
 class RegressionEnvironment:
     """Fitted background quantities plus the valuation parameters.
 
-    ``m`` is the valuation horizon (the hypothetical dataset size), ``q``
-    the subset size below which the utility is gated to zero, ``gamma``
-    the ridge penalty of the valued estimator.
+    ``m`` is the valuation horizon (the hypothetical dataset size), ``q`` the subset size below
+    which the utility is gated to zero, ``gamma`` the ridge penalty of the valued estimator.
+    The dimension ``p`` is the length of ``beta_hat``.
     """
 
-    p: int
     m: int
     q: int
     gamma: float
@@ -70,28 +69,18 @@ class RegressionEnvironment:
     sigma_inv: SpdMatrix
 
     def __post_init__(self):
-        check_count(self.p, 1, "dimension p")
+        self.beta_hat = np.asarray(self.beta_hat, dtype=float)
+        check_count(self.beta_hat.size, 1, "dimension p")
         check_count(self.m, 1, "valuation horizon m")
         check_count(self.q, 2, "utility gate q")
-        if not 0.0 <= self.gamma < np.inf:
-            raise InvalidParameterError(f"gamma must be finite and nonnegative, got {self.gamma}")
-        if not 0.0 <= self.sigma2 < np.inf:
-            raise InvalidParameterError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
-        self.beta_hat = np.asarray(self.beta_hat, dtype=float)
-        if self.beta_hat.shape != (self.p,) or self.sigma_inv.dim != self.p:
-            raise InvalidParameterError("beta_hat / sigma_inv dimensions must match p")
+        check_nonnegative(self, ("gamma", "sigma2"))
+        if self.beta_hat.shape != (self.sigma_inv.dim,):
+            raise InvalidParameterError(f"beta_hat of shape {self.beta_hat.shape} and a "
+                                        f"{self.sigma_inv.dim}-d sigma_inv must share one dimension p")
 
-
-def _check_statistics(query, names) -> None:
-    """Raise ``InvalidParameterError`` naming the first of a query's statistics ``names``
-    with an entry that is not finite and nonnegative (NaN fails too). An infinite statistic,
-    which a finite but large input makes, leaves the kernels no finite value."""
-    for name in names:
-        value = np.asarray(getattr(query, name), dtype=float)
-        ok = (value >= 0) & (value < np.inf)
-        if not ok.all():
-            raise InvalidParameterError(
-                f"{name} must be finite and nonnegative, got {float(value[~ok].flat[0])}")
+    @property
+    def p(self) -> int:
+        return self.beta_hat.shape[0]
 
 
 @dataclass
@@ -112,7 +101,7 @@ class PointQuery:
 
     def __post_init__(self):
         self.x_star = np.asarray(self.x_star, dtype=float)
-        _check_statistics(self, ("d", "e2"))
+        check_nonnegative(self, ("d", "e2"))
 
     @classmethod
     def from_point(cls, x, y, env: RegressionEnvironment) -> "PointQuery":
@@ -155,8 +144,7 @@ def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0) -> RegressionEnv
         warnings.warn("background fit is noiseless (sigma2 = 0); values will be "
                       "driven by squared errors only", stacklevel=2)
     sigma_inv = spd_inverse(estimate_second_moment(x))
-    return RegressionEnvironment(p=p, m=m, q=q, gamma=gamma, sigma2=sigma2,
-                                 beta_hat=beta_hat, sigma_inv=sigma_inv)
+    return RegressionEnvironment(m=m, q=q, gamma=gamma, sigma2=sigma2, beta_hat=beta_hat, sigma_inv=sigma_inv)
 
 
 def _check_q(q: int, p: int, route: str) -> None:

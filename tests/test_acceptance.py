@@ -31,7 +31,7 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 
 def gaussian_truth_env(p=2, q=5, m=12, sigma2=1.0):
     beta = np.array([1.0, -0.5, 0.25])[:p]
-    env = ds.RegressionEnvironment(p=p, m=m, q=q, gamma=0.0, sigma2=sigma2,
+    env = ds.RegressionEnvironment(m=m, q=q, gamma=0.0, sigma2=sigma2,
                                    beta_hat=beta, sigma_inv=ds.SpdMatrix(np.eye(p)))
     return env, beta
 
@@ -196,14 +196,10 @@ class TestCriterion4GeneralRouteEquivalence:
 class TestCriterion5DensityClosedForm:
     def test_pair_difference_at_full_budget(self):
         h, m = 0.2, 100
-        kernel = ds.KernelSpec("uniform", h, 1)
+        kernel = ds.KernelSpec("uniform", h)
         bg = ds.RandomStream(21).generator.uniform(size=20000)
-        far = ds.dshapley_density(
-            ds.DensityValueRequest(np.array([[0.3], [0.7]]), m=m, mc_budget=10**5),
-            bg, kernel, ds.RandomStream(0))
-        near = ds.dshapley_density(
-            ds.DensityValueRequest(np.array([[0.49], [0.51]]), m=m, mc_budget=10**5),
-            bg, kernel, ds.RandomStream(0))
+        far = ds.dshapley_density(ds.DensityValueRequest(np.array([[0.3], [0.7]]), m=m), bg, kernel)
+        near = ds.dshapley_density(ds.DensityValueRequest(np.array([[0.49], [0.51]]), m=m), bg, kernel)
         expected = ds.coeff_A(2, m) * (1.0 / (2 * h) - 0.02 / (2 * h * h))
         got = far.value - near.value
         limit = 3.0 * np.hypot(far.std_error, near.std_error)
@@ -327,7 +323,7 @@ class TestCriterion9GatesAndMonotonicity:
         for d, e2 in [(0.5, 0.0), (2.0, 1.0), (8.0, 6.0)]:
             res = ds.dshapley_regression_bounds(
                 ds.PointQuery(x_star=np.array([np.sqrt(d), 0.0]), y_star=0.0, e2=e2, d=d),
-                ds.RegressionEnvironment(p=2, m=300, q=5, gamma=0.0, sigma2=1.0,
+                ds.RegressionEnvironment(m=300, q=5, gamma=0.0, sigma2=1.0,
                                          beta_hat=np.zeros(2),
                                          sigma_inv=ds.SpdMatrix(np.eye(2))))
             reg_pairs_ok &= res.lower <= res.upper
@@ -340,7 +336,7 @@ class TestCriterion9GatesAndMonotonicity:
 
         zero_reg = ds.dshapley_regression_bounds(
             ds.PointQuery(x_star=np.zeros(2), y_star=0.0, e2=0.0, d=0.0),
-            ds.RegressionEnvironment(p=2, m=300, q=5, gamma=0.0, sigma2=1.0,
+            ds.RegressionEnvironment(m=300, q=5, gamma=0.0, sigma2=1.0,
                                      beta_hat=np.zeros(2),
                                      sigma_inv=ds.SpdMatrix(np.eye(2))))
         zero_bin = ds.dshapley_binary_bounds(
@@ -365,10 +361,10 @@ class TestCriterion10Determinism:
                      (b.value, b.std_error, b.inner_iters_used)
 
         bg = ds.RandomStream(1).generator.uniform(size=3000)
-        req = ds.DensityValueRequest(np.array([[0.4]]), m=50, mc_budget=1000)
-        kern = ds.KernelSpec("uniform", 0.2, 1)
-        d1 = ds.dshapley_density(req, bg, kern, ds.RandomStream(9))
-        d2 = ds.dshapley_density(req, bg, kern, ds.RandomStream(9))
+        req = ds.DensityValueRequest(np.array([[0.4]]), m=50)
+        kern = ds.KernelSpec("uniform", 0.2)
+        d1 = ds.dshapley_density(req, bg, kern)
+        d2 = ds.dshapley_density(req, bg, kern)
         density_same = (d1.value, d1.std_error) == (d2.value, d2.std_error)
 
         util_pool = np.arange(5).astype(float)

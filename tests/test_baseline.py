@@ -123,7 +123,7 @@ class TestEvaluateUtility:
         assert excinfo.value.subset_size == 6
 
     def test_density_empty_zero(self):
-        utility = DensityUtility(kernel=KernelSpec("gaussian", 0.5, 1),
+        utility = DensityUtility(kernel=KernelSpec("gaussian", 0.5),
                                  eval_points=np.zeros((10, 1)), constant=0.3)
         assert evaluate_utility(np.empty((0, 1)), utility) == 0.0
 
@@ -132,8 +132,16 @@ class TestEvaluateUtility:
         gen = np.random.default_rng(5)
         rows, evals = gen.standard_normal((8, 2)), gen.standard_normal((30, 2))
         (rows if part == "pool" else evals)[3, 1] = np.nan
-        utility = DensityUtility(KernelSpec("gaussian", 0.5, 2), evals)
+        utility = DensityUtility(KernelSpec("gaussian", 0.5), evals)
         with pytest.raises(InvalidParameterError, match="must be finite"):
+            evaluate_utility(rows, utility)
+
+    @pytest.mark.parametrize("part", ["pool", "evaluation"])
+    def test_density_zero_width_rows_rejected(self, part):
+        rows, evals = np.zeros((8, 2)), np.zeros((30, 2))
+        rows, evals = (rows[:, :0], evals) if part == "pool" else (rows, evals[:, :0])
+        utility = DensityUtility(KernelSpec("gaussian", 0.5), evals)
+        with pytest.raises(InvalidParameterError, match="dimension must be at least 1"):
             evaluate_utility(rows, utility)
 
 
@@ -168,10 +176,10 @@ class TestUtilityFields:
         AccuracyUtility(3, np.zeros((5, 2)), np.array([0, 1, 1, 0, True]))
 
     def test_density_gate_is_one(self):
-        utility = DensityUtility(KernelSpec("gaussian", 0.5, 1), np.zeros((10, 1)))
+        utility = DensityUtility(KernelSpec("gaussian", 0.5), np.zeros((10, 1)))
         assert utility.gate == 1 and utility.constant == 0.0
         with pytest.raises(TypeError):
-            DensityUtility(KernelSpec("gaussian", 0.5, 1), np.zeros((10, 1)), gate=2)
+            DensityUtility(KernelSpec("gaussian", 0.5), np.zeros((10, 1)), gate=2)
 
 
 def family_stack(family, b=4, s=14, p=3):
@@ -181,7 +189,7 @@ def family_stack(family, b=4, s=14, p=3):
     x_test = gen.standard_normal((40, p))
     beta = np.array([1.0, -0.5, 0.25])
     if family == "density":
-        return DensityUtility(KernelSpec("gaussian", 0.6, p), x_test, constant=0.3), x
+        return DensityUtility(KernelSpec("gaussian", 0.6), x_test, constant=0.3), x
     if family == "accuracy":
         y = (x @ beta + gen.standard_normal((b, s)) > 0).astype(float)
         return AccuracyUtility(4, x_test, (x_test @ beta > 0).astype(float)), (x, y)
@@ -563,7 +571,7 @@ class TestMcBaseline:
     def test_matches_exact_route_on_gaussian_truth(self):
         p, q, m = 2, 5, 12
         beta = np.array([1.0, -0.5])
-        env = RegressionEnvironment(p=p, m=m, q=q, gamma=0.0, sigma2=1.0,
+        env = RegressionEnvironment(m=m, q=q, gamma=0.0, sigma2=1.0,
                                     beta_hat=beta, sigma_inv=SpdMatrix(np.eye(p)))
         utility = RegressionUtility(gate=q, constant=analytic_utility_constant(env),
                                     beta_true=beta, sigma_x=SpdMatrix(np.eye(p)), sigma2=1.0)

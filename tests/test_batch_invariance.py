@@ -100,10 +100,10 @@ def test_binary_statistics_and_bounds(classification):
 def test_density_set_values(size):
     points = gen_gaussian_r(N * size + 1000, P, RandomStream(1)).x
     sets, background = points[:N * size].reshape(N, size, P), points[N * size:]
-    kernel = KernelSpec("gaussian", 1.0, P)
+    kernel = KernelSpec("gaussian", 1.0)
 
     def stats(s):
-        est = dshapley_density(DensityValueRequest(s, m=M), background, kernel, RandomStream(0))
+        est = dshapley_density(DensityValueRequest(s, m=M), background, kernel)
         return {"value": est.value, "std_error": est.std_error}
 
     assert_batch_invariant(stats, sets)

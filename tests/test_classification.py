@@ -358,7 +358,7 @@ class TestBinaryBounds:
         # block at 128-7, one partial block at 5-7 and 128-2000); on both
         # routes every bit must be that of one pass over all points and nodes
         d, e2 = _block_inputs(rows)
-        env = RegressionEnvironment(p=_BLOCK_P, m=_BLOCK_M, q=_BLOCK_Q, gamma=0.5, sigma2=1.3,
+        env = RegressionEnvironment(m=_BLOCK_M, q=_BLOCK_Q, gamma=0.5, sigma2=1.3,
                                     beta_hat=np.zeros(_BLOCK_P),
                                     sigma_inv=SpdMatrix(np.diag([0.5, 1.0, 2.0])))
         eigs = np.linalg.eigvalsh(env.sigma_inv.values)

@@ -241,6 +241,27 @@ class TestErrors:
             assert "InvalidParameterError" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_settings_the_route_never_reads_exit_code(self, tmp_path, capsys):
+        # each of these exited 0 and was echoed into the output, as no route read it
+        cases = [("--bandwidth-grid=-1,nan", "bandwidths must be finite and positive"),
+                 ("--gamma=-1", "gamma must be finite and nonnegative"),
+                 ("--baseline-draws=0", "baseline_draws must be at least 1"),
+                 ("--q=-3", "utility gate q must be at least 1")]
+        for task, kind in (("regression", "gaussian-r"), ("classification", "gaussian-c")):
+            data = tmp_path / f"{task}.csv"
+            assert run(["gen", "--kind", kind, "--n", "300", "--seed", "1", "--output", str(data)]) == 0
+            capsys.readouterr()
+            for command in ("value", "bounds"):
+                for flag, message in cases:
+                    out = tmp_path / "o.csv"
+                    argv = [command, "--data", str(data), "--target-column", "y", "--task", task,
+                            "--m", "50", "--n-value-points", "10", "--heldout-size", "50",
+                            flag, "--output", str(out)]
+                    assert run(argv) == 2, argv
+                    lines = capsys.readouterr().err.splitlines()
+                    assert len(lines) == 1 and message in lines[0], (argv, lines)
+                    assert not out.exists()
+
     def test_target_only_data_exit_code(self, tmp_path, capsys):
         # the target was the only column: this exited 0, one value for every point
         data = tmp_path / "y.csv"

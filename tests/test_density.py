@@ -34,23 +34,23 @@ def block_sizes(stop, width):
 
 class TestKdeEvaluate:
     def test_uniform_center(self):
-        assert kde_evaluate(np.array([[0.0]]), KernelSpec("uniform", 1.0, 1), np.array([0.0])) == 1.0
+        assert kde_evaluate(np.array([[0.0]]), KernelSpec("uniform", 1.0), np.array([0.0])) == 1.0
 
     def test_gaussian_center(self):
-        val = kde_evaluate(np.array([[0.0]]), KernelSpec("gaussian", 1.0, 1), np.array([0.0]))
+        val = kde_evaluate(np.array([[0.0]]), KernelSpec("gaussian", 1.0), np.array([0.0]))
         assert val == pytest.approx((2.0 * np.pi) ** -0.5)
 
     def test_symmetry(self):
         pts = np.array([[-0.8], [0.8]])
         for family in ("uniform", "gaussian"):
-            kern = KernelSpec(family, 0.5, 1)
+            kern = KernelSpec(family, 0.5)
             lhs = kde_evaluate(pts, kern, np.array([0.3]))
             rhs = kde_evaluate(pts, kern, np.array([-0.3]))
             assert lhs == pytest.approx(rhs, rel=1e-14)
 
     def test_empty_reference_rejected(self):
         with pytest.raises(InvalidParameterError):
-            kde_evaluate(np.empty((0, 1)), KernelSpec("uniform", 1.0, 1), np.array([0.0]))
+            kde_evaluate(np.empty((0, 1)), KernelSpec("uniform", 1.0), np.array([0.0]))
 
     @pytest.mark.parametrize("family", ["uniform", "gaussian"])
     @pytest.mark.parametrize("where", ["set", "z"])
@@ -60,22 +60,30 @@ class TestKdeEvaluate:
         s, z = np.array([[0.0], [0.5]]), np.array([[0.2], [0.4]])
         (s if where == "set" else z)[1, 0] = np.nan
         with pytest.raises(InvalidParameterError, match="must be finite"):
-            kde_evaluate(s, KernelSpec(family, 1.0, 1), z)
+            kde_evaluate(s, KernelSpec(family, 1.0), z)
 
     @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0])
     def test_nonfinite_or_nonpositive_bandwidth_rejected(self, bandwidth):
         with pytest.raises(InvalidParameterError, match="bandwidth"):
-            KernelSpec("gaussian", bandwidth, 1)
+            KernelSpec("gaussian", bandwidth)
 
-    @pytest.mark.parametrize("dim", [0, np.nan])
-    def test_dimension_below_one_rejected(self, dim):
+    @pytest.mark.parametrize("where", ["set", "z"])
+    def test_zero_width_points_rejected(self, where):
+        # the kernel's dimension is the points' width, so a width of 0 is refused where they enter
+        s, z = np.zeros((3, 2)), np.zeros((4, 2))
+        s, z = (s[:, :0], z) if where == "set" else (s, z[:, :0])
         with pytest.raises(InvalidParameterError, match="dimension must be at least 1"):
-            KernelSpec("gaussian", 1.0, dim)
+            kde_evaluate(s, KernelSpec("gaussian", 1.0), z)
+
+    @pytest.mark.parametrize("s_star", [np.zeros((2, 0)), np.zeros((3, 2, 0))], ids=["set", "stack"])
+    def test_zero_width_request_rejected(self, s_star):
+        with pytest.raises(InvalidParameterError, match=r"nonempty \(n, dimension\) set"):
+            DensityValueRequest(s_star, m=10)
 
     @pytest.mark.parametrize("family", ["uniform", "gaussian"])
     def test_integrates_to_one_1d(self, family):
         pts = RandomStream(3).generator.standard_normal((40, 1))
-        kern = KernelSpec(family, 0.7, 1)
+        kern = KernelSpec(family, 0.7)
         grid = np.linspace(-12, 12, 20001)
         dens = kde_evaluate(pts, kern, grid[:, None])
         total = np.trapezoid(dens, grid)
@@ -84,7 +92,7 @@ class TestKdeEvaluate:
     def test_integrates_to_one_2d_mc(self):
         # importance sampling against a wide gaussian proposal
         pts = RandomStream(5).generator.standard_normal((30, 2))
-        kern = KernelSpec("gaussian", 0.5, 2)
+        kern = KernelSpec("gaussian", 0.5)
         gen = RandomStream(6).generator
         scale = 4.0
         z = gen.standard_normal((10**5, 2)) * scale
@@ -94,13 +102,11 @@ class TestKdeEvaluate:
 
     def test_width_mismatch_rejected(self):
         pts = RandomStream(4).generator.standard_normal((5, 3))
-        kern = KernelSpec("gaussian", 0.8, 3)
+        kern = KernelSpec("gaussian", 0.8)
         z = np.array([0.1, -0.2, 0.3])  # a 1-d z of length dim is one point
         assert kde_evaluate(pts, kern, z) == kde_evaluate(pts, kern, z[None, :])[0]
         with pytest.raises(InvalidParameterError, match="width"):
             kde_evaluate(pts, kern, np.array([0.5]))
-        with pytest.raises(InvalidParameterError, match="width"):
-            kde_evaluate(pts, KernelSpec("gaussian", 0.8, 1), np.zeros(3))
 
 
 class TestSelectBandwidth:
@@ -137,7 +143,7 @@ class TestSelectBandwidth:
     def direct_loo_score(pts, h):
         n, dim = pts.shape
         diffs = pts[:, None, :] - pts[None, :, :]
-        kern = KernelSpec("gaussian", h, dim)
+        kern = KernelSpec("gaussian", h)
         square = kern.self_convolution(diffs).sum() / n ** 2
         held_out = kern.evaluate(diffs)[~np.eye(n, dtype=bool)].sum() / (n * (n - 1))
         return square - 2.0 * held_out
@@ -326,26 +332,22 @@ class TestDensityEstimator:
         bg[7, 1] = bad
         with pytest.raises(InvalidParameterError, match="background must be finite"):
             dshapley_density(DensityValueRequest(np.array([[0.3, 0.4]]), m=10), bg,
-                             KernelSpec("gaussian", 0.5, 2), RandomStream(0))
+                             KernelSpec("gaussian", 0.5))
 
     def test_deterministic(self):
         bg = RandomStream(1).generator.uniform(size=5000)
-        req = DensityValueRequest(s_star=np.array([[0.3], [0.7]]), m=100, mc_budget=2000)
-        kern = KernelSpec("uniform", 0.2, 1)
-        a = dshapley_density(req, bg, kern, RandomStream(5))
-        b = dshapley_density(req, bg, kern, RandomStream(5))
+        req = DensityValueRequest(s_star=np.array([[0.3], [0.7]]), m=100)
+        kern = KernelSpec("uniform", 0.2)
+        a = dshapley_density(req, bg, kern)
+        b = dshapley_density(req, bg, kern)
         assert a.value == b.value and a.std_error == b.std_error
 
     def test_pair_difference_matches_closed_form(self):
         h, m = 0.2, 100
-        kern = KernelSpec("uniform", h, 1)
+        kern = KernelSpec("uniform", h)
         bg = RandomStream(21).generator.uniform(size=20000)
-        est_far = dshapley_density(
-            DensityValueRequest(np.array([[0.3], [0.7]]), m=m, mc_budget=3 * 10**4),
-            bg, kern, RandomStream(2))
-        est_near = dshapley_density(
-            DensityValueRequest(np.array([[0.49], [0.51]]), m=m, mc_budget=3 * 10**4),
-            bg, kern, RandomStream(2))
+        est_far = dshapley_density(DensityValueRequest(np.array([[0.3], [0.7]]), m=m), bg, kern)
+        est_near = dshapley_density(DensityValueRequest(np.array([[0.49], [0.51]]), m=m), bg, kern)
         expected = coeff_A(2, m) * (1.0 / (2 * h) - 0.02 / (2 * h * h))
         got = est_far.value - est_near.value
         assert abs(got - expected) < 3.0 * np.hypot(est_far.std_error, est_near.std_error)
@@ -353,12 +355,10 @@ class TestDensityEstimator:
     def test_single_point_values_translation_invariant(self):
         # interior single points share the same closed-form value, so the
         # estimates may differ only by Monte-Carlo noise
-        kern = KernelSpec("uniform", 0.2, 1)
+        kern = KernelSpec("uniform", 0.2)
         bg = RandomStream(22).generator.uniform(size=20000)
-        a = dshapley_density(DensityValueRequest(np.array([[0.5]]), m=100, mc_budget=3 * 10**4),
-                             bg, kern, RandomStream(3))
-        b = dshapley_density(DensityValueRequest(np.array([[0.3]]), m=100, mc_budget=3 * 10**4),
-                             bg, kern, RandomStream(3))
+        a = dshapley_density(DensityValueRequest(np.array([[0.5]]), m=100), bg, kern)
+        b = dshapley_density(DensityValueRequest(np.array([[0.3]]), m=100), bg, kern)
         assert abs(a.value - b.value) < 3.0 * np.hypot(a.std_error, b.std_error)
 
     def test_bias_term_shrinks_quadratically_in_bandwidth(self):
@@ -366,7 +366,7 @@ class TestDensityEstimator:
         s_star = np.array([[0.4], [-0.9]])
 
         def bias_integral(h):
-            kern = KernelSpec("gaussian", h, 1)
+            kern = KernelSpec("gaussian", h)
 
             def integrand(z):
                 phat = kde_evaluate(s_star, kern, np.array([z]))
@@ -380,16 +380,15 @@ class TestDensityEstimator:
         # the estimator's second component tracks the same integral
         m = 100
         bg = RandomStream(5).generator.standard_normal(30000)
-        kern = KernelSpec("gaussian", 0.4, 1)
-        req = DensityValueRequest(s_star=s_star, m=m, mc_budget=10**5)
-        _, (_, bias_term) = dshapley_density(req, bg, kern, RandomStream(8),
-                                             return_components=True)
+        kern = KernelSpec("gaussian", 0.4)
+        req = DensityValueRequest(s_star=s_star, m=m)
+        _, (_, bias_term) = dshapley_density(req, bg, kern, return_components=True)
         assert bias_term == pytest.approx(coeff_B(2, m) * bias_integral(0.4), rel=0.15)
 
     def test_empty_background_rejected(self):
         req = DensityValueRequest(np.array([[0.5]]), m=10)
         with pytest.raises(InvalidParameterError):
-            dshapley_density(req, np.empty((0, 1)), KernelSpec("uniform", 0.2, 1), RandomStream(0))
+            dshapley_density(req, np.empty((0, 1)), KernelSpec("uniform", 0.2))
 
 
 class TestDensityExpectation:
@@ -403,8 +402,8 @@ class TestDensityExpectation:
         gen = RandomStream(12).generator
         s_star = gen.uniform(0.3, 0.7, size=(3, dim))
         bg = gen.uniform(size=(rows, dim))
-        kern = KernelSpec(family, BANDWIDTHS.get((family, dim), 0.3), dim)
-        est = dshapley_density(DensityValueRequest(s_star, m=m), bg, kern, RandomStream(0))
+        kern = KernelSpec(family, BANDWIDTHS.get((family, dim), 0.3))
+        est = dshapley_density(DensityValueRequest(s_star, m=m), bg, kern)
 
         to_set = bg[:, None, :] - s_star[None, :, :]
         p_hat = kern.evaluate(to_set).mean(axis=1)
@@ -415,7 +414,7 @@ class TestDensityExpectation:
         assert est.std_error == pytest.approx(per_row.std(ddof=1) / np.sqrt(rows), rel=1e-12)
         assert est.inner_iters_used == []
         _, (fit, bias) = dshapley_density(DensityValueRequest(s_star, m=m), bg, kern,
-                                          RandomStream(0), return_components=True)
+                                          return_components=True)
         assert fit == pytest.approx(np.mean(-coeff_A(3, m) * (square - 2.0 * p_hat)), rel=1e-12)
         assert bias == pytest.approx(np.mean(coeff_B(3, m) * (p_hat - cross)), rel=1e-12)
         assert fit + bias == pytest.approx(est.value, rel=1e-12)
@@ -425,8 +424,8 @@ class TestDensityExpectation:
         # one row is the whole expectation: its term is the value, with no spread to report
         s_star = np.array([[[0.3, 0.5], [0.4, 0.6]], [[0.5, 0.5], [0.45, 0.55]]])
         row = np.array([[0.42, 0.52]])
-        kern = KernelSpec(family, 0.3, 2)
-        est = dshapley_density(DensityValueRequest(s_star, m=30), row, kern, RandomStream(0))
+        kern = KernelSpec(family, 0.3)
+        est = dshapley_density(DensityValueRequest(s_star, m=30), row, kern)
         assert np.array_equal(est.std_error, np.zeros(2))
         for sets, value in zip(s_star, est.value):
             to_set = row - sets
@@ -446,11 +445,11 @@ class TestDensityExpectation:
         gen = RandomStream(13).generator
         stack = gen.uniform(0.3, 0.7, size=(k, size, dim))
         bg = gen.uniform(size=(rows, dim))
-        kern = KernelSpec(family, BANDWIDTHS.get((family, dim), 0.3), dim)
+        kern = KernelSpec(family, BANDWIDTHS.get((family, dim), 0.3))
 
         def value(sets):
             est, parts = dshapley_density(DensityValueRequest(sets, m=m), bg, kern,
-                                          RandomStream(0), return_components=True)
+                                          return_components=True)
             return [est.value, est.std_error, *parts]
 
         alone = [value(s) for s in stack]
@@ -483,7 +482,7 @@ class TestDensityExpectation:
         gen = RandomStream(16).generator
         stack = gen.uniform(0.3, 0.7, size=(k, size, dim))
         bg = gen.uniform(size=(rows, dim))
-        kern = KernelSpec("uniform", h, dim)
+        kern = KernelSpec("uniform", h)
         p_hat, cross = density._kernel_means(kern, stack, bg[:, None, :],
                                              ("evaluate", "self_convolution"))
         square = density._mean_self_convolution(kern, stack)
@@ -509,10 +508,7 @@ class TestDensityExpectation:
         bg = RandomStream(1).generator.uniform(size=50)
         req = DensityValueRequest(np.full((1, 3), 0.5), m=10)
         with pytest.raises(InvalidParameterError, match="width"):
-            dshapley_density(req, bg, KernelSpec("gaussian", 0.3, 3), RandomStream(0))
-        with pytest.raises(InvalidParameterError, match="width"):
-            dshapley_density(req, np.full((50, 3), 0.5), KernelSpec("gaussian", 0.3, 1),
-                             RandomStream(0))
+            dshapley_density(req, bg, KernelSpec("gaussian", 0.3))
 
 
 class TestSynergyScan:

@@ -57,7 +57,7 @@ class TestConfig:
             small_config(background_size=0)
         assert small_config(heldout_size=0, background_size=1).heldout_size == 0
 
-    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -1.0])
     def test_nonfinite_gamma_rejected(self, gamma):
         with pytest.raises(InvalidParameterError, match="gamma"):
             small_config(gamma=gamma)
@@ -118,9 +118,9 @@ class TestValuePoints:
         assert calls == [(25, 1, 3)]
 
         background = data.x[split[2]]
-        kernel = KernelSpec("gaussian", select_bandwidth(background, config.bandwidth_grid), 3)
-        loop = [original(DensityValueRequest(x[None, :], m=config.m), background, kernel,
-                         RandomStream(0)) for x in data.x[split[0]]]
+        kernel = KernelSpec("gaussian", select_bandwidth(background, config.bandwidth_grid))
+        loop = [original(DensityValueRequest(x[None, :], m=config.m), background, kernel)
+                for x in data.x[split[0]]]
         np.testing.assert_allclose(values, [e.value for e in loop], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(errs, [e.std_error for e in loop], rtol=1e-12, atol=0.0)
 
@@ -137,7 +137,7 @@ class TestValuePoints:
         _, values, errs = value_points(data, config, RandomStream(1), *split)
 
         background = data.x[split[2]]
-        kernel = KernelSpec("gaussian", select_bandwidth(background, config.bandwidth_grid), 1)
+        kernel = KernelSpec("gaussian", select_bandwidth(background, config.bandwidth_grid))
         rows = RandomStream(1).substream(experiments._STREAM_EVAL_POINTS).generator.integers(
             0, len(background), size=experiments._DENSITY_EVAL_POINTS)
         utility = DensityUtility(kernel, background[rows])
@@ -299,7 +299,7 @@ class TestCurvesUseBaselineUtilities:
         elif task == "classification":
             utility = AccuracyUtility(gate=q, x_test=hx, y_test=data.y[split[1]])
         else:
-            utility = DensityUtility(kernel=KernelSpec("gaussian", 0.7, p), eval_points=hx)
+            utility = DensityUtility(kernel=KernelSpec("gaussian", 0.7), eval_points=hx)
         result = run_point_addition(config, data, RandomStream(8), split=split)
         curves = {c.ordering: c.utilities for c in result.curves}
         for name, sign in (("largest", -1.0), ("lowest", 1.0)):

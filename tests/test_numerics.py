@@ -287,26 +287,24 @@ def _guarded_call(case, tmp_path):
         gen = np.random.default_rng(6)
         query = PointQuery(x_star=np.zeros((points, 2)), y_star=np.zeros(points),
                            e2=gen.exponential(size=points), d=gen.exponential(size=points))
-        env = RegressionEnvironment(p=2, m=1000, q=5, gamma=0.0, sigma2=1.0,
+        env = RegressionEnvironment(m=1000, q=5, gamma=0.0, sigma2=1.0,
                                     beta_hat=np.zeros(2), sigma_inv=SpdMatrix(np.eye(2)))
         route = dshapley_regression_quadrature if case == "quadrature" else dshapley_regression_bounds
         return partial(route, query, env), 8 * points  # eight floats a point
     if case.startswith("pairs"):
         gen = np.random.default_rng(11)
         pool, evals = gen.standard_normal((600, 3)), gen.standard_normal((40, 3))
-        utility = DensityUtility(KernelSpec("gaussian", 0.6, 3), evals, constant=0.3)
+        utility = DensityUtility(KernelSpec("gaussian", 0.6), evals, constant=0.3)
         prefix_utilities(pool, np.arange(5)[None], [5], utility)  # first-call allocations
         sizes = [600] if case == "pairs-one-prefix" else np.arange(1, 601)
         return partial(prefix_utilities, pool, np.arange(600)[None], sizes, utility), 0
     gen = RandomStream(18).generator
     pts = gen.standard_normal((1500, 10))
     sets, stack = gen.standard_normal((2, 400, 10)), gen.standard_normal((300, 4, 10))
-    kern = KernelSpec("gaussian", 1.0, 10)
+    kern = KernelSpec("gaussian", 1.0)
     return {"kernel-means": partial(kde_evaluate, pts, kern, pts[:40]),
-            "density-sets": partial(dshapley_density, DensityValueRequest(sets, m=50), pts[:300],
-                                    kern, RandomStream(0)),
-            "density-stack": partial(dshapley_density, DensityValueRequest(stack, m=50), pts,
-                                     kern, RandomStream(0)),
+            "density-sets": partial(dshapley_density, DensityValueRequest(sets, m=50), pts[:300], kern),
+            "density-stack": partial(dshapley_density, DensityValueRequest(stack, m=50), pts, kern),
             "lscv": partial(_gaussian_loo_scores, pts, [0.01, 0.1, 1.0])}[case], 0
 
 
@@ -329,7 +327,7 @@ def test_bounded_kernel_peak_stays_within_budgets(case, monkeypatch, tmp_path):
 
 
 def _env(**changes):
-    return RegressionEnvironment(**{**dict(p=2, m=10, q=5, gamma=0.0, sigma2=1.0, beta_hat=np.zeros(2),
+    return RegressionEnvironment(**{**dict(m=10, q=5, gamma=0.0, sigma2=1.0, beta_hat=np.zeros(2),
                                            sigma_inv=SpdMatrix(np.eye(2))), **changes})
 
 
@@ -351,13 +349,11 @@ def _time_bench(**counts):
 
 # entry point: (floor, the name its message gives the count, a call with the count set to v)
 COUNTS = {
-    "RegressionEnvironment.p": (1, "dimension p", lambda v: _env(p=v)),
     "RegressionEnvironment.m": (1, "valuation horizon m", lambda v: _env(m=v)),
     "RegressionEnvironment.q": (2, "utility gate q", lambda v: _env(q=v)),
     "dshapley_regression_general_mc.n_outer": (1, "n_outer", lambda v: ds.dshapley_regression_general_mc(
         _POINT, _env(), ds.make_gaussian_sampler(SpdMatrix(np.eye(2))), v, RandomStream(0))),
     "MCControls.max_inner": (1, "max_inner", lambda v: ds.MCControls(max_inner=v)),
-    "KernelSpec.dim": (1, "dimension", lambda v: KernelSpec("gaussian", 1.0, v)),
     "DensityValueRequest.m": (1, "m", lambda v: DensityValueRequest(np.zeros((1, 1)), v)),
     "coeff_A.n": (1, "n", lambda v: ds.coeff_A(v, 10)),
     "coeff_A.m": (1, "m", lambda v: ds.coeff_A(2, v)),
@@ -381,6 +377,10 @@ COUNTS = {
     "ExperimentConfig.background_size": (1, "background_size",
                                          lambda v: ds.ExperimentConfig("regression", background_size=v)),
     "ExperimentConfig.heldout_size": (0, "heldout_size", lambda v: ds.ExperimentConfig("regression", heldout_size=v)),
+    "ExperimentConfig.m": (1, "valuation horizon m", lambda v: ds.ExperimentConfig("regression", m=v)),
+    "ExperimentConfig.baseline_draws": (1, "baseline_draws",
+                                        lambda v: ds.ExperimentConfig("regression", baseline_draws=v)),
+    "ExperimentConfig.q": (1, "utility gate q", lambda v: ds.ExperimentConfig("density", q=v)),
     "run_time_bench.repetitions": (1, "repetitions", lambda v: _time_bench(repetitions=v)),
     "run_time_bench.baseline_points": (1, "baseline_points", lambda v: _time_bench(baseline_points=v)),
     "run_time_bench.background_size": (1, "background_size", lambda v: _time_bench(background_size=v)),

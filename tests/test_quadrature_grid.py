@@ -34,7 +34,7 @@ def _reference(cell, sigma2, e2):
 @pytest.mark.parametrize("m, q", CASES)
 def test_grid_against_the_reference(m, q, sigma2):
     cells = [cell for cell in REFERENCE["cells"] if (cell["m"], cell["q"]) == (m, q)]
-    env = RegressionEnvironment(p=P_DIM, m=m, q=q, gamma=0.0, sigma2=sigma2,
+    env = RegressionEnvironment(m=m, q=q, gamma=0.0, sigma2=sigma2,
                                 beta_hat=np.zeros(P_DIM), sigma_inv=SpdMatrix(np.eye(P_DIM)))
     d = np.repeat([cell["d"] for cell in cells], len(ERRORS))
     e2 = np.tile(ERRORS, len(cells))

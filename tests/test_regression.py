@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -40,7 +41,7 @@ TIGHT = MCControls(max_inner=10**5, rho1=1e-12, rho2=1e-12)
 
 
 def make_env(p=2, m=10, q=5, sigma2=1.0, gamma=0.0):
-    return RegressionEnvironment(p=p, m=m, q=q, gamma=gamma, sigma2=sigma2,
+    return RegressionEnvironment(m=m, q=q, gamma=gamma, sigma2=sigma2,
                                  beta_hat=np.zeros(p), sigma_inv=SpdMatrix(np.eye(p)))
 
 
@@ -348,7 +349,7 @@ class TestQuadrature:
     def test_batch_matches_per_point(self, monkeypatch):
         # the batch in one block of points, then in blocks of 7 points, the last one short
         gen = np.random.default_rng(4)
-        env = RegressionEnvironment(p=3, m=500, q=6, gamma=0.0, sigma2=0.9,
+        env = RegressionEnvironment(m=500, q=6, gamma=0.0, sigma2=0.9,
                                     beta_hat=np.array([0.5, -1.0, 0.2]),
                                     sigma_inv=SpdMatrix(np.diag([1.0, 2.0, 0.5])))
         xs = np.vstack([np.zeros(3), 3.0 * gen.standard_normal((40, 3))])
@@ -430,6 +431,24 @@ LARGE_INPUT_ROUTES = {
                                                   make_env(m=100), None, RandomStream(0)), "d"),
     "binary-bounds": (lambda x: _binary_route(np.concatenate([x, [0.0]])), "d_tilde"),
 }
+
+
+class TestEnvironmentDimension:
+    def test_p_is_the_length_of_beta_hat(self):
+        assert make_env(p=3).p == 3
+        assert "p" not in {field.name for field in dataclasses.fields(RegressionEnvironment)}
+
+    @pytest.mark.parametrize("beta_hat", [np.zeros(0), np.zeros((2, 1)), np.float64(0.0)],
+                             ids=["empty", "2-d", "0-d"])
+    def test_beta_hat_without_a_dimension_rejected(self, beta_hat):
+        with pytest.raises(InvalidParameterError, match="dimension p"):
+            RegressionEnvironment(m=10, q=5, gamma=0.0, sigma2=1.0, beta_hat=beta_hat,
+                                  sigma_inv=SpdMatrix(np.eye(2)))
+
+    def test_sigma_inv_of_another_width_rejected(self):
+        with pytest.raises(InvalidParameterError, match="3-d sigma_inv must share one dimension p"):
+            RegressionEnvironment(m=10, q=5, gamma=0.0, sigma2=1.0, beta_hat=np.zeros(2),
+                                  sigma_inv=SpdMatrix(np.eye(3)))
 
 
 class TestNonFiniteParameters:
@@ -617,7 +636,7 @@ class TestBoundParts:
                              ids=[f"m={m}-q={q}-p={p}" for m, q, p in BOUND_GRID_SIZES])
     def test_each_part_matches_a_per_size_sum(self, m, q, p, gamma):
         sigma_inv = SpdMatrix(np.diag(np.linspace(0.5, 2.0, p)))
-        env = RegressionEnvironment(p=p, m=m, q=q, gamma=gamma, sigma2=1.0, beta_hat=np.zeros(p),
+        env = RegressionEnvironment(m=m, q=q, gamma=gamma, sigma2=1.0, beta_hat=np.zeros(p),
                                     sigma_inv=sigma_inv)
         d = BOUND_GRID_D
         res = dshapley_regression_bounds(
@@ -687,7 +706,7 @@ class TestGeneralMC:
         # designs from substream j, here one design at a time.
         p, m, q, n_outer, s2, e2 = 3, 9, 2, 40, 0.8, 1.3
         sigma_x = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.5]])
-        env = RegressionEnvironment(p=p, m=m, q=q, gamma=gamma, sigma2=s2, beta_hat=np.zeros(p),
+        env = RegressionEnvironment(m=m, q=q, gamma=gamma, sigma2=s2, beta_hat=np.zeros(p),
                                     sigma_inv=spd_inverse(SpdMatrix(sigma_x)))
         x = np.array([0.4, -1.1, 0.7])
         query = PointQuery(x_star=x, y_star=0.0, e2=e2, d=mahalanobis_sq(x, env.sigma_inv))

@@ -2,7 +2,8 @@
 of a bounded kernel's blocks and the helpers that cut rows and groups by them, so the decision
 cannot fork again. Counts that fix bits (``_GRAM_ROWS``, ``_ROWS_PER_BLOCK``, ...) are not
 float budgets and stay with their kernels. ``numerics.check_count`` alone decides what a valid
-count is, so no module compares a count against its floor by hand."""
+count is, so no module compares a count against its floor by hand. And no public function asks
+for a parameter that its body never reads."""
 
 import ast
 import inspect
@@ -132,3 +133,39 @@ def test_the_count_check_catches_each_hand_written_form():
               "        if not (self.a >= 0 and self.b >= 1):\n            raise InvalidParameterError('a')\n")
     found = sorted(node.lineno for node in _count_checks(ast.parse(source)))
     assert found == [2, 4, 6, 18]
+
+
+def _unread_parameters(tree):
+    """``function.parameter`` for each parameter of a public function, or of a method of a public
+    class, that the body never reads: a value the caller must pass and the library ignores. The
+    public names are the module's ``__all__``."""
+    public = next((set(ast.literal_eval(node.value)) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)), set())
+    functions = [(node.name, node) for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in public]
+    functions += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and cls.name in public
+                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+    for name, func in functions:
+        args = func.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [a for a in (args.vararg, args.kwarg) if a is not None]]
+        read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        yield from (f"{name}.{param}" for param in params if param not in read)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_no_public_parameter_goes_unread(path):
+    found = sorted(_unread_parameters(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not found, found
+
+
+def test_the_unread_parameter_check_catches_each_form():
+    source = ("__all__ = ['f', 'C']\n"
+              "def f(a, b, *args, c=1, **kw):\n    return [a for _ in args] + [lambda: c]\n"
+              "def _private(unused):\n    pass\n"
+              "class C:\n    def g(self, x):\n        def inner():\n            return x\n"
+              "        return inner\n    def h(self, y):\n        y = 1\n        return self\n")
+    assert sorted(_unread_parameters(ast.parse(source))) == ["C.g.self", "C.h.y", "f.b", "f.kw"]
