@@ -376,5 +376,5 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     mean = total / count
     var = max((total_sq - count * mean * mean) / (count - 1), 0.0) if count > 1 else 0.0
     return ValueEstimate(value=float(mean), std_error=float(np.sqrt(var / count)),
-                         inner_iters_used=[count], truncated_at_j=None,
+                         inner_iters_used=[count],
                          evaluated_draws=int(evaluated[-1]), failed_draws=int(failures[-1]))

@@ -51,12 +51,11 @@ class KernelSpec:
 
     def evaluate(self, diff) -> np.ndarray:
         """Kernel value at the given displacement(s), shape (..., dim)."""
-        return self._values(np.moveaxis(np.asarray(diff, dtype=float), -1, 0), ["evaluate"])[0]
+        return self._values(_coordinates(diff), ["evaluate"])[0]
 
     def self_convolution(self, diff) -> np.ndarray:
         """Value of ``integral k(u - a) k(u - b) du`` at ``diff = a - b``."""
-        diff = np.moveaxis(np.asarray(diff, dtype=float), -1, 0)
-        return self._values(diff, ["self_convolution"])[0]
+        return self._values(_coordinates(diff), ["self_convolution"])[0]
 
     def _values(self, coords, kinds) -> list:
         """The ``"evaluate"`` or ``"self_convolution"`` values, per entry of ``kinds``, at the
@@ -79,6 +78,14 @@ class KernelSpec:
             value /= w ** dim * (2.0 * np.pi) ** (dim / 2.0)
             out.append(value)
         return out
+
+
+def _coordinates(diff) -> np.ndarray:
+    """The (..., dim) displacements ``diff`` with the coordinate axis first; a scalar is refused."""
+    diff = np.asarray(diff, dtype=float)
+    if diff.ndim == 0:
+        raise InvalidParameterError("diff must be a (..., dimension) array, got a scalar")
+    return np.moveaxis(diff, -1, 0)
 
 
 @dataclass
@@ -117,9 +124,13 @@ class SynergyScanResult:
 
 
 def _as_points(points, what: str, rows: int = 0) -> np.ndarray:
-    """``points`` as an (n, dim) float array ((n,) is n points of width 1), refused unless finite,
-    at least 1 wide and at least ``rows`` points long: the entry rule of every density route."""
+    """``points`` as an (n, dim) float array ((n,) is n points of width 1), refused unless of one
+    of those ranks, finite, at least 1 wide and at least ``rows`` points long: the entry rule of
+    every density route."""
     pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2):
+        raise InvalidParameterError(f"{what} must be an (n,) or (n, dimension) array, "
+                                    f"got {pts.ndim} axes")
     if not np.isfinite(pts).all():
         raise InvalidParameterError(f"{what} must be finite")
     pts = pts[:, None] if pts.ndim == 1 else pts
@@ -157,7 +168,7 @@ def kde_evaluate(s, kernel: KernelSpec, z):
     ``z`` may be a single point or an array of points; a float is returned
     for a single point. A NaN or infinite entry of ``s`` or ``z`` raises.
     """
-    pts = _as_points(s, "the reference set", rows=1)
+    pts = _as_points(s, "the reference set s", rows=1)
     z_arr = np.asarray(z, dtype=float)
     rows = _as_points(np.atleast_2d(z_arr), "z")
     out = _kernel_means(kernel, pts[None], rows[:, None, :])[0][0]

@@ -14,23 +14,19 @@ __all__ = ["MCControls", "ValueEstimate", "BoundsResult"]
 
 @dataclass
 class MCControls:
-    """Two-level early-stopping thresholds for the sampled estimators.
+    """Per-size early stop of the exact regression sampler.
 
-    ``max_inner`` caps the per-term draws; the inner loop stops once the
-    running mean's relative change drops to ``rho1``, the outer sum once the
-    cumulative value's relative change drops to ``rho2``.
+    ``max_inner`` caps each size's draws; a size stops drawing once its
+    running mean's relative change drops to ``rho1``. Every size is summed.
     """
 
     max_inner: int = 10000
     rho1: float = 0.01
-    rho2: float = 0.005
 
     def __post_init__(self):
         check_count(self.max_inner, 1, "max_inner")
-        for name in ("rho1", "rho2"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise InvalidParameterError(f"{name} must lie in (0, 1)")
+        if not (0.0 < self.rho1 < 1.0):
+            raise InvalidParameterError("rho1 must lie in (0, 1)")
 
 
 @dataclass
@@ -39,15 +35,13 @@ class ValueEstimate:
 
     For a batch of points ``value`` and ``std_error`` are arrays.
     ``inner_iters_used`` records the draws consumed per summation term (0 for
-    terms skipped entirely); ``truncated_at_j`` is the term index at which the
-    outer early stop fired, or None if the whole sum was evaluated. The sampled
-    baseline counts its draws that reached the utility and those that failed.
+    terms skipped entirely). The sampled baseline counts its draws that reached
+    the utility and those that failed.
     """
 
     value: float
     std_error: float
     inner_iters_used: list = field(default_factory=list)
-    truncated_at_j: int | None = None
     evaluated_draws: int = 0
     failed_draws: int = 0
 

@@ -6,8 +6,9 @@ Four routes are provided:
   holds for Gaussian inputs at zero ridge, where the value of a point
   reduces to its squared error and Mahalanobis distance plus chi-squared
   expectations, as one deterministic integral over every admitted size.
-* :func:`dshapley_regression_exact` samples the same closed form with
-  two-level early stopping; it is kept as the paper's reference sampler.
+* :func:`dshapley_regression_exact` samples the same closed form over every
+  admitted size, each size's draws stopped once its running mean settles; it
+  is kept as the sampled reference.
 * :func:`dshapley_regression_bounds` evaluates deterministic lower/upper
   bounds valid for sub-Gaussian inputs at any ridge.
 * :func:`dshapley_regression_general_mc` Monte-Carlo integrates the general
@@ -40,8 +41,6 @@ __all__ = [
 ]
 
 _INNER_BLOCK = 128
-# sizes per window of first blocks in the exact sampler
-_OUTER_BLOCK = 128
 _TABLE_SIZES = 51  # sizes per block of every size table; the cut fixes its bits
 
 # the one Laplace rule of both regression routes: nodes v = exp(x) at x = _LAPLACE_FROM + k
@@ -172,22 +171,17 @@ def _gaussian_sizes(env: RegressionEnvironment, route: str, shape):
     return empty, js, (js - 1.0) / (js - env.p), js - env.p + 1.0
 
 
-def _first_stable_index(running: np.ndarray, rho: float,
-                        denominator: str = "prev") -> tuple[np.ndarray, np.ndarray]:
-    """First position where consecutive running values differ by <= rho relatively.
+def _first_stable_index(running: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """First position where a running value's change relative to the one before it is <= rho.
 
-    ``denominator`` picks which of the two consecutive values scales the
-    change (the inner loop compares against the previous mean, the outer
-    loop against the new cumulative value). A zero denominator never counts
-    as converged. Returns (hit_found, count_used) with 1-based counts.
+    A zero previous value never counts as converged. Returns (hit_found,
+    count_used) with 1-based counts.
     """
     prev = running[..., :-1]
     cur = running[..., 1:]
-    den = prev if denominator == "prev" else cur
-    num = cur if denominator == "prev" else prev
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(num / den - 1.0)
-    ok = (den != 0.0) & (rel <= rho)
+        rel = np.abs(cur / prev - 1.0)
+    ok = (prev != 0.0) & (rel <= rho)
     hit = ok.any(axis=-1)
     # a single running value has no consecutive pair to compare
     first = np.argmax(ok, axis=-1) if ok.shape[-1] else 0
@@ -272,15 +266,14 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
 
     The gated utility admits background subsets of sizes ``q - 1`` through
     ``m - 1``; for each size ``s`` the summand is an expectation over a
-    chi-squared variable with ``s - p + 1`` degrees of freedom. Draws stop
-    early once the running mean stabilizes (relative change <= rho1) and the
-    outer sum stops once the cumulative value stabilizes (relative change
-    <= rho2). Sizes draw their first blocks a window at a time, so no size
-    past the outer stop is drawn.
+    chi-squared variable with ``s - p + 1`` degrees of freedom. Every size
+    draws its first block in one call; a size keeps drawing until its running
+    mean stabilizes (relative change <= rho1) or ``max_inner`` draws are used,
+    the sizes continuing one after another in order. The value sums every
+    admitted size, and ``std_error`` is the sampling error of that sum.
 
     Requires ``gamma = 0`` and ``q >= p + 3``. Returns exact 0 (with a
-    warning) when the horizon sits below the gate. The reported
-    ``truncated_at_j`` is the subset size at which the outer stop fired.
+    warning) when the horizon sits below the gate.
     """
     mc = mc if mc is not None else MCControls()
     empty, js, coef, dfs = _gaussian_sizes(env, "the exact route", ())
@@ -291,18 +284,9 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
     sums, sqsums, counts = np.zeros(js.size), np.zeros(js.size), np.zeros(js.size, dtype=int)
     means = np.full(js.size, np.nan)  # running means; NaN before a size's first block
     done = np.zeros(js.size, dtype=bool)  # stable, or max_inner draws used
-    drawn = 0  # sizes whose first block is drawn
-    final = 0  # leading sizes that are done, so their means are final
-    while final < js.size:
-        # first blocks go a window of sizes at a time; once a drawn size needs
-        # more, every first block is drawn and the sizes continue in order
-        if final == drawn:
-            lo, hi = drawn, min(drawn + _OUTER_BLOCK, js.size)
-        elif drawn < js.size:
-            lo, hi = drawn, js.size
-        else:
-            lo, hi = final, final + 1
-        drawn, rows = max(drawn, hi), slice(lo, hi)
+    lo, hi = 0, js.size  # every size's first block, then each unsettled size in order
+    while lo < js.size:
+        rows = slice(lo, hi)
         # one block for sizes that have all drawn n values so far; one size
         # draws with a scalar df, the same values at a third of the call cost
         n = counts[lo]
@@ -318,22 +302,15 @@ def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
         sums[rows], sqsums[rows], means[rows] = csum[at, last], csq[at, last], running[at, last + 1]
         counts[rows] += last + 1
         done[rows] = hit | (counts[rows] >= mc.max_inner)
-        if done[final]:
-            # the final prefix grew: apply the outer stop to it
-            final = js.size if done.all() else int(np.argmin(done))
-            nu = np.cumsum(-means[:final] / env.m)
-            hit_outer, k_used = _first_stable_index(nu[None, :], mc.rho2, denominator="cur")
-            if hit_outer[0]:
-                break
+        lo = js.size if done.all() else int(np.argmin(done))
+        hi = lo + 1
 
-    k = int(k_used[0])
-    used = counts[:k]
     with np.errstate(invalid="ignore"):
-        variances = np.where(used > 1, (sqsums[:k] - used * means[:k] ** 2) / np.maximum(used - 1, 1), 0.0)
-    std_error = float(np.sqrt(np.sum(np.maximum(variances, 0.0) / used)) / env.m)
-    truncated = int(js[k - 1]) if k < js.size else None
-    return ValueEstimate(value=float(nu[k - 1]), std_error=std_error,
-                         inner_iters_used=[int(c) for c in used], truncated_at_j=truncated)
+        variances = np.where(counts > 1, (sqsums - counts * means ** 2) / np.maximum(counts - 1, 1), 0.0)
+    std_error = float(np.sqrt(np.sum(np.maximum(variances, 0.0) / counts)) / env.m)
+    # a running sum in size order, not numpy's pairwise sum: it fixes the value's bits
+    return ValueEstimate(value=float(np.cumsum(-means / env.m)[-1]), std_error=std_error,
+                         inner_iters_used=[int(c) for c in counts])
 
 
 def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
@@ -450,8 +427,7 @@ def dshapley_regression_general_mc(query: PointQuery, env: RegressionEnvironment
         used.append(n_outer)
     value = total / env.m
     std_error = float(np.sqrt(var_total) / env.m)
-    return ValueEstimate(value=value, std_error=std_error,
-                         inner_iters_used=used, truncated_at_j=None)
+    return ValueEstimate(value=value, std_error=std_error, inner_iters_used=used)
 
 
 def normalization_shift(env: RegressionEnvironment) -> float:

@@ -21,7 +21,7 @@ import pytest
 import distshap as ds
 from distshap.regression import analytic_utility_constant, normalization_shift
 
-TIGHT = ds.MCControls(max_inner=10**5, rho1=1e-12, rho2=1e-12)
+TIGHT = ds.MCControls(max_inner=10**5, rho1=1e-12)
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:
@@ -181,8 +181,7 @@ class TestCriterion4GeneralRouteEquivalence:
         x = np.full(p, np.sqrt(d / p))
         query = ds.PointQuery(x_star=x, y_star=0.0, e2=e2, d=d)
         exact = ds.dshapley_regression_exact(query, env,
-                                             ds.MCControls(max_inner=4 * 10**5,
-                                                           rho1=1e-12, rho2=1e-12),
+                                             ds.MCControls(max_inner=4 * 10**5, rho1=1e-12),
                                              ds.RandomStream(987))
         sampler = ds.make_gaussian_sampler(ds.SpdMatrix(np.eye(p)))
         general = ds.dshapley_regression_general_mc(query, env, sampler, 10**4,

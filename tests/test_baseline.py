@@ -584,7 +584,7 @@ class TestMcBaseline:
         query = PointQuery(x_star=x_star, y_star=float(x_star @ beta) + 1.0,
                            e2=1.0, d=float(x_star @ x_star))
         exact = dshapley_regression_exact(query, env,
-                                          MCControls(max_inner=10**5, rho1=1e-12, rho2=1e-12),
+                                          MCControls(max_inner=10**5, rho1=1e-12),
                                           RandomStream(7))
         base = dshapley_mc_baseline((x_star, query.y_star), background, utility, m=m,
                                     max_draws=2 * 10**4, rng=RandomStream(3))

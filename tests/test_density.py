@@ -75,6 +75,19 @@ class TestKdeEvaluate:
         with pytest.raises(InvalidParameterError, match="dimension must be at least 1"):
             kde_evaluate(s, KernelSpec("gaussian", 1.0), z)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda k: kde_evaluate(0.5, k, [0.1]), "the reference set s"),
+        (lambda k: kde_evaluate([0.1, 0.2], k, np.zeros((2, 3, 1))), "z"),
+        (lambda k: select_bandwidth(3.0, [0.1, 0.2]), "samples"),
+        (lambda k: dshapley_density(DensityValueRequest(np.zeros((2, 2)), 10), np.zeros((4, 3, 2)), k),
+         "background"),
+        (lambda k: k.evaluate(0.3), "diff"),
+        (lambda k: k.self_convolution(0.3), "diff"),
+    ], ids=["kde-set", "kde-z", "bandwidth-samples", "density-background", "evaluate", "self-convolution"])
+    def test_points_of_an_unusable_rank_rejected(self, call, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be an? "):
+            call(KernelSpec("gaussian", 1.0))
+
     @pytest.mark.parametrize("s_star", [np.zeros((2, 0)), np.zeros((3, 2, 0))], ids=["set", "stack"])
     def test_zero_width_request_rejected(self, s_star):
         with pytest.raises(InvalidParameterError, match=r"nonempty \(n, dimension\) set"):

@@ -37,7 +37,7 @@ from distshap.estimates import ValueEstimate
 from distshap.regression import (
     _QUAD_TOP, _first_stable_index, _laplace_nodes, analytic_utility_constant, normalization_shift)
 
-TIGHT = MCControls(max_inner=10**5, rho1=1e-12, rho2=1e-12)
+TIGHT = MCControls(max_inner=10**5, rho1=1e-12)
 
 
 def make_env(p=2, m=10, q=5, sigma2=1.0, gamma=0.0):
@@ -111,7 +111,7 @@ class TestExactEstimator:
         env = make_env(m=5, q=5)
         query = PointQuery(x_star=np.zeros(2), y_star=0.0, e2=0.0, d=0.0)
         est = dshapley_regression_exact(query, env, TIGHT, RandomStream(0))
-        assert len(est.inner_iters_used) == 1 and est.truncated_at_j is None
+        assert len(est.inner_iters_used) == 1
         assert est.value == pytest.approx(-(1 / 5) * 3 / (2 * 1), rel=0.01)
 
     def test_gate_precondition(self):
@@ -165,24 +165,28 @@ class TestExactEstimator:
         b = dshapley_regression_exact(query, env, None, RandomStream(9))
         assert a.value == b.value and a.std_error == b.std_error
         assert a.inner_iters_used == b.inner_iters_used
-        assert a.truncated_at_j == b.truncated_at_j
 
-    def test_early_stop_metadata(self):
-        env = make_env(m=2000, q=5)
-        query = PointQuery(x_star=np.array([1.0, 1.0]), y_star=0.0, e2=1.0, d=2.0)
-        est = dshapley_regression_exact(query, env, None, RandomStream(1))
-        assert est.truncated_at_j is not None
-        assert est.truncated_at_j <= env.m
-        assert len(est.inner_iters_used) < env.m - env.q + 1
-        assert all(1 <= n <= 10000 for n in est.inner_iters_used)
+    def test_default_controls_sum_every_size(self):
+        # at m = 1000 the running sum changes by under 0.5% a size long before its last size,
+        # and a sum cut there reads about half the value: every admitted size must be summed
+        points = 200
+        data = gen_gaussian_r(points + 2000, 10, RandomStream(1))
+        env = fit_background(data.x[points:], data.y[points:], m=1000, q=13)
+        xs, ys = data.x[:points], data.y[:points]
+        want = dshapley_regression_quadrature(PointQuery.from_point(xs, ys, env), env).value
+        stream = RandomStream(2)
+        got = [dshapley_regression_exact(PointQuery.from_point(x, y, env), env, None, stream.substream(i))
+               for i, (x, y) in enumerate(zip(xs, ys))]
+        values, errors = np.array([e.value for e in got]), np.array([e.std_error for e in got])
+        assert np.median(values / want) == pytest.approx(1.0, abs=0.02)
+        assert np.mean(np.abs(values - want) <= 3.0 * errors) >= 0.9
 
 
 def eager_exact(query, env, mc, rng):
-    """Two-level sampler drawing every size's first block up front.
+    """Sampler drawing every size's first block up front.
 
     One (sizes, block) chi-squared draw, then each size that did not
-    stabilize keeps drawing, one size after another, before the outer stop
-    is applied to the whole sum.
+    stabilize keeps drawing, one size after another, and every size is summed.
     """
     js = np.arange(env.q - 1, env.m)
     dfs = (js - env.p + 1).astype(float)
@@ -218,37 +222,13 @@ def eager_exact(query, env, mc, rng):
     with np.errstate(invalid="ignore"):
         variances = np.where(counts > 1, (sqsums - counts * means ** 2) / np.maximum(counts - 1, 1), 0.0)
     variances = np.maximum(variances, 0.0)
-    nu = np.cumsum(-means / env.m)
-    hit_outer, k_used = _first_stable_index(nu[None, :], mc.rho2, denominator="cur")
-    k = int(k_used[0]) if hit_outer[0] else js.size
-    return ValueEstimate(value=float(nu[k - 1]),
-                         std_error=float(np.sqrt(np.sum(variances[:k] / counts[:k])) / env.m),
-                         inner_iters_used=[int(c) for c in counts[:k]],
-                         truncated_at_j=int(js[k - 1]) if k < js.size else None)
-
-
-class _CountingGenerator:
-    def __init__(self, generator):
-        self.generator, self.chisquare_values = generator, 0
-
-    def chisquare(self, df, size=None):
-        out = self.generator.chisquare(df, size=size)
-        self.chisquare_values += np.size(out)
-        return out
-
-
-class CountingStream(RandomStream):
-    """A stream whose generator counts the chi-squared values it hands out."""
-
-    @property
-    def generator(self):
-        if self._generator is None:
-            self._generator = _CountingGenerator(super().generator)
-        return self._generator
+    return ValueEstimate(value=float(np.cumsum(-means / env.m)[-1]),
+                         std_error=float(np.sqrt(np.sum(variances / counts)) / env.m),
+                         inner_iters_used=[int(c) for c in counts])
 
 
 class TestDrawOrder:
-    """The windowed sampler against the eager one it replaced."""
+    """The sampler against an eager reference that draws the same values in its own loop."""
 
     QUERIES = [(2.0, 1.0), (0.3, 4.0), (9.0, 0.2), (0.0, 1.5)]
 
@@ -258,7 +238,6 @@ class TestDrawOrder:
             got = dshapley_regression_exact(query, env, mc, RandomStream(seed))
             want = eager_exact(query, env, mc, RandomStream(seed))
             assert got.inner_iters_used == want.inner_iters_used
-            assert got.truncated_at_j == want.truncated_at_j
             if exact_values:
                 assert (got.value, got.std_error) == (want.value, want.std_error)
             else:
@@ -268,16 +247,15 @@ class TestDrawOrder:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bit_identical_at_default_controls(self, seed):
-        est = self.compare(make_env(p=3, m=2000, q=6, sigma2=0.8), MCControls(), seed, True)
-        assert est.truncated_at_j is not None
+        self.compare(make_env(p=3, m=2000, q=6, sigma2=0.8), MCControls(), seed, True)
 
     def test_tight_controls_continue_every_size(self):
         est = self.compare(make_env(m=12, q=5), TIGHT, 4, False)
-        assert est.truncated_at_j is None and min(est.inner_iters_used) > 128
+        assert min(est.inner_iters_used) > 128
 
     def test_fallback_after_windows(self):
-        # rho1 this small leaves sizes unstable after their first block while
-        # the outer stop is still open, so every first block is drawn first
+        # rho1 this small leaves sizes unstable after their first block, so
+        # they continue drawing once every size's first block is drawn
         mc = MCControls(max_inner=300, rho1=1e-7)
         est = self.compare(make_env(m=600, q=5), mc, 5, False)
         assert max(est.inner_iters_used) > 128
@@ -285,14 +263,6 @@ class TestDrawOrder:
     def test_single_admitted_size(self):
         self.compare(make_env(m=5, q=5), MCControls(), 6, True)
         self.compare(make_env(m=5, q=5), TIGHT, 6, False)
-
-    def test_no_size_past_the_outer_stop_is_drawn(self):
-        env = make_env(p=3, m=2000, q=6, sigma2=0.8)
-        query = PointQuery(x_star=np.array([1.0, 1.0, 0.0]), y_star=0.0, e2=1.0, d=2.0)
-        rng = CountingStream(1)
-        est = dshapley_regression_exact(query, env, None, rng)
-        assert est.truncated_at_j < env.q - 1 + 128
-        assert rng.generator.chisquare_values <= 128 * 128
 
 
 def chi2_expect_value(p, m, q, d, e2, s2):
@@ -334,7 +304,7 @@ class TestQuadrature:
         # chi2.expect's own tolerance is ~1.5e-8 relative
         assert est.value == pytest.approx(expected, rel=1e-8)
         assert 0.0 <= est.std_error <= 1e-8 * abs(expected)
-        assert est.inner_iters_used == [] and est.truncated_at_j is None
+        assert est.inner_iters_used == []
 
     @pytest.mark.parametrize("p, q", [(2, 5), (10, 13), (3, 5000)])
     def test_origin_identity_at_one_size(self, p, q):
