@@ -320,20 +320,21 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
                          rng: RandomStream) -> ValueEstimate:
     """Slow sampled estimate of the distributional value of one datum.
 
-    Each draw picks a subset size uniformly up to ``m``, samples that many background points
-    (a pool is resampled with replacement; a callable ``background(size, rng)`` draws from a
-    distribution) and takes the marginal contribution of ``z_star``. The draws take two calls:
-    every draw's size, then every draw's rows in draw order, as indices into the pool or as one
-    ``background(total, rng)`` call whose parts must each have ``total`` rows. Draws below the
-    gate are exact zeros and draw no rows. The others are valued by size in blocks that grow
-    while their draws times their widest set stay within 8,192 rows, each set padded to the
-    block's widest with ``z_star`` and valued without and with it as two prefixes. A draw
-    whose utility fails (raises ``UtilityEvaluationError`` or is NaN) is counted in
-    ``failed_draws`` and left out of the mean. Raises ``BaselineFailureError`` once 20 or more
-    evaluated draws, in draw order, are more than half failures, or if more than half fail.
+    Each of ``max_draws`` draws (at least 2) picks a subset size uniformly up to ``m``, samples
+    that many background points (a pool is resampled with replacement; a callable
+    ``background(size, rng)`` draws from a distribution) and takes the marginal contribution of
+    ``z_star``. The draws take two calls: every draw's size, then every draw's rows in draw
+    order, as indices into the pool or as one ``background(total, rng)`` call whose parts must
+    each have ``total`` rows. Draws below the gate are exact zeros and draw no rows. The others
+    are valued by size in blocks that grow while their draws times their widest set stay within
+    8,192 rows, each set padded to the block's widest with ``z_star`` and valued without and
+    with it as two prefixes. A draw whose utility fails (raises ``UtilityEvaluationError`` or
+    is NaN) is counted in ``failed_draws`` and left out of the mean. Raises
+    ``BaselineFailureError`` once 20 or more evaluated draws, in draw order, are more than half
+    failures, or if more than half fail.
     """
     check_count(m, 1, "m")
-    check_count(max_draws, 1, "max_draws")
+    check_count(max_draws, 2, "max_draws")
     gate = _gate(utility)
     sizes, delta = rng.generator.integers(1, m + 1, size=max_draws), np.zeros(max_draws)
     drawn = np.where(sizes >= gate, sizes - 1, 0)  # below the gate: no rows, both utilities zero

@@ -1,4 +1,4 @@
-"""Result containers and Monte-Carlo control knobs shared by the estimators."""
+"""Result containers shared by the estimators."""
 
 from __future__ import annotations
 
@@ -7,26 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .numerics import check_count
 
-__all__ = ["MCControls", "ValueEstimate", "BoundsResult"]
-
-
-@dataclass
-class MCControls:
-    """Per-size early stop of the exact regression sampler.
-
-    ``max_inner`` caps each size's draws; a size stops drawing once its
-    running mean's relative change drops to ``rho1``. Every size is summed.
-    """
-
-    max_inner: int = 10000
-    rho1: float = 0.01
-
-    def __post_init__(self):
-        check_count(self.max_inner, 1, "max_inner")
-        if not (0.0 < self.rho1 < 1.0):
-            raise InvalidParameterError("rho1 must lie in (0, 1)")
+__all__ = ["ValueEstimate", "BoundsResult"]
 
 
 @dataclass

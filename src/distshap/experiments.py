@@ -102,7 +102,7 @@ class ExperimentConfig:
         if self.bound_side not in ("lower", "upper"):
             raise InvalidParameterError("bound_side must be lower or upper")
         for name, floor in (("n_value_points", 1), ("repetitions", 1), ("heldout_size", 0),
-                            ("background_size", 1), ("baseline_draws", 1), ("threads", 1)):
+                            ("background_size", 1), ("baseline_draws", 2), ("threads", 1)):
             check_count(getattr(self, name), floor, name)
         check_count(self.m, 1, "valuation horizon m")  # the name every route's own check gives
         if self.q is not None:

@@ -7,8 +7,8 @@ Four routes are provided:
   reduces to its squared error and Mahalanobis distance plus chi-squared
   expectations, as one deterministic integral over every admitted size.
 * :func:`dshapley_regression_exact` samples the same closed form over every
-  admitted size, each size's draws stopped once its running mean settles; it
-  is kept as the sampled reference.
+  admitted size, a fixed count of draws each; it is kept as the sampled
+  reference.
 * :func:`dshapley_regression_bounds` evaluates deterministic lower/upper
   bounds valid for sub-Gaussian inputs at any ridge.
 * :func:`dshapley_regression_general_mc` Monte-Carlo integrates the general
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError, SingularMatrixError
-from .estimates import BoundsResult, MCControls, ValueEstimate
+from .estimates import BoundsResult, ValueEstimate
 from .numerics import LOG_TINY, RandomStream, SpdMatrix, blocks, check_count, check_nonnegative, check_row_norms, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "make_gaussian_sampler",
 ]
 
-_INNER_BLOCK = 128
+_INNER_BLOCK = 128  # the exact sampler's default draws, and each size's first values
 _TABLE_SIZES = 51  # sizes per block of every size table; the cut fixes its bits
 
 # the one Laplace rule of both regression routes: nodes v = exp(x) at x = _LAPLACE_FROM + k
@@ -171,24 +171,6 @@ def _gaussian_sizes(env: RegressionEnvironment, route: str, shape):
     return empty, js, (js - 1.0) / (js - env.p), js - env.p + 1.0
 
 
-def _first_stable_index(running: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """First position where a running value's change relative to the one before it is <= rho.
-
-    A zero previous value never counts as converged. Returns (hit_found,
-    count_used) with 1-based counts.
-    """
-    prev = running[..., :-1]
-    cur = running[..., 1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(cur / prev - 1.0)
-    ok = (prev != 0.0) & (rel <= rho)
-    hit = ok.any(axis=-1)
-    # a single running value has no consecutive pair to compare
-    first = np.argmax(ok, axis=-1) if ok.shape[-1] else 0
-    counts = np.where(hit, first + 2, running.shape[-1])
-    return hit, counts
-
-
 def _laplace_nodes(top: float) -> np.ndarray:
     """Nodes ``exp(x)`` of the Laplace rule, from ``x = _LAPLACE_FROM`` to the first ``x`` at or
     past ``top``."""
@@ -261,56 +243,51 @@ def dshapley_regression_quadrature(query: PointQuery, env: RegressionEnvironment
 
 
 def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,
-                              mc: MCControls | None, rng: RandomStream) -> ValueEstimate:
+                              draws: int | None, rng: RandomStream) -> ValueEstimate:
     """Sample the Gaussian-input closed form of the value of one point.
 
     The gated utility admits background subsets of sizes ``q - 1`` through
     ``m - 1``; for each size ``s`` the summand is an expectation over a
     chi-squared variable with ``s - p + 1`` degrees of freedom. Every size
-    draws its first block in one call; a size keeps drawing until its running
-    mean stabilizes (relative change <= rho1) or ``max_inner`` draws are used,
-    the sizes continuing one after another in order. The value sums every
-    admitted size, and ``std_error`` is the sampling error of that sum.
+    takes ``draws`` values (``_INNER_BLOCK`` when None, at least 2): its first
+    ``min(_INNER_BLOCK, draws)`` come from one chi-squared draw over every size
+    in size order, taken in row blocks, and then each size draws the rest, one
+    size after another. The value sums every admitted size, and ``std_error``
+    is the sampling error of that sum.
 
     Requires ``gamma = 0`` and ``q >= p + 3``. Returns exact 0 (with a
     warning) when the horizon sits below the gate.
     """
-    mc = mc if mc is not None else MCControls()
+    draws = _INNER_BLOCK if draws is None else draws
+    check_count(draws, 2, "draws")
     empty, js, coef, dfs = _gaussian_sizes(env, "the exact route", ())
     if empty is not None:
         return empty
 
-    d, e2, s2 = query.d, query.e2, env.sigma2
-    sums, sqsums, counts = np.zeros(js.size), np.zeros(js.size), np.zeros(js.size, dtype=int)
-    means = np.full(js.size, np.nan)  # running means; NaN before a size's first block
-    done = np.zeros(js.size, dtype=bool)  # stable, or max_inner draws used
-    lo, hi = 0, js.size  # every size's first block, then each unsettled size in order
-    while lo < js.size:
-        rows = slice(lo, hi)
-        # one block for sizes that have all drawn n values so far; one size
-        # draws with a scalar df, the same values at a third of the call cost
-        n = counts[lo]
-        draws = rng.generator.chisquare(dfs[lo] if hi - lo == 1 else dfs[rows, None],
-                                        size=(hi - lo, min(_INNER_BLOCK, mc.max_inner - n)))
-        vals = coef[rows, None] * (d * e2 + draws * s2) / (d + draws) ** 2
-        csum = sums[rows, None] + np.cumsum(vals, axis=1)
-        csq = sqsums[rows, None] + np.cumsum(vals ** 2, axis=1)
-        running = np.concatenate((means[rows, None], csum / (n + np.arange(1, vals.shape[1] + 1))),
-                                 axis=1)
-        hit, stop = _first_stable_index(running, mc.rho1)
-        last, at = stop - 2, np.arange(hi - lo)  # the carried mean leads each row
-        sums[rows], sqsums[rows], means[rows] = csum[at, last], csq[at, last], running[at, last + 1]
-        counts[rows] += last + 1
-        done[rows] = hit | (counts[rows] >= mc.max_inner)
-        lo = js.size if done.all() else int(np.argmin(done))
-        hi = lo + 1
+    d, e2, s2, gen = query.d, query.e2, env.sigma2, rng.generator
+    sums, sqsums = np.zeros(js.size), np.zeros(js.size)
 
-    with np.errstate(invalid="ignore"):
-        variances = np.where(counts > 1, (sqsums - counts * means ** 2) / np.maximum(counts - 1, 1), 0.0)
-    std_error = float(np.sqrt(np.sum(np.maximum(variances, 0.0) / counts)) / env.m)
+    def add(rows, values):
+        vals = coef[rows, None] * (d * e2 + values * s2) / (d + values) ** 2
+        sums[rows] += vals.sum(axis=1)
+        sqsums[rows] += (vals * vals).sum(axis=1)
+
+    first = min(_INNER_BLOCK, draws)
+    for rows in blocks(js.size, first):
+        df = dfs[rows, None]
+        add(rows, gen.chisquare(df, size=(df.shape[0], first)))
+    rest = draws - first
+    for row in range(js.size if rest else 0):
+        # one size draws with a scalar df, the same values at a third of the call cost
+        for cols in blocks(rest, 1):
+            add(slice(row, row + 1), gen.chisquare(dfs[row], size=(1, min(cols.stop, rest) - cols.start)))
+
+    means = sums / draws
+    variances = np.maximum((sqsums - draws * means ** 2) / (draws - 1), 0.0)
+    std_error = float(np.sqrt(np.sum(variances / draws)) / env.m)
     # a running sum in size order, not numpy's pairwise sum: it fixes the value's bits
     return ValueEstimate(value=float(np.cumsum(-means / env.m)[-1]), std_error=std_error,
-                         inner_iters_used=[int(c) for c in counts])
+                         inner_iters_used=[draws] * js.size)
 
 
 def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
@@ -387,15 +364,16 @@ def dshapley_regression_general_mc(query: PointQuery, env: RegressionEnvironment
 
     ``input_sampler(count, rng)`` must return ``count`` i.i.d. input vectors
     as a ``(count, p)`` array. For each subset size, ``n_outer`` design
-    matrices are sampled and the leverage statistics of ``x_star`` under
-    ``(X^T X + gamma I)^{-1}`` are averaged. At ``gamma = 0`` sizes below
-    ``p`` cannot be inverted and are skipped (recorded as 0 draws).
+    matrices (at least 2) are sampled and the leverage statistics of
+    ``x_star`` under ``(X^T X + gamma I)^{-1}`` are averaged. At
+    ``gamma = 0`` sizes below ``p`` cannot be inverted and are skipped
+    (recorded as 0 draws).
 
     The value is reported under the general-form normalization; see
     :func:`normalization_shift` for the constant separating it from the
     Gaussian closed form.
     """
-    check_count(n_outer, 1, "n_outer")
+    check_count(n_outer, 2, "n_outer")
     if env.m < env.q:
         return _empty_sum_estimate(env.m, env.q, ())
 
@@ -423,7 +401,7 @@ def dshapley_regression_general_mc(query: PointQuery, env: RegressionEnvironment
         quad = np.einsum("np,pq,nq->n", u, sigma_x, u)
         terms = quad * ((2.0 + lev) * s2 - d_e2) / (1.0 + lev) ** 2
         total += float(terms.mean())
-        var_total += float(terms.var(ddof=1)) / n_outer if n_outer > 1 else 0.0
+        var_total += float(terms.var(ddof=1)) / n_outer
         used.append(n_outer)
     value = total / env.m
     std_error = float(np.sqrt(var_total) / env.m)

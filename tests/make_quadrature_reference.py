@@ -12,8 +12,8 @@ confluent hypergeometric U function, computed by mpmath at 50 digits::
 
 and at d = 0 by the chi-squared moments 1/(nu - 2) and 1/((nu - 2)(nu - 4)); Q is null at
 d = 0 when a size has nu <= 4, where it diverges and d Q is 0. A few sizes are checked
-against direct numerical integration of the chi-squared density. Needs mpmath; the test
-suite does not run this script. Run from the repository root::
+against direct numerical integration of the chi-squared density. Needs mpmath (the
+``reference`` extra); the test suite does not run this script. Run from the repository root::
 
     python tests/make_quadrature_reference.py
 """

@@ -25,7 +25,6 @@ from distshap import (
 from distshap import baseline
 from distshap.baseline import prefix_utilities
 from distshap.classification import _irls_stack
-from distshap.estimates import MCControls
 from distshap.regression import (
     PointQuery,
     RegressionEnvironment,
@@ -583,9 +582,7 @@ class TestMcBaseline:
         x_star = np.array([1.2, 0.8])
         query = PointQuery(x_star=x_star, y_star=float(x_star @ beta) + 1.0,
                            e2=1.0, d=float(x_star @ x_star))
-        exact = dshapley_regression_exact(query, env,
-                                          MCControls(max_inner=10**5, rho1=1e-12),
-                                          RandomStream(7))
+        exact = dshapley_regression_exact(query, env, 10**5, RandomStream(7))
         base = dshapley_mc_baseline((x_star, query.y_star), background, utility, m=m,
                                     max_draws=2 * 10**4, rng=RandomStream(3))
         assert abs(base.value - exact.value) < 3.0 * np.hypot(exact.std_error, base.std_error)

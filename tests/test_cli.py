@@ -245,7 +245,7 @@ class TestErrors:
         # each of these exited 0 and was echoed into the output, as no route read it
         cases = [("--bandwidth-grid=-1,nan", "bandwidths must be finite and positive"),
                  ("--gamma=-1", "gamma must be finite and nonnegative"),
-                 ("--baseline-draws=0", "baseline_draws must be at least 1"),
+                 ("--baseline-draws=1", "baseline_draws must be at least 2"),
                  ("--q=-3", "utility gate q must be at least 1")]
         for task, kind in (("regression", "gaussian-r"), ("classification", "gaussian-c")):
             data = tmp_path / f"{task}.csv"

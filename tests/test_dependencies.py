@@ -1,6 +1,7 @@
 """numpy is the only runtime dependency: the CLI imports no scipy module. The package
 exports exactly the union of its modules' ``__all__`` lists, each name in one list only,
-so a star import shadows nothing and a rename leaves no stale export."""
+so a star import shadows nothing and a rename leaves no stale export. Every package that the
+tests and the bench import is the standard library's, their own, or declared in pyproject."""
 
 import ast
 import importlib
@@ -62,3 +63,28 @@ def test_every_all_entry_resolves():
     for module in modules:
         stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not stale, f"{module.__name__}.__all__ names missing {stale}"
+
+
+def _imported_packages(path):
+    """(line, package) for each absolute import in the file: the first part of its dotted name."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_every_import_of_the_tests_and_bench_is_declared():
+    # tests/make_quadrature_reference.py imported mpmath while no file declared it
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    specs = project["dependencies"] + [spec for group in project["optional-dependencies"].values()
+                                       for spec in group]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_") for spec in specs}
+    files = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    local = {"distshap"} | {path.stem for path in files}
+    undeclared = [f"{path.relative_to(ROOT)}:{line} {package}" for path in files
+                  for line, package in _imported_packages(path)
+                  if package not in sys.stdlib_module_names | local | declared]
+    assert not undeclared, undeclared

@@ -21,6 +21,7 @@ from distshap import (
     SpdMatrix,
     dshapley_density,
     dshapley_regression_bounds,
+    dshapley_regression_exact,
     dshapley_regression_quadrature,
     estimate_second_moment,
     inv_logit,
@@ -254,11 +255,13 @@ class TestBlocks:
 # pairs, 5.5 budgets, held ~17 in one block. Read whole, the 20,000-row file's text, its
 # decoded copy and its lines held 1.9 times the reader's bound (0.6 read in blocks); written
 # whole, the table's cell strings and payload held 6.9 times the writer's (0.66 in blocks).
+# Drawn in one (sizes, 128) block, the exact sampler's 20,000 sizes held 26 times its bound.
 GUARDS = {"quadrature": ("_CACHE_FLOATS", None), "envelope": ("_CACHE_FLOATS", None),
           "kernel-means": ("_BLOCK_FLOATS", 1 << 12), "density-sets": ("_BLOCK_FLOATS", 1 << 12),
           "density-stack": ("_BLOCK_FLOATS", 1 << 12), "lscv": ("_BLOCK_FLOATS", 1 << 12),
           "pairs-one-prefix": ("_BLOCK_FLOATS", None), "pairs-every-prefix": ("_BLOCK_FLOATS", None),
-          "load-csv": ("_CACHE_FLOATS", None), "write-results": ("_CACHE_FLOATS", None)}
+          "load-csv": ("_CACHE_FLOATS", None), "write-results": ("_CACHE_FLOATS", None),
+          "exact-sampler": ("_BLOCK_FLOATS", None)}
 
 
 def _guarded_call(case, tmp_path):
@@ -282,6 +285,12 @@ def _guarded_call(case, tmp_path):
         table = ds.ResultTable(columns, {"seed": 1})
         write_results(table, tmp_path / "warm.csv")  # first-call allocations
         return partial(write_results, table, tmp_path / "out.csv"), 0
+    if case == "exact-sampler":
+        sizes = 20_000
+        env = RegressionEnvironment(m=sizes + 4, q=5, gamma=0.0, sigma2=1.0,
+                                    beta_hat=np.zeros(2), sigma_inv=SpdMatrix(np.eye(2)))
+        query = PointQuery(x_star=np.array([1.0, 0.0]), y_star=0.0, e2=1.0, d=1.0)
+        return partial(dshapley_regression_exact, query, env, None, RandomStream(0)), 8 * sizes
     if case in ("quadrature", "envelope"):
         points = 20_000
         gen = np.random.default_rng(6)
@@ -351,9 +360,10 @@ def _time_bench(**counts):
 COUNTS = {
     "RegressionEnvironment.m": (1, "valuation horizon m", lambda v: _env(m=v)),
     "RegressionEnvironment.q": (2, "utility gate q", lambda v: _env(q=v)),
-    "dshapley_regression_general_mc.n_outer": (1, "n_outer", lambda v: ds.dshapley_regression_general_mc(
+    "dshapley_regression_general_mc.n_outer": (2, "n_outer", lambda v: ds.dshapley_regression_general_mc(
         _POINT, _env(), ds.make_gaussian_sampler(SpdMatrix(np.eye(2))), v, RandomStream(0))),
-    "MCControls.max_inner": (1, "max_inner", lambda v: ds.MCControls(max_inner=v)),
+    "dshapley_regression_exact.draws": (2, "draws", lambda v: ds.dshapley_regression_exact(
+        _POINT, _env(), v, RandomStream(0))),
     "DensityValueRequest.m": (1, "m", lambda v: DensityValueRequest(np.zeros((1, 1)), v)),
     "coeff_A.n": (1, "n", lambda v: ds.coeff_A(v, 10)),
     "coeff_A.m": (1, "m", lambda v: ds.coeff_A(2, v)),
@@ -366,7 +376,7 @@ COUNTS = {
                                                                          y_test=np.zeros(1))),
     "AccuracyUtility.gate": (1, "gate", lambda v: ds.AccuracyUtility(v, np.zeros((1, 2)), np.zeros(1))),
     "dshapley_mc_baseline.m": (1, "m", lambda v: _baseline(m=v)),
-    "dshapley_mc_baseline.max_draws": (1, "max_draws", lambda v: _baseline(max_draws=v)),
+    "dshapley_mc_baseline.max_draws": (2, "max_draws", lambda v: _baseline(max_draws=v)),
     "dshapley_binary_bounds.m": (1, "valuation horizon m", lambda v: ds.dshapley_binary_bounds(_BINARY, v, 6)),
     "dshapley_binary_bounds.q": (6, "the binary bounds: the gate q",
                                  lambda v: ds.dshapley_binary_bounds(_BINARY, 10, v)),
@@ -378,7 +388,7 @@ COUNTS = {
                                          lambda v: ds.ExperimentConfig("regression", background_size=v)),
     "ExperimentConfig.heldout_size": (0, "heldout_size", lambda v: ds.ExperimentConfig("regression", heldout_size=v)),
     "ExperimentConfig.m": (1, "valuation horizon m", lambda v: ds.ExperimentConfig("regression", m=v)),
-    "ExperimentConfig.baseline_draws": (1, "baseline_draws",
+    "ExperimentConfig.baseline_draws": (2, "baseline_draws",
                                         lambda v: ds.ExperimentConfig("regression", baseline_draws=v)),
     "ExperimentConfig.q": (1, "utility gate q", lambda v: ds.ExperimentConfig("density", q=v)),
     "run_time_bench.repetitions": (1, "repetitions", lambda v: _time_bench(repetitions=v)),
