@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .classification import _irls_stack
+from .classification import _IRLS_TOL, _irls_stack
 from .classification import irls_fit  # noqa: F401  (bench/tracing.py rebinds baseline.irls_fit)
 from .density import KernelSpec, _as_points, _kernel_means
 from .density import kde_evaluate  # noqa: F401  (bench/tracing.py rebinds baseline.kde_evaluate)
@@ -167,7 +167,7 @@ def _accuracy_utilities(pool, index, sets, sizes, utility: AccuracyUtility):
         members = (np.arange(width) < sizes[block, None]).astype(float)
         with np.errstate(all="ignore"):
             state, singular = _irls_stack(x[sets[block], :width], y[sets[block], :width],
-                                          members, 1e-8, _ACCURACY_MAX_ITER)
+                                          members, _IRLS_TOL, _ACCURACY_MAX_ITER)
         out[block[~singular]] = _heldout_scores(  # a count over n: the mean of the booleans
             lambda pred: np.count_nonzero((pred >= 0.0) == labels, axis=-1) / labels.size,
             utility.x_test, state.beta[~singular])
@@ -331,7 +331,7 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     with it as two prefixes. A draw whose utility fails (raises ``UtilityEvaluationError`` or
     is NaN) is counted in ``failed_draws`` and left out of the mean. Raises
     ``BaselineFailureError`` once 20 or more evaluated draws, in draw order, are more than half
-    failures, or if more than half fail.
+    failures, if more than half fail, or if fewer than 2 draws are usable (one has no variance).
     """
     check_count(m, 1, "m")
     check_count(max_draws, 2, "max_draws")
@@ -368,14 +368,18 @@ def dshapley_mc_baseline(z_star, background, utility, *, m: int, max_draws: int,
     if stop.any():
         at = int(np.argmax(stop))
         raise BaselineFailureError(f"utility failed on {failures[at]} of {evaluated[at]} evaluated draws")
-    used = delta[~failed]  # never empty: all draws failed is a majority, raised above
+    used = delta[~failed]
     count = used.size
+    if count < 2:
+        raise BaselineFailureError(
+            f"utility failed on {failures[-1]} of {evaluated[-1]} evaluated draws, leaving "
+            f"{count} usable; a std_error needs 2")
     # running sums from 0.0 in draw order, bit-identical to a loop over the draws
     # (np.sum adds pairwise, which differs in the last bits)
     total = float(np.cumsum(np.append(0.0, used))[-1])
     total_sq = float(np.cumsum(np.append(0.0, used * used))[-1])
     mean = total / count
-    var = max((total_sq - count * mean * mean) / (count - 1), 0.0) if count > 1 else 0.0
+    var = max((total_sq - count * mean * mean) / (count - 1), 0.0)
     return ValueEstimate(value=float(mean), std_error=float(np.sqrt(var / count)),
                          inner_iters_used=[count],
                          evaluated_draws=int(evaluated[-1]), failed_draws=int(failures[-1]))

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-10
+_IRLS_TOL = 1e-8  # the relative step norm at which a fit has converged
 _GRAM_ROWS = 256  # rows per block of the IRLS Gram, summed in order
 
 
@@ -141,12 +142,12 @@ def _sq_norms(v):
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def irls_fit(x, y, tol: float = 1e-8, max_iter: int = 100) -> IRLSState:
+def irls_fit(x, y, max_iter: int = 100) -> IRLSState:
     """Fit logistic-regression coefficients by iteratively reweighted least squares.
 
     Takes Newton increments, each the solution of the weighted normal equations
     against ``X^T (y - pi)`` (the working-response step), until the relative
-    step norm ``|d| / (1 + |beta|)`` drops to ``tol``. Equals the
+    step norm ``|d| / (1 + |beta|)`` drops to 1e-8 (``_IRLS_TOL``). Equals the
     maximum-likelihood estimate at convergence. Separable data never converge
     (the MLE does not exist); the returned state then has ``converged=False``
     and a growing coefficient norm. A row whose squared norm is not finite is
@@ -165,7 +166,7 @@ def irls_fit(x, y, tol: float = 1e-8, max_iter: int = 100) -> IRLSState:
             raise InvalidParameterError("both classes must be present")
         raise InvalidParameterError("labels must be 0/1")
 
-    state, singular = _irls_stack(x[None], y[None], np.ones((1, n)), tol, max_iter)
+    state, singular = _irls_stack(x[None], y[None], np.ones((1, n)), _IRLS_TOL, max_iter)
     if singular[0]:
         raise SingularMatrixError("weighted normal equations are singular")
     beta, converged = state.beta[0], bool(state.converged[0])

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CsvParseError, InvalidParameterError
-from .numerics import RandomStream, check_count, inv_logit, text_blocks
+from .numerics import RandomStream, check_count, inv_logit, line_blocks
 
 __all__ = [
     "Dataset",
@@ -93,22 +92,20 @@ def _parse_cells(path, rows) -> np.ndarray:
 
 
 def _parse_text(blocks, has_header: bool):
-    """(header, values) of quote-free text parsed in C a block of whole lines at a time, or
-    None when the cell-by-cell path must parse the whole file (to locate a bad cell, among
-    others).
+    """(header, values) of quote-free lines parsed in C a block at a time, or None when the
+    cell-by-cell path must parse the whole file (to locate a bad cell, among others).
 
-    Without quotes, csv.reader ends a record at CR LF, CR or LF and splits it at every
-    comma; this splits the same way, so a CR LF pair cut between two blocks leaves a blank
-    line, which drops. Each block's kept lines go to one ``np.loadtxt`` call, and the result
-    is kept only when every kept line gives one row of finite values, as many as the first
-    row has. Besides the parsed blocks and their concatenation it holds one block of text.
+    ``blocks`` are lists of whole lines, each ending in LF but perhaps the last: without
+    quotes, csv.reader ends a record where such a line ends and splits it at every comma.
+    Each block's kept lines go to one ``np.loadtxt`` call, and the result is kept only when
+    every kept line gives one row of finite values, as many as the first row has. Besides
+    the parsed blocks and their concatenation it holds one block of lines.
     """
     header, width, parts = None, None, []
-    for text in blocks:
-        if '"' in text:
+    for block in blocks:
+        if '"' in "".join(block):
             return None
-        lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-                 if line and not line.lstrip().startswith("#")]
+        lines = [line for line in block if line != "\n" and not line.lstrip().startswith("#")]
         if has_header and header is None and lines:
             header = [name.strip() for name in lines.pop(0).split(",")]
         if not lines:
@@ -126,12 +123,12 @@ def _parse_text(blocks, has_header: bool):
     return (header, np.concatenate(parts)) if parts else None
 
 
-def _parse_records(path, text: str, has_header: bool):
-    """(header, values) of the whole file's ``text`` through csv.reader; raises at the first
-    bad row or cell. Quoted files and files with a bad cell come here, whole: a quoted
-    record may span lines, and a bad cell's row counts every kept line before it."""
-    rows = [row for row in csv.reader(io.StringIO(text, newline=""))
-            if row and not row[0].lstrip().startswith("#")]
+def _parse_records(path, handle, has_header: bool):
+    """(header, values) of the whole file through csv.reader, from a ``handle`` opened with
+    ``newline=""``; raises at the first bad row or cell. Quoted files and files with a bad
+    cell come here, whole: a quoted record may span lines, and a bad cell's row counts every
+    kept line before it."""
+    rows = [row for row in csv.reader(handle) if row and not row[0].lstrip().startswith("#")]
     if not rows:
         raise CsvParseError(f"{path} contains no data")
 
@@ -156,17 +153,18 @@ def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
     ``target_column`` may be a column name (requires a header), a 0-based
     index, or None for features-only data. Non-finite and non-numeric
     entries are rejected with their 1-based (data row, column) location.
-    Lines whose first cell starts with "#" are comments. The file is parsed
-    in C where it can be, read in blocks of whole lines (``numerics.text_blocks``), so
-    that besides the array and its parsed blocks only one block of text is held. A file
-    with a quote, or one that the C parser rejects, is read again whole and parsed cell by
-    cell with ``float()``, which locates the first bad cell.
+    Lines whose first cell starts with "#" are comments; a line may end in
+    LF, CR LF or CR. The file is parsed in C where it can be, read with universal newlines
+    in blocks of whole lines (``numerics.line_blocks``), so that besides the array and its
+    parsed blocks only one block of lines is held. A file with a quote, or one that the C
+    parser rejects, is opened again for ``csv.reader`` and parsed cell by cell with
+    ``float()``, which locates the first bad cell.
     """
-    with open(path, newline="") as handle:
-        parsed = _parse_text(text_blocks(handle), has_header)
-        if parsed is None:
-            handle.seek(0)
-            parsed = _parse_records(path, handle.read(), has_header)
+    with open(path) as handle:
+        parsed = _parse_text(line_blocks(handle), has_header)
+    if parsed is None:
+        with open(path, newline="") as handle:
+            parsed = _parse_records(path, handle, has_header)
     header, values = parsed
     width = values.shape[1]
     if header is not None and len(header) != width:

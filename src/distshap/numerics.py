@@ -206,22 +206,14 @@ def blocks(stop: int, width: int, *, cache: bool = False):
         yield slice(start, start + step)
 
 
-def text_blocks(handle):
-    """Blocks of whole lines of a text ``handle``: reads of ``8 * _CACHE_FLOATS`` characters
-    (the bytes of one cache block), each cut after its last line end (LF or CR) and the rest
-    carried to the next; a line longer than a read grows its block. The last block may lack a
-    line end. A CR LF pair may be cut between its two characters. A generator: it holds one
-    read and the block cut from it, never the file."""
-    size = 8 * _CACHE_FLOATS
-    rest = ""
-    while chunk := handle.read(size):
-        text = rest + chunk
-        cut = max(text.rfind("\n"), text.rfind("\r")) + 1
-        if cut:
-            yield text[:cut]
-        rest = text[cut:]
-    if rest:
-        yield rest
+def line_blocks(handle):
+    """Lists of whole lines of a text ``handle``, each one ``readlines`` call with a hint of
+    ``8 * _CACHE_FLOATS`` characters (the bytes of one cache block): every list but the last
+    holds more than the hint, by at most its last line. From a file opened with universal
+    newlines every line ends in LF but perhaps the last. A generator: it holds one list, never
+    the file."""
+    while lines := handle.readlines(8 * _CACHE_FLOATS):
+        yield lines
 
 
 def runs(cost, budget: int | None = None):

@@ -173,6 +173,10 @@ class TestUtilityFields:
         with pytest.raises(InvalidParameterError, match="labels must be 0/1"):
             AccuracyUtility(3, np.zeros((5, 2)), np.array(labels))
         AccuracyUtility(3, np.zeros((5, 2)), np.array([0, 1, 1, 0, True]))
+        # a pool's labels are checked by the stacked call that reads them
+        with pytest.raises(InvalidParameterError, match="^labels must be 0/1$"):
+            evaluate_utility((np.zeros((5, 2)), np.array(labels, dtype=float)),
+                             AccuracyUtility(3, np.zeros((5, 2)), np.zeros(5)))
 
     def test_density_gate_is_one(self):
         utility = DensityUtility(KernelSpec("gaussian", 0.5), np.zeros((10, 1)))
@@ -400,6 +404,8 @@ class TestExactShapley:
     def test_size_refusal(self):
         with pytest.raises(EnumerationSizeError, match="baseline"):
             exact_data_shapley(np.arange(21), lambda s: 0.0)
+        with pytest.raises(InvalidParameterError, match="^dataset must be nonempty$"):
+            exact_data_shapley(np.arange(0), lambda s: 0.0)
 
     def test_supervised_data_with_utility_spec(self):
         gen = np.random.default_rng(9)
@@ -566,6 +572,16 @@ class TestMcBaseline:
                            match=f"failed on {failures} of {attempts} evaluated draws"):
             dshapley_mc_baseline(np.array([0.0]), np.arange(10.0), util, m=6, max_draws=200,
                                  rng=RandomStream(3))
+
+    def test_one_usable_draw_raises(self):
+        # NaN on 3-row sets: one of the two draws fails, and one draw has no variance
+        def util(rows):
+            return np.nan if len(rows) == 3 else 0.1 * len(rows)
+
+        with pytest.raises(BaselineFailureError,
+                           match="^utility failed on 1 of 2 evaluated draws, leaving 1 usable; "):
+            dshapley_mc_baseline(np.array([0.5]), np.arange(10.0), util, m=4, max_draws=2,
+                                 rng=RandomStream(1))
 
     def test_matches_exact_route_on_gaussian_truth(self):
         p, q, m = 2, 5, 12

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from distshap import (
     BinaryPointQuery,
+    InsufficientDataError,
     InvalidParameterError,
     NotConvergedError,
     PointQuery,
@@ -82,8 +83,14 @@ class TestIrlsFit:
         assert np.linalg.norm(grad) <= 10.0 * 1e-8
 
     def test_single_class_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            irls_fit(np.random.default_rng(0).standard_normal((10, 2)), np.ones(10))
+        x = np.random.default_rng(0).standard_normal((10, 2))
+        # as are labels other than 0/1, and no more rows than features
+        for rows, y, error, message in (
+                (x, np.ones(10), InvalidParameterError, "^both classes must be present$"),
+                (x, np.tile([-1.0, 1.0], 5), InvalidParameterError, "^labels must be 0/1$"),
+                (x[:2], np.array([0.0, 1.0]), InsufficientDataError, "^need more than p=2 samples, got 2$")):
+            with pytest.raises(error, match=message):
+                irls_fit(rows, y)
 
     def test_stack_fits_each_subset_as_alone(self):
         # irls_fit is the stack of one; in a stack each subset stops on its own,
@@ -219,6 +226,12 @@ class TestTransformQuery:
         _, state, sti = fitted_background
         with pytest.raises(InvalidParameterError):
             transform_query(np.zeros(3), 2, state, sti)
+        # a query built directly checks its label and its weight
+        for field, value, message in (("y_star", 2, r"^y_star must be 0 or 1$"),
+                                      ("w_star", 0.0, r"^w_star must lie in \(0, 0.25\]$"),
+                                      ("w_star", 0.3, r"^w_star must lie in \(0, 0.25\]$")):
+            with pytest.raises(InvalidParameterError, match=message):
+                make_query(1.0, 1.0, **{field: value})
 
 
 _BLOCK_M, _BLOCK_Q, _BLOCK_P = 1000, 6, 3
@@ -264,9 +277,9 @@ def _batch_query(d, e2):
                             z_star=np.full(shape, 2.0), e2_b=e2, d_tilde=d)
 
 
-def make_query(d_tilde, e2_b, p=3):
-    return BinaryPointQuery(x_star=np.zeros(p), y_star=1, pi_star=0.5, w_star=0.25,
-                            z_star=2.0, e2_b=e2_b, d_tilde=d_tilde)
+def make_query(d_tilde, e2_b, p=3, **fields):
+    return BinaryPointQuery(**{**dict(x_star=np.zeros(p), y_star=1, pi_star=0.5, w_star=0.25,
+                                      z_star=2.0, e2_b=e2_b, d_tilde=d_tilde), **fields})
 
 
 class TestBinaryBounds:

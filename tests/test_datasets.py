@@ -123,15 +123,24 @@ class TestLoadCsv:
 
     def test_missing_target(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("a,b\n1.0,2.0\n")
-        with pytest.raises(InvalidParameterError, match="not found"):
-            load_csv(path, target_column="nope")
+        for text, target, has_header, message in (
+                ("a,b\n1.0,2.0\n", "nope", True, "not found"),
+                ("1.0,2.0\n", "a", False, "^a named target column requires a header row$"),
+                ("a,b\n1.0,2.0\n", 2, True, "^target index 2 outside the 2 columns$"),
+                ("a,b\n1.0,2.0\n", -3, True, "^target index -3 outside the 2 columns$")):
+            path.write_text(text)
+            with pytest.raises(InvalidParameterError, match=message):
+                load_csv(path, target_column=target, has_header=has_header)
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("a,b\n1.0,2.0\n3.0\n")
-        with pytest.raises(CsvParseError):
-            load_csv(path, target_column="a")
+        # as are a file of comments and blank lines, and a header with no rows
+        for text, message in (("a,b\n1.0,2.0\n3.0\n", "row has 1 fields, expected 2"),
+                              ("# seed=1\n\n  # note\n\n", "contains no data$"),
+                              ("# seed=1\na,b\n\n", "contains a header but no data rows$")):
+            path.write_text(text)
+            with pytest.raises(CsvParseError, match=message):
+                load_csv(path, target_column="a")
 
     def test_header_width_must_match_rows(self, tmp_path):
         # unquoted text is parsed in C, quoted text by csv.reader: both check the header
@@ -232,15 +241,10 @@ class TestLoadCsv:
         assert fast.y.tobytes() == slow.y.tobytes() == table[:, 4].tobytes()
 
 
-# cache budgets of 8- to 40-character reads, at which a 30-row file spans 13 to 35 blocks
+# cache budgets of 8- to 40-character line hints, at which a 30-row file spans 10 to 31 blocks
 SEAM_BUDGETS = (1, 2, 3, 5)
 ROWS = [f"{i}.5,{i * i}.25,{-i}" for i in range(30)]
 EXPECTED = np.array([[i + 0.5, i * i + 0.25, -i] for i in range(30)])
-
-
-def _blocks_at(cache, text, monkeypatch):
-    monkeypatch.setattr(numerics, "_CACHE_FLOATS", cache)
-    return list(numerics.text_blocks(io.StringIO(text, newline="")))
 
 
 def _load_at_budgets(path, monkeypatch):
@@ -276,11 +280,6 @@ def _parsed(values):
 class TestLoadCsvBlockSeams:
     def test_crlf_pair_cut_at_a_seam(self, tmp_path, monkeypatch):
         text = "\r\n".join(["# c", "a,b,y"] + ROWS) + "\r\n"
-        seams = []
-        for cache in SEAM_BUDGETS:
-            blocks = _blocks_at(cache, text, monkeypatch)
-            seams += [a[-1] + b[0] for a, b in zip(blocks, blocks[1:])]
-        assert "\r\n" in seams
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
         assert _load_at_budgets(path, monkeypatch) == (_parsed(EXPECTED), False)
@@ -308,7 +307,8 @@ class TestLoadCsvBlockSeams:
         # one quote anywhere sends the whole file to csv.reader, which unquotes the cell
         text = "a,b,y\n" + "\n".join(ROWS[:29]) + '\n"29.5",841.25,-29\n'
         for cache in SEAM_BUDGETS:
-            blocks = _blocks_at(cache, text, monkeypatch)
+            monkeypatch.setattr(numerics, "_CACHE_FLOATS", cache)
+            blocks = ["".join(block) for block in numerics.line_blocks(io.StringIO(text, newline=None))]
             assert '"' in blocks[-1] and '"' not in "".join(blocks[:-1])
         path = tmp_path / "data.csv"
         path.write_text(text)

@@ -62,10 +62,13 @@ class TestKdeEvaluate:
         with pytest.raises(InvalidParameterError, match="must be finite"):
             kde_evaluate(s, KernelSpec(family, 1.0), z)
 
-    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0])
-    def test_nonfinite_or_nonpositive_bandwidth_rejected(self, bandwidth):
-        with pytest.raises(InvalidParameterError, match="bandwidth"):
-            KernelSpec("gaussian", bandwidth)
+    @pytest.mark.parametrize("family, bandwidth, message", [
+        ("gaussian", np.nan, "bandwidth"), ("gaussian", np.inf, "bandwidth"), ("gaussian", 0.0, "bandwidth"),
+        ("box", 1.0, "^unknown kernel family 'box'$"),
+    ], ids=["nan", "inf", "0.0", "unknown-family"])
+    def test_nonfinite_or_nonpositive_bandwidth_rejected(self, family, bandwidth, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            KernelSpec(family, bandwidth)
 
     @pytest.mark.parametrize("where", ["set", "z"])
     def test_zero_width_points_rejected(self, where):
@@ -547,6 +550,9 @@ class TestSynergyScan:
     def test_empty_grid(self):
         with pytest.raises(InvalidParameterError):
             synergy_scan([], rng=RandomStream(0))
+        # the closed form holds inside the unit interval only
+        with pytest.raises(InvalidParameterError, match=r"^bandwidths must lie in \(0, 1\)$"):
+            synergy_scan([0.5, 1.0], rng=RandomStream(0))
 
     @pytest.mark.parametrize("c_den", [np.nan, np.inf, -np.inf])
     def test_nonfinite_c_den_rejected(self, c_den):

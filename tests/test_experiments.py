@@ -48,6 +48,10 @@ class TestConfig:
             ExperimentConfig(task="density", method="bounds")
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(task="regression", method="nope")
+        with pytest.raises(InvalidParameterError, match="^unknown task 'nope'$"):
+            ExperimentConfig(task="nope")
+        with pytest.raises(InvalidParameterError, match="^bound_side must be lower or upper$"):
+            small_config(method="bounds", bound_side="middle")
 
     def test_split_sizes_validated(self):
         # a negative size would slice the split from its end
@@ -73,6 +77,9 @@ class TestConfig:
         config = small_config(n_value_points=100)
         with pytest.raises(InvalidParameterError, match="exceeds"):
             value_points(data, config, RandomStream(1))
+        # valuing every row leaves none for the background
+        with pytest.raises(InvalidParameterError, match="^no samples left for the background"):
+            value_points(data, small_config(n_value_points=30), RandomStream(1))
 
 
 class TestValuePoints:

@@ -94,6 +94,9 @@ class TestSpdInverse:
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidParameterError):
             SpdMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        for values in (np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(InvalidParameterError, match="^SpdMatrix requires a square 2-d array$"):
+                SpdMatrix(values)
 
 
 class TestSecondMoment:
@@ -112,6 +115,8 @@ class TestSecondMoment:
     def test_rank_deficiency(self):
         with pytest.raises(RankDeficiencyError):
             estimate_second_moment(np.ones((2, 3)))
+        with pytest.raises(InvalidParameterError, match=r"^samples must form an \(N, p\) array$"):
+            estimate_second_moment(np.ones(3))
 
     def test_degenerate_samples_singular(self):
         pts = np.ones((5, 2))  # rank one
@@ -226,26 +231,30 @@ class TestBlocks:
                 start = end
             assert list(numerics.runs(cost, budget)) == cuts
 
-    def test_text_blocks_end_at_a_line_end(self, monkeypatch):
+    def test_line_blocks_end_at_a_line_end(self, monkeypatch):
         def cut(text):
-            return list(numerics.text_blocks(io.StringIO(text, newline="")))
+            return list(numerics.line_blocks(io.StringIO(text, newline=None)))
 
-        monkeypatch.setattr(numerics, "_CACHE_FLOATS", 1)  # read at each call: 8-character reads
-        assert cut("ab\ncd\nef\ngh\n") == ["ab\ncd\n", "ef\ngh\n"]
-        assert cut("a,b\rc,d\re") == ["a,b\rc,d\r", "e"]  # CR ends a line; the last may not end
-        assert cut("abcdefg\r\nh\n") == ["abcdefg\r", "\nh\n"]  # a CR LF pair cut at a read
-        assert cut("0123456789abc\nx") == ["0123456789abc\n", "x"]  # a long line grows its block
+        monkeypatch.setattr(numerics, "_CACHE_FLOATS", 1)  # read at each call: 8-character hints
+        assert cut("ab\ncd\nef\ngh\n") == [["ab\n", "cd\n", "ef\n"], ["gh\n"]]  # past 8, then stop
+        assert cut("a,b\rc,d\r\ne") == [["a,b\n", "c,d\n", "e"]]  # CR, CR LF read as LF; the last may not end
+        assert cut("0123456789abc\nx") == [["0123456789abc\n"], ["x"]]  # a long line fills its block
         assert cut("") == []
         monkeypatch.setattr(numerics, "_CACHE_FLOATS", 2)
-        assert cut("ab\ncd\nef\ngh\n") == ["ab\ncd\nef\ngh\n"]
+        assert cut("ab\ncd\nef\ngh\n") == [["ab\n", "cd\n", "ef\n", "gh\n"]]
 
     @given(st.text(alphabet="ab,#\r\n", max_size=60), st.integers(1, 3))
-    def test_text_blocks_are_whole_lines_of_the_text(self, text, cache):
+    def test_line_blocks_are_whole_lines_of_the_text(self, text, cache):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numerics, "_CACHE_FLOATS", cache)
-            blocks = list(numerics.text_blocks(io.StringIO(text, newline="")))
-        assert "".join(blocks) == text and all(blocks)
-        assert all(block[-1] in "\r\n" for block in blocks[:-1])
+            blocks = list(numerics.line_blocks(io.StringIO(text, newline=None)))
+        lines = [line for block in blocks for line in block]
+        assert "".join(lines) == text.replace("\r\n", "\n").replace("\r", "\n")
+        assert all(line and "\n" not in line[:-1] for line in lines)
+        assert all(line[-1] == "\n" for line in lines[:-1])
+        # every block but the last passes the hint, and by at most its last line
+        assert all(len("".join(block)) > 8 * cache for block in blocks[:-1])
+        assert all(len("".join(block[:-1])) <= 8 * cache for block in blocks)
 
 
 # case: the budget its blocks obey and the value the case sets it to (None keeps the

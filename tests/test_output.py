@@ -85,6 +85,9 @@ class TestCsv:
         assert read_results(path).columns == {"a": [1, None, 3]}
         path.write_text("\n# k=1\n\na\n1\n\n3\n")  # blank lines before the header are skipped
         assert read_results(path).columns == {"a": [1, None, 3]}
+        path.write_text("\n# k=1\n\n")  # and a file of them alone has no header
+        with pytest.raises(InvalidParameterError, match="has no header row$"):
+            read_results(path)
 
     def test_unwritable_path(self):
         with pytest.raises(InvalidParameterError, match="cannot write"):

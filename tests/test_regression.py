@@ -75,6 +75,10 @@ class TestFitBackground:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             fit_background(np.ones((3, 3)), np.ones(3), m=10, q=6)
+        for x, y, message in ((np.ones(5), np.ones(5), r"^x must be an \(N, p\) array$"),
+                              (np.ones((5, 2)), np.ones(4), "^x and y lengths differ$")):
+            with pytest.raises(InvalidParameterError, match=message):
+                fit_background(x, y, m=10, q=6)
 
     def test_an_overflowing_row_is_refused_by_number(self):
         # 1e200 is finite, but its square is not: the fit warned twice and then failed on

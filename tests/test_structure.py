@@ -1,7 +1,7 @@
 """The block and count rules live in one module. ``numerics`` alone defines the float budgets
-of a bounded kernel's blocks and the helpers that cut rows and groups by them, so the decision
-cannot fork again. Counts that fix bits (``_GRAM_ROWS``, ``_ROWS_PER_BLOCK``, ...) are not
-float budgets and stay with their kernels. ``numerics.check_count`` alone decides what a valid
+of a bounded kernel's blocks and the helpers that cut rows, groups and text lines by them, so
+the decision cannot fork again. Counts that fix bits (``_GRAM_ROWS``, ``_ROWS_PER_BLOCK``, ...)
+are not float budgets and stay with their kernels. ``numerics.check_count`` alone decides what a valid
 count is, so no module compares a count against its floor by hand. And no public function asks
 for a parameter that its body never reads."""
 
@@ -38,6 +38,9 @@ def _problems(tree):
             yield node, "cuts sorted runs by hand"
         if isinstance(node, ast.ImportFrom) and BUDGETS & {alias.name for alias in node.names}:
             yield node, "binds a budget at import, where a patch of numerics cannot reach it"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("read", "readlines") and (node.args or node.keywords)):
+            yield node, "sizes a text read by hand"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
@@ -52,16 +55,19 @@ def test_numerics_holds_the_budgets_and_generators():
     assert all(isinstance(getattr(numerics, name), int) for name in BUDGETS)
     assert inspect.isgeneratorfunction(numerics.blocks)
     assert inspect.isgeneratorfunction(numerics.runs)
+    assert inspect.isgeneratorfunction(numerics.line_blocks)
 
 
 def test_the_checks_catch_each_hand_written_rule():
     source = ("from .numerics import _BLOCK_FLOATS\n_PAIR_ENTRIES = 1 << 12\n_SPAN = 1 << 10\n"
               "def f(n, cost):\n    step = max(1, _SPAN // n)\n    start = 0\n"
-              "    while start < n:\n        start += int(np.searchsorted(cost, 5))\n")
+              "    while start < n:\n        start += int(np.searchsorted(cost, 5))\n"
+              "    lines = handle.readlines(4096) + [handle.read()]\n")
     found = sorted(what for _, what in _problems(ast.parse(source)))
     assert found == ["binds a budget at import, where a patch of numerics cannot reach it",
                      "cuts sorted runs by hand", "defines the float budget _PAIR_ENTRIES",
-                     "defines the float budget _SPAN", "works out a block's rows by hand"]
+                     "defines the float budget _SPAN", "sizes a text read by hand",
+                     "works out a block's rows by hand"]
 
 
 _FLOORS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
