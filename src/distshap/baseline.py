@@ -30,7 +30,7 @@ from .errors import (
     UtilityEvaluationError,
 )
 from .estimates import ValueEstimate
-from .numerics import RandomStream, SpdMatrix, blocks, check_count, runs, solve_each
+from .numerics import RandomStream, SpdMatrix, blocks, check_count, check_sample, runs, solve_each
 
 __all__ = [
     "RegressionUtility",
@@ -72,6 +72,8 @@ class RegressionUtility:
         if not ((all(heldout) and not any(truth)) or (all(truth) and not any(heldout))):
             raise InvalidParameterError("a regression utility takes either x_test and y_test "
                                         "or beta_true, sigma_x and sigma2")
+        if all(heldout):
+            check_sample(self.x_test, self.y_test, ("x_test", "y_test"))
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,7 @@ class AccuracyUtility:
         check_count(self.gate, 1, "gate")
         if not np.isin(self.y_test, (0.0, 1.0)).all():
             raise InvalidParameterError("labels must be 0/1")
+        check_sample(self.x_test, self.y_test, ("x_test", "y_test"))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .estimates import BoundsResult
-from .numerics import SpdMatrix, check_count, check_nonnegative, check_row_norms, estimate_second_moment, in_shape, inv_logit, mahalanobis_sq, solve_each
+from .numerics import SpdMatrix, check_count, check_nonnegative, check_row_norms, check_sample, estimate_second_moment, in_shape, inv_logit, mahalanobis_sq, solve_each
 from .regression import _check_q, _envelope_bounds
 
 __all__ = [
@@ -150,12 +150,11 @@ def irls_fit(x, y, max_iter: int = 100) -> IRLSState:
     step norm ``|d| / (1 + |beta|)`` drops to 1e-8 (``_IRLS_TOL``). Equals the
     maximum-likelihood estimate at convergence. Separable data never converge
     (the MLE does not exist); the returned state then has ``converged=False``
-    and a growing coefficient norm. A row whose squared norm is not finite is
-    refused by its 1-based number. This is the IRLS loop on a stack of one subset.
+    and a growing coefficient norm. A row whose squared norm or label is not finite
+    is refused by its 1-based number. This is the IRLS loop on a stack of one subset.
     """
     check_count(max_iter, 1, "max_iter")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    x, y = check_sample(x, y)
     n, p = x.shape
     if n <= p:
         raise InsufficientDataError(f"need more than p={p} samples, got {n}")
@@ -207,6 +206,7 @@ def transform_query(x_star, y_star, state: IRLSState, sigma_tilde_inv: SpdMatrix
     x_star = np.asarray(x_star, dtype=float)
     rows, shape = np.atleast_2d(x_star), x_star.shape[:-1]
     y = np.atleast_1d(y_star).astype(int)
+    check_sample(rows, y, ("x_star", "y_star"))
     eta = np.einsum("ij,j->i", np.ascontiguousarray(rows), state.beta)
     pi = inv_logit(eta)
     w = pi * (1.0 - pi)

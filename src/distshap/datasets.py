@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -76,10 +77,33 @@ def gen_mixture_c(m: int, p: int, rng: RandomStream) -> Dataset:
     return Dataset(x=x, y=y)
 
 
-def _parse_cells(path, rows) -> np.ndarray:
-    """Parse every cell with float(); raise for the first bad one at its 1-based location."""
-    values = np.empty((len(rows), len(rows[0])))
-    for r, row in enumerate(rows, start=1):
+def _is_data(line: str) -> bool:
+    """Whether a line holds data: a blank line does not, nor does a comment, a line whose
+    first non-space character is "#". The rule reads lines, before any quote is read."""
+    return line != "\n" and not line.lstrip().startswith("#")
+
+
+def _records(path, lines):
+    """csv.reader over ``lines``, raising its errors (a field longer than
+    ``csv.field_size_limit()``, say) as ``CsvParseError``."""
+    try:
+        yield from csv.reader(lines)
+    except csv.Error as exc:
+        raise CsvParseError(f"{path}: {exc}") from exc
+
+
+def _parse_records(path, lines, width, done: int) -> np.ndarray:
+    """Values of the data ``lines`` through csv.reader and float(), their rows numbered after
+    the ``done`` already parsed. Raises at the first row that has not ``width`` fields (the
+    first row's when None), and only then at the first bad cell, by its 1-based location."""
+    rows = list(_records(path, lines))
+    width = width or len(rows[0])
+    for r, row in enumerate(rows, start=done + 1):
+        if len(row) != width:
+            raise CsvParseError(
+                f"{path}: row has {len(row)} fields, expected {width}", row=r, col=len(row))
+    values = np.empty((len(rows), width))
+    for r, row in enumerate(rows, start=done + 1):
         for c, cell in enumerate(row, start=1):
             try:
                 value = float(cell)
@@ -87,64 +111,8 @@ def _parse_cells(path, rows) -> np.ndarray:
                 raise CsvParseError(f"{path}: could not parse {cell!r}", row=r, col=c) from exc
             if not math.isfinite(value):
                 raise CsvParseError(f"{path}: non-finite value {cell!r}", row=r, col=c)
-            values[r - 1, c - 1] = value
+            values[r - done - 1, c - 1] = value
     return values
-
-
-def _parse_text(blocks, has_header: bool):
-    """(header, values) of quote-free lines parsed in C a block at a time, or None when the
-    cell-by-cell path must parse the whole file (to locate a bad cell, among others).
-
-    ``blocks`` are lists of whole lines, each ending in LF but perhaps the last: without
-    quotes, csv.reader ends a record where such a line ends and splits it at every comma.
-    Each block's kept lines go to one ``np.loadtxt`` call, and the result is kept only when
-    every kept line gives one row of finite values, as many as the first row has. Besides
-    the parsed blocks and their concatenation it holds one block of lines.
-    """
-    header, width, parts = None, None, []
-    for block in blocks:
-        if '"' in "".join(block):
-            return None
-        lines = [line for line in block if line != "\n" and not line.lstrip().startswith("#")]
-        if has_header and header is None and lines:
-            header = [name.strip() for name in lines.pop(0).split(",")]
-        if not lines:
-            continue
-        if width is None:
-            width = lines[0].count(",") + 1
-        try:
-            # no comment character: "4 # note" is a bad cell, not 4
-            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-        if values.shape != (len(lines), width) or not np.isfinite(values).all():
-            return None
-        parts.append(values)
-    return (header, np.concatenate(parts)) if parts else None
-
-
-def _parse_records(path, handle, has_header: bool):
-    """(header, values) of the whole file through csv.reader, from a ``handle`` opened with
-    ``newline=""``; raises at the first bad row or cell. Quoted files and files with a bad
-    cell come here, whole: a quoted record may span lines, and a bad cell's row counts every
-    kept line before it."""
-    rows = [row for row in csv.reader(handle) if row and not row[0].lstrip().startswith("#")]
-    if not rows:
-        raise CsvParseError(f"{path} contains no data")
-
-    header = None
-    if has_header:
-        header = [name.strip() for name in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise CsvParseError(f"{path} contains a header but no data rows")
-
-    width = len(rows[0])
-    for r, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise CsvParseError(
-                f"{path}: row has {len(row)} fields, expected {width}", row=r, col=len(row))
-    return header, _parse_cells(path, rows)
 
 
 def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
@@ -153,19 +121,38 @@ def load_csv(path, target_column=None, has_header: bool = True) -> Dataset:
     ``target_column`` may be a column name (requires a header), a 0-based
     index, or None for features-only data. Non-finite and non-numeric
     entries are rejected with their 1-based (data row, column) location.
-    Lines whose first cell starts with "#" are comments; a line may end in
-    LF, CR LF or CR. The file is parsed in C where it can be, read with universal newlines
-    in blocks of whole lines (``numerics.line_blocks``), so that besides the array and its
-    parsed blocks only one block of lines is held. A file with a quote, or one that the C
-    parser rejects, is opened again for ``csv.reader`` and parsed cell by cell with
-    ``float()``, which locates the first bad cell.
+    Blank lines and comment lines (first non-space character "#") are dropped; a line may end
+    in LF, CR LF or CR. The file is read once: csv.reader reads the header a line at a time,
+    then each block of whole lines (``numerics.line_blocks``) goes to one ``np.loadtxt`` call
+    while its rows come out finite and of one width. From the first block that does not (a
+    quote, a bad cell), csv.reader and ``float()`` parse the rest, holding its rows, and locate
+    the first bad row or cell; until then one block of lines is held besides the arrays.
     """
+    width, parts, done = None, [], 0
     with open(path) as handle:
-        parsed = _parse_text(line_blocks(handle), has_header)
-    if parsed is None:
-        with open(path, newline="") as handle:
-            parsed = _parse_records(path, handle, has_header)
-    header, values = parsed
+        # line by line, so that a quoted name may run over lines wherever blocks would end
+        names = next(_records(path, filter(_is_data, handle)), None) if has_header else None
+        header = None if names is None else [name.strip() for name in names]
+        blocks = (list(filter(_is_data, block)) for block in line_blocks(handle))
+        for block in blocks:
+            if not block:
+                continue
+            try:
+                # no comment character: "4 # note" is a bad cell, not 4, as is a quoted cell
+                values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                values = None
+            if (values is None or values.shape != (len(block), width or values.shape[1])
+                    or not np.isfinite(values).all()):
+                rest = chain(block, chain.from_iterable(blocks))
+                parts.append(_parse_records(path, rest, width, done))
+                break
+            width, done = values.shape[1], done + len(block)
+            parts.append(values)
+    if not parts:
+        raise CsvParseError(f"{path} contains a header but no data rows" if header is not None
+                            else f"{path} contains no data")
+    values = np.concatenate(parts)
     width = values.shape[1]
     if header is not None and len(header) != width:
         raise CsvParseError(f"{path}: header has {len(header)} fields, rows have {width}")

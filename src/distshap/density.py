@@ -357,8 +357,8 @@ def uniform_closed_form(points, h: float, m: int, C_den: float) -> float:
     return coeff_A(n, m) * fit + _c0(n, m, h, C_den)
 
 
-def synergy_scan(h_grid, m: int = 100, C_den: float = 0.2, n_draws: int = 5000,
-                 rng: RandomStream | None = None) -> SynergyScanResult:
+def synergy_scan(h_grid, m: int = 100, C_den: float = 0.2, n_draws: int = 5000, *,
+                 rng: RandomStream) -> SynergyScanResult:
     """Probe, per bandwidth, when a pair is worth more than its two members.
 
     Pairs are drawn uniformly from the part of the unit interval where the
@@ -370,8 +370,6 @@ def synergy_scan(h_grid, m: int = 100, C_den: float = 0.2, n_draws: int = 5000,
     if any(h >= 1.0 for h in grid):
         raise InvalidParameterError("bandwidths must lie in (0, 1)")
     check_count(n_draws, 1, "n_draws")
-    if rng is None:
-        rng = RandomStream(0)
     records = []
     for gi, h in enumerate(grid):
         gen = rng.substream(gi).generator

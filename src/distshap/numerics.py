@@ -191,6 +191,21 @@ def check_row_norms(x, name: str) -> None:
             f"{name} row {bad[0] + 1} has a squared norm that is not finite, got {float(sq[bad[0]])!r}")
 
 
+def check_sample(x, y, names=("x", "y")):
+    """``x`` as an (n, p) float array and ``y`` as its (n,) targets; raise
+    ``InvalidParameterError`` by the ``names`` of the two for an ``x`` of another rank, a ``y``
+    of another length, or the first row (1-based) whose target is not finite."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float).ravel()
+    if x.ndim != 2:
+        raise InvalidParameterError(f"{names[0]} must be an (N, p) array")
+    if y.shape[0] != x.shape[0]:
+        raise InvalidParameterError(f"{names[0]} and {names[1]} lengths differ")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise InvalidParameterError(f"{names[1]} row {bad[0] + 1} is not finite, got {float(y[bad[0]])!r}")
+    return x, y
+
+
 # Floats one block of a bounded kernel may hold, read at each call: _BLOCK_FLOATS bounds
 # memory, the smaller _CACHE_FLOATS keeps a working set in cache where that is faster.
 _BLOCK_FLOATS = 1 << 16

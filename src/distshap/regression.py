@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError, SingularMatrixError
 from .estimates import BoundsResult, ValueEstimate
-from .numerics import LOG_TINY, RandomStream, SpdMatrix, blocks, check_count, check_nonnegative, check_row_norms, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
+from .numerics import LOG_TINY, RandomStream, SpdMatrix, blocks, check_count, check_nonnegative, check_row_norms, check_sample, estimate_second_moment, exp_or_zero, in_shape, mahalanobis_sq, spd_inverse
 
 __all__ = [
     "RegressionEnvironment",
@@ -119,15 +119,10 @@ def fit_background(x, y, *, m: int, q: int, gamma: float = 0.0) -> RegressionEnv
     Fits ``beta_hat`` by least squares, the noise variance by
     ``RSS / (N - p)``, and the inverse uncentered second moment of the
     inputs; ``gamma`` is stored as the valuation-time penalty. A row whose
-    squared norm is not finite is refused by its 1-based number.
+    squared norm or target is not finite is refused by its 1-based number.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if x.ndim != 2:
-        raise InvalidParameterError("x must be an (N, p) array")
+    x, y = check_sample(x, y)
     n, p = x.shape
-    if y.shape[0] != n:
-        raise InvalidParameterError("x and y lengths differ")
     if n <= p:
         raise InsufficientDataError(f"need more than p={p} samples, got {n}")
     check_row_norms(x, "background")
@@ -222,7 +217,9 @@ def dshapley_regression_quadrature(query: PointQuery, env: RegressionEnvironment
     nodes of the Laplace rule up to ``x = _QUAD_TOP``, and :func:`_laplace_sums` sums the
     points against them. No size is truncated and nothing is drawn. Both parts are sums of
     positive terms, so the rule's error is at rounding level: ``std_error`` is
-    ``_QUAD_ROUNDING`` times the value's magnitude.
+    ``_QUAD_ROUNDING`` times the value's magnitude, plus a bound on the integrals past the
+    top node ``U``, from ``Gk(u) <= Gk(U) ((1 + 2U) / (1 + 2u))^(nu0/2)`` with ``nu0 = q - p``
+    the smallest ``nu``. It is exactly 0 once ``exp(-U d)`` underflows, for ``d`` above 1.4e-32.
 
     Requires ``gamma = 0`` and ``q >= p + 3``. Returns exact 0 (with a
     warning) when the horizon sits below the gate. The value and ``std_error``
@@ -238,8 +235,11 @@ def dshapley_regression_quadrature(query: PointQuery, env: RegressionEnvironment
     g0, g1 = _size_table(np.log1p(2.0 * u), dfs / 2.0, np.stack((coef, coef * dfs)))
     big_p, big_q = _laplace_sums(d, u, (g1 / (1.0 + 2.0 * u), g0))
     value = -(env.sigma2 * big_p + d * e2 * big_q) / env.m
+    top, nu0 = u[-1], env.q - env.p
+    tail = exp_or_zero(-top * d) * (env.sigma2 * g1[-1] * (1.0 + 2.0 * top) / (2.0 * (nu0 - 2))
+                                    + np.where(d > 0.0, e2 * g0[-1] * top, 0.0)) / env.m
     return ValueEstimate(value=in_shape(value, shape),
-                         std_error=in_shape(_QUAD_ROUNDING * np.abs(value), shape))
+                         std_error=in_shape(_QUAD_ROUNDING * np.abs(value) + tail, shape))
 
 
 def dshapley_regression_exact(query: PointQuery, env: RegressionEnvironment,

@@ -26,7 +26,7 @@ import mpmath as mp
 P_DIM = 10
 GATES = (13, 40)  # q = p + 3, and a larger gate
 HORIZON = 1000
-DISTANCES = (0.0, 1e-8, 1e-3, 1.0, 100.0, 1e4, 1e6, 1e9)
+DISTANCES = (0.0, 1e-40, 1e-36, 1e-34, 1e-8, 1e-3, 1.0, 100.0, 1e4, 1e6, 1e9)
 OUT = Path(__file__).with_name("quadrature_reference.json")
 
 

@@ -158,6 +158,16 @@ class TestUtilityFields:
         with pytest.raises(InvalidParameterError, match="either x_test and y_test or beta_true"):
             RegressionUtility(gate=3, **fields)
 
+    @pytest.mark.parametrize("utility, y_test, message", [
+        (RegressionUtility, np.zeros(4), "^x_test and y_test lengths differ$"),
+        (AccuracyUtility, np.zeros(6), "^x_test and y_test lengths differ$"),
+        (RegressionUtility, np.r_[0.0, np.nan, 0.0, 0.0, 0.0], "^y_test row 2 is not finite, got nan$"),
+    ], ids=["regression-length", "accuracy-length", "regression-nan"])
+    def test_heldout_pairs_are_checked_once_built(self, utility, y_test, message):
+        # built, they failed on the first evaluation with a broadcast error, or read NaN
+        with pytest.raises(InvalidParameterError, match=message):
+            utility(3, x_test=np.zeros((5, 2)), y_test=y_test)
+
     @pytest.mark.parametrize("gate", (0, -2, np.nan))
     def test_gate_below_one_rejected(self, gate):
         # unchecked, a NaN gate would read every prefix as below it and every value as 0

@@ -84,10 +84,16 @@ class TestIrlsFit:
 
     def test_single_class_rejected(self):
         x = np.random.default_rng(0).standard_normal((10, 2))
-        # as are labels other than 0/1, and no more rows than features
+        # as are labels other than 0/1, no more rows than features, a sample of the wrong
+        # shape and a label that is not finite
+        y = np.tile([0.0, 1.0], 5)
         for rows, y, error, message in (
                 (x, np.ones(10), InvalidParameterError, "^both classes must be present$"),
                 (x, np.tile([-1.0, 1.0], 5), InvalidParameterError, "^labels must be 0/1$"),
+                (x[:, 0], y, InvalidParameterError, r"^x must be an \(N, p\) array$"),
+                (x[..., None], y, InvalidParameterError, r"^x must be an \(N, p\) array$"),
+                (x, y[:9], InvalidParameterError, "^x and y lengths differ$"),
+                (x, np.r_[y[:3], np.nan, y[4:]], InvalidParameterError, "^y row 4 is not finite, got nan$"),
                 (x[:2], np.array([0.0, 1.0]), InsufficientDataError, "^need more than p=2 samples, got 2$")):
             with pytest.raises(error, match=message):
                 irls_fit(rows, y)
@@ -226,6 +232,8 @@ class TestTransformQuery:
         _, state, sti = fitted_background
         with pytest.raises(InvalidParameterError):
             transform_query(np.zeros(3), 2, state, sti)
+        with pytest.raises(InvalidParameterError, match="^x_star and y_star lengths differ$"):
+            transform_query(np.zeros((3, 3)), np.array([0, 1]), state, sti)
         # a query built directly checks its label and its weight
         for field, value, message in (("y_star", 2, r"^y_star must be 0 or 1$"),
                                       ("w_star", 0.0, r"^w_star must lie in \(0, 0.25\]$"),

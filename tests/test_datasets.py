@@ -1,7 +1,12 @@
+import csv
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distshap import datasets, numerics
 from distshap import (
@@ -134,10 +139,14 @@ class TestLoadCsv:
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "data.csv"
-        # as are a file of comments and blank lines, and a header with no rows
+        # as are a file of comments and blank lines, a header with no rows, and a field
+        # longer than csv.field_size_limit(), in a row or in the header
+        long = "x" * (csv.field_size_limit() + 1)
         for text, message in (("a,b\n1.0,2.0\n3.0\n", "row has 1 fields, expected 2"),
                               ("# seed=1\n\n  # note\n\n", "contains no data$"),
-                              ("# seed=1\na,b\n\n", "contains a header but no data rows$")):
+                              ("# seed=1\na,b\n\n", "contains a header but no data rows$"),
+                              (f"a,b\n1.0,2.0\n{long},1\n", "field larger than field limit"),
+                              (f"a,{long}\n1.0,2.0\n", "field larger than field limit")):
             path.write_text(text)
             with pytest.raises(CsvParseError, match=message):
                 load_csv(path, target_column="a")
@@ -247,7 +256,7 @@ ROWS = [f"{i}.5,{i * i}.25,{-i}" for i in range(30)]
 EXPECTED = np.array([[i + 0.5, i * i + 0.25, -i] for i in range(30)])
 
 
-def _load_at_budgets(path, monkeypatch):
+def _load_at_budgets(path, monkeypatch, target_column="y", has_header=True):
     """load_csv's outcome at the default cache budget and at each of ``SEAM_BUDGETS``: the
     array bits, or the error's message and location, and whether the file went to csv.reader.
     Every budget must give the default's outcome, which is returned."""
@@ -263,11 +272,11 @@ def _load_at_budgets(path, monkeypatch):
     for cache in (numerics._CACHE_FLOATS,) + SEAM_BUDGETS:
         monkeypatch.setattr(numerics, "_CACHE_FLOATS", cache)
         try:
-            data = load_csv(path, target_column="y")
+            data = load_csv(path, target_column=target_column, has_header=has_header)
         except CsvParseError as exc:
             outcome = (str(exc), exc.row, exc.col)
         else:
-            outcome = (data.x.shape, data.x.tobytes(), data.y.tobytes())
+            outcome = (data.x.shape, data.x.tobytes(), None if data.y is None else data.y.tobytes())
         outcomes.append((outcome, cache in fallbacks))
     assert outcomes[1:] == outcomes[:1] * len(SEAM_BUDGETS)
     return outcomes[0]
@@ -304,18 +313,56 @@ class TestLoadCsvBlockSeams:
         assert _load_at_budgets(path, monkeypatch) == (_parsed(EXPECTED), False)
 
     def test_quote_only_in_the_last_block(self, tmp_path, monkeypatch):
-        # one quote anywhere sends the whole file to csv.reader, which unquotes the cell
+        # the block with the quote and the rest go to csv.reader, which unquotes the cell;
+        # the earlier blocks stay parsed in C
         text = "a,b,y\n" + "\n".join(ROWS[:29]) + '\n"29.5",841.25,-29\n'
-        for cache in SEAM_BUDGETS:
-            monkeypatch.setattr(numerics, "_CACHE_FLOATS", cache)
-            blocks = ["".join(block) for block in numerics.line_blocks(io.StringIO(text, newline=None))]
-            assert '"' in blocks[-1] and '"' not in "".join(blocks[:-1])
         path = tmp_path / "data.csv"
         path.write_text(text)
+        real_parse_records = datasets._parse_records
+        for cache in SEAM_BUDGETS:
+            monkeypatch.setattr(numerics, "_CACHE_FLOATS", cache)
+            handle = io.StringIO(text, newline=None)
+            handle.readline()  # the header, which csv.reader reads before the blocks
+            last = list(numerics.line_blocks(handle))[-1]
+            assert '"' in "".join(last) and '"' not in text[:-len("".join(last))]
+            given_lines = []
+
+            def recording_parse_records(path, lines, *rest):
+                given_lines.extend(lines)
+                return real_parse_records(path, given_lines, *rest)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(datasets, "_parse_records", recording_parse_records)
+                load_csv(path, target_column="y")
+            assert given_lines == last
         assert _load_at_budgets(path, monkeypatch) == (_parsed(EXPECTED), True)
         path.write_text(text.replace('"29.5"', '"29,5"'))
         assert _load_at_budgets(path, monkeypatch) == (
             (f"{path}: could not parse '29,5' at row 30, column 1", 30, 1), True)
+
+    def test_quoted_header_name_over_lines(self, tmp_path, monkeypatch):
+        # csv.reader reads the header a line at a time, so a block's end does not cut it,
+        # and its quotes send no data row to csv.reader
+        path = tmp_path / "data.csv"
+        path.write_text('# c\n"a name\nover lines",b,y\n' + "\n".join(ROWS) + "\n")
+        assert _load_at_budgets(path, monkeypatch) == (_parsed(EXPECTED), False)
+        assert load_csv(path, target_column="a name\nover lines").y.tolist() == EXPECTED[:, 0].tolist()
+
+    def test_quotes_in_comment_lines_are_comments(self, tmp_path, monkeypatch):
+        # a comment is a line, so its quotes open no field and the file stays in C
+        path = tmp_path / "data.csv"
+        path.write_text('a,y\n1,2\n# note,"quoted\n3,4\n5,6\n# end"\n7,8\n')
+        expected = (
+            ((4, 1), np.array([[1.0], [3.0], [5.0], [7.0]]).tobytes(), np.array([2.0, 4.0, 6.0, 8.0]).tobytes()),
+            False)
+        assert _load_at_budgets(path, monkeypatch) == expected
+
+    def test_quoted_hash_is_data(self, tmp_path, monkeypatch):
+        # the comment rule reads the line, not the cell: a quoted "#q" is a data cell
+        path = tmp_path / "data.csv"
+        path.write_text('a,y\n1,2\n"#q",4\n')
+        assert _load_at_budgets(path, monkeypatch) == (
+            (f"{path}: could not parse '#q' at row 2, column 1", 2, 1), True)
 
     @pytest.mark.parametrize("row, message, col", [
         ("24.5,oops,-24", "could not parse 'oops'", 2),
@@ -331,3 +378,41 @@ class TestLoadCsvBlockSeams:
         path.write_text("\n".join(lines) + "\n")
         assert _load_at_budgets(path, monkeypatch) == (
             (f"{path}: {message} at row 25, column {col}", 25, col), True)
+
+
+# cells of the digits, ".", "e", "-", "_", "nan", "inf", spaces and "#": mostly numbers
+_NUMBER = st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{0,3})?(e-?[0-9]{1,3})?", fullmatch=True)
+_SOUP = st.lists(st.sampled_from([*"0123456789.e-_ #", "nan", "inf"]), max_size=4).map("".join)
+_CELL = st.one_of(_NUMBER, _NUMBER, _NUMBER, _SOUP)
+
+
+@st.composite
+def _quote_free_texts(draw):
+    """Rows of one width among blank, comment, whitespace and ragged lines, each line ending
+    in LF, CR LF or CR, or the text in none."""
+    width = draw(st.integers(1, 3))
+    row = st.lists(_CELL, min_size=width, max_size=width).map(",".join)
+    other = st.lists(_CELL, max_size=4).map(",".join)
+    lines = draw(st.lists(st.one_of(row, row, row, row, row, other), max_size=30))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@given(_quote_free_texts(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_fast_parse_agrees_with_cell_parse(text, has_header):
+    # csv.reader and float() alone give what np.loadtxt and they give together
+    def rejecting_loadtxt(*args, **kwargs):
+        raise ValueError("rejected")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as patch:
+            fast = _load_at_budgets(path, patch, target_column=None, has_header=has_header)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "loadtxt", rejecting_loadtxt)
+            slow = _load_at_budgets(path, patch, target_column=None, has_header=has_header)
+    assert fast[0] == slow[0]

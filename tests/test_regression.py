@@ -75,8 +75,11 @@ class TestFitBackground:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             fit_background(np.ones((3, 3)), np.ones(3), m=10, q=6)
+        x = np.random.default_rng(0).standard_normal((8, 2))
         for x, y, message in ((np.ones(5), np.ones(5), r"^x must be an \(N, p\) array$"),
-                              (np.ones((5, 2)), np.ones(4), "^x and y lengths differ$")):
+                              (np.ones((5, 2)), np.ones(4), "^x and y lengths differ$"),
+                              (x, np.r_[1.0, 2.0, np.nan, np.ones(5)], "^y row 3 is not finite, got nan$"),
+                              (x, np.r_[np.inf, np.ones(7)], "^y row 1 is not finite, got inf$")):
             with pytest.raises(InvalidParameterError, match=message):
                 fit_background(x, y, m=10, q=6)
 
