@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .classification import _IRLS_TOL, _irls_stack
+from .classification import _irls_stack
 from .classification import irls_fit  # noqa: F401  (bench/tracing.py rebinds baseline.irls_fit)
 from .density import KernelSpec, _as_points, _kernel_means
 from .density import kde_evaluate  # noqa: F401  (bench/tracing.py rebinds baseline.kde_evaluate)
@@ -167,10 +167,9 @@ def _accuracy_utilities(pool, index, sets, sizes, utility: AccuracyUtility):
     for start in range(0, fit.size, _FITS_PER_BLOCK):
         block = fit[start:start + _FITS_PER_BLOCK]
         width = sizes[block[-1]]
-        members = (np.arange(width) < sizes[block, None]).astype(float)
         with np.errstate(all="ignore"):
             state, singular = _irls_stack(x[sets[block], :width], y[sets[block], :width],
-                                          members, _IRLS_TOL, _ACCURACY_MAX_ITER)
+                                          sizes[block], _ACCURACY_MAX_ITER)
         out[block[~singular]] = _heldout_scores(  # a count over n: the mean of the booleans
             lambda pred: np.count_nonzero((pred >= 0.0) == labels, axis=-1) / labels.size,
             utility.x_test, state.beta[~singular])

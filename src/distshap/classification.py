@@ -84,22 +84,22 @@ class BinaryPointQuery:
         check_nonnegative(self, ("d_tilde", "e2_b"))
 
 
-def _irls_stack(x, y, members, tol: float, max_iter: int):
-    """The IRLS loop on a stack of subsets: row i of ``x[a]`` (k, s, p) and ``y[a]`` (k, s)
-    is in subset a where ``members[a, i]`` is 1. Each iteration is the Newton increment on a
-    feature-major (k, p, s) copy of the stack, taken once a call with the rows outside a
-    subset set to x = 0 and y = 1/2, so that their weighted rows ``w x`` and residuals
-    ``r = y - pi`` are exact zeros. With the floored weights ``w = max(pi (1 - pi), 1e-10)``,
-    one product of x with ``[w x ; r]``, summed over fixed 256-row blocks, gives the Gram G
-    and ``X^T r``, and beta moves by the solution of ``G d = X^T r``: the working-response
-    step ``G^-1 X^T W z``, since ``X^T W z = G beta + X^T r``. Each subset stops at its own
-    ``tol`` on ``|d| / (1 + |beta|)``, at ``max_iter`` or where G is singular, and the stack
-    is cut to the subsets still iterating only when one stops. No product is a gemv, whose
-    sums depend on the row count, so a fit's bits depend neither on the other subsets nor on
-    the padding width. Returns an ``IRLSState`` of (k, ...) arrays and the (k,) singular flags.
+def _irls_stack(x, y, sizes, max_iter: int):
+    """The IRLS loop on a stack of subsets: subset a is the first ``sizes[a]`` rows of ``x[a]``
+    (k, s, p) and ``y[a]`` (k, s). Each iteration is the Newton increment on a feature-major
+    (k, p, s) copy of the stack, taken once a call with the rows past a subset's size set to
+    x = 0 and y = 1/2, so that their weighted rows ``w x`` and residuals ``r = y - pi`` are
+    exact zeros. With the floored weights ``w = max(pi (1 - pi), 1e-10)``, one product of x
+    with ``[w x ; r]``, summed over fixed 256-row blocks, gives the Gram G and ``X^T r``, and
+    beta moves by the solution of ``G d = X^T r``: the working-response step ``G^-1 X^T W z``,
+    since ``X^T W z = G beta + X^T r``. Each subset stops at its own ``|d| / (1 + |beta|) <=
+    _IRLS_TOL``, at ``max_iter`` or where G is singular, and the stack is cut to the subsets
+    still iterating only when one stops. No product is a gemv, whose sums depend on the row
+    count, so a fit's bits depend neither on the other subsets nor on the padding width.
+    Returns an ``IRLSState`` of (k, ...) arrays and the (k,) singular flags.
     """
     k, s, p = np.shape(x)
-    inside = np.asarray(members) == 1.0
+    inside = np.arange(s) < np.asarray(sizes)[:, None]
     xt = np.multiply(np.swapaxes(x, -1, -2), inside[:, None], order="C")  # (k, p, s)
     y = np.where(inside, y, 0.5)
     buf = np.empty((k, p + 1, s))  # [w x ; r] of the subsets still iterating
@@ -125,7 +125,7 @@ def _irls_stack(x, y, members, tol: float, max_iter: int):
         new = old + delta
         moved = np.sqrt(_sq_norms(delta)) / (1.0 + np.sqrt(_sq_norms(new)))
         iterations[active] = it
-        converged[active] = done = moved <= tol  # False where singular: moved is NaN
+        converged[active] = done = moved <= _IRLS_TOL  # False where singular: moved is NaN
         if bad.any():  # a singular subset stops with its last beta and step
             singular[active[bad]] = True
             new[bad], moved[bad] = old[bad], step[active[bad]]
@@ -165,7 +165,7 @@ def irls_fit(x, y, max_iter: int = 100) -> IRLSState:
             raise InvalidParameterError("both classes must be present")
         raise InvalidParameterError("labels must be 0/1")
 
-    state, singular = _irls_stack(x[None], y[None], np.ones((1, n)), _IRLS_TOL, max_iter)
+    state, singular = _irls_stack(x[None], y[None], [n], max_iter)
     if singular[0]:
         raise SingularMatrixError("weighted normal equations are singular")
     beta, converged = state.beta[0], bool(state.converged[0])

@@ -361,8 +361,8 @@ def synergy_scan(h_grid, m: int = 100, C_den: float = 0.2, n_draws: int = 5000, 
                  rng: RandomStream) -> SynergyScanResult:
     """Probe, per bandwidth, when a pair is worth more than its two members.
 
-    Pairs are drawn uniformly from the part of the unit interval where the
-    closed form applies (a rejection of boundary-violating pairs). For each
+    Both points of a pair are drawn uniformly from ``[h/2, 1 - h/2]``, the part
+    of the unit interval where the closed form applies, so none is rejected. For each
     bandwidth the scan records the smallest pair distance exhibiting synergy
     and the fraction of synergetic pairs.
     """

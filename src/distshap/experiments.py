@@ -139,7 +139,13 @@ class PointAdditionResult:
     rep0_values: np.ndarray
 
 
-def _split_indices(n: int, config: ExperimentConfig, gen: np.random.Generator):
+def _split_indices(n: int, config: ExperimentConfig, gen: np.random.Generator, split=None):
+    """``split``'s parts as arrays or, when it is None, a split of ``n`` rows drawn from ``gen``."""
+    if split is not None:
+        parts = tuple(map(np.asarray, split))
+        if len(parts) != 3 or any(part.ndim != 1 for part in parts):
+            raise InvalidParameterError("split must be three index arrays (value_idx, held_idx, bg_idx)")
+        return parts
     if config.n_value_points > n:
         raise InvalidParameterError(
             f"n_value_points={config.n_value_points} exceeds the dataset size {n}")
@@ -231,22 +237,19 @@ def _value_split(dataset, config, rng, value_idx, held_idx, bg_idx):
     return family(dataset, bg_idx, held_idx, config, config.resolved_q(dataset.p), xs, ys, rng)
 
 
-def value_points(dataset: Dataset, config: ExperimentConfig, rng: RandomStream,
-                 value_idx=None, held_idx=None, bg_idx=None):
+def value_points(dataset: Dataset, config: ExperimentConfig, rng: RandomStream, split=None):
     """Value a set of points; returns (indices, values, std_errors).
 
-    Without explicit index sets the dataset is split deterministically from
-    the stream. No fast route draws random numbers: the bounds routes, the
-    regression fast route (the quadrature) and the classification fast
-    route (its lower bound) and the density fast route (the exact
-    expectation over the background rows) value all points in one call. The
-    sampled baseline draws each point from its own substream.
-    ``config.threads`` does not change how the work runs.
+    ``split = (value_idx, held_idx, bg_idx)`` pins the index sets; without it the dataset
+    is split deterministically from the stream. No fast route draws random numbers: the
+    bounds routes, the regression fast route (the quadrature) and the classification fast
+    route (its lower bound) and the density fast route (the exact expectation over the
+    background rows) value all points in one call. The sampled baseline draws each point
+    from its own substream. ``config.threads`` does not change how the work runs.
     """
-    if value_idx is None:
-        value_idx, held_idx, bg_idx = _split_indices(dataset.n, config, rng.generator)
+    value_idx, held_idx, bg_idx = _split_indices(dataset.n, config, rng.generator, split)
     (values, std_errors), _ = _value_split(dataset, config, rng, value_idx, held_idx, bg_idx)
-    return np.asarray(value_idx), values, std_errors
+    return value_idx, values, std_errors
 
 
 def run_point_addition(config: ExperimentConfig, dataset: Dataset,
@@ -268,15 +271,11 @@ def run_point_addition(config: ExperimentConfig, dataset: Dataset,
     orderings = ("largest", "lowest", "random")
     curves = np.full((len(orderings), config.repetitions, steps + 1), np.nan)
     data = dataset.x if config.task == "density" else (dataset.x, dataset.y)
-    rep0_values = None
-    rep0_indices = None
+    rep0_values = rep0_indices = None
 
     for rep in range(config.repetitions):
         sub = rng.substream(rep)
-        if split is None:
-            value_idx, held_idx, bg_idx = _split_indices(dataset.n, config, sub.generator)
-        else:
-            value_idx, held_idx, bg_idx = (np.asarray(part) for part in split)
+        value_idx, held_idx, bg_idx = _split_indices(dataset.n, config, sub.generator, split)
         (values, _), utility = _value_split(dataset, config, sub, value_idx, held_idx, bg_idx)
         if rep == 0:
             rep0_values, rep0_indices = values.copy(), np.array(value_idx)
@@ -348,17 +347,16 @@ def run_time_bench(grid, tasks, rng: RandomStream, *, repetitions: int = 5,
                     heldout_size=200, repetitions=1, threads=threads,
                     baseline_draws=_BENCH_BASELINE_DRAWS[task],
                 )
-                split = _split_indices(data.n, fast_cfg, rep_rng.substream(1).generator)
-                value_idx, held_idx, bg_idx = split
+                value_idx, held_idx, bg_idx = _split_indices(data.n, fast_cfg, rep_rng.substream(1).generator)
 
                 start = time.perf_counter()
-                value_points(data, fast_cfg, rep_rng.substream(2), *split)
+                value_points(data, fast_cfg, rep_rng.substream(2), (value_idx, held_idx, bg_idx))
                 fast_times.append(time.perf_counter() - start)
 
                 base_cfg = replace(fast_cfg, method="baseline")
-                sub_idx = value_idx[:timed_points]
                 start = time.perf_counter()
-                value_points(data, base_cfg, rep_rng.substream(3), sub_idx, held_idx, bg_idx)
+                value_points(data, base_cfg, rep_rng.substream(3),
+                             (value_idx[:timed_points], held_idx, bg_idx))
                 elapsed = time.perf_counter() - start
                 base_times.append(elapsed * (n_points / timed_points))
             fast_mean = float(np.mean(fast_times))

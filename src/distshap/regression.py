@@ -147,7 +147,10 @@ def _check_q(q: int, p: int, route: str) -> None:
     check_count(q, p + 3, f"{route}: the gate q (q >= p + 3 is required, got q={q}, p={p})")
 
 
-def _empty_sum_estimate(m, q, shape, stacklevel: int = 3) -> ValueEstimate:
+def _empty_sum(m, q, shape=(), stacklevel: int = 3) -> ValueEstimate | None:
+    """None where the horizon m admits a size; else, with a warning, the zero estimate."""
+    if m >= q:
+        return None
     warnings.warn(
         f"valuation horizon m={m} is below the utility gate q={q}; "
         "the value is an empty sum and exactly 0", stacklevel=stacklevel)
@@ -162,7 +165,7 @@ def _gaussian_sizes(env: RegressionEnvironment, route: str, shape):
         raise InvalidParameterError(f"{route} requires gamma = 0")
     _check_q(env.q, env.p, route)
     js = np.arange(env.q - 1, env.m, dtype=float)
-    empty = _empty_sum_estimate(env.m, env.q, shape, stacklevel=4) if env.m < env.q else None
+    empty = _empty_sum(env.m, env.q, shape, stacklevel=4)
     return empty, js, (js - 1.0) / (js - env.p), js - env.p + 1.0
 
 
@@ -315,6 +318,7 @@ def _envelope_bounds(d, e2, *, sigma2: float, m: int, q: int, p: int,
     upper. The result carries each side's noise and error sums.
     """
     shape = np.shape(d)
+    _empty_sum(m, q, stacklevel=4)  # warns where m < q: both sides are then exact zeros
     d, e2 = np.atleast_1d(d), np.atleast_1d(e2)
     js = np.arange(q - 1, m, dtype=float)
     delta = (np.sqrt(p) + np.sqrt(np.log(js * m) / 2.0)) / np.sqrt(js)
@@ -375,7 +379,7 @@ def dshapley_regression_general_mc(query: PointQuery, env: RegressionEnvironment
     """
     check_count(n_outer, 2, "n_outer")
     if env.m < env.q:
-        return _empty_sum_estimate(env.m, env.q, ())
+        return _empty_sum(env.m, env.q)
 
     sigma_x = spd_inverse(env.sigma_inv).values
     x = query.x_star
@@ -420,8 +424,6 @@ def normalization_shift(env: RegressionEnvironment) -> float:
     unaffected either way. Requires ``q >= p + 3``.
     """
     _check_q(env.q, env.p, "normalization_shift")
-    if env.m < env.q:
-        return 0.0
     sizes = np.arange(env.q - 1, env.m, dtype=float)
     return float(env.sigma2 / env.m
                  * np.sum((sizes - 1.0) / ((sizes - env.p) * (sizes - env.p - 1.0))))

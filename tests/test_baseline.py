@@ -274,8 +274,8 @@ class TestStackedUtilities:
         if family == "accuracy":  # an accuracy moves in steps of 1/40: compare the fits too
             x, y = take(rows, 0)
             for k in (50, 599):
-                fit, _ = _irls_stack(x[None, :k], y[None, :k], np.ones((1, k)), 1e-8, 25)
-                wide, _ = _irls_stack(x[None], y[None], (np.arange(600) < k)[None] * 1.0, 1e-8, 25)
+                fit, _ = _irls_stack(x[None, :k], y[None, :k], [k], 25)
+                wide, _ = _irls_stack(x[None], y[None], [k], 25)
                 assert np.array_equal(fit.beta, wide.beta)
             # p = 30 at widths up to 1,300: one gemm over all rows splits them into blocks
             # whose bounds depend on the width, so the Gram is summed over fixed row blocks
@@ -283,9 +283,8 @@ class TestStackedUtilities:
             x = gen.standard_normal((1300, 30))
             y = (x @ gen.standard_normal(30) + 3.0 * gen.standard_normal(1300) > 0).astype(float)
             for k, width in ((409, 1300), (700, 1300), (1000, 1300), (256, 1300), (409, 700)):
-                fit, _ = _irls_stack(x[None, :k], y[None, :k], np.ones((1, k)), 1e-8, 25)
-                wide, _ = _irls_stack(x[None, :width], y[None, :width],
-                                      (np.arange(width) < k)[None] * 1.0, 1e-8, 25)
+                fit, _ = _irls_stack(x[None, :k], y[None, :k], [k], 25)
+                wide, _ = _irls_stack(x[None, :width], y[None, :width], [k], 25)
                 assert np.isfinite(fit.beta).all() and np.array_equal(fit.beta, wide.beta)
 
     @pytest.mark.parametrize("family", ("heldout", "analytic", "accuracy"))
@@ -448,6 +447,18 @@ class TestExactShapley:
         res = exact_data_shapley(data, utility or util)
         values, total = per_subset_shapley(data, util)
         assert np.array_equal(res.values, values) and res.total == total
+
+    @pytest.mark.parametrize("family", ("heldout", "density"))
+    def test_bits_do_not_depend_on_the_sets_per_block(self, family, monkeypatch):
+        # _SETS_PER_BLOCK bounds the subsets of one stack and fixes no bit
+        utility, rows = family_stack(family, b=1, s=10)
+        data = take(rows, 0)
+        results = []
+        for sets in (7, 100, baseline._SETS_PER_BLOCK):
+            monkeypatch.setattr(baseline, "_SETS_PER_BLOCK", sets)
+            res = exact_data_shapley(data, utility)
+            results.append((res.values.tobytes(), res.total))
+        assert results[0] == results[1] == results[2]
 
     def test_unfittable_subset_raises_first_in_mask_order(self):
         utility, rows = family_stack("accuracy", b=1, s=7)
@@ -688,6 +699,21 @@ class TestMcBaseline:
                              rng=RandomStream(4))
         assert max(draws * width for draws, width in stacks) <= 8192
         assert max(draws for draws, _ in stacks) > 8
+
+    @pytest.mark.parametrize("family", ("heldout", "accuracy", "density"))
+    def test_bits_do_not_depend_on_the_rows_per_block(self, family, monkeypatch):
+        # _ROWS_PER_BLOCK bounds a stack's draws times its widest set and fixes no bit:
+        # one draw a stack, the default and one stack of every draw give the same estimate
+        utility, rows = family_stack(family)
+        pool, _ = stacked(rows)
+        estimates = []
+        for budget in (1, 300, baseline._ROWS_PER_BLOCK, 10**5):
+            monkeypatch.setattr(baseline, "_ROWS_PER_BLOCK", budget)
+            est = dshapley_mc_baseline(take(pool, 0), pool, utility, m=80, max_draws=300,
+                                       rng=RandomStream(8))
+            estimates.append((est.value, est.std_error, est.evaluated_draws, est.failed_draws))
+        assert estimates[0] == estimates[1] == estimates[2] == estimates[3]
+        assert (estimates[0][3] > 0) == (family == "accuracy")
 
     def test_pool_mean_matches_enumeration_average(self):
         # value of a pool element against datasets resampled from the pool:

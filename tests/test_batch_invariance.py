@@ -120,9 +120,9 @@ def test_value_points_one_point_is_its_row(task, method):
     config = ExperimentConfig(task=task, method=method, n_value_points=N, m=M,
                               background_size=600, heldout_size=200)
     held, bg = np.arange(N, N + 200), np.arange(N + 200, N + 800)
-    _, values, errors = value_points(data, config, RandomStream(0), np.arange(N), held, bg)
+    _, values, errors = value_points(data, config, RandomStream(0), (np.arange(N), held, bg))
     for i in range(0, N, 23):
-        _, one, one_error = value_points(data, config, RandomStream(0), np.array([i]), held, bg)
+        _, one, one_error = value_points(data, config, RandomStream(0), (np.array([i]), held, bg))
         assert (one.tobytes(), one_error.tobytes()) == (values[i:i + 1].tobytes(),
                                                          errors[i:i + 1].tobytes()), i
 

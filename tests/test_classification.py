@@ -105,7 +105,7 @@ class TestIrlsFit:
         x = gen.standard_normal((5, 60, 3))
         y = (gen.uniform(size=(5, 60)) < inv_logit(x @ np.array([1.5, -1.0, 0.0]))).astype(float)
         x[2, :, 1] = x[2, :, 0]  # duplicated feature: singular normal equations
-        state, singular = _irls_stack(x, y, np.ones((5, 60)), 1e-8, 100)
+        state, singular = _irls_stack(x, y, np.full(5, 60), 100)
         assert singular.tolist() == [False, False, True, False, False]
         for a in (0, 1, 3, 4):
             alone = irls_fit(x[a], y[a])
@@ -114,9 +114,8 @@ class TestIrlsFit:
             assert state.final_step_norm[a] == alone.final_step_norm
         # subsets of one row set, broadcast: row i is in subset a for i < sizes[a]
         sizes = np.array([20, 35, 60])
-        members = (np.arange(60) < sizes[:, None]).astype(float)
         shared, _ = _irls_stack(np.broadcast_to(x[0], (3, 60, 3)), np.broadcast_to(y[0], (3, 60)),
-                                members, 1e-8, 100)
+                                sizes, 100)
         for a, size in enumerate(sizes):
             alone = irls_fit(x[0, :size], y[0, :size])
             assert np.allclose(shared.beta[a], alone.beta, rtol=1e-12, atol=1e-14)
@@ -149,9 +148,8 @@ class TestIrlsFit:
         y[3], y[5] = x[3, :, 0] > 0.0, x[5, :, 1] + x[5, :, 2] > 0.0  # separable
         x[4, :, 2] = x[4, :, 0]  # duplicated feature: singular normal equations
         sizes = np.array([80, 55, 30, 60, 70, 40])
-        members = (np.arange(80) < sizes[:, None]).astype(float)
         with np.errstate(all="ignore"):
-            state, singular = _irls_stack(x, y, members, 1e-8, 25)
+            state, singular = _irls_stack(x, y, sizes, 25)
             alone = [working_response(x[a, :k], y[a, :k], 1e-8, 25) for a, k in enumerate(sizes)]
         assert singular.tolist() == [False, False, False, False, True, False]
         assert state.converged.tolist() == [True, True, True, False, False, False]

@@ -46,6 +46,19 @@ class TestGenAndValue:
         header = next(l for l in lines if not l.startswith("#"))
         assert header == "x0,x1,x2,y"
 
+    @pytest.mark.parametrize("task, data", [("regression", "reg"), ("classification", "clf")])
+    def test_bounds_below_the_gate_warn_of_the_empty_sum(self, task, data, datasets, tmp_path):
+        # --m 2 sits below the gate q = p + 3 = 6: every side is an exact zero, said once
+        out = tmp_path / "o.csv"
+        argv = ["bounds", "--data", str(datasets[data]), "--target-column", "y", "--task", task,
+                "--m", "2", "--n-value-points", "5", "--background-size", "200",
+                "--heldout-size", "0", "--output", str(out)]
+        with pytest.warns(UserWarning, match="^valuation horizon m=2 is below the utility gate "
+                          "q=6; the value is an empty sum and exactly 0$") as record:
+            assert run(argv) == 0
+        assert len(record) == 1
+        assert read_results(out).columns["value"] == [0.0] * 5
+
 
 class TestErrors:
     def test_missing_file_single_line(self, tmp_path, capsys):

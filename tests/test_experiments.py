@@ -81,6 +81,16 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="^no samples left for the background"):
             value_points(data, small_config(n_value_points=30), RandomStream(1))
 
+    def test_a_split_is_three_index_arrays(self):
+        # one index array was taken as the valued rows, and the split failed in the fits
+        data = gen_gaussian_r(300, 2, RandomStream(0))
+        message = r"^split must be three index arrays \(value_idx, held_idx, bg_idx\)$"
+        for split in (np.arange(5), np.arange(3), (np.arange(5), np.arange(5, 50))):
+            with pytest.raises(InvalidParameterError, match=message):
+                value_points(data, small_config(), RandomStream(1), split)
+            with pytest.raises(InvalidParameterError, match=message):
+                run_point_addition(small_config(), data, RandomStream(1), split)
+
 
 class TestValuePoints:
     def test_thread_count_does_not_change_results(self):
@@ -105,8 +115,8 @@ class TestValuePoints:
         data = gen_gaussian_r(800, 4, RandomStream(3))
         split = (np.arange(20), np.arange(20, 170), np.arange(170, 800))
         config = small_config(task=task)
-        _, v1, s1 = value_points(data, config, RandomStream(1), *split)
-        _, v2, s2 = value_points(data, config, RandomStream(2), *split)
+        _, v1, s1 = value_points(data, config, RandomStream(1), split)
+        _, v2, s2 = value_points(data, config, RandomStream(2), split)
         assert v1.tobytes() == v2.tobytes() and s1.tobytes() == s2.tobytes()
 
     def test_density_values_all_points_in_one_call(self, monkeypatch):
@@ -121,7 +131,7 @@ class TestValuePoints:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "dshapley_density", counted)
-        _, values, errs = value_points(data, config, RandomStream(1), *split)
+        _, values, errs = value_points(data, config, RandomStream(1), split)
         assert calls == [(25, 1, 3)]
 
         background = data.x[split[2]]
@@ -141,7 +151,7 @@ class TestValuePoints:
         split = (value_idx, rest[:100], rest[100:])
         config = small_config(task="density", method="baseline", n_value_points=3, m=20,
                               baseline_draws=2000)
-        _, values, errs = value_points(data, config, RandomStream(1), *split)
+        _, values, errs = value_points(data, config, RandomStream(1), split)
 
         background = data.x[split[2]]
         kernel = KernelSpec("gaussian", select_bandwidth(background, config.bandwidth_grid))
@@ -154,7 +164,7 @@ class TestValuePoints:
         assert values.tobytes() == np.array([e.value for e in loop]).tobytes()
         assert errs.tobytes() == np.array([e.std_error for e in loop]).tobytes()
         _, fast, _ = value_points(data, small_config(task="density", n_value_points=3, m=20),
-                                  RandomStream(1), *split)
+                                  RandomStream(1), split)
         assert values[0] > values[1:].max() and fast[0] > fast[1:].max()
 
     def test_bounds_method(self):
@@ -189,7 +199,7 @@ class TestValuePoints:
         for side in ("lower", "upper"):
             config = small_config(task=task, method="bounds", q=9, bound_side=side,
                                   n_value_points=30)
-            _, values, _ = value_points(data, config, RandomStream(5), *split)
+            _, values, _ = value_points(data, config, RandomStream(5), split)
             assert values.tobytes() == np.array([getattr(b, side) for b in expected]).tobytes()
 
 
@@ -236,14 +246,27 @@ class TestPointAddition:
         assert np.array_equal(largest.utilities, lowest.utilities, equal_nan=True)
         assert np.array_equal(largest.utilities, random.utilities, equal_nan=True)
 
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_value_points_and_point_addition_resolve_one_split_alike(self, task):
+        # the fast route draws nothing, so on one pinned split value_points gives the
+        # first repetition's values bit for bit
+        gen = gen_gaussian_r if task == "regression" else gen_mixture_c
+        data = gen(800, 4, RandomStream(3))
+        split = (np.arange(20), np.arange(20, 170), np.arange(170, 800))
+        config = small_config(task=task, repetitions=1)
+        indices, values, _ = value_points(data, config, RandomStream(1), split)
+        result = run_point_addition(config, data, RandomStream(2), split)
+        assert np.array_equal(indices, split[0]) and np.array_equal(result.rep0_indices, split[0])
+        assert values.tobytes() == result.rep0_values.tobytes()
+
     def test_accuracy_fits_are_stacked_with_little_padding(self, monkeypatch):
         # a repetition's three curves are one stack of 3 x 195 prefixes; cut into blocks of
         # 32 in curve order, 23% of the stacked rows were padding, and in order of size 4.7%
         stacked = []
 
-        def spy(x, y, members, tol, max_iter):
-            stacked.append((members.sum(), members.size))
-            return _irls_stack(x, y, members, tol, max_iter)
+        def spy(x, y, sizes, max_iter):
+            stacked.append((sum(sizes), len(sizes) * x.shape[1]))
+            return _irls_stack(x, y, sizes, max_iter)
 
         monkeypatch.setattr(baseline, "_irls_stack", spy)
         data = gen_gaussian_c(800, RandomStream(3))

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import warnings
@@ -42,6 +43,11 @@ TIGHT = 10**5
 def make_env(p=2, m=10, q=5, sigma2=1.0, gamma=0.0):
     return RegressionEnvironment(m=m, q=q, gamma=gamma, sigma2=sigma2,
                                  beta_hat=np.zeros(p), sigma_inv=SpdMatrix(np.eye(p)))
+
+
+def empty_sum_warning(expected):
+    """``pytest.warns`` of the empty sum's warning where ``expected``; else none may be given."""
+    return pytest.warns(UserWarning, match="empty sum") if expected else contextlib.nullcontext()
 
 
 class TestFitBackground:
@@ -560,12 +566,14 @@ class TestBoundsBracket:
         p, q = 10, 13
         d, e2 = (v.ravel() for v in np.meshgrid([0.0, 1e-8, 1e-3, 1.0, 100.0, 1e4, 1e9], [0.0, 1.0, 1e4]))
         x, n = np.zeros((d.size, p)), d.size
-        sides = [dshapley_regression_bounds(PointQuery(x_star=x, y_star=np.zeros(n), e2=e2, d=d),
-                                            make_env(p=p, m=m, q=q, sigma2=sigma2))
-                 for sigma2 in (0.0, 1.0)]
-        sides.append(dshapley_binary_bounds(BinaryPointQuery(
-            x_star=x, y_star=np.ones(n, dtype=int), pi_star=np.full(n, 0.5), w_star=np.full(n, 0.25),
-            z_star=np.full(n, 2.0), e2_b=e2, d_tilde=d), m, q))
+        with empty_sum_warning(m < q):
+            sides = [dshapley_regression_bounds(PointQuery(x_star=x, y_star=np.zeros(n), e2=e2, d=d),
+                                                make_env(p=p, m=m, q=q, sigma2=sigma2))
+                     for sigma2 in (0.0, 1.0)]
+        with empty_sum_warning(m < q):
+            sides.append(dshapley_binary_bounds(BinaryPointQuery(
+                x_star=x, y_star=np.ones(n, dtype=int), pi_star=np.full(n, 0.5), w_star=np.full(n, 0.25),
+                z_star=np.full(n, 2.0), e2_b=e2, d_tilde=d), m, q))
         for lower, upper in sides:
             assert np.all(np.isfinite(lower) & np.isfinite(upper)) and np.all(lower <= upper)
 
@@ -602,13 +610,32 @@ class TestBoundParts:
         env = RegressionEnvironment(m=m, q=q, gamma=gamma, sigma2=1.0, beta_hat=np.zeros(p),
                                     sigma_inv=sigma_inv)
         d = BOUND_GRID_D
-        res = dshapley_regression_bounds(
-            PointQuery(x_star=np.zeros((d.size, p)), y_star=np.zeros(d.size), e2=np.ones(d.size), d=d), env)
+        query = PointQuery(x_star=np.zeros((d.size, p)), y_star=np.zeros(d.size), e2=np.ones(d.size), d=d)
+        with empty_sum_warning(m < q):
+            res = dshapley_regression_bounds(query, env)
         ref = _parts_by_size(d, m, q, p, (gamma * 0.5, gamma * 2.0))
         # the lower side takes S at lo and E at up, the upper side the reverse
         for got, want in ((res.lower_noise, ref["lo"][1]), (res.lower_error, ref["up"][0]),
                           (res.upper_noise, ref["up"][1]), (res.upper_error, ref["lo"][0])):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_empty_sum_below_gate(self):
+        # m = 4 < q = 6 admits no size: both bound routes warn as the estimators do, at the
+        # caller's line, and every side and part is an exact zero
+        d, e2 = np.array([0.0, 2.0, 50.0]), np.array([1.0, 0.5, 3.0])
+        query = PointQuery(x_star=np.ones((3, 2)), y_star=np.zeros(3), e2=e2, d=d)
+        binary = BinaryPointQuery(x_star=np.ones((3, 2)), y_star=np.ones(3, dtype=int),
+                                  pi_star=np.full(3, 0.5), w_star=np.full(3, 0.25),
+                                  z_star=np.full(3, 2.0), e2_b=e2, d_tilde=d)
+        for route in (lambda: dshapley_regression_bounds(query, make_env(p=2, m=4, q=6)),
+                      lambda: dshapley_binary_bounds(binary, 4, 6)):
+            with pytest.warns(UserWarning, match=r"^valuation horizon m=4 is below the utility "
+                              r"gate q=6; the value is an empty sum and exactly 0$") as record:
+                res = route()
+            assert len(record) == 1 and record[0].filename == __file__
+            for side in (res.lower, res.upper, res.lower_noise, res.lower_error,
+                         res.upper_noise, res.upper_error):
+                assert side.tobytes() == np.zeros(3).tobytes()
 
     def test_each_side_is_made_of_its_sums(self):
         gen = np.random.default_rng(12)

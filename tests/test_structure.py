@@ -1,9 +1,10 @@
 """The block and count rules live in one module. ``numerics`` alone defines the float budgets
 of a bounded kernel's blocks and the helpers that cut rows, groups and text lines by them, so
-the decision cannot fork again. Counts that fix bits (``_GRAM_ROWS``, ``_ROWS_PER_BLOCK``, ...)
-are not float budgets and stay with their kernels. ``numerics.check_count`` alone decides what a valid
-count is, so no module compares a count against its floor by hand. And no public function asks
-for a parameter that its body never reads."""
+the decision cannot fork again. Counts that fix bits (``_GRAM_ROWS``, ``_INNER_BLOCK``, ...)
+are not float budgets and stay with their kernels, as do the counts that only bound an oracle
+stack's size (``_ROWS_PER_BLOCK``, ...), on which no bit depends. ``numerics.check_count``
+alone decides what a valid count is, so no module compares a count against its floor by hand.
+And no public function asks for a parameter that its body never reads."""
 
 import ast
 import inspect
